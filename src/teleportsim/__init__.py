@@ -21,19 +21,11 @@ from .bell import (
 )
 from .eavesdrop import (
     EavesdropReport,
-    NullBranchError,
     analyze_eavesdropping,
-    conditional_fidelity,
-    conditional_output,
     distinguishability,
     eavesdrop_operator,
-    joint_probability,
-    joint_probability_table,
-    marginal_l,
-    marginal_m,
     projective_case_analysis,
     sequential_decomposition_check,
-    total_fidelity,
 )
 from .effects import (
     EffectOperator,
@@ -42,7 +34,6 @@ from .effects import (
     make_measurement_family,
     strength_family,
     unitary_effect,
-    validate_family,
 )
 from .engine import (
     ScenarioConfig,
@@ -77,7 +68,6 @@ __all__ = [
     "EffectOperator",
     "EntangledResource",
     "MeasurementFamily",
-    "NullBranchError",
     "ScenarioConfig",
     "TeleportRecord",
     "analyze_eavesdropping",
@@ -87,23 +77,17 @@ __all__ = [
     "child_rng",
     "clock_unitary",
     "completeness_deviation",
-    "conditional_fidelity",
-    "conditional_output",
     "dagger",
     "distinguishability",
     "eavesdrop_operator",
     "fast_run",
     "hermitian_sqrt",
     "ideal_decomposition_check",
-    "joint_probability",
-    "joint_probability_table",
     "kraus_mixture",
     "make_bell_family",
     "make_entangled_resource",
     "make_measurement_family",
     "make_scenario",
-    "marginal_l",
-    "marginal_m",
     "mirror_operator",
     "partial_trace",
     "projective_case_analysis",
@@ -116,11 +100,9 @@ __all__ = [
     "shift_unitary",
     "strength_family",
     "tensor_product",
-    "total_fidelity",
     "transfer_operator",
     "transpose_in_basis",
     "uniform_state",
     "unitary_effect",
-    "validate_family",
     "weyl_unitary",
 ]

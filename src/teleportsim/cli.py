@@ -9,8 +9,9 @@ failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from typing import IO
+from typing import IO, NoReturn
 
 from .config import ConfigError, load_config
 from .runner import DEFAULT_RUN_TOL, InvariantViolation, run_sweep, run_teleport
@@ -22,8 +23,29 @@ EXIT_INVARIANT = 2
 EXIT_IO = 3
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Argument errors exit 1; argparse's own 2 is the invariant code here."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
+def _tolerance(text: str) -> float:
+    """Route tolerance: finite and non-negative, since NaN would pass every check."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite non-negative number, got {text!r}"
+        )
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="teleportsim",
         description="Finite-dimensional teleportation simulator with channel effects",
     )
@@ -34,7 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="scan tap strength against fidelity and leakage")
     _add_run_arguments(sweep)
-    sweep.add_argument("--workers", type=int, default=1, help="concurrent sweep points")
 
     verify = sub.add_parser("verify", help="run the built-in identity checks")
     verify.add_argument(
@@ -42,7 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="workload size (default quick)",
     )
     verify.add_argument("--seed", type=int, default=0, help="seed for random scenarios")
-    verify.add_argument("--workers", type=int, default=1, help="concurrent checks")
     verify.add_argument(
         "--corrupt", choices=("bell", "measurement"), default=None,
         help="deliberately inject a defective family (testing hook)",
@@ -53,13 +73,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _add_run_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", required=True, help="YAML/JSON run specification")
     sub.add_argument("--output", default=None, help="CSV destination (default stdout)")
-    sub.add_argument("--seed", type=int, default=None, help="override the config seed")
     sub.add_argument(
         "--strict", action="store_true",
         help="reject unnormalized inputs instead of normalizing",
     )
     sub.add_argument(
-        "--tolerance", type=float, default=DEFAULT_RUN_TOL,
+        "--tolerance", type=_tolerance, default=DEFAULT_RUN_TOL,
         help="route agreement tolerance (default %(default)g)",
     )
 
@@ -75,25 +94,19 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "verify":
-            report = run_verification(
-                depth=args.depth, seed=args.seed, workers=args.workers, corrupt=args.corrupt
-            )
+            report = run_verification(depth=args.depth, seed=args.seed, corrupt=args.corrupt)
             for line in report.lines():
                 print(line)
             return EXIT_OK if report.passed else EXIT_INVARIANT
 
         spec = load_config(args.config, strict=args.strict)
-        if args.seed is not None:
-            spec = _override_seed(spec, args.seed)
         output_path = args.output if args.output is not None else spec.output_path
         stream, owned = _open_output(output_path)
         try:
             if args.command == "teleport":
                 summary = run_teleport(spec, stream, tolerance=args.tolerance)
             else:
-                summary = run_sweep(
-                    spec, stream, tolerance=args.tolerance, workers=args.workers
-                )
+                summary = run_sweep(spec, stream, tolerance=args.tolerance)
         finally:
             if owned:
                 stream.close()
@@ -112,12 +125,6 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-
-
-def _override_seed(spec, seed: int):
-    from dataclasses import replace
-
-    return replace(spec, seed=seed)
 
 
 if __name__ == "__main__":

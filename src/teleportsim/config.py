@@ -40,7 +40,6 @@ class RunSpec:
     """Everything one CLI invocation needs, fully validated."""
 
     n: int
-    seed: int
     u0: np.ndarray
     bell: BellFamily
     input_state: np.ndarray
@@ -59,7 +58,7 @@ def parse_config(text: str, strict: bool = False) -> RunSpec:
         raise ConfigError(f"document: not valid YAML/JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"document: expected a mapping, got {type(raw).__name__}")
-    known = {"n", "seed", "u0", "bell", "input", "eavesdrop", "effect_b", "distinguish", "output"}
+    known = {"n", "u0", "bell", "input", "eavesdrop", "effect_b", "distinguish", "output"}
     for key in raw:
         if key not in known:
             raise ConfigError(f"{key}: unknown field (expected one of {sorted(known)})")
@@ -67,7 +66,6 @@ def parse_config(text: str, strict: bool = False) -> RunSpec:
     n = _require_int(raw, "n", minimum=2)
     if n > 32:
         raise ConfigError(f"n: dimension {n} exceeds the supported maximum of 32")
-    seed = _require_int(raw, "seed", minimum=0, default=0)
 
     u0_raw = raw.get("u0", "identity")
     if u0_raw == "identity":
@@ -93,7 +91,6 @@ def parse_config(text: str, strict: bool = False) -> RunSpec:
 
     return RunSpec(
         n=n,
-        seed=seed,
         u0=frozen_complex_array(u0),
         bell=bell,
         input_state=frozen_complex_array(input_state),
@@ -111,10 +108,8 @@ def load_config(path: str, strict: bool = False) -> RunSpec:
         return parse_config(handle.read(), strict=strict)
 
 
-def _require_int(raw: dict, key: str, minimum: int, default: int | None = None) -> int:
+def _require_int(raw: dict, key: str, minimum: int) -> int:
     if key not in raw:
-        if default is not None:
-            return default
         raise ConfigError(f"{key}: field is required")
     value = raw[key]
     if isinstance(value, bool) or not isinstance(value, int):
@@ -300,8 +295,6 @@ def _parse_distinguish(
     value: object, n: int, strict: bool
 ) -> tuple[tuple[str, np.ndarray], tuple[str, np.ndarray]]:
     if value is None:
-        if n < 2:
-            raise ConfigError("distinguish: cannot default for n < 2")
         first = np.zeros(n, dtype=complex)
         first[0] = 1.0
         second = np.zeros(n, dtype=complex)

@@ -8,28 +8,20 @@ by `teleportsim.engine.run_oracle`; the verification suite enforces that.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
-from .bell import BellFamily, Label, find_outcome
+from .bell import BellOutcome, Label, find_outcome
 from .effects import MeasurementFamily
-from .engine import NULL_BRANCH_EPS, ScenarioConfig
-from .linalg import (
-    dagger,
-    frozen_complex_array,
-    hermiticity_deviation,
-    transpose_in_basis,
-)
-
-
-class NullBranchError(ValueError):
-    """Raised when asking for the state of a probability-zero branch."""
+from .engine import NULL_BRANCH_EPS, ScenarioConfig, mirror_effect
+from .linalg import dagger, frozen_complex_array, hermiticity_deviation
 
 
 @dataclass(frozen=True, eq=False)
 class EavesdropEntry:
-    """One ``(l, m)`` cell: operator, probability, conditional fidelity.
+    """One ``(l, m)`` cell: probability and conditional fidelity.
 
     ``fidelity`` is ``None`` on a branch that never fires; there is no
     state there to compare with.
@@ -37,7 +29,6 @@ class EavesdropEntry:
 
     l: int | str
     m: Label
-    operator: np.ndarray
     probability: float
     fidelity: float | None
     hermiticity_deviation: float
@@ -77,97 +68,34 @@ def _tap_family(config: ScenarioConfig) -> MeasurementFamily:
     return config.effect_r
 
 
+def _branch_operator(dim: int, outcome: BellOutcome, mirrored: np.ndarray) -> np.ndarray:
+    u_m = np.asarray(outcome.unitary)
+    return (np.sqrt(outcome.weight) / dim) * (u_m @ mirrored @ dagger(u_m))
+
+
+def _branch_operators(
+    config: ScenarioConfig,
+) -> Iterator[tuple[int | str, BellOutcome, np.ndarray]]:
+    """Yield ``(l, outcome, P(l, m))`` for every cell, tap label major.
+
+    Each tap branch is mirrored once and reused across all Bell outcomes.
+    """
+    family = _tap_family(config)
+    u0 = np.asarray(config.u0)
+    for branch in family.branches:
+        mirrored = mirror_effect(u0, branch.matrix)
+        for outcome in config.bell.outcomes:
+            yield branch.label, outcome, _branch_operator(config.dim, outcome, mirrored)
+
+
 def eavesdrop_operator(config: ScenarioConfig, l: int | str, m: Label) -> np.ndarray:
     """Branch operator ``sqrt(w)/dim U(m) (u0^-1 E(l) u0)^T U(m)^-1``."""
     family = _tap_family(config)
     branch = next((b for b in family.branches if b.label == l), None)
     if branch is None:
         raise ValueError(f"no tap branch labeled {l!r}")
-    outcome = find_outcome(config.bell, m)
-    u0 = np.asarray(config.u0)
-    mirrored = transpose_in_basis(dagger(u0) @ np.asarray(branch.matrix) @ u0)
-    u_m = np.asarray(outcome.unitary)
-    return (np.sqrt(outcome.weight) / config.dim) * (u_m @ mirrored @ dagger(u_m))
-
-
-def joint_probability(config: ScenarioConfig, l: int | str, m: Label) -> float:
-    """Probability ``<psi|P(l,m)^2|psi>`` of tap result ``l`` with Bell result ``m``."""
-    op = eavesdrop_operator(config, l, m)
-    psi = np.asarray(config.input_state)
-    return float(np.vdot(psi, op @ (op @ psi)).real)
-
-
-def conditional_output(config: ScenarioConfig, l: int | str, m: Label) -> np.ndarray:
-    """Corrected receiver state ``P(l,m)|psi> / sqrt(p)`` for one branch."""
-    op = eavesdrop_operator(config, l, m)
-    psi = np.asarray(config.input_state)
-    amp = op @ psi
-    probability = float(np.vdot(amp, amp).real)
-    if probability < NULL_BRANCH_EPS:
-        raise NullBranchError(f"branch (l={l!r}, m={m!r}) has probability {probability:.3e}")
-    return amp / np.sqrt(probability)
-
-
-def conditional_fidelity(config: ScenarioConfig, l: int | str, m: Label) -> float:
-    """Fidelity ``|<psi|P(l,m)|psi>|^2 / p(l,m)`` of one branch output."""
-    op = eavesdrop_operator(config, l, m)
-    psi = np.asarray(config.input_state)
-    amp = op @ psi
-    probability = float(np.vdot(amp, amp).real)
-    if probability < NULL_BRANCH_EPS:
-        raise NullBranchError(f"branch (l={l!r}, m={m!r}) has probability {probability:.3e}")
-    return float(abs(np.vdot(psi, amp)) ** 2) / probability
-
-
-def total_fidelity(config: ScenarioConfig) -> float:
-    """Average teleportation fidelity ``sum_lm |<psi|P(l,m)|psi>|^2``.
-
-    Null branches contribute nothing, so the sum runs over everything.
-    """
-    family = _tap_family(config)
-    psi = np.asarray(config.input_state)
-    total = 0.0
-    for branch in family.branches:
-        for outcome in config.bell.outcomes:
-            op = eavesdrop_operator(config, branch.label, outcome.label)
-            total += float(abs(np.vdot(psi, op @ psi)) ** 2)
-    return total
-
-
-def joint_probability_table(config: ScenarioConfig) -> dict[tuple[int | str, Label], float]:
-    """All joint probabilities keyed by ``(l, m)``, tap label major."""
-    family = _tap_family(config)
-    table: dict[tuple[int | str, Label], float] = {}
-    for branch in family.branches:
-        for outcome in config.bell.outcomes:
-            table[(branch.label, outcome.label)] = joint_probability(
-                config, branch.label, outcome.label
-            )
-    return table
-
-
-def marginal_l(config: ScenarioConfig) -> dict[int | str, float]:
-    """Tap-result distribution ``p(l)``; input-independent for any family."""
-    family = _tap_family(config)
-    table = joint_probability_table(config)
-    return {
-        branch.label: sum(
-            table[(branch.label, outcome.label)] for outcome in config.bell.outcomes
-        )
-        for branch in family.branches
-    }
-
-
-def marginal_m(config: ScenarioConfig) -> dict[Label, float]:
-    """Bell-result distribution ``p(m)``; equals ``w(m)/dim^2`` regardless of tap."""
-    family = _tap_family(config)
-    table = joint_probability_table(config)
-    return {
-        outcome.label: sum(
-            table[(branch.label, outcome.label)] for branch in family.branches
-        )
-        for outcome in config.bell.outcomes
-    }
+    mirrored = mirror_effect(np.asarray(config.u0), branch.matrix)
+    return _branch_operator(config.dim, find_outcome(config.bell, m), mirrored)
 
 
 def expected_marginal_l(config: ScenarioConfig) -> dict[int | str, float]:
@@ -188,28 +116,25 @@ def analyze_eavesdropping(config: ScenarioConfig) -> EavesdropReport:
     p_m: dict[Label, float] = {o.label: 0.0 for o in config.bell.outcomes}
     fid_total = 0.0
     worst_herm = 0.0
-    for branch in family.branches:
-        for outcome in config.bell.outcomes:
-            op = eavesdrop_operator(config, branch.label, outcome.label)
-            herm = hermiticity_deviation(op)
-            worst_herm = max(worst_herm, herm)
-            amp = op @ psi
-            probability = float(np.vdot(amp, amp).real)
-            overlap_sq = float(abs(np.vdot(psi, amp)) ** 2)
-            fid_total += overlap_sq
-            fidelity = None if probability < NULL_BRANCH_EPS else overlap_sq / probability
-            p_l[branch.label] += probability
-            p_m[outcome.label] += probability
-            entries.append(
-                EavesdropEntry(
-                    l=branch.label,
-                    m=outcome.label,
-                    operator=frozen_complex_array(op),
-                    probability=probability,
-                    fidelity=fidelity,
-                    hermiticity_deviation=herm,
-                )
+    for l, outcome, op in _branch_operators(config):
+        herm = hermiticity_deviation(op)
+        worst_herm = max(worst_herm, herm)
+        amp = op @ psi
+        probability = float(np.vdot(amp, amp).real)
+        overlap_sq = float(abs(np.vdot(psi, amp)) ** 2)
+        fid_total += overlap_sq
+        fidelity = None if probability < NULL_BRANCH_EPS else overlap_sq / probability
+        p_l[l] += probability
+        p_m[outcome.label] += probability
+        entries.append(
+            EavesdropEntry(
+                l=l,
+                m=outcome.label,
+                probability=probability,
+                fidelity=fidelity,
+                hermiticity_deviation=herm,
             )
+        )
     return EavesdropReport(
         entries=tuple(entries),
         p_l=p_l,
@@ -233,14 +158,12 @@ def sequential_decomposition_check(config: ScenarioConfig) -> DecompositionRepor
     u0 = np.asarray(config.u0)
     target = np.eye(dim) / dim
     branch_sum = np.zeros((dim, dim), dtype=complex)
-    for branch in family.branches:
-        for outcome in config.bell.outcomes:
-            op = eavesdrop_operator(config, branch.label, outcome.label)
-            vec = dagger(np.asarray(outcome.unitary)) @ (op @ psi)
-            branch_sum += np.outer(vec, vec.conj())
+    for _, outcome, op in _branch_operators(config):
+        vec = dagger(np.asarray(outcome.unitary)) @ (op @ psi)
+        branch_sum += np.outer(vec, vec.conj())
     grouped_sum = np.zeros((dim, dim), dtype=complex)
     for branch in family.branches:
-        mirrored = transpose_in_basis(dagger(u0) @ np.asarray(branch.matrix) @ u0)
+        mirrored = mirror_effect(u0, branch.matrix)
         grouped_sum += mirrored @ target @ mirrored
     return DecompositionReport(
         branch_deviation=float(np.max(np.abs(branch_sum - target))),
@@ -302,15 +225,17 @@ def distinguishability(config: ScenarioConfig, inputs: list[np.ndarray]) -> np.n
 
     Entry ``(i, j)`` is the advantage over a fair coin when identifying
     which of two equiprobable inputs produced one joint ``(l, m)`` sample:
-    half the total-variation distance between the probability tables.
+    half the total-variation distance between the probability tables,
+    which hold the same per-cell probabilities as `analyze_eavesdropping`.
     """
     if len(inputs) < 2:
         raise ValueError("need at least two candidate inputs to compare")
-    tables = []
-    for state in inputs:
-        probe = replace(config, input_state=frozen_complex_array(state))
-        table = joint_probability_table(probe)
-        tables.append(np.array(list(table.values())))
+    states = [np.array(state, dtype=complex) for state in inputs]
+    rows = []
+    for _, _, op in _branch_operators(config):
+        amps = [op @ state for state in states]
+        rows.append([float(np.vdot(amp, amp).real) for amp in amps])
+    tables = np.array(rows).T
     count = len(tables)
     out = np.zeros((count, count))
     for i in range(count):

@@ -8,7 +8,7 @@ so branch probabilities close without renormalization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -46,16 +46,6 @@ class MeasurementFamily:
 
     dim: int
     branches: tuple[EffectOperator, ...]
-
-
-@dataclass(frozen=True)
-class FamilyReport:
-    """Numerical health check of a measurement family."""
-
-    completeness_deviation: float
-    branch_hermiticity: tuple[float, ...]
-    branch_min_eigenvalue: tuple[float, ...]
-    passed: bool
 
 
 def unitary_effect(matrix: np.ndarray, label: int | str | None = None) -> EffectOperator:
@@ -106,7 +96,11 @@ def make_measurement_family(
     if len(labels) != len(mats):
         raise ValueError(f"{len(labels)} labels for {len(mats)} branches")
     branches = []
+    seen = set()
     for label, mat in zip(labels, mats):
+        if label in seen:
+            raise ValueError(f"duplicate branch label {label!r}")
+        seen.add(label)
         if mat.shape != (dim, dim):
             raise ValueError(f"branch {label!r} has shape {mat.shape}, expected ({dim}, {dim})")
         herm = hermiticity_deviation(mat)
@@ -173,27 +167,6 @@ def family_completeness_deviation(family: MeasurementFamily) -> float:
     return float(np.max(np.abs(total - np.eye(family.dim))))
 
 
-def validate_family(family: MeasurementFamily, tol: float = FAMILY_TOL) -> FamilyReport:
-    """Re-measure the family invariants without raising."""
-    herm = tuple(hermiticity_deviation(b.matrix) for b in family.branches)
-    min_eigs = tuple(
-        float(np.linalg.eigvalsh((b.matrix + b.matrix.conj().T) / 2).min())
-        for b in family.branches
-    )
-    completeness = family_completeness_deviation(family)
-    passed = (
-        completeness <= tol
-        and all(h <= tol for h in herm)
-        and all(e >= -PSD_CLAMP for e in min_eigs)
-    )
-    return FamilyReport(
-        completeness_deviation=completeness,
-        branch_hermiticity=herm,
-        branch_min_eigenvalue=min_eigs,
-        passed=passed,
-    )
-
-
 def effect_branches(
     effect: EffectOperator | MeasurementFamily | Sequence[EffectOperator] | None,
     dim: int,
@@ -224,8 +197,3 @@ def effect_branches(
             raise ValueError(f"branch {i} shape {mat.shape} does not match dimension {dim}")
         out.append((branch.label if branch.label is not None else i, mat))
     return out
-
-
-def iterate_labels(effects: Iterable[EffectOperator]) -> list[int | str | None]:
-    """Labels of a branch sequence in declaration order."""
-    return [e.label for e in effects]

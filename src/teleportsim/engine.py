@@ -37,8 +37,7 @@ class ScenarioConfig:
     ``effect_r`` disturbs the reference line between resource preparation
     and the Bell measurement; ``effect_b`` disturbs the receiver line.
     With ``apply_correction`` the receiver undoes the outcome unitary, so
-    an undisturbed scenario returns the input exactly.  ``label_b_branches``
-    controls whether receiver-side branch labels survive into records.
+    an undisturbed scenario returns the input exactly.
     """
 
     dim: int
@@ -48,7 +47,6 @@ class ScenarioConfig:
     effect_r: EffectSpec = None
     effect_b: EffectSpec = None
     apply_correction: bool = True
-    label_b_branches: bool = True
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,7 +75,6 @@ def make_scenario(
     effect_r: EffectSpec = None,
     effect_b: EffectSpec = None,
     apply_correction: bool = True,
-    label_b_branches: bool = True,
 ) -> ScenarioConfig:
     """Validate and assemble a scenario; every part must share ``dim``."""
     if dim < 2:
@@ -107,14 +104,12 @@ def make_scenario(
         effect_r=effect_r,
         effect_b=effect_b,
         apply_correction=apply_correction,
-        label_b_branches=label_b_branches,
     )
 
 
-def _branch_label_b(config: ScenarioConfig, label: int | str | None) -> int | str | None:
-    if not config.label_b_branches:
-        return None
-    return label
+def mirror_effect(u0: np.ndarray, effect: np.ndarray) -> np.ndarray:
+    """Reference effect moved onto the input: ``(u0^-1 E u0)^T``."""
+    return transpose_in_basis(dagger(u0) @ effect @ u0)
 
 
 def run_oracle(config: ScenarioConfig) -> list[TeleportRecord]:
@@ -137,9 +132,7 @@ def run_oracle(config: ScenarioConfig) -> list[TeleportRecord]:
                 amp = np.einsum("ij,ijk->k", proj.conj().reshape(dim, dim), full)
                 if config.apply_correction:
                     amp = outcome.unitary @ amp
-                records.append(
-                    _record(outcome.label, l_label, _branch_label_b(config, b_label), amp)
-                )
+                records.append(_record(outcome.label, l_label, b_label, amp))
     return records
 
 
@@ -160,9 +153,8 @@ def transfer_operator(
     outcome = find_outcome(config.bell, m)
     e_r = _select_branch(config.effect_r, l, dim, "reference")
     f_b = _select_branch(config.effect_b, branch, dim, "receiver")
-    u0 = np.asarray(config.u0)
     u_m = np.asarray(outcome.unitary)
-    mirrored = transpose_in_basis(dagger(u0) @ e_r @ u0)
+    mirrored = mirror_effect(np.asarray(config.u0), e_r)
     return (np.sqrt(outcome.weight) / dim) * (u_m @ f_b @ mirrored @ dagger(u_m))
 
 
@@ -173,7 +165,7 @@ def fast_run(config: ScenarioConfig) -> list[TeleportRecord]:
     u0 = np.asarray(config.u0)
     records: list[TeleportRecord] = []
     for l_label, e_r in effect_branches(config.effect_r, dim):
-        mirrored = transpose_in_basis(dagger(u0) @ e_r @ u0)
+        mirrored = mirror_effect(u0, e_r)
         for b_label, f_b in effect_branches(config.effect_b, dim):
             core = f_b @ mirrored
             for outcome in config.bell.outcomes:
@@ -181,9 +173,7 @@ def fast_run(config: ScenarioConfig) -> list[TeleportRecord]:
                 amp = (np.sqrt(outcome.weight) / dim) * (u_m @ (core @ (dagger(u_m) @ psi)))
                 if not config.apply_correction:
                     amp = dagger(u_m) @ amp
-                records.append(
-                    _record(outcome.label, l_label, _branch_label_b(config, b_label), amp)
-                )
+                records.append(_record(outcome.label, l_label, b_label, amp))
     return records
 
 

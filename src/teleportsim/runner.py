@@ -4,12 +4,11 @@ Every quantity written out is computed twice: once through the transfer
 or branch operators and once through the full-state oracle.  A mismatch
 beyond the run tolerance raises `InvariantViolation` instead of writing
 a plausible-looking but wrong table.  Output is deterministic down to
-the byte for a fixed spec and seed.
+the byte for a fixed spec.
 """
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from typing import IO
 
 import numpy as np
@@ -201,21 +200,11 @@ def _sweep_point(spec: RunSpec, theta: float, tolerance: float) -> tuple[float, 
 
 
 def run_sweep(
-    spec: RunSpec,
-    stream: IO[str],
-    tolerance: float = DEFAULT_RUN_TOL,
-    workers: int = 1,
+    spec: RunSpec, stream: IO[str], tolerance: float = DEFAULT_RUN_TOL
 ) -> list[str]:
     """Sweep the tap strength and tabulate fidelity against leakage."""
     grid = _sweep_grid(spec)
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
-    if workers == 1:
-        points = [_sweep_point(spec, theta, tolerance) for theta in grid]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_sweep_point, spec, theta, tolerance) for theta in grid]
-            points = [f.result() for f in futures]
+    points = [_sweep_point(spec, theta, tolerance) for theta in grid]
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(SWEEP_HEADER)
     for theta, (fidelity, advantage) in zip(grid, points):

@@ -2,24 +2,17 @@
 
 Every check recomputes an identity two independent ways and reports the
 worst deviation against a fixed tolerance.  Checks draw their random
-scenarios from per-check seeded generators, so results do not depend on
-worker scheduling.  The ``corrupt`` argument deliberately injects a
+scenarios from per-check seeded generators, so each check's result is
+independent of the others.  The ``corrupt`` argument deliberately injects a
 defective family; it exists so tests can prove the suite actually bites.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bell import (
-    BellFamily,
-    BellOutcome,
-    completeness_deviation,
-    make_bell_family,
-    weyl_unitary,
-)
+from .bell import BellFamily, completeness_deviation, make_bell_family, weyl_unitary
 from .eavesdrop import (
     analyze_eavesdropping,
     expected_marginal_l,
@@ -30,7 +23,6 @@ from .effects import (
     MeasurementFamily,
     family_completeness_deviation,
     kraus_mixture,
-    make_measurement_family,
     strength_family,
     unitary_effect,
 )
@@ -335,24 +327,12 @@ CHECKS = (
 def run_verification(
     depth: str = "quick",
     seed: int = 0,
-    workers: int = 1,
     corrupt: str | None = None,
 ) -> VerificationReport:
-    """Run every check at the requested depth and collect the results.
-
-    ``workers`` > 1 runs checks concurrently; assembly order and every
-    numerical result are identical either way.
-    """
+    """Run every check at the requested depth and collect the results."""
     if depth not in ("quick", "full"):
         raise ValueError(f"depth must be 'quick' or 'full', got {depth!r}")
     if corrupt not in (None, "bell", "measurement"):
         raise ValueError(f"corrupt must be None, 'bell' or 'measurement', got {corrupt!r}")
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
-    if workers == 1:
-        results = [check(depth, seed, corrupt) for check in CHECKS]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(check, depth, seed, corrupt) for check in CHECKS]
-            results = [f.result() for f in futures]
+    results = [check(depth, seed, corrupt) for check in CHECKS]
     return VerificationReport(depth=depth, results=tuple(results))

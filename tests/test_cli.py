@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from teleportsim import cli
@@ -76,8 +75,8 @@ def test_teleport_output_is_byte_identical_across_runs(tmp_path):
     config = write(tmp_path, "run.yaml", TAP_CONFIG)
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"
-    assert cli.main(["teleport", "--config", config, "--seed", "5", "--output", str(first)]) == 0
-    assert cli.main(["teleport", "--config", config, "--seed", "5", "--output", str(second)]) == 0
+    assert cli.main(["teleport", "--config", config, "--output", str(first)]) == 0
+    assert cli.main(["teleport", "--config", config, "--output", str(second)]) == 0
     blob = first.read_bytes()
     assert blob == second.read_bytes()
     assert b"\r\n" not in blob and b"\n" in blob
@@ -87,17 +86,6 @@ def test_sweep_endpoints_and_grid(tmp_path, capsys):
     config = write(tmp_path, "sweep.yaml", SWEEP_CONFIG)
     assert cli.main(["sweep", "--config", config]) == 0
     assert capsys.readouterr().out == EXPECTED_SWEEP_CSV
-
-
-def test_sweep_workers_do_not_change_bytes(tmp_path):
-    config = write(tmp_path, "sweep.yaml", SWEEP_CONFIG)
-    serial = tmp_path / "serial.csv"
-    threaded = tmp_path / "threaded.csv"
-    assert cli.main(["sweep", "--config", config, "--output", str(serial)]) == 0
-    assert cli.main(
-        ["sweep", "--config", config, "--workers", "4", "--output", str(threaded)]
-    ) == 0
-    assert serial.read_bytes() == threaded.read_bytes()
 
 
 def test_output_path_from_config(tmp_path, monkeypatch):
@@ -173,3 +161,41 @@ def test_tolerance_flag_is_accepted(tmp_path):
     config = write(tmp_path, "run.yaml", TAP_CONFIG)
     assert cli.main(["teleport", "--config", config, "--tolerance", "1e-8",
                      "--output", str(tmp_path / "o.csv")]) == 0
+
+
+def exit_code(argv):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    return info.value.code
+
+
+@pytest.mark.parametrize(
+    "extra", [["--bogus"], ["--workers", "4"], ["--seed", "5"]], ids=["unknown", "workers", "seed"]
+)
+@pytest.mark.parametrize("command", ["teleport", "sweep"])
+def test_unknown_run_flag_exits_one(command, extra, tmp_path, capsys):
+    config = write(tmp_path, "sweep.yaml", SWEEP_CONFIG)
+    assert exit_code([command, "--config", config, *extra]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_missing_config_flag_exits_one(capsys):
+    assert exit_code(["teleport"]) == 1
+    assert "--config" in capsys.readouterr().err
+
+
+def test_verify_workers_flag_exits_one(capsys):
+    assert exit_code(["verify", "--workers", "2"]) == 1
+
+
+@pytest.mark.parametrize("value", ["abc", "nan", "-1", "inf"])
+def test_tolerance_must_be_finite_and_non_negative(value, tmp_path, capsys):
+    config = write(tmp_path, "run.yaml", TAP_CONFIG)
+    assert exit_code(["teleport", "--config", config, "--tolerance", value]) == 1
+    assert "--tolerance" in capsys.readouterr().err
+
+
+def test_seed_field_in_config_exits_one(tmp_path, capsys):
+    config = write(tmp_path, "run.yaml", TAP_CONFIG + "seed: 0\n")
+    assert cli.main(["teleport", "--config", config]) == 1
+    assert "seed: unknown field" in capsys.readouterr().err

@@ -16,7 +16,6 @@ input: plus-uniform
 
 FULL = """
 n: 3
-seed: 11
 input: "basis:1"
 u0:
   - [[0, 0], [1, 0], [0, 0]]
@@ -38,7 +37,6 @@ output: out.csv
 def test_minimal_config():
     spec = parse_config(MINIMAL)
     assert spec.n == 2
-    assert spec.seed == 0
     assert spec.input_label == "plus-uniform"
     assert_allclose(spec.input_state, np.full(2, 1 / np.sqrt(2)), atol=1e-15)
     assert_allclose(spec.u0, np.eye(2), atol=1e-15)
@@ -52,7 +50,6 @@ def test_minimal_config():
 def test_full_config():
     spec = parse_config(FULL)
     assert spec.n == 3
-    assert spec.seed == 11
     assert_allclose(spec.input_state, [0, 1, 0], atol=1e-15)
     swap = np.zeros((3, 3))
     swap[0, 1] = swap[1, 0] = swap[2, 2] = 1

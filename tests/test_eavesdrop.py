@@ -8,19 +8,11 @@ from numpy.testing import assert_allclose
 
 from teleportsim.bell import make_bell_family, weyl_unitary
 from teleportsim.eavesdrop import (
-    NullBranchError,
     analyze_eavesdropping,
-    conditional_fidelity,
-    conditional_output,
     distinguishability,
     eavesdrop_operator,
-    joint_probability,
-    joint_probability_table,
-    marginal_l,
-    marginal_m,
     projective_case_analysis,
     sequential_decomposition_check,
-    total_fidelity,
 )
 from teleportsim.effects import (
     EffectOperator,
@@ -39,6 +31,11 @@ def tapped(dim, state, theta, basis=None, u0=None, bell=None):
     return make_scenario(
         dim, state, bell=bell, u0=u0, effect_r=strength_family(dim, theta, basis)
     )
+
+
+def cells(config):
+    """The report's entries keyed by ``(l, m)``."""
+    return {(e.l, e.m): e for e in analyze_eavesdropping(config).entries}
 
 
 def test_operator_is_conjugated_projector_at_full_strength():
@@ -69,17 +66,17 @@ def test_operator_uses_mirrored_branch_for_rotated_reference():
 
 def test_trivial_tap_probabilities_are_flat():
     # at zero strength every (l, m) cell carries weight / (dim^2 * dim)
-    config = tapped(2, uniform_state(2), 0.0)
+    table = cells(tapped(2, uniform_state(2), 0.0))
     for l in range(2):
         for a in range(2):
             for b in range(2):
-                assert joint_probability(config, l, (a, b)) == pytest.approx(1 / 8, abs=1e-12)
+                assert table[(l, (a, b))].probability == pytest.approx(1 / 8, abs=1e-12)
 
 
 def test_full_strength_probabilities_follow_the_shift():
-    config = tapped(2, basis_state(2, 0), 1.0)
-    assert joint_probability(config, 0, (0, 0)) == pytest.approx(0.25, abs=1e-12)
-    assert joint_probability(config, 1, (0, 0)) == pytest.approx(0.0, abs=1e-12)
+    table = cells(tapped(2, basis_state(2, 0), 1.0))
+    assert table[(0, (0, 0))].probability == pytest.approx(0.25, abs=1e-12)
+    assert table[(1, (0, 0))].probability == pytest.approx(0.0, abs=1e-12)
 
 
 @given(
@@ -94,9 +91,11 @@ def test_joint_probabilities_match_oracle_records(dim, theta, seed):
         dim, random_state(dim, rng), theta,
         basis=random_unitary(dim, rng), u0=random_unitary(dim, rng),
     )
-    table = joint_probability_table(config)
+    table = cells(config)
     for record in run_oracle(config):
-        assert table[(record.l, record.m)] == pytest.approx(record.probability, abs=1e-10)
+        assert table[(record.l, record.m)].probability == pytest.approx(
+            record.probability, abs=1e-10
+        )
 
 
 def test_conditional_output_matches_oracle_branch():
@@ -104,25 +103,27 @@ def test_conditional_output_matches_oracle_branch():
     config = tapped(3, random_state(3, rng), 0.6, u0=random_unitary(3, rng))
     records = {(r.l, r.m): r for r in run_oracle(config)}
     for (l, m), record in records.items():
-        out = conditional_output(config, l, m)
+        amp = eavesdrop_operator(config, l, m) @ config.input_state
+        out = amp / np.linalg.norm(amp)
         assert_allclose(out, record.output, atol=1e-10)
 
 
-def test_conditional_output_raises_on_dead_branch():
+def test_dead_branch_has_no_conditional_output():
     config = tapped(2, basis_state(2, 0), 1.0)
-    with pytest.raises(NullBranchError):
-        conditional_output(config, 1, (0, 0))
-    with pytest.raises(NullBranchError):
-        conditional_fidelity(config, 1, (0, 0))
+    amp = eavesdrop_operator(config, 1, (0, 0)) @ config.input_state
+    assert np.linalg.norm(amp) == pytest.approx(0.0, abs=1e-12)
+    entry = cells(config)[(1, (0, 0))]
+    assert entry.probability < 1e-14
+    assert entry.fidelity is None
 
 
 def test_live_branch_fidelity_at_full_strength():
     # the uniform input collapses to a basis state on every live branch
-    config = tapped(2, uniform_state(2), 1.0)
+    table = cells(tapped(2, uniform_state(2), 1.0))
     for l in range(2):
         for a in range(2):
             for b in range(2):
-                assert conditional_fidelity(config, l, (a, b)) == pytest.approx(0.5, abs=1e-12)
+                assert table[(l, (a, b))].fidelity == pytest.approx(0.5, abs=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -130,7 +131,7 @@ def test_live_branch_fidelity_at_full_strength():
 )
 def test_total_fidelity_closed_form(theta):
     config = tapped(2, uniform_state(2), theta)
-    assert total_fidelity(config) == pytest.approx(
+    assert analyze_eavesdropping(config).total_fidelity == pytest.approx(
         closed_form_uniform_fidelity(theta), abs=1e-12
     )
 
@@ -139,13 +140,13 @@ def test_total_fidelity_closed_form(theta):
 @settings(max_examples=40, deadline=None)
 def test_basis_eigenstate_keeps_unit_fidelity(theta, dim):
     config = tapped(dim, basis_state(dim, dim - 1), theta)
-    assert total_fidelity(config) == pytest.approx(1.0, abs=1e-10)
+    assert analyze_eavesdropping(config).total_fidelity == pytest.approx(1.0, abs=1e-10)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_total_fidelity_decreases_with_strength(dim):
     values = [
-        total_fidelity(tapped(dim, uniform_state(dim), theta))
+        analyze_eavesdropping(tapped(dim, uniform_state(dim), theta)).total_fidelity
         for theta in np.linspace(0, 1, 11)
     ]
     assert values[0] == pytest.approx(1.0, abs=1e-10)
@@ -154,12 +155,10 @@ def test_total_fidelity_decreases_with_strength(dim):
 
 
 def test_marginals_for_strength_family():
-    config = tapped(2, random_state(2, np.random.default_rng(3)), 0.8)
-    p_l = marginal_l(config)
-    assert p_l[0] == pytest.approx(0.5, abs=1e-12)
-    assert p_l[1] == pytest.approx(0.5, abs=1e-12)
-    p_m = marginal_m(config)
-    for value in p_m.values():
+    report = analyze_eavesdropping(tapped(2, random_state(2, np.random.default_rng(3)), 0.8))
+    assert report.p_l[0] == pytest.approx(0.5, abs=1e-12)
+    assert report.p_l[1] == pytest.approx(0.5, abs=1e-12)
+    for value in report.p_m.values():
         assert value == pytest.approx(0.25, abs=1e-12)
 
 
@@ -170,7 +169,7 @@ def test_tap_marginal_tracks_branch_traces_not_input():
     rng = np.random.default_rng(7)
     for _ in range(5):
         config = make_scenario(2, random_state(2, rng), effect_r=family)
-        p_l = marginal_l(config)
+        p_l = analyze_eavesdropping(config).p_l
         assert p_l[0] == pytest.approx(0.75, abs=1e-12)
         assert p_l[1] == pytest.approx(0.25, abs=1e-12)
 
@@ -182,7 +181,7 @@ def test_bell_marginal_respects_outcome_weights():
     ]
     family = make_bell_family(2, outcomes)
     config = tapped(2, uniform_state(2), 0.4, bell=family)
-    for value in marginal_m(config).values():
+    for value in analyze_eavesdropping(config).p_m.values():
         assert value == pytest.approx(0.5 / 4, abs=1e-12)
 
 
@@ -217,9 +216,9 @@ def test_projective_analysis_reproduces_joint_table():
     u0 = random_unitary(3, rng)
     config = tapped(3, random_state(3, rng), 1.0, u0=u0)
     report = projective_case_analysis(config)
-    table = joint_probability_table(config)
+    table = cells(config)
     for key, value in report.probabilities.items():
-        assert value == pytest.approx(table[key], abs=1e-10)
+        assert value == pytest.approx(table[key].probability, abs=1e-10)
 
 
 def test_projective_analysis_observable_without_rotation():
@@ -269,13 +268,17 @@ def test_analysis_report_is_self_consistent():
     config = tapped(3, random_state(3, rng), 0.35, u0=random_unitary(3, rng))
     report = analyze_eavesdropping(config)
     assert len(report.entries) == 3 * 9
-    table = joint_probability_table(config)
+    psi = config.input_state
+    total = 0.0
     for entry in report.entries:
-        assert entry.probability == pytest.approx(table[(entry.l, entry.m)], abs=1e-12)
+        op = eavesdrop_operator(config, entry.l, entry.m)
+        probability = float(np.vdot(psi, op @ (op @ psi)).real)
+        assert entry.probability == pytest.approx(probability, abs=1e-12)
         assert entry.hermiticity_deviation < 1e-12
+        total += abs(np.vdot(psi, op @ psi)) ** 2
     assert sum(report.p_l.values()) == pytest.approx(1.0, abs=1e-12)
     assert sum(report.p_m.values()) == pytest.approx(1.0, abs=1e-12)
-    assert report.total_fidelity == pytest.approx(total_fidelity(config), abs=1e-12)
+    assert report.total_fidelity == pytest.approx(total, abs=1e-12)
     assert report.max_hermiticity_deviation < 1e-12
 
 
@@ -291,4 +294,6 @@ def test_analysis_marks_dead_branches_with_no_fidelity():
 def test_tap_functions_require_measurement_family():
     config = make_scenario(2, uniform_state(2))
     with pytest.raises(ValueError, match="no measurement family"):
-        total_fidelity(config)
+        analyze_eavesdropping(config)
+    with pytest.raises(ValueError, match="no measurement family"):
+        eavesdrop_operator(config, 0, (0, 0))

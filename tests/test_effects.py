@@ -14,8 +14,8 @@ from teleportsim.effects import (
     make_measurement_family,
     strength_family,
     unitary_effect,
-    validate_family,
 )
+from teleportsim.linalg import hermiticity_deviation
 from teleportsim.sampling import random_unitary
 
 from oracles import brute_strength_branch
@@ -69,10 +69,9 @@ def test_strength_family_complete_for_any_basis(dim, theta, seed):
     basis = random_unitary(dim, np.random.default_rng(seed))
     family = strength_family(dim, theta, basis)
     assert family_completeness_deviation(family) < 1e-12
-    report = validate_family(family)
-    assert report.passed
-    assert max(report.branch_hermiticity) < 1e-12
-    assert min(report.branch_min_eigenvalue) > -1e-12
+    for branch in family.branches:
+        assert hermiticity_deviation(branch.matrix) < 1e-12
+        assert np.linalg.eigvalsh(branch.matrix).min() > -1e-12
 
 
 def test_strength_family_branches_commute():
@@ -114,9 +113,17 @@ def test_validate_family_flags_scaled_branch():
     branches[0] = EffectOperator(
         matrix=np.asarray(branches[0].matrix) * 1.01, kind="measurement-branch", label=0
     )
-    report = validate_family(MeasurementFamily(dim=2, branches=tuple(branches)))
-    assert not report.passed
-    assert report.completeness_deviation > 1e-3
+    family = MeasurementFamily(dim=2, branches=tuple(branches))
+    assert family_completeness_deviation(family) > 1e-3
+    with pytest.raises(ValueError, match="sum to identity"):
+        make_measurement_family([b.matrix for b in family.branches])
+
+
+def test_explicit_family_rejects_duplicate_labels():
+    e0 = np.diag([1.0, np.sqrt(0.5)]).astype(complex)
+    e1 = np.diag([0.0, np.sqrt(0.5)]).astype(complex)
+    with pytest.raises(ValueError, match="duplicate branch label 0"):
+        make_measurement_family([e0, e1], labels=[0, 0])
 
 
 def test_unitary_effect_validation():

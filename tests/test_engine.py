@@ -195,20 +195,6 @@ def test_probabilities_sum_to_one_with_mixed_effects():
     assert labels == {(l, k) for l in range(2) for k in range(2)}
 
 
-def test_unlabeled_receiver_branches():
-    gamma = 0.4
-    kraus = kraus_mixture([
-        np.diag([1.0, np.sqrt(1 - gamma)]).astype(complex),
-        np.array([[0, np.sqrt(gamma)], [0, 0]], dtype=complex),
-    ])
-    config = make_scenario(
-        2, uniform_state(2), effect_b=kraus, label_b_branches=False
-    )
-    records = run_oracle(config)
-    assert all(r.branch is None for r in records)
-    assert sum(r.probability for r in records) == pytest.approx(1.0, abs=1e-12)
-
-
 @pytest.mark.parametrize("dim", [2, 3, 4, 5])
 def test_ideal_decomposition_is_maximally_mixed(dim):
     rng = np.random.default_rng(dim)

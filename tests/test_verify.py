@@ -56,14 +56,6 @@ def test_failure_lines_mention_the_broken_check():
     assert lines[-1].startswith("CHECKS FAILED")
 
 
-def test_worker_pool_matches_serial_run():
-    serial = run_verification("quick", seed=11, workers=1)
-    threaded = run_verification("quick", seed=11, workers=4)
-    assert [r.name for r in serial.results] == [r.name for r in threaded.results]
-    for left, right in zip(serial.results, threaded.results):
-        assert left.max_deviation == right.max_deviation
-
-
 def test_seed_changes_probes_but_not_verdict():
     for seed in (0, 1, 2):
         assert run_verification("quick", seed=seed).passed
@@ -78,7 +70,3 @@ def test_unknown_corrupt_target_is_rejected():
     with pytest.raises(ValueError, match="corrupt"):
         run_verification("quick", corrupt="resource")
 
-
-def test_zero_workers_is_rejected():
-    with pytest.raises(ValueError, match="workers"):
-        run_verification("quick", workers=0)
