@@ -7,6 +7,7 @@ R x B therefore has R slow; a Bell outcome state on A x R has A slow.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -50,10 +51,47 @@ class BellFamily:
     relation ``sum_m |P(m)><P(m)| = 1`` within `FAMILY_TOL`.  Constructing
     the dataclass directly skips that admission check; the verification
     suite does exactly that to prove it can catch a defective family.
+
+    ``unitaries``, ``weights`` and ``positions`` hold the outcomes stacked
+    in outcome order.  `make_bell_family` stores the stack once and makes
+    every ``BellOutcome.unitary`` a view into it; a directly constructed
+    family stacks its outcomes on first use.
     """
 
     dim: int
     outcomes: tuple[BellOutcome, ...]
+
+    @cached_property
+    def unitaries(self) -> np.ndarray:
+        """Read-only ``(M, dim, dim)`` stack of the outcome unitaries."""
+        return _read_only(np.array([o.unitary for o in self.outcomes], dtype=complex))
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """Read-only ``(M,)`` vector of the outcome weights."""
+        return _read_only(np.array([o.weight for o in self.outcomes], dtype=float))
+
+    @cached_property
+    def positions(self) -> dict[object, int]:
+        """Label key to outcome index; the first outcome wins a repeated label."""
+        index: dict[object, int] = {}
+        for i, outcome in enumerate(self.outcomes):
+            index.setdefault(_label_key(outcome.label), i)
+        return index
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+def _label_key(label: object) -> object:
+    # unhashable labels are looked up by their repr, as admission keys them
+    try:
+        hash(label)
+    except TypeError:
+        return repr(label)
+    return label
 
 
 def make_entangled_resource(dim: int, u0: np.ndarray | None = None) -> EntangledResource:
@@ -121,10 +159,10 @@ def weyl_unitary(dim: int, shift: int, phase: int) -> np.ndarray:
 
 def find_outcome(family: BellFamily, label: Label) -> BellOutcome:
     """Outcome with the given label, or a ValueError naming the miss."""
-    for outcome in family.outcomes:
-        if outcome.label == label:
-            return outcome
-    raise ValueError(f"no outcome labeled {label!r} in family of size {len(family.outcomes)}")
+    position = family.positions.get(_label_key(label))
+    if position is None:
+        raise ValueError(f"no outcome labeled {label!r} in family of size {len(family.outcomes)}")
+    return family.outcomes[position]
 
 
 def bell_outcome_state(
@@ -153,14 +191,16 @@ def completeness_deviation(family: BellFamily) -> float:
     The sum is evaluated with an identity reference rotation; rotating R
     conjugates it by a unitary and cannot change the deviation pattern.
     """
-    dim = family.dim
-    total = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for outcome in family.outcomes:
-        vec = np.sqrt(outcome.weight / dim) * outcome.unitary.reshape(-1)
-        # with u0 = identity the outcome state flattens U(m) row-major:
-        # amplitude of |i>_A |j>_R is sqrt(w/dim) U[i, j]
-        total += np.outer(vec, vec.conj())
-    return float(np.max(np.abs(total - np.eye(dim * dim))))
+    side = family.dim * family.dim
+    # with u0 = identity the outcome state flattens U(m) row-major:
+    # amplitude of |i>_A |j>_R is sqrt(w/dim) U[i, j]
+    states = family.unitaries.reshape(-1, side)
+    weighted = states.conj()
+    weighted *= (family.weights / family.dim)[:, None]
+    gram = states.T @ weighted
+    del weighted
+    gram.flat[:: side + 1] -= 1.0
+    return float(np.max(np.abs(gram)))
 
 
 def make_bell_family(
@@ -180,17 +220,11 @@ def make_bell_family(
     if isinstance(outcomes, str):
         if outcomes != "weyl-orthogonal":
             raise ValueError(f"unknown family kind {outcomes!r}")
-        built = tuple(
-            BellOutcome(
-                label=(a, b),
-                unitary=frozen_complex_array(weyl_unitary(dim, a, b)),
-                weight=1.0,
-            )
-            for a in range(dim)
-            for b in range(dim)
-        )
+        labels: list[Label] = [(a, b) for a in range(dim) for b in range(dim)]
+        unitaries = [weyl_unitary(dim, a, b) for a, b in labels]
+        weights = [1.0] * len(labels)
     else:
-        built_list = []
+        labels, unitaries, weights = [], [], []
         seen: set[object] = set()
         for label, unitary, weight in outcomes:
             unitary = as_complex_matrix(unitary)
@@ -207,13 +241,24 @@ def make_bell_family(
             if key in seen:
                 raise ValueError(f"duplicate outcome label {label!r}")
             seen.add(key)
-            built_list.append(
-                BellOutcome(label=label, unitary=frozen_complex_array(unitary), weight=weight)
-            )
-        if not built_list:
+            labels.append(label)
+            unitaries.append(unitary)
+            weights.append(weight)
+        if not labels:
             raise ValueError("explicit outcome list must not be empty")
-        built = tuple(built_list)
-    family = BellFamily(dim=dim, outcomes=built)
+    stack = _read_only(np.array(unitaries, dtype=complex))
+    del unitaries  # the stack replaces the per-outcome copies before the Gram product
+    weight_vector = _read_only(np.array(weights, dtype=float))
+    family = BellFamily(
+        dim=dim,
+        outcomes=tuple(
+            BellOutcome(label=label, unitary=unitary, weight=weight)
+            for label, unitary, weight in zip(labels, stack, weights)
+        ),
+    )
+    # the outcomes are views into the stack, so the family caches it as is
+    object.__setattr__(family, "unitaries", stack)
+    object.__setattr__(family, "weights", weight_vector)
     deviation = completeness_deviation(family)
     if deviation > FAMILY_TOL:
         raise ValueError(
@@ -228,10 +273,7 @@ def trace_orthogonality_deviation(family: BellFamily) -> float:
     Only meaningful for families meant to be orthogonal; weighted families
     will legitimately report large values.
     """
-    worst = 0.0
-    for i, left in enumerate(family.outcomes):
-        for j, right in enumerate(family.outcomes):
-            overlap = np.trace(dagger(left.unitary) @ right.unitary) / family.dim
-            target = 1.0 if i == j else 0.0
-            worst = max(worst, abs(overlap - target))
-    return worst
+    flat = family.unitaries.reshape(len(family.outcomes), -1)
+    overlaps = flat.conj() @ flat.T / family.dim
+    overlaps.flat[:: len(family.outcomes) + 1] -= 1.0
+    return float(np.max(np.abs(overlaps)))

@@ -2,7 +2,9 @@
 
 A tap on the reference is a measurement family inserted between resource
 preparation and the Bell measurement.  Every question about it reduces to
-the branch operators ``P(l, m)``, which act on the input alone.  The
+the branch operators ``P(l, m)``, which act on the input alone.  They are
+built in blocks of ``dim`` Bell outcomes from the family's outcome stack,
+so one block is as large as the oracle's full A x R x B state.  The
 probabilities predicted here must agree with the oracle records produced
 by `teleportsim.engine.run_oracle`; the verification suite enforces that.
 """
@@ -14,17 +16,20 @@ from typing import Iterator
 import numpy as np
 
 from .bell import BellOutcome, Label, find_outcome
-from .effects import MeasurementFamily
+from .effects import MeasurementFamily, effect_branches
 from .engine import NULL_BRANCH_EPS, ScenarioConfig, mirror_effect
-from .linalg import dagger, frozen_complex_array, hermiticity_deviation
+from .linalg import apply_each, apply_each_inverse, dagger, frozen_complex_array, norms_squared
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class EavesdropEntry:
     """One ``(l, m)`` cell: probability and conditional fidelity.
 
+    A receiver effect is summed out of the cell: the probability adds up
+    its branches and the fidelity is that of the mixed conditional output.
     ``fidelity`` is ``None`` on a branch that never fires; there is no
-    state there to compare with.
+    state there to compare with.  ``hermiticity_deviation`` is that of
+    ``P(l, m)`` itself.
     """
 
     l: int | str
@@ -73,19 +78,27 @@ def _branch_operator(dim: int, outcome: BellOutcome, mirrored: np.ndarray) -> np
     return (np.sqrt(outcome.weight) / dim) * (u_m @ mirrored @ dagger(u_m))
 
 
-def _branch_operators(
-    config: ScenarioConfig,
-) -> Iterator[tuple[int | str, BellOutcome, np.ndarray]]:
-    """Yield ``(l, outcome, P(l, m))`` for every cell, tap label major.
+def _branch_blocks(config: ScenarioConfig) -> Iterator[tuple[int | str, slice, np.ndarray]]:
+    """Yield ``(l, outcomes, P)``: the stack ``P(l, m)`` for the Bell outcomes
+    in the slice ``outcomes``, at most ``dim`` of them, tap label major.
 
     Each tap branch is mirrored once and reused across all Bell outcomes.
     """
     family = _tap_family(config)
+    dim = config.dim
+    unitaries = config.bell.unitaries
+    scales = np.sqrt(config.bell.weights) / dim
     u0 = np.asarray(config.u0)
     for branch in family.branches:
         mirrored = mirror_effect(u0, branch.matrix)
-        for outcome in config.bell.outcomes:
-            yield branch.label, outcome, _branch_operator(config.dim, outcome, mirrored)
+        for start in range(0, len(unitaries), dim):
+            cells = slice(start, start + dim)
+            u_m = unitaries[cells]
+            # U(m) times the mirrored branch as one product over all stacked rows
+            left = (u_m.reshape(-1, dim) @ mirrored).reshape(u_m.shape)
+            block = left @ u_m.conj().transpose(0, 2, 1)
+            block *= scales[cells, None, None]
+            yield branch.label, cells, block
 
 
 def eavesdrop_operator(config: ScenarioConfig, l: int | str, m: Label) -> np.ndarray:
@@ -108,39 +121,58 @@ def expected_marginal_l(config: ScenarioConfig) -> dict[int | str, float]:
 
 
 def analyze_eavesdropping(config: ScenarioConfig) -> EavesdropReport:
-    """Build the full per-branch report for one tapped scenario."""
+    """Build the full per-branch report for one tapped scenario.
+
+    With a receiver effect ``F_b`` every cell sums its branches
+    ``T = U(m) F_b U(m)^-1 P(l, m)``, the operators the oracle applies.
+    """
     family = _tap_family(config)
     psi = np.asarray(config.input_state)
+    outcomes = config.bell.outcomes
+    receiver = None
+    if config.effect_b is not None:
+        receiver = [f_b for _, f_b in effect_branches(config.effect_b, config.dim)]
     entries: list[EavesdropEntry] = []
     p_l: dict[int | str, float] = {b.label: 0.0 for b in family.branches}
-    p_m: dict[Label, float] = {o.label: 0.0 for o in config.bell.outcomes}
+    p_m = np.zeros(len(outcomes))
     fid_total = 0.0
-    worst_herm = 0.0
-    for l, outcome, op in _branch_operators(config):
-        herm = hermiticity_deviation(op)
-        worst_herm = max(worst_herm, herm)
-        amp = op @ psi
-        probability = float(np.vdot(amp, amp).real)
-        overlap_sq = float(abs(np.vdot(psi, amp)) ** 2)
-        fid_total += overlap_sq
-        fidelity = None if probability < NULL_BRANCH_EPS else overlap_sq / probability
-        p_l[l] += probability
-        p_m[outcome.label] += probability
-        entries.append(
-            EavesdropEntry(
-                l=l,
-                m=outcome.label,
-                probability=probability,
-                fidelity=fidelity,
-                hermiticity_deviation=herm,
+    for l, cells, block in _branch_blocks(config):
+        herm = np.max(np.abs(block - block.conj().transpose(0, 2, 1)), axis=(1, 2))
+        amps = block @ psi
+        if receiver is None:
+            # T = P: the direct product keeps the arithmetic of a tap alone
+            probabilities = norms_squared(amps)
+            overlaps_sq = np.abs(amps @ psi.conj()) ** 2
+        else:
+            u_m = config.bell.unitaries[cells]
+            inner = apply_each_inverse(u_m, amps)
+            probabilities = np.zeros(len(block))
+            overlaps_sq = np.zeros(len(block))
+            for f_b in receiver:
+                out = apply_each(u_m, inner @ f_b.T)
+                probabilities += norms_squared(out)
+                overlaps_sq += np.abs(out @ psi.conj()) ** 2
+        p_m[cells] += probabilities
+        for outcome, probability, overlap_sq, herm_dev in zip(
+            outcomes[cells], probabilities.tolist(), overlaps_sq.tolist(), herm.tolist()
+        ):
+            fid_total += overlap_sq
+            p_l[l] += probability
+            entries.append(
+                EavesdropEntry(
+                    l=l,
+                    m=outcome.label,
+                    probability=probability,
+                    fidelity=None if probability < NULL_BRANCH_EPS else overlap_sq / probability,
+                    hermiticity_deviation=herm_dev,
+                )
             )
-        )
     return EavesdropReport(
         entries=tuple(entries),
         p_l=p_l,
-        p_m=p_m,
+        p_m={o.label: p for o, p in zip(outcomes, p_m.tolist())},
         total_fidelity=fid_total,
-        max_hermiticity_deviation=worst_herm,
+        max_hermiticity_deviation=max((e.hermiticity_deviation for e in entries), default=0.0),
     )
 
 
@@ -158,9 +190,9 @@ def sequential_decomposition_check(config: ScenarioConfig) -> DecompositionRepor
     u0 = np.asarray(config.u0)
     target = np.eye(dim) / dim
     branch_sum = np.zeros((dim, dim), dtype=complex)
-    for _, outcome, op in _branch_operators(config):
-        vec = dagger(np.asarray(outcome.unitary)) @ (op @ psi)
-        branch_sum += np.outer(vec, vec.conj())
+    for _, cells, block in _branch_blocks(config):
+        vecs = apply_each_inverse(config.bell.unitaries[cells], block @ psi)
+        branch_sum += vecs.T @ vecs.conj()
     grouped_sum = np.zeros((dim, dim), dtype=complex)
     for branch in family.branches:
         mirrored = mirror_effect(u0, branch.matrix)
@@ -202,17 +234,18 @@ def projective_case_analysis(config: ScenarioConfig) -> ProjectiveReport:
         eigenstates[:, column] = mirrored_vec / phase
     weights = np.arange(dim, dtype=float)
     base_observable = (eigenstates * weights) @ eigenstates.conj().T
+    bell = config.bell
+    stacked = bell.unitaries @ base_observable @ bell.unitaries.conj().transpose(0, 2, 1)
+    stacked.setflags(write=False)
+    # overlaps[m, l] = <e_l| U(m)^-1 psi>
+    overlaps = apply_each_inverse(bell.unitaries, psi) @ eigenstates.conj()
+    cell_probabilities = (bell.weights / dim**2)[:, None] * np.abs(overlaps) ** 2
     observables: dict[Label, np.ndarray] = {}
     probabilities: dict[tuple[int | str, Label], float] = {}
-    for outcome in config.bell.outcomes:
-        u_m = np.asarray(outcome.unitary)
-        observables[outcome.label] = frozen_complex_array(u_m @ base_observable @ dagger(u_m))
-        back = dagger(u_m) @ psi
-        for column, branch in enumerate(family.branches):
-            overlap = np.vdot(eigenstates[:, column], back)
-            probabilities[(branch.label, outcome.label)] = float(
-                (outcome.weight / dim**2) * abs(overlap) ** 2
-            )
+    for outcome, observable, row in zip(bell.outcomes, stacked, cell_probabilities.tolist()):
+        observables[outcome.label] = observable
+        for branch, probability in zip(family.branches, row):
+            probabilities[(branch.label, outcome.label)] = probability
     return ProjectiveReport(
         mirror_eigenstates=frozen_complex_array(eigenstates),
         observables=observables,
@@ -225,17 +258,17 @@ def distinguishability(config: ScenarioConfig, inputs: list[np.ndarray]) -> np.n
 
     Entry ``(i, j)`` is the advantage over a fair coin when identifying
     which of two equiprobable inputs produced one joint ``(l, m)`` sample:
-    half the total-variation distance between the probability tables,
-    which hold the same per-cell probabilities as `analyze_eavesdropping`.
+    half the total-variation distance between the probability tables of
+    ``|P(l, m) psi|^2``.  A receiver effect closes over its branches and
+    leaves these cell probabilities unchanged.
     """
     if len(inputs) < 2:
         raise ValueError("need at least two candidate inputs to compare")
     states = [np.array(state, dtype=complex) for state in inputs]
-    rows = []
-    for _, _, op in _branch_operators(config):
-        amps = [op @ state for state in states]
-        rows.append([float(np.vdot(amp, amp).real) for amp in amps])
-    tables = np.array(rows).T
+    columns = [
+        [norms_squared(block @ state) for state in states] for _, _, block in _branch_blocks(config)
+    ]
+    tables = np.concatenate(columns, axis=1)
     count = len(tables)
     out = np.zeros((count, count))
     for i in range(count):

@@ -5,7 +5,9 @@ evolves the full A x R x B state and projects each Bell outcome; it is
 the ground truth and stays within the design envelope (dim <= 32, so at
 most 32**3 amplitudes).  `fast_run` applies the per-outcome transfer
 operator on the input alone.  Agreement between the two is a standing
-invariant checked by the verification suite.
+invariant checked by the verification suite.  Both routes work on the
+family's outcome stack: one batched product covers every Bell outcome of
+an effect branch.
 """
 from __future__ import annotations
 
@@ -17,11 +19,14 @@ import numpy as np
 from .bell import BellFamily, Label, bell_outcome_state, find_outcome, make_bell_family
 from .effects import EffectOperator, MeasurementFamily, effect_branches
 from .linalg import (
+    apply_each,
+    apply_each_inverse,
     as_complex_matrix,
     as_pure_state,
     dagger,
     frozen_complex_array,
     is_unitary,
+    norms_squared,
     transpose_in_basis,
 )
 
@@ -49,7 +54,7 @@ class ScenarioConfig:
     apply_correction: bool = True
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class TeleportRecord:
     """One conditional branch: labels, probability and output amplitudes.
 
@@ -64,7 +69,15 @@ class TeleportRecord:
     branch: int | str | None
     probability: float
     raw_output: np.ndarray
-    output: np.ndarray | None
+
+    @property
+    def output(self) -> np.ndarray | None:
+        # normalized on access, so a record holds one amplitude vector
+        if self.probability < NULL_BRANCH_EPS:
+            return None
+        output = self.raw_output / np.sqrt(self.probability)
+        output.setflags(write=False)
+        return output
 
 
 def make_scenario(
@@ -120,19 +133,24 @@ def run_oracle(config: ScenarioConfig) -> list[TeleportRecord]:
     """
     dim = config.dim
     psi = np.asarray(config.input_state)
-    resource_mat = np.asarray(config.u0) / np.sqrt(dim)  # R x B amplitudes as a matrix
+    bell = config.bell
+    u0 = np.asarray(config.u0)
+    resource_mat = u0 / np.sqrt(dim)  # R x B amplitudes as a matrix
+    # row m holds <P(m)| over the A x R index, A slow
+    bras = np.empty((len(bell.outcomes), dim * dim), dtype=complex)
+    for row, outcome in zip(bras, bell.outcomes):
+        np.conj(bell_outcome_state(bell, outcome.label, u0), out=row)
+    labels = [o.label for o in bell.outcomes]
     records: list[TeleportRecord] = []
     for l_label, e_r in effect_branches(config.effect_r, dim):
         for b_label, f_b in effect_branches(config.effect_b, dim):
             # (E_R (x) F_B) acting on the resource, still as an R x B matrix
             disturbed = e_r @ resource_mat @ f_b.T
-            full = np.kron(psi, disturbed.reshape(-1)).reshape(dim, dim, dim)
-            for outcome in config.bell.outcomes:
-                proj = bell_outcome_state(config.bell, outcome.label, config.u0)
-                amp = np.einsum("ij,ijk->k", proj.conj().reshape(dim, dim), full)
-                if config.apply_correction:
-                    amp = outcome.unitary @ amp
-                records.append(_record(outcome.label, l_label, b_label, amp))
+            full = np.kron(psi, disturbed.reshape(-1)).reshape(dim * dim, dim)
+            amps = bras @ full
+            if config.apply_correction:
+                amps = apply_each(bell.unitaries, amps)
+            records.extend(_records(labels, l_label, b_label, amps))
     return records
 
 
@@ -161,19 +179,20 @@ def transfer_operator(
 def fast_run(config: ScenarioConfig) -> list[TeleportRecord]:
     """Produce the same records as `run_oracle` via transfer operators."""
     dim = config.dim
-    psi = np.asarray(config.input_state)
+    bell = config.bell
     u0 = np.asarray(config.u0)
+    scale = (np.sqrt(bell.weights) / dim)[:, None]
+    back = apply_each_inverse(bell.unitaries, np.asarray(config.input_state))
+    labels = [o.label for o in bell.outcomes]
     records: list[TeleportRecord] = []
     for l_label, e_r in effect_branches(config.effect_r, dim):
         mirrored = mirror_effect(u0, e_r)
         for b_label, f_b in effect_branches(config.effect_b, dim):
-            core = f_b @ mirrored
-            for outcome in config.bell.outcomes:
-                u_m = np.asarray(outcome.unitary)
-                amp = (np.sqrt(outcome.weight) / dim) * (u_m @ (core @ (dagger(u_m) @ psi)))
-                if not config.apply_correction:
-                    amp = dagger(u_m) @ amp
-                records.append(_record(outcome.label, l_label, b_label, amp))
+            # row m is F_B (u0^-1 E_R u0)^T U(m)^-1 psi
+            amps = back @ (f_b @ mirrored).T
+            if config.apply_correction:
+                amps = apply_each(bell.unitaries, amps)
+            records.extend(_records(labels, l_label, b_label, scale * amps))
     return records
 
 
@@ -185,30 +204,22 @@ def ideal_decomposition_check(config: ScenarioConfig) -> float:
     forbids signalling through the resource alone.
     """
     dim = config.dim
-    psi = np.asarray(config.input_state)
-    total = np.zeros((dim, dim), dtype=complex)
-    for outcome in config.bell.outcomes:
-        back = dagger(outcome.unitary) @ psi
-        total += (outcome.weight / dim**2) * np.outer(back, back.conj())
+    bell = config.bell
+    back = apply_each_inverse(bell.unitaries, np.asarray(config.input_state))
+    total = (back.T * (bell.weights / dim**2)) @ back.conj()
     return float(np.max(np.abs(total - np.eye(dim) / dim)))
 
 
-def _record(
-    m: Label, l: int | str | None, branch: int | str | None, amp: np.ndarray
-) -> TeleportRecord:
-    probability = float(np.vdot(amp, amp).real)
-    if probability < NULL_BRANCH_EPS:
-        output = None
-    else:
-        output = frozen_complex_array(amp / np.sqrt(probability))
-    return TeleportRecord(
-        m=m,
-        l=l,
-        branch=branch,
-        probability=probability,
-        raw_output=frozen_complex_array(amp),
-        output=output,
-    )
+def _records(
+    labels: list[Label], l: int | str | None, branch: int | str | None, amps: np.ndarray
+) -> list[TeleportRecord]:
+    """One record per row of ``amps``; the records share its read-only rows."""
+    amps.setflags(write=False)
+    probabilities = norms_squared(amps)
+    return [
+        TeleportRecord(m=m, l=l, branch=branch, probability=probability, raw_output=raw)
+        for m, probability, raw in zip(labels, probabilities.tolist(), amps)
+    ]
 
 
 def _select_branch(

@@ -78,6 +78,24 @@ def dagger(mat: np.ndarray) -> np.ndarray:
     return np.asarray(mat, dtype=complex).conj().T
 
 
+def apply_each(ops: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Row ``m`` of the result is ``ops[m] @ vecs[m]``, for a stack of operators."""
+    return (ops @ vecs[..., None])[..., 0]
+
+
+def apply_each_inverse(ops: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Row ``m`` of the result is ``dagger(ops[m]) @ vecs[m]``.
+
+    ``vecs`` may be a single vector, applied to every operator of the stack.
+    """
+    return np.conj(vecs.conj()[..., None, :] @ ops)[..., 0, :]
+
+
+def norms_squared(vecs: np.ndarray) -> np.ndarray:
+    """Squared norm of each vector along the last axis."""
+    return np.einsum("...i,...i->...", vecs.conj(), vecs).real
+
+
 def transpose_in_basis(mat: np.ndarray) -> np.ndarray:
     """Plain transpose relative to the computational basis.
 

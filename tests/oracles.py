@@ -124,3 +124,36 @@ def brute_weyl(n: int, a: int, b: int) -> np.ndarray:
 def closed_form_uniform_fidelity(theta: float) -> float:
     """Average fidelity of the uniform qubit input under a strength-theta tap."""
     return (1.0 + np.sqrt(max(0.0, 1.0 - theta * theta))) / 2.0
+
+
+def brute_completeness_deviation(
+    dim: int, outcomes: list[tuple[np.ndarray, float]]
+) -> float:
+    """Largest entry of ``sum_m |P(m)><P(m)| - 1`` over ``(unitary, weight)`` pairs, by loops."""
+    side = dim * dim
+    total = np.zeros((side, side), dtype=complex)
+    for unitary, weight in outcomes:
+        for row in range(side):
+            for col in range(side):
+                total[row, col] += (
+                    weight / dim * unitary[row // dim, row % dim]
+                    * np.conj(unitary[col // dim, col % dim])
+                )
+    worst = 0.0
+    for row in range(side):
+        for col in range(side):
+            worst = max(worst, abs(total[row, col] - (1.0 if row == col else 0.0)))
+    return worst
+
+
+def brute_trace_orthogonality(dim: int, unitaries: list[np.ndarray]) -> float:
+    """Largest deviation of ``tr(U_i^+ U_j) / dim`` from the Kronecker delta, by loops."""
+    worst = 0.0
+    for i, left in enumerate(unitaries):
+        for j, right in enumerate(unitaries):
+            overlap = 0.0 + 0.0j
+            for a in range(dim):
+                for b in range(dim):
+                    overlap += np.conj(left[a, b]) * right[a, b]
+            worst = max(worst, abs(overlap / dim - (1.0 if i == j else 0.0)))
+    return worst

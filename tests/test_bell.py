@@ -21,6 +21,9 @@ from teleportsim.bell import (
 )
 from teleportsim.linalg import dagger, partial_trace
 from teleportsim.sampling import random_hermitian, random_unitary
+from teleportsim.verify import run_verification
+
+from oracles import brute_completeness_deviation, brute_trace_orthogonality
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
@@ -165,3 +168,60 @@ def test_explicit_family_validation_errors():
         make_bell_family(2, [(0, np.eye(2), 1.0), (0, weyl_unitary(2, 1, 0), 1.0)])
     with pytest.raises(ValueError, match="no outcome labeled"):
         find_outcome(make_bell_family(2), (9, 9))
+
+
+def test_weyl_outcomes_are_read_only_views_of_the_stack():
+    family = make_bell_family(3)
+    stack = family.unitaries
+    assert stack.shape == (9, 3, 3)
+    assert not stack.flags.writeable
+    assert family.weights.shape == (9,) and not family.weights.flags.writeable
+    for index, outcome in enumerate(family.outcomes):
+        assert np.shares_memory(outcome.unitary, stack)
+        assert not outcome.unitary.flags.writeable
+        assert_allclose(stack[index], weyl_unitary(3, *outcome.label), atol=0)
+        assert family.positions[outcome.label] == index
+    with pytest.raises(ValueError):
+        family.outcomes[0].unitary[0, 0] = 2.0
+
+
+def test_direct_construction_stacks_its_outcomes():
+    intact = make_bell_family(2)
+    broken = BellFamily(dim=2, outcomes=intact.outcomes[:-1])
+    assert broken.unitaries.shape == (3, 2, 2)
+    assert not broken.unitaries.flags.writeable
+    for index, outcome in enumerate(broken.outcomes):
+        assert_allclose(broken.unitaries[index], outcome.unitary, atol=0)
+        assert broken.weights[index] == outcome.weight
+        assert find_outcome(broken, outcome.label) is outcome
+    with pytest.raises(ValueError, match=r"no outcome labeled \(1, 1\) in family of size 3"):
+        find_outcome(broken, (1, 1))
+    assert not run_verification("quick", corrupt="bell").passed
+
+
+def test_find_outcome_miss_keeps_its_message():
+    family = make_bell_family(2)
+    with pytest.raises(ValueError) as info:
+        find_outcome(family, (9, 9))
+    assert str(info.value) == "no outcome labeled (9, 9) in family of size 4"
+    with pytest.raises(ValueError, match="no outcome labeled 'x'"):
+        find_outcome(family, "x")
+    with pytest.raises(ValueError, match=r"no outcome labeled \[0, 0\]"):
+        find_outcome(family, [0, 0])
+
+
+def test_family_deviations_match_loop_references():
+    rot = random_unitary(2, np.random.default_rng(4))
+    tilted = make_bell_family(2, [
+        ((copy, a, b), (rot if copy else np.eye(2)) @ weyl_unitary(2, a, b), 0.5)
+        for a in range(2) for b in range(2) for copy in (0, 1)
+    ])
+    broken = BellFamily(dim=3, outcomes=make_bell_family(3).outcomes[:-2])
+    for family in (tilted, broken, make_bell_family(3)):
+        pairs = [(np.asarray(o.unitary), o.weight) for o in family.outcomes]
+        assert completeness_deviation(family) == pytest.approx(
+            brute_completeness_deviation(family.dim, pairs), abs=1e-14
+        )
+        assert trace_orthogonality_deviation(family) == pytest.approx(
+            brute_trace_orthogonality(family.dim, [u for u, _ in pairs]), abs=1e-14
+        )

@@ -225,3 +225,54 @@ def test_make_scenario_validation():
         make_scenario(2, uniform_state(2), u0=np.diag([1.0, 2.0]))
     with pytest.raises(ValueError, match="dimension"):
         make_scenario(2, uniform_state(2), effect_r=strength_family(3, 0.5))
+
+
+def _explicit_families():
+    # int labels: every Weyl outcome twice at half weight
+    doubled = [
+        (index, weyl_unitary(2, a, b), 0.5)
+        for index, (a, b, _) in enumerate(
+            (a, b, copy) for a in range(2) for b in range(2) for copy in (0, 1)
+        )
+    ]
+    # str and tuple labels: the base grid plus a rotated copy, half weight each
+    rot = random_unitary(2, np.random.default_rng(9))
+    tilted_str, tilted_tuple = [], []
+    for a in range(2):
+        for b in range(2):
+            tilted_str += [(f"base-{a}{b}", weyl_unitary(2, a, b), 0.5),
+                           (f"tilt-{a}{b}", rot @ weyl_unitary(2, a, b), 0.5)]
+            tilted_tuple += [(("base", a, b), weyl_unitary(2, a, b), 0.5),
+                             (("tilt", a, b), rot @ weyl_unitary(2, a, b), 0.5)]
+    # unequal weights: every qutrit Weyl outcome at 1/4 and again at 3/4
+    qutrit = [
+        ((a, b, copy), weyl_unitary(3, a, b), 0.75 if copy else 0.25)
+        for a in range(3) for b in range(3) for copy in (0, 1)
+    ]
+    return [(2, doubled), (2, tilted_str), (2, tilted_tuple), (3, qutrit)]
+
+
+@pytest.mark.parametrize("correct", [True, False])
+@pytest.mark.parametrize("case", range(4))
+def test_explicit_families_match_brute_force_on_both_routes(case, correct):
+    dim, outcomes = _explicit_families()[case]
+    family = make_bell_family(dim, outcomes)
+    rng = np.random.default_rng(100 + case)
+    psi = random_state(dim, rng)
+    u0 = random_unitary(dim, rng)
+    e_r = random_unitary(dim, rng)
+    f_b = random_unitary(dim, rng)
+    config = make_scenario(
+        dim, psi, bell=family, u0=u0,
+        effect_r=unitary_effect(e_r), effect_b=unitary_effect(f_b),
+        apply_correction=correct,
+    )
+    by_label = {label: (unitary, weight) for label, unitary, weight in outcomes}
+    for route in (run_oracle, fast_run):
+        records = route(config)
+        assert [r.m for r in records] == [label for label, _, _ in outcomes]
+        for record in records:
+            u_m, weight = by_label[record.m]
+            expected = brute_teleport(dim, psi, u0, e_r, f_b, u_m, weight, correct)
+            assert_allclose(record.raw_output, expected, atol=1e-12)
+            assert record.probability == pytest.approx(np.vdot(expected, expected).real, abs=1e-12)
