@@ -55,7 +55,7 @@ from .linalg import (
     transpose_in_basis,
     uniform_state,
 )
-from .sampling import child_rng, random_hermitian, random_state, random_unitary
+from .sampling import child_rng, random_state, random_unitary
 from .verify import run_verification
 
 __version__ = "0.1.0"
@@ -91,7 +91,6 @@ __all__ = [
     "mirror_operator",
     "partial_trace",
     "projective_case_analysis",
-    "random_hermitian",
     "random_state",
     "random_unitary",
     "run_oracle",

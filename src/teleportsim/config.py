@@ -8,6 +8,7 @@ in the run.  Errors carry the offending field path.
 """
 from __future__ import annotations
 
+import re
 import sys
 from dataclasses import dataclass
 
@@ -24,6 +25,21 @@ NORM_WARN_TOL = 1e-9
 
 class ConfigError(ValueError):
     """Invalid run specification; the message names the field."""
+
+
+class _ConfigLoader(yaml.SafeLoader):
+    """Safe loader that also reads YAML 1.2 floats such as ``1e-09``.
+
+    The YAML 1.1 resolver wants a mantissa dot and a signed exponent, so it
+    would leave ``1e-09`` or ``1.5e5`` a string.  Quoted scalars stay strings.
+    """
+
+
+_ConfigLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$"),
+    list("-+0123456789."),
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,7 +69,7 @@ class RunSpec:
 def parse_config(text: str, strict: bool = False) -> RunSpec:
     """Parse and validate a YAML/JSON run specification."""
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_ConfigLoader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"document: not valid YAML/JSON ({exc})") from exc
     if not isinstance(raw, dict):

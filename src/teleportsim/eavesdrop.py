@@ -2,23 +2,25 @@
 
 A tap on the reference is a measurement family inserted between resource
 preparation and the Bell measurement.  Every question about it reduces to
-the branch operators ``P(l, m)``, which act on the input alone.  They are
-built in blocks of ``dim`` Bell outcomes from the family's outcome stack,
-so one block is as large as the oracle's full A x R x B state.  The
-probabilities predicted here must agree with the oracle records produced
-by `teleportsim.engine.run_oracle`; the verification suite enforces that.
+the branch operators ``P(l, m)``, which act on the input alone: they are
+the transfer operators of the tap, so every quantity here is a reduction
+of `teleportsim.engine.transfer_kernel` over the family's outcome stack,
+and no ``P(l, m)`` is built as a matrix except by `eavesdrop_operator`.
+The probabilities predicted here must agree with the oracle records
+produced by `teleportsim.engine.run_oracle`; the verification suite
+enforces that, and checks there that every ``P(l, m)`` is Hermitian.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bell import BellOutcome, Label, find_outcome
-from .effects import MeasurementFamily, effect_branches
-from .engine import NULL_BRANCH_EPS, ScenarioConfig, mirror_effect
-from .linalg import apply_each, apply_each_inverse, dagger, frozen_complex_array, norms_squared
+# find_outcome stays importable here: perfbench/tracing.py patches it by name
+from .bell import Label, find_outcome  # noqa: F401
+from .effects import MeasurementFamily
+from .engine import NULL_BRANCH_EPS, ScenarioConfig, mirror_effect, transfer_kernel, transfer_operator
+from .linalg import apply_each_inverse, dagger, frozen_complex_array, norms_squared
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -28,15 +30,13 @@ class EavesdropEntry:
     A receiver effect is summed out of the cell: the probability adds up
     its branches and the fidelity is that of the mixed conditional output.
     ``fidelity`` is ``None`` on a branch that never fires; there is no
-    state there to compare with.  ``hermiticity_deviation`` is that of
-    ``P(l, m)`` itself.
+    state there to compare with.
     """
 
     l: int | str
     m: Label
     probability: float
     fidelity: float | None
-    hermiticity_deviation: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,7 +47,6 @@ class EavesdropReport:
     p_l: dict[int | str, float]
     p_m: dict[Label, float]
     total_fidelity: float
-    max_hermiticity_deviation: float
 
 
 @dataclass(frozen=True)
@@ -73,42 +72,10 @@ def _tap_family(config: ScenarioConfig) -> MeasurementFamily:
     return config.effect_r
 
 
-def _branch_operator(dim: int, outcome: BellOutcome, mirrored: np.ndarray) -> np.ndarray:
-    u_m = np.asarray(outcome.unitary)
-    return (np.sqrt(outcome.weight) / dim) * (u_m @ mirrored @ dagger(u_m))
-
-
-def _branch_blocks(config: ScenarioConfig) -> Iterator[tuple[int | str, slice, np.ndarray]]:
-    """Yield ``(l, outcomes, P)``: the stack ``P(l, m)`` for the Bell outcomes
-    in the slice ``outcomes``, at most ``dim`` of them, tap label major.
-
-    Each tap branch is mirrored once and reused across all Bell outcomes.
-    """
-    family = _tap_family(config)
-    dim = config.dim
-    unitaries = config.bell.unitaries
-    scales = np.sqrt(config.bell.weights) / dim
-    u0 = np.asarray(config.u0)
-    for branch in family.branches:
-        mirrored = mirror_effect(u0, branch.matrix)
-        for start in range(0, len(unitaries), dim):
-            cells = slice(start, start + dim)
-            u_m = unitaries[cells]
-            # U(m) times the mirrored branch as one product over all stacked rows
-            left = (u_m.reshape(-1, dim) @ mirrored).reshape(u_m.shape)
-            block = left @ u_m.conj().transpose(0, 2, 1)
-            block *= scales[cells, None, None]
-            yield branch.label, cells, block
-
-
 def eavesdrop_operator(config: ScenarioConfig, l: int | str, m: Label) -> np.ndarray:
-    """Branch operator ``sqrt(w)/dim U(m) (u0^-1 E(l) u0)^T U(m)^-1``."""
-    family = _tap_family(config)
-    branch = next((b for b in family.branches if b.label == l), None)
-    if branch is None:
-        raise ValueError(f"no tap branch labeled {l!r}")
-    mirrored = mirror_effect(np.asarray(config.u0), branch.matrix)
-    return _branch_operator(config.dim, find_outcome(config.bell, m), mirrored)
+    """Branch operator ``P(l, m)``: the transfer operator of the tap alone."""
+    _tap_family(config)
+    return transfer_operator(replace(config, effect_b=None), m, l=l)
 
 
 def expected_marginal_l(config: ScenarioConfig) -> dict[int | str, float]:
@@ -129,32 +96,23 @@ def analyze_eavesdropping(config: ScenarioConfig) -> EavesdropReport:
     family = _tap_family(config)
     psi = np.asarray(config.input_state)
     outcomes = config.bell.outcomes
-    receiver = None
-    if config.effect_b is not None:
-        receiver = [f_b for _, f_b in effect_branches(config.effect_b, config.dim)]
+    # <psi| T psi> = <U(m)^-1 psi| U(m)^-1 T psi>, the kernel's row m
+    bras = apply_each_inverse(config.bell.unitaries, psi).conj()
+    probabilities = {b.label: np.zeros(len(outcomes)) for b in family.branches}
+    overlaps_sq = {b.label: np.zeros(len(outcomes)) for b in family.branches}
+    for l, _, amps in transfer_kernel(config, psi[None]):
+        amps = amps[:, 0]
+        probabilities[l] += norms_squared(amps)
+        overlaps_sq[l] += np.abs(np.einsum("mi,mi->m", bras, amps)) ** 2
     entries: list[EavesdropEntry] = []
-    p_l: dict[int | str, float] = {b.label: 0.0 for b in family.branches}
+    p_l: dict[int | str, float] = {}
     p_m = np.zeros(len(outcomes))
     fid_total = 0.0
-    for l, cells, block in _branch_blocks(config):
-        herm = np.max(np.abs(block - block.conj().transpose(0, 2, 1)), axis=(1, 2))
-        amps = block @ psi
-        if receiver is None:
-            # T = P: the direct product keeps the arithmetic of a tap alone
-            probabilities = norms_squared(amps)
-            overlaps_sq = np.abs(amps @ psi.conj()) ** 2
-        else:
-            u_m = config.bell.unitaries[cells]
-            inner = apply_each_inverse(u_m, amps)
-            probabilities = np.zeros(len(block))
-            overlaps_sq = np.zeros(len(block))
-            for f_b in receiver:
-                out = apply_each(u_m, inner @ f_b.T)
-                probabilities += norms_squared(out)
-                overlaps_sq += np.abs(out @ psi.conj()) ** 2
-        p_m[cells] += probabilities
-        for outcome, probability, overlap_sq, herm_dev in zip(
-            outcomes[cells], probabilities.tolist(), overlaps_sq.tolist(), herm.tolist()
+    for l in probabilities:
+        p_m += probabilities[l]
+        p_l[l] = 0.0
+        for outcome, probability, overlap_sq in zip(
+            outcomes, probabilities[l].tolist(), overlaps_sq[l].tolist()
         ):
             fid_total += overlap_sq
             p_l[l] += probability
@@ -164,7 +122,6 @@ def analyze_eavesdropping(config: ScenarioConfig) -> EavesdropReport:
                     m=outcome.label,
                     probability=probability,
                     fidelity=None if probability < NULL_BRANCH_EPS else overlap_sq / probability,
-                    hermiticity_deviation=herm_dev,
                 )
             )
     return EavesdropReport(
@@ -172,7 +129,6 @@ def analyze_eavesdropping(config: ScenarioConfig) -> EavesdropReport:
         p_l=p_l,
         p_m={o.label: p for o, p in zip(outcomes, p_m.tolist())},
         total_fidelity=fid_total,
-        max_hermiticity_deviation=max((e.hermiticity_deviation for e in entries), default=0.0),
     )
 
 
@@ -190,8 +146,8 @@ def sequential_decomposition_check(config: ScenarioConfig) -> DecompositionRepor
     u0 = np.asarray(config.u0)
     target = np.eye(dim) / dim
     branch_sum = np.zeros((dim, dim), dtype=complex)
-    for _, cells, block in _branch_blocks(config):
-        vecs = apply_each_inverse(config.bell.unitaries[cells], block @ psi)
+    for _, _, amps in transfer_kernel(config, psi[None], receiver=False):
+        vecs = amps[:, 0]
         branch_sum += vecs.T @ vecs.conj()
     grouped_sum = np.zeros((dim, dim), dtype=complex)
     for branch in family.branches:
@@ -264,11 +220,12 @@ def distinguishability(config: ScenarioConfig, inputs: list[np.ndarray]) -> np.n
     """
     if len(inputs) < 2:
         raise ValueError("need at least two candidate inputs to compare")
-    states = [np.array(state, dtype=complex) for state in inputs]
-    columns = [
-        [norms_squared(block @ state) for state in states] for _, _, block in _branch_blocks(config)
-    ]
-    tables = np.concatenate(columns, axis=1)
+    _tap_family(config)
+    states = np.array(inputs, dtype=complex)
+    # row k holds every (l, m) cell probability of input k, tap label major
+    tables = np.concatenate(
+        [norms_squared(amps) for _, _, amps in transfer_kernel(config, states, receiver=False)]
+    ).T
     count = len(tables)
     out = np.zeros((count, count))
     for i in range(count):

@@ -4,15 +4,16 @@ Two independent routes produce every conditional output.  `run_oracle`
 evolves the full A x R x B state and projects each Bell outcome; it is
 the ground truth and stays within the design envelope (dim <= 32, so at
 most 32**3 amplitudes).  `fast_run` applies the per-outcome transfer
-operator on the input alone.  Agreement between the two is a standing
-invariant checked by the verification suite.  Both routes work on the
-family's outcome stack: one batched product covers every Bell outcome of
-an effect branch.
+operator on the input alone, through `transfer_kernel`, which also feeds
+every tap quantity in `teleportsim.eavesdrop`.  Agreement between the two
+routes is a standing invariant checked by the verification suite.  Both
+work on the family's outcome stack: one batched product covers every Bell
+outcome of an effect branch.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -162,7 +163,7 @@ def transfer_operator(
 ) -> np.ndarray:
     """Conditional output operator for Bell outcome ``m``.
 
-    Equals ``sqrt(w/dim) U(m) F_B (u0^-1 E_R u0)^T U(m)^-1``; applied to
+    Equals ``sqrt(w)/dim U(m) F_B (u0^-1 E_R u0)^T U(m)^-1``; applied to
     the input it reproduces the corrected oracle amplitudes exactly.  The
     reference effect enters through its mirror transpose even though it
     may act after the receiver effect in lab time.
@@ -176,23 +177,42 @@ def transfer_operator(
     return (np.sqrt(outcome.weight) / dim) * (u_m @ f_b @ mirrored @ dagger(u_m))
 
 
-def fast_run(config: ScenarioConfig) -> list[TeleportRecord]:
-    """Produce the same records as `run_oracle` via transfer operators."""
+def transfer_kernel(
+    config: ScenarioConfig, inputs: np.ndarray, receiver: bool = True
+) -> Iterator[tuple[int | str | None, int | str | None, np.ndarray]]:
+    """Yield ``(l, b, amps)`` for every reference and receiver branch pair.
+
+    ``amps[m, k]`` is ``sqrt(w)/dim F_b (u0^-1 E_l u0)^T U(m)^-1`` applied
+    to ``inputs[k]``: the transfer operator of outcome ``m`` short of its
+    leading ``U(m)``, which a caller applies when it corrects.  With
+    ``receiver=False`` the receiver effect is left out, so the rows are
+    ``U(m)^-1 P(l, m)`` applied to each input, for the tap alone.  Order is
+    reference branch, then receiver branch, as in `run_oracle`.
+    """
     dim = config.dim
     bell = config.bell
-    u0 = np.asarray(config.u0)
-    scale = (np.sqrt(bell.weights) / dim)[:, None]
-    back = apply_each_inverse(bell.unitaries, np.asarray(config.input_state))
+    inputs = np.asarray(inputs)
+    # row (m, k) is sqrt(w)/dim U(m)^-1 inputs[k]
+    back = np.conj(inputs.conj() @ bell.unitaries)
+    back *= (np.sqrt(bell.weights) / dim)[:, None, None]
+    rows = back.reshape(-1, dim)
+    receivers = effect_branches(config.effect_b if receiver else None, dim)
+    for l_label, e_r in effect_branches(config.effect_r, dim):
+        mirrored = mirror_effect(np.asarray(config.u0), e_r)
+        for b_label, f_b in receivers:
+            yield l_label, b_label, (rows @ (f_b @ mirrored).T).reshape(back.shape)
+
+
+def fast_run(config: ScenarioConfig) -> list[TeleportRecord]:
+    """Produce the same records as `run_oracle` via the transfer kernel."""
+    bell = config.bell
     labels = [o.label for o in bell.outcomes]
     records: list[TeleportRecord] = []
-    for l_label, e_r in effect_branches(config.effect_r, dim):
-        mirrored = mirror_effect(u0, e_r)
-        for b_label, f_b in effect_branches(config.effect_b, dim):
-            # row m is F_B (u0^-1 E_R u0)^T U(m)^-1 psi
-            amps = back @ (f_b @ mirrored).T
-            if config.apply_correction:
-                amps = apply_each(bell.unitaries, amps)
-            records.extend(_records(labels, l_label, b_label, scale * amps))
+    for l_label, b_label, amps in transfer_kernel(config, np.asarray(config.input_state)[None]):
+        amps = amps[:, 0]
+        if config.apply_correction:
+            amps = apply_each(bell.unitaries, amps)
+        records.extend(_records(labels, l_label, b_label, amps))
     return records
 
 

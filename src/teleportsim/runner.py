@@ -1,7 +1,7 @@
 """CSV-producing run drivers shared by the command line entry points.
 
 Every quantity written out is computed twice: once through the transfer
-or branch operators and once through the full-state oracle.  A mismatch
+kernel and once through the full-state oracle.  A mismatch
 beyond the run tolerance raises `InvariantViolation` instead of writing
 a plausible-looking but wrong table.  Output is deterministic down to
 the byte for a fixed spec.
@@ -141,11 +141,12 @@ def run_teleport(
         if record.l is not None:
             p_l[record.l] = p_l.get(record.l, 0.0) + record.probability
         p_m[record.m] = p_m.get(record.m, 0.0) + record.probability
-        if record.output is None:
+        output = record.output  # normalized on each access, so read once
+        if output is None:
             null_count += 1
             fidelity_text = ""
         else:
-            fidelity = float(abs(np.vdot(psi, record.output)) ** 2)
+            fidelity = float(abs(np.vdot(psi, output)) ** 2)
             total_fidelity += record.probability * fidelity
             fidelity_text = format_number(fidelity)
         writer.writerow(
@@ -203,8 +204,9 @@ def _sweep_point(spec: RunSpec, theta: float, tolerance: float) -> tuple[float, 
     oracle_probability = 0.0
     for record in records:
         oracle_probability += record.probability
-        if record.output is not None:
-            overlap = float(abs(np.vdot(spec.input_state, record.output)) ** 2)
+        output = record.output
+        if output is not None:
+            overlap = float(abs(np.vdot(spec.input_state, output)) ** 2)
             oracle_fidelity += record.probability * overlap
     if abs(oracle_probability - 1.0) > tolerance:
         raise InvariantViolation(

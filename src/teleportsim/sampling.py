@@ -23,8 +23,3 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     phases /= np.abs(phases)
     return q * phases
 
-
-def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Hermitian matrix with Gaussian entries, eigenvalues O(sqrt(dim))."""
-    gauss = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return (gauss + gauss.conj().T) / 2.0

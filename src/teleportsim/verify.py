@@ -26,7 +26,7 @@ from .effects import (
     strength_family,
     unitary_effect,
 )
-from .engine import fast_run, ideal_decomposition_check, make_scenario, run_oracle
+from .engine import fast_run, ideal_decomposition_check, make_scenario, run_oracle, transfer_kernel
 from .linalg import basis_state, frozen_complex_array, uniform_state
 from .sampling import child_rng, random_state, random_unitary
 
@@ -182,6 +182,9 @@ def check_oracle_fast_equivalence(depth: str, seed: int, corrupt: str | None) ->
             )
             slow = run_oracle(config)
             fast = fast_run(config)
+            if [(r.m, r.l, r.branch) for r in slow] != [(r.m, r.l, r.branch) for r in fast]:
+                detail = f"records differ in count or labels: {len(slow)} vs {len(fast)}"
+                return _result("oracle-fast-equivalence", float("inf"), 1e-9, detail)
             for a, b in zip(slow, fast):
                 worst = max(worst, abs(a.probability - b.probability))
                 worst = max(worst, float(np.max(np.abs(a.raw_output - b.raw_output))))
@@ -289,7 +292,7 @@ def check_probability_completeness(depth: str, seed: int, corrupt: str | None) -
 
 
 def check_tap_oracle_agreement(depth: str, seed: int, corrupt: str | None) -> CheckResult:
-    """Branch-operator probabilities match oracle records exactly."""
+    """Branch-operator probabilities match oracle records exactly; every P(l, m) is Hermitian."""
     rng = child_rng(seed, 8)
     worst = 0.0
     for dim in _dims(depth):
@@ -306,7 +309,10 @@ def check_tap_oracle_agreement(depth: str, seed: int, corrupt: str | None) -> Ch
         for record in run_oracle(config):
             entry = by_key[(record.l, record.m)]
             worst = max(worst, abs(entry.probability - record.probability))
-            worst = max(worst, entry.hermiticity_deviation)
+        # the kernel on the basis gives the columns of U(m)^-1 P(l, m), every m at once
+        for _, _, columns in transfer_kernel(config, np.eye(dim), receiver=False):
+            ops = bell.unitaries @ columns.transpose(0, 2, 1)
+            worst = max(worst, float(np.max(np.abs(ops - ops.conj().transpose(0, 2, 1)))))
     return _result("tap-oracle-agreement", worst, 1e-9)
 
 

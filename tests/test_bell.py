@@ -20,7 +20,7 @@ from teleportsim.bell import (
     weyl_unitary,
 )
 from teleportsim.linalg import dagger, partial_trace
-from teleportsim.sampling import random_hermitian, random_unitary
+from teleportsim.sampling import random_unitary
 from teleportsim.verify import run_verification
 
 from oracles import brute_completeness_deviation, brute_trace_orthogonality
@@ -64,7 +64,8 @@ def test_mirror_correlation_annihilates_resource(dim, seed):
     # (O on B) and (mirror(O) on R) act identically on the shared state
     rng = np.random.default_rng(seed)
     u0 = random_unitary(dim, rng)
-    op = random_hermitian(dim, rng)
+    gauss = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    op = (gauss + gauss.conj().T) / 2.0
     res = make_entangled_resource(dim, u0)
     on_b = np.kron(np.eye(dim), op) @ res.state
     on_r = np.kron(mirror_operator(op, u0), np.eye(dim)) @ res.state

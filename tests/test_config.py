@@ -130,6 +130,22 @@ effect_b:
     assert len(spec.effect_b) == 2
 
 
+def test_exponent_theta_without_mantissa_dot():
+    spec = parse_config("n: 2\ninput: plus-uniform\neavesdrop: {theta: 1e-09}\n")
+    assert spec.eavesdrop.theta == 1e-09
+
+
+def test_exponent_matrix_entry_without_mantissa_dot():
+    spec = parse_config("n: 2\ninput: plus-uniform\nu0: [[1e0, 0], [0, -1E+0]]\n")
+    assert_allclose(spec.u0, np.diag([1.0, -1.0]), atol=0)
+
+
+def test_exponent_amplitude_without_mantissa_dot():
+    spec = parse_config("n: 2\ninput: [1, 1e-05]\n")
+    assert spec.input_label == "explicit"
+    assert_allclose(spec.input_state, [1, 1e-05], rtol=1e-9)
+
+
 @pytest.mark.parametrize(
     "text,needle",
     [
@@ -149,6 +165,10 @@ effect_b:
             "u0: matrix is not unitary",
         ),
         ("n: 2\ninput: plus-uniform\neavesdrop: {theta: 2}\n", "eavesdrop.theta"),
+        (
+            "n: 2\ninput: plus-uniform\neavesdrop: {theta: '1e-09'}\n",
+            "eavesdrop.theta: expected a number, got '1e-09'",
+        ),
         (
             "n: 2\ninput: plus-uniform\neavesdrop: {theta: 0.5, theta_sweep: [0, 1, 3]}\n",
             "exactly one of",

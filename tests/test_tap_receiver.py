@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 
 from teleportsim import cli
 from teleportsim.config import parse_config
-from teleportsim.eavesdrop import analyze_eavesdropping
+from teleportsim.eavesdrop import analyze_eavesdropping, eavesdrop_operator
+from teleportsim.linalg import hermiticity_deviation
 from teleportsim.runner import build_scenario
 from teleportsim.sampling import random_state, random_unitary
 
@@ -150,8 +151,8 @@ def test_sweep_with_tap_and_receiver_effect(receiver):
 
 
 def test_tap_report_sums_receiver_branches():
-    spec = parse_config(TELEPORT_BASE + RECEIVERS["kraus"])
-    report = analyze_eavesdropping(build_scenario(spec))
+    scenario = build_scenario(parse_config(TELEPORT_BASE + RECEIVERS["kraus"]))
+    report = analyze_eavesdropping(scenario)
     rows = TELEPORT_ROWS["kraus"]
     for entry in report.entries:
         branches = [rows[(entry.l, entry.m, b)] for b in (0, 1)]
@@ -162,7 +163,8 @@ def test_tap_report_sums_receiver_branches():
         )
     assert report.total_fidelity == pytest.approx(TELEPORT_TOTAL_FIDELITY["kraus"], abs=1e-12)
     # Hermiticity is a property of P(l, m) alone; the receiver does not enter
-    assert report.max_hermiticity_deviation < 1e-12
+    for entry in report.entries:
+        assert hermiticity_deviation(eavesdrop_operator(scenario, entry.l, entry.m)) < 1e-12
 
 
 @pytest.mark.parametrize("receiver", sorted(RECEIVERS))
@@ -196,8 +198,8 @@ def test_literals_follow_brute_force(receiver):
 
 
 def yaml_number(x: float) -> str:
-    # YAML 1.1 reads an exponent float only with a mantissa dot ("1e-09" is a string)
-    return f"{x:.17e}"
+    # shortest round-trip form, e.g. "1e-09": configs read YAML 1.2 floats
+    return repr(float(x))
 
 
 def yaml_vector(vec: np.ndarray) -> str:

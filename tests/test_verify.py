@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
-from teleportsim.verify import CHECKS, run_verification
+from teleportsim import verify
+from teleportsim.verify import CHECKS, check_oracle_fast_equivalence, run_verification
 
 CHECK_NAMES = {
     "bell-completeness",
@@ -70,3 +73,24 @@ def test_unknown_corrupt_target_is_rejected():
     with pytest.raises(ValueError, match="corrupt"):
         run_verification("quick", corrupt="resource")
 
+
+
+def test_transfer_route_dropping_a_record_fails(monkeypatch):
+    route = verify.fast_run
+    monkeypatch.setattr(verify, "fast_run", lambda config: route(config)[:-1])
+    result = check_oracle_fast_equivalence("quick", 0, None)
+    assert not result.passed
+    line = verify.VerificationReport("quick", (result,)).lines()[0]
+    assert line.startswith("FAIL oracle-fast-equivalence: max deviation inf (tolerance 1.0e-09) [")
+
+
+def test_transfer_route_with_shuffled_labels_fails(monkeypatch):
+    route = verify.fast_run
+
+    def relabeled(config):
+        records = route(config)
+        labels = [r.m for r in records]
+        return [replace(r, m=m) for r, m in zip(records, labels[1:] + labels[:1])]
+
+    monkeypatch.setattr(verify, "fast_run", relabeled)
+    assert not check_oracle_fast_equivalence("quick", 0, None).passed
