@@ -36,6 +36,7 @@ from .effects import (
     unitary_effect,
 )
 from .engine import (
+    BranchTable,
     ScenarioConfig,
     TeleportRecord,
     fast_run,
@@ -47,11 +48,7 @@ from .engine import (
 from .linalg import (
     DEFAULT_TOL,
     basis_state,
-    check_predicates,
     dagger,
-    hermitian_sqrt,
-    partial_trace,
-    tensor_product,
     transpose_in_basis,
     uniform_state,
 )
@@ -63,6 +60,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BellFamily",
     "BellOutcome",
+    "BranchTable",
     "DEFAULT_TOL",
     "EavesdropReport",
     "EffectOperator",
@@ -73,7 +71,6 @@ __all__ = [
     "analyze_eavesdropping",
     "basis_state",
     "bell_outcome_state",
-    "check_predicates",
     "child_rng",
     "clock_unitary",
     "completeness_deviation",
@@ -81,7 +78,6 @@ __all__ = [
     "distinguishability",
     "eavesdrop_operator",
     "fast_run",
-    "hermitian_sqrt",
     "ideal_decomposition_check",
     "kraus_mixture",
     "make_bell_family",
@@ -89,7 +85,6 @@ __all__ = [
     "make_measurement_family",
     "make_scenario",
     "mirror_operator",
-    "partial_trace",
     "projective_case_analysis",
     "random_state",
     "random_unitary",
@@ -98,7 +93,6 @@ __all__ = [
     "sequential_decomposition_check",
     "shift_unitary",
     "strength_family",
-    "tensor_product",
     "transfer_operator",
     "transpose_in_basis",
     "uniform_state",

@@ -5,15 +5,15 @@ evolves the full A x R x B state and projects each Bell outcome; it is
 the ground truth and stays within the design envelope (dim <= 32, so at
 most 32**3 amplitudes).  `fast_run` applies the per-outcome transfer
 operator on the input alone, through `transfer_kernel`, which also feeds
-every tap quantity in `teleportsim.eavesdrop`.  Agreement between the two
-routes is a standing invariant checked by the verification suite.  Both
-work on the family's outcome stack: one batched product covers every Bell
-outcome of an effect branch.
+every tap quantity in `teleportsim.eavesdrop`.  Both batch every Bell
+outcome of an effect branch pair into one product over the family's
+outcome stack, and both return a `BranchTable` of those ``(M, n)``
+blocks; `route_deviations` compares two tables for every caller.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -34,6 +34,8 @@ from .linalg import (
 NULL_BRANCH_EPS = 1e-14
 
 EffectSpec = EffectOperator | MeasurementFamily | Sequence[EffectOperator] | None
+
+BranchLabel = int | str | None
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,8 +68,8 @@ class TeleportRecord:
     """
 
     m: Label
-    l: int | str | None
-    branch: int | str | None
+    l: BranchLabel
+    branch: BranchLabel
     probability: float
     raw_output: np.ndarray
 
@@ -79,6 +81,36 @@ class TeleportRecord:
         output = self.raw_output / np.sqrt(self.probability)
         output.setflags(write=False)
         return output
+
+
+@dataclass(frozen=True, eq=False)
+class BranchTable:
+    """Every conditional branch of one route, one block per effect branch pair.
+
+    Block ``k`` holds reference and receiver branches ``keys[k]``: the
+    read-only ``amplitudes[k, j]`` is the unnormalized output of Bell outcome
+    ``labels[j]``, and ``probabilities[k, j]`` its squared norm.  Iteration
+    builds one `TeleportRecord` per branch on demand, in the same order.
+    """
+
+    keys: tuple[tuple[BranchLabel, BranchLabel], ...]
+    labels: tuple[Label, ...]
+    amplitudes: np.ndarray  # (K, M, n)
+    probabilities: np.ndarray  # (K, M)
+
+    def __len__(self) -> int:
+        return self.probabilities.size
+
+    def __iter__(self) -> Iterator[TeleportRecord]:
+        for (l, branch), block, row in zip(self.keys, self.amplitudes, self.probabilities.tolist()):
+            for m, probability, raw in zip(self.labels, row, block):
+                yield TeleportRecord(m=m, l=l, branch=branch, probability=probability, raw_output=raw)
+
+    def fidelities(self, state: np.ndarray) -> np.ndarray:
+        """``|<state|output>|^2`` of every branch, NaN where the branch is null."""
+        overlaps = np.abs(self.amplitudes @ np.conj(state)) ** 2
+        live = self.probabilities >= NULL_BRANCH_EPS
+        return np.divide(overlaps, self.probabilities, out=np.full(live.shape, np.nan), where=live)
 
 
 def make_scenario(
@@ -126,12 +158,12 @@ def mirror_effect(u0: np.ndarray, effect: np.ndarray) -> np.ndarray:
     return transpose_in_basis(dagger(u0) @ effect @ u0)
 
 
-def run_oracle(config: ScenarioConfig) -> list[TeleportRecord]:
-    """Evolve the full tripartite state and project every Bell outcome.
+def run_oracle(config: ScenarioConfig) -> BranchTable:
+    """Evolve the full tripartite state and project every Bell outcome."""
+    return _table(config, _oracle_blocks(config))
 
-    Branch order is reference effect, then receiver effect, then Bell
-    label, matching `fast_run` record for record.
-    """
+
+def _oracle_blocks(config: ScenarioConfig) -> Iterator[np.ndarray]:
     dim = config.dim
     psi = np.asarray(config.input_state)
     bell = config.bell
@@ -141,25 +173,18 @@ def run_oracle(config: ScenarioConfig) -> list[TeleportRecord]:
     bras = np.empty((len(bell.outcomes), dim * dim), dtype=complex)
     for row, outcome in zip(bras, bell.outcomes):
         np.conj(bell_outcome_state(bell, outcome.label, u0), out=row)
-    labels = [o.label for o in bell.outcomes]
-    records: list[TeleportRecord] = []
-    for l_label, e_r in effect_branches(config.effect_r, dim):
-        for b_label, f_b in effect_branches(config.effect_b, dim):
+    for _, e_r in effect_branches(config.effect_r, dim):
+        for _, f_b in effect_branches(config.effect_b, dim):
             # (E_R (x) F_B) acting on the resource, still as an R x B matrix
             disturbed = e_r @ resource_mat @ f_b.T
-            full = np.kron(psi, disturbed.reshape(-1)).reshape(dim * dim, dim)
-            amps = bras @ full
-            if config.apply_correction:
-                amps = apply_each(bell.unitaries, amps)
-            records.extend(_records(labels, l_label, b_label, amps))
-    return records
+            yield bras @ np.kron(psi, disturbed.reshape(-1)).reshape(dim * dim, dim)
 
 
 def transfer_operator(
     config: ScenarioConfig,
     m: Label,
-    l: int | str | None = None,
-    branch: int | str | None = None,
+    l: BranchLabel = None,
+    branch: BranchLabel = None,
 ) -> np.ndarray:
     """Conditional output operator for Bell outcome ``m``.
 
@@ -179,7 +204,7 @@ def transfer_operator(
 
 def transfer_kernel(
     config: ScenarioConfig, inputs: np.ndarray, receiver: bool = True
-) -> Iterator[tuple[int | str | None, int | str | None, np.ndarray]]:
+) -> Iterator[tuple[BranchLabel, BranchLabel, np.ndarray]]:
     """Yield ``(l, b, amps)`` for every reference and receiver branch pair.
 
     ``amps[m, k]`` is ``sqrt(w)/dim F_b (u0^-1 E_l u0)^T U(m)^-1`` applied
@@ -203,17 +228,25 @@ def transfer_kernel(
             yield l_label, b_label, (rows @ (f_b @ mirrored).T).reshape(back.shape)
 
 
-def fast_run(config: ScenarioConfig) -> list[TeleportRecord]:
-    """Produce the same records as `run_oracle` via the transfer kernel."""
-    bell = config.bell
-    labels = [o.label for o in bell.outcomes]
-    records: list[TeleportRecord] = []
-    for l_label, b_label, amps in transfer_kernel(config, np.asarray(config.input_state)[None]):
-        amps = amps[:, 0]
-        if config.apply_correction:
-            amps = apply_each(bell.unitaries, amps)
-        records.extend(_records(labels, l_label, b_label, amps))
-    return records
+def fast_run(config: ScenarioConfig) -> BranchTable:
+    """Produce the same table as `run_oracle` via the transfer kernel."""
+    blocks = transfer_kernel(config, np.asarray(config.input_state)[None])
+    return _table(config, (amps[:, 0] for _, _, amps in blocks))
+
+
+def route_deviations(first: BranchTable, second: BranchTable) -> tuple[np.ndarray, np.ndarray] | None:
+    """Per-branch ``(K, M)`` probability and largest amplitude deviations.
+
+    ``None`` when the tables differ in keys, labels or shape.
+    """
+    layout = (first.keys, first.labels, first.amplitudes.shape)
+    if layout != (second.keys, second.labels, second.amplitudes.shape):
+        return None
+    amplitude = np.empty(first.probabilities.shape)
+    # block by block, so no (K, M, n) difference is ever held
+    for block, (a, b) in enumerate(zip(first.amplitudes, second.amplitudes)):
+        np.max(np.abs(a - b), axis=1, out=amplitude[block])
+    return np.abs(first.probabilities - second.probabilities), amplitude
 
 
 def ideal_decomposition_check(config: ScenarioConfig) -> float:
@@ -230,21 +263,27 @@ def ideal_decomposition_check(config: ScenarioConfig) -> float:
     return float(np.max(np.abs(total - np.eye(dim) / dim)))
 
 
-def _records(
-    labels: list[Label], l: int | str | None, branch: int | str | None, amps: np.ndarray
-) -> list[TeleportRecord]:
-    """One record per row of ``amps``; the records share its read-only rows."""
-    amps.setflags(write=False)
-    probabilities = norms_squared(amps)
-    return [
-        TeleportRecord(m=m, l=l, branch=branch, probability=probability, raw_output=raw)
-        for m, probability, raw in zip(labels, probabilities.tolist(), amps)
-    ]
+def _table(config: ScenarioConfig, blocks: Iterable[np.ndarray]) -> BranchTable:
+    """Fill a table in place, one ``(M, n)`` block per branch pair, correcting if asked."""
+    bell = config.bell
+    keys = tuple(
+        (l_label, b_label)
+        for l_label, _ in effect_branches(config.effect_r, config.dim)
+        for b_label, _ in effect_branches(config.effect_b, config.dim)
+    )
+    amplitudes = np.empty((len(keys), len(bell.outcomes), config.dim), dtype=complex)
+    probabilities = np.empty(amplitudes.shape[:2])
+    for block, amps in enumerate(blocks):
+        if config.apply_correction:
+            amps = apply_each(bell.unitaries, amps)
+        amplitudes[block] = amps
+        probabilities[block] = norms_squared(amps)
+    amplitudes.setflags(write=False)
+    probabilities.setflags(write=False)
+    return BranchTable(keys, tuple(o.label for o in bell.outcomes), amplitudes, probabilities)
 
 
-def _select_branch(
-    effect: EffectSpec, label: int | str | None, dim: int, side: str
-) -> np.ndarray:
+def _select_branch(effect: EffectSpec, label: BranchLabel, dim: int, side: str) -> np.ndarray:
     branches = effect_branches(effect, dim)
     if label is None:
         if len(branches) != 1:

@@ -6,8 +6,6 @@ to 32**3 amplitudes), so nothing here is sparse or lazy.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 DEFAULT_TOL = 1e-10
@@ -68,11 +66,6 @@ def as_pure_state(values: object, tol: float = STATE_NORM_TOL) -> np.ndarray:
     return vec
 
 
-def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with ``a`` on the slow (left) index."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
 def dagger(mat: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return np.asarray(mat, dtype=complex).conj().T
@@ -108,30 +101,6 @@ def transpose_in_basis(mat: np.ndarray) -> np.ndarray:
     return mat.T.copy()
 
 
-def partial_trace(rho: np.ndarray, dims: tuple[int, ...], keep: int) -> np.ndarray:
-    """Trace out every subsystem except ``dims[keep]``.
-
-    ``rho`` must be square with side ``prod(dims)``; subsystem 0 owns the
-    slowest index.  The result has trace equal to ``trace(rho)``.
-    """
-    rho = as_complex_matrix(rho)
-    dims = tuple(int(d) for d in dims)
-    if any(d < 1 for d in dims):
-        raise ValueError(f"subsystem dimensions must be positive, got {dims}")
-    total = int(np.prod(dims))
-    if rho.shape != (total, total):
-        raise ValueError(
-            f"matrix shape {rho.shape} does not match subsystem dimensions {dims}"
-        )
-    if not 0 <= keep < len(dims):
-        raise ValueError(f"keep index {keep} out of range for {len(dims)} subsystems")
-    reshaped = rho.reshape(dims + dims)
-    n_sub = len(dims)
-    row_axes = list(range(n_sub))
-    col_axes = [n_sub + i if i == keep else i for i in range(n_sub)]
-    return np.einsum(reshaped, row_axes + col_axes, [keep, n_sub + keep])
-
-
 def hermiticity_deviation(mat: np.ndarray) -> float:
     """Largest entrywise deviation of ``mat`` from its conjugate transpose."""
     mat = np.asarray(mat, dtype=complex)
@@ -153,66 +122,3 @@ def is_unitary(mat: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     if mat.shape[0] != mat.shape[1]:
         return False
     return unitarity_deviation(mat) <= tol
-
-
-def hermitian_sqrt(mat: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Principal square root of a Hermitian positive-semidefinite matrix.
-
-    Eigenvalues in ``[-tol, 0)`` are clamped to zero so that round-off on
-    a genuinely PSD input cannot poison the root; anything below ``-tol``
-    raises.
-    """
-    mat = as_complex_matrix(mat)
-    if mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"hermitian_sqrt needs a square matrix, got {mat.shape}")
-    dev = hermiticity_deviation(mat)
-    if dev > tol:
-        raise ValueError(f"matrix is not Hermitian within {tol:.1e} (deviation {dev:.3e})")
-    eigvals, eigvecs = np.linalg.eigh((mat + mat.conj().T) / 2)
-    if eigvals.min() < -tol:
-        raise ValueError(
-            f"matrix is not positive semidefinite (smallest eigenvalue {eigvals.min():.3e})"
-        )
-    clamped = np.where(eigvals < 0.0, 0.0, eigvals)
-    return (eigvecs * np.sqrt(clamped)) @ eigvecs.conj().T
-
-
-@dataclass(frozen=True)
-class PredicateReport:
-    """Numerical classification of one matrix at a fixed tolerance."""
-
-    is_hermitian: bool
-    is_unitary: bool
-    is_psd: bool
-    trace: complex
-    hermiticity_deviation: float
-    unitarity_deviation: float
-    min_eigenvalue: float | None
-
-
-def check_predicates(mat: np.ndarray, tol: float = DEFAULT_TOL) -> PredicateReport:
-    """Report Hermiticity, unitarity, positivity and trace of ``mat``.
-
-    Positivity is only evaluated for (numerically) Hermitian input; a
-    non-Hermitian matrix reports ``is_psd=False`` with no eigenvalue.
-    """
-    mat = as_complex_matrix(mat)
-    if mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"check_predicates needs a square matrix, got {mat.shape}")
-    herm_dev = hermiticity_deviation(mat)
-    unit_dev = unitarity_deviation(mat)
-    hermitian = herm_dev <= tol
-    min_eig: float | None = None
-    psd = False
-    if hermitian:
-        min_eig = float(np.linalg.eigvalsh((mat + mat.conj().T) / 2).min())
-        psd = min_eig >= -tol
-    return PredicateReport(
-        is_hermitian=hermitian,
-        is_unitary=unit_dev <= tol,
-        is_psd=psd,
-        trace=complex(np.trace(mat)),
-        hermiticity_deviation=herm_dev,
-        unitarity_deviation=unit_dev,
-        min_eigenvalue=min_eig,
-    )

@@ -1,30 +1,31 @@
 """CSV-producing run drivers shared by the command line entry points.
 
 Every quantity written out is computed twice: once through the transfer
-kernel and once through the full-state oracle.  A mismatch
-beyond the run tolerance raises `InvariantViolation` instead of writing
-a plausible-looking but wrong table.  Output is deterministic down to
-the byte for a fixed spec.
+kernel and once through the full-state oracle.  Both routes return a
+`BranchTable`, compared with `route_deviations`, and every written number
+is a reduction of the oracle table's arrays.  A mismatch beyond the run
+tolerance raises `InvariantViolation` before the first row is written,
+instead of writing a plausible-looking but wrong table.  Output is
+deterministic down to the byte for a fixed spec.
 """
 from __future__ import annotations
 
 import csv
-from typing import IO
+from math import isnan
+from typing import IO, Iterator
 
 import numpy as np
 
 from .config import RunSpec
 from .eavesdrop import analyze_eavesdropping, distinguishability
 from .effects import strength_family
-from .engine import ScenarioConfig, TeleportRecord, fast_run, make_scenario, run_oracle
+from .engine import BranchTable, ScenarioConfig, fast_run, make_scenario, route_deviations, run_oracle
 
 TELEPORT_HEADER = ("record", "l", "m", "branch", "probability", "fidelity")
 
 SWEEP_HEADER = ("theta", "total_fidelity", "distinguishability")
 
 DEFAULT_RUN_TOL = 1e-10
-
-CROSS_CHECK_CHUNK = 1024
 
 
 class InvariantViolation(RuntimeError):
@@ -63,42 +64,32 @@ def build_scenario(spec: RunSpec, theta: float | None = None) -> ScenarioConfig:
     )
 
 
-def _cross_check_records(
-    oracle: list[TeleportRecord], fast: list[TeleportRecord], tolerance: float
-) -> None:
-    if len(oracle) != len(fast):
+def _branch_labels(table: BranchTable) -> Iterator[tuple[object, object, object]]:
+    return ((m, l, branch) for l, branch in table.keys for m in table.labels)
+
+
+def _cross_check(oracle: BranchTable, fast: BranchTable, tolerance: float) -> None:
+    deviations = route_deviations(oracle, fast)
+    if deviations is None:
+        if len(oracle) != len(fast):
+            raise InvariantViolation(
+                f"record count mismatch: oracle {len(oracle)} vs transfer {len(fast)}"
+            )
+        slow, quick = next(
+            ((a, b) for a, b in zip(_branch_labels(oracle), _branch_labels(fast)) if a != b),
+            (oracle.amplitudes.shape, fast.amplitudes.shape),
+        )
+        raise InvariantViolation(f"record label mismatch: {slow} vs {quick}")
+    p_dev, a_dev = deviations
+    failing = np.flatnonzero((p_dev > tolerance) | (a_dev > tolerance))
+    if failing.size:
+        first = failing[0]
+        block, column = divmod(int(first), len(oracle.labels))
         raise InvariantViolation(
-            f"record count mismatch: oracle {len(oracle)} vs transfer {len(fast)}"
+            f"routes disagree on branch (m={oracle.labels[column]}, l={oracle.keys[block][0]}): "
+            f"probability deviation {p_dev.flat[first]:.3e}, "
+            f"amplitude deviation {a_dev.flat[first]:.3e}"
         )
-    for slow, quick in zip(oracle, fast):
-        if (slow.m, slow.l, slow.branch) != (quick.m, quick.l, quick.branch):
-            raise InvariantViolation(
-                f"record label mismatch: {slow.m, slow.l, slow.branch} vs "
-                f"{quick.m, quick.l, quick.branch}"
-            )
-    # stacked in chunks, so the comparison never copies every amplitude at once
-    for start in range(0, len(oracle), CROSS_CHECK_CHUNK):
-        slow_part = oracle[start : start + CROSS_CHECK_CHUNK]
-        quick_part = fast[start : start + CROSS_CHECK_CHUNK]
-        p_dev = np.abs(
-            np.array([r.probability for r in slow_part])
-            - np.array([r.probability for r in quick_part])
-        )
-        a_dev = np.max(
-            np.abs(
-                np.array([r.raw_output for r in slow_part])
-                - np.array([r.raw_output for r in quick_part])
-            ),
-            axis=1,
-        )
-        failing = np.flatnonzero((p_dev > tolerance) | (a_dev > tolerance))
-        if failing.size:
-            first = failing[0]
-            slow = slow_part[first]
-            raise InvariantViolation(
-                f"routes disagree on branch (m={slow.m}, l={slow.l}): "
-                f"probability deviation {p_dev[first]:.3e}, amplitude deviation {a_dev[first]:.3e}"
-            )
 
 
 def run_teleport(
@@ -109,68 +100,45 @@ def run_teleport(
     Returns human-readable summary lines for the caller to print.
     """
     scenario = build_scenario(spec)
-    oracle_records = run_oracle(scenario)
-    _cross_check_records(oracle_records, fast_run(scenario), tolerance)
-
-    tap_report = None
+    oracle = run_oracle(scenario)
+    _cross_check(oracle, fast_run(scenario), tolerance)
+    probabilities = oracle.probabilities
+    fidelities = oracle.fidelities(spec.input_state)
+    total_fidelity = float(np.nansum(probabilities * fidelities))
+    p_l: dict[object, float] = {}  # a tap is the only reference effect a spec sets
     if spec.eavesdrop is not None:
         tap_report = analyze_eavesdropping(scenario)
         # the tap sees (l, m) only: sum each cell over receiver branches
-        oracle_cells: dict[tuple[object, object], float] = {}
-        for record in oracle_records:
-            key = (record.l, record.m)
-            oracle_cells[key] = oracle_cells.get(key, 0.0) + record.probability
-        for entry in tap_report.entries:
-            deviation = abs(entry.probability - oracle_cells[(entry.l, entry.m)])
-            if deviation > tolerance:
-                raise InvariantViolation(
-                    f"branch operator probability deviates from oracle by {deviation:.3e} "
-                    f"on (l={entry.l}, m={entry.m})"
-                )
+        tap = np.array([e.probability for e in tap_report.entries]).reshape(-1, len(oracle.labels))
+        cells = probabilities.reshape(tap.shape[0], -1, tap.shape[1]).sum(axis=1)
+        p_l = dict(zip(dict.fromkeys(l for l, _ in oracle.keys), cells.sum(axis=1).tolist()))
+        cell_dev = np.abs(tap - cells).ravel()
+        failing = np.flatnonzero(cell_dev > tolerance)
+        if failing.size:
+            entry = tap_report.entries[failing[0]]
+            raise InvariantViolation(
+                f"branch operator probability deviates from oracle by "
+                f"{cell_dev[failing[0]]:.3e} on (l={entry.l}, m={entry.m})"
+            )
+        deviation = abs(tap_report.total_fidelity - total_fidelity)
+        if deviation > tolerance:
+            raise InvariantViolation(f"total fidelity routes disagree by {deviation:.3e}")
 
-    psi = np.asarray(spec.input_state)
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(TELEPORT_HEADER)
-    total_probability = 0.0
-    total_fidelity = 0.0
-    null_count = 0
-    p_l: dict[object, float] = {}
-    p_m: dict[object, float] = {}
-    for record in oracle_records:
-        total_probability += record.probability
-        if record.l is not None:
-            p_l[record.l] = p_l.get(record.l, 0.0) + record.probability
-        p_m[record.m] = p_m.get(record.m, 0.0) + record.probability
-        output = record.output  # normalized on each access, so read once
-        if output is None:
-            null_count += 1
-            fidelity_text = ""
-        else:
-            fidelity = float(abs(np.vdot(psi, output)) ** 2)
-            total_fidelity += record.probability * fidelity
-            fidelity_text = format_number(fidelity)
-        writer.writerow(
-            (
-                "outcome",
-                format_label(record.l),
-                format_label(record.m),
-                format_label(record.branch),
-                format_number(record.probability),
-                fidelity_text,
-            )
+    m_texts = [format_label(m) for m in oracle.labels]
+    for (l, branch), row_p, row_f in zip(oracle.keys, probabilities.tolist(), fidelities.tolist()):
+        l_text, b_text = format_label(l), format_label(branch)
+        writer.writerows(
+            ("outcome", l_text, m_text, b_text, format_number(p), "" if isnan(f) else format_number(f))
+            for m_text, p, f in zip(m_texts, row_p, row_f)
         )
     for label, value in p_l.items():
         writer.writerow(("p_l", format_label(label), "", "", format_number(value), ""))
-    for label, value in p_m.items():
-        writer.writerow(("p_m", "", format_label(label), "", format_number(value), ""))
+    for m_text, value in zip(m_texts, probabilities.sum(axis=0).tolist()):
+        writer.writerow(("p_m", "", m_text, "", format_number(value), ""))
+    total_probability = float(probabilities.sum())
     writer.writerow(("total", "", "", "", format_number(total_probability), format_number(total_fidelity)))
-
-    if tap_report is not None:
-        deviation = abs(tap_report.total_fidelity - total_fidelity)
-        if deviation > tolerance:
-            raise InvariantViolation(
-                f"total fidelity routes disagree by {deviation:.3e}"
-            )
 
     summary = [
         f"teleport: n={spec.n}, input {spec.input_label}, "
@@ -180,7 +148,7 @@ def run_teleport(
             if spec.eavesdrop is not None and spec.eavesdrop.theta is not None
             else ""
         ),
-        f"records: {len(oracle_records)} ({null_count} null), "
+        f"records: {len(oracle)} ({int(np.isnan(fidelities).sum())} null), "
         f"probability sum {format_number(total_probability)}",
         f"average output fidelity: {format_number(total_fidelity)}",
     ]
@@ -199,15 +167,9 @@ def _sweep_grid(spec: RunSpec) -> list[float]:
 def _sweep_point(spec: RunSpec, theta: float, tolerance: float) -> tuple[float, float]:
     scenario = build_scenario(spec, theta=theta)
     report = analyze_eavesdropping(scenario)
-    records = run_oracle(scenario)
-    oracle_fidelity = 0.0
-    oracle_probability = 0.0
-    for record in records:
-        oracle_probability += record.probability
-        output = record.output
-        if output is not None:
-            overlap = float(abs(np.vdot(spec.input_state, output)) ** 2)
-            oracle_fidelity += record.probability * overlap
+    oracle = run_oracle(scenario)
+    oracle_probability = float(oracle.probabilities.sum())
+    oracle_fidelity = float(np.nansum(oracle.probabilities * oracle.fidelities(spec.input_state)))
     if abs(oracle_probability - 1.0) > tolerance:
         raise InvariantViolation(
             f"theta={theta:.6f}: oracle probabilities sum to {oracle_probability!r}"

@@ -10,19 +10,6 @@ import numpy as np
 from scipy.linalg import sqrtm
 
 
-def kron_indexed(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product via explicit index arithmetic, a on the slow index."""
-    ra, ca = a.shape
-    rb, cb = b.shape
-    out = np.zeros((ra * rb, ca * cb), dtype=complex)
-    for i in range(ra):
-        for j in range(ca):
-            for k in range(rb):
-                for l in range(cb):
-                    out[i * rb + k, j * cb + l] = a[i, j] * b[k, l]
-    return out
-
-
 def brute_partial_trace(rho: np.ndarray, dims: tuple[int, ...], keep: int) -> np.ndarray:
     """Partial trace via explicit multi-index enumeration."""
     d_keep = dims[keep]

@@ -19,11 +19,10 @@ from teleportsim.bell import (
     trace_orthogonality_deviation,
     weyl_unitary,
 )
-from teleportsim.linalg import dagger, partial_trace
 from teleportsim.sampling import random_unitary
 from teleportsim.verify import run_verification
 
-from oracles import brute_completeness_deviation, brute_trace_orthogonality
+from oracles import brute_completeness_deviation, brute_partial_trace, brute_trace_orthogonality
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
@@ -39,7 +38,7 @@ def test_resource_reduced_states_maximally_mixed():
         res = make_entangled_resource(dim, u0)
         rho = np.outer(res.state, res.state.conj())
         for keep in (0, 1):
-            assert_allclose(partial_trace(rho, (dim, dim), keep), np.eye(dim) / dim, atol=1e-12)
+            assert_allclose(brute_partial_trace(rho, (dim, dim), keep), np.eye(dim) / dim, atol=1e-12)
 
 
 def test_resource_rejects_nonunitary():

@@ -2,93 +2,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from teleportsim.linalg import (
-    as_pure_state,
-    basis_state,
-    check_predicates,
-    dagger,
-    hermitian_sqrt,
-    partial_trace,
-    tensor_product,
-    transpose_in_basis,
-    uniform_state,
-)
+from teleportsim.linalg import as_pure_state, dagger, transpose_in_basis, uniform_state
 from teleportsim.sampling import random_state, random_unitary
-
-from oracles import brute_partial_trace, kron_indexed
-
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
-
-def test_tensor_product_z_x_on_basis():
-    # Z (x) X maps |0>|0> to |0>|1>
-    state = tensor_product(PAULI_Z, PAULI_X) @ tensor_product(
-        basis_state(2, 0).reshape(2, 1), basis_state(2, 0).reshape(2, 1)
-    )
-    assert_allclose(state.reshape(-1), [0, 1, 0, 0], atol=1e-15)
-
-
-@given(
-    st.integers(min_value=1, max_value=4),
-    st.integers(min_value=1, max_value=4),
-    st.integers(min_value=0, max_value=1000),
-)
-def test_tensor_product_matches_indexed_oracle(da, db, seed):
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((da, da)) + 1j * rng.standard_normal((da, da))
-    b = rng.standard_normal((db, db)) + 1j * rng.standard_normal((db, db))
-    assert_allclose(tensor_product(a, b), kron_indexed(a, b), atol=1e-12)
-
-
-@given(
-    st.integers(min_value=2, max_value=4),
-    st.integers(min_value=2, max_value=4),
-    st.integers(min_value=0, max_value=1000),
-)
-def test_tensor_trace_multiplicative(da, db, seed):
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((da, da)) + 1j * rng.standard_normal((da, da))
-    b = rng.standard_normal((db, db)) + 1j * rng.standard_normal((db, db))
-    assert np.trace(tensor_product(a, b)) == pytest.approx(np.trace(a) * np.trace(b))
-
-
-def test_partial_trace_of_bell_projector_is_maximally_mixed():
-    bell = (np.kron(basis_state(2, 0), basis_state(2, 0))
-            + np.kron(basis_state(2, 1), basis_state(2, 1))) / np.sqrt(2)
-    rho = np.outer(bell, bell.conj())
-    for keep in (0, 1):
-        assert_allclose(partial_trace(rho, (2, 2), keep), np.eye(2) / 2, atol=1e-15)
-
-
-@given(
-    st.tuples(
-        st.integers(min_value=2, max_value=3),
-        st.integers(min_value=2, max_value=3),
-        st.integers(min_value=2, max_value=3),
-    ),
-    st.integers(min_value=0, max_value=2),
-    st.integers(min_value=0, max_value=500),
-)
-@settings(max_examples=40)
-def test_partial_trace_matches_brute_force(dims, keep, seed):
-    rng = np.random.default_rng(seed)
-    total = int(np.prod(dims))
-    mat = rng.standard_normal((total, total)) + 1j * rng.standard_normal((total, total))
-    got = partial_trace(mat, dims, keep)
-    assert_allclose(got, brute_partial_trace(mat, dims, keep), atol=1e-12)
-    assert np.trace(got) == pytest.approx(np.trace(mat))
-
-
-def test_partial_trace_rejects_dimension_mismatch():
-    with pytest.raises(ValueError, match="does not match subsystem dimensions"):
-        partial_trace(np.eye(6), (2, 2), 0)
-    with pytest.raises(ValueError, match="keep index"):
-        partial_trace(np.eye(4), (2, 2), 2)
 
 
 @given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=1000))
@@ -102,53 +21,6 @@ def test_dagger_involution(dim, seed):
 def test_transpose_requires_square():
     with pytest.raises(ValueError, match="square"):
         transpose_in_basis(np.ones((2, 3)))
-
-
-def test_hermitian_sqrt_on_diagonal():
-    root = hermitian_sqrt(np.diag([4.0, 9.0]))
-    assert_allclose(root, np.diag([2.0, 3.0]), atol=1e-12)
-
-
-@given(st.integers(min_value=2, max_value=6), st.integers(min_value=0, max_value=1000))
-def test_hermitian_sqrt_squares_back(dim, seed):
-    rng = np.random.default_rng(seed)
-    gauss = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    psd = gauss @ gauss.conj().T
-    root = hermitian_sqrt(psd)
-    assert_allclose(root @ root, psd, atol=1e-9)
-    assert np.max(np.abs(root - root.conj().T)) < 1e-10
-
-
-def test_hermitian_sqrt_clamps_tiny_negative_eigenvalues():
-    root = hermitian_sqrt(np.diag([1.0, -1e-12]))
-    assert_allclose(root @ root, np.diag([1.0, 0.0]), atol=1e-11)
-
-
-def test_hermitian_sqrt_rejects_negative():
-    with pytest.raises(ValueError, match="positive semidefinite"):
-        hermitian_sqrt(np.diag([1.0, -0.5]))
-    with pytest.raises(ValueError, match="Hermitian"):
-        hermitian_sqrt(np.array([[0, 1], [0, 0]], dtype=complex))
-
-
-def test_check_predicates_pauli_x():
-    report = check_predicates(PAULI_X)
-    assert report.is_hermitian and report.is_unitary and not report.is_psd
-    assert report.trace == pytest.approx(0)
-    assert report.min_eigenvalue == pytest.approx(-1)
-
-
-def test_check_predicates_qutrit_clock():
-    clock = np.diag(np.exp(2j * np.pi * np.arange(3) / 3))
-    report = check_predicates(clock)
-    assert report.is_unitary and not report.is_hermitian and not report.is_psd
-    assert report.min_eigenvalue is None
-
-
-def test_check_predicates_identity():
-    report = check_predicates(np.eye(4))
-    assert report.is_hermitian and report.is_unitary and report.is_psd
-    assert report.trace == pytest.approx(4)
 
 
 def test_pure_state_validation():

@@ -11,6 +11,7 @@ import ast
 import importlib
 import os
 
+import numpy as np
 import pytest
 
 TRACING = os.path.join(
@@ -36,3 +37,24 @@ PATCHED = (("eavesdrop", "find_outcome"), ("eavesdrop", "eavesdrop_operator"), (
 @pytest.mark.parametrize("owner,attribute", span_targets() + PATCHED)
 def test_traced_attribute_resolves(owner, attribute):
     assert hasattr(importlib.import_module(f"teleportsim.{owner}"), attribute)
+
+
+def test_oracle_table_counts_records_and_null_records():
+    # the tracer counts len(records) and the records whose output is None
+    from teleportsim.effects import kraus_mixture, strength_family
+    from teleportsim.engine import NULL_BRANCH_EPS, make_scenario, run_oracle
+    from teleportsim.linalg import basis_state
+
+    damping = kraus_mixture(
+        [np.array([[1, 0], [0, 0.8]], dtype=complex), np.array([[0, 0.6], [0, 0]], dtype=complex)]
+    )
+    # a projective tap on a tap-basis state: one tap branch never fires (8
+    # branches), and the decay branch empties the two outcomes that leave |0>
+    config = make_scenario(
+        2, basis_state(2, 0), effect_r=strength_family(2, 1.0), effect_b=damping
+    )
+    table = run_oracle(config)
+    assert len(table) == len(table.keys) * len(table.labels) == 16
+    null = int(np.count_nonzero(table.probabilities < NULL_BRANCH_EPS))
+    assert null == 10
+    assert sum(r.output is None for r in run_oracle(config)) == null
