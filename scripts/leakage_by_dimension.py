@@ -31,14 +31,15 @@ def survey(dim: int, theta: float, trials: int, rng: np.random.Generator):
     uniform = analyze_eavesdropping(
         make_scenario(dim, uniform_state(dim), effect_r=family)
     )
-    flatness = max(abs(p - 1.0 / dim) for p in uniform.p_l.values())
+    flatness = float(np.max(np.abs(uniform.probabilities.sum(axis=1) - 1.0 / dim)))
     fidelities = []
     for _ in range(trials):
         report = analyze_eavesdropping(
             make_scenario(dim, random_state(dim, rng), effect_r=family)
         )
         fidelities.append(report.total_fidelity)
-        flatness = max(flatness, max(abs(p - 1.0 / dim) for p in report.p_l.values()))
+        p_l = report.probabilities.sum(axis=1)
+        flatness = max(flatness, float(np.max(np.abs(p_l - 1.0 / dim))))
     return uniform.total_fidelity, min(fidelities), max(fidelities), flatness
 
 

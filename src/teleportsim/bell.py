@@ -157,6 +157,17 @@ def weyl_unitary(dim: int, shift: int, phase: int) -> np.ndarray:
     return mat
 
 
+def _weyl_stack(dim: int) -> np.ndarray:
+    """Every `weyl_unitary` of ``dim`` as one ``(dim^2, dim, dim)`` stack, shift major."""
+    k = np.arange(dim)
+    # the same operation order as weyl_unitary, so each entry has the same bits
+    phases = np.exp(2j * np.pi * k[:, None] * k / dim)
+    stack = np.zeros((dim, dim, dim, dim), dtype=complex)
+    shift = k[:, None, None]
+    stack[shift, k[:, None], (k + shift) % dim, k] = phases
+    return stack.reshape(dim * dim, dim, dim)
+
+
 def find_outcome(family: BellFamily, label: Label) -> BellOutcome:
     """Outcome with the given label, or a ValueError naming the miss."""
     position = family.positions.get(_label_key(label))
@@ -180,9 +191,21 @@ def bell_outcome_state(
     u0 = as_complex_matrix(u0)
     if u0.shape != (dim, dim):
         raise ValueError(f"u0 shape {u0.shape} does not match dimension {dim}")
-    # amplitude of |i>_A |j>_R is sqrt(w/dim) * (U @ u0.T)[i, j]
-    mat = outcome.unitary @ u0.T
-    return np.sqrt(outcome.weight / dim) * mat.reshape(-1)
+    return _outcome_matrices(outcome.unitary, outcome.weight, u0).reshape(-1)
+
+
+def outcome_state_stack(family: BellFamily, u0: np.ndarray) -> np.ndarray:
+    """Every `bell_outcome_state` of the family as a row of one ``(M, dim^2)`` array."""
+    stack = _outcome_matrices(family.unitaries, family.weights, np.asarray(u0))
+    return stack.reshape(len(family.outcomes), -1)
+
+
+def _outcome_matrices(unitaries: np.ndarray, weights: object, u0: np.ndarray) -> np.ndarray:
+    # amplitude of |i>_A |j>_R is sqrt(w/dim) * (U @ u0.T)[i, j]; scaled in
+    # place, so a stack of outcomes costs one buffer
+    mats = unitaries @ u0.T
+    mats *= np.sqrt(np.asarray(weights) / u0.shape[0])[..., None, None]
+    return mats
 
 
 def completeness_deviation(family: BellFamily) -> float:
@@ -221,7 +244,7 @@ def make_bell_family(
         if outcomes != "weyl-orthogonal":
             raise ValueError(f"unknown family kind {outcomes!r}")
         labels: list[Label] = [(a, b) for a in range(dim) for b in range(dim)]
-        unitaries = [weyl_unitary(dim, a, b) for a, b in labels]
+        stack = _weyl_stack(dim)
         weights = [1.0] * len(labels)
     else:
         labels, unitaries, weights = [], [], []
@@ -246,8 +269,9 @@ def make_bell_family(
             weights.append(weight)
         if not labels:
             raise ValueError("explicit outcome list must not be empty")
-    stack = _read_only(np.array(unitaries, dtype=complex))
-    del unitaries  # the stack replaces the per-outcome copies before the Gram product
+        stack = np.array(unitaries, dtype=complex)
+        del unitaries  # the stack replaces the per-outcome copies before the Gram product
+    _read_only(stack)
     weight_vector = _read_only(np.array(weights, dtype=float))
     family = BellFamily(
         dim=dim,

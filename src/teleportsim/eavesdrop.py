@@ -6,9 +6,12 @@ the branch operators ``P(l, m)``, which act on the input alone: they are
 the transfer operators of the tap, so every quantity here is a reduction
 of `teleportsim.engine.transfer_kernel` over the family's outcome stack,
 and no ``P(l, m)`` is built as a matrix except by `eavesdrop_operator`.
-The probabilities predicted here must agree with the oracle records
-produced by `teleportsim.engine.run_oracle`; the verification suite
-enforces that, and checks there that every ``P(l, m)`` is Hermitian.
+`analyze_eavesdropping` returns its cells as ``(L, M)`` arrays, tap
+branch by Bell outcome; per-cell `EavesdropEntry` rows and the marginal
+dicts are views built from them on access.  The probabilities predicted
+here must agree with the oracle table produced by
+`teleportsim.engine.run_oracle`; the run drivers and the verification
+suite enforce that, and verify checks that every ``P(l, m)`` is Hermitian.
 """
 from __future__ import annotations
 
@@ -41,12 +44,40 @@ class EavesdropEntry:
 
 @dataclass(frozen=True, eq=False)
 class EavesdropReport:
-    """Full tap analysis for one scenario."""
+    """Full tap analysis for one scenario, one row per tap branch.
 
-    entries: tuple[EavesdropEntry, ...]
-    p_l: dict[int | str, float]
-    p_m: dict[Label, float]
+    ``probabilities[l, m]`` is the probability of cell ``(tap_labels[l],
+    labels[m])`` and ``fidelities[l, m]`` its conditional fidelity, NaN on a
+    cell that never fires.  ``entries``, ``p_l`` and ``p_m`` are built from
+    these arrays on each access.
+    """
+
+    tap_labels: tuple[int | str, ...]
+    labels: tuple[Label, ...]
+    probabilities: np.ndarray  # (L, M)
+    fidelities: np.ndarray  # (L, M)
     total_fidelity: float
+
+    @property
+    def entries(self) -> tuple[EavesdropEntry, ...]:
+        """One `EavesdropEntry` per cell, tap branch major."""
+        return tuple(
+            EavesdropEntry(l=l, m=m, probability=p, fidelity=None if p < NULL_BRANCH_EPS else f)
+            for l, row_p, row_f in zip(
+                self.tap_labels, self.probabilities.tolist(), self.fidelities.tolist()
+            )
+            for m, p, f in zip(self.labels, row_p, row_f)
+        )
+
+    @property
+    def p_l(self) -> dict[int | str, float]:
+        """Tap marginal, keyed by tap label."""
+        return dict(zip(self.tap_labels, self.probabilities.sum(axis=1).tolist()))
+
+    @property
+    def p_m(self) -> dict[Label, float]:
+        """Bell outcome marginal, keyed by outcome label."""
+        return dict(zip(self.labels, self.probabilities.sum(axis=0).tolist()))
 
 
 @dataclass(frozen=True)
@@ -95,40 +126,33 @@ def analyze_eavesdropping(config: ScenarioConfig) -> EavesdropReport:
     """
     family = _tap_family(config)
     psi = np.asarray(config.input_state)
-    outcomes = config.bell.outcomes
+    bell = config.bell
+    tap_labels = tuple(b.label for b in family.branches)
+    rows = {label: row for row, label in enumerate(tap_labels)}
     # <psi| T psi> = <U(m)^-1 psi| U(m)^-1 T psi>, the kernel's row m
-    bras = apply_each_inverse(config.bell.unitaries, psi).conj()
-    probabilities = {b.label: np.zeros(len(outcomes)) for b in family.branches}
-    overlaps_sq = {b.label: np.zeros(len(outcomes)) for b in family.branches}
+    bras = apply_each_inverse(bell.unitaries, psi).conj()
+    probabilities = np.zeros((len(tap_labels), len(bell.outcomes)))
+    overlaps_sq = np.zeros_like(probabilities)
     for l, _, amps in transfer_kernel(config, psi[None]):
         amps = amps[:, 0]
-        probabilities[l] += norms_squared(amps)
-        overlaps_sq[l] += np.abs(np.einsum("mi,mi->m", bras, amps)) ** 2
-    entries: list[EavesdropEntry] = []
-    p_l: dict[int | str, float] = {}
-    p_m = np.zeros(len(outcomes))
-    fid_total = 0.0
-    for l in probabilities:
-        p_m += probabilities[l]
-        p_l[l] = 0.0
-        for outcome, probability, overlap_sq in zip(
-            outcomes, probabilities[l].tolist(), overlaps_sq[l].tolist()
-        ):
-            fid_total += overlap_sq
-            p_l[l] += probability
-            entries.append(
-                EavesdropEntry(
-                    l=l,
-                    m=outcome.label,
-                    probability=probability,
-                    fidelity=None if probability < NULL_BRANCH_EPS else overlap_sq / probability,
-                )
-            )
+        probabilities[rows[l]] += norms_squared(amps)
+        overlaps_sq[rows[l]] += np.abs(np.einsum("mi,mi->m", bras, amps)) ** 2
+    fidelities = np.divide(
+        overlaps_sq,
+        probabilities,
+        out=np.full(probabilities.shape, np.nan),
+        where=probabilities >= NULL_BRANCH_EPS,
+    )
+    probabilities.setflags(write=False)
+    fidelities.setflags(write=False)
     return EavesdropReport(
-        entries=tuple(entries),
-        p_l=p_l,
-        p_m={o.label: p for o, p in zip(outcomes, p_m.tolist())},
-        total_fidelity=fid_total,
+        tap_labels=tap_labels,
+        labels=tuple(o.label for o in bell.outcomes),
+        probabilities=probabilities,
+        fidelities=fidelities,
+        # a sequential sum in table order: the sweep CSV prints this value,
+        # and numpy's pairwise summation would move its last digits
+        total_fidelity=float(np.cumsum(overlaps_sq)[-1]),
     )
 
 

@@ -8,7 +8,8 @@ operator on the input alone, through `transfer_kernel`, which also feeds
 every tap quantity in `teleportsim.eavesdrop`.  Both batch every Bell
 outcome of an effect branch pair into one product over the family's
 outcome stack, and both return a `BranchTable` of those ``(M, n)``
-blocks; `route_deviations` compares two tables for every caller.
+blocks, corrected over the whole table at once; `route_deviations`
+compares two tables for every caller.
 """
 from __future__ import annotations
 
@@ -17,10 +18,12 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .bell import BellFamily, Label, bell_outcome_state, find_outcome, make_bell_family
+# bell_outcome_state stays importable here: perfbench/tracing.py patches it by name
+from .bell import (  # noqa: F401
+    BellFamily, Label, bell_outcome_state, find_outcome, make_bell_family, outcome_state_stack
+)
 from .effects import EffectOperator, MeasurementFamily, effect_branches
 from .linalg import (
-    apply_each,
     apply_each_inverse,
     as_complex_matrix,
     as_pure_state,
@@ -170,9 +173,8 @@ def _oracle_blocks(config: ScenarioConfig) -> Iterator[np.ndarray]:
     u0 = np.asarray(config.u0)
     resource_mat = u0 / np.sqrt(dim)  # R x B amplitudes as a matrix
     # row m holds <P(m)| over the A x R index, A slow
-    bras = np.empty((len(bell.outcomes), dim * dim), dtype=complex)
-    for row, outcome in zip(bras, bell.outcomes):
-        np.conj(bell_outcome_state(bell, outcome.label, u0), out=row)
+    bras = outcome_state_stack(bell, u0)
+    np.conj(bras, out=bras)
     for _, e_r in effect_branches(config.effect_r, dim):
         for _, f_b in effect_branches(config.effect_b, dim):
             # (E_R (x) F_B) acting on the resource, still as an R x B matrix
@@ -266,17 +268,26 @@ def ideal_decomposition_check(config: ScenarioConfig) -> float:
 def _table(config: ScenarioConfig, blocks: Iterable[np.ndarray]) -> BranchTable:
     """Fill a table in place, one ``(M, n)`` block per branch pair, correcting if asked."""
     bell = config.bell
+    dim = config.dim
     keys = tuple(
         (l_label, b_label)
-        for l_label, _ in effect_branches(config.effect_r, config.dim)
-        for b_label, _ in effect_branches(config.effect_b, config.dim)
+        for l_label, _ in effect_branches(config.effect_r, dim)
+        for b_label, _ in effect_branches(config.effect_b, dim)
     )
-    amplitudes = np.empty((len(keys), len(bell.outcomes), config.dim), dtype=complex)
-    probabilities = np.empty(amplitudes.shape[:2])
+    amplitudes = np.empty((len(keys), len(bell.outcomes), dim), dtype=complex)
     for block, amps in enumerate(blocks):
-        if config.apply_correction:
-            amps = apply_each(bell.unitaries, amps)
         amplitudes[block] = amps
+    if config.apply_correction:
+        # U(m) on column m of every block: one (K, n) @ (n, n)^T product per
+        # outcome, dim outcomes at a time, so a temporary holds dim of the M
+        # columns and never a second table
+        for start in range(0, len(bell.outcomes), dim):
+            part = amplitudes[:, start : start + dim]
+            turned = bell.unitaries[start : start + dim].transpose(0, 2, 1)
+            part[...] = (part.transpose(1, 0, 2) @ turned).transpose(1, 0, 2)
+    probabilities = np.empty(amplitudes.shape[:2])
+    # block by block: a whole-table norms_squared would copy the table once more
+    for block, amps in enumerate(amplitudes):
         probabilities[block] = norms_squared(amps)
     amplitudes.setflags(write=False)
     probabilities.setflags(write=False)

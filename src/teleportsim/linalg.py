@@ -71,11 +71,6 @@ def dagger(mat: np.ndarray) -> np.ndarray:
     return np.asarray(mat, dtype=complex).conj().T
 
 
-def apply_each(ops: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Row ``m`` of the result is ``ops[m] @ vecs[m]``, for a stack of operators."""
-    return (ops @ vecs[..., None])[..., 0]
-
-
 def apply_each_inverse(ops: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """Row ``m`` of the result is ``dagger(ops[m]) @ vecs[m]``.
 
@@ -111,10 +106,6 @@ def unitarity_deviation(mat: np.ndarray) -> float:
     """Largest entrywise deviation of ``dagger(mat) @ mat`` from identity."""
     mat = np.asarray(mat, dtype=complex)
     return float(np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[1]))))
-
-
-def is_hermitian(mat: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    return hermiticity_deviation(mat) <= tol
 
 
 def is_unitary(mat: np.ndarray, tol: float = DEFAULT_TOL) -> bool:

@@ -81,7 +81,8 @@ def _cross_check(oracle: BranchTable, fast: BranchTable, tolerance: float) -> No
         )
         raise InvariantViolation(f"record label mismatch: {slow} vs {quick}")
     p_dev, a_dev = deviations
-    failing = np.flatnonzero((p_dev > tolerance) | (a_dev > tolerance))
+    # written as "not within", so a NaN deviation fails too
+    failing = np.flatnonzero(~((p_dev <= tolerance) & (a_dev <= tolerance)))
     if failing.size:
         first = failing[0]
         block, column = divmod(int(first), len(oracle.labels))
@@ -108,20 +109,21 @@ def run_teleport(
     p_l: dict[object, float] = {}  # a tap is the only reference effect a spec sets
     if spec.eavesdrop is not None:
         tap_report = analyze_eavesdropping(scenario)
+        tap = tap_report.probabilities
         # the tap sees (l, m) only: sum each cell over receiver branches
-        tap = np.array([e.probability for e in tap_report.entries]).reshape(-1, len(oracle.labels))
         cells = probabilities.reshape(tap.shape[0], -1, tap.shape[1]).sum(axis=1)
-        p_l = dict(zip(dict.fromkeys(l for l, _ in oracle.keys), cells.sum(axis=1).tolist()))
-        cell_dev = np.abs(tap - cells).ravel()
-        failing = np.flatnonzero(cell_dev > tolerance)
+        p_l = dict(zip(tap_report.tap_labels, cells.sum(axis=1).tolist()))
+        cell_dev = np.abs(tap - cells)
+        failing = np.flatnonzero(~(cell_dev <= tolerance))
         if failing.size:
-            entry = tap_report.entries[failing[0]]
+            row, column = divmod(int(failing[0]), tap.shape[1])
             raise InvariantViolation(
                 f"branch operator probability deviates from oracle by "
-                f"{cell_dev[failing[0]]:.3e} on (l={entry.l}, m={entry.m})"
+                f"{cell_dev[row, column]:.3e} on "
+                f"(l={tap_report.tap_labels[row]}, m={tap_report.labels[column]})"
             )
         deviation = abs(tap_report.total_fidelity - total_fidelity)
-        if deviation > tolerance:
+        if not deviation <= tolerance:
             raise InvariantViolation(f"total fidelity routes disagree by {deviation:.3e}")
 
     writer = csv.writer(stream, lineterminator="\n")
@@ -170,11 +172,11 @@ def _sweep_point(spec: RunSpec, theta: float, tolerance: float) -> tuple[float, 
     oracle = run_oracle(scenario)
     oracle_probability = float(oracle.probabilities.sum())
     oracle_fidelity = float(np.nansum(oracle.probabilities * oracle.fidelities(spec.input_state)))
-    if abs(oracle_probability - 1.0) > tolerance:
+    if not abs(oracle_probability - 1.0) <= tolerance:
         raise InvariantViolation(
             f"theta={theta:.6f}: oracle probabilities sum to {oracle_probability!r}"
         )
-    if abs(oracle_fidelity - report.total_fidelity) > tolerance:
+    if not abs(oracle_fidelity - report.total_fidelity) <= tolerance:
         raise InvariantViolation(
             f"theta={theta:.6f}: fidelity routes disagree by "
             f"{abs(oracle_fidelity - report.total_fidelity):.3e}"

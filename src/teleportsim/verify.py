@@ -78,6 +78,11 @@ def _result(name: str, deviation: float, tolerance: float, detail: str = "") -> 
     )
 
 
+def _worst(*deviations: float) -> float:
+    """Largest deviation, NaN if any is NaN (``max(0.0, nan)`` would return 0.0)."""
+    return float(np.max(deviations))
+
+
 def _dims(depth: str) -> tuple[int, ...]:
     return (2, 3) if depth == "quick" else (2, 3, 4, 5)
 
@@ -105,7 +110,7 @@ def check_bell_completeness(depth: str, seed: int, corrupt: str | None) -> Check
     worst = 0.0
     for dim in _dims(depth):
         family = _corrupted_bell(dim) if corrupt == "bell" else make_bell_family(dim)
-        worst = max(worst, completeness_deviation(family))
+        worst = _worst(worst, completeness_deviation(family))
     # weighted family: every Weyl outcome twice at half weight
     doubled = [
         ((a, b, copy), weyl_unitary(3, a, b), 0.5)
@@ -113,7 +118,7 @@ def check_bell_completeness(depth: str, seed: int, corrupt: str | None) -> Check
         for b in range(3)
         for copy in (0, 1)
     ]
-    worst = max(worst, completeness_deviation(make_bell_family(3, doubled)))
+    worst = _worst(worst, completeness_deviation(make_bell_family(3, doubled)))
     return _result("bell-completeness", worst, 1e-9)
 
 
@@ -127,7 +132,7 @@ def check_measurement_completeness(depth: str, seed: int, corrupt: str | None) -
                 family = _corrupted_measurement(dim)
             else:
                 family = strength_family(dim, theta, random_unitary(dim, rng))
-            worst = max(worst, family_completeness_deviation(family))
+            worst = _worst(worst, family_completeness_deviation(family))
     return _result("measurement-completeness", worst, 1e-9)
 
 
@@ -146,7 +151,7 @@ def check_ideal_teleportation(depth: str, seed: int, corrupt: str | None) -> Che
             probability_dev = np.max(np.abs(table.probabilities - 1.0 / dim**2))
             fidelity_dev = np.max(np.abs(table.fidelities(config.input_state) - 1.0))
             total_dev = abs(table.probabilities.sum() - 1.0)
-            worst = max(worst, float(probability_dev), float(fidelity_dev), float(total_dev))
+            worst = _worst(worst, probability_dev, fidelity_dev, total_dev)
     return _result("ideal-teleportation", worst, 1e-10)
 
 
@@ -186,7 +191,7 @@ def check_oracle_fast_equivalence(depth: str, seed: int, corrupt: str | None) ->
             if deviations is None:
                 detail = f"records differ in count or labels: {len(slow)} vs {len(fast)}"
                 return _result("oracle-fast-equivalence", float("inf"), 1e-9, detail)
-            worst = max(worst, *(float(np.max(d)) for d in deviations))
+            worst = _worst(worst, *(np.max(d) for d in deviations))
     return _result("oracle-fast-equivalence", worst, 1e-9)
 
 
@@ -198,7 +203,7 @@ def check_decomposition_identity(depth: str, seed: int, corrupt: str | None) -> 
         bell = _corrupted_bell(dim) if corrupt == "bell" else make_bell_family(dim)
         for _ in range(5):
             config = make_scenario(dim, random_state(dim, rng), bell=bell)
-            worst = max(worst, ideal_decomposition_check(config))
+            worst = _worst(worst, ideal_decomposition_check(config))
     return _result("decomposition-identity", worst, 1e-10)
 
 
@@ -219,7 +224,7 @@ def check_sequential_decomposition(depth: str, seed: int, corrupt: str | None) -
                 effect_r=family,
             )
             report = sequential_decomposition_check(config)
-            worst = max(worst, report.branch_deviation, report.grouped_deviation)
+            worst = _worst(worst, report.branch_deviation, report.grouped_deviation)
     return _result("sequential-decomposition", worst, 1e-9)
 
 
@@ -238,12 +243,13 @@ def check_marginal_laws(depth: str, seed: int, corrupt: str | None) -> CheckResu
             config = make_scenario(dim, random_state(dim, rng), u0=u0, effect_r=family)
             report = analyze_eavesdropping(config)
             expected = expected_marginal_l(config)
-            for label, value in report.p_l.items():
-                worst = max(worst, abs(value - expected[label]))
-            for outcome in config.bell.outcomes:
-                worst = max(
-                    worst, abs(report.p_m[outcome.label] - outcome.weight / dim**2)
-                )
+            p_l = report.probabilities.sum(axis=1)
+            p_m = report.probabilities.sum(axis=0)
+            worst = _worst(
+                worst,
+                np.max(np.abs(p_l - [expected[label] for label in report.tap_labels])),
+                np.max(np.abs(p_m - config.bell.weights / dim**2)),
+            )
     return _result("marginal-laws", worst, 1e-10)
 
 
@@ -264,9 +270,9 @@ def check_fidelity_curve(depth: str, seed: int, corrupt: str | None) -> CheckRes
         plus = make_scenario(2, uniform_state(2), effect_r=family)
         report = analyze_eavesdropping(plus)
         closed = (1.0 + np.sqrt(max(0.0, 1.0 - float(theta) ** 2))) / 2.0
-        worst = max(worst, abs(report.total_fidelity - closed))
+        worst = _worst(worst, abs(report.total_fidelity - closed))
         pinned = make_scenario(2, basis_state(2, 0), effect_r=family)
-        worst = max(worst, abs(analyze_eavesdropping(pinned).total_fidelity - 1.0))
+        worst = _worst(worst, abs(analyze_eavesdropping(pinned).total_fidelity - 1.0))
     return _result("fidelity-curve", worst, 1e-9)
 
 
@@ -286,7 +292,7 @@ def check_probability_completeness(depth: str, seed: int, corrupt: str | None) -
                 effect_b=_random_effect(dim, rng, trial % 3),
             )
             total = float(run_oracle(config).probabilities.sum())
-            worst = max(worst, abs(total - 1.0))
+            worst = _worst(worst, abs(total - 1.0))
     return _result("probability-completeness", worst, 1e-10)
 
 
@@ -303,14 +309,14 @@ def check_tap_oracle_agreement(depth: str, seed: int, corrupt: str | None) -> Ch
         config = make_scenario(
             dim, random_state(dim, rng), bell=bell, u0=random_unitary(dim, rng), effect_r=family
         )
-        # entries run tap branch major, as the table's blocks do
-        tap = np.array([e.probability for e in analyze_eavesdropping(config).entries])
-        oracle = run_oracle(config).probabilities.ravel()
-        worst = max(worst, float(np.max(np.abs(tap - oracle))))
+        # both tables run tap branch major
+        tap = analyze_eavesdropping(config).probabilities
+        oracle = run_oracle(config).probabilities
+        worst = _worst(worst, np.max(np.abs(tap - oracle)))
         # the kernel on the basis gives the columns of U(m)^-1 P(l, m), every m at once
         for _, _, columns in transfer_kernel(config, np.eye(dim), receiver=False):
             ops = bell.unitaries @ columns.transpose(0, 2, 1)
-            worst = max(worst, float(np.max(np.abs(ops - ops.conj().transpose(0, 2, 1)))))
+            worst = _worst(worst, np.max(np.abs(ops - ops.conj().transpose(0, 2, 1))))
     return _result("tap-oracle-agreement", worst, 1e-9)
 
 

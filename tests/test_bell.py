@@ -15,6 +15,7 @@ from teleportsim.bell import (
     make_bell_family,
     make_entangled_resource,
     mirror_operator,
+    outcome_state_stack,
     shift_unitary,
     trace_orthogonality_deviation,
     weyl_unitary,
@@ -117,6 +118,29 @@ def test_outcome_states_resolve_identity():
         vec = bell_outcome_state(family, outcome.label, u0)
         total += np.outer(vec, vec.conj())
     assert_allclose(total, np.eye(9), atol=1e-12)
+
+
+def test_outcome_state_stack_matches_each_outcome_state():
+    # the weighted family verify admits: every qutrit Weyl outcome twice at half weight
+    doubled = [
+        ((a, b, copy), weyl_unitary(3, a, b), 0.5)
+        for a in range(3)
+        for b in range(3)
+        for copy in (0, 1)
+    ]
+    family = make_bell_family(3, doubled)
+    u0 = random_unitary(3, np.random.default_rng(8))
+    stack = outcome_state_stack(family, u0)
+    assert stack.shape == (18, 9)
+    for row, outcome in zip(stack, family.outcomes):
+        assert np.array_equal(row, bell_outcome_state(family, outcome.label, u0))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 16, 32])
+def test_weyl_stack_is_bit_identical_to_weyl_unitary(dim):
+    stack = make_bell_family(dim).unitaries
+    expected = [weyl_unitary(dim, a, b) for a in range(dim) for b in range(dim)]
+    assert np.array_equal(stack, np.array(expected))
 
 
 def test_weighted_duplicate_family_admitted():

@@ -17,10 +17,11 @@ from teleportsim.eavesdrop import (
 from teleportsim.effects import (
     EffectOperator,
     MeasurementFamily,
+    kraus_mixture,
     make_measurement_family,
     strength_family,
 )
-from teleportsim.engine import make_scenario, run_oracle
+from teleportsim.engine import NULL_BRANCH_EPS, make_scenario, run_oracle
 from teleportsim.linalg import basis_state, dagger, hermiticity_deviation, uniform_state
 from teleportsim.sampling import random_state, random_unitary
 
@@ -288,6 +289,43 @@ def test_analysis_marks_dead_branches_with_no_fidelity():
     live = [e for e in report.entries if e.probability >= 1e-14]
     assert dead and all(e.fidelity is None for e in dead)
     assert live and all(e.fidelity == pytest.approx(1.0, abs=1e-12) for e in live)
+
+
+def test_report_arrays_match_entries_with_nan_on_null_cells():
+    # a projective tap on a tap-basis state: branch l fires only on the Bell
+    # outcomes that shift |0> to |l>, and the damping receiver is summed out
+    damping = [
+        np.array([[1, 0], [0, 0.8]], dtype=complex),
+        np.array([[0, 0.6], [0, 0]], dtype=complex),
+    ]
+    psi = basis_state(2, 0)
+    config = make_scenario(
+        2, psi, effect_r=strength_family(2, 1.0), effect_b=kraus_mixture(damping)
+    )
+    report = analyze_eavesdropping(config)
+    entries = report.entries
+    assert report.probabilities.shape == report.fidelities.shape == (2, 4)
+    assert [(e.l, e.m) for e in entries] == [(l, m) for l in (0, 1) for m in report.labels]
+    assert report.labels == tuple(o.label for o in config.bell.outcomes)
+    assert report.probabilities.ravel().tolist() == [e.probability for e in entries]
+    null = report.probabilities < NULL_BRANCH_EPS
+    assert null.tolist() == [[False, False, True, True], [True, True, False, False]]
+    assert np.array_equal(np.isnan(report.fidelities), null)
+    live = [e.fidelity for e in entries if e.fidelity is not None]
+    assert report.fidelities[~null].tolist() == live
+    assert all(e.fidelity is None for e in entries if e.probability < NULL_BRANCH_EPS)
+    assert report.p_l == dict(zip((0, 1), report.probabilities.sum(axis=1).tolist()))
+    assert report.p_m == dict(zip(report.labels, report.probabilities.sum(axis=0).tolist()))
+    # cell by cell from the branch operators and the receiver's Kraus pair
+    for entry in entries:
+        u_m = weyl_unitary(2, *entry.m)
+        tapped_psi = eavesdrop_operator(config, entry.l, entry.m) @ psi
+        outputs = [u_m @ f_b @ dagger(u_m) @ tapped_psi for f_b in damping]
+        probability = sum(float(np.vdot(out, out).real) for out in outputs)
+        assert entry.probability == pytest.approx(probability, abs=1e-14)
+        if entry.fidelity is not None:
+            overlap = sum(abs(np.vdot(psi, out)) ** 2 for out in outputs)
+            assert entry.fidelity == pytest.approx(overlap / probability, abs=1e-12)
 
 
 def test_tap_functions_require_measurement_family():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,9 +20,10 @@ from teleportsim.engine import (
     ideal_decomposition_check,
     make_scenario,
     run_oracle,
+    transfer_kernel,
     transfer_operator,
 )
-from teleportsim.linalg import basis_state, dagger, uniform_state
+from teleportsim.linalg import basis_state, dagger, norms_squared, uniform_state
 from teleportsim.sampling import random_state, random_unitary
 
 from oracles import brute_teleport
@@ -276,3 +279,58 @@ def test_explicit_families_match_brute_force_on_both_routes(case, correct):
             expected = brute_teleport(dim, psi, u0, e_r, f_b, u_m, weight, correct)
             assert_allclose(record.raw_output, expected, atol=1e-12)
             assert record.probability == pytest.approx(np.vdot(expected, expected).real, abs=1e-12)
+
+
+
+def _fourier_tap(n: int, effect_b=None, correct: bool = True):
+    """A Fourier-basis tap at theta = 0.5, as in the n = 32 benchmark workload."""
+    k = np.arange(n)
+    fourier = np.exp(2j * np.pi * np.outer(k, k) / n) / np.sqrt(n)
+    return make_scenario(
+        n,
+        random_state(n, np.random.default_rng(n)),
+        effect_r=strength_family(n, 0.5, fourier),
+        effect_b=effect_b,
+        apply_correction=correct,
+    )
+
+
+def _damping(n: int):
+    """Amplitude damping of level 1 into level 0; the other levels are left alone."""
+    k0 = np.eye(n, dtype=complex)
+    k0[1, 1] = 0.8
+    k1 = np.zeros((n, n), dtype=complex)
+    k1[0, 1] = 0.6
+    return kraus_mixture([k0, k1])
+
+
+@pytest.mark.parametrize("correct", [True, False])
+@pytest.mark.parametrize("n,receiver", [(16, True), (32, False)])
+def test_whole_table_correction_equals_per_block_products(n, receiver, correct):
+    # the table corrects with one product per outcome over every block; the
+    # reference applies U(m) block by block, one matrix-vector product each.
+    # At the benchmark's dimensions both give the same bits.
+    config = _fourier_tap(n, _damping(n) if receiver else None, correct)
+    unitaries = config.bell.unitaries
+    expected = []
+    for _, _, amps in transfer_kernel(config, np.asarray(config.input_state)[None]):
+        block = amps[:, 0]
+        expected.append((unitaries @ block[..., None])[..., 0] if correct else block)
+    table = fast_run(config)
+    assert len(expected) == (2 * n if receiver else n)
+    assert np.array_equal(table.amplitudes, np.array(expected))
+    assert np.array_equal(table.probabilities, np.array([norms_squared(b) for b in expected]))
+
+
+@pytest.mark.parametrize("route,bound", [(run_oracle, 2.2), (fast_run, 1.2)])
+def test_route_allocation_peak_stays_near_its_table(route, bound):
+    # the table is 16 MB at n = 32: an out-of-place bras expression or a
+    # whole-table norms_squared adds a table-sized temporary and trips this
+    config = _fourier_tap(32)
+    tracemalloc.start()
+    try:
+        table = route(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * table.amplitudes.nbytes

@@ -94,3 +94,53 @@ def test_tap_cell_mismatch_writes_nothing(monkeypatch):
     monkeypatch.setattr(runner, "run_oracle", skewed)
     monkeypatch.setattr(runner, "fast_run", skewed)
     refused(r"branch operator probability deviates from oracle by .* on \(l=0, m=\(1, 1\)\)")
+
+
+def test_cross_check_fails_on_a_nan_amplitude(monkeypatch):
+    route = runner.fast_run
+
+    def poisoned(scenario):
+        table = route(scenario)
+        amplitudes = table.amplitudes.copy()
+        amplitudes[2, 1, 0] = np.nan
+        amplitudes.setflags(write=False)
+        return replace(table, amplitudes=amplitudes)
+
+    monkeypatch.setattr(runner, "fast_run", poisoned)
+    refused(r"routes disagree on branch \(m=\(0, 1\), l=1\): .* amplitude deviation nan")
+
+
+def test_tap_checks_fail_on_nan(monkeypatch):
+    analyze = runner.analyze_eavesdropping
+
+    def poisoned(scenario):
+        report = analyze(scenario)
+        probabilities = report.probabilities.copy()
+        probabilities[1, 3] = np.nan
+        return replace(report, probabilities=probabilities)
+
+    monkeypatch.setattr(runner, "analyze_eavesdropping", poisoned)
+    refused(r"branch operator probability deviates from oracle by nan on \(l=1, m=\(1, 1\)\)")
+    monkeypatch.setattr(
+        runner,
+        "analyze_eavesdropping",
+        lambda scenario: replace(analyze(scenario), total_fidelity=float("nan")),
+    )
+    refused("total fidelity routes disagree by nan")
+
+
+def test_sweep_point_fails_on_nan_fidelity(monkeypatch):
+    analyze = runner.analyze_eavesdropping
+    monkeypatch.setattr(
+        runner,
+        "analyze_eavesdropping",
+        lambda scenario: replace(analyze(scenario), total_fidelity=float("nan")),
+    )
+    spec = parse_config(
+        "n: 2\ninput: plus-uniform\neavesdrop:\n  theta_sweep: [0, 1, 3]\n"
+        "distinguish:\n  - basis:0\n  - basis:1\n"
+    )
+    stream = io.StringIO()
+    with pytest.raises(InvariantViolation, match="fidelity routes disagree by nan"):
+        runner.run_sweep(spec, stream)
+    assert stream.getvalue() == ""

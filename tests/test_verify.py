@@ -104,3 +104,19 @@ def test_transfer_route_with_shuffled_labels_fails(monkeypatch):
 
     monkeypatch.setattr(verify, "fast_run", relabeled)
     assert not check_oracle_fast_equivalence("quick", 0, None).passed
+
+
+def test_transfer_route_with_a_nan_amplitude_fails(monkeypatch):
+    route = verify.fast_run
+
+    def poisoned(config):
+        table = route(config)
+        amplitudes = table.amplitudes.copy()
+        amplitudes[0, 0, 0] = float("nan")
+        return replace(table, amplitudes=amplitudes)
+
+    monkeypatch.setattr(verify, "fast_run", poisoned)
+    result = check_oracle_fast_equivalence("quick", 0, None)
+    assert not result.passed
+    line = verify.VerificationReport("quick", (result,)).lines()[0]
+    assert line == "FAIL oracle-fast-equivalence: max deviation nan (tolerance 1.0e-09)"
