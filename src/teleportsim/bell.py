@@ -258,7 +258,7 @@ def make_bell_family(
             if not is_unitary(unitary):
                 raise ValueError(f"outcome {label!r}: matrix is not unitary")
             weight = float(weight)
-            if weight <= 0:
+            if not weight > 0:  # NaN fails too
                 raise ValueError(f"outcome {label!r}: weight must be positive, got {weight}")
             key = label if isinstance(label, (int, str, tuple)) else repr(label)
             if key in seen:

@@ -8,6 +8,7 @@ in the run.  Errors carry the offending field path.
 """
 from __future__ import annotations
 
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -136,15 +137,16 @@ def _require_int(raw: dict, key: str, minimum: int) -> int:
 
 
 def _parse_complex(value: object, path: str) -> complex:
-    if isinstance(value, bool):
+    parts = value if isinstance(value, list) and len(value) == 2 else [value, 0.0]
+    if not all(isinstance(part, (int, float)) and not isinstance(part, bool) for part in parts):
         raise ConfigError(f"{path}: expected a number or [re, im] pair, got {value!r}")
-    if isinstance(value, (int, float)):
-        return complex(value, 0.0)
-    if isinstance(value, list) and len(value) == 2 and all(
-        isinstance(part, (int, float)) and not isinstance(part, bool) for part in value
-    ):
-        return complex(value[0], value[1])
-    raise ConfigError(f"{path}: expected a number or [re, im] pair, got {value!r}")
+    try:
+        finite = all(math.isfinite(part) for part in parts)
+    except OverflowError:  # an integer too large for a float
+        finite = False
+    if not finite:
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+    return complex(parts[0], parts[1])
 
 
 def _parse_matrix(value: object, path: str, n: int) -> np.ndarray:
@@ -177,6 +179,8 @@ def _parse_state(value: object, path: str, n: int, strict: bool) -> tuple[str, n
                 state_seed = int(value.split(":", 1)[1])
             except ValueError:
                 raise ConfigError(f"{path}: malformed seed in {value!r}") from None
+            if state_seed < 0:
+                raise ConfigError(f"{path}: seed must be non-negative, got {state_seed}")
             return value, random_state(n, np.random.default_rng(state_seed))
         raise ConfigError(
             f"{path}: unknown state name {value!r} "
@@ -219,7 +223,7 @@ def _parse_bell(value: object, n: int) -> BellFamily:
             raise ConfigError(f"bell[{i}]: unknown fields {sorted(extra)}")
         unitary = _parse_matrix(item["unitary"], f"bell[{i}].unitary", n)
         weight = item.get("weight", 1.0)
-        if isinstance(weight, bool) or not isinstance(weight, (int, float)) or weight <= 0:
+        if isinstance(weight, bool) or not isinstance(weight, (int, float)) or not 0 < weight < math.inf:
             raise ConfigError(f"bell[{i}].weight: expected a positive number, got {weight!r}")
         outcomes.append((i, unitary, float(weight)))
     try:

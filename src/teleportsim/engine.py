@@ -1,15 +1,19 @@
 """Teleportation engine: exact tripartite evolution and its operator shortcut.
 
 Two independent routes produce every conditional output.  `run_oracle`
-evolves the full A x R x B state and projects each Bell outcome; it is
-the ground truth and stays within the design envelope (dim <= 32, so at
-most 32**3 amplitudes).  `fast_run` applies the per-outcome transfer
-operator on the input alone, through `transfer_kernel`, which also feeds
-every tap quantity in `teleportsim.eavesdrop`.  Both batch every Bell
-outcome of an effect branch pair into one product over the family's
-outcome stack, and both return a `BranchTable` of those ``(M, n)``
-blocks, corrected over the whole table at once; `route_deviations`
-compares two tables for every caller.
+projects each Bell outcome on the A x R x B state
+``psi_A (x) (E_R (x) F_B)|Phi>_RB``; it is the ground truth and shares no
+transfer algebra.  That state is a product across A | RB, so the Bell
+bras are contracted with the input over the sender index once, and each
+effect branch pair is then one ``(M, n) @ (n, n)`` product with the
+disturbed resource; no n**3 state is built.  `fast_run` applies the
+per-outcome transfer operator on the input alone, through
+`transfer_kernel`, which also feeds every tap quantity in
+`teleportsim.eavesdrop`.  Both batch every Bell outcome of an effect
+branch pair into one product over the family's outcome stack, and both
+return a `BranchTable` of those ``(M, n)`` blocks, corrected over the
+whole table at once; `route_deviations` compares two tables for every
+caller.
 """
 from __future__ import annotations
 
@@ -175,11 +179,14 @@ def _oracle_blocks(config: ScenarioConfig) -> Iterator[np.ndarray]:
     # row m holds <P(m)| over the A x R index, A slow
     bras = outcome_state_stack(bell, u0)
     np.conj(bras, out=bras)
+    # psi_A (x) |resource>_RB is a product across A | RB, so the sender index
+    # is contracted once: row m of relative is <P(m)|psi>_A, a bra on R
+    relative = psi @ bras.reshape(-1, dim, dim)
+    del bras
     for _, e_r in effect_branches(config.effect_r, dim):
         for _, f_b in effect_branches(config.effect_b, dim):
             # (E_R (x) F_B) acting on the resource, still as an R x B matrix
-            disturbed = e_r @ resource_mat @ f_b.T
-            yield bras @ np.kron(psi, disturbed.reshape(-1)).reshape(dim * dim, dim)
+            yield relative @ (e_r @ resource_mat @ f_b.T)
 
 
 def transfer_operator(

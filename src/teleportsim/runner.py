@@ -11,6 +11,7 @@ deterministic down to the byte for a fixed spec.
 from __future__ import annotations
 
 import csv
+import io
 from math import isnan
 from typing import IO, Iterator
 
@@ -38,11 +39,20 @@ def format_number(value: float) -> str:
 
 
 def format_label(label: object) -> str:
+    """A label as one CSV field, quoted exactly as csv.writer quotes it.
+
+    Tuple parts are joined with ``-``; ``None`` is the empty field.
+    """
     if label is None:
-        return ""
-    if isinstance(label, tuple):
-        return "-".join(str(part) for part in label)
-    return str(label)
+        text = ""
+    elif isinstance(label, tuple):
+        text = "-".join(str(part) for part in label)
+    else:
+        text = str(label)
+    buffer = io.StringIO()
+    # a second, empty field keeps csv.writer from quoting a lone empty field
+    csv.writer(buffer, lineterminator="\n").writerow((text, ""))
+    return buffer.getvalue()[:-2]
 
 
 def build_scenario(spec: RunSpec, theta: float | None = None) -> ScenarioConfig:
@@ -126,21 +136,24 @@ def run_teleport(
         if not deviation <= tolerance:
             raise InvariantViolation(f"total fidelity routes disagree by {deviation:.3e}")
 
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(TELEPORT_HEADER)
+    # rows are formatted as text, one write per block; every label goes
+    # through `format_label` once, so the bytes are what csv.writer gives
+    stream.write(",".join(TELEPORT_HEADER) + "\n")
     m_texts = [format_label(m) for m in oracle.labels]
     for (l, branch), row_p, row_f in zip(oracle.keys, probabilities.tolist(), fidelities.tolist()):
-        l_text, b_text = format_label(l), format_label(branch)
-        writer.writerows(
-            ("outcome", l_text, m_text, b_text, format_number(p), "" if isnan(f) else format_number(f))
+        prefix = f"outcome,{format_label(l)},"
+        b_text = format_label(branch)
+        stream.write("".join(
+            f"{prefix}{m_text},{b_text},{p:.12g},{'' if isnan(f) else f'{f:.12g}'}\n"
             for m_text, p, f in zip(m_texts, row_p, row_f)
-        )
-    for label, value in p_l.items():
-        writer.writerow(("p_l", format_label(label), "", "", format_number(value), ""))
-    for m_text, value in zip(m_texts, probabilities.sum(axis=0).tolist()):
-        writer.writerow(("p_m", "", m_text, "", format_number(value), ""))
+        ))
     total_probability = float(probabilities.sum())
-    writer.writerow(("total", "", "", "", format_number(total_probability), format_number(total_fidelity)))
+    stream.write("".join([
+        *(f"p_l,{format_label(label)},,,{value:.12g},\n" for label, value in p_l.items()),
+        *(f"p_m,,{m_text},,{value:.12g},\n"
+          for m_text, value in zip(m_texts, probabilities.sum(axis=0).tolist())),
+        f"total,,,,{total_probability:.12g},{total_fidelity:.12g}\n",
+    ]))
 
     summary = [
         f"teleport: n={spec.n}, input {spec.input_label}, "

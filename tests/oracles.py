@@ -2,7 +2,9 @@
 
 Everything here is written with explicit index loops on purpose: the
 point is to check the package against arithmetic that shares none of its
-code paths (no kron, no einsum, no reshape tricks).
+code paths (no kron, no einsum, no reshape tricks).  The one exception is
+`materialized_oracle`, the vectorized full-state form the oracle used to
+take, kept because index loops at n = 16 would take minutes.
 """
 from __future__ import annotations
 
@@ -144,3 +146,32 @@ def brute_trace_orthogonality(dim: int, unitaries: list[np.ndarray]) -> float:
                     overlap += np.conj(left[a, b]) * right[a, b]
             worst = max(worst, abs(overlap / dim - (1.0 if i == j else 0.0)))
     return worst
+
+
+def materialized_oracle(
+    psi: np.ndarray,
+    u0: np.ndarray,
+    unitaries: np.ndarray,
+    weights: np.ndarray,
+    reference_effects: list[np.ndarray],
+    receiver_effects: list[np.ndarray],
+    correct: bool = True,
+) -> np.ndarray:
+    """Every branch amplitude by projecting the materialized A x R x B state.
+
+    Block ``(l, b)`` holds the ``(M, n)`` amplitudes for reference effect
+    ``l`` and receiver effect ``b``, reference major.  Each block builds the
+    whole ``n**3`` state with ``kron`` and applies every weighted Bell bra
+    ``sqrt(w/n) (U(m) u0^T)^*`` to it over the A x R index.
+    """
+    n = psi.shape[0]
+    bras = np.conj(np.sqrt(weights / n)[:, None, None] * (unitaries @ u0.T)).reshape(-1, n * n)
+    blocks = []
+    for e_r in reference_effects:
+        for f_b in receiver_effects:
+            disturbed = e_r @ (u0 / np.sqrt(n)) @ f_b.T
+            block = bras @ np.kron(psi, disturbed.reshape(-1)).reshape(n * n, n)
+            if correct:
+                block = (unitaries @ block[..., None])[..., 0]
+            blocks.append(block)
+    return np.array(blocks)

@@ -188,6 +188,8 @@ def test_explicit_family_validation_errors():
         make_bell_family(2, [(0, np.array([[1, 0], [0, 2]]), 1.0)])
     with pytest.raises(ValueError, match="weight"):
         make_bell_family(2, [(0, np.eye(2), -1.0)])
+    with pytest.raises(ValueError, match="weight must be positive, got nan"):
+        make_bell_family(2, [(0, np.eye(2), float("nan"))])
     with pytest.raises(ValueError, match="duplicate"):
         make_bell_family(2, [(0, np.eye(2), 1.0), (0, weyl_unitary(2, 1, 0), 1.0)])
     with pytest.raises(ValueError, match="no outcome labeled"):

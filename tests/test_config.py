@@ -190,6 +190,22 @@ def test_exponent_amplitude_without_mantissa_dot():
         ),
         ("n: 2\ninput: plus-uniform\ndistinguish: ['basis:0']\n", "exactly two"),
         ("n: 2\ninput: plus-uniform\nbell: [{unitary: [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}]\n", "bell"),
+        ("n: 2\ninput: 'random:-1'\n", "input: seed must be non-negative, got -1"),
+        (
+            "n: 2\ninput: plus-uniform\ndistinguish: ['basis:0', 'random:-3']\n",
+            "distinguish[1]: seed must be non-negative",
+        ),
+        ("n: 2\ninput: plus-uniform\nu0: [[.inf, 0], [0, 1]]\n", "u0[0][0]: expected a finite number"),
+        (
+            "n: 2\ninput: plus-uniform\neffect_b: {kraus: [[[1, 0], [0, [.nan, 0]]]]}\n",
+            "effect_b.kraus[0][1][1]: expected a finite number",
+        ),
+        ("n: 2\ninput: [1, .nan]\n", "input[1]: expected a finite number"),
+        ("n: 2\ninput: [1, [0, -.inf]]\n", "input[1]: expected a finite number"),
+        (
+            "n: 2\ninput: plus-uniform\nbell: [{unitary: [[1, 0], [0, 1]], weight: .nan}]\n",
+            "bell[0].weight: expected a positive number, got nan",
+        ),
         ("[1, 2]", "expected a mapping"),
         ("n: 2\ninput: plus-uniform\noutput: 3\n", "output: expected a path"),
     ],
@@ -198,6 +214,11 @@ def test_rejected_configs_name_the_field(text, needle):
     with pytest.raises(ConfigError) as excinfo:
         parse_config(text)
     assert needle in str(excinfo.value)
+
+
+def test_integer_too_large_for_a_float_names_the_field():
+    with pytest.raises(ConfigError, match=r"input\[1\]: expected a finite number"):
+        parse_config(f"n: 2\ninput: [1, 1{'0' * 400}]\n")
 
 
 def test_shipped_sample_configs_parse():

@@ -26,7 +26,7 @@ from teleportsim.engine import (
 from teleportsim.linalg import basis_state, dagger, norms_squared, uniform_state
 from teleportsim.sampling import random_state, random_unitary
 
-from oracles import brute_teleport
+from oracles import brute_teleport, materialized_oracle
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
@@ -73,6 +73,31 @@ def test_oracle_matches_brute_force_with_effects():
             a, b = record.m
             expected = brute_teleport(dim, psi, u0, e_r, f_b, weyl_unitary(dim, a, b))
             assert_allclose(record.raw_output, expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("correct", [True, False])
+@pytest.mark.parametrize("n", [8, 16])
+def test_oracle_matches_the_materialized_full_state(n, correct):
+    # the oracle contracts the sender index before the effects; the
+    # reference builds every n**3 block and projects it
+    rng = np.random.default_rng(40 + n)
+    u0 = random_unitary(n, rng)
+    isometry = random_unitary(2 * n, rng)[:, :n]
+    kraus = [isometry[:n], isometry[n:]]
+    receiver = random_unitary(n, rng)
+    config = make_scenario(
+        n,
+        random_state(n, rng),
+        u0=u0,
+        effect_r=kraus_mixture(kraus),
+        effect_b=unitary_effect(receiver),
+        apply_correction=correct,
+    )
+    bell = config.bell
+    expected = materialized_oracle(
+        np.asarray(config.input_state), u0, bell.unitaries, bell.weights, kraus, [receiver], correct
+    )
+    assert_allclose(run_oracle(config).amplitudes, expected, rtol=0, atol=1e-13)
 
 
 @given(

@@ -5,15 +5,19 @@ that `run_teleport` raises `InvariantViolation` before the first CSV row.
 """
 from __future__ import annotations
 
+import csv
 import io
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from teleportsim import runner
+from teleportsim import engine, runner
+from teleportsim.bell import make_bell_family, weyl_unitary
 from teleportsim.config import parse_config
+from teleportsim.linalg import dagger
 from teleportsim.runner import InvariantViolation, run_teleport
+from teleportsim.verify import run_verification
 
 # two tap branches and two receiver branches: four blocks of four outcomes
 SPEC = parse_config(
@@ -144,3 +148,31 @@ def test_sweep_point_fails_on_nan_fidelity(monkeypatch):
     with pytest.raises(InvariantViolation, match="fidelity routes disagree by nan"):
         runner.run_sweep(spec, stream)
     assert stream.getvalue() == ""
+
+
+def test_oracle_shares_no_mirror_algebra(monkeypatch):
+    # a mirror without its transpose breaks the transfer route only; an
+    # oracle that went through mirror_effect would break along with it
+    monkeypatch.setattr(engine, "mirror_effect", lambda u0, effect: dagger(u0) @ effect @ u0)
+    spec = parse_config("n: 3\ninput: random:3\neavesdrop:\n  basis: fourier\n  theta: 0.5\n")
+    stream = io.StringIO()
+    with pytest.raises(InvariantViolation, match="routes disagree on branch"):
+        run_teleport(spec, stream)
+    assert stream.getvalue() == ""
+    lines = run_verification("quick", seed=0).lines()
+    assert any(line.startswith("FAIL oracle-fast-equivalence: ") for line in lines)
+
+
+def test_outcome_rows_are_the_bytes_csv_writer_gives():
+    labels = ["a,b", 'q"x', "line\nbreak", ("t", 1)]
+    family = make_bell_family(
+        2, [(label, weyl_unitary(2, *divmod(i, 2)), 1.0) for i, label in enumerate(labels)]
+    )
+    stream = io.StringIO()
+    run_teleport(replace(SPEC, bell=family), stream)
+    text = stream.getvalue()
+    rows = list(csv.reader(io.StringIO(text)))
+    assert {row[2] for row in rows if row[0] == "outcome"} == {"a,b", 'q"x', "line\nbreak", "t-1"}
+    expected = io.StringIO()
+    csv.writer(expected, lineterminator="\n").writerows(rows)
+    assert text == expected.getvalue()
