@@ -60,7 +60,7 @@ def main() -> int:
 
     psi = pick_input(args.input, args.n, args.seed)
     basis = tap_basis(args.basis, args.n)
-    pair = [basis_state(args.n, 0), basis_state(args.n, 1)]
+    first, second = basis_state(args.n, 0), basis_state(args.n, 1)
 
     rows = []
     for theta in np.linspace(0.0, 1.0, args.points):
@@ -68,7 +68,7 @@ def main() -> int:
             args.n, psi, effect_r=strength_family(args.n, float(theta), basis)
         )
         fidelity = analyze_eavesdropping(config).total_fidelity
-        advantage = float(distinguishability(config, pair)[0, 1])
+        advantage = distinguishability(config, first, second)
         rows.append((float(theta), fidelity, advantage))
 
     print(f"n={args.n}, input={args.input}, tap basis={args.basis}")

@@ -9,12 +9,10 @@ per-outcome transfer operators.
 from .bell import (
     BellFamily,
     BellOutcome,
-    EntangledResource,
     bell_outcome_state,
     clock_unitary,
     completeness_deviation,
     make_bell_family,
-    make_entangled_resource,
     mirror_operator,
     shift_unitary,
     weyl_unitary,
@@ -46,7 +44,6 @@ from .engine import (
     transfer_operator,
 )
 from .linalg import (
-    DEFAULT_TOL,
     basis_state,
     dagger,
     transpose_in_basis,
@@ -61,10 +58,8 @@ __all__ = [
     "BellFamily",
     "BellOutcome",
     "BranchTable",
-    "DEFAULT_TOL",
     "EavesdropReport",
     "EffectOperator",
-    "EntangledResource",
     "MeasurementFamily",
     "ScenarioConfig",
     "TeleportRecord",
@@ -81,7 +76,6 @@ __all__ = [
     "ideal_decomposition_check",
     "kraus_mixture",
     "make_bell_family",
-    "make_entangled_resource",
     "make_measurement_family",
     "make_scenario",
     "mirror_operator",

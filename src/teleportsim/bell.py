@@ -1,8 +1,10 @@
-"""Maximally entangled resources, mirror operators and Bell outcome families.
+"""Mirror operators, Weyl unitaries and Bell outcome families.
 
 Subsystem order is fixed throughout the package: sender A, reference R,
 receiver B, with A on the slowest tensor index.  A two-party state on
 R x B therefore has R slow; a Bell outcome state on A x R has A slow.
+The shared resource ``sum_n (u0|n>)_R |n>_B / sqrt(dim)`` is the
+row-major flattening of ``u0 / sqrt(dim)``; the oracle builds it inline.
 """
 from __future__ import annotations
 
@@ -12,26 +14,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .linalg import (
-    as_complex_matrix,
-    dagger,
-    frozen_complex_array,
-    is_unitary,
-    transpose_in_basis,
-)
-
-FAMILY_TOL = 1e-9
+from .linalg import FAMILY_TOL, as_complex_matrix, dagger, is_unitary, transpose_in_basis
 
 Label = int | str | tuple
-
-
-@dataclass(frozen=True, eq=False)
-class EntangledResource:
-    """Shared R x B resource ``sum_n (u0|n>)_R (|n>)_B / sqrt(dim)``."""
-
-    dim: int
-    u0: np.ndarray
-    state: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,27 +77,6 @@ def _label_key(label: object) -> object:
     except TypeError:
         return repr(label)
     return label
-
-
-def make_entangled_resource(dim: int, u0: np.ndarray | None = None) -> EntangledResource:
-    """Build the shared resource state for dimension ``dim``.
-
-    ``u0`` rotates the reference side and defaults to the identity.  Both
-    reduced states are maximally mixed regardless of ``u0``.
-    """
-    if dim < 2:
-        raise ValueError(f"resource dimension must be at least 2, got {dim}")
-    if u0 is None:
-        u0 = np.eye(dim, dtype=complex)
-    u0 = as_complex_matrix(u0)
-    if u0.shape != (dim, dim):
-        raise ValueError(f"u0 shape {u0.shape} does not match dimension {dim}")
-    if not is_unitary(u0):
-        raise ValueError("u0 must be unitary")
-    # amplitude of |j>_R |k>_B is u0[j, k] / sqrt(dim), so the state is a
-    # row-major flattening of u0 itself
-    state = u0.reshape(-1) / np.sqrt(dim)
-    return EntangledResource(dim=dim, u0=frozen_complex_array(u0), state=frozen_complex_array(state))
 
 
 def mirror_operator(op_b: np.ndarray, u0: np.ndarray) -> np.ndarray:
@@ -176,18 +140,14 @@ def find_outcome(family: BellFamily, label: Label) -> BellOutcome:
     return family.outcomes[position]
 
 
-def bell_outcome_state(
-    family: BellFamily, label: Label, u0: np.ndarray | None = None
-) -> np.ndarray:
+def bell_outcome_state(family: BellFamily, label: Label, u0: np.ndarray) -> np.ndarray:
     """Unnormalized outcome state ``sqrt(w/dim) sum_n (U|n>)_A (u0|n>)_R``.
 
-    The squared norm equals the outcome weight.  ``u0`` defaults to the
-    identity and must match the resource the measurement is aimed at.
+    The squared norm equals the outcome weight.  ``u0`` must match the
+    resource the measurement is aimed at.
     """
     dim = family.dim
     outcome = find_outcome(family, label)
-    if u0 is None:
-        u0 = np.eye(dim, dtype=complex)
     u0 = as_complex_matrix(u0)
     if u0.shape != (dim, dim):
         raise ValueError(f"u0 shape {u0.shape} does not match dimension {dim}")
@@ -228,21 +188,19 @@ def completeness_deviation(family: BellFamily) -> float:
 
 def make_bell_family(
     dim: int,
-    outcomes: str | Iterable[tuple[Label, np.ndarray, float]] = "weyl-orthogonal",
+    outcomes: Iterable[tuple[Label, np.ndarray, float]] | None = None,
 ) -> BellFamily:
     """Build a complete Bell outcome family for dimension ``dim``.
 
-    ``outcomes`` is either the literal ``"weyl-orthogonal"`` (the dim**2
-    shift/phase unitaries, all with unit weight) or an explicit iterable of
-    ``(label, unitary, weight)`` triples.  Explicit families may repeat or
-    tilt their unitaries as long as weights are positive and the weighted
+    ``outcomes`` is either ``None`` (the dim**2 shift/phase unitaries, all
+    with unit weight) or an explicit iterable of ``(label, unitary,
+    weight)`` triples.  Explicit families may repeat or tilt their
+    unitaries as long as weights are positive and the weighted
     completeness sum comes out to the identity.
     """
     if dim < 2:
         raise ValueError(f"dimension must be at least 2, got {dim}")
-    if isinstance(outcomes, str):
-        if outcomes != "weyl-orthogonal":
-            raise ValueError(f"unknown family kind {outcomes!r}")
+    if outcomes is None:
         labels: list[Label] = [(a, b) for a in range(dim) for b in range(dim)]
         stack = _weyl_stack(dim)
         weights = [1.0] * len(labels)
@@ -260,7 +218,7 @@ def make_bell_family(
             weight = float(weight)
             if not weight > 0:  # NaN fails too
                 raise ValueError(f"outcome {label!r}: weight must be positive, got {weight}")
-            key = label if isinstance(label, (int, str, tuple)) else repr(label)
+            key = _label_key(label)
             if key in seen:
                 raise ValueError(f"duplicate outcome label {label!r}")
             seen.add(key)
@@ -290,14 +248,3 @@ def make_bell_family(
         )
     return family
 
-
-def trace_orthogonality_deviation(family: BellFamily) -> float:
-    """Largest deviation of ``tr(U(m)^+ U(m')) / dim`` from the Kronecker delta.
-
-    Only meaningful for families meant to be orthogonal; weighted families
-    will legitimately report large values.
-    """
-    flat = family.unitaries.reshape(len(family.outcomes), -1)
-    overlaps = flat.conj() @ flat.T / family.dim
-    overlaps.flat[:: len(family.outcomes) + 1] -= 1.0
-    return float(np.max(np.abs(overlaps)))

@@ -8,6 +8,7 @@ in the run.  Errors carry the offending field path.
 """
 from __future__ import annotations
 
+import cmath
 import math
 import re
 import sys
@@ -136,17 +137,29 @@ def _require_int(raw: dict, key: str, minimum: int) -> int:
     return value
 
 
+def _number(value: object, path: str) -> float:
+    """A YAML number as a float; an integer too large for one reads as infinite.
+
+    Range and finiteness are left to the caller, which names the field in
+    its own terms and rejects infinity with every out-of-range value.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{path}: expected a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _parse_complex(value: object, path: str) -> complex:
     parts = value if isinstance(value, list) and len(value) == 2 else [value, 0.0]
-    if not all(isinstance(part, (int, float)) and not isinstance(part, bool) for part in parts):
-        raise ConfigError(f"{path}: expected a number or [re, im] pair, got {value!r}")
     try:
-        finite = all(math.isfinite(part) for part in parts)
-    except OverflowError:  # an integer too large for a float
-        finite = False
-    if not finite:
+        number = complex(*(_number(part, path) for part in parts))
+    except ConfigError:
+        raise ConfigError(f"{path}: expected a number or [re, im] pair, got {value!r}") from None
+    if not cmath.isfinite(number):
         raise ConfigError(f"{path}: expected a finite number, got {value!r}")
-    return complex(parts[0], parts[1])
+    return number
 
 
 def _parse_matrix(value: object, path: str, n: int) -> np.ndarray:
@@ -222,10 +235,11 @@ def _parse_bell(value: object, n: int) -> BellFamily:
         if extra:
             raise ConfigError(f"bell[{i}]: unknown fields {sorted(extra)}")
         unitary = _parse_matrix(item["unitary"], f"bell[{i}].unitary", n)
-        weight = item.get("weight", 1.0)
-        if isinstance(weight, bool) or not isinstance(weight, (int, float)) or not 0 < weight < math.inf:
-            raise ConfigError(f"bell[{i}].weight: expected a positive number, got {weight!r}")
-        outcomes.append((i, unitary, float(weight)))
+        raw_weight = item.get("weight", 1.0)
+        weight = _number(raw_weight, f"bell[{i}].weight")
+        if not 0 < weight < math.inf:
+            raise ConfigError(f"bell[{i}].weight: expected a positive number, got {raw_weight!r}")
+        outcomes.append((i, unitary, weight))
     try:
         return make_bell_family(n, outcomes)
     except ValueError as exc:
@@ -258,22 +272,20 @@ def _parse_eavesdrop(value: object, n: int) -> EavesdropSpec | None:
     if has_theta == has_sweep:
         raise ConfigError("eavesdrop: exactly one of 'theta' or 'theta_sweep' is required")
     if has_theta:
-        theta = value["theta"]
-        if isinstance(theta, bool) or not isinstance(theta, (int, float)):
-            raise ConfigError(f"eavesdrop.theta: expected a number, got {theta!r}")
-        if not 0.0 <= float(theta) <= 1.0:
-            raise ConfigError(f"eavesdrop.theta: must lie in [0, 1], got {theta}")
-        return EavesdropSpec(basis=frozen_complex_array(basis), theta=float(theta), sweep=None)
+        theta = _number(value["theta"], "eavesdrop.theta")
+        if not 0.0 <= theta <= 1.0:
+            raise ConfigError(f"eavesdrop.theta: must lie in [0, 1], got {value['theta']}")
+        return EavesdropSpec(basis=frozen_complex_array(basis), theta=theta, sweep=None)
     sweep = value["theta_sweep"]
     if (
         not isinstance(sweep, list)
         or len(sweep) != 3
-        or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in sweep[:2])
         or isinstance(sweep[2], bool)
         or not isinstance(sweep[2], int)
     ):
         raise ConfigError("eavesdrop.theta_sweep: expected [start, stop, steps]")
-    start, stop, steps = float(sweep[0]), float(sweep[1]), int(sweep[2])
+    start, stop = (_number(x, "eavesdrop.theta_sweep") for x in sweep[:2])
+    steps = sweep[2]
     if not (0.0 <= start <= 1.0 and 0.0 <= stop <= 1.0):
         raise ConfigError("eavesdrop.theta_sweep: start and stop must lie in [0, 1]")
     if steps < 2:

@@ -7,10 +7,12 @@ the transfer operators of the tap, so every quantity here is a reduction
 of `teleportsim.engine.transfer_kernel` over the family's outcome stack,
 and no ``P(l, m)`` is built as a matrix except by `eavesdrop_operator`.
 `analyze_eavesdropping` returns its cells as ``(L, M)`` arrays, tap
-branch by Bell outcome; per-cell `EavesdropEntry` rows and the marginal
-dicts are views built from them on access.  The probabilities predicted
-here must agree with the oracle table produced by
-`teleportsim.engine.run_oracle`; the run drivers and the verification
+branch by Bell outcome; a marginal is a sum of the probability array over
+one axis.  The module also holds the paper's projective special case
+(`projective_case_analysis`), the guessing advantage between two inputs
+(`distinguishability`) and the sequential decomposition check.  The
+probabilities predicted here must agree with the oracle table produced
+by `teleportsim.engine.run_oracle`; the run drivers and the verification
 suite enforce that, and verify checks that every ``P(l, m)`` is Hermitian.
 """
 from __future__ import annotations
@@ -26,30 +28,15 @@ from .engine import NULL_BRANCH_EPS, ScenarioConfig, mirror_effect, transfer_ker
 from .linalg import apply_each_inverse, dagger, frozen_complex_array, norms_squared
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class EavesdropEntry:
-    """One ``(l, m)`` cell: probability and conditional fidelity.
-
-    A receiver effect is summed out of the cell: the probability adds up
-    its branches and the fidelity is that of the mixed conditional output.
-    ``fidelity`` is ``None`` on a branch that never fires; there is no
-    state there to compare with.
-    """
-
-    l: int | str
-    m: Label
-    probability: float
-    fidelity: float | None
-
-
 @dataclass(frozen=True, eq=False)
 class EavesdropReport:
     """Full tap analysis for one scenario, one row per tap branch.
 
     ``probabilities[l, m]`` is the probability of cell ``(tap_labels[l],
     labels[m])`` and ``fidelities[l, m]`` its conditional fidelity, NaN on a
-    cell that never fires.  ``entries``, ``p_l`` and ``p_m`` are built from
-    these arrays on each access.
+    cell that never fires.  A receiver effect is summed out of each cell:
+    the probability adds up its branches and the fidelity is that of the
+    mixed conditional output.
     """
 
     tap_labels: tuple[int | str, ...]
@@ -57,27 +44,6 @@ class EavesdropReport:
     probabilities: np.ndarray  # (L, M)
     fidelities: np.ndarray  # (L, M)
     total_fidelity: float
-
-    @property
-    def entries(self) -> tuple[EavesdropEntry, ...]:
-        """One `EavesdropEntry` per cell, tap branch major."""
-        return tuple(
-            EavesdropEntry(l=l, m=m, probability=p, fidelity=None if p < NULL_BRANCH_EPS else f)
-            for l, row_p, row_f in zip(
-                self.tap_labels, self.probabilities.tolist(), self.fidelities.tolist()
-            )
-            for m, p, f in zip(self.labels, row_p, row_f)
-        )
-
-    @property
-    def p_l(self) -> dict[int | str, float]:
-        """Tap marginal, keyed by tap label."""
-        return dict(zip(self.tap_labels, self.probabilities.sum(axis=1).tolist()))
-
-    @property
-    def p_m(self) -> dict[Label, float]:
-        """Bell outcome marginal, keyed by outcome label."""
-        return dict(zip(self.labels, self.probabilities.sum(axis=0).tolist()))
 
 
 @dataclass(frozen=True)
@@ -233,27 +199,19 @@ def projective_case_analysis(config: ScenarioConfig) -> ProjectiveReport:
     )
 
 
-def distinguishability(config: ScenarioConfig, inputs: list[np.ndarray]) -> np.ndarray:
-    """Pairwise leakage between candidate inputs, as guessing advantage.
+def distinguishability(config: ScenarioConfig, first: np.ndarray, second: np.ndarray) -> float:
+    """Leakage between two candidate inputs, as guessing advantage.
 
-    Entry ``(i, j)`` is the advantage over a fair coin when identifying
-    which of two equiprobable inputs produced one joint ``(l, m)`` sample:
-    half the total-variation distance between the probability tables of
+    The advantage over a fair coin when identifying which of two
+    equiprobable inputs produced one joint ``(l, m)`` sample: half the
+    total-variation distance between the probability tables of
     ``|P(l, m) psi|^2``.  A receiver effect closes over its branches and
     leaves these cell probabilities unchanged.
     """
-    if len(inputs) < 2:
-        raise ValueError("need at least two candidate inputs to compare")
     _tap_family(config)
-    states = np.array(inputs, dtype=complex)
+    states = np.array([first, second], dtype=complex)
     # row k holds every (l, m) cell probability of input k, tap label major
     tables = np.concatenate(
         [norms_squared(amps) for _, _, amps in transfer_kernel(config, states, receiver=False)]
     ).T
-    count = len(tables)
-    out = np.zeros((count, count))
-    for i in range(count):
-        for j in range(i + 1, count):
-            advantage = 0.25 * float(np.sum(np.abs(tables[i] - tables[j])))
-            out[i, j] = out[j, i] = advantage
-    return out
+    return 0.25 * float(np.sum(np.abs(tables[0] - tables[1])))

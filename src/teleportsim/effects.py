@@ -13,6 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import (
+    FAMILY_TOL,
     as_complex_matrix,
     dagger,
     frozen_complex_array,
@@ -20,17 +21,14 @@ from .linalg import (
     is_unitary,
 )
 
-FAMILY_TOL = 1e-9
-
 PSD_CLAMP = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
 class EffectOperator:
-    """A single branch operator with its role and an optional label."""
+    """A single branch operator with an optional label."""
 
     matrix: np.ndarray
-    kind: str  # "unitary" | "measurement-branch" | "generic"
     label: int | str | None = None
 
 
@@ -53,7 +51,7 @@ def unitary_effect(matrix: np.ndarray, label: int | str | None = None) -> Effect
     matrix = as_complex_matrix(matrix)
     if not is_unitary(matrix):
         raise ValueError("effect matrix is not unitary")
-    return EffectOperator(matrix=frozen_complex_array(matrix), kind="unitary", label=label)
+    return EffectOperator(matrix=frozen_complex_array(matrix), label=label)
 
 
 def kraus_mixture(matrices: Sequence[np.ndarray]) -> tuple[EffectOperator, ...]:
@@ -76,7 +74,7 @@ def kraus_mixture(matrices: Sequence[np.ndarray]) -> tuple[EffectOperator, ...]:
             f"Kraus operators do not resolve the identity: deviation {deviation:.3e}"
         )
     return tuple(
-        EffectOperator(matrix=frozen_complex_array(m), kind="generic", label=i)
+        EffectOperator(matrix=frozen_complex_array(m), label=i)
         for i, m in enumerate(mats)
     )
 
@@ -84,7 +82,6 @@ def kraus_mixture(matrices: Sequence[np.ndarray]) -> tuple[EffectOperator, ...]:
 def make_measurement_family(
     matrices: Sequence[np.ndarray],
     labels: Sequence[int | str] | None = None,
-    tol: float = FAMILY_TOL,
 ) -> MeasurementFamily:
     """Admit explicit branch operators ``E(l)`` as a measurement family."""
     if len(matrices) == 0:
@@ -104,21 +101,19 @@ def make_measurement_family(
         if mat.shape != (dim, dim):
             raise ValueError(f"branch {label!r} has shape {mat.shape}, expected ({dim}, {dim})")
         herm = hermiticity_deviation(mat)
-        if herm > tol:
+        if herm > FAMILY_TOL:
             raise ValueError(f"branch {label!r} is not Hermitian (deviation {herm:.3e})")
         min_eig = float(np.linalg.eigvalsh((mat + mat.conj().T) / 2).min())
         if min_eig < -PSD_CLAMP:
             raise ValueError(
                 f"branch {label!r} is not positive semidefinite (eigenvalue {min_eig:.3e})"
             )
-        branches.append(
-            EffectOperator(matrix=frozen_complex_array(mat), kind="measurement-branch", label=label)
-        )
+        branches.append(EffectOperator(matrix=frozen_complex_array(mat), label=label))
     family = MeasurementFamily(dim=dim, branches=tuple(branches))
     deviation = family_completeness_deviation(family)
-    if deviation > tol:
+    if deviation > FAMILY_TOL:
         raise ValueError(
-            f"branch squares do not sum to identity: deviation {deviation:.3e} exceeds {tol:.1e}"
+            f"branch squares do not sum to identity: deviation {deviation:.3e} exceeds {FAMILY_TOL:.1e}"
         )
     return family
 
@@ -153,9 +148,7 @@ def strength_family(
         # closed-form Hermitian root: the argument has eigenvalue
         # (1-theta)/dim off the basis vector and (1-theta)/dim + theta on it
         mat = low * (eye - proj) + high * proj
-        branches.append(
-            EffectOperator(matrix=frozen_complex_array(mat), kind="measurement-branch", label=l)
-        )
+        branches.append(EffectOperator(matrix=frozen_complex_array(mat), label=l))
     return MeasurementFamily(dim=dim, branches=tuple(branches))
 
 

@@ -1,14 +1,19 @@
 """Dense complex linear algebra primitives shared by every other module.
 
 All operators are plain ``numpy`` arrays of dtype complex128.  The design
-envelope is modest (single-system dimension up to 32, tripartite states up
-to 32**3 amplitudes), so nothing here is sparse or lazy.
+envelope is modest (single-system dimension up to 32; the largest arrays,
+such as a stack of outcome states on A x R, hold 32**4 amplitudes), so
+nothing here is sparse or lazy.
 """
 from __future__ import annotations
 
 import numpy as np
 
 DEFAULT_TOL = 1e-10
+
+# admission tolerance of Bell outcome families, measurement families and
+# Kraus mixtures
+FAMILY_TOL = 1e-9
 
 STATE_NORM_TOL = 1e-12
 
@@ -48,10 +53,10 @@ def uniform_state(dim: int) -> np.ndarray:
     return np.full(dim, 1.0 / np.sqrt(dim), dtype=complex)
 
 
-def as_pure_state(values: object, tol: float = STATE_NORM_TOL) -> np.ndarray:
+def as_pure_state(values: object) -> np.ndarray:
     """Coerce ``values`` to a normalized complex vector.
 
-    The squared amplitudes must already sum to 1 within ``tol``; callers
+    The squared amplitudes must already sum to 1 within `STATE_NORM_TOL`; callers
     that accept user input are expected to normalize (or reject) before
     reaching this point.
     """
@@ -61,7 +66,7 @@ def as_pure_state(values: object, tol: float = STATE_NORM_TOL) -> np.ndarray:
     if not np.all(np.isfinite(vec)):
         raise ValueError("state amplitudes must be finite")
     norm_sq = float(np.vdot(vec, vec).real)
-    if abs(norm_sq - 1.0) > tol:
+    if abs(norm_sq - 1.0) > STATE_NORM_TOL:
         raise ValueError(f"state norm^2 deviates from 1 by {abs(norm_sq - 1.0):.3e}")
     return vec
 
@@ -108,8 +113,8 @@ def unitarity_deviation(mat: np.ndarray) -> float:
     return float(np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[1]))))
 
 
-def is_unitary(mat: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+def is_unitary(mat: np.ndarray) -> bool:
     mat = np.asarray(mat, dtype=complex)
     if mat.shape[0] != mat.shape[1]:
         return False
-    return unitarity_deviation(mat) <= tol
+    return unitarity_deviation(mat) <= DEFAULT_TOL

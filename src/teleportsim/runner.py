@@ -194,9 +194,8 @@ def _sweep_point(spec: RunSpec, theta: float, tolerance: float) -> tuple[float, 
             f"theta={theta:.6f}: fidelity routes disagree by "
             f"{abs(oracle_fidelity - report.total_fidelity):.3e}"
         )
-    pair = [np.asarray(state) for _, state in spec.distinguish]
-    advantage = float(distinguishability(scenario, pair)[0, 1])
-    return report.total_fidelity, advantage
+    (_, first), (_, second) = spec.distinguish
+    return report.total_fidelity, distinguishability(scenario, first, second)
 
 
 def run_sweep(

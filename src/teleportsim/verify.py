@@ -96,12 +96,10 @@ def _corrupted_bell(dim: int) -> BellFamily:
 def _corrupted_measurement(dim: int) -> MeasurementFamily:
     intact = strength_family(dim, 0.6)
     branches = list(intact.branches)
-    broken = EffectOperator(
+    branches[0] = EffectOperator(
         matrix=frozen_complex_array(np.asarray(branches[0].matrix) * 1.01),
-        kind="measurement-branch",
         label=branches[0].label,
     )
-    branches[0] = broken
     return MeasurementFamily(dim=dim, branches=tuple(branches))
 
 

@@ -31,6 +31,17 @@ def brute_partial_trace(rho: np.ndarray, dims: tuple[int, ...], keep: int) -> np
     return out
 
 
+def brute_resource_state(u0: np.ndarray) -> np.ndarray:
+    """Shared R x B state ``sum_n (u0|n>)_R |n>_B / sqrt(n)``, amplitude by amplitude."""
+    n = u0.shape[0]
+    state = np.zeros(n * n, dtype=complex)
+    for j in range(n):
+        for k in range(n):
+            # only the term n = k puts |k> on B, and entry j of u0|k> is u0[j, k]
+            state[j * n + k] = u0[j, k] / np.sqrt(n)
+    return state
+
+
 def brute_teleport(
     n: int,
     psi: np.ndarray,

@@ -216,9 +216,32 @@ def test_rejected_configs_name_the_field(text, needle):
     assert needle in str(excinfo.value)
 
 
-def test_integer_too_large_for_a_float_names_the_field():
-    with pytest.raises(ConfigError, match=r"input\[1\]: expected a finite number"):
-        parse_config(f"n: 2\ninput: [1, 1{'0' * 400}]\n")
+HUGE = "1" + "0" * 400
+
+
+@pytest.mark.parametrize(
+    "text,needle",
+    [
+        (f"n: 2\ninput: [1, {HUGE}]\n", "input[1]: expected a finite number"),
+        (
+            f"n: 2\ninput: plus-uniform\neavesdrop: {{theta: {HUGE}}}\n",
+            "eavesdrop.theta: must lie in [0, 1]",
+        ),
+        (
+            f"n: 2\ninput: plus-uniform\neavesdrop: {{theta_sweep: [0, {HUGE}, 3]}}\n",
+            "eavesdrop.theta_sweep: start and stop must lie in [0, 1]",
+        ),
+        (
+            f"n: 2\ninput: plus-uniform\nbell: [{{unitary: [[1, 0], [0, 1]], weight: {HUGE}}}]\n",
+            "bell[0].weight: expected a positive number",
+        ),
+    ],
+    ids=["amplitude", "theta", "theta-sweep-stop", "bell-weight"],
+)
+def test_integer_too_large_for_a_float_names_the_field(text, needle):
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(text)
+    assert str(excinfo.value).startswith(needle)
 
 
 def test_shipped_sample_configs_parse():

@@ -35,8 +35,13 @@ def tapped(dim, state, theta, basis=None, u0=None, bell=None):
 
 
 def cells(config):
-    """The report's entries keyed by ``(l, m)``."""
-    return {(e.l, e.m): e for e in analyze_eavesdropping(config).entries}
+    """The report's ``(probability, fidelity)`` per cell, keyed by ``(l, m)``."""
+    report = analyze_eavesdropping(config)
+    return {
+        (l, m): (report.probabilities[row, column], report.fidelities[row, column])
+        for row, l in enumerate(report.tap_labels)
+        for column, m in enumerate(report.labels)
+    }
 
 
 def test_operator_is_conjugated_projector_at_full_strength():
@@ -71,13 +76,13 @@ def test_trivial_tap_probabilities_are_flat():
     for l in range(2):
         for a in range(2):
             for b in range(2):
-                assert table[(l, (a, b))].probability == pytest.approx(1 / 8, abs=1e-12)
+                assert table[(l, (a, b))][0] == pytest.approx(1 / 8, abs=1e-12)
 
 
 def test_full_strength_probabilities_follow_the_shift():
     table = cells(tapped(2, basis_state(2, 0), 1.0))
-    assert table[(0, (0, 0))].probability == pytest.approx(0.25, abs=1e-12)
-    assert table[(1, (0, 0))].probability == pytest.approx(0.0, abs=1e-12)
+    assert table[(0, (0, 0))][0] == pytest.approx(0.25, abs=1e-12)
+    assert table[(1, (0, 0))][0] == pytest.approx(0.0, abs=1e-12)
 
 
 @given(
@@ -94,7 +99,7 @@ def test_joint_probabilities_match_oracle_records(dim, theta, seed):
     )
     table = cells(config)
     for record in run_oracle(config):
-        assert table[(record.l, record.m)].probability == pytest.approx(
+        assert table[(record.l, record.m)][0] == pytest.approx(
             record.probability, abs=1e-10
         )
 
@@ -113,9 +118,9 @@ def test_dead_branch_has_no_conditional_output():
     config = tapped(2, basis_state(2, 0), 1.0)
     amp = eavesdrop_operator(config, 1, (0, 0)) @ config.input_state
     assert np.linalg.norm(amp) == pytest.approx(0.0, abs=1e-12)
-    entry = cells(config)[(1, (0, 0))]
-    assert entry.probability < 1e-14
-    assert entry.fidelity is None
+    probability, fidelity = cells(config)[(1, (0, 0))]
+    assert probability < 1e-14
+    assert np.isnan(fidelity)
 
 
 def test_live_branch_fidelity_at_full_strength():
@@ -124,7 +129,7 @@ def test_live_branch_fidelity_at_full_strength():
     for l in range(2):
         for a in range(2):
             for b in range(2):
-                assert table[(l, (a, b))].fidelity == pytest.approx(0.5, abs=1e-12)
+                assert table[(l, (a, b))][1] == pytest.approx(0.5, abs=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -157,9 +162,11 @@ def test_total_fidelity_decreases_with_strength(dim):
 
 def test_marginals_for_strength_family():
     report = analyze_eavesdropping(tapped(2, random_state(2, np.random.default_rng(3)), 0.8))
-    assert report.p_l[0] == pytest.approx(0.5, abs=1e-12)
-    assert report.p_l[1] == pytest.approx(0.5, abs=1e-12)
-    for value in report.p_m.values():
+    assert report.tap_labels == (0, 1)
+    p_l = report.probabilities.sum(axis=1)
+    assert p_l[0] == pytest.approx(0.5, abs=1e-12)
+    assert p_l[1] == pytest.approx(0.5, abs=1e-12)
+    for value in report.probabilities.sum(axis=0):
         assert value == pytest.approx(0.25, abs=1e-12)
 
 
@@ -170,7 +177,7 @@ def test_tap_marginal_tracks_branch_traces_not_input():
     rng = np.random.default_rng(7)
     for _ in range(5):
         config = make_scenario(2, random_state(2, rng), effect_r=family)
-        p_l = analyze_eavesdropping(config).p_l
+        p_l = analyze_eavesdropping(config).probabilities.sum(axis=1)
         assert p_l[0] == pytest.approx(0.75, abs=1e-12)
         assert p_l[1] == pytest.approx(0.25, abs=1e-12)
 
@@ -182,7 +189,7 @@ def test_bell_marginal_respects_outcome_weights():
     ]
     family = make_bell_family(2, outcomes)
     config = tapped(2, uniform_state(2), 0.4, bell=family)
-    for value in analyze_eavesdropping(config).p_m.values():
+    for value in analyze_eavesdropping(config).probabilities.sum(axis=0):
         assert value == pytest.approx(0.5 / 4, abs=1e-12)
 
 
@@ -202,9 +209,7 @@ def test_sequential_decompositions_stay_maximally_mixed():
 def test_sequential_decomposition_flags_broken_family():
     intact = strength_family(2, 0.6)
     branches = list(intact.branches)
-    branches[0] = EffectOperator(
-        matrix=np.asarray(branches[0].matrix) * 1.05, kind="measurement-branch", label=0
-    )
+    branches[0] = EffectOperator(matrix=np.asarray(branches[0].matrix) * 1.05, label=0)
     broken = MeasurementFamily(dim=2, branches=tuple(branches))
     config = make_scenario(2, uniform_state(2), effect_r=broken)
     report = sequential_decomposition_check(config)
@@ -219,7 +224,7 @@ def test_projective_analysis_reproduces_joint_table():
     report = projective_case_analysis(config)
     table = cells(config)
     for key, value in report.probabilities.items():
-        assert value == pytest.approx(table[key].probability, abs=1e-10)
+        assert value == pytest.approx(table[key][0], abs=1e-10)
 
 
 def test_projective_analysis_observable_without_rotation():
@@ -243,55 +248,48 @@ def test_projective_analysis_rejects_partial_strength():
 def test_distinguishability_basis_pair_scales_with_strength():
     for theta in (0.0, 0.6, 1.0):
         config = tapped(2, basis_state(2, 0), theta)
-        pair = [basis_state(2, 0), basis_state(2, 1)]
-        advantage = distinguishability(config, pair)
-        assert advantage[0, 1] == pytest.approx(theta / 2, abs=1e-12)
-        assert advantage[1, 0] == advantage[0, 1]
-        assert advantage[0, 0] == 0.0
+        zero, one = basis_state(2, 0), basis_state(2, 1)
+        advantage = distinguishability(config, zero, one)
+        assert advantage == pytest.approx(theta / 2, abs=1e-12)
+        assert distinguishability(config, one, zero) == advantage
+        assert distinguishability(config, zero, zero) == 0.0
 
 
 def test_distinguishability_blind_to_conjugate_basis():
     config = tapped(2, uniform_state(2), 1.0)
     plus = uniform_state(2)
     minus = np.array([1, -1], dtype=complex) / np.sqrt(2)
-    advantage = distinguishability(config, [plus, minus])
-    assert advantage[0, 1] == pytest.approx(0.0, abs=1e-12)
-
-
-def test_distinguishability_needs_two_inputs():
-    config = tapped(2, uniform_state(2), 0.5)
-    with pytest.raises(ValueError, match="at least two"):
-        distinguishability(config, [uniform_state(2)])
+    assert distinguishability(config, plus, minus) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_analysis_report_is_self_consistent():
     rng = np.random.default_rng(59)
     config = tapped(3, random_state(3, rng), 0.35, u0=random_unitary(3, rng))
     report = analyze_eavesdropping(config)
-    assert len(report.entries) == 3 * 9
+    assert report.probabilities.shape == (3, 9)
     psi = config.input_state
     total = 0.0
-    for entry in report.entries:
-        op = eavesdrop_operator(config, entry.l, entry.m)
+    for (l, m), (cell_probability, _) in cells(config).items():
+        op = eavesdrop_operator(config, l, m)
         probability = float(np.vdot(psi, op @ (op @ psi)).real)
-        assert entry.probability == pytest.approx(probability, abs=1e-12)
+        assert cell_probability == pytest.approx(probability, abs=1e-12)
         assert hermiticity_deviation(op) < 1e-12
         total += abs(np.vdot(psi, op @ psi)) ** 2
-    assert sum(report.p_l.values()) == pytest.approx(1.0, abs=1e-12)
-    assert sum(report.p_m.values()) == pytest.approx(1.0, abs=1e-12)
+    assert sum(report.probabilities.sum(axis=1)) == pytest.approx(1.0, abs=1e-12)
+    assert sum(report.probabilities.sum(axis=0)) == pytest.approx(1.0, abs=1e-12)
     assert report.total_fidelity == pytest.approx(total, abs=1e-12)
 
 
 def test_analysis_marks_dead_branches_with_no_fidelity():
     config = tapped(2, basis_state(2, 0), 1.0)
     report = analyze_eavesdropping(config)
-    dead = [e for e in report.entries if e.probability < 1e-14]
-    live = [e for e in report.entries if e.probability >= 1e-14]
-    assert dead and all(e.fidelity is None for e in dead)
-    assert live and all(e.fidelity == pytest.approx(1.0, abs=1e-12) for e in live)
+    dead = report.probabilities < 1e-14
+    assert dead.any() and np.isnan(report.fidelities[dead]).all()
+    assert (~dead).any()
+    assert_allclose(report.fidelities[~dead], 1.0, rtol=0, atol=1e-12)
 
 
-def test_report_arrays_match_entries_with_nan_on_null_cells():
+def test_report_arrays_have_nan_on_null_cells():
     # a projective tap on a tap-basis state: branch l fires only on the Bell
     # outcomes that shift |0> to |l>, and the damping receiver is summed out
     damping = [
@@ -303,29 +301,22 @@ def test_report_arrays_match_entries_with_nan_on_null_cells():
         2, psi, effect_r=strength_family(2, 1.0), effect_b=kraus_mixture(damping)
     )
     report = analyze_eavesdropping(config)
-    entries = report.entries
     assert report.probabilities.shape == report.fidelities.shape == (2, 4)
-    assert [(e.l, e.m) for e in entries] == [(l, m) for l in (0, 1) for m in report.labels]
+    assert report.tap_labels == (0, 1)
     assert report.labels == tuple(o.label for o in config.bell.outcomes)
-    assert report.probabilities.ravel().tolist() == [e.probability for e in entries]
     null = report.probabilities < NULL_BRANCH_EPS
     assert null.tolist() == [[False, False, True, True], [True, True, False, False]]
     assert np.array_equal(np.isnan(report.fidelities), null)
-    live = [e.fidelity for e in entries if e.fidelity is not None]
-    assert report.fidelities[~null].tolist() == live
-    assert all(e.fidelity is None for e in entries if e.probability < NULL_BRANCH_EPS)
-    assert report.p_l == dict(zip((0, 1), report.probabilities.sum(axis=1).tolist()))
-    assert report.p_m == dict(zip(report.labels, report.probabilities.sum(axis=0).tolist()))
     # cell by cell from the branch operators and the receiver's Kraus pair
-    for entry in entries:
-        u_m = weyl_unitary(2, *entry.m)
-        tapped_psi = eavesdrop_operator(config, entry.l, entry.m) @ psi
+    for (l, m), (cell_probability, cell_fidelity) in cells(config).items():
+        u_m = weyl_unitary(2, *m)
+        tapped_psi = eavesdrop_operator(config, l, m) @ psi
         outputs = [u_m @ f_b @ dagger(u_m) @ tapped_psi for f_b in damping]
         probability = sum(float(np.vdot(out, out).real) for out in outputs)
-        assert entry.probability == pytest.approx(probability, abs=1e-14)
-        if entry.fidelity is not None:
+        assert cell_probability == pytest.approx(probability, abs=1e-14)
+        if not np.isnan(cell_fidelity):
             overlap = sum(abs(np.vdot(psi, out)) ** 2 for out in outputs)
-            assert entry.fidelity == pytest.approx(overlap / probability, abs=1e-12)
+            assert cell_fidelity == pytest.approx(overlap / probability, abs=1e-12)
 
 
 def test_tap_functions_require_measurement_family():
@@ -334,3 +325,5 @@ def test_tap_functions_require_measurement_family():
         analyze_eavesdropping(config)
     with pytest.raises(ValueError, match="no measurement family"):
         eavesdrop_operator(config, 0, (0, 0))
+    with pytest.raises(ValueError, match="no measurement family"):
+        distinguishability(config, uniform_state(2), uniform_state(2))

@@ -110,9 +110,7 @@ def test_explicit_family_rejects_incomplete():
 def test_validate_family_flags_scaled_branch():
     intact = strength_family(2, 0.6)
     branches = list(intact.branches)
-    branches[0] = EffectOperator(
-        matrix=np.asarray(branches[0].matrix) * 1.01, kind="measurement-branch", label=0
-    )
+    branches[0] = EffectOperator(matrix=np.asarray(branches[0].matrix) * 1.01, label=0)
     family = MeasurementFamily(dim=2, branches=tuple(branches))
     assert family_completeness_deviation(family) > 1e-3
     with pytest.raises(ValueError, match="sum to identity"):
@@ -128,7 +126,6 @@ def test_explicit_family_rejects_duplicate_labels():
 
 def test_unitary_effect_validation():
     effect = unitary_effect(np.diag([1.0, -1.0]).astype(complex), label="flip")
-    assert effect.kind == "unitary"
     assert effect.label == "flip"
     with pytest.raises(ValueError, match="not unitary"):
         unitary_effect(np.diag([1.0, 0.5]))
@@ -140,7 +137,6 @@ def test_kraus_mixture_closure():
     k1 = np.array([[0, np.sqrt(gamma)], [0, 0]], dtype=complex)
     branches = kraus_mixture([k0, k1])
     assert [b.label for b in branches] == [0, 1]
-    assert all(b.kind == "generic" for b in branches)
     with pytest.raises(ValueError, match="resolve the identity"):
         kraus_mixture([k0])
     with pytest.raises(ValueError, match="must not be empty"):

@@ -154,17 +154,19 @@ def test_tap_report_sums_receiver_branches():
     scenario = build_scenario(parse_config(TELEPORT_BASE + RECEIVERS["kraus"]))
     report = analyze_eavesdropping(scenario)
     rows = TELEPORT_ROWS["kraus"]
-    for entry in report.entries:
-        branches = [rows[(entry.l, entry.m, b)] for b in (0, 1)]
+    cells = [(row, column, l, m) for row, l in enumerate(report.tap_labels)
+             for column, m in enumerate(report.labels)]
+    for row, column, l, m in cells:
+        branches = [rows[(l, m, b)] for b in (0, 1)]
         probability = sum(p for p, _ in branches)
-        assert entry.probability == pytest.approx(probability, abs=1e-12)
-        assert entry.fidelity == pytest.approx(
+        assert report.probabilities[row, column] == pytest.approx(probability, abs=1e-12)
+        assert report.fidelities[row, column] == pytest.approx(
             sum(p * f for p, f in branches) / probability, abs=1e-12
         )
     assert report.total_fidelity == pytest.approx(TELEPORT_TOTAL_FIDELITY["kraus"], abs=1e-12)
     # Hermiticity is a property of P(l, m) alone; the receiver does not enter
-    for entry in report.entries:
-        assert hermiticity_deviation(eavesdrop_operator(scenario, entry.l, entry.m)) < 1e-12
+    for _, _, l, m in cells:
+        assert hermiticity_deviation(eavesdrop_operator(scenario, l, m)) < 1e-12
 
 
 @pytest.mark.parametrize("receiver", sorted(RECEIVERS))
