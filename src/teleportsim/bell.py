@@ -5,6 +5,9 @@ receiver B, with A on the slowest tensor index.  A two-party state on
 R x B therefore has R slow; a Bell outcome state on A x R has A slow.
 The shared resource ``sum_n (u0|n>)_R |n>_B / sqrt(dim)`` is the
 row-major flattening of ``u0 / sqrt(dim)``; the oracle builds it inline.
+Admission checks completeness on the Gram matrix of the stacked outcome
+states, built in row bands, so beside the ``(M, dim, dim)`` stack it holds
+no second array of that size.
 """
 from __future__ import annotations
 
@@ -17,6 +20,11 @@ import numpy as np
 from .linalg import FAMILY_TOL, as_complex_matrix, dagger, is_unitary, transpose_in_basis
 
 Label = int | str | tuple
+
+# rows of the Gram built at once by `completeness_deviation`: at n = 32 a
+# band and its temporaries take about 6 MB, where the whole Gram and a
+# weighted copy of the stack would take 32 MB
+_GRAM_BAND = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,21 +177,30 @@ def _outcome_matrices(unitaries: np.ndarray, weights: object, u0: np.ndarray) ->
 
 
 def completeness_deviation(family: BellFamily) -> float:
-    """Largest entrywise deviation of ``sum_m |P(m)><P(m)|`` from identity.
+    """Largest entrywise deviation of ``sum_m |P(m)><P(m)| - 1`` from zero.
 
     The sum is evaluated with an identity reference rotation; rotating R
     conjugates it by a unitary and cannot change the deviation pattern.
+    The Gram matrix is Hermitian, so only its upper triangle is built, in
+    row bands of `_GRAM_BAND` rows: no ``(n^2, n^2)`` Gram and no weighted
+    copy of the stack is held, and a family with ``n^2 <= _GRAM_BAND``
+    takes one band.
     """
     side = family.dim * family.dim
     # with u0 = identity the outcome state flattens U(m) row-major:
     # amplitude of |i>_A |j>_R is sqrt(w/dim) U[i, j]
     states = family.unitaries.reshape(-1, side)
-    weighted = states.conj()
-    weighted *= (family.weights / family.dim)[:, None]
-    gram = states.T @ weighted
-    del weighted
-    gram.flat[:: side + 1] -= 1.0
-    return float(np.max(np.abs(gram)))
+    scale = (family.weights / family.dim)[:, None]
+    worst = []
+    for start in range(0, side, _GRAM_BAND):
+        rows = np.conj(states[:, start : start + _GRAM_BAND]) * scale
+        # rows start .. start + band, columns start .. side of the Gram
+        band = rows.T @ states[:, start:]
+        del rows
+        band.flat[:: band.shape[1] + 1] -= 1.0  # the diagonal starts at column 0
+        worst.append(np.max(np.abs(band)))
+    # np.max, not max: a NaN band must make the deviation NaN
+    return float(np.max(worst))
 
 
 def make_bell_family(

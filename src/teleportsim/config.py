@@ -24,6 +24,9 @@ from .sampling import random_state
 
 NORM_WARN_TOL = 1e-9
 
+# largest theta_sweep step count: a grid of 0.001 over the whole [0, 1]
+MAX_SWEEP_STEPS = 1001
+
 
 class ConfigError(ValueError):
     """Invalid run specification; the message names the field."""
@@ -290,6 +293,10 @@ def _parse_eavesdrop(value: object, n: int) -> EavesdropSpec | None:
         raise ConfigError("eavesdrop.theta_sweep: start and stop must lie in [0, 1]")
     if steps < 2:
         raise ConfigError(f"eavesdrop.theta_sweep: need at least 2 steps, got {steps}")
+    if steps > MAX_SWEEP_STEPS:
+        raise ConfigError(
+            f"eavesdrop.theta_sweep: at most {MAX_SWEEP_STEPS} steps, got {steps}"
+        )
     return EavesdropSpec(basis=frozen_complex_array(basis), theta=None, sweep=(start, stop, steps))
 
 

@@ -10,10 +10,12 @@ disturbed resource; no n**3 state is built.  `fast_run` applies the
 per-outcome transfer operator on the input alone, through
 `transfer_kernel`, which also feeds every tap quantity in
 `teleportsim.eavesdrop`.  Both batch every Bell outcome of an effect
-branch pair into one product over the family's outcome stack, and both
-return a `BranchTable` of those ``(M, n)`` blocks, corrected over the
-whole table at once; `route_deviations` compares two tables for every
-caller.
+branch pair into one product over the family's outcome stack and
+produce ``(M, n)`` blocks before the receiver's correction ``U(m)``.
+The oracle stores its blocks in a `BranchTable`, which corrects on
+read; `fast_run` streams its blocks one at a time, and
+`route_deviations` compares the stream with the table as it arrives, so
+a run holds one table and never a second.
 """
 from __future__ import annotations
 
@@ -95,15 +97,20 @@ class BranchTable:
     """Every conditional branch of one route, one block per effect branch pair.
 
     Block ``k`` holds reference and receiver branches ``keys[k]``: the
-    read-only ``amplitudes[k, j]`` is the unnormalized output of Bell outcome
-    ``labels[j]``, and ``probabilities[k, j]`` its squared norm.  Iteration
-    builds one `TeleportRecord` per branch on demand, in the same order.
+    read-only ``blocks[k, j]`` is the unnormalized output of Bell outcome
+    ``labels[j]`` before the receiver's correction, and
+    ``probabilities[k, j]`` its squared norm.  ``corrections`` is the
+    family's ``(M, n, n)`` stack of outcome unitaries ``U(m)`` when the
+    receiver corrects, else ``None``.  The correction is applied on read:
+    `fidelities` moves it onto the state, and only `amplitudes` and
+    iteration build the corrected outputs, one table-sized array per read.
     """
 
     keys: tuple[tuple[BranchLabel, BranchLabel], ...]
     labels: tuple[Label, ...]
-    amplitudes: np.ndarray  # (K, M, n)
+    blocks: np.ndarray  # (K, M, n)
     probabilities: np.ndarray  # (K, M)
+    corrections: np.ndarray | None  # (M, n, n)
 
     def __len__(self) -> int:
         return self.probabilities.size
@@ -113,9 +120,36 @@ class BranchTable:
             for m, probability, raw in zip(self.labels, row, block):
                 yield TeleportRecord(m=m, l=l, branch=branch, probability=probability, raw_output=raw)
 
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """Read-only ``(K, M, n)`` outputs after the correction, built on each read."""
+        if self.corrections is None:
+            return self.blocks
+        amplitudes = self.blocks.copy()
+        # U(m) on column m of every block: one (K, n) @ (n, n)^T product per
+        # outcome, n outcomes at a time, so a temporary holds n of the M
+        # columns and never another table
+        dim = amplitudes.shape[2]
+        for start in range(0, amplitudes.shape[1], dim):
+            part = amplitudes[:, start : start + dim]
+            turned = self.corrections[start : start + dim].transpose(0, 2, 1)
+            part[...] = (part.transpose(1, 0, 2) @ turned).transpose(1, 0, 2)
+        amplitudes.setflags(write=False)
+        return amplitudes
+
     def fidelities(self, state: np.ndarray) -> np.ndarray:
-        """``|<state|output>|^2`` of every branch, NaN where the branch is null."""
-        overlaps = np.abs(self.amplitudes @ np.conj(state)) ** 2
+        """``|<state|output>|^2`` of every branch, NaN where the branch is null.
+
+        The correction moves onto the state, ``<state|U(m) a> = <U(m)^-1 state|a>``,
+        so the corrected outputs are never built.
+        """
+        if self.corrections is None:
+            overlaps = self.blocks @ np.conj(state)
+        else:
+            # row m is the bra <U(m)^-1 state|, as the conjugated vector state^+ U(m)
+            bras = np.conj(state) @ self.corrections
+            overlaps = np.einsum("kmi,mi->km", self.blocks, bras)
+        overlaps = np.abs(overlaps) ** 2
         live = self.probabilities >= NULL_BRANCH_EPS
         return np.divide(overlaps, self.probabilities, out=np.full(live.shape, np.nan), where=live)
 
@@ -237,25 +271,40 @@ def transfer_kernel(
             yield l_label, b_label, (rows @ (f_b @ mirrored).T).reshape(back.shape)
 
 
-def fast_run(config: ScenarioConfig) -> BranchTable:
-    """Produce the same table as `run_oracle` via the transfer kernel."""
-    blocks = transfer_kernel(config, np.asarray(config.input_state)[None])
-    return _table(config, (amps[:, 0] for _, _, amps in blocks))
+def fast_run(config: ScenarioConfig) -> Iterator[tuple[tuple[BranchLabel, BranchLabel], np.ndarray]]:
+    """Stream ``((l, b), block)`` through the transfer kernel, in `run_oracle`'s key order.
+
+    Each ``(M, n)`` block holds the outputs before the receiver's
+    correction, as `BranchTable.blocks` does; only one block is held at a
+    time.
+    """
+    for l_label, b_label, amps in transfer_kernel(config, np.asarray(config.input_state)[None]):
+        yield (l_label, b_label), amps[:, 0]
 
 
-def route_deviations(first: BranchTable, second: BranchTable) -> tuple[np.ndarray, np.ndarray] | None:
+def route_deviations(
+    table: BranchTable, blocks: Iterable[tuple[tuple[BranchLabel, BranchLabel], np.ndarray]]
+) -> tuple[np.ndarray, np.ndarray] | None:
     """Per-branch ``(K, M)`` probability and largest amplitude deviations.
 
-    ``None`` when the tables differ in keys, labels or shape.
+    ``blocks`` is a stream such as `fast_run` yields, compared with the
+    table's uncorrected blocks as each arrives; the correction is unitary,
+    so it cannot change a 2-norm deviation.  ``None`` when the stream
+    differs from the table in a key, the block count or a block shape.
     """
-    layout = (first.keys, first.labels, first.amplitudes.shape)
-    if layout != (second.keys, second.labels, second.amplitudes.shape):
+    shape = table.blocks.shape[1:]
+    probability = np.empty(table.probabilities.shape)
+    amplitude = np.empty(table.probabilities.shape)
+    count = 0
+    for index, (key, block) in enumerate(blocks):
+        if index >= len(table.keys) or (key, block.shape) != (table.keys[index], shape):
+            return None
+        np.max(np.abs(table.blocks[index] - block), axis=1, out=amplitude[index])
+        np.abs(table.probabilities[index] - norms_squared(block), out=probability[index])
+        count = index + 1
+    if count != len(table.keys):
         return None
-    amplitude = np.empty(first.probabilities.shape)
-    # block by block, so no (K, M, n) difference is ever held
-    for block, (a, b) in enumerate(zip(first.amplitudes, second.amplitudes)):
-        np.max(np.abs(a - b), axis=1, out=amplitude[block])
-    return np.abs(first.probabilities - second.probabilities), amplitude
+    return probability, amplitude
 
 
 def ideal_decomposition_check(config: ScenarioConfig) -> float:
@@ -273,7 +322,7 @@ def ideal_decomposition_check(config: ScenarioConfig) -> float:
 
 
 def _table(config: ScenarioConfig, blocks: Iterable[np.ndarray]) -> BranchTable:
-    """Fill a table in place, one ``(M, n)`` block per branch pair, correcting if asked."""
+    """Fill a table in place, one uncorrected ``(M, n)`` block per branch pair."""
     bell = config.bell
     dim = config.dim
     keys = tuple(
@@ -281,24 +330,21 @@ def _table(config: ScenarioConfig, blocks: Iterable[np.ndarray]) -> BranchTable:
         for l_label, _ in effect_branches(config.effect_r, dim)
         for b_label, _ in effect_branches(config.effect_b, dim)
     )
-    amplitudes = np.empty((len(keys), len(bell.outcomes), dim), dtype=complex)
-    for block, amps in enumerate(blocks):
-        amplitudes[block] = amps
-    if config.apply_correction:
-        # U(m) on column m of every block: one (K, n) @ (n, n)^T product per
-        # outcome, dim outcomes at a time, so a temporary holds dim of the M
-        # columns and never a second table
-        for start in range(0, len(bell.outcomes), dim):
-            part = amplitudes[:, start : start + dim]
-            turned = bell.unitaries[start : start + dim].transpose(0, 2, 1)
-            part[...] = (part.transpose(1, 0, 2) @ turned).transpose(1, 0, 2)
-    probabilities = np.empty(amplitudes.shape[:2])
+    stored = np.empty((len(keys), len(bell.outcomes), dim), dtype=complex)
+    probabilities = np.empty(stored.shape[:2])
     # block by block: a whole-table norms_squared would copy the table once more
-    for block, amps in enumerate(amplitudes):
+    for block, amps in enumerate(blocks):
+        stored[block] = amps
         probabilities[block] = norms_squared(amps)
-    amplitudes.setflags(write=False)
+    stored.setflags(write=False)
     probabilities.setflags(write=False)
-    return BranchTable(keys, tuple(o.label for o in bell.outcomes), amplitudes, probabilities)
+    return BranchTable(
+        keys,
+        tuple(o.label for o in bell.outcomes),
+        stored,
+        probabilities,
+        bell.unitaries if config.apply_correction else None,
+    )
 
 
 def _select_branch(effect: EffectSpec, label: BranchLabel, dim: int, side: str) -> np.ndarray:

@@ -1,17 +1,20 @@
 """CSV-producing run drivers shared by the command line entry points.
 
 Every quantity written out is computed twice: once through the transfer
-kernel and once through the full-state oracle.  Both routes return a
-`BranchTable`, compared with `route_deviations`, and every written number
-is a reduction of the oracle table's arrays.  A mismatch beyond the run
-tolerance raises `InvariantViolation` before the first row is written,
-instead of writing a plausible-looking but wrong table.  Output is
-deterministic down to the byte for a fixed spec.
+kernel and once through the full-state oracle.  The oracle returns a
+`BranchTable`; the transfer route streams its blocks, and
+`route_deviations` compares each with the table as it arrives.  Every
+written number is a reduction of the oracle table's arrays, and the
+teleport summary ends with the measured route deviations.  A mismatch
+beyond the run tolerance raises `InvariantViolation` before the first row
+is written, instead of writing a plausible-looking but wrong table.
+Output is deterministic down to the byte for a fixed spec.
 """
 from __future__ import annotations
 
 import csv
 import io
+from itertools import zip_longest
 from math import isnan
 from typing import IO, Iterator
 
@@ -74,33 +77,47 @@ def build_scenario(spec: RunSpec, theta: float | None = None) -> ScenarioConfig:
     )
 
 
-def _branch_labels(table: BranchTable) -> Iterator[tuple[object, object, object]]:
-    return ((m, l, branch) for l, branch in table.keys for m in table.labels)
+def _cross_check(
+    oracle: BranchTable, blocks: Iterator[tuple[tuple[object, object], np.ndarray]], tolerance: float
+) -> tuple[float, float]:
+    """Compare the transfer stream with the oracle table, block by block.
 
+    Returns the largest amplitude and probability deviations.
+    """
+    streamed: list[tuple[object, tuple[int, ...]]] = []  # key and shape of each block seen
 
-def _cross_check(oracle: BranchTable, fast: BranchTable, tolerance: float) -> None:
-    deviations = route_deviations(oracle, fast)
+    def tally() -> Iterator[tuple[tuple[object, object], np.ndarray]]:
+        for key, block in blocks:
+            streamed.append((key, block.shape))
+            yield key, block
+
+    stream = tally()
+    deviations = route_deviations(oracle, stream)
     if deviations is None:
-        if len(oracle) != len(fast):
+        for _ in stream:  # the rest of the stream, to count its records
+            pass
+        count = sum(shape[0] for _, shape in streamed)
+        if count != len(oracle):
             raise InvariantViolation(
-                f"record count mismatch: oracle {len(oracle)} vs transfer {len(fast)}"
+                f"record count mismatch: oracle {len(oracle)} vs transfer {count}"
             )
-        slow, quick = next(
-            ((a, b) for a, b in zip(_branch_labels(oracle), _branch_labels(fast)) if a != b),
-            (oracle.amplitudes.shape, fast.amplitudes.shape),
-        )
-        raise InvariantViolation(f"record label mismatch: {slow} vs {quick}")
+        # the first block whose key or shape differs: (key, shape) on each side
+        layout = [(key, oracle.blocks.shape[1:]) for key in oracle.keys]
+        slow, quick = next((a, b) for a, b in zip_longest(layout, streamed) if a != b)
+        raise InvariantViolation(f"record label mismatch: oracle block {slow} vs transfer block {quick}")
     p_dev, a_dev = deviations
     # written as "not within", so a NaN deviation fails too
     failing = np.flatnonzero(~((p_dev <= tolerance) & (a_dev <= tolerance)))
     if failing.size:
         first = failing[0]
         block, column = divmod(int(first), len(oracle.labels))
+        l, branch = oracle.keys[block]
         raise InvariantViolation(
-            f"routes disagree on branch (m={oracle.labels[column]}, l={oracle.keys[block][0]}): "
+            f"routes disagree on branch (m={oracle.labels[column]}, l={l}, b={branch}): "
             f"probability deviation {p_dev.flat[first]:.3e}, "
             f"amplitude deviation {a_dev.flat[first]:.3e}"
         )
+    return float(np.max(a_dev)), float(np.max(p_dev))
 
 
 def run_teleport(
@@ -112,7 +129,7 @@ def run_teleport(
     """
     scenario = build_scenario(spec)
     oracle = run_oracle(scenario)
-    _cross_check(oracle, fast_run(scenario), tolerance)
+    amplitude_dev, probability_dev = _cross_check(oracle, fast_run(scenario), tolerance)
     probabilities = oracle.probabilities
     fidelities = oracle.fidelities(spec.input_state)
     total_fidelity = float(np.nansum(probabilities * fidelities))
@@ -166,6 +183,8 @@ def run_teleport(
         f"records: {len(oracle)} ({int(np.isnan(fidelities).sum())} null), "
         f"probability sum {format_number(total_probability)}",
         f"average output fidelity: {format_number(total_fidelity)}",
+        f"routes: amplitude dev {amplitude_dev:.3e}, probability dev {probability_dev:.3e} "
+        f"(tolerance {tolerance:.1e})",
     ]
     return summary
 

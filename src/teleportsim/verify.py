@@ -184,10 +184,9 @@ def check_oracle_fast_equivalence(depth: str, seed: int, corrupt: str | None) ->
                 apply_correction=bool(trial % 2),
             )
             slow = run_oracle(config)
-            fast = fast_run(config)
-            deviations = route_deviations(slow, fast)
+            deviations = route_deviations(slow, fast_run(config))
             if deviations is None:
-                detail = f"records differ in count or labels: {len(slow)} vs {len(fast)}"
+                detail = f"transfer blocks differ in key, count or shape from {len(slow)} records"
                 return _result("oracle-fast-equivalence", float("inf"), 1e-9, detail)
             worst = _worst(worst, *(np.max(d) for d in deviations))
     return _result("oracle-fast-equivalence", worst, 1e-9)

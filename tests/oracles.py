@@ -5,11 +5,15 @@ point is to check the package against arithmetic that shares none of its
 code paths (no kron, no einsum, no reshape tricks).  The one exception is
 `materialized_oracle`, the vectorized full-state form the oracle used to
 take, kept because index loops at n = 16 would take minutes.
+`stream_records` is no oracle: it turns the transfer route's stream into
+records, for the tests that compare the two routes record by record.
 """
 from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import sqrtm
+
+from teleportsim.engine import ScenarioConfig, TeleportRecord, fast_run
 
 
 def brute_partial_trace(rho: np.ndarray, dims: tuple[int, ...], keep: int) -> np.ndarray:
@@ -186,3 +190,19 @@ def materialized_oracle(
                 block = (unitaries @ block[..., None])[..., 0]
             blocks.append(block)
     return np.array(blocks)
+
+
+def stream_records(config: ScenarioConfig) -> list[TeleportRecord]:
+    """`fast_run`'s blocks as records in table order, each row corrected on its own.
+
+    The stream holds outputs before the correction; a correcting scenario
+    applies ``U(m)`` here, one matrix-vector product per row.
+    """
+    records = []
+    for (l, branch), block in fast_run(config):
+        for outcome, raw in zip(config.bell.outcomes, block):
+            if config.apply_correction:
+                raw = np.asarray(outcome.unitary) @ raw
+            probability = float(np.vdot(raw, raw).real)
+            records.append(TeleportRecord(outcome.label, l, branch, probability, raw))
+    return records

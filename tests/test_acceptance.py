@@ -21,9 +21,11 @@ from teleportsim.eavesdrop import (
     sequential_decomposition_check,
 )
 from teleportsim.effects import kraus_mixture, strength_family, unitary_effect
-from teleportsim.engine import fast_run, ideal_decomposition_check, make_scenario, run_oracle
+from teleportsim.engine import ideal_decomposition_check, make_scenario, run_oracle
 from teleportsim.linalg import basis_state, uniform_state
 from teleportsim.sampling import child_rng, random_state, random_unitary
+
+from oracles import stream_records
 
 ACCEPT_SEED = 20240817
 
@@ -98,7 +100,7 @@ def test_criterion_2_oracle_transfer_equivalence():
                 apply_correction=bool(trial % 2),
             )
             oracle_records = run_oracle(config)
-            fast_records = fast_run(config)
+            fast_records = stream_records(config)
             assert len(oracle_records) == len(fast_records)
             for slow, quick in zip(oracle_records, fast_records):
                 assert (slow.m, slow.l, slow.branch) == (quick.m, quick.l, quick.branch)

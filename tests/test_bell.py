@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -252,3 +255,41 @@ def test_family_deviations_match_loop_references():
         assert completeness_deviation(family) == pytest.approx(
             brute_completeness_deviation(family.dim, pairs), abs=1e-14
         )
+
+
+def test_banded_gram_matches_the_whole_gram():
+    # n = 12 takes two bands of the Gram's upper triangle; random weights
+    # spread the deviation over every entry, both triangles included
+    dim = 12
+    weights = np.random.default_rng(12).uniform(0.5, 1.5, dim * dim)
+    intact = make_bell_family(dim)
+    family = BellFamily(
+        dim=dim,
+        outcomes=tuple(replace(o, weight=w) for o, w in zip(intact.outcomes, weights)),
+    )
+    states = family.unitaries.reshape(-1, dim * dim)
+    gram = states.T @ (states.conj() * (family.weights / dim)[:, None])
+    whole = np.max(np.abs(gram - np.eye(dim * dim)))
+    assert completeness_deviation(family) == pytest.approx(whole, rel=1e-12)
+    assert completeness_deviation(intact) < 1e-13
+    poisoned = np.array(intact.unitaries)
+    poisoned[-1, -1, -1] = np.nan
+    broken = BellFamily(
+        dim=dim,
+        outcomes=tuple(replace(o, unitary=u) for o, u in zip(intact.outcomes, poisoned)),
+    )
+    assert np.isnan(completeness_deviation(broken))
+
+
+def test_admission_holds_no_whole_gram():
+    # at n = 32 the outcome stack is 16 MB; the whole Gram would be another
+    # 16 MB and a weighted copy of the stack 16 MB more
+    family = make_bell_family(32)
+    tracemalloc.start()
+    try:
+        completeness_deviation(family)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * family.unitaries.nbytes
+

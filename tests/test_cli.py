@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from teleportsim import cli
@@ -62,6 +64,20 @@ def test_teleport_writes_expected_table(tmp_path, capsys):
     assert out.read_text(encoding="utf-8") == EXPECTED_TAP_CSV
     err = capsys.readouterr().err
     assert "average output fidelity: 0.933012701892" in err
+
+
+def test_teleport_reports_route_deviations_on_stderr_only(tmp_path, capsys):
+    config = write(tmp_path, "run.yaml", TAP_CONFIG)
+    assert cli.main(["teleport", "--config", config, "--tolerance", "1e-9"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == EXPECTED_TAP_CSV
+    assert "routes:" not in captured.out
+    line = captured.err.splitlines()[-1]
+    match = re.fullmatch(
+        r"routes: amplitude dev (\S+), probability dev (\S+) \(tolerance 1\.0e-09\)", line
+    )
+    assert match is not None, line
+    assert all(0.0 <= float(dev) <= 1e-9 for dev in match.groups())
 
 
 def test_teleport_stdout_default(tmp_path, capsys):

@@ -178,6 +178,16 @@ def test_exponent_amplitude_without_mantissa_dot():
             "n: 2\ninput: plus-uniform\neavesdrop: {theta_sweep: [0, 1, 1]}\n",
             "at least 2 steps",
         ),
+        pytest.param(
+            "n: 2\ninput: plus-uniform\neavesdrop: {theta_sweep: [0, 1, 1002]}\n",
+            "eavesdrop.theta_sweep: at most 1001 steps, got 1002",
+            id="theta-sweep-cap-plus-one",
+        ),
+        pytest.param(
+            f"n: 2\ninput: plus-uniform\neavesdrop: {{theta_sweep: [0, 1, 1{'0' * 400}]}}\n",
+            "eavesdrop.theta_sweep: at most 1001 steps, got 1000",
+            id="theta-sweep-400-digit-count",
+        ),
         (
             "n: 2\ninput: plus-uniform\neavesdrop: {theta: 0.5, basis: [[1, 0], [1, 0]]}\n",
             "eavesdrop.basis",

@@ -19,14 +19,14 @@ from teleportsim.engine import (
     fast_run,
     ideal_decomposition_check,
     make_scenario,
+    route_deviations,
     run_oracle,
-    transfer_kernel,
     transfer_operator,
 )
 from teleportsim.linalg import basis_state, dagger, norms_squared, uniform_state
 from teleportsim.sampling import random_state, random_unitary
 
-from oracles import brute_teleport, materialized_oracle
+from oracles import brute_teleport, materialized_oracle, stream_records
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
@@ -128,12 +128,32 @@ def test_fast_run_reproduces_oracle(dim, seed, correct):
         apply_correction=correct,
     )
     slow = run_oracle(config)
-    quick = fast_run(config)
+    quick = stream_records(config)
     assert len(slow) == len(quick)
     for a, b in zip(slow, quick):
         assert (a.m, a.l, a.branch) == (b.m, b.l, b.branch)
         assert a.probability == pytest.approx(b.probability, abs=1e-12)
         assert np.max(np.abs(a.raw_output - b.raw_output)) < 1e-12
+
+
+@pytest.mark.parametrize("correct", [True, False])
+def test_fidelities_match_brute_force_overlaps(correct):
+    # a corrected table moves U(m) onto the state instead of the outputs
+    rng = np.random.default_rng(61)
+    psi = random_state(3, rng)
+    u0 = random_unitary(3, rng)
+    e_r = random_unitary(3, rng)
+    f_b = random_unitary(3, rng)
+    config = make_scenario(
+        3, psi, u0=u0, effect_r=unitary_effect(e_r), effect_b=unitary_effect(f_b),
+        apply_correction=correct,
+    )
+    table = run_oracle(config)
+    expected = []
+    for outcome in config.bell.outcomes:
+        amp = brute_teleport(3, psi, u0, e_r, f_b, np.asarray(outcome.unitary), correct=correct)
+        expected.append(abs(np.vdot(psi, amp)) ** 2 / np.vdot(amp, amp).real)
+    assert_allclose(table.fidelities(psi), [expected], rtol=0, atol=1e-12)
 
 
 def test_transfer_operator_projective_tap_form():
@@ -296,8 +316,7 @@ def test_explicit_families_match_brute_force_on_both_routes(case, correct):
         apply_correction=correct,
     )
     by_label = {label: (unitary, weight) for label, unitary, weight in outcomes}
-    for route in (run_oracle, fast_run):
-        records = route(config)
+    for records in (run_oracle(config), stream_records(config)):
         assert [r.m for r in records] == [label for label, _, _ in outcomes]
         for record in records:
             u_m, weight = by_label[record.m]
@@ -332,30 +351,57 @@ def _damping(n: int):
 @pytest.mark.parametrize("correct", [True, False])
 @pytest.mark.parametrize("n,receiver", [(16, True), (32, False)])
 def test_whole_table_correction_equals_per_block_products(n, receiver, correct):
-    # the table corrects with one product per outcome over every block; the
-    # reference applies U(m) block by block, one matrix-vector product each.
-    # At the benchmark's dimensions both give the same bits.
+    # the table stores uncorrected blocks and corrects on read, with one
+    # product per outcome over every block; the reference applies U(m) block
+    # by block, one matrix-vector product each.  At the benchmark's
+    # dimensions both give the same bits.
     config = _fourier_tap(n, _damping(n) if receiver else None, correct)
     unitaries = config.bell.unitaries
-    expected = []
-    for _, _, amps in transfer_kernel(config, np.asarray(config.input_state)[None]):
-        block = amps[:, 0]
-        expected.append((unitaries @ block[..., None])[..., 0] if correct else block)
-    table = fast_run(config)
+    table = run_oracle(config)
+    expected = [(unitaries @ block[..., None])[..., 0] if correct else block for block in table.blocks]
     assert len(expected) == (2 * n if receiver else n)
     assert np.array_equal(table.amplitudes, np.array(expected))
-    assert np.array_equal(table.probabilities, np.array([norms_squared(b) for b in expected]))
+    assert np.array_equal(table.probabilities, np.array([norms_squared(b) for b in table.blocks]))
 
 
-@pytest.mark.parametrize("route,bound", [(run_oracle, 2.2), (fast_run, 1.2)])
-def test_route_allocation_peak_stays_near_its_table(route, bound):
+def test_oracle_allocation_peak_stays_near_its_table():
     # the table is 16 MB at n = 32: an out-of-place bras expression or a
     # whole-table norms_squared adds a table-sized temporary and trips this
     config = _fourier_tap(32)
     tracemalloc.start()
     try:
-        table = route(config)
+        table = run_oracle(config)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= bound * table.amplitudes.nbytes
+    assert peak <= 2.2 * table.blocks.nbytes
+
+
+@pytest.mark.parametrize("correct", [True, False])
+def test_route_comparison_holds_a_few_blocks_beyond_the_oracle_table(correct):
+    # the transfer route is a stream compared block by block: beyond the
+    # oracle table it holds a few (M, n) blocks, never a second 16 MB table
+    config = _fourier_tap(32, correct=correct)
+    table = run_oracle(config)
+    block_bytes = table.blocks[0].nbytes
+    tracemalloc.start()
+    try:
+        deviations = route_deviations(table, fast_run(config))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert deviations is not None and np.max(deviations[1]) < 1e-12
+    assert peak <= 6 * block_bytes
+
+
+def test_fidelities_need_no_corrected_table():
+    # fidelities move U(m) onto the state; amplitudes build the corrected table
+    config = _fourier_tap(32)
+    table = run_oracle(config)
+    tracemalloc.start()
+    try:
+        table.fidelities(config.input_state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.1 * table.blocks.nbytes

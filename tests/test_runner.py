@@ -44,74 +44,90 @@ def test_tap_total_fidelity_mismatch_writes_nothing(monkeypatch):
     refused("total fidelity routes disagree by 1.000e-06")
 
 
-def test_cross_check_catches_one_moved_amplitude(monkeypatch):
+def faulty_stream(monkeypatch, fault) -> None:
+    """Patch the transfer route so ``fault(index, key, block)`` edits or drops each block."""
     route = runner.fast_run
 
-    def moved(scenario):
-        table = route(scenario)
-        amplitudes = table.amplitudes.copy()
-        amplitudes[2, 1, 0] += 1e-6
-        amplitudes.setflags(write=False)
-        return replace(table, amplitudes=amplitudes)
+    def patched(scenario):
+        for index, (key, block) in enumerate(route(scenario)):
+            yield from fault(index, key, block.copy())
 
-    monkeypatch.setattr(runner, "fast_run", moved)
-    refused(r"routes disagree on branch \(m=\(0, 1\), l=1\): .* amplitude deviation 1\.000e-06")
+    monkeypatch.setattr(runner, "fast_run", patched)
+
+
+def test_cross_check_catches_one_moved_amplitude(monkeypatch):
+    def moved(index, key, block):
+        if index == 2:
+            block[1, 0] += 1e-6
+        yield key, block
+
+    faulty_stream(monkeypatch, moved)
+    refused(r"routes disagree on branch \(m=\(0, 1\), l=1, b=0\): .* amplitude deviation 1\.000e-06")
+
+
+def test_cross_check_names_the_receiver_branch(monkeypatch):
+    # blocks 2 and 3 share tap branch l = 1; only b tells them apart
+    def moved(index, key, block):
+        if index == 3:
+            block[2, 1] += 1e-6
+        yield key, block
+
+    faulty_stream(monkeypatch, moved)
+    refused(r"routes disagree on branch \(m=\(1, 0\), l=1, b=1\): .* amplitude deviation 1\.000e-06")
 
 
 def test_cross_check_catches_a_dropped_block(monkeypatch):
-    route = runner.fast_run
+    def dropped(index, key, block):
+        if index < 3:
+            yield key, block
 
-    def dropped(scenario):
-        table = route(scenario)
-        return replace(
-            table,
-            keys=table.keys[:-1],
-            amplitudes=table.amplitudes[:-1],
-            probabilities=table.probabilities[:-1],
-        )
-
-    monkeypatch.setattr(runner, "fast_run", dropped)
+    faulty_stream(monkeypatch, dropped)
     refused("record count mismatch: oracle 16 vs transfer 12")
 
 
 def test_cross_check_catches_rotated_labels(monkeypatch):
-    route = runner.fast_run
+    keys = ((0, 0), (0, 1), (1, 0), (1, 1))
 
-    def rotated(scenario):
-        table = route(scenario)
-        return replace(table, labels=table.labels[1:] + table.labels[:1])
+    def rotated(index, key, block):
+        yield keys[(index + 1) % len(keys)], block
 
-    monkeypatch.setattr(runner, "fast_run", rotated)
-    refused(r"record label mismatch: \(\(0, 0\), 0, 0\) vs \(\(0, 1\), 0, 0\)")
+    faulty_stream(monkeypatch, rotated)
+    refused(
+        r"record label mismatch: oracle block \(\(0, 0\), \(4, 2\)\) "
+        r"vs transfer block \(\(0, 1\), \(4, 2\)\)"
+    )
 
 
 def test_tap_cell_mismatch_writes_nothing(monkeypatch):
+    # both routes move together, so only the tap comparison can object:
+    # outcome (1, 1) of every block grows by a factor 1 + 1e-6 in probability
+    scale = np.sqrt(np.array([1.0, 1.0, 1.0, 1.0 + 1e-6]))[:, None]
     route = runner.run_oracle
 
-    def skewed(scenario):
-        # both routes move together, so only the tap comparison can object
+    def skewed_table(scenario):
         table = route(scenario)
-        probabilities = table.probabilities * np.array([1.0, 1.0, 1.0, 1.0 + 1e-6])
+        blocks = table.blocks * scale
+        probabilities = table.probabilities * scale[:, 0] ** 2
+        blocks.setflags(write=False)
         probabilities.setflags(write=False)
-        return replace(table, probabilities=probabilities)
+        return replace(table, blocks=blocks, probabilities=probabilities)
 
-    monkeypatch.setattr(runner, "run_oracle", skewed)
-    monkeypatch.setattr(runner, "fast_run", skewed)
+    def skewed_block(index, key, block):
+        yield key, block * scale
+
+    monkeypatch.setattr(runner, "run_oracle", skewed_table)
+    faulty_stream(monkeypatch, skewed_block)
     refused(r"branch operator probability deviates from oracle by .* on \(l=0, m=\(1, 1\)\)")
 
 
 def test_cross_check_fails_on_a_nan_amplitude(monkeypatch):
-    route = runner.fast_run
+    def poisoned(index, key, block):
+        if index == 2:
+            block[1, 0] = np.nan
+        yield key, block
 
-    def poisoned(scenario):
-        table = route(scenario)
-        amplitudes = table.amplitudes.copy()
-        amplitudes[2, 1, 0] = np.nan
-        amplitudes.setflags(write=False)
-        return replace(table, amplitudes=amplitudes)
-
-    monkeypatch.setattr(runner, "fast_run", poisoned)
-    refused(r"routes disagree on branch \(m=\(0, 1\), l=1\): .* amplitude deviation nan")
+    faulty_stream(monkeypatch, poisoned)
+    refused(r"routes disagree on branch \(m=\(0, 1\), l=1, b=0\): .* amplitude deviation nan")
 
 
 def test_tap_checks_fail_on_nan(monkeypatch):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import io
 import os
 
 import numpy as np
@@ -58,3 +59,67 @@ def test_oracle_table_counts_records_and_null_records():
     null = int(np.count_nonzero(table.probabilities < NULL_BRANCH_EPS))
     assert null == 10
     assert sum(r.output is None for r in run_oracle(config)) == null
+
+
+def test_run_teleport_calls_the_transfer_route_once(monkeypatch):
+    # the tracer wraps runner.fast_run and counts one span per call
+    from teleportsim import runner
+    from teleportsim.config import parse_config
+
+    calls = []
+    route = runner.fast_run
+
+    def counted(scenario):
+        calls.append(scenario)
+        return route(scenario)
+
+    monkeypatch.setattr(runner, "fast_run", counted)
+    spec = parse_config(
+        "n: 3\ninput: random:1\neavesdrop:\n  theta: 0.5\n"
+        "effect_b:\n  kraus:\n    - [[1, 0, 0], [0, 0.8, 0], [0, 0, 1]]\n"
+        "    - [[0, 0.6, 0], [0, 0, 0], [0, 0, 0]]\n"
+    )
+    runner.run_teleport(spec, io.StringIO())
+    assert len(calls) == 1
+
+
+def test_corrected_table_rows_are_the_brute_force_outputs():
+    # the tracer's record counters iterate the oracle table: each row of a
+    # correcting table must carry the corrected output, and None exactly
+    # where the branch never fires
+    from teleportsim.effects import effect_branches, kraus_mixture, strength_family
+    from teleportsim.engine import NULL_BRANCH_EPS, make_scenario, run_oracle
+    from teleportsim.linalg import basis_state
+
+    from oracles import brute_teleport
+
+    k0 = np.eye(3, dtype=complex)
+    k0[1, 1] = 0.8
+    k1 = np.zeros((3, 3), dtype=complex)
+    k1[0, 1] = 0.6
+    # a projective tap on a tap-basis state: two of three tap branches never fire
+    config = make_scenario(
+        3, basis_state(3, 0), effect_r=strength_family(3, 1.0), effect_b=kraus_mixture([k0, k1])
+    )
+    reference = dict(effect_branches(config.effect_r, 3))
+    receiver = dict(effect_branches(config.effect_b, 3))
+    records = list(run_oracle(config))
+    assert len(records) == 3 * 2 * 9
+    nulls = 0
+    for record in records:
+        u_m = next(o.unitary for o in config.bell.outcomes if o.label == record.m)
+        expected = brute_teleport(
+            3, np.asarray(config.input_state), np.eye(3), reference[record.l],
+            receiver[record.branch], u_m,
+        )
+        probability = float(np.vdot(expected, expected).real)
+        if probability < NULL_BRANCH_EPS:
+            nulls += 1
+            assert record.output is None
+        else:
+            np.testing.assert_allclose(
+                record.output, expected / np.sqrt(probability), rtol=0, atol=1e-12
+            )
+    # 36 rows of the two unfired tap branches, and 6 where the decay branch
+    # meets an outcome that leaves no amplitude on level 1
+    assert nulls == 2 * 2 * 9 + 6

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
-from dataclasses import replace
-
+import numpy as np
 import pytest
 
 from teleportsim import verify
@@ -75,20 +74,20 @@ def test_unknown_corrupt_target_is_rejected():
 
 
 
-def test_transfer_route_dropping_a_record_fails(monkeypatch):
+def patch_stream(monkeypatch, fault) -> None:
+    """Patch verify's transfer route so ``fault(block)`` edits every streamed block."""
     route = verify.fast_run
 
-    def dropped(config):
-        # the last Bell outcome goes missing from every block
-        table = route(config)
-        return replace(
-            table,
-            labels=table.labels[:-1],
-            amplitudes=table.amplitudes[:, :-1],
-            probabilities=table.probabilities[:, :-1],
-        )
+    def patched(config):
+        for key, block in route(config):
+            yield key, fault(block.copy())
 
-    monkeypatch.setattr(verify, "fast_run", dropped)
+    monkeypatch.setattr(verify, "fast_run", patched)
+
+
+def test_transfer_route_dropping_a_record_fails(monkeypatch):
+    # the last Bell outcome goes missing from every block
+    patch_stream(monkeypatch, lambda block: block[:-1])
     result = check_oracle_fast_equivalence("quick", 0, None)
     assert not result.passed
     line = verify.VerificationReport("quick", (result,)).lines()[0]
@@ -96,26 +95,18 @@ def test_transfer_route_dropping_a_record_fails(monkeypatch):
 
 
 def test_transfer_route_with_shuffled_labels_fails(monkeypatch):
-    route = verify.fast_run
-
-    def relabeled(config):
-        table = route(config)
-        return replace(table, labels=table.labels[1:] + table.labels[:1])
-
-    monkeypatch.setattr(verify, "fast_run", relabeled)
+    # the stream's rows follow the labels' order; rotating them pairs each
+    # label with its neighbour's output
+    patch_stream(monkeypatch, lambda block: np.roll(block, -1, axis=0))
     assert not check_oracle_fast_equivalence("quick", 0, None).passed
 
 
 def test_transfer_route_with_a_nan_amplitude_fails(monkeypatch):
-    route = verify.fast_run
+    def poisoned(block):
+        block[0, 0] = float("nan")
+        return block
 
-    def poisoned(config):
-        table = route(config)
-        amplitudes = table.amplitudes.copy()
-        amplitudes[0, 0, 0] = float("nan")
-        return replace(table, amplitudes=amplitudes)
-
-    monkeypatch.setattr(verify, "fast_run", poisoned)
+    patch_stream(monkeypatch, poisoned)
     result = check_oracle_fast_equivalence("quick", 0, None)
     assert not result.passed
     line = verify.VerificationReport("quick", (result,)).lines()[0]
