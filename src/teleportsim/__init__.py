@@ -40,6 +40,7 @@ from .engine import (
     fast_run,
     ideal_decomposition_check,
     make_scenario,
+    oracle_blocks,
     run_oracle,
     transfer_operator,
 )
@@ -79,6 +80,7 @@ __all__ = [
     "make_measurement_family",
     "make_scenario",
     "mirror_operator",
+    "oracle_blocks",
     "projective_case_analysis",
     "random_state",
     "random_unitary",

@@ -162,10 +162,14 @@ def bell_outcome_state(family: BellFamily, label: Label, u0: np.ndarray) -> np.n
     return _outcome_matrices(outcome.unitary, outcome.weight, u0).reshape(-1)
 
 
-def outcome_state_stack(family: BellFamily, u0: np.ndarray) -> np.ndarray:
-    """Every `bell_outcome_state` of the family as a row of one ``(M, dim^2)`` array."""
-    stack = _outcome_matrices(family.unitaries, family.weights, np.asarray(u0))
-    return stack.reshape(len(family.outcomes), -1)
+def outcome_state_stack(family: BellFamily, u0: np.ndarray, outcomes: slice = slice(None)) -> np.ndarray:
+    """Every `bell_outcome_state` of the family as a row of one ``(M, dim^2)`` array.
+
+    ``outcomes`` picks a run of the family's outcomes, so a caller can
+    build the stack a chunk of rows at a time.
+    """
+    stack = _outcome_matrices(family.unitaries[outcomes], family.weights[outcomes], np.asarray(u0))
+    return stack.reshape(stack.shape[0], -1)
 
 
 def _outcome_matrices(unitaries: np.ndarray, weights: object, u0: np.ndarray) -> np.ndarray:

@@ -37,14 +37,51 @@ class _ConfigLoader(yaml.SafeLoader):
 
     The YAML 1.1 resolver wants a mantissa dot and a signed exponent, so it
     would leave ``1e-09`` or ``1.5e5`` a string.  Quoted scalars stay strings.
+    An integer too long for Python to read fails with its field path.
     """
 
+    def construct_document(self, node: yaml.Node) -> object:
+        self._root = node  # for the field path of a scalar that cannot be read
+        return super().construct_document(node)
 
+    def construct_yaml_int(self, node: yaml.ScalarNode) -> int:
+        # Python refuses to read an integer of more than
+        # sys.get_int_max_str_digits() digits; name the field instead of
+        # letting that ValueError escape from the loader
+        try:
+            return super().construct_yaml_int(node)
+        except ValueError:
+            mark = node.start_mark
+            raise ConfigError(
+                f"{_node_path(self._root, node) or 'document'}: integer of "
+                f"{len(node.value)} characters is too long to read "
+                f"(line {mark.line + 1}, column {mark.column + 1})"
+            ) from None
+
+
+_ConfigLoader.add_constructor("tag:yaml.org,2002:int", _ConfigLoader.construct_yaml_int)
 _ConfigLoader.add_implicit_resolver(
     "tag:yaml.org,2002:float",
     re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$"),
     list("-+0123456789."),
 )
+
+
+def _node_path(root: yaml.Node, target: yaml.Node) -> str | None:
+    """Field path of ``target`` below ``root`` as error messages write it, or ``None``."""
+    if root is target:
+        return ""
+    if isinstance(root, yaml.MappingNode):
+        children = [(str(key.value), value) for key, value in root.value]
+    elif isinstance(root, yaml.SequenceNode):
+        children = [(f"[{i}]", item) for i, item in enumerate(root.value)]
+    else:
+        return None
+    for name, child in children:
+        inner = _node_path(child, target)
+        if inner is not None:
+            return name + (inner if not inner or inner.startswith("[") else "." + inner)
+    return None
 
 
 @dataclass(frozen=True, eq=False)

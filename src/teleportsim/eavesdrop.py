@@ -6,14 +6,18 @@ the branch operators ``P(l, m)``, which act on the input alone: they are
 the transfer operators of the tap, so every quantity here is a reduction
 of `teleportsim.engine.transfer_kernel` over the family's outcome stack,
 and no ``P(l, m)`` is built as a matrix except by `eavesdrop_operator`.
-`analyze_eavesdropping` returns its cells as ``(L, M)`` arrays, tap
-branch by Bell outcome; a marginal is a sum of the probability array over
-one axis.  The module also holds the paper's projective special case
-(`projective_case_analysis`), the guessing advantage between two inputs
-(`distinguishability`) and the sequential decomposition check.  The
-probabilities predicted here must agree with the oracle table produced
-by `teleportsim.engine.run_oracle`; the run drivers and the verification
-suite enforce that, and verify checks that every ``P(l, m)`` is Hermitian.
+`TapTally` folds the transfer route's blocks into ``(L, M)`` cells, tap
+branch by Bell outcome, one block at a time, so the run drivers tally the
+stream they already compare with the oracle; `analyze_eavesdropping` is
+that fold over `teleportsim.engine.fast_run`.  A marginal is a sum of the
+probability array over one axis.  The module also holds the paper's
+projective special case (`projective_case_analysis`), the guessing
+advantage between two inputs (`distinguishability`, reduced by
+`guessing_advantage`) and the sequential decomposition check.  The
+probabilities predicted here must agree with the oracle's
+(`teleportsim.engine.oracle_blocks`); the run drivers and the
+verification suite enforce that, and verify checks that every
+``P(l, m)`` is Hermitian.
 """
 from __future__ import annotations
 
@@ -23,8 +27,16 @@ import numpy as np
 
 # find_outcome stays importable here: perfbench/tracing.py patches it by name
 from .bell import Label, find_outcome  # noqa: F401
-from .effects import MeasurementFamily
-from .engine import NULL_BRANCH_EPS, ScenarioConfig, mirror_effect, transfer_kernel, transfer_operator
+from .effects import MeasurementFamily, effect_branches
+from .engine import (
+    ScenarioConfig,
+    conditional_fidelities,
+    fast_run,
+    mirror_effect,
+    overlaps_squared,
+    transfer_kernel,
+    transfer_operator,
+)
 from .linalg import apply_each_inverse, dagger, frozen_complex_array, norms_squared
 
 
@@ -39,7 +51,7 @@ class EavesdropReport:
     mixed conditional output.
     """
 
-    tap_labels: tuple[int | str, ...]
+    tap_labels: tuple[int | str | None, ...]
     labels: tuple[Label, ...]
     probabilities: np.ndarray  # (L, M)
     fidelities: np.ndarray  # (L, M)
@@ -84,42 +96,56 @@ def expected_marginal_l(config: ScenarioConfig) -> dict[int | str, float]:
     }
 
 
-def analyze_eavesdropping(config: ScenarioConfig) -> EavesdropReport:
-    """Build the full per-branch report for one tapped scenario.
+class TapTally:
+    """The tap report folded over transfer blocks, one block at a time.
 
-    With a receiver effect ``F_b`` every cell sums its branches
-    ``T = U(m) F_b U(m)^-1 P(l, m)``, the operators the oracle applies.
+    `add` takes the ``(M, n)`` block of reference branch ``l`` that
+    `teleportsim.engine.fast_run` yields for the scenario's input and adds
+    its share to the ``(l, m)`` cells; `report` reads the sums and ends the
+    fold.  The reference effect may be any effect, not only a tap: each
+    branch label is one row.  With a receiver effect ``F_b`` every cell
+    sums its branches ``T = U(m) F_b U(m)^-1 P(l, m)``, the operators the
+    oracle applies.
     """
-    family = _tap_family(config)
-    psi = np.asarray(config.input_state)
-    bell = config.bell
-    tap_labels = tuple(b.label for b in family.branches)
-    rows = {label: row for row, label in enumerate(tap_labels)}
-    # <psi| T psi> = <U(m)^-1 psi| U(m)^-1 T psi>, the kernel's row m
-    bras = apply_each_inverse(bell.unitaries, psi).conj()
-    probabilities = np.zeros((len(tap_labels), len(bell.outcomes)))
-    overlaps_sq = np.zeros_like(probabilities)
-    for l, _, amps in transfer_kernel(config, psi[None]):
-        amps = amps[:, 0]
-        probabilities[rows[l]] += norms_squared(amps)
-        overlaps_sq[rows[l]] += np.abs(np.einsum("mi,mi->m", bras, amps)) ** 2
-    fidelities = np.divide(
-        overlaps_sq,
-        probabilities,
-        out=np.full(probabilities.shape, np.nan),
-        where=probabilities >= NULL_BRANCH_EPS,
-    )
-    probabilities.setflags(write=False)
-    fidelities.setflags(write=False)
-    return EavesdropReport(
-        tap_labels=tap_labels,
-        labels=tuple(o.label for o in bell.outcomes),
-        probabilities=probabilities,
-        fidelities=fidelities,
-        # a sequential sum in table order: the sweep CSV prints this value,
-        # and numpy's pairwise summation would move its last digits
-        total_fidelity=float(np.cumsum(overlaps_sq)[-1]),
-    )
+
+    def __init__(self, config: ScenarioConfig) -> None:
+        bell = config.bell
+        self.tap_labels = tuple(label for label, _ in effect_branches(config.effect_r, config.dim))
+        self.labels = tuple(o.label for o in bell.outcomes)
+        self._rows = {label: row for row, label in enumerate(self.tap_labels)}
+        # <psi| T psi> = <U(m)^-1 psi| U(m)^-1 T psi>, the kernel's row m
+        self._bras = apply_each_inverse(bell.unitaries, np.asarray(config.input_state)).conj()
+        self._probabilities = np.zeros((len(self.tap_labels), len(self.labels)))
+        self._overlaps_sq = np.zeros_like(self._probabilities)
+
+    def add(self, l: int | str | None, block: np.ndarray) -> None:
+        row = self._rows[l]
+        self._probabilities[row] += norms_squared(block)
+        self._overlaps_sq[row] += overlaps_squared(block, self._bras)
+
+    def report(self) -> EavesdropReport:
+        probabilities = self._probabilities  # read-only from here: the fold ends
+        fidelities = conditional_fidelities(self._overlaps_sq, probabilities)
+        probabilities.setflags(write=False)
+        fidelities.setflags(write=False)
+        return EavesdropReport(
+            tap_labels=self.tap_labels,
+            labels=self.labels,
+            probabilities=probabilities,
+            fidelities=fidelities,
+            # a sequential sum in table order: the sweep CSV prints this value,
+            # and numpy's pairwise summation would move its last digits
+            total_fidelity=float(np.cumsum(self._overlaps_sq)[-1]),
+        )
+
+
+def analyze_eavesdropping(config: ScenarioConfig) -> EavesdropReport:
+    """Build the full per-branch report for one tapped scenario: `TapTally` over `fast_run`."""
+    _tap_family(config)
+    tally = TapTally(config)
+    for (l, _), block in fast_run(config):
+        tally.add(l, block)
+    return tally.report()
 
 
 def sequential_decomposition_check(config: ScenarioConfig) -> DecompositionReport:
@@ -210,8 +236,17 @@ def distinguishability(config: ScenarioConfig, first: np.ndarray, second: np.nda
     """
     _tap_family(config)
     states = np.array([first, second], dtype=complex)
-    # row k holds every (l, m) cell probability of input k, tap label major
-    tables = np.concatenate(
+    # row (l, m) holds the cell probability of each input, tap label major
+    return guessing_advantage(np.concatenate(
         [norms_squared(amps) for _, _, amps in transfer_kernel(config, states, receiver=False)]
-    ).T
+    ))
+
+
+def guessing_advantage(cells: np.ndarray) -> float:
+    """Half the total-variation distance between two inputs' cell tables.
+
+    ``cells[..., k]`` holds every ``(l, m)`` cell probability of input
+    ``k``, in one order for both inputs.
+    """
+    tables = cells.reshape(-1, 2).T
     return 0.25 * float(np.sum(np.abs(tables[0] - tables[1])))

@@ -1,26 +1,29 @@
 """Teleportation engine: exact tripartite evolution and its operator shortcut.
 
-Two independent routes produce every conditional output.  `run_oracle`
-projects each Bell outcome on the A x R x B state
+Two independent routes produce every conditional output, each as a
+stream of ``((l, b), block)`` pairs in the same key order, one ``(M, n)``
+block of every Bell outcome's output before the receiver's correction
+``U(m)`` per reference and receiver branch pair.  `oracle_blocks` projects
+each Bell outcome on the A x R x B state
 ``psi_A (x) (E_R (x) F_B)|Phi>_RB``; it is the ground truth and shares no
 transfer algebra.  That state is a product across A | RB, so the Bell
-bras are contracted with the input over the sender index once, and each
-effect branch pair is then one ``(M, n) @ (n, n)`` product with the
-disturbed resource; no n**3 state is built.  `fast_run` applies the
-per-outcome transfer operator on the input alone, through
-`transfer_kernel`, which also feeds every tap quantity in
-`teleportsim.eavesdrop`.  Both batch every Bell outcome of an effect
-branch pair into one product over the family's outcome stack and
-produce ``(M, n)`` blocks before the receiver's correction ``U(m)``.
-The oracle stores its blocks in a `BranchTable`, which corrects on
-read; `fast_run` streams its blocks one at a time, and
-`route_deviations` compares the stream with the table as it arrives, so
-a run holds one table and never a second.
+bras are built `_BRA_CHUNK` outcomes at a time and contracted with the
+input over the sender index into one ``(M, n)`` bra on R; each effect
+branch pair is then one ``(M, n) @ (n, n)`` product with the disturbed
+resource, and neither an n**3 state nor the ``(M, n**2)`` bra stack is
+held.  `fast_run` applies the per-outcome transfer operator on the input
+alone, through `transfer_kernel`, which also feeds every tap quantity in
+`teleportsim.eavesdrop`.  `route_deviations` zips the two streams and
+compares them block by block, so a caller that consumes both holds a few
+blocks and its ``(K, M)`` reductions, never a table.  `run_oracle`
+collects the oracle stream into a `BranchTable`, which corrects on read,
+for callers that want every block at once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from itertools import zip_longest
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -42,9 +45,18 @@ from .linalg import (
 
 NULL_BRANCH_EPS = 1e-14
 
+# Bell outcomes whose bras `oracle_blocks` builds at once: at n = 32 a chunk
+# of the (M, n**2) stack takes 1 MB where the whole stack would take 16 MB,
+# and a family of at most 64 outcomes (every Weyl family up to n = 8) takes
+# one chunk
+_BRA_CHUNK = 64
+
 EffectSpec = EffectOperator | MeasurementFamily | Sequence[EffectOperator] | None
 
 BranchLabel = int | str | None
+
+# ((l, b), block) pairs, one uncorrected (M, n) block per effect branch pair
+BlockStream = Iterator[tuple[tuple[BranchLabel, BranchLabel], np.ndarray]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,20 +150,41 @@ class BranchTable:
         return amplitudes
 
     def fidelities(self, state: np.ndarray) -> np.ndarray:
-        """``|<state|output>|^2`` of every branch, NaN where the branch is null.
+        """``|<state|output>|^2`` of every branch, NaN where the branch is null."""
+        overlaps_sq = overlaps_squared(self.blocks, fidelity_bras(state, self.corrections))
+        return conditional_fidelities(overlaps_sq, self.probabilities)
 
-        The correction moves onto the state, ``<state|U(m) a> = <U(m)^-1 state|a>``,
-        so the corrected outputs are never built.
-        """
-        if self.corrections is None:
-            overlaps = self.blocks @ np.conj(state)
-        else:
-            # row m is the bra <U(m)^-1 state|, as the conjugated vector state^+ U(m)
-            bras = np.conj(state) @ self.corrections
-            overlaps = np.einsum("kmi,mi->km", self.blocks, bras)
-        overlaps = np.abs(overlaps) ** 2
-        live = self.probabilities >= NULL_BRANCH_EPS
-        return np.divide(overlaps, self.probabilities, out=np.full(live.shape, np.nan), where=live)
+
+def fidelity_bras(state: np.ndarray, corrections: np.ndarray | None) -> np.ndarray:
+    """The bras `overlaps_squared` contracts uncorrected outputs with.
+
+    With ``(M, n, n)`` corrections row ``m`` is ``<U(m)^-1 state|`` as the
+    conjugated vector ``state^+ U(m)``: the correction moves onto the state,
+    ``<state|U(m) a> = <U(m)^-1 state|a>``, so corrected outputs are never
+    built.  Without a correction it is the conjugated state alone.
+    """
+    if corrections is None:
+        return np.conj(state)
+    return np.conj(state) @ corrections
+
+
+def overlaps_squared(blocks: np.ndarray, bras: np.ndarray) -> np.ndarray:
+    """``|<bra|output>|^2`` of every output in ``(..., M, n)`` blocks.
+
+    ``bras`` is one conjugated vector for every outcome, or an ``(M, n)``
+    stack with row ``m`` for outcome ``m``, as `fidelity_bras` gives them.
+    """
+    if bras.ndim == 1:
+        overlaps = blocks @ bras
+    else:
+        overlaps = np.einsum("...mi,mi->...m", blocks, bras)
+    return np.abs(overlaps) ** 2
+
+
+def conditional_fidelities(overlaps_sq: np.ndarray, probabilities: np.ndarray) -> np.ndarray:
+    """Squared overlaps of the normalized outputs, NaN where the branch is null."""
+    live = probabilities >= NULL_BRANCH_EPS
+    return np.divide(overlaps_sq, probabilities, out=np.full(live.shape, np.nan), where=live)
 
 
 def make_scenario(
@@ -200,27 +233,36 @@ def mirror_effect(u0: np.ndarray, effect: np.ndarray) -> np.ndarray:
 
 
 def run_oracle(config: ScenarioConfig) -> BranchTable:
-    """Evolve the full tripartite state and project every Bell outcome."""
-    return _table(config, _oracle_blocks(config))
+    """Evolve the full tripartite state and project every Bell outcome, as one table."""
+    return _table(config, oracle_blocks(config))
 
 
-def _oracle_blocks(config: ScenarioConfig) -> Iterator[np.ndarray]:
+def oracle_blocks(config: ScenarioConfig) -> BlockStream:
+    """Stream ``((l, b), block)`` of the full-state route, in `fast_run`'s key order.
+
+    Each ``(M, n)`` block holds the outputs before the receiver's
+    correction.  The explicit Bell bras are built `_BRA_CHUNK` outcomes at
+    a time and contracted with the input at once, so beyond one chunk the
+    route holds its ``(M, n)`` bra on R and the block it yields.
+    """
     dim = config.dim
     psi = np.asarray(config.input_state)
     bell = config.bell
     u0 = np.asarray(config.u0)
     resource_mat = u0 / np.sqrt(dim)  # R x B amplitudes as a matrix
-    # row m holds <P(m)| over the A x R index, A slow
-    bras = outcome_state_stack(bell, u0)
-    np.conj(bras, out=bras)
     # psi_A (x) |resource>_RB is a product across A | RB, so the sender index
     # is contracted once: row m of relative is <P(m)|psi>_A, a bra on R
-    relative = psi @ bras.reshape(-1, dim, dim)
-    del bras
-    for _, e_r in effect_branches(config.effect_r, dim):
-        for _, f_b in effect_branches(config.effect_b, dim):
+    relative = np.empty((len(bell.outcomes), dim), dtype=complex)
+    for start in range(0, len(bell.outcomes), _BRA_CHUNK):
+        # row m holds <P(m)| over the A x R index, A slow
+        bras = outcome_state_stack(bell, u0, slice(start, start + _BRA_CHUNK))
+        np.conj(bras, out=bras)
+        relative[start : start + _BRA_CHUNK] = psi @ bras.reshape(-1, dim, dim)
+        del bras  # before the next chunk is built
+    for l_label, e_r in effect_branches(config.effect_r, dim):
+        for b_label, f_b in effect_branches(config.effect_b, dim):
             # (E_R (x) F_B) acting on the resource, still as an R x B matrix
-            yield relative @ (e_r @ resource_mat @ f_b.T)
+            yield (l_label, b_label), relative @ (e_r @ resource_mat @ f_b.T)
 
 
 def transfer_operator(
@@ -255,7 +297,7 @@ def transfer_kernel(
     leading ``U(m)``, which a caller applies when it corrects.  With
     ``receiver=False`` the receiver effect is left out, so the rows are
     ``U(m)^-1 P(l, m)`` applied to each input, for the tap alone.  Order is
-    reference branch, then receiver branch, as in `run_oracle`.
+    reference branch, then receiver branch, as in `oracle_blocks`.
     """
     dim = config.dim
     bell = config.bell
@@ -271,40 +313,34 @@ def transfer_kernel(
             yield l_label, b_label, (rows @ (f_b @ mirrored).T).reshape(back.shape)
 
 
-def fast_run(config: ScenarioConfig) -> Iterator[tuple[tuple[BranchLabel, BranchLabel], np.ndarray]]:
-    """Stream ``((l, b), block)`` through the transfer kernel, in `run_oracle`'s key order.
+def fast_run(config: ScenarioConfig) -> BlockStream:
+    """Stream ``((l, b), block)`` through the transfer kernel, in `oracle_blocks`' key order.
 
     Each ``(M, n)`` block holds the outputs before the receiver's
-    correction, as `BranchTable.blocks` does; only one block is held at a
-    time.
+    correction, as `oracle_blocks` yields them; only one block is held at
+    a time.
     """
     for l_label, b_label, amps in transfer_kernel(config, np.asarray(config.input_state)[None]):
         yield (l_label, b_label), amps[:, 0]
 
 
-def route_deviations(
-    table: BranchTable, blocks: Iterable[tuple[tuple[BranchLabel, BranchLabel], np.ndarray]]
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Per-branch ``(K, M)`` probability and largest amplitude deviations.
+def route_deviations(slow: BlockStream, quick: BlockStream) -> tuple[np.ndarray, np.ndarray] | None:
+    """Per-branch ``(K, M)`` probability and largest amplitude deviations of two streams.
 
-    ``blocks`` is a stream such as `fast_run` yields, compared with the
-    table's uncorrected blocks as each arrives; the correction is unitary,
-    so it cannot change a 2-norm deviation.  ``None`` when the stream
-    differs from the table in a key, the block count or a block shape.
+    ``slow`` and ``quick`` are streams such as `oracle_blocks` and
+    `fast_run` yield, zipped and compared block by block as they arrive;
+    the correction is unitary, so it cannot change a 2-norm deviation.
+    ``None`` when the streams differ in a key, the block count or a block
+    shape; the comparison then stops where they part.
     """
-    shape = table.blocks.shape[1:]
-    probability = np.empty(table.probabilities.shape)
-    amplitude = np.empty(table.probabilities.shape)
-    count = 0
-    for index, (key, block) in enumerate(blocks):
-        if index >= len(table.keys) or (key, block.shape) != (table.keys[index], shape):
+    probability = []
+    amplitude = []
+    for (key, block), (other, twin) in zip_longest(slow, quick, fillvalue=(None, None)):
+        if key != other or block is None or twin is None or block.shape != twin.shape:
             return None
-        np.max(np.abs(table.blocks[index] - block), axis=1, out=amplitude[index])
-        np.abs(table.probabilities[index] - norms_squared(block), out=probability[index])
-        count = index + 1
-    if count != len(table.keys):
-        return None
-    return probability, amplitude
+        amplitude.append(np.max(np.abs(block - twin), axis=1))
+        probability.append(np.abs(norms_squared(block) - norms_squared(twin)))
+    return np.array(probability), np.array(amplitude)
 
 
 def ideal_decomposition_check(config: ScenarioConfig) -> float:
@@ -321,25 +357,23 @@ def ideal_decomposition_check(config: ScenarioConfig) -> float:
     return float(np.max(np.abs(total - np.eye(dim) / dim)))
 
 
-def _table(config: ScenarioConfig, blocks: Iterable[np.ndarray]) -> BranchTable:
+def _table(config: ScenarioConfig, blocks: BlockStream) -> BranchTable:
     """Fill a table in place, one uncorrected ``(M, n)`` block per branch pair."""
     bell = config.bell
     dim = config.dim
-    keys = tuple(
-        (l_label, b_label)
-        for l_label, _ in effect_branches(config.effect_r, dim)
-        for b_label, _ in effect_branches(config.effect_b, dim)
-    )
-    stored = np.empty((len(keys), len(bell.outcomes), dim), dtype=complex)
+    count = len(effect_branches(config.effect_r, dim)) * len(effect_branches(config.effect_b, dim))
+    keys = []
+    stored = np.empty((count, len(bell.outcomes), dim), dtype=complex)
     probabilities = np.empty(stored.shape[:2])
     # block by block: a whole-table norms_squared would copy the table once more
-    for block, amps in enumerate(blocks):
+    for block, (key, amps) in enumerate(blocks):
+        keys.append(key)
         stored[block] = amps
         probabilities[block] = norms_squared(amps)
     stored.setflags(write=False)
     probabilities.setflags(write=False)
     return BranchTable(
-        keys,
+        tuple(keys),
         tuple(o.label for o in bell.outcomes),
         stored,
         probabilities,

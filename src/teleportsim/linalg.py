@@ -1,9 +1,10 @@
 """Dense complex linear algebra primitives shared by every other module.
 
 All operators are plain ``numpy`` arrays of dtype complex128.  The design
-envelope is modest (single-system dimension up to 32; the largest arrays,
-such as a stack of outcome states on A x R, hold 32**4 amplitudes), so
-nothing here is sparse or lazy.
+envelope is modest (single-system dimension up to 32), so nothing here is
+sparse or lazy.  The largest array a run holds is the Bell family's
+``(M, n, n)`` stack of outcome unitaries, 32**4 amplitudes; both routes
+stream ``(M, n)`` blocks of 32**3.
 """
 from __future__ import annotations
 

@@ -1,29 +1,50 @@
 """CSV-producing run drivers shared by the command line entry points.
 
 Every quantity written out is computed twice: once through the transfer
-kernel and once through the full-state oracle.  The oracle returns a
-`BranchTable`; the transfer route streams its blocks, and
-`route_deviations` compares each with the table as it arrives.  Every
-written number is a reduction of the oracle table's arrays, and the
-teleport summary ends with the measured route deviations.  A mismatch
-beyond the run tolerance raises `InvariantViolation` before the first row
-is written, instead of writing a plausible-looking but wrong table.
-Output is deterministic down to the byte for a fixed spec.
+kernel and once through the full-state oracle.  Both routes are streams
+of ``(M, n)`` blocks, and one pass zips them: `route_deviations` compares
+each pair of blocks as it arrives, the oracle block leaves its branch
+probabilities and fidelities behind, and the transfer block its share of
+the tap cells and of the tap total fidelity (`TapTally`).  A run keeps
+only those ``(K, M)`` and ``(L, M)`` reductions, never a table of blocks.
+Every written number is a reduction of the oracle's arrays, and the
+summary ends with the measured route deviations.  A mismatch beyond the
+run tolerance raises `InvariantViolation` before the first row is
+written, instead of writing a plausible-looking but wrong table.  Output
+is deterministic down to the byte for a fixed spec.
 """
 from __future__ import annotations
 
 import csv
 import io
+from dataclasses import dataclass
 from itertools import zip_longest
 from math import isnan
-from typing import IO, Iterator
+from typing import IO, Iterable
 
 import numpy as np
 
 from .config import RunSpec
-from .eavesdrop import analyze_eavesdropping, distinguishability
-from .effects import strength_family
-from .engine import BranchTable, ScenarioConfig, fast_run, make_scenario, route_deviations, run_oracle
+from .eavesdrop import EavesdropReport, TapTally, guessing_advantage
+from .effects import effect_branches, strength_family
+from .engine import (
+    BlockStream,
+    ScenarioConfig,
+    conditional_fidelities,
+    fast_run,
+    fidelity_bras,
+    make_scenario,
+    oracle_blocks,
+    overlaps_squared,
+    route_deviations,
+    transfer_kernel,
+)
+# run_oracle, analyze_eavesdropping and distinguishability stay importable
+# here: perfbench/tracing.py patches them by name, though the drivers
+# reach both routes through the streams and call none of them
+from .eavesdrop import analyze_eavesdropping, distinguishability  # noqa: F401
+from .engine import run_oracle  # noqa: F401
+from .linalg import norms_squared
 
 TELEPORT_HEADER = ("record", "l", "m", "branch", "probability", "fidelity")
 
@@ -77,47 +98,121 @@ def build_scenario(spec: RunSpec, theta: float | None = None) -> ScenarioConfig:
     )
 
 
-def _cross_check(
-    oracle: BranchTable, blocks: Iterator[tuple[tuple[object, object], np.ndarray]], tolerance: float
-) -> tuple[float, float]:
-    """Compare the transfer stream with the oracle table, block by block.
+@dataclass(frozen=True, eq=False)
+class _RoutePass:
+    """What one zipped pass over both routes keeps: ``(K, M)`` and ``(L, M)`` arrays.
 
-    Returns the largest amplitude and probability deviations.
+    ``probabilities`` and ``fidelities`` are the oracle's, one row per
+    branch pair ``keys[k]`` and one column per Bell outcome ``tap.labels[m]``;
+    ``cells`` sums the probabilities over receiver branches into the tap's
+    ``(l, m)`` cells, and ``tap`` is the transfer route's tally of the same
+    cells.  ``deviations`` holds the largest amplitude, probability and
+    total-fidelity deviations between the routes.
     """
-    streamed: list[tuple[object, tuple[int, ...]]] = []  # key and shape of each block seen
 
-    def tally() -> Iterator[tuple[tuple[object, object], np.ndarray]]:
-        for key, block in blocks:
-            streamed.append((key, block.shape))
+    keys: tuple[tuple[object, object], ...]
+    probabilities: np.ndarray  # (K, M)
+    fidelities: np.ndarray  # (K, M)
+    total_fidelity: float
+    cells: np.ndarray  # (L, M)
+    tap: EavesdropReport
+    deviations: tuple[float, float, float]
+
+
+def _zipped_pass(scenario: ScenarioConfig, transfer: BlockStream, tolerance: float) -> _RoutePass:
+    """Zip the oracle stream with ``transfer`` once, checking every invariant on the way.
+
+    ``transfer`` is the transfer route's stream for the scenario's input,
+    such as `fast_run` yields.  Raises `InvariantViolation` when the routes
+    differ in layout, in one branch, in one tap cell or in total fidelity;
+    a NaN deviation fails every check.
+    """
+    corrections = scenario.bell.unitaries if scenario.apply_correction else None
+    bras = fidelity_bras(np.asarray(scenario.input_state), corrections)
+    tally = TapTally(scenario)
+    labels = tally.labels
+    probabilities: list[np.ndarray] = []
+    overlaps: list[np.ndarray] = []
+    oracle = oracle_blocks(scenario)
+    # key and shape of every block each route yields, oracle first
+    layouts: tuple[list, list] = ([], [])
+
+    def slow() -> BlockStream:
+        for key, block in oracle:
+            layouts[0].append((key, block.shape))
+            probabilities.append(norms_squared(block))
+            overlaps.append(overlaps_squared(block, bras))
             yield key, block
 
-    stream = tally()
-    deviations = route_deviations(oracle, stream)
+    def quick() -> BlockStream:
+        for key, block in transfer:
+            layouts[1].append((key, block.shape))
+            yield key, block
+            # resumed once the comparison has accepted the block's key
+            tally.add(key[0], block)
+
+    deviations = route_deviations(slow(), quick())
     if deviations is None:
-        for _ in stream:  # the rest of the stream, to count its records
-            pass
-        count = sum(shape[0] for _, shape in streamed)
-        if count != len(oracle):
+        # the rest of both routes, straight from the sources, to count records
+        layouts[0].extend((key, block.shape) for key, block in oracle)
+        layouts[1].extend((key, block.shape) for key, block in transfer)
+        oracle_count, transfer_count = (sum(shape[0] for _, shape in side) for side in layouts)
+        if oracle_count != transfer_count:
             raise InvariantViolation(
-                f"record count mismatch: oracle {len(oracle)} vs transfer {count}"
+                f"record count mismatch: oracle {oracle_count} vs transfer {transfer_count}"
             )
-        # the first block whose key or shape differs: (key, shape) on each side
-        layout = [(key, oracle.blocks.shape[1:]) for key in oracle.keys]
-        slow, quick = next((a, b) for a, b in zip_longest(layout, streamed) if a != b)
-        raise InvariantViolation(f"record label mismatch: oracle block {slow} vs transfer block {quick}")
+        slow_block, quick_block = next((a, b) for a, b in zip_longest(*layouts) if a != b)
+        raise InvariantViolation(
+            f"record label mismatch: oracle block {slow_block} vs transfer block {quick_block}"
+        )
+    keys = tuple(key for key, _ in layouts[0])
     p_dev, a_dev = deviations
     # written as "not within", so a NaN deviation fails too
     failing = np.flatnonzero(~((p_dev <= tolerance) & (a_dev <= tolerance)))
     if failing.size:
         first = failing[0]
-        block, column = divmod(int(first), len(oracle.labels))
-        l, branch = oracle.keys[block]
+        block, column = divmod(int(first), len(labels))
+        l, branch = keys[block]
         raise InvariantViolation(
-            f"routes disagree on branch (m={oracle.labels[column]}, l={l}, b={branch}): "
+            f"routes disagree on branch (m={labels[column]}, l={l}, b={branch}): "
             f"probability deviation {p_dev.flat[first]:.3e}, "
             f"amplitude deviation {a_dev.flat[first]:.3e}"
         )
-    return float(np.max(a_dev)), float(np.max(p_dev))
+
+    probability_table = np.array(probabilities)
+    fidelity_table = conditional_fidelities(np.array(overlaps), probability_table)
+    total_fidelity = float(np.nansum(probability_table * fidelity_table))
+    tap = tally.report()
+    # the tap sees (l, m) only: sum each cell over receiver branches
+    cells = probability_table.reshape(len(tap.tap_labels), -1, len(labels)).sum(axis=1)
+    cell_dev = np.abs(tap.probabilities - cells)
+    failing = np.flatnonzero(~(cell_dev <= tolerance))
+    if failing.size:
+        row, column = divmod(int(failing[0]), len(labels))
+        raise InvariantViolation(
+            f"branch operator probability deviates from oracle by "
+            f"{cell_dev[row, column]:.3e} on (l={tap.tap_labels[row]}, m={labels[column]})"
+        )
+    fidelity_dev = abs(tap.total_fidelity - total_fidelity)
+    if not fidelity_dev <= tolerance:
+        raise InvariantViolation(f"total fidelity routes disagree by {fidelity_dev:.3e}")
+    return _RoutePass(
+        keys=keys,
+        probabilities=probability_table,
+        fidelities=fidelity_table,
+        total_fidelity=total_fidelity,
+        cells=cells,
+        tap=tap,
+        deviations=(float(np.max(a_dev)), float(np.max(p_dev)), fidelity_dev),
+    )
+
+
+def _routes_line(deviations: Iterable[float], tolerance: float) -> str:
+    amplitude, probability, fidelity = deviations
+    return (
+        f"routes: amplitude dev {amplitude:.3e}, probability dev {probability:.3e}, "
+        f"fidelity dev {fidelity:.3e} (tolerance {tolerance:.1e})"
+    )
 
 
 def run_teleport(
@@ -128,48 +223,31 @@ def run_teleport(
     Returns human-readable summary lines for the caller to print.
     """
     scenario = build_scenario(spec)
-    oracle = run_oracle(scenario)
-    amplitude_dev, probability_dev = _cross_check(oracle, fast_run(scenario), tolerance)
-    probabilities = oracle.probabilities
-    fidelities = oracle.fidelities(spec.input_state)
-    total_fidelity = float(np.nansum(probabilities * fidelities))
-    p_l: dict[object, float] = {}  # a tap is the only reference effect a spec sets
-    if spec.eavesdrop is not None:
-        tap_report = analyze_eavesdropping(scenario)
-        tap = tap_report.probabilities
-        # the tap sees (l, m) only: sum each cell over receiver branches
-        cells = probabilities.reshape(tap.shape[0], -1, tap.shape[1]).sum(axis=1)
-        p_l = dict(zip(tap_report.tap_labels, cells.sum(axis=1).tolist()))
-        cell_dev = np.abs(tap - cells)
-        failing = np.flatnonzero(~(cell_dev <= tolerance))
-        if failing.size:
-            row, column = divmod(int(failing[0]), tap.shape[1])
-            raise InvariantViolation(
-                f"branch operator probability deviates from oracle by "
-                f"{cell_dev[row, column]:.3e} on "
-                f"(l={tap_report.tap_labels[row]}, m={tap_report.labels[column]})"
-            )
-        deviation = abs(tap_report.total_fidelity - total_fidelity)
-        if not deviation <= tolerance:
-            raise InvariantViolation(f"total fidelity routes disagree by {deviation:.3e}")
+    measured = _zipped_pass(scenario, fast_run(scenario), tolerance)
+    probabilities = measured.probabilities
+    fidelities = measured.fidelities
+    # a tap is the only reference effect a spec sets
+    p_l = {} if spec.eavesdrop is None else dict(
+        zip(measured.tap.tap_labels, measured.cells.sum(axis=1).tolist())
+    )
 
     # rows are formatted as text, one write per block; every label goes
     # through `format_label` once, so the bytes are what csv.writer gives
     stream.write(",".join(TELEPORT_HEADER) + "\n")
-    m_texts = [format_label(m) for m in oracle.labels]
-    for (l, branch), row_p, row_f in zip(oracle.keys, probabilities.tolist(), fidelities.tolist()):
+    m_texts = [format_label(m) for m in measured.tap.labels]
+    for (l, branch), row_p, row_f in zip(measured.keys, probabilities, fidelities):
         prefix = f"outcome,{format_label(l)},"
         b_text = format_label(branch)
         stream.write("".join(
             f"{prefix}{m_text},{b_text},{p:.12g},{'' if isnan(f) else f'{f:.12g}'}\n"
-            for m_text, p, f in zip(m_texts, row_p, row_f)
+            for m_text, p, f in zip(m_texts, row_p.tolist(), row_f.tolist())
         ))
     total_probability = float(probabilities.sum())
     stream.write("".join([
         *(f"p_l,{format_label(label)},,,{value:.12g},\n" for label, value in p_l.items()),
         *(f"p_m,,{m_text},,{value:.12g},\n"
           for m_text, value in zip(m_texts, probabilities.sum(axis=0).tolist())),
-        f"total,,,,{total_probability:.12g},{total_fidelity:.12g}\n",
+        f"total,,,,{total_probability:.12g},{measured.total_fidelity:.12g}\n",
     ]))
 
     summary = [
@@ -180,11 +258,10 @@ def run_teleport(
             if spec.eavesdrop is not None and spec.eavesdrop.theta is not None
             else ""
         ),
-        f"records: {len(oracle)} ({int(np.isnan(fidelities).sum())} null), "
+        f"records: {probabilities.size} ({int(np.isnan(fidelities).sum())} null), "
         f"probability sum {format_number(total_probability)}",
-        f"average output fidelity: {format_number(total_fidelity)}",
-        f"routes: amplitude dev {amplitude_dev:.3e}, probability dev {probability_dev:.3e} "
-        f"(tolerance {tolerance:.1e})",
+        f"average output fidelity: {format_number(measured.total_fidelity)}",
+        _routes_line(measured.deviations, tolerance),
     ]
     return summary
 
@@ -198,23 +275,37 @@ def _sweep_grid(spec: RunSpec) -> list[float]:
     return [float(t) for t in np.linspace(start, stop, steps)]
 
 
-def _sweep_point(spec: RunSpec, theta: float, tolerance: float) -> tuple[float, float]:
+def _sweep_point(
+    spec: RunSpec, theta: float, tolerance: float
+) -> tuple[float, float, tuple[float, float, float]]:
+    """Total fidelity, guessing advantage and route deviations at one tap strength.
+
+    One kernel call over the stacked inputs ``[psi, first, second]`` feeds
+    both: column 0 is zipped with the oracle stream, and columns 1 and 2
+    fill the distinguished pair's ``(l, m)`` cells, summed over receiver
+    branches, which a closed receiver effect leaves unchanged.
+    """
     scenario = build_scenario(spec, theta=theta)
-    report = analyze_eavesdropping(scenario)
-    oracle = run_oracle(scenario)
-    oracle_probability = float(oracle.probabilities.sum())
-    oracle_fidelity = float(np.nansum(oracle.probabilities * oracle.fidelities(spec.input_state)))
-    if not abs(oracle_probability - 1.0) <= tolerance:
-        raise InvariantViolation(
-            f"theta={theta:.6f}: oracle probabilities sum to {oracle_probability!r}"
-        )
-    if not abs(oracle_fidelity - report.total_fidelity) <= tolerance:
-        raise InvariantViolation(
-            f"theta={theta:.6f}: fidelity routes disagree by "
-            f"{abs(oracle_fidelity - report.total_fidelity):.3e}"
-        )
     (_, first), (_, second) = spec.distinguish
-    return report.total_fidelity, distinguishability(scenario, first, second)
+    inputs = np.array([scenario.input_state, first, second], dtype=complex)
+    rows = {label: row for row, (label, _) in enumerate(effect_branches(scenario.effect_r, spec.n))}
+    pair = np.zeros((len(rows), len(scenario.bell.outcomes), 2))
+
+    def transfer() -> BlockStream:
+        for l, branch, amps in transfer_kernel(scenario, inputs):
+            # whole and contiguous: every product on a strided column costs
+            # about three times as much
+            pair[rows[l]] += norms_squared(amps)[:, 1:]
+            yield (l, branch), amps[:, 0].copy()
+
+    try:
+        measured = _zipped_pass(scenario, transfer(), tolerance)
+        probability = float(measured.probabilities.sum())
+        if not abs(probability - 1.0) <= tolerance:
+            raise InvariantViolation(f"oracle probabilities sum to {probability!r}")
+    except InvariantViolation as exc:
+        raise InvariantViolation(f"theta={theta:.6f}: {exc}") from None
+    return measured.tap.total_fidelity, guessing_advantage(pair), measured.deviations
 
 
 def run_sweep(
@@ -225,7 +316,7 @@ def run_sweep(
     points = [_sweep_point(spec, theta, tolerance) for theta in grid]
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(SWEEP_HEADER)
-    for theta, (fidelity, advantage) in zip(grid, points):
+    for theta, (fidelity, advantage, _) in zip(grid, points):
         writer.writerow(
             (format_number(theta), format_number(fidelity), format_number(advantage))
         )
@@ -236,5 +327,7 @@ def run_sweep(
         f"distinguish pair: {labels}",
         f"fidelity {format_number(points[0][0])} -> {format_number(points[-1][0])}, "
         f"leakage {format_number(points[0][1])} -> {format_number(points[-1][1])}",
+        # the largest of each deviation over the grid
+        _routes_line(np.max([deviations for _, _, deviations in points], axis=0), tolerance),
     ]
     return summary

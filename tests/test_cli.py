@@ -72,12 +72,24 @@ def test_teleport_reports_route_deviations_on_stderr_only(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == EXPECTED_TAP_CSV
     assert "routes:" not in captured.out
-    line = captured.err.splitlines()[-1]
-    match = re.fullmatch(
-        r"routes: amplitude dev (\S+), probability dev (\S+) \(tolerance 1\.0e-09\)", line
-    )
+    assert_routes_line(captured.err.splitlines()[-1], "1\\.0e-09")
+
+
+ROUTES = r"routes: amplitude dev (\S+), probability dev (\S+), fidelity dev (\S+) \(tolerance {}\)"
+
+
+def assert_routes_line(line: str, tolerance: str) -> None:
+    match = re.fullmatch(ROUTES.format(tolerance), line)
     assert match is not None, line
-    assert all(0.0 <= float(dev) <= 1e-9 for dev in match.groups())
+    assert all(0.0 <= float(dev) <= 1e-10 for dev in match.groups())
+
+
+def test_sweep_reports_route_deviations_on_stderr_only(tmp_path, capsys):
+    config = write(tmp_path, "sweep.yaml", SWEEP_CONFIG)
+    assert cli.main(["sweep", "--config", config]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == EXPECTED_SWEEP_CSV
+    assert_routes_line(captured.err.splitlines()[-1], "1\\.0e-10")
 
 
 def test_teleport_stdout_default(tmp_path, capsys):

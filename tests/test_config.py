@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from teleportsim import cli
 from teleportsim.config import ConfigError, load_config, parse_config
 from teleportsim.effects import EffectOperator
 
@@ -262,3 +263,48 @@ def test_shipped_sample_configs_parse():
     assert sweep.eavesdrop.sweep == (0.0, 1.0, 11)
     noisy = load_config(str(root / "sample_noisy_receiver.yaml"))
     assert isinstance(noisy.effect_b, tuple) and len(noisy.effect_b) == 2
+
+
+# more digits than Python reads into an int (sys.get_int_max_str_digits())
+UNREADABLE = "1" + "0" * 5000
+
+
+@pytest.mark.parametrize(
+    "text,needle",
+    [
+        (
+            f"n: 2\ninput: plus-uniform\neavesdrop:\n  theta_sweep: [0, 1, {UNREADABLE}]\n",
+            "eavesdrop.theta_sweep[2]: integer of 5001 characters is too long to read (line 4, column 23)",
+        ),
+        (
+            f"n: 2\ninput: plus-uniform\neavesdrop:\n  theta: 0.5\n  seed: {UNREADABLE}\n",
+            "eavesdrop.seed: integer of 5001 characters is too long to read (line 5, column 9)",
+        ),
+        (
+            f"n: 2\ninput: [1, [0, {UNREADABLE}]]\n",
+            "input[1][1]: integer of 5001 characters",
+        ),
+        (f"{UNREADABLE}\n", "document: integer of 5001 characters"),
+    ],
+    ids=["theta-sweep-steps", "eavesdrop-seed", "amplitude-part", "document"],
+)
+def test_unreadable_integer_names_the_field(text, needle):
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(text)
+    assert str(excinfo.value).startswith(needle)
+
+
+@pytest.mark.parametrize("command", ["teleport", "sweep"])
+@pytest.mark.parametrize("field", ["theta_sweep: [0, 1, {}]", "theta: 0.5\n  seed: {}"])
+def test_unreadable_integer_exits_one_with_one_error_line(command, field, tmp_path, capsys):
+    path = tmp_path / "run.yaml"
+    path.write_text(
+        "n: 2\ninput: plus-uniform\neavesdrop:\n  " + field.format(UNREADABLE) + "\n",
+        encoding="utf-8",
+    )
+    assert cli.main([command, "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: eavesdrop.")
+    assert "too long to read" in lines[0] and "Traceback" not in captured.err

@@ -11,6 +11,7 @@ from teleportsim.eavesdrop import (
     analyze_eavesdropping,
     distinguishability,
     eavesdrop_operator,
+    guessing_advantage,
     projective_case_analysis,
     sequential_decomposition_check,
 )
@@ -21,8 +22,8 @@ from teleportsim.effects import (
     make_measurement_family,
     strength_family,
 )
-from teleportsim.engine import NULL_BRANCH_EPS, make_scenario, run_oracle
-from teleportsim.linalg import basis_state, dagger, hermiticity_deviation, uniform_state
+from teleportsim.engine import NULL_BRANCH_EPS, make_scenario, run_oracle, transfer_kernel
+from teleportsim.linalg import basis_state, dagger, hermiticity_deviation, norms_squared, uniform_state
 from teleportsim.sampling import random_state, random_unitary
 
 from oracles import closed_form_uniform_fidelity
@@ -253,6 +254,34 @@ def test_distinguishability_basis_pair_scales_with_strength():
         assert advantage == pytest.approx(theta / 2, abs=1e-12)
         assert distinguishability(config, one, zero) == advantage
         assert distinguishability(config, zero, zero) == 0.0
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_receiver_branches_sum_to_the_tap_cells(dim):
+    # the sweep reads the pair's cells off the receiver=True kernel, summed
+    # over receiver branches; a closed two-Kraus receiver must leave them
+    # where the receiver=False kernel puts them
+    rng = np.random.default_rng(70 + dim)
+    isometry = random_unitary(2 * dim, rng)[:, :dim]
+    config = make_scenario(
+        dim,
+        random_state(dim, rng),
+        u0=random_unitary(dim, rng),
+        effect_r=strength_family(dim, 0.6, random_unitary(dim, rng)),
+        effect_b=kraus_mixture([isometry[:dim], isometry[dim:]]),
+    )
+    states = np.array([random_state(dim, rng), random_state(dim, rng)])
+    alone = {l: norms_squared(amps) for l, _, amps in transfer_kernel(config, states, receiver=False)}
+    summed = {l: np.zeros_like(cells) for l, cells in alone.items()}
+    count = 0
+    for l, _, amps in transfer_kernel(config, states):
+        summed[l] += norms_squared(amps)
+        count += 1
+    assert count == 2 * dim
+    for l, cells in alone.items():
+        assert np.max(np.abs(summed[l] - cells)) <= 1e-15
+    advantage = guessing_advantage(np.array(list(summed.values())))
+    assert advantage == pytest.approx(distinguishability(config, *states), abs=1e-15)
 
 
 def test_distinguishability_blind_to_conjugate_basis():

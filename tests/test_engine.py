@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from teleportsim import engine
 from teleportsim.bell import make_bell_family, weyl_unitary
+from teleportsim.config import parse_config
 from teleportsim.effects import (
     kraus_mixture,
     make_measurement_family,
@@ -19,11 +22,13 @@ from teleportsim.engine import (
     fast_run,
     ideal_decomposition_check,
     make_scenario,
+    oracle_blocks,
     route_deviations,
     run_oracle,
     transfer_operator,
 )
 from teleportsim.linalg import basis_state, dagger, norms_squared, uniform_state
+from teleportsim.runner import run_teleport
 from teleportsim.sampling import random_state, random_unitary
 
 from oracles import brute_teleport, materialized_oracle, stream_records
@@ -365,8 +370,9 @@ def test_whole_table_correction_equals_per_block_products(n, receiver, correct):
 
 
 def test_oracle_allocation_peak_stays_near_its_table():
-    # the table is 16 MB at n = 32: an out-of-place bras expression or a
-    # whole-table norms_squared adds a table-sized temporary and trips this
+    # the table is 16 MB at n = 32: beside it run_oracle holds one chunk of
+    # bras (1 MB), the (M, n) bra on R and a block; the whole (M, n**2) bra
+    # stack or a whole-table norms_squared would add 16 MB and trip this
     config = _fourier_tap(32)
     tracemalloc.start()
     try:
@@ -374,24 +380,94 @@ def test_oracle_allocation_peak_stays_near_its_table():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2.2 * table.blocks.nbytes
+    assert peak <= 1.2 * table.blocks.nbytes
+
+
+def _block_bytes(n: int) -> int:
+    """Bytes of one (M, n) complex block of a Weyl family, M = n**2."""
+    return n * n * n * 16
 
 
 @pytest.mark.parametrize("correct", [True, False])
-def test_route_comparison_holds_a_few_blocks_beyond_the_oracle_table(correct):
-    # the transfer route is a stream compared block by block: beyond the
-    # oracle table it holds a few (M, n) blocks, never a second 16 MB table
+def test_oracle_stream_holds_a_chunk_of_bras_and_its_relative_bra(correct):
+    # beyond one chunk of bras the oracle stream holds the (M, n) bra on R
+    # and the block it yields (and the one its consumer still holds); the
+    # (M, n**2) bra stack alone would take 16 MB
     config = _fourier_tap(32, correct=correct)
-    table = run_oracle(config)
-    block_bytes = table.blocks[0].nbytes
+    block_bytes = _block_bytes(32)
+    chunk_bytes = engine._BRA_CHUNK * 32 * 32 * 16
     tracemalloc.start()
     try:
-        deviations = route_deviations(table, fast_run(config))
+        count = sum(1 for _ in oracle_blocks(config))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == 32
+    assert peak <= chunk_bytes + 2 * block_bytes
+
+
+def test_oracle_stream_is_the_same_bits_in_any_chunking(monkeypatch):
+    # the chunk size only bounds memory: every chunk is the same batched
+    # product on a slice of the family
+    config = _fourier_tap(16, _damping(16))
+    chunked = list(oracle_blocks(config))
+    assert len(config.bell.outcomes) > engine._BRA_CHUNK
+    monkeypatch.setattr(engine, "_BRA_CHUNK", len(config.bell.outcomes))
+    whole = list(oracle_blocks(config))
+    assert [key for key, _ in chunked] == [key for key, _ in whole]
+    assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(chunked, whole))
+
+
+@pytest.mark.parametrize("correct", [True, False])
+def test_route_comparison_holds_a_few_blocks_of_each_stream(correct):
+    # both routes are streams compared block by block: with the oracle's
+    # chunk of bras they hold a few (M, n) blocks, never a 16 MB table
+    config = _fourier_tap(32, correct=correct)
+    block_bytes = _block_bytes(32)
+    chunk_bytes = engine._BRA_CHUNK * 32 * 32 * 16
+    tracemalloc.start()
+    try:
+        deviations = route_deviations(oracle_blocks(config), fast_run(config))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert deviations is not None and np.max(deviations[1]) < 1e-12
-    assert peak <= 6 * block_bytes
+    assert deviations[0].shape == (32, 1024)
+    assert peak <= chunk_bytes + 7 * block_bytes
+
+
+def test_teleport_run_keeps_blocks_and_reductions_only():
+    # a run at n = 32 holds the (M, n) blocks and bras of both routes and
+    # its (K, M) and (L, M) reductions, about 7 MB with the CSV text; the
+    # oracle table alone would be 16 MB
+    spec = parse_config(
+        "n: 32\ninput: random:3\nu0: identity\nbell: weyl\n"
+        "eavesdrop:\n  basis: fourier\n  theta: 0.5\n"
+    )
+    block_bytes = _block_bytes(32)
+    row_bytes = 32 * 1024 * 8  # one (K, M) float array
+    stream = io.StringIO()
+    tracemalloc.start()
+    try:
+        run_teleport(spec, stream)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert stream.getvalue().count("\noutcome,") == 32 * 1024
+    assert peak <= 10 * block_bytes + 12 * row_bytes  # 8 MB, half the table
+
+
+def test_route_deviations_refuse_streams_that_part():
+    config = _fourier_tap(3, _damping(3))
+    blocks = list(fast_run(config))
+    (key, block) = blocks[1]
+    assert route_deviations(iter(blocks), oracle_blocks(config)) is not None
+    assert route_deviations(iter(blocks[:-1]), oracle_blocks(config)) is None
+    assert route_deviations(iter(blocks + blocks[-1:]), oracle_blocks(config)) is None
+    renamed = blocks[:1] + [(("x", key[1]), block)] + blocks[2:]
+    assert route_deviations(iter(renamed), oracle_blocks(config)) is None
+    reshaped = blocks[:1] + [(key, block[:-1])] + blocks[2:]
+    assert route_deviations(oracle_blocks(config), iter(reshaped)) is None
 
 
 def test_fidelities_need_no_corrected_table():

@@ -1,7 +1,8 @@
-"""The run driver refuses to write a table its two routes disagree on.
+"""The run drivers refuse to write a table their two routes disagree on.
 
-Each test patches one route by name in `teleportsim.runner` and checks
-that `run_teleport` raises `InvariantViolation` before the first CSV row.
+Each test patches one route, or the transfer route's tap fold, by name in
+`teleportsim.runner` and checks that `run_teleport` or `run_sweep` raises
+`InvariantViolation` before the first CSV row.
 """
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ import pytest
 from teleportsim import engine, runner
 from teleportsim.bell import make_bell_family, weyl_unitary
 from teleportsim.config import parse_config
+from teleportsim.eavesdrop import TapTally
 from teleportsim.linalg import dagger
 from teleportsim.runner import InvariantViolation, run_teleport
 from teleportsim.verify import run_verification
@@ -33,14 +35,21 @@ def refused(match: str) -> None:
     assert stream.getvalue() == ""
 
 
+def patched_tally(monkeypatch, report=None, add=None) -> None:
+    """Patch the transfer route's tap fold: ``report(r)`` edits its report, ``add`` its blocks."""
+
+    class Patched(TapTally):
+        def add(self, l, block):
+            super().add(l, block if add is None else add(block))
+
+        def report(self):
+            return super().report() if report is None else report(super().report())
+
+    monkeypatch.setattr(runner, "TapTally", Patched)
+
+
 def test_tap_total_fidelity_mismatch_writes_nothing(monkeypatch):
-    analyze = runner.analyze_eavesdropping
-
-    def shifted(scenario):
-        report = analyze(scenario)
-        return replace(report, total_fidelity=report.total_fidelity + 1e-6)
-
-    monkeypatch.setattr(runner, "analyze_eavesdropping", shifted)
+    patched_tally(monkeypatch, lambda r: replace(r, total_fidelity=r.total_fidelity + 1e-6))
     refused("total fidelity routes disagree by 1.000e-06")
 
 
@@ -98,25 +107,24 @@ def test_cross_check_catches_rotated_labels(monkeypatch):
     )
 
 
+def test_cross_check_names_an_unknown_tap_label(monkeypatch):
+    # a label the tap does not have is a layout mismatch, not a tally error
+    def renamed(index, key, block):
+        yield (("x", key[1]) if index == 1 else key), block
+
+    faulty_stream(monkeypatch, renamed)
+    refused(
+        r"record label mismatch: oracle block \(\(0, 1\), \(4, 2\)\) "
+        r"vs transfer block \(\('x', 1\), \(4, 2\)\)"
+    )
+
+
 def test_tap_cell_mismatch_writes_nothing(monkeypatch):
-    # both routes move together, so only the tap comparison can object:
-    # outcome (1, 1) of every block grows by a factor 1 + 1e-6 in probability
+    # both routes agree block by block, so only the tap comparison can object:
+    # the tap fold sees outcome (1, 1) of every block grown by a factor
+    # 1 + 1e-6 in probability
     scale = np.sqrt(np.array([1.0, 1.0, 1.0, 1.0 + 1e-6]))[:, None]
-    route = runner.run_oracle
-
-    def skewed_table(scenario):
-        table = route(scenario)
-        blocks = table.blocks * scale
-        probabilities = table.probabilities * scale[:, 0] ** 2
-        blocks.setflags(write=False)
-        probabilities.setflags(write=False)
-        return replace(table, blocks=blocks, probabilities=probabilities)
-
-    def skewed_block(index, key, block):
-        yield key, block * scale
-
-    monkeypatch.setattr(runner, "run_oracle", skewed_table)
-    faulty_stream(monkeypatch, skewed_block)
+    patched_tally(monkeypatch, add=lambda block: block * scale)
     refused(r"branch operator probability deviates from oracle by .* on \(l=0, m=\(1, 1\)\)")
 
 
@@ -131,38 +139,49 @@ def test_cross_check_fails_on_a_nan_amplitude(monkeypatch):
 
 
 def test_tap_checks_fail_on_nan(monkeypatch):
-    analyze = runner.analyze_eavesdropping
-
-    def poisoned(scenario):
-        report = analyze(scenario)
+    def poisoned(report):
         probabilities = report.probabilities.copy()
         probabilities[1, 3] = np.nan
         return replace(report, probabilities=probabilities)
 
-    monkeypatch.setattr(runner, "analyze_eavesdropping", poisoned)
+    patched_tally(monkeypatch, poisoned)
     refused(r"branch operator probability deviates from oracle by nan on \(l=1, m=\(1, 1\)\)")
-    monkeypatch.setattr(
-        runner,
-        "analyze_eavesdropping",
-        lambda scenario: replace(analyze(scenario), total_fidelity=float("nan")),
-    )
+    patched_tally(monkeypatch, lambda r: replace(r, total_fidelity=float("nan")))
     refused("total fidelity routes disagree by nan")
 
 
+SWEEP = parse_config(
+    "n: 2\ninput: plus-uniform\neavesdrop:\n  theta_sweep: [0, 1, 3]\n"
+    "distinguish:\n  - basis:0\n  - basis:1\n"
+)
+
+
 def test_sweep_point_fails_on_nan_fidelity(monkeypatch):
-    analyze = runner.analyze_eavesdropping
-    monkeypatch.setattr(
-        runner,
-        "analyze_eavesdropping",
-        lambda scenario: replace(analyze(scenario), total_fidelity=float("nan")),
-    )
-    spec = parse_config(
-        "n: 2\ninput: plus-uniform\neavesdrop:\n  theta_sweep: [0, 1, 3]\n"
-        "distinguish:\n  - basis:0\n  - basis:1\n"
-    )
+    patched_tally(monkeypatch, lambda r: replace(r, total_fidelity=float("nan")))
     stream = io.StringIO()
-    with pytest.raises(InvariantViolation, match="fidelity routes disagree by nan"):
-        runner.run_sweep(spec, stream)
+    with pytest.raises(InvariantViolation, match=r"theta=0\.000000: total fidelity routes disagree by nan"):
+        runner.run_sweep(SWEEP, stream)
+    assert stream.getvalue() == ""
+
+
+def test_sweep_compares_the_routes_block_by_block(monkeypatch):
+    # the sweep zips column 0 of its stacked kernel call with the oracle
+    # stream, so a moved oracle amplitude is caught at the first tap strength
+    route = runner.oracle_blocks
+
+    def moved(scenario):
+        for index, (key, block) in enumerate(route(scenario)):
+            if index == 1:
+                block = block.copy()
+                block[2, 0] += 1e-6
+            yield key, block
+
+    monkeypatch.setattr(runner, "oracle_blocks", moved)
+    stream = io.StringIO()
+    with pytest.raises(
+        InvariantViolation, match=r"theta=0\.000000: routes disagree on branch \(m=\(1, 0\), l=1, b=None\)"
+    ):
+        runner.run_sweep(SWEEP, stream)
     assert stream.getvalue() == ""
 
 
