@@ -6,17 +6,16 @@ the branch operators ``P(l, m)``, which act on the input alone: they are
 the transfer operators of the tap, so every quantity here is a reduction
 of `teleportsim.engine.transfer_kernel` over the family's outcome stack,
 and no ``P(l, m)`` is built as a matrix except by `eavesdrop_operator`.
-`TapTally` folds the transfer route's blocks into ``(L, M)`` cells, tap
-branch by Bell outcome, one block at a time, so the run drivers tally the
-stream they already compare with the oracle; `analyze_eavesdropping` is
-that fold over `teleportsim.engine.fast_run`.  A marginal is a sum of the
+`tap_report` sums either route's ``(K, M)`` branch arrays into the tap's
+``(L, M)`` cells, tap branch by Bell outcome, so the run drivers reduce
+both routes they compare alike; `analyze_eavesdropping` is that reduction
+over `teleportsim.engine.fast_run`.  A marginal is a sum of the
 probability array over one axis.  The module also holds the paper's
 projective special case (`projective_case_analysis`), the guessing
-advantage between two inputs (`distinguishability`, reduced by
-`guessing_advantage`) and the sequential decomposition check.  The
-probabilities predicted here must agree with the oracle's
-(`teleportsim.engine.oracle_blocks`); the run drivers and the
-verification suite enforce that, and verify checks that every
+advantage between two inputs (`distinguishability`) and the sequential
+decomposition check.  The probabilities predicted here must agree with
+the oracle's (`teleportsim.engine.oracle_blocks`); the run drivers and
+the verification suite enforce that, and verify checks that every
 ``P(l, m)`` is Hermitian.
 """
 from __future__ import annotations
@@ -32,6 +31,7 @@ from .engine import (
     ScenarioConfig,
     conditional_fidelities,
     fast_run,
+    fidelity_bras,
     mirror_effect,
     overlaps_squared,
     transfer_kernel,
@@ -96,56 +96,43 @@ def expected_marginal_l(config: ScenarioConfig) -> dict[int | str, float]:
     }
 
 
-class TapTally:
-    """The tap report folded over transfer blocks, one block at a time.
+def tap_report(
+    config: ScenarioConfig, probabilities: np.ndarray, overlaps_sq: np.ndarray
+) -> EavesdropReport:
+    """Reduce one route's ``(K, M)`` branch arrays to the tap report.
 
-    `add` takes the ``(M, n)`` block of reference branch ``l`` that
-    `teleportsim.engine.fast_run` yields for the scenario's input and adds
-    its share to the ``(l, m)`` cells; `report` reads the sums and ends the
-    fold.  The reference effect may be any effect, not only a tap: each
-    branch label is one row.  With a receiver effect ``F_b`` every cell
-    sums its branches ``T = U(m) F_b U(m)^-1 P(l, m)``, the operators the
-    oracle applies.
+    ``probabilities`` and ``overlaps_sq`` hold the squared norms and
+    `teleportsim.engine.overlaps_squared` of the blocks of either route,
+    one row per reference and receiver branch pair in stream order.  Each
+    ``(l, m)`` cell sums its receiver branches.  The reference effect may
+    be any effect, not only a tap: each branch label is one row.
     """
-
-    def __init__(self, config: ScenarioConfig) -> None:
-        bell = config.bell
-        self.tap_labels = tuple(label for label, _ in effect_branches(config.effect_r, config.dim))
-        self.labels = tuple(o.label for o in bell.outcomes)
-        self._rows = {label: row for row, label in enumerate(self.tap_labels)}
-        # <psi| T psi> = <U(m)^-1 psi| U(m)^-1 T psi>, the kernel's row m
-        self._bras = apply_each_inverse(bell.unitaries, np.asarray(config.input_state)).conj()
-        self._probabilities = np.zeros((len(self.tap_labels), len(self.labels)))
-        self._overlaps_sq = np.zeros_like(self._probabilities)
-
-    def add(self, l: int | str | None, block: np.ndarray) -> None:
-        row = self._rows[l]
-        self._probabilities[row] += norms_squared(block)
-        self._overlaps_sq[row] += overlaps_squared(block, self._bras)
-
-    def report(self) -> EavesdropReport:
-        probabilities = self._probabilities  # read-only from here: the fold ends
-        fidelities = conditional_fidelities(self._overlaps_sq, probabilities)
-        probabilities.setflags(write=False)
-        fidelities.setflags(write=False)
-        return EavesdropReport(
-            tap_labels=self.tap_labels,
-            labels=self.labels,
-            probabilities=probabilities,
-            fidelities=fidelities,
-            # a sequential sum in table order: the sweep CSV prints this value,
-            # and numpy's pairwise summation would move its last digits
-            total_fidelity=float(np.cumsum(self._overlaps_sq)[-1]),
-        )
+    tap_labels = tuple(label for label, _ in effect_branches(config.effect_r, config.dim))
+    shape = (len(tap_labels), -1, probabilities.shape[-1])
+    cells = probabilities.reshape(shape).sum(axis=1)
+    overlaps = overlaps_sq.reshape(shape).sum(axis=1)
+    fidelities = conditional_fidelities(overlaps, cells)
+    cells.setflags(write=False)
+    fidelities.setflags(write=False)
+    return EavesdropReport(
+        tap_labels=tap_labels,
+        labels=tuple(o.label for o in config.bell.outcomes),
+        probabilities=cells,
+        fidelities=fidelities,
+        # a sequential sum in table order, the same on both routes: numpy's
+        # pairwise summation would move the last digits the CSVs print
+        total_fidelity=float(np.cumsum(overlaps)[-1]),
+    )
 
 
 def analyze_eavesdropping(config: ScenarioConfig) -> EavesdropReport:
-    """Build the full per-branch report for one tapped scenario: `TapTally` over `fast_run`."""
+    """Build the full per-branch report for one tapped scenario: `tap_report` over `fast_run`."""
     _tap_family(config)
-    tally = TapTally(config)
-    for (l, _), block in fast_run(config):
-        tally.add(l, block)
-    return tally.report()
+    bras = fidelity_bras(np.asarray(config.input_state), config.corrections)
+    probabilities, overlaps_sq = zip(
+        *((norms_squared(block), overlaps_squared(block, bras)) for _, block in fast_run(config))
+    )
+    return tap_report(config, np.array(probabilities), np.array(overlaps_sq))
 
 
 def sequential_decomposition_check(config: ScenarioConfig) -> DecompositionReport:
@@ -237,16 +224,7 @@ def distinguishability(config: ScenarioConfig, first: np.ndarray, second: np.nda
     _tap_family(config)
     states = np.array([first, second], dtype=complex)
     # row (l, m) holds the cell probability of each input, tap label major
-    return guessing_advantage(np.concatenate(
+    cells = np.concatenate(
         [norms_squared(amps) for _, _, amps in transfer_kernel(config, states, receiver=False)]
-    ))
-
-
-def guessing_advantage(cells: np.ndarray) -> float:
-    """Half the total-variation distance between two inputs' cell tables.
-
-    ``cells[..., k]`` holds every ``(l, m)`` cell probability of input
-    ``k``, in one order for both inputs.
-    """
-    tables = cells.reshape(-1, 2).T
-    return 0.25 * float(np.sum(np.abs(tables[0] - tables[1])))
+    )
+    return 0.25 * float(np.sum(np.abs(cells[:, 0] - cells[:, 1])))

@@ -13,11 +13,12 @@ branch pair is then one ``(M, n) @ (n, n)`` product with the disturbed
 resource, and neither an n**3 state nor the ``(M, n**2)`` bra stack is
 held.  `fast_run` applies the per-outcome transfer operator on the input
 alone, through `transfer_kernel`, which also feeds every tap quantity in
-`teleportsim.eavesdrop`.  `route_deviations` zips the two streams and
-compares them block by block, so a caller that consumes both holds a few
-blocks and its ``(K, M)`` reductions, never a table.  `run_oracle`
-collects the oracle stream into a `BranchTable`, which corrects on read,
-for callers that want every block at once.
+`teleportsim.eavesdrop`.  `compare_routes` zips the two streams and
+reduces both alike, block by block, so a caller that consumes both holds
+a few blocks and its ``(K, M)`` reductions, never a table; streams that
+part raise `RouteMismatch`.  `run_oracle` collects the oracle stream into
+a `BranchTable`, which corrects on read, for callers that want every
+block at once.
 """
 from __future__ import annotations
 
@@ -76,6 +77,11 @@ class ScenarioConfig:
     effect_r: EffectSpec = None
     effect_b: EffectSpec = None
     apply_correction: bool = True
+
+    @property
+    def corrections(self) -> np.ndarray | None:
+        """The ``(M, n, n)`` outcome unitaries the receiver applies, ``None`` if it does not."""
+        return self.bell.unitaries if self.apply_correction else None
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -324,23 +330,49 @@ def fast_run(config: ScenarioConfig) -> BlockStream:
         yield (l_label, b_label), amps[:, 0]
 
 
-def route_deviations(slow: BlockStream, quick: BlockStream) -> tuple[np.ndarray, np.ndarray] | None:
-    """Per-branch ``(K, M)`` probability and largest amplitude deviations of two streams.
+class RouteMismatch(ValueError):
+    """Two route streams differ in a key, the block count or a block shape."""
 
-    ``slow`` and ``quick`` are streams such as `oracle_blocks` and
-    `fast_run` yield, zipped and compared block by block as they arrive;
-    the correction is unitary, so it cannot change a 2-norm deviation.
-    ``None`` when the streams differ in a key, the block count or a block
-    shape; the comparison then stops where they part.
+
+def compare_routes(
+    oracle: BlockStream, transfer: BlockStream, bras: np.ndarray
+) -> tuple[tuple, tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """Zip two route streams and reduce both alike, block by block as they arrive.
+
+    Returns the keys, both routes' ``(K, M)`` squared norms, both routes'
+    ``(K, M)`` `overlaps_squared` with ``bras``, oracle first, and the
+    ``(K, M)`` largest amplitude deviation of every branch.  The
+    correction is unitary, so it cannot change a 2-norm deviation.  When
+    the streams part, both are drained to name the difference in
+    `RouteMismatch`: the record counts if they differ, else the first
+    ``(key, shape)`` the routes disagree on.  The message says "oracle"
+    for ``oracle`` and "transfer" for ``transfer``.
     """
-    probability = []
+    oracle, transfer = iter(oracle), iter(transfer)
+    layouts: tuple[list, list] = ([], [])  # (key, shape) of every block, oracle first
+    norms: tuple[list, list] = ([], [])
+    overlaps: tuple[list, list] = ([], [])
     amplitude = []
-    for (key, block), (other, twin) in zip_longest(slow, quick, fillvalue=(None, None)):
-        if key != other or block is None or twin is None or block.shape != twin.shape:
-            return None
-        amplitude.append(np.max(np.abs(block - twin), axis=1))
-        probability.append(np.abs(norms_squared(block) - norms_squared(twin)))
-    return np.array(probability), np.array(amplitude)
+    for pair in zip_longest(oracle, transfer, fillvalue=(None, None)):
+        for layout, (key, block) in zip(layouts, pair):
+            if block is not None:
+                layout.append((key, block.shape))
+        if len(layouts[0]) != len(layouts[1]) or layouts[0][-1] != layouts[1][-1]:
+            # the rest of both routes, to count their records
+            for layout, rest in zip(layouts, (oracle, transfer)):
+                layout.extend((key, block.shape) for key, block in rest)
+            counts = [sum(shape[0] for _, shape in layout) for layout in layouts]
+            if counts[0] != counts[1]:
+                raise RouteMismatch(f"record count mismatch: oracle {counts[0]} vs transfer {counts[1]}")
+            first, second = next((a, b) for a, b in zip_longest(*layouts) if a != b)
+            raise RouteMismatch(f"record label mismatch: oracle block {first} vs transfer block {second}")
+        for side, (_, block) in enumerate(pair):
+            norms[side].append(norms_squared(block))
+            overlaps[side].append(overlaps_squared(block, bras))
+        amplitude.append(np.max(np.abs(pair[0][1] - pair[1][1]), axis=1))
+        del pair, block  # neither route builds its next block while this pair is held
+    keys = tuple(key for key, _ in layouts[0])
+    return keys, tuple(map(np.array, norms)), tuple(map(np.array, overlaps)), np.array(amplitude)
 
 
 def ideal_decomposition_check(config: ScenarioConfig) -> float:
@@ -377,7 +409,7 @@ def _table(config: ScenarioConfig, blocks: BlockStream) -> BranchTable:
         tuple(o.label for o in bell.outcomes),
         stored,
         probabilities,
-        bell.unitaries if config.apply_correction else None,
+        config.corrections,
     )
 
 

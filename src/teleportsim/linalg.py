@@ -87,7 +87,8 @@ def apply_each_inverse(ops: np.ndarray, vecs: np.ndarray) -> np.ndarray:
 
 def norms_squared(vecs: np.ndarray) -> np.ndarray:
     """Squared norm of each vector along the last axis."""
-    return np.einsum("...i,...i->...", vecs.conj(), vecs).real
+    # a copy, not a view: a kept row would hold its complex sums alive
+    return np.einsum("...i,...i->...", vecs.conj(), vecs).real.copy()
 
 
 def transpose_in_basis(mat: np.ndarray) -> np.ndarray:

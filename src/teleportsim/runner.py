@@ -2,49 +2,45 @@
 
 Every quantity written out is computed twice: once through the transfer
 kernel and once through the full-state oracle.  Both routes are streams
-of ``(M, n)`` blocks, and one pass zips them: `route_deviations` compares
-each pair of blocks as it arrives, the oracle block leaves its branch
-probabilities and fidelities behind, and the transfer block its share of
-the tap cells and of the tap total fidelity (`TapTally`).  A run keeps
-only those ``(K, M)`` and ``(L, M)`` reductions, never a table of blocks.
-Every written number is a reduction of the oracle's arrays, and the
-summary ends with the measured route deviations.  A mismatch beyond the
-run tolerance raises `InvariantViolation` before the first row is
-written, instead of writing a plausible-looking but wrong table.  Output
-is deterministic down to the byte for a fixed spec.
+of ``(M, n)`` blocks, and one pass zips them: `compare_routes` reduces
+both alike to ``(K, M)`` squared norms and overlaps and measures the
+amplitude deviation of every branch, and `tap_report` sums each route's
+arrays into the tap's ``(L, M)`` cells.  A run keeps only those
+reductions, never a table of blocks.  Every written number is a
+reduction of the oracle's arrays, and the summary ends with the measured
+route deviations.  A mismatch beyond the run tolerance raises
+`InvariantViolation` before the first row is written, instead of writing
+a plausible-looking but wrong table.  Output is deterministic down to the
+byte for a fixed spec.
 """
 from __future__ import annotations
 
 import csv
 import io
 from dataclasses import dataclass
-from itertools import zip_longest
 from math import isnan
 from typing import IO, Iterable
 
 import numpy as np
 
 from .config import RunSpec
-from .eavesdrop import EavesdropReport, TapTally, guessing_advantage
-from .effects import effect_branches, strength_family
+from .eavesdrop import EavesdropReport, distinguishability, tap_report
+from .effects import strength_family
 from .engine import (
-    BlockStream,
+    RouteMismatch,
     ScenarioConfig,
+    compare_routes,
     conditional_fidelities,
     fast_run,
     fidelity_bras,
     make_scenario,
     oracle_blocks,
-    overlaps_squared,
-    route_deviations,
-    transfer_kernel,
 )
-# run_oracle, analyze_eavesdropping and distinguishability stay importable
-# here: perfbench/tracing.py patches them by name, though the drivers
-# reach both routes through the streams and call none of them
-from .eavesdrop import analyze_eavesdropping, distinguishability  # noqa: F401
+# run_oracle and analyze_eavesdropping stay importable here:
+# perfbench/tracing.py patches them by name, though the drivers reach
+# both routes through the streams and call neither
+from .eavesdrop import analyze_eavesdropping  # noqa: F401
 from .engine import run_oracle  # noqa: F401
-from .linalg import norms_squared
 
 TELEPORT_HEADER = ("record", "l", "m", "branch", "probability", "fidelity")
 
@@ -100,73 +96,36 @@ def build_scenario(spec: RunSpec, theta: float | None = None) -> ScenarioConfig:
 
 @dataclass(frozen=True, eq=False)
 class _RoutePass:
-    """What one zipped pass over both routes keeps: ``(K, M)`` and ``(L, M)`` arrays.
+    """What one zipped pass over both routes keeps: the oracle's reductions.
 
-    ``probabilities`` and ``fidelities`` are the oracle's, one row per
-    branch pair ``keys[k]`` and one column per Bell outcome ``tap.labels[m]``;
-    ``cells`` sums the probabilities over receiver branches into the tap's
-    ``(l, m)`` cells, and ``tap`` is the transfer route's tally of the same
-    cells.  ``deviations`` holds the largest amplitude, probability and
-    total-fidelity deviations between the routes.
+    ``probabilities`` and ``fidelities`` hold one row per branch pair
+    ``keys[k]`` and one column per Bell outcome ``tap.labels[m]``; ``tap``
+    sums them into the tap's ``(l, m)`` cells.  ``deviations`` holds the
+    largest amplitude, probability and total-fidelity deviations between
+    the routes.
     """
 
     keys: tuple[tuple[object, object], ...]
     probabilities: np.ndarray  # (K, M)
     fidelities: np.ndarray  # (K, M)
-    total_fidelity: float
-    cells: np.ndarray  # (L, M)
     tap: EavesdropReport
     deviations: tuple[float, float, float]
 
 
-def _zipped_pass(scenario: ScenarioConfig, transfer: BlockStream, tolerance: float) -> _RoutePass:
-    """Zip the oracle stream with ``transfer`` once, checking every invariant on the way.
+def _zipped_pass(scenario: ScenarioConfig, tolerance: float) -> _RoutePass:
+    """Zip the oracle stream with `fast_run` once, then check every invariant on the reductions.
 
-    ``transfer`` is the transfer route's stream for the scenario's input,
-    such as `fast_run` yields.  Raises `InvariantViolation` when the routes
-    differ in layout, in one branch, in one tap cell or in total fidelity;
-    a NaN deviation fails every check.
+    Raises `InvariantViolation` when the routes differ in layout, in one
+    branch, in one tap cell or in total fidelity; a NaN deviation fails
+    every check.
     """
-    corrections = scenario.bell.unitaries if scenario.apply_correction else None
-    bras = fidelity_bras(np.asarray(scenario.input_state), corrections)
-    tally = TapTally(scenario)
-    labels = tally.labels
-    probabilities: list[np.ndarray] = []
-    overlaps: list[np.ndarray] = []
-    oracle = oracle_blocks(scenario)
-    # key and shape of every block each route yields, oracle first
-    layouts: tuple[list, list] = ([], [])
-
-    def slow() -> BlockStream:
-        for key, block in oracle:
-            layouts[0].append((key, block.shape))
-            probabilities.append(norms_squared(block))
-            overlaps.append(overlaps_squared(block, bras))
-            yield key, block
-
-    def quick() -> BlockStream:
-        for key, block in transfer:
-            layouts[1].append((key, block.shape))
-            yield key, block
-            # resumed once the comparison has accepted the block's key
-            tally.add(key[0], block)
-
-    deviations = route_deviations(slow(), quick())
-    if deviations is None:
-        # the rest of both routes, straight from the sources, to count records
-        layouts[0].extend((key, block.shape) for key, block in oracle)
-        layouts[1].extend((key, block.shape) for key, block in transfer)
-        oracle_count, transfer_count = (sum(shape[0] for _, shape in side) for side in layouts)
-        if oracle_count != transfer_count:
-            raise InvariantViolation(
-                f"record count mismatch: oracle {oracle_count} vs transfer {transfer_count}"
-            )
-        slow_block, quick_block = next((a, b) for a, b in zip_longest(*layouts) if a != b)
-        raise InvariantViolation(
-            f"record label mismatch: oracle block {slow_block} vs transfer block {quick_block}"
-        )
-    keys = tuple(key for key, _ in layouts[0])
-    p_dev, a_dev = deviations
+    bras = fidelity_bras(np.asarray(scenario.input_state), scenario.corrections)
+    try:
+        keys, norms, overlaps, a_dev = compare_routes(oracle_blocks(scenario), fast_run(scenario), bras)
+    except RouteMismatch as exc:
+        raise InvariantViolation(str(exc)) from None
+    labels = tuple(o.label for o in scenario.bell.outcomes)
+    p_dev = np.abs(norms[0] - norms[1])
     # written as "not within", so a NaN deviation fails too
     failing = np.flatnonzero(~((p_dev <= tolerance) & (a_dev <= tolerance)))
     if failing.size:
@@ -179,13 +138,9 @@ def _zipped_pass(scenario: ScenarioConfig, transfer: BlockStream, tolerance: flo
             f"amplitude deviation {a_dev.flat[first]:.3e}"
         )
 
-    probability_table = np.array(probabilities)
-    fidelity_table = conditional_fidelities(np.array(overlaps), probability_table)
-    total_fidelity = float(np.nansum(probability_table * fidelity_table))
-    tap = tally.report()
-    # the tap sees (l, m) only: sum each cell over receiver branches
-    cells = probability_table.reshape(len(tap.tap_labels), -1, len(labels)).sum(axis=1)
-    cell_dev = np.abs(tap.probabilities - cells)
+    tap = tap_report(scenario, norms[0], overlaps[0])
+    transfer_tap = tap_report(scenario, norms[1], overlaps[1])
+    cell_dev = np.abs(transfer_tap.probabilities - tap.probabilities)
     failing = np.flatnonzero(~(cell_dev <= tolerance))
     if failing.size:
         row, column = divmod(int(failing[0]), len(labels))
@@ -193,15 +148,13 @@ def _zipped_pass(scenario: ScenarioConfig, transfer: BlockStream, tolerance: flo
             f"branch operator probability deviates from oracle by "
             f"{cell_dev[row, column]:.3e} on (l={tap.tap_labels[row]}, m={labels[column]})"
         )
-    fidelity_dev = abs(tap.total_fidelity - total_fidelity)
+    fidelity_dev = abs(transfer_tap.total_fidelity - tap.total_fidelity)
     if not fidelity_dev <= tolerance:
         raise InvariantViolation(f"total fidelity routes disagree by {fidelity_dev:.3e}")
     return _RoutePass(
         keys=keys,
-        probabilities=probability_table,
-        fidelities=fidelity_table,
-        total_fidelity=total_fidelity,
-        cells=cells,
+        probabilities=norms[0],
+        fidelities=conditional_fidelities(overlaps[0], norms[0]),
         tap=tap,
         deviations=(float(np.max(a_dev)), float(np.max(p_dev)), fidelity_dev),
     )
@@ -223,12 +176,12 @@ def run_teleport(
     Returns human-readable summary lines for the caller to print.
     """
     scenario = build_scenario(spec)
-    measured = _zipped_pass(scenario, fast_run(scenario), tolerance)
+    measured = _zipped_pass(scenario, tolerance)
     probabilities = measured.probabilities
     fidelities = measured.fidelities
     # a tap is the only reference effect a spec sets
     p_l = {} if spec.eavesdrop is None else dict(
-        zip(measured.tap.tap_labels, measured.cells.sum(axis=1).tolist())
+        zip(measured.tap.tap_labels, measured.tap.probabilities.sum(axis=1).tolist())
     )
 
     # rows are formatted as text, one write per block; every label goes
@@ -247,7 +200,7 @@ def run_teleport(
         *(f"p_l,{format_label(label)},,,{value:.12g},\n" for label, value in p_l.items()),
         *(f"p_m,,{m_text},,{value:.12g},\n"
           for m_text, value in zip(m_texts, probabilities.sum(axis=0).tolist())),
-        f"total,,,,{total_probability:.12g},{measured.total_fidelity:.12g}\n",
+        f"total,,,,{total_probability:.12g},{measured.tap.total_fidelity:.12g}\n",
     ]))
 
     summary = [
@@ -260,7 +213,7 @@ def run_teleport(
         ),
         f"records: {probabilities.size} ({int(np.isnan(fidelities).sum())} null), "
         f"probability sum {format_number(total_probability)}",
-        f"average output fidelity: {format_number(measured.total_fidelity)}",
+        f"average output fidelity: {format_number(measured.tap.total_fidelity)}",
         _routes_line(measured.deviations, tolerance),
     ]
     return summary
@@ -278,34 +231,18 @@ def _sweep_grid(spec: RunSpec) -> list[float]:
 def _sweep_point(
     spec: RunSpec, theta: float, tolerance: float
 ) -> tuple[float, float, tuple[float, float, float]]:
-    """Total fidelity, guessing advantage and route deviations at one tap strength.
-
-    One kernel call over the stacked inputs ``[psi, first, second]`` feeds
-    both: column 0 is zipped with the oracle stream, and columns 1 and 2
-    fill the distinguished pair's ``(l, m)`` cells, summed over receiver
-    branches, which a closed receiver effect leaves unchanged.
-    """
+    """Total fidelity, distinguishability and route deviations at one tap strength."""
     scenario = build_scenario(spec, theta=theta)
-    (_, first), (_, second) = spec.distinguish
-    inputs = np.array([scenario.input_state, first, second], dtype=complex)
-    rows = {label: row for row, (label, _) in enumerate(effect_branches(scenario.effect_r, spec.n))}
-    pair = np.zeros((len(rows), len(scenario.bell.outcomes), 2))
-
-    def transfer() -> BlockStream:
-        for l, branch, amps in transfer_kernel(scenario, inputs):
-            # whole and contiguous: every product on a strided column costs
-            # about three times as much
-            pair[rows[l]] += norms_squared(amps)[:, 1:]
-            yield (l, branch), amps[:, 0].copy()
-
     try:
-        measured = _zipped_pass(scenario, transfer(), tolerance)
+        measured = _zipped_pass(scenario, tolerance)
         probability = float(measured.probabilities.sum())
         if not abs(probability - 1.0) <= tolerance:
             raise InvariantViolation(f"oracle probabilities sum to {probability!r}")
     except InvariantViolation as exc:
         raise InvariantViolation(f"theta={theta:.6f}: {exc}") from None
-    return measured.tap.total_fidelity, guessing_advantage(pair), measured.deviations
+    (_, first), (_, second) = spec.distinguish
+    advantage = distinguishability(scenario, first, second)
+    return measured.tap.total_fidelity, advantage, measured.deviations
 
 
 def run_sweep(

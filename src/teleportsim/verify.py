@@ -27,11 +27,13 @@ from .effects import (
     unitary_effect,
 )
 from .engine import (
+    RouteMismatch,
+    compare_routes,
     fast_run,
+    fidelity_bras,
     ideal_decomposition_check,
     make_scenario,
     oracle_blocks,
-    route_deviations,
     run_oracle,
     transfer_kernel,
 )
@@ -189,11 +191,12 @@ def check_oracle_fast_equivalence(depth: str, seed: int, corrupt: str | None) ->
                 effect_b=_random_effect(dim, rng, (trial + 1) % 3),
                 apply_correction=bool(trial % 2),
             )
-            deviations = route_deviations(oracle_blocks(config), fast_run(config))
-            if deviations is None:
-                detail = "transfer blocks differ from the oracle's in key, count or shape"
-                return _result("oracle-fast-equivalence", float("inf"), 1e-9, detail)
-            worst = _worst(worst, *(np.max(d) for d in deviations))
+            bras = fidelity_bras(np.asarray(config.input_state), config.corrections)
+            try:
+                _, norms, _, amplitude = compare_routes(oracle_blocks(config), fast_run(config), bras)
+            except RouteMismatch as exc:
+                return _result("oracle-fast-equivalence", float("inf"), 1e-9, str(exc))
+            worst = _worst(worst, np.max(np.abs(norms[0] - norms[1])), np.max(amplitude))
     return _result("oracle-fast-equivalence", worst, 1e-9)
 
 

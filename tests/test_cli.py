@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from teleportsim import cli
+from teleportsim import cli, runner
 from teleportsim.runner import InvariantViolation
 
 TAP_CONFIG = """\
@@ -165,6 +165,17 @@ def test_invariant_violation_exits_two(tmp_path, capsys, monkeypatch):
     config = write(tmp_path, "run.yaml", TAP_CONFIG)
     assert cli.main(["teleport", "--config", config]) == 2
     assert "invariant violation" in capsys.readouterr().err
+
+
+def test_parted_route_streams_exit_two(tmp_path, capsys, monkeypatch):
+    # the comparator's mismatch is a ValueError, which alone would exit 1
+    route = runner.fast_run
+    monkeypatch.setattr(runner, "fast_run", lambda scenario: list(route(scenario))[:-1])
+    config = write(tmp_path, "run.yaml", TAP_CONFIG)
+    assert cli.main(["teleport", "--config", config]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invariant violation: record count mismatch: oracle 8 vs transfer 4" in captured.err
 
 
 def test_verify_quick_passes(capsys):

@@ -11,7 +11,6 @@ from teleportsim.eavesdrop import (
     analyze_eavesdropping,
     distinguishability,
     eavesdrop_operator,
-    guessing_advantage,
     projective_case_analysis,
     sequential_decomposition_check,
 )
@@ -258,9 +257,9 @@ def test_distinguishability_basis_pair_scales_with_strength():
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
 def test_receiver_branches_sum_to_the_tap_cells(dim):
-    # the sweep reads the pair's cells off the receiver=True kernel, summed
-    # over receiver branches; a closed two-Kraus receiver must leave them
-    # where the receiver=False kernel puts them
+    # summed over receiver branches, the receiver=True kernel's cells are
+    # the tap's: a closed two-Kraus receiver must leave them where the
+    # receiver=False kernel, which `distinguishability` reads, puts them
     rng = np.random.default_rng(70 + dim)
     isometry = random_unitary(2 * dim, rng)[:, :dim]
     config = make_scenario(
@@ -280,7 +279,8 @@ def test_receiver_branches_sum_to_the_tap_cells(dim):
     assert count == 2 * dim
     for l, cells in alone.items():
         assert np.max(np.abs(summed[l] - cells)) <= 1e-15
-    advantage = guessing_advantage(np.array(list(summed.values())))
+    pair = np.concatenate(list(summed.values()))
+    advantage = 0.25 * float(np.sum(np.abs(pair[:, 0] - pair[:, 1])))
     assert advantage == pytest.approx(distinguishability(config, *states), abs=1e-15)
 
 
@@ -307,6 +307,23 @@ def test_analysis_report_is_self_consistent():
     assert sum(report.probabilities.sum(axis=1)) == pytest.approx(1.0, abs=1e-12)
     assert sum(report.probabilities.sum(axis=0)) == pytest.approx(1.0, abs=1e-12)
     assert report.total_fidelity == pytest.approx(total, abs=1e-12)
+
+
+@pytest.mark.parametrize("correct", [True, False])
+def test_report_total_fidelity_is_the_oracle_tables(correct):
+    # the report contracts with the bras of the scenario's own correction;
+    # without one, the oracle's outputs are compared with the input as they are
+    rng = np.random.default_rng(83)
+    config = make_scenario(
+        3,
+        random_state(3, rng),
+        u0=random_unitary(3, rng),
+        effect_r=strength_family(3, 0.4, random_unitary(3, rng)),
+        apply_correction=correct,
+    )
+    table = run_oracle(config)
+    expected = np.nansum(table.probabilities * table.fidelities(config.input_state))
+    assert analyze_eavesdropping(config).total_fidelity == pytest.approx(expected, abs=1e-12)
 
 
 def test_analysis_marks_dead_branches_with_no_fidelity():

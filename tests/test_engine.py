@@ -19,11 +19,13 @@ from teleportsim.effects import (
     unitary_effect,
 )
 from teleportsim.engine import (
+    RouteMismatch,
+    compare_routes,
     fast_run,
+    fidelity_bras,
     ideal_decomposition_check,
     make_scenario,
     oracle_blocks,
-    route_deviations,
     run_oracle,
     transfer_operator,
 )
@@ -425,14 +427,15 @@ def test_route_comparison_holds_a_few_blocks_of_each_stream(correct):
     config = _fourier_tap(32, correct=correct)
     block_bytes = _block_bytes(32)
     chunk_bytes = engine._BRA_CHUNK * 32 * 32 * 16
+    bras = fidelity_bras(np.asarray(config.input_state), config.corrections)
     tracemalloc.start()
     try:
-        deviations = route_deviations(oracle_blocks(config), fast_run(config))
+        keys, norms, overlaps, amplitude = compare_routes(oracle_blocks(config), fast_run(config), bras)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert deviations is not None and np.max(deviations[1]) < 1e-12
-    assert deviations[0].shape == (32, 1024)
+    assert len(keys) == 32 and np.max(amplitude) < 1e-12
+    assert all(array.shape == (32, 1024) for array in (*norms, *overlaps, amplitude))
     assert peak <= chunk_bytes + 7 * block_bytes
 
 
@@ -457,17 +460,45 @@ def test_teleport_run_keeps_blocks_and_reductions_only():
     assert peak <= 10 * block_bytes + 12 * row_bytes  # 8 MB, half the table
 
 
-def test_route_deviations_refuse_streams_that_part():
-    config = _fourier_tap(3, _damping(3))
+def _parted(config, case: str):
+    """The transfer stream of ``config``, parted from the oracle's as ``case`` says."""
     blocks = list(fast_run(config))
-    (key, block) = blocks[1]
-    assert route_deviations(iter(blocks), oracle_blocks(config)) is not None
-    assert route_deviations(iter(blocks[:-1]), oracle_blocks(config)) is None
-    assert route_deviations(iter(blocks + blocks[-1:]), oracle_blocks(config)) is None
-    renamed = blocks[:1] + [(("x", key[1]), block)] + blocks[2:]
-    assert route_deviations(iter(renamed), oracle_blocks(config)) is None
-    reshaped = blocks[:1] + [(key, block[:-1])] + blocks[2:]
-    assert route_deviations(oracle_blocks(config), iter(reshaped)) is None
+    (key, block), (other, twin) = blocks[1], blocks[2]
+    return {
+        "short": blocks[:-1],
+        "long": blocks + blocks[-1:],
+        "renamed": blocks[:1] + [(("x", key[1]), block)] + blocks[2:],
+        "reshaped": blocks[:1] + [(key, block[:-1])] + blocks[2:],
+        # one record moves to the next block, so only the layout tells
+        "moved": blocks[:1] + [(key, block[:-1]), (other, np.vstack([twin, twin[:1]]))] + blocks[3:],
+    }[case]
+
+
+@pytest.mark.parametrize(
+    "case,match",
+    [
+        ("short", r"^record count mismatch: oracle 54 vs transfer 45$"),
+        ("long", r"^record count mismatch: oracle 54 vs transfer 63$"),
+        (
+            "renamed",
+            r"^record label mismatch: oracle block \(\(0, 1\), \(9, 3\)\) "
+            r"vs transfer block \(\('x', 1\), \(9, 3\)\)$",
+        ),
+        ("reshaped", r"^record count mismatch: oracle 54 vs transfer 53$"),
+        (
+            "moved",
+            r"^record label mismatch: oracle block \(\(0, 1\), \(9, 3\)\) "
+            r"vs transfer block \(\(0, 1\), \(8, 3\)\)$",
+        ),
+    ],
+)
+def test_compare_routes_names_streams_that_part(case, match):
+    config = _fourier_tap(3, _damping(3))
+    bras = fidelity_bras(np.asarray(config.input_state), config.corrections)
+    keys, *_ = compare_routes(oracle_blocks(config), fast_run(config), bras)
+    assert len(keys) == 6
+    with pytest.raises(RouteMismatch, match=match):
+        compare_routes(oracle_blocks(config), iter(_parted(config, case)), bras)
 
 
 def test_fidelities_need_no_corrected_table():

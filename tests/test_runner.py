@@ -1,13 +1,14 @@
 """The run drivers refuse to write a table their two routes disagree on.
 
-Each test patches one route, or the transfer route's tap fold, by name in
-`teleportsim.runner` and checks that `run_teleport` or `run_sweep` raises
+Each test patches one route, or the transfer route's tap report, by name
+in `teleportsim.runner` and checks that `run_teleport` or `run_sweep` raises
 `InvariantViolation` before the first CSV row.
 """
 from __future__ import annotations
 
 import csv
 import io
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +17,7 @@ import pytest
 from teleportsim import engine, runner
 from teleportsim.bell import make_bell_family, weyl_unitary
 from teleportsim.config import parse_config
-from teleportsim.eavesdrop import TapTally
+from teleportsim.eavesdrop import tap_report
 from teleportsim.linalg import dagger
 from teleportsim.runner import InvariantViolation, run_teleport
 from teleportsim.verify import run_verification
@@ -35,21 +36,27 @@ def refused(match: str) -> None:
     assert stream.getvalue() == ""
 
 
-def patched_tally(monkeypatch, report=None, add=None) -> None:
-    """Patch the transfer route's tap fold: ``report(r)`` edits its report, ``add`` its blocks."""
+def patched_tap_report(monkeypatch, report=None, probabilities=None) -> None:
+    """Patch the transfer route's `tap_report` in `runner`.
 
-    class Patched(TapTally):
-        def add(self, l, block):
-            super().add(l, block if add is None else add(block))
+    A pass reduces the oracle's arrays first and the transfer route's
+    second, so every second call is the transfer route's: ``probabilities``
+    edits the ``(K, M)`` probabilities it reduces, ``report`` the report.
+    """
+    calls = []
 
-        def report(self):
-            return super().report() if report is None else report(super().report())
+    def patched(config, p, overlaps_sq):
+        calls.append(config)
+        if len(calls) % 2:
+            return tap_report(config, p, overlaps_sq)
+        tap = tap_report(config, p if probabilities is None else probabilities(p), overlaps_sq)
+        return tap if report is None else report(tap)
 
-    monkeypatch.setattr(runner, "TapTally", Patched)
+    monkeypatch.setattr(runner, "tap_report", patched)
 
 
 def test_tap_total_fidelity_mismatch_writes_nothing(monkeypatch):
-    patched_tally(monkeypatch, lambda r: replace(r, total_fidelity=r.total_fidelity + 1e-6))
+    patched_tap_report(monkeypatch, lambda r: replace(r, total_fidelity=r.total_fidelity + 1e-6))
     refused("total fidelity routes disagree by 1.000e-06")
 
 
@@ -121,10 +128,10 @@ def test_cross_check_names_an_unknown_tap_label(monkeypatch):
 
 def test_tap_cell_mismatch_writes_nothing(monkeypatch):
     # both routes agree block by block, so only the tap comparison can object:
-    # the tap fold sees outcome (1, 1) of every block grown by a factor
-    # 1 + 1e-6 in probability
-    scale = np.sqrt(np.array([1.0, 1.0, 1.0, 1.0 + 1e-6]))[:, None]
-    patched_tally(monkeypatch, add=lambda block: block * scale)
+    # the transfer route's tap report sees outcome (1, 1) of every block
+    # grown by a factor 1 + 1e-6 in probability
+    scale = np.array([1.0, 1.0, 1.0, 1.0 + 1e-6])
+    patched_tap_report(monkeypatch, probabilities=lambda p: p * scale)
     refused(r"branch operator probability deviates from oracle by .* on \(l=0, m=\(1, 1\)\)")
 
 
@@ -144,9 +151,9 @@ def test_tap_checks_fail_on_nan(monkeypatch):
         probabilities[1, 3] = np.nan
         return replace(report, probabilities=probabilities)
 
-    patched_tally(monkeypatch, poisoned)
+    patched_tap_report(monkeypatch, poisoned)
     refused(r"branch operator probability deviates from oracle by nan on \(l=1, m=\(1, 1\)\)")
-    patched_tally(monkeypatch, lambda r: replace(r, total_fidelity=float("nan")))
+    patched_tap_report(monkeypatch, lambda r: replace(r, total_fidelity=float("nan")))
     refused("total fidelity routes disagree by nan")
 
 
@@ -157,7 +164,7 @@ SWEEP = parse_config(
 
 
 def test_sweep_point_fails_on_nan_fidelity(monkeypatch):
-    patched_tally(monkeypatch, lambda r: replace(r, total_fidelity=float("nan")))
+    patched_tap_report(monkeypatch, lambda r: replace(r, total_fidelity=float("nan")))
     stream = io.StringIO()
     with pytest.raises(InvariantViolation, match=r"theta=0\.000000: total fidelity routes disagree by nan"):
         runner.run_sweep(SWEEP, stream)
@@ -165,8 +172,8 @@ def test_sweep_point_fails_on_nan_fidelity(monkeypatch):
 
 
 def test_sweep_compares_the_routes_block_by_block(monkeypatch):
-    # the sweep zips column 0 of its stacked kernel call with the oracle
-    # stream, so a moved oracle amplitude is caught at the first tap strength
+    # the sweep zips `fast_run` with the oracle stream, so a moved oracle
+    # amplitude is caught at the first tap strength
     route = runner.oracle_blocks
 
     def moved(scenario):
@@ -196,6 +203,18 @@ def test_oracle_shares_no_mirror_algebra(monkeypatch):
     assert stream.getvalue() == ""
     lines = run_verification("quick", seed=0).lines()
     assert any(line.startswith("FAIL oracle-fast-equivalence: ") for line in lines)
+
+
+def test_total_fidelity_routes_agree_to_roundoff():
+    # both routes' totals are the same sequential sum over the tap's cells,
+    # so they part only by the rounding of the blocks themselves
+    spec = parse_config(
+        "n: 32\ninput: random:3\nu0: identity\nbell: weyl\n"
+        "eavesdrop:\n  basis: fourier\n  theta: 0.5\n"
+    )
+    routes = run_teleport(spec, io.StringIO())[-1]
+    fidelity_dev = float(re.search(r"fidelity dev (\S+) ", routes).group(1))
+    assert fidelity_dev <= 1e-14
 
 
 def test_outcome_rows_are_the_bytes_csv_writer_gives():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,18 @@ def test_transfer_route_dropping_a_record_fails(monkeypatch):
     assert not result.passed
     line = verify.VerificationReport("quick", (result,)).lines()[0]
     assert line.startswith("FAIL oracle-fast-equivalence: max deviation inf (tolerance 1.0e-09) [")
+
+
+def test_transfer_route_dropping_a_block_names_the_record_count(monkeypatch):
+    route = verify.fast_run
+    monkeypatch.setattr(verify, "fast_run", lambda config: list(route(config))[:-1])
+    result = check_oracle_fast_equivalence("quick", 0, None)
+    line = verify.VerificationReport("quick", (result,)).lines()[0]
+    assert re.fullmatch(
+        r"FAIL oracle-fast-equivalence: max deviation inf \(tolerance 1\.0e-09\) "
+        r"\[record count mismatch: oracle \d+ vs transfer \d+\]",
+        line,
+    ), line
 
 
 def test_transfer_route_with_shuffled_labels_fails(monkeypatch):
