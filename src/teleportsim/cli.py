@@ -44,6 +44,13 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """Verification seed: decimal digits only, as numpy seeds from non-negative integers."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="teleportsim",
@@ -62,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
         "depth", nargs="?", choices=("quick", "full"), default="quick",
         help="workload size (default quick)",
     )
-    verify.add_argument("--seed", type=int, default=0, help="seed for random scenarios")
+    verify.add_argument("--seed", type=_seed, default=0, help="seed for random scenarios")
     verify.add_argument(
         "--corrupt", choices=("bell", "measurement"), default=None,
         help="deliberately inject a defective family (testing hook)",

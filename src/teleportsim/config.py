@@ -19,7 +19,7 @@ import yaml
 
 from .bell import BellFamily, make_bell_family
 from .effects import EffectOperator, kraus_mixture, unitary_effect
-from .linalg import as_complex_matrix, frozen_complex_array, is_unitary
+from .linalg import as_complex_matrix, basis_state, frozen_complex_array, is_unitary, uniform_state
 from .sampling import random_state
 
 NORM_WARN_TOL = 1e-9
@@ -146,6 +146,8 @@ def parse_config(text: str, strict: bool = False) -> RunSpec:
     output_path = raw.get("output")
     if output_path is not None and not isinstance(output_path, str):
         raise ConfigError(f"output: expected a path string, got {type(output_path).__name__}")
+    if output_path == "":
+        raise ConfigError("output: expected a non-empty path string")
 
     return RunSpec(
         n=n,
@@ -216,7 +218,7 @@ def _parse_matrix(value: object, path: str, n: int) -> np.ndarray:
 def _parse_state(value: object, path: str, n: int, strict: bool) -> tuple[str, np.ndarray]:
     if isinstance(value, str):
         if value == "plus-uniform":
-            return value, np.full(n, 1.0 / np.sqrt(n), dtype=complex)
+            return value, uniform_state(n)
         if value.startswith("basis:"):
             try:
                 index = int(value.split(":", 1)[1])
@@ -224,9 +226,7 @@ def _parse_state(value: object, path: str, n: int, strict: bool) -> tuple[str, n
                 raise ConfigError(f"{path}: malformed basis index in {value!r}") from None
             if not 0 <= index < n:
                 raise ConfigError(f"{path}: basis index {index} out of range for n={n}")
-            state = np.zeros(n, dtype=complex)
-            state[index] = 1.0
-            return value, state
+            return value, basis_state(n, index)
         if value.startswith("random:"):
             try:
                 state_seed = int(value.split(":", 1)[1])
@@ -371,11 +371,7 @@ def _parse_distinguish(
     value: object, n: int, strict: bool
 ) -> tuple[tuple[str, np.ndarray], tuple[str, np.ndarray]]:
     if value is None:
-        first = np.zeros(n, dtype=complex)
-        first[0] = 1.0
-        second = np.zeros(n, dtype=complex)
-        second[1] = 1.0
-        return (("basis:0", frozen_complex_array(first)), ("basis:1", frozen_complex_array(second)))
+        value = ["basis:0", "basis:1"]
     if not isinstance(value, list) or len(value) != 2:
         raise ConfigError("distinguish: expected a list of exactly two input states")
     parsed = []

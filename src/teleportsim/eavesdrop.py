@@ -128,7 +128,7 @@ def tap_report(
 def analyze_eavesdropping(config: ScenarioConfig) -> EavesdropReport:
     """Build the full per-branch report for one tapped scenario: `tap_report` over `fast_run`."""
     _tap_family(config)
-    bras = fidelity_bras(np.asarray(config.input_state), config.corrections)
+    bras = fidelity_bras(np.asarray(config.input_state), config.bell.unitaries)
     probabilities, overlaps_sq = zip(
         *((norms_squared(block), overlaps_squared(block, bras)) for _, block in fast_run(config))
     )

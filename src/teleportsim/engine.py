@@ -17,8 +17,8 @@ alone, through `transfer_kernel`, which also feeds every tap quantity in
 reduces both alike, block by block, so a caller that consumes both holds
 a few blocks and its ``(K, M)`` reductions, never a table; streams that
 part raise `RouteMismatch`.  `run_oracle` collects the oracle stream into
-a `BranchTable`, which corrects on read, for callers that want every
-block at once.
+a `BranchTable` of corrected outputs, for callers that want every block
+at once.
 """
 from __future__ import annotations
 
@@ -66,8 +66,8 @@ class ScenarioConfig:
 
     ``effect_r`` disturbs the reference line between resource preparation
     and the Bell measurement; ``effect_b`` disturbs the receiver line.
-    With ``apply_correction`` the receiver undoes the outcome unitary, so
-    an undisturbed scenario returns the input exactly.
+    The receiver undoes the outcome unitary, so an undisturbed scenario
+    returns the input exactly.
     """
 
     dim: int
@@ -76,12 +76,6 @@ class ScenarioConfig:
     u0: np.ndarray
     effect_r: EffectSpec = None
     effect_b: EffectSpec = None
-    apply_correction: bool = True
-
-    @property
-    def corrections(self) -> np.ndarray | None:
-        """The ``(M, n, n)`` outcome unitaries the receiver applies, ``None`` if it does not."""
-        return self.bell.unitaries if self.apply_correction else None
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -112,23 +106,18 @@ class TeleportRecord:
 
 @dataclass(frozen=True, eq=False)
 class BranchTable:
-    """Every conditional branch of one route, one block per effect branch pair.
+    """Every conditional branch of the oracle route, one block per effect branch pair.
 
     Block ``k`` holds reference and receiver branches ``keys[k]``: the
-    read-only ``blocks[k, j]`` is the unnormalized output of Bell outcome
-    ``labels[j]`` before the receiver's correction, and
-    ``probabilities[k, j]`` its squared norm.  ``corrections`` is the
-    family's ``(M, n, n)`` stack of outcome unitaries ``U(m)`` when the
-    receiver corrects, else ``None``.  The correction is applied on read:
-    `fidelities` moves it onto the state, and only `amplitudes` and
-    iteration build the corrected outputs, one table-sized array per read.
+    read-only ``amplitudes[k, j]`` is the unnormalized output of Bell
+    outcome ``labels[j]`` after the receiver's correction ``U(m)``, and
+    ``probabilities[k, j]`` its squared norm.
     """
 
     keys: tuple[tuple[BranchLabel, BranchLabel], ...]
     labels: tuple[Label, ...]
-    blocks: np.ndarray  # (K, M, n)
+    amplitudes: np.ndarray  # (K, M, n)
     probabilities: np.ndarray  # (K, M)
-    corrections: np.ndarray | None  # (M, n, n)
 
     def __len__(self) -> int:
         return self.probabilities.size
@@ -138,53 +127,26 @@ class BranchTable:
             for m, probability, raw in zip(self.labels, row, block):
                 yield TeleportRecord(m=m, l=l, branch=branch, probability=probability, raw_output=raw)
 
-    @property
-    def amplitudes(self) -> np.ndarray:
-        """Read-only ``(K, M, n)`` outputs after the correction, built on each read."""
-        if self.corrections is None:
-            return self.blocks
-        amplitudes = self.blocks.copy()
-        # U(m) on column m of every block: one (K, n) @ (n, n)^T product per
-        # outcome, n outcomes at a time, so a temporary holds n of the M
-        # columns and never another table
-        dim = amplitudes.shape[2]
-        for start in range(0, amplitudes.shape[1], dim):
-            part = amplitudes[:, start : start + dim]
-            turned = self.corrections[start : start + dim].transpose(0, 2, 1)
-            part[...] = (part.transpose(1, 0, 2) @ turned).transpose(1, 0, 2)
-        amplitudes.setflags(write=False)
-        return amplitudes
-
     def fidelities(self, state: np.ndarray) -> np.ndarray:
         """``|<state|output>|^2`` of every branch, NaN where the branch is null."""
-        overlaps_sq = overlaps_squared(self.blocks, fidelity_bras(state, self.corrections))
+        overlaps_sq = np.abs(self.amplitudes @ np.conj(state)) ** 2
         return conditional_fidelities(overlaps_sq, self.probabilities)
 
 
-def fidelity_bras(state: np.ndarray, corrections: np.ndarray | None) -> np.ndarray:
+def fidelity_bras(state: np.ndarray, unitaries: np.ndarray) -> np.ndarray:
     """The bras `overlaps_squared` contracts uncorrected outputs with.
 
-    With ``(M, n, n)`` corrections row ``m`` is ``<U(m)^-1 state|`` as the
-    conjugated vector ``state^+ U(m)``: the correction moves onto the state,
-    ``<state|U(m) a> = <U(m)^-1 state|a>``, so corrected outputs are never
-    built.  Without a correction it is the conjugated state alone.
+    Row ``m`` is ``<U(m)^-1 state|`` for the ``(M, n, n)`` outcome
+    unitaries, as the conjugated vector ``state^+ U(m)``: the correction
+    moves onto the state, ``<state|U(m) a> = <U(m)^-1 state|a>``, so
+    corrected outputs are never built.
     """
-    if corrections is None:
-        return np.conj(state)
-    return np.conj(state) @ corrections
+    return np.conj(state) @ unitaries
 
 
 def overlaps_squared(blocks: np.ndarray, bras: np.ndarray) -> np.ndarray:
-    """``|<bra|output>|^2`` of every output in ``(..., M, n)`` blocks.
-
-    ``bras`` is one conjugated vector for every outcome, or an ``(M, n)``
-    stack with row ``m`` for outcome ``m``, as `fidelity_bras` gives them.
-    """
-    if bras.ndim == 1:
-        overlaps = blocks @ bras
-    else:
-        overlaps = np.einsum("...mi,mi->...m", blocks, bras)
-    return np.abs(overlaps) ** 2
+    """``|<bras[m]|output>|^2`` of every output of outcome ``m`` in ``(..., M, n)`` blocks."""
+    return np.abs(np.einsum("...mi,mi->...m", blocks, bras)) ** 2
 
 
 def conditional_fidelities(overlaps_sq: np.ndarray, probabilities: np.ndarray) -> np.ndarray:
@@ -200,7 +162,6 @@ def make_scenario(
     u0: np.ndarray | None = None,
     effect_r: EffectSpec = None,
     effect_b: EffectSpec = None,
-    apply_correction: bool = True,
 ) -> ScenarioConfig:
     """Validate and assemble a scenario; every part must share ``dim``."""
     if dim < 2:
@@ -229,7 +190,6 @@ def make_scenario(
         u0=frozen_complex_array(u0),
         effect_r=effect_r,
         effect_b=effect_b,
-        apply_correction=apply_correction,
     )
 
 
@@ -300,10 +260,10 @@ def transfer_kernel(
 
     ``amps[m, k]`` is ``sqrt(w)/dim F_b (u0^-1 E_l u0)^T U(m)^-1`` applied
     to ``inputs[k]``: the transfer operator of outcome ``m`` short of its
-    leading ``U(m)``, which a caller applies when it corrects.  With
-    ``receiver=False`` the receiver effect is left out, so the rows are
-    ``U(m)^-1 P(l, m)`` applied to each input, for the tap alone.  Order is
-    reference branch, then receiver branch, as in `oracle_blocks`.
+    leading ``U(m)``, the correction, which callers move onto the state.
+    With ``receiver=False`` the receiver effect is left out, so the rows
+    are ``U(m)^-1 P(l, m)`` applied to each input, for the tap alone.
+    Order is reference branch, then receiver branch, as in `oracle_blocks`.
     """
     dim = config.dim
     bell = config.bell
@@ -390,17 +350,17 @@ def ideal_decomposition_check(config: ScenarioConfig) -> float:
 
 
 def _table(config: ScenarioConfig, blocks: BlockStream) -> BranchTable:
-    """Fill a table in place, one uncorrected ``(M, n)`` block per branch pair."""
+    """Fill a table in place, correcting each uncorrected ``(M, n)`` block as it arrives."""
     bell = config.bell
     dim = config.dim
     count = len(effect_branches(config.effect_r, dim)) * len(effect_branches(config.effect_b, dim))
     keys = []
     stored = np.empty((count, len(bell.outcomes), dim), dtype=complex)
     probabilities = np.empty(stored.shape[:2])
-    # block by block: a whole-table norms_squared would copy the table once more
+    # block by block: a whole-table product or norms would copy the table again
     for block, (key, amps) in enumerate(blocks):
         keys.append(key)
-        stored[block] = amps
+        stored[block] = (bell.unitaries @ amps[..., None])[..., 0]
         probabilities[block] = norms_squared(amps)
     stored.setflags(write=False)
     probabilities.setflags(write=False)
@@ -409,7 +369,6 @@ def _table(config: ScenarioConfig, blocks: BlockStream) -> BranchTable:
         tuple(o.label for o in bell.outcomes),
         stored,
         probabilities,
-        config.corrections,
     )
 
 

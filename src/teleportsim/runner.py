@@ -1,14 +1,16 @@
 """CSV-producing run drivers shared by the command line entry points.
 
-Every quantity written out is computed twice: once through the transfer
-kernel and once through the full-state oracle.  Both routes are streams
-of ``(M, n)`` blocks, and one pass zips them: `compare_routes` reduces
-both alike to ``(K, M)`` squared norms and overlaps and measures the
-amplitude deviation of every branch, and `tap_report` sums each route's
-arrays into the tap's ``(L, M)`` cells.  A run keeps only those
-reductions, never a table of blocks.  Every written number is a
-reduction of the oracle's arrays, and the summary ends with the measured
-route deviations.  A mismatch beyond the run tolerance raises
+Every branch is computed twice: once through the transfer kernel and once
+through the full-state oracle.  Both routes are streams of ``(M, n)``
+blocks, and one pass zips them: `compare_routes` reduces both alike to
+``(K, M)`` squared norms and overlaps and measures the amplitude deviation
+of every branch, and `tap_report` sums each route's arrays into the tap's
+``(L, M)`` cells.  A run keeps only those reductions, never a table of
+blocks.  Every number `run_teleport` writes, and the sweep's fidelity
+column, is a reduction of the oracle's arrays, and the summary ends with
+the measured route deviations.  The sweep's distinguishability column
+comes from the transfer kernel alone, through `distinguishability`, and
+no oracle checks it.  A mismatch beyond the run tolerance raises
 `InvariantViolation` before the first row is written, instead of writing
 a plausible-looking but wrong table.  Output is deterministic down to the
 byte for a fixed spec.
@@ -119,7 +121,7 @@ def _zipped_pass(scenario: ScenarioConfig, tolerance: float) -> _RoutePass:
     branch, in one tap cell or in total fidelity; a NaN deviation fails
     every check.
     """
-    bras = fidelity_bras(np.asarray(scenario.input_state), scenario.corrections)
+    bras = fidelity_bras(np.asarray(scenario.input_state), scenario.bell.unitaries)
     try:
         keys, norms, overlaps, a_dev = compare_routes(oracle_blocks(scenario), fast_run(scenario), bras)
     except RouteMismatch as exc:

@@ -189,9 +189,8 @@ def check_oracle_fast_equivalence(depth: str, seed: int, corrupt: str | None) ->
                 u0=random_unitary(dim, rng),
                 effect_r=_random_effect(dim, rng, trial % 3),
                 effect_b=_random_effect(dim, rng, (trial + 1) % 3),
-                apply_correction=bool(trial % 2),
             )
-            bras = fidelity_bras(np.asarray(config.input_state), config.corrections)
+            bras = fidelity_bras(np.asarray(config.input_state), config.bell.unitaries)
             try:
                 _, norms, _, amplitude = compare_routes(oracle_blocks(config), fast_run(config), bras)
             except RouteMismatch as exc:

@@ -5,15 +5,16 @@ point is to check the package against arithmetic that shares none of its
 code paths (no kron, no einsum, no reshape tricks).  The one exception is
 `materialized_oracle`, the vectorized full-state form the oracle used to
 take, kept because index loops at n = 16 would take minutes.
-`stream_records` is no oracle: it turns the transfer route's stream into
-records, for the tests that compare the two routes record by record.
+`stream_records` and `block_records` are no oracles: they turn a route's
+stream into records, corrected or not, for the tests that compare the two
+routes record by record.
 """
 from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import sqrtm
 
-from teleportsim.engine import ScenarioConfig, TeleportRecord, fast_run
+from teleportsim.engine import BlockStream, ScenarioConfig, TeleportRecord, fast_run
 
 
 def brute_partial_trace(rho: np.ndarray, dims: tuple[int, ...], keep: int) -> np.ndarray:
@@ -192,17 +193,24 @@ def materialized_oracle(
     return np.array(blocks)
 
 
-def stream_records(config: ScenarioConfig) -> list[TeleportRecord]:
-    """`fast_run`'s blocks as records in table order, each row corrected on its own.
+def block_records(
+    config: ScenarioConfig, blocks: BlockStream, correct: bool = False
+) -> list[TeleportRecord]:
+    """A route's ``((l, b), block)`` stream as records in table order.
 
-    The stream holds outputs before the correction; a correcting scenario
-    applies ``U(m)`` here, one matrix-vector product per row.
+    The streams hold outputs before the correction; with ``correct`` each
+    row gets its ``U(m)`` here, one matrix-vector product per row.
     """
     records = []
-    for (l, branch), block in fast_run(config):
+    for (l, branch), block in blocks:
         for outcome, raw in zip(config.bell.outcomes, block):
-            if config.apply_correction:
+            if correct:
                 raw = np.asarray(outcome.unitary) @ raw
             probability = float(np.vdot(raw, raw).real)
             records.append(TeleportRecord(outcome.label, l, branch, probability, raw))
     return records
+
+
+def stream_records(config: ScenarioConfig) -> list[TeleportRecord]:
+    """`fast_run`'s blocks as records in table order, each row corrected on its own."""
+    return block_records(config, fast_run(config), correct=True)

@@ -21,11 +21,17 @@ from teleportsim.eavesdrop import (
     sequential_decomposition_check,
 )
 from teleportsim.effects import kraus_mixture, strength_family, unitary_effect
-from teleportsim.engine import ideal_decomposition_check, make_scenario, run_oracle
+from teleportsim.engine import (
+    fast_run,
+    ideal_decomposition_check,
+    make_scenario,
+    oracle_blocks,
+    run_oracle,
+)
 from teleportsim.linalg import basis_state, uniform_state
 from teleportsim.sampling import child_rng, random_state, random_unitary
 
-from oracles import stream_records
+from oracles import block_records, stream_records
 
 ACCEPT_SEED = 20240817
 
@@ -97,10 +103,14 @@ def test_criterion_2_oracle_transfer_equivalence():
                 u0=random_unitary(dim, rng),
                 effect_r=_random_effect(dim, rng, trial % 3),
                 effect_b=_random_effect(dim, rng, (trial + 1) % 3),
-                apply_correction=bool(trial % 2),
             )
-            oracle_records = run_oracle(config)
-            fast_records = stream_records(config)
+            if trial % 2:
+                oracle_records, fast_records = run_oracle(config), stream_records(config)
+            else:
+                # the conditional states before the correction, on both streams
+                oracle_records, fast_records = (
+                    block_records(config, route(config)) for route in (oracle_blocks, fast_run)
+                )
             assert len(oracle_records) == len(fast_records)
             for slow, quick in zip(oracle_records, fast_records):
                 assert (slow.m, slow.l, slow.branch) == (quick.m, quick.l, quick.branch)

@@ -234,6 +234,18 @@ def test_tolerance_must_be_finite_and_non_negative(value, tmp_path, capsys):
     assert "--tolerance" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["-1", "x"])
+def test_verify_seed_must_be_a_non_negative_integer(value, capsys):
+    assert exit_code(["verify", "quick", "--seed", value]) == 1
+    assert "argument --seed: expected a non-negative integer" in capsys.readouterr().err
+
+
+def test_empty_output_path_in_config_exits_one(tmp_path, capsys):
+    config = write(tmp_path, "run.yaml", TAP_CONFIG + 'output: ""\n')
+    assert cli.main(["teleport", "--config", config]) == 1
+    assert "output: expected a non-empty path string" in capsys.readouterr().err
+
+
 def test_seed_field_in_config_exits_one(tmp_path, capsys):
     config = write(tmp_path, "run.yaml", TAP_CONFIG + "seed: 0\n")
     assert cli.main(["teleport", "--config", config]) == 1

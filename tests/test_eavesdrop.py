@@ -309,17 +309,15 @@ def test_analysis_report_is_self_consistent():
     assert report.total_fidelity == pytest.approx(total, abs=1e-12)
 
 
-@pytest.mark.parametrize("correct", [True, False])
-def test_report_total_fidelity_is_the_oracle_tables(correct):
-    # the report contracts with the bras of the scenario's own correction;
-    # without one, the oracle's outputs are compared with the input as they are
+def test_report_total_fidelity_is_the_oracle_tables():
+    # the report contracts the transfer route's uncorrected blocks with the
+    # bras U(m)^-1 psi; the oracle table holds the corrected outputs
     rng = np.random.default_rng(83)
     config = make_scenario(
         3,
         random_state(3, rng),
         u0=random_unitary(3, rng),
         effect_r=strength_family(3, 0.4, random_unitary(3, rng)),
-        apply_correction=correct,
     )
     table = run_oracle(config)
     expected = np.nansum(table.probabilities * table.fidelities(config.input_state))

@@ -33,7 +33,7 @@ from teleportsim.linalg import basis_state, dagger, norms_squared, uniform_state
 from teleportsim.runner import run_teleport
 from teleportsim.sampling import random_state, random_unitary
 
-from oracles import brute_teleport, materialized_oracle, stream_records
+from oracles import block_records, brute_teleport, materialized_oracle, stream_records
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
@@ -55,10 +55,13 @@ def test_ideal_teleportation_returns_input(dim):
 
 
 def test_correction_flag_exposes_conditional_state():
+    # the oracle stream holds the conditional states before the correction
     rng = np.random.default_rng(23)
     psi = random_state(3, rng)
-    config = make_scenario(3, psi, apply_correction=False)
-    for record in run_oracle(config):
+    config = make_scenario(3, psi)
+    records = block_records(config, oracle_blocks(config))
+    assert len(records) == 9
+    for record in records:
         a, b = record.m
         expected = dagger(weyl_unitary(3, a, b)) @ psi / 3.0
         assert_allclose(record.raw_output, expected, atol=1e-12)
@@ -98,13 +101,16 @@ def test_oracle_matches_the_materialized_full_state(n, correct):
         u0=u0,
         effect_r=kraus_mixture(kraus),
         effect_b=unitary_effect(receiver),
-        apply_correction=correct,
     )
     bell = config.bell
     expected = materialized_oracle(
         np.asarray(config.input_state), u0, bell.unitaries, bell.weights, kraus, [receiver], correct
     )
-    assert_allclose(run_oracle(config).amplitudes, expected, rtol=0, atol=1e-13)
+    if correct:
+        got = run_oracle(config).amplitudes
+    else:
+        got = np.array([block for _, block in oracle_blocks(config)])
+    assert_allclose(got, expected, rtol=0, atol=1e-13)
 
 
 @given(
@@ -132,10 +138,11 @@ def test_fast_run_reproduces_oracle(dim, seed, correct):
         u0=random_unitary(dim, rng),
         effect_r=effect_r,
         effect_b=unitary_effect(random_unitary(dim, rng)),
-        apply_correction=correct,
     )
-    slow = run_oracle(config)
-    quick = stream_records(config)
+    if correct:
+        slow, quick = run_oracle(config), stream_records(config)
+    else:
+        slow, quick = (block_records(config, route(config)) for route in (oracle_blocks, fast_run))
     assert len(slow) == len(quick)
     for a, b in zip(slow, quick):
         assert (a.m, a.l, a.branch) == (b.m, b.l, b.branch)
@@ -143,22 +150,19 @@ def test_fast_run_reproduces_oracle(dim, seed, correct):
         assert np.max(np.abs(a.raw_output - b.raw_output)) < 1e-12
 
 
-@pytest.mark.parametrize("correct", [True, False])
-def test_fidelities_match_brute_force_overlaps(correct):
-    # a corrected table moves U(m) onto the state instead of the outputs
+def test_fidelities_match_brute_force_overlaps():
     rng = np.random.default_rng(61)
     psi = random_state(3, rng)
     u0 = random_unitary(3, rng)
     e_r = random_unitary(3, rng)
     f_b = random_unitary(3, rng)
     config = make_scenario(
-        3, psi, u0=u0, effect_r=unitary_effect(e_r), effect_b=unitary_effect(f_b),
-        apply_correction=correct,
+        3, psi, u0=u0, effect_r=unitary_effect(e_r), effect_b=unitary_effect(f_b)
     )
     table = run_oracle(config)
     expected = []
     for outcome in config.bell.outcomes:
-        amp = brute_teleport(3, psi, u0, e_r, f_b, np.asarray(outcome.unitary), correct=correct)
+        amp = brute_teleport(3, psi, u0, e_r, f_b, np.asarray(outcome.unitary))
         expected.append(abs(np.vdot(psi, amp)) ** 2 / np.vdot(amp, amp).real)
     assert_allclose(table.fidelities(psi), [expected], rtol=0, atol=1e-12)
 
@@ -320,10 +324,13 @@ def test_explicit_families_match_brute_force_on_both_routes(case, correct):
     config = make_scenario(
         dim, psi, bell=family, u0=u0,
         effect_r=unitary_effect(e_r), effect_b=unitary_effect(f_b),
-        apply_correction=correct,
     )
     by_label = {label: (unitary, weight) for label, unitary, weight in outcomes}
-    for records in (run_oracle(config), stream_records(config)):
+    if correct:
+        routes = (run_oracle(config), stream_records(config))
+    else:
+        routes = (block_records(config, route(config)) for route in (oracle_blocks, fast_run))
+    for records in routes:
         assert [r.m for r in records] == [label for label, _, _ in outcomes]
         for record in records:
             u_m, weight = by_label[record.m]
@@ -333,7 +340,7 @@ def test_explicit_families_match_brute_force_on_both_routes(case, correct):
 
 
 
-def _fourier_tap(n: int, effect_b=None, correct: bool = True):
+def _fourier_tap(n: int, effect_b=None):
     """A Fourier-basis tap at theta = 0.5, as in the n = 32 benchmark workload."""
     k = np.arange(n)
     fourier = np.exp(2j * np.pi * np.outer(k, k) / n) / np.sqrt(n)
@@ -342,7 +349,6 @@ def _fourier_tap(n: int, effect_b=None, correct: bool = True):
         random_state(n, np.random.default_rng(n)),
         effect_r=strength_family(n, 0.5, fourier),
         effect_b=effect_b,
-        apply_correction=correct,
     )
 
 
@@ -355,20 +361,18 @@ def _damping(n: int):
     return kraus_mixture([k0, k1])
 
 
-@pytest.mark.parametrize("correct", [True, False])
 @pytest.mark.parametrize("n,receiver", [(16, True), (32, False)])
-def test_whole_table_correction_equals_per_block_products(n, receiver, correct):
-    # the table stores uncorrected blocks and corrects on read, with one
-    # product per outcome over every block; the reference applies U(m) block
-    # by block, one matrix-vector product each.  At the benchmark's
-    # dimensions both give the same bits.
-    config = _fourier_tap(n, _damping(n) if receiver else None, correct)
+def test_whole_table_correction_equals_per_block_products(n, receiver):
+    # the table holds every block of the oracle stream after U(m), bit for
+    # bit, and the squared norms of the blocks before it
+    config = _fourier_tap(n, _damping(n) if receiver else None)
     unitaries = config.bell.unitaries
     table = run_oracle(config)
-    expected = [(unitaries @ block[..., None])[..., 0] if correct else block for block in table.blocks]
-    assert len(expected) == (2 * n if receiver else n)
+    blocks = [block for _, block in oracle_blocks(config)]
+    assert len(blocks) == (2 * n if receiver else n)
+    expected = [(unitaries @ block[..., None])[..., 0] for block in blocks]
     assert np.array_equal(table.amplitudes, np.array(expected))
-    assert np.array_equal(table.probabilities, np.array([norms_squared(b) for b in table.blocks]))
+    assert np.array_equal(table.probabilities, np.array([norms_squared(b) for b in blocks]))
 
 
 def test_oracle_allocation_peak_stays_near_its_table():
@@ -382,7 +386,7 @@ def test_oracle_allocation_peak_stays_near_its_table():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.2 * table.blocks.nbytes
+    assert peak <= 1.2 * table.amplitudes.nbytes
 
 
 def _block_bytes(n: int) -> int:
@@ -390,12 +394,11 @@ def _block_bytes(n: int) -> int:
     return n * n * n * 16
 
 
-@pytest.mark.parametrize("correct", [True, False])
-def test_oracle_stream_holds_a_chunk_of_bras_and_its_relative_bra(correct):
+def test_oracle_stream_holds_a_chunk_of_bras_and_its_relative_bra():
     # beyond one chunk of bras the oracle stream holds the (M, n) bra on R
     # and the block it yields (and the one its consumer still holds); the
     # (M, n**2) bra stack alone would take 16 MB
-    config = _fourier_tap(32, correct=correct)
+    config = _fourier_tap(32)
     block_bytes = _block_bytes(32)
     chunk_bytes = engine._BRA_CHUNK * 32 * 32 * 16
     tracemalloc.start()
@@ -420,14 +423,13 @@ def test_oracle_stream_is_the_same_bits_in_any_chunking(monkeypatch):
     assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(chunked, whole))
 
 
-@pytest.mark.parametrize("correct", [True, False])
-def test_route_comparison_holds_a_few_blocks_of_each_stream(correct):
+def test_route_comparison_holds_a_few_blocks_of_each_stream():
     # both routes are streams compared block by block: with the oracle's
     # chunk of bras they hold a few (M, n) blocks, never a 16 MB table
-    config = _fourier_tap(32, correct=correct)
+    config = _fourier_tap(32)
     block_bytes = _block_bytes(32)
     chunk_bytes = engine._BRA_CHUNK * 32 * 32 * 16
-    bras = fidelity_bras(np.asarray(config.input_state), config.corrections)
+    bras = fidelity_bras(np.asarray(config.input_state), config.bell.unitaries)
     tracemalloc.start()
     try:
         keys, norms, overlaps, amplitude = compare_routes(oracle_blocks(config), fast_run(config), bras)
@@ -494,7 +496,7 @@ def _parted(config, case: str):
 )
 def test_compare_routes_names_streams_that_part(case, match):
     config = _fourier_tap(3, _damping(3))
-    bras = fidelity_bras(np.asarray(config.input_state), config.corrections)
+    bras = fidelity_bras(np.asarray(config.input_state), config.bell.unitaries)
     keys, *_ = compare_routes(oracle_blocks(config), fast_run(config), bras)
     assert len(keys) == 6
     with pytest.raises(RouteMismatch, match=match):
@@ -502,7 +504,8 @@ def test_compare_routes_names_streams_that_part(case, match):
 
 
 def test_fidelities_need_no_corrected_table():
-    # fidelities move U(m) onto the state; amplitudes build the corrected table
+    # fidelities contract the stored corrected table with the state and
+    # build no second table
     config = _fourier_tap(32)
     table = run_oracle(config)
     tracemalloc.start()
@@ -511,4 +514,4 @@ def test_fidelities_need_no_corrected_table():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 0.1 * table.blocks.nbytes
+    assert peak <= 0.1 * table.amplitudes.nbytes

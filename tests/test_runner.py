@@ -29,10 +29,10 @@ SPEC = parse_config(
 )
 
 
-def refused(match: str) -> None:
+def refused(match: str, spec=SPEC, tolerance: float = runner.DEFAULT_RUN_TOL) -> None:
     stream = io.StringIO()
     with pytest.raises(InvariantViolation, match=match):
-        run_teleport(SPEC, stream)
+        run_teleport(spec, stream, tolerance)
     assert stream.getvalue() == ""
 
 
@@ -133,6 +133,47 @@ def test_tap_cell_mismatch_writes_nothing(monkeypatch):
     scale = np.array([1.0, 1.0, 1.0, 1.0 + 1e-6])
     patched_tap_report(monkeypatch, probabilities=lambda p: p * scale)
     refused(r"branch operator probability deviates from oracle by .* on \(l=0, m=\(1, 1\)\)")
+
+
+# a tap and four equal receiver branches (the Pauli matrices over 2): every
+# output has amplitudes of at most 0.153, each branch a probability of
+# 1/32 and each (l, m) cell 1/8; the average fidelity is 1/2
+DEPOLARIZED = parse_config(
+    "n: 2\ninput: plus-uniform\neavesdrop:\n  theta: 0.5\n"
+    "effect_b:\n  kraus:\n"
+    "    - [[0.5, 0], [0, 0.5]]\n"
+    "    - [[0, 0.5], [0.5, 0]]\n"
+    "    - [[0, [0, -0.5]], [[0, 0.5], 0]]\n"
+    "    - [[0.5, 0], [0, -0.5]]\n"
+)
+
+
+def test_tap_cell_check_catches_branch_deviations_that_add_up(monkeypatch):
+    # outcome (0, 1) of every tap-branch-0 block is scaled by 1 + 5e-7: each
+    # branch moves by at most 7.7e-8 in amplitude and 3.1e-8 in
+    # probability, within 1e-7, but the four add up to 1.25e-7 in the cell
+    def grown(index, key, block):
+        if key[0] == 0:
+            block[1] *= 1 + 5e-7
+        yield key, block
+
+    faulty_stream(monkeypatch, grown)
+    refused(
+        r"branch operator probability deviates from oracle by 1\.250e-07 on \(l=0, m=\(0, 1\)\)",
+        DEPOLARIZED,
+        1e-7,
+    )
+
+
+def test_total_fidelity_check_catches_branch_deviations_that_add_up(monkeypatch):
+    # every output is scaled by 1 + 2e-7: each branch moves by at most 3.1e-8
+    # and each cell by 5e-8, within 1e-7, but the fidelity total of
+    # 1/2 moves by 2e-7
+    def grown(index, key, block):
+        yield key, block * (1 + 2e-7)
+
+    faulty_stream(monkeypatch, grown)
+    refused(r"total fidelity routes disagree by 2\.000e-07", DEPOLARIZED, 1e-7)
 
 
 def test_cross_check_fails_on_a_nan_amplitude(monkeypatch):
