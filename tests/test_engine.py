@@ -363,8 +363,7 @@ def _damping(n: int):
 
 @pytest.mark.parametrize("n,receiver", [(16, True), (32, False)])
 def test_whole_table_correction_equals_per_block_products(n, receiver):
-    # the table holds every block of the oracle stream after U(m), bit for
-    # bit, and the squared norms of the blocks before it
+    # the table holds every block of the oracle stream after U(m), bit for bit
     config = _fourier_tap(n, _damping(n) if receiver else None)
     unitaries = config.bell.unitaries
     table = run_oracle(config)
@@ -372,6 +371,16 @@ def test_whole_table_correction_equals_per_block_products(n, receiver):
     assert len(blocks) == (2 * n if receiver else n)
     expected = [(unitaries @ block[..., None])[..., 0] for block in blocks]
     assert np.array_equal(table.amplitudes, np.array(expected))
+
+
+@pytest.mark.parametrize("n,receiver", [(16, True), (32, False)])
+def test_table_probabilities_are_the_oracle_block_norms(n, receiver):
+    # the table's probabilities are the squared norms of the uncorrected
+    # oracle blocks, bit for bit
+    config = _fourier_tap(n, _damping(n) if receiver else None)
+    table = run_oracle(config)
+    blocks = [block for _, block in oracle_blocks(config)]
+    assert len(blocks) == (2 * n if receiver else n)
     assert np.array_equal(table.probabilities, np.array([norms_squared(b) for b in blocks]))
 
 
