@@ -8,7 +8,6 @@ per-outcome transfer operators.
 """
 from .bell import (
     BellFamily,
-    BellOutcome,
     bell_outcome_state,
     clock_unitary,
     completeness_deviation,
@@ -57,7 +56,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BellFamily",
-    "BellOutcome",
     "BranchTable",
     "EavesdropReport",
     "EffectOperator",

@@ -5,6 +5,7 @@ receiver B, with A on the slowest tensor index.  A two-party state on
 R x B therefore has R slow; a Bell outcome state on A x R has A slow.
 The shared resource ``sum_n (u0|n>)_R |n>_B / sqrt(dim)`` is the
 row-major flattening of ``u0 / sqrt(dim)``; the oracle builds it inline.
+A family is its labels, its unitary stack and its weight vector.
 Admission checks completeness on the Gram matrix of the stacked outcome
 states, built in row bands, so beside the ``(M, dim, dim)`` stack it holds
 no second array of that size.
@@ -28,48 +29,29 @@ _GRAM_BAND = 128
 
 
 @dataclass(frozen=True, eq=False)
-class BellOutcome:
-    """One outcome of an entangled measurement: a unitary and its weight."""
-
-    label: Label
-    unitary: np.ndarray
-    weight: float
-
-
-@dataclass(frozen=True, eq=False)
 class BellFamily:
     """Complete family of entangled measurement outcomes on A x R.
 
-    Instances built through `make_bell_family` satisfy the completeness
-    relation ``sum_m |P(m)><P(m)| = 1`` within `FAMILY_TOL`.  Constructing
-    the dataclass directly skips that admission check; the verification
-    suite does exactly that to prove it can catch a defective family.
-
-    ``unitaries``, ``weights`` and ``positions`` hold the outcomes stacked
-    in outcome order.  `make_bell_family` stores the stack once and makes
-    every ``BellOutcome.unitary`` a view into it; a directly constructed
-    family stacks its outcomes on first use.
+    Outcome ``m`` is ``labels[m]`` with unitary ``unitaries[m]`` and weight
+    ``weights[m]``: a read-only ``(M, dim, dim)`` stack and a read-only
+    ``(M,)`` vector, in outcome order.  Instances built through
+    `make_bell_family` satisfy the completeness relation
+    ``sum_m |P(m)><P(m)| = 1`` within `FAMILY_TOL`.  Constructing the
+    dataclass directly skips that admission check; the verification suite
+    does exactly that to prove it can catch a defective family.
     """
 
     dim: int
-    outcomes: tuple[BellOutcome, ...]
-
-    @cached_property
-    def unitaries(self) -> np.ndarray:
-        """Read-only ``(M, dim, dim)`` stack of the outcome unitaries."""
-        return _read_only(np.array([o.unitary for o in self.outcomes], dtype=complex))
-
-    @cached_property
-    def weights(self) -> np.ndarray:
-        """Read-only ``(M,)`` vector of the outcome weights."""
-        return _read_only(np.array([o.weight for o in self.outcomes], dtype=float))
+    labels: tuple[Label, ...]
+    unitaries: np.ndarray
+    weights: np.ndarray
 
     @cached_property
     def positions(self) -> dict[object, int]:
         """Label key to outcome index; the first outcome wins a repeated label."""
         index: dict[object, int] = {}
-        for i, outcome in enumerate(self.outcomes):
-            index.setdefault(_label_key(outcome.label), i)
+        for i, label in enumerate(self.labels):
+            index.setdefault(_label_key(label), i)
         return index
 
 
@@ -140,12 +122,12 @@ def _weyl_stack(dim: int) -> np.ndarray:
     return stack.reshape(dim * dim, dim, dim)
 
 
-def find_outcome(family: BellFamily, label: Label) -> BellOutcome:
-    """Outcome with the given label, or a ValueError naming the miss."""
+def find_outcome(family: BellFamily, label: Label) -> int:
+    """Index of the outcome with the given label, or a ValueError naming the miss."""
     position = family.positions.get(_label_key(label))
     if position is None:
-        raise ValueError(f"no outcome labeled {label!r} in family of size {len(family.outcomes)}")
-    return family.outcomes[position]
+        raise ValueError(f"no outcome labeled {label!r} in family of size {len(family.labels)}")
+    return position
 
 
 def bell_outcome_state(family: BellFamily, label: Label, u0: np.ndarray) -> np.ndarray:
@@ -154,12 +136,11 @@ def bell_outcome_state(family: BellFamily, label: Label, u0: np.ndarray) -> np.n
     The squared norm equals the outcome weight.  ``u0`` must match the
     resource the measurement is aimed at.
     """
-    dim = family.dim
-    outcome = find_outcome(family, label)
+    m = find_outcome(family, label)
     u0 = as_complex_matrix(u0)
-    if u0.shape != (dim, dim):
-        raise ValueError(f"u0 shape {u0.shape} does not match dimension {dim}")
-    return _outcome_matrices(outcome.unitary, outcome.weight, u0).reshape(-1)
+    if u0.shape != (family.dim, family.dim):
+        raise ValueError(f"u0 shape {u0.shape} does not match dimension {family.dim}")
+    return outcome_state_stack(family, u0, slice(m, m + 1))[0]
 
 
 def outcome_state_stack(family: BellFamily, u0: np.ndarray, outcomes: slice = slice(None)) -> np.ndarray:
@@ -168,16 +149,12 @@ def outcome_state_stack(family: BellFamily, u0: np.ndarray, outcomes: slice = sl
     ``outcomes`` picks a run of the family's outcomes, so a caller can
     build the stack a chunk of rows at a time.
     """
-    stack = _outcome_matrices(family.unitaries[outcomes], family.weights[outcomes], np.asarray(u0))
-    return stack.reshape(stack.shape[0], -1)
-
-
-def _outcome_matrices(unitaries: np.ndarray, weights: object, u0: np.ndarray) -> np.ndarray:
+    u0 = np.asarray(u0)
     # amplitude of |i>_A |j>_R is sqrt(w/dim) * (U @ u0.T)[i, j]; scaled in
     # place, so a stack of outcomes costs one buffer
-    mats = unitaries @ u0.T
-    mats *= np.sqrt(np.asarray(weights) / u0.shape[0])[..., None, None]
-    return mats
+    stack = family.unitaries[outcomes] @ u0.T
+    stack *= np.sqrt(family.weights[outcomes] / u0.shape[0])[:, None, None]
+    return stack.reshape(stack.shape[0], -1)
 
 
 def completeness_deviation(family: BellFamily) -> float:
@@ -250,18 +227,12 @@ def make_bell_family(
             raise ValueError("explicit outcome list must not be empty")
         stack = np.array(unitaries, dtype=complex)
         del unitaries  # the stack replaces the per-outcome copies before the Gram product
-    _read_only(stack)
-    weight_vector = _read_only(np.array(weights, dtype=float))
     family = BellFamily(
         dim=dim,
-        outcomes=tuple(
-            BellOutcome(label=label, unitary=unitary, weight=weight)
-            for label, unitary, weight in zip(labels, stack, weights)
-        ),
+        labels=tuple(labels),
+        unitaries=_read_only(stack),
+        weights=_read_only(np.array(weights, dtype=float)),
     )
-    # the outcomes are views into the stack, so the family caches it as is
-    object.__setattr__(family, "unitaries", stack)
-    object.__setattr__(family, "weights", weight_vector)
     deviation = completeness_deviation(family)
     if deviation > FAMILY_TOL:
         raise ValueError(

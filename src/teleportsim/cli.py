@@ -90,10 +90,25 @@ def _add_run_arguments(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def _open_output(path: str | None) -> tuple[IO[str], bool]:
-    if path is None:
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
+class _OutputFile:
+    """CSV destination opened on its first write.
+
+    Both runners write only once their checks have passed, so a run that
+    fails leaves an existing file as it was.
+    """
+
+    def __init__(self, path: str) -> None:
+        self._path = path
+        self._handle: IO[str] | None = None
+
+    def write(self, text: str) -> int:
+        if self._handle is None:
+            self._handle = open(self._path, "w", encoding="utf-8", newline="")
+        return self._handle.write(text)
+
+    def close(self) -> None:
+        if self._handle is not None:
+            self._handle.close()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -108,14 +123,14 @@ def main(argv: list[str] | None = None) -> int:
 
         spec = load_config(args.config, strict=args.strict)
         output_path = args.output if args.output is not None else spec.output_path
-        stream, owned = _open_output(output_path)
+        stream = sys.stdout if output_path is None else _OutputFile(output_path)
         try:
             if args.command == "teleport":
                 summary = run_teleport(spec, stream, tolerance=args.tolerance)
             else:
                 summary = run_sweep(spec, stream, tolerance=args.tolerance)
         finally:
-            if owned:
+            if stream is not sys.stdout:
                 stream.close()
         for line in summary:
             print(line, file=sys.stderr)

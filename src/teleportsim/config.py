@@ -37,12 +37,30 @@ class _ConfigLoader(yaml.SafeLoader):
 
     The YAML 1.1 resolver wants a mantissa dot and a signed exponent, so it
     would leave ``1e-09`` or ``1.5e5`` a string.  Quoted scalars stay strings.
-    An integer too long for Python to read fails with its field path.
+    An integer too long for Python to read, or a key repeated within one
+    mapping, fails with its field path.
     """
 
     def construct_document(self, node: yaml.Node) -> object:
-        self._root = node  # for the field path of a scalar that cannot be read
+        self._root = node  # for the field path an error names
+        self._flattened: set[yaml.MappingNode] = set()
         return super().construct_document(node)
+
+    def flatten_mapping(self, node: yaml.MappingNode) -> None:
+        # a mapping's own keys are checked once, before a << merge puts the
+        # keys it brings in, which the mapping may override, in front of them
+        if node not in self._flattened:
+            self._flattened.add(node)
+            seen = set()
+            for key, _ in node.value:
+                if (key.tag, key.value) in seen and key.tag != "tag:yaml.org,2002:merge":
+                    field = ".".join(filter(None, [_node_path(self._root, node), str(key.value)]))
+                    mark = key.start_mark
+                    raise ConfigError(
+                        f"{field}: repeated key (line {mark.line + 1}, column {mark.column + 1})"
+                    )
+                seen.add((key.tag, key.value))
+        super().flatten_mapping(node)
 
     def construct_yaml_int(self, node: yaml.ScalarNode) -> int:
         # Python refuses to read an integer of more than

@@ -116,7 +116,7 @@ def tap_report(
     fidelities.setflags(write=False)
     return EavesdropReport(
         tap_labels=tap_labels,
-        labels=tuple(o.label for o in config.bell.outcomes),
+        labels=config.bell.labels,
         probabilities=cells,
         fidelities=fidelities,
         # a sequential sum in table order, the same on both routes: numpy's
@@ -201,10 +201,10 @@ def projective_case_analysis(config: ScenarioConfig) -> ProjectiveReport:
     cell_probabilities = (bell.weights / dim**2)[:, None] * np.abs(overlaps) ** 2
     observables: dict[Label, np.ndarray] = {}
     probabilities: dict[tuple[int | str, Label], float] = {}
-    for outcome, observable, row in zip(bell.outcomes, stacked, cell_probabilities.tolist()):
-        observables[outcome.label] = observable
+    for label, observable, row in zip(bell.labels, stacked, cell_probabilities.tolist()):
+        observables[label] = observable
         for branch, probability in zip(family.branches, row):
-            probabilities[(branch.label, outcome.label)] = probability
+            probabilities[(branch.label, label)] = probability
     return ProjectiveReport(
         mirror_eigenstates=frozen_complex_array(eigenstates),
         observables=observables,

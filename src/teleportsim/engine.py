@@ -218,8 +218,8 @@ def oracle_blocks(config: ScenarioConfig) -> BlockStream:
     resource_mat = u0 / np.sqrt(dim)  # R x B amplitudes as a matrix
     # psi_A (x) |resource>_RB is a product across A | RB, so the sender index
     # is contracted once: row m of relative is <P(m)|psi>_A, a bra on R
-    relative = np.empty((len(bell.outcomes), dim), dtype=complex)
-    for start in range(0, len(bell.outcomes), _BRA_CHUNK):
+    relative = np.empty((len(bell.labels), dim), dtype=complex)
+    for start in range(0, len(bell.labels), _BRA_CHUNK):
         # row m holds <P(m)| over the A x R index, A slow
         bras = outcome_state_stack(bell, u0, slice(start, start + _BRA_CHUNK))
         np.conj(bras, out=bras)
@@ -245,12 +245,12 @@ def transfer_operator(
     may act after the receiver effect in lab time.
     """
     dim = config.dim
-    outcome = find_outcome(config.bell, m)
+    index = find_outcome(config.bell, m)
     e_r = _select_branch(config.effect_r, l, dim, "reference")
     f_b = _select_branch(config.effect_b, branch, dim, "receiver")
-    u_m = np.asarray(outcome.unitary)
+    u_m = config.bell.unitaries[index]
     mirrored = mirror_effect(np.asarray(config.u0), e_r)
-    return (np.sqrt(outcome.weight) / dim) * (u_m @ f_b @ mirrored @ dagger(u_m))
+    return (np.sqrt(config.bell.weights[index]) / dim) * (u_m @ f_b @ mirrored @ dagger(u_m))
 
 
 def transfer_kernel(
@@ -267,9 +267,8 @@ def transfer_kernel(
     """
     dim = config.dim
     bell = config.bell
-    inputs = np.asarray(inputs)
     # row (m, k) is sqrt(w)/dim U(m)^-1 inputs[k]
-    back = np.conj(inputs.conj() @ bell.unitaries)
+    back = apply_each_inverse(bell.unitaries, inputs)
     back *= (np.sqrt(bell.weights) / dim)[:, None, None]
     rows = back.reshape(-1, dim)
     receivers = effect_branches(config.effect_b if receiver else None, dim)
@@ -355,7 +354,7 @@ def _table(config: ScenarioConfig, blocks: BlockStream) -> BranchTable:
     dim = config.dim
     count = len(effect_branches(config.effect_r, dim)) * len(effect_branches(config.effect_b, dim))
     keys = []
-    stored = np.empty((count, len(bell.outcomes), dim), dtype=complex)
+    stored = np.empty((count, len(bell.labels), dim), dtype=complex)
     probabilities = np.empty(stored.shape[:2])
     # block by block: a whole-table product or norms would copy the table again
     for block, (key, amps) in enumerate(blocks):
@@ -364,12 +363,7 @@ def _table(config: ScenarioConfig, blocks: BlockStream) -> BranchTable:
         probabilities[block] = norms_squared(amps)
     stored.setflags(write=False)
     probabilities.setflags(write=False)
-    return BranchTable(
-        tuple(keys),
-        tuple(o.label for o in bell.outcomes),
-        stored,
-        probabilities,
-    )
+    return BranchTable(tuple(keys), bell.labels, stored, probabilities)
 
 
 def _select_branch(effect: EffectSpec, label: BranchLabel, dim: int, side: str) -> np.ndarray:

@@ -4,7 +4,8 @@ All operators are plain ``numpy`` arrays of dtype complex128.  The design
 envelope is modest (single-system dimension up to 32), so nothing here is
 sparse or lazy.  The largest array a run holds is the Bell family's
 ``(M, n, n)`` stack of outcome unitaries, 32**4 amplitudes; both routes
-stream ``(M, n)`` blocks of 32**3.
+stream ``(M, n)`` blocks of 32**3.  `apply_each_inverse` is the one
+spelling of ``U(m)^-1 psi`` over that stack.
 """
 from __future__ import annotations
 
@@ -78,11 +79,12 @@ def dagger(mat: np.ndarray) -> np.ndarray:
 
 
 def apply_each_inverse(ops: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Row ``m`` of the result is ``dagger(ops[m]) @ vecs[m]``.
+    """``dagger(ops[m]) @ v`` for every operator of the ``(M, n, n)`` stack.
 
-    ``vecs`` may be a single vector, applied to every operator of the stack.
+    ``vecs`` is one vector, giving an ``(M, n)`` result, or a ``(K, n)``
+    stack of them, giving ``(M, K, n)`` with ``[m, k]`` for ``vecs[k]``.
     """
-    return np.conj(vecs.conj()[..., None, :] @ ops)[..., 0, :]
+    return np.conj(np.conj(vecs) @ ops)
 
 
 def norms_squared(vecs: np.ndarray) -> np.ndarray:

@@ -126,7 +126,7 @@ def _zipped_pass(scenario: ScenarioConfig, tolerance: float) -> _RoutePass:
         keys, norms, overlaps, a_dev = compare_routes(oracle_blocks(scenario), fast_run(scenario), bras)
     except RouteMismatch as exc:
         raise InvariantViolation(str(exc)) from None
-    labels = tuple(o.label for o in scenario.bell.outcomes)
+    labels = scenario.bell.labels
     p_dev = np.abs(norms[0] - norms[1])
     # written as "not within", so a NaN deviation fails too
     failing = np.flatnonzero(~((p_dev <= tolerance) & (a_dev <= tolerance)))
@@ -207,7 +207,7 @@ def run_teleport(
 
     summary = [
         f"teleport: n={spec.n}, input {spec.input_label}, "
-        f"{len(spec.bell.outcomes)} Bell outcomes"
+        f"{len(spec.bell.labels)} Bell outcomes"
         + (
             f", tap theta={format_number(spec.eavesdrop.theta)}"
             if spec.eavesdrop is not None and spec.eavesdrop.theta is not None

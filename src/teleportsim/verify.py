@@ -98,7 +98,7 @@ def _dims(depth: str) -> tuple[int, ...]:
 def _corrupted_bell(dim: int) -> BellFamily:
     # drop the last outcome without re-running the admission check
     intact = make_bell_family(dim)
-    return BellFamily(dim=dim, outcomes=intact.outcomes[:-1])
+    return BellFamily(dim, intact.labels[:-1], intact.unitaries[:-1], intact.weights[:-1])
 
 
 def _corrupted_measurement(dim: int) -> MeasurementFamily:

@@ -203,11 +203,11 @@ def block_records(
     """
     records = []
     for (l, branch), block in blocks:
-        for outcome, raw in zip(config.bell.outcomes, block):
+        for label, unitary, raw in zip(config.bell.labels, config.bell.unitaries, block):
             if correct:
-                raw = np.asarray(outcome.unitary) @ raw
+                raw = unitary @ raw
             probability = float(np.vdot(raw, raw).real)
-            records.append(TeleportRecord(outcome.label, l, branch, probability, raw))
+            records.append(TeleportRecord(label, l, branch, probability, raw))
     return records
 
 

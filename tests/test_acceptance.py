@@ -174,8 +174,8 @@ def test_criterion_4_input_independent_marginals():
             p_m = report.probabilities.sum(axis=0)
             for label, value in zip(report.tap_labels, p_l):
                 worst = max(worst, abs(value - expected[label]))
-            for outcome, value in zip(config.bell.outcomes, p_m):
-                worst = max(worst, abs(value - outcome.weight / dim**2))
+            for weight, value in zip(config.bell.weights, p_m):
+                worst = max(worst, abs(value - weight / dim**2))
             table = (p_l, p_m)
             if baseline is None:
                 baseline = table

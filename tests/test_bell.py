@@ -93,27 +93,27 @@ def test_weyl_rejects_bad_labels():
 @pytest.mark.parametrize("dim", [2, 3, 4, 5])
 def test_weyl_family_trace_orthogonal_and_complete(dim):
     family = make_bell_family(dim)
-    assert len(family.outcomes) == dim * dim
+    assert len(family.labels) == dim * dim
     assert brute_trace_orthogonality(dim, list(family.unitaries)) < 1e-12
     assert completeness_deviation(family) < 1e-12
-    for outcome in family.outcomes:
-        assert outcome.weight == 1.0
+    for weight in family.weights:
+        assert weight == 1.0
 
 
 def test_outcome_state_norm_equals_weight():
     family = make_bell_family(3)
     u0 = random_unitary(3, np.random.default_rng(5))
-    for outcome in family.outcomes:
-        vec = bell_outcome_state(family, outcome.label, u0)
-        assert np.vdot(vec, vec).real == pytest.approx(outcome.weight, abs=1e-12)
+    for label, weight in zip(family.labels, family.weights):
+        vec = bell_outcome_state(family, label, u0)
+        assert np.vdot(vec, vec).real == pytest.approx(weight, abs=1e-12)
 
 
 def test_outcome_states_resolve_identity():
     family = make_bell_family(3)
     u0 = random_unitary(3, np.random.default_rng(6))
     total = np.zeros((9, 9), dtype=complex)
-    for outcome in family.outcomes:
-        vec = bell_outcome_state(family, outcome.label, u0)
+    for label in family.labels:
+        vec = bell_outcome_state(family, label, u0)
         total += np.outer(vec, vec.conj())
     assert_allclose(total, np.eye(9), atol=1e-12)
 
@@ -130,8 +130,8 @@ def test_outcome_state_stack_matches_each_outcome_state():
     u0 = random_unitary(3, np.random.default_rng(8))
     stack = outcome_state_stack(family, u0)
     assert stack.shape == (18, 9)
-    for row, outcome in zip(stack, family.outcomes):
-        assert np.array_equal(row, bell_outcome_state(family, outcome.label, u0))
+    for row, label in zip(stack, family.labels):
+        assert np.array_equal(row, bell_outcome_state(family, label, u0))
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5, 16, 32])
@@ -150,7 +150,7 @@ def test_weighted_duplicate_family_admitted():
         for copy in (0, 1)
     ]
     family = make_bell_family(2, outcomes)
-    assert len(family.outcomes) == 8
+    assert len(family.labels) == 8
     assert completeness_deviation(family) < 1e-12
 
 
@@ -176,8 +176,7 @@ def test_incomplete_family_rejected():
 
 
 def test_direct_construction_skips_admission():
-    intact = make_bell_family(2)
-    broken = BellFamily(dim=2, outcomes=intact.outcomes[:-1])
+    broken = _drop_last(make_bell_family(2), 1)
     assert completeness_deviation(broken) > 0.1
 
 
@@ -194,30 +193,44 @@ def test_explicit_family_validation_errors():
         find_outcome(make_bell_family(2), (9, 9))
 
 
-def test_weyl_outcomes_are_read_only_views_of_the_stack():
+def _drop_last(family: BellFamily, count: int) -> BellFamily:
+    # a directly built family skips admission
+    return BellFamily(
+        dim=family.dim,
+        labels=family.labels[:-count],
+        unitaries=family.unitaries[:-count],
+        weights=family.weights[:-count],
+    )
+
+
+def test_weyl_family_stacks_are_read_only():
     family = make_bell_family(3)
     stack = family.unitaries
     assert stack.shape == (9, 3, 3)
     assert not stack.flags.writeable
     assert family.weights.shape == (9,) and not family.weights.flags.writeable
-    for index, outcome in enumerate(family.outcomes):
-        assert np.shares_memory(outcome.unitary, stack)
-        assert not outcome.unitary.flags.writeable
-        assert_allclose(stack[index], weyl_unitary(3, *outcome.label), atol=0)
-        assert family.positions[outcome.label] == index
+    assert family.labels == tuple((a, b) for a in range(3) for b in range(3))
+    for index, label in enumerate(family.labels):
+        assert_allclose(stack[index], weyl_unitary(3, *label), atol=0)
+        assert family.positions[label] == index
+        assert find_outcome(family, label) == index
     with pytest.raises(ValueError):
-        family.outcomes[0].unitary[0, 0] = 2.0
+        stack[0, 0, 0] = 2.0
+    with pytest.raises(ValueError):
+        family.weights[0] = 2.0
 
 
-def test_direct_construction_stacks_its_outcomes():
+def test_direct_construction_keeps_its_stacks():
     intact = make_bell_family(2)
-    broken = BellFamily(dim=2, outcomes=intact.outcomes[:-1])
+    broken = _drop_last(intact, 1)
     assert broken.unitaries.shape == (3, 2, 2)
     assert not broken.unitaries.flags.writeable
-    for index, outcome in enumerate(broken.outcomes):
-        assert_allclose(broken.unitaries[index], outcome.unitary, atol=0)
-        assert broken.weights[index] == outcome.weight
-        assert find_outcome(broken, outcome.label) is outcome
+    assert not broken.weights.flags.writeable
+    for index, label in enumerate(broken.labels):
+        assert_allclose(broken.unitaries[index], intact.unitaries[index], atol=0)
+        assert broken.weights[index] == intact.weights[index]
+        assert broken.positions[label] == index
+        assert find_outcome(broken, label) == index
     with pytest.raises(ValueError, match=r"no outcome labeled \(1, 1\) in family of size 3"):
         find_outcome(broken, (1, 1))
     assert not run_verification("quick", corrupt="bell").passed
@@ -227,7 +240,8 @@ def test_unhashable_label_part_is_admitted_and_found():
     # admission keys a label the way the lookup does: by repr when unhashable
     outcomes = [((a, [b]), weyl_unitary(2, a, b), 1.0) for a in range(2) for b in range(2)]
     family = make_bell_family(2, outcomes)
-    assert find_outcome(family, (1, [0])) is family.outcomes[2]
+    assert find_outcome(family, (1, [0])) == 2
+    assert family.labels[2] == (1, [0])
     with pytest.raises(ValueError, match=r"duplicate outcome label \(0, \[1\]\)"):
         make_bell_family(2, outcomes + [((0, [1]), np.eye(2), 1.0)])
 
@@ -249,9 +263,9 @@ def test_family_deviations_match_loop_references():
         ((copy, a, b), (rot if copy else np.eye(2)) @ weyl_unitary(2, a, b), 0.5)
         for a in range(2) for b in range(2) for copy in (0, 1)
     ])
-    broken = BellFamily(dim=3, outcomes=make_bell_family(3).outcomes[:-2])
+    broken = _drop_last(make_bell_family(3), 2)
     for family in (tilted, broken, make_bell_family(3)):
-        pairs = [(np.asarray(o.unitary), o.weight) for o in family.outcomes]
+        pairs = list(zip(family.unitaries, family.weights))
         assert completeness_deviation(family) == pytest.approx(
             brute_completeness_deviation(family.dim, pairs), abs=1e-14
         )
@@ -263,10 +277,7 @@ def test_banded_gram_matches_the_whole_gram():
     dim = 12
     weights = np.random.default_rng(12).uniform(0.5, 1.5, dim * dim)
     intact = make_bell_family(dim)
-    family = BellFamily(
-        dim=dim,
-        outcomes=tuple(replace(o, weight=w) for o, w in zip(intact.outcomes, weights)),
-    )
+    family = replace(intact, weights=weights)
     states = family.unitaries.reshape(-1, dim * dim)
     gram = states.T @ (states.conj() * (family.weights / dim)[:, None])
     whole = np.max(np.abs(gram - np.eye(dim * dim)))
@@ -274,10 +285,7 @@ def test_banded_gram_matches_the_whole_gram():
     assert completeness_deviation(intact) < 1e-13
     poisoned = np.array(intact.unitaries)
     poisoned[-1, -1, -1] = np.nan
-    broken = BellFamily(
-        dim=dim,
-        outcomes=tuple(replace(o, unitary=u) for o, u in zip(intact.outcomes, poisoned)),
-    )
+    broken = replace(intact, unitaries=poisoned)
     assert np.isnan(completeness_deviation(broken))
 
 

@@ -157,6 +157,53 @@ def test_unwritable_output_exits_three(tmp_path):
     assert cli.main(["teleport", "--config", config, "--output", target]) == 3
 
 
+@pytest.mark.parametrize(
+    "config_text,needle",
+    [
+        (TAP_CONFIG.replace("n: 2\n", "n: 2\nn: 3\n"), "error: n: repeated key (line 2, column 1)"),
+        (TAP_CONFIG + "  theta: 0.9\n", "error: eavesdrop.theta: repeated key (line 5, column 3)"),
+        (
+            '{"n": 2, "input": "plus-uniform", "n": 3}',
+            "error: n: repeated key (line 1, column 35)",
+        ),
+    ],
+    ids=["top-level", "nested", "json"],
+)
+def test_repeated_config_key_exits_one(config_text, needle, tmp_path, capsys):
+    config = write(tmp_path, "run.yaml", config_text)
+    assert cli.main(["teleport", "--config", config]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [needle]
+
+
+KEPT = b"kept,bytes\n"
+
+
+def test_failed_run_leaves_output_as_it_was(tmp_path, capsys):
+    target = tmp_path / "keep.csv"
+    target.write_bytes(KEPT)
+    sweep = write(tmp_path, "sweep.yaml", SWEEP_CONFIG)
+    assert cli.main(["teleport", "--config", sweep, "--output", str(target)]) == 1
+    tap = write(tmp_path, "run.yaml", TAP_CONFIG)
+    assert cli.main(["sweep", "--config", tap, "--output", str(target)]) == 1
+    assert target.read_bytes() == KEPT
+
+
+def test_violated_invariant_leaves_output_as_it_was(tmp_path, capsys, monkeypatch):
+    def explode(scenario, tolerance):
+        raise InvariantViolation("routes disagree")
+
+    monkeypatch.setattr(runner, "_zipped_pass", explode)
+    target = tmp_path / "keep.csv"
+    target.write_bytes(KEPT)
+    for command, text in (("teleport", TAP_CONFIG), ("sweep", SWEEP_CONFIG)):
+        config = write(tmp_path, "run.yaml", text)
+        assert cli.main([command, "--config", config, "--output", str(target)]) == 2
+    assert "invariant violation" in capsys.readouterr().err
+    assert target.read_bytes() == KEPT
+
+
 def test_invariant_violation_exits_two(tmp_path, capsys, monkeypatch):
     def explode(spec, stream, tolerance):
         raise InvariantViolation("routes disagree")

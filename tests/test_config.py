@@ -43,7 +43,7 @@ def test_minimal_config():
     assert_allclose(spec.u0, np.eye(2), atol=1e-15)
     assert spec.eavesdrop is None
     assert spec.effect_b is None
-    assert len(spec.bell.outcomes) == 4
+    assert len(spec.bell.labels) == 4
     assert spec.distinguish[0][0] == "basis:0"
     assert spec.output_path is None
 
@@ -113,8 +113,8 @@ bell:
   - {unitary: [[[0, 0], [-1, 0]], [[1, 0], [0, 0]]]}
 """
     spec = parse_config(text)
-    assert len(spec.bell.outcomes) == 5
-    assert spec.bell.outcomes[0].weight == pytest.approx(0.5)
+    assert len(spec.bell.labels) == 5
+    assert spec.bell.weights[0] == pytest.approx(0.5)
 
 
 def test_kraus_effect_b():
@@ -308,3 +308,46 @@ def test_unreadable_integer_exits_one_with_one_error_line(command, field, tmp_pa
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: eavesdrop.")
     assert "too long to read" in lines[0] and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "text,needle",
+    [
+        ("n: 2\nn: 3\ninput: plus-uniform\n", "n: repeated key (line 2, column 1)"),
+        ('{"n": 2, "n": 3, "input": "plus-uniform"}', "n: repeated key (line 1, column 10)"),
+        (
+            "n: 2\ninput: plus-uniform\neavesdrop: {theta: 0.1, theta: 0.9}\n",
+            "eavesdrop.theta: repeated key (line 3, column 25)",
+        ),
+        (
+            "n: 2\ninput: plus-uniform\nbell:\n  - unitary: [[1, 0], [0, 1]]\n"
+            "    weight: 1\n    weight: 2\n",
+            "bell[0].weight: repeated key (line 6, column 5)",
+        ),
+        ("n: 2\n'n': 3\ninput: plus-uniform\n", "n: repeated key (line 2, column 1)"),
+    ],
+    ids=["top-level", "json", "nested", "in-sequence", "quoted"],
+)
+def test_repeated_key_names_the_field(text, needle):
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(text)
+    assert str(excinfo.value) == needle
+
+
+def test_merged_keys_may_be_overridden():
+    spec = parse_config(
+        "n: 2\ninput: plus-uniform\n"
+        "eavesdrop:\n  <<: {basis: computational, theta: 0.1}\n  theta: 0.9\n"
+    )
+    assert spec.eavesdrop.theta == 0.9
+    # &half is flattened as a merge source before *half reads it, so its
+    # overriding weight must not count as repeated the second time
+    spec = parse_config(
+        "n: 2\ninput: plus-uniform\nbell:\n"
+        "  - <<: &half {<<: {unitary: [[1, 0], [0, 1]], weight: 3}, weight: 0.5}\n"
+        "  - *half\n"
+        "  - unitary: [[0, 1], [1, 0]]\n"
+        "  - unitary: [[1, 0], [0, -1]]\n"
+        "  - unitary: [[0, -1], [1, 0]]\n"
+    )
+    assert spec.bell.weights.tolist() == [0.5, 0.5, 1.0, 1.0, 1.0]

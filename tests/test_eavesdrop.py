@@ -347,7 +347,7 @@ def test_report_arrays_have_nan_on_null_cells():
     report = analyze_eavesdropping(config)
     assert report.probabilities.shape == report.fidelities.shape == (2, 4)
     assert report.tap_labels == (0, 1)
-    assert report.labels == tuple(o.label for o in config.bell.outcomes)
+    assert report.labels == config.bell.labels
     null = report.probabilities < NULL_BRANCH_EPS
     assert null.tolist() == [[False, False, True, True], [True, True, False, False]]
     assert np.array_equal(np.isnan(report.fidelities), null)

@@ -161,8 +161,8 @@ def test_fidelities_match_brute_force_overlaps():
     )
     table = run_oracle(config)
     expected = []
-    for outcome in config.bell.outcomes:
-        amp = brute_teleport(3, psi, u0, e_r, f_b, np.asarray(outcome.unitary))
+    for unitary in config.bell.unitaries:
+        amp = brute_teleport(3, psi, u0, e_r, f_b, unitary)
         expected.append(abs(np.vdot(psi, amp)) ** 2 / np.vdot(amp, amp).real)
     assert_allclose(table.fidelities(psi), [expected], rtol=0, atol=1e-12)
 
@@ -425,8 +425,8 @@ def test_oracle_stream_is_the_same_bits_in_any_chunking(monkeypatch):
     # product on a slice of the family
     config = _fourier_tap(16, _damping(16))
     chunked = list(oracle_blocks(config))
-    assert len(config.bell.outcomes) > engine._BRA_CHUNK
-    monkeypatch.setattr(engine, "_BRA_CHUNK", len(config.bell.outcomes))
+    assert len(config.bell.labels) > engine._BRA_CHUNK
+    monkeypatch.setattr(engine, "_BRA_CHUNK", len(config.bell.labels))
     whole = list(oracle_blocks(config))
     assert [key for key, _ in chunked] == [key for key, _ in whole]
     assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(chunked, whole))

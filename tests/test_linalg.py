@@ -6,7 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from teleportsim.linalg import as_pure_state, dagger, transpose_in_basis, uniform_state
+from teleportsim.linalg import (
+    apply_each_inverse,
+    as_pure_state,
+    dagger,
+    transpose_in_basis,
+    uniform_state,
+)
 from teleportsim.sampling import random_state, random_unitary
 
 
@@ -16,6 +22,21 @@ def test_dagger_involution(dim, seed):
     mat = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     assert_allclose(dagger(dagger(mat)), mat)
     assert_allclose(transpose_in_basis(transpose_in_basis(mat)), mat)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5])
+def test_apply_each_inverse_of_one_vector_and_of_a_stack(dim):
+    rng = np.random.default_rng(dim)
+    ops = np.array([random_unitary(dim, rng) for _ in range(4)])
+    vecs = np.array([random_state(dim, rng) for _ in range(3)])
+    one = apply_each_inverse(ops, vecs[0])
+    assert one.shape == (4, dim)
+    stack = apply_each_inverse(ops, vecs)
+    assert stack.shape == (4, 3, dim)
+    for m, op in enumerate(ops):
+        assert_allclose(one[m], dagger(op) @ vecs[0], atol=1e-14)
+        for k, vec in enumerate(vecs):
+            assert_allclose(stack[m, k], dagger(op) @ vec, atol=1e-14)
 
 
 def test_transpose_requires_square():
