@@ -7,13 +7,15 @@ The shared resource ``sum_n (u0|n>)_R |n>_B / sqrt(dim)`` is the
 row-major flattening of ``u0 / sqrt(dim)``; the oracle builds it inline.
 A family is its labels, its unitary stack and its weight vector.
 Admission checks completeness on the Gram matrix of the stacked outcome
-states, built in row bands, so beside the ``(M, dim, dim)`` stack it holds
-no second array of that size.
+states, multiplying only the entries some outcome has amplitude on, a band
+of columns at a time, so beside the ``(M, dim, dim)`` stack it holds no
+second array of that size.  The shift/phase family of a dimension is
+admitted once and shared.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -22,9 +24,10 @@ from .linalg import FAMILY_TOL, as_complex_matrix, dagger, is_unitary, transpose
 
 Label = int | str | tuple
 
-# rows of the Gram built at once by `completeness_deviation`: at n = 32 a
-# band and its temporaries take about 6 MB, where the whole Gram and a
-# weighted copy of the stack would take 32 MB
+# columns of the Gram in a band and in a tile of `completeness_deviation`:
+# at n = 32 the Weyl family's touch mask and blocks peak near 2 MB, a dense
+# family's bands near 6 MB, where the whole Gram and a weighted copy of the
+# stack would take 32 MB
 _GRAM_BAND = 128
 
 
@@ -162,25 +165,44 @@ def completeness_deviation(family: BellFamily) -> float:
 
     The sum is evaluated with an identity reference rotation; rotating R
     conjugates it by a unitary and cannot change the deviation pattern.
-    The Gram matrix is Hermitian, so only its upper triangle is built, in
-    row bands of `_GRAM_BAND` rows: no ``(n^2, n^2)`` Gram and no weighted
-    copy of the stack is held, and a family with ``n^2 <= _GRAM_BAND``
-    takes one band.
+    A Gram entry is an empty sum, exactly zero, unless some outcome has
+    amplitude on both its row and its column, so only those entries are
+    multiplied.  The columns are ordered by the first outcome that touches
+    them and taken `_GRAM_BAND` at a time.  Each band is contracted over
+    the run of outcomes from the first to the last that touches it,
+    against the later columns that run touches, in tiles of at most
+    `_GRAM_BAND` columns; the Gram is Hermitian, so that upper triangle
+    covers it.  A dense family is one run of every outcome; the ``n^2``
+    Weyl outcomes fall into runs of ``n`` that share ``n`` columns, so at
+    n = 32 admission multiplies 8 blocks of 128^3 in place of 1024^3.  A
+    column no outcome touches has a zero diagonal and deviates by 1.
     """
     side = family.dim * family.dim
     # with u0 = identity the outcome state flattens U(m) row-major:
     # amplitude of |i>_A |j>_R is sqrt(w/dim) U[i, j]
     states = family.unitaries.reshape(-1, side)
-    scale = (family.weights / family.dim)[:, None]
-    worst = []
-    for start in range(0, side, _GRAM_BAND):
-        rows = np.conj(states[:, start : start + _GRAM_BAND]) * scale
-        # rows start .. start + band, columns start .. side of the Gram
-        band = rows.T @ states[:, start:]
-        del rows
-        band.flat[:: band.shape[1] + 1] -= 1.0  # the diagonal starts at column 0
-        worst.append(np.max(np.abs(band)))
-    # np.max, not max: a NaN band must make the deviation NaN
+    scale = family.weights / family.dim
+    touches = states != 0  # NaN touches, so a NaN entry reaches the max
+    touched = touches.any(axis=0)
+    worst = [0.0 if touched.all() else 1.0]
+    order = np.argsort(np.argmax(touches, axis=0), kind="stable")
+    order = order[touched[order]]
+    for start in range(0, order.size, _GRAM_BAND):
+        band = order[start : start + _GRAM_BAND]
+        # a run is a view of the stack; the touching outcomes alone would
+        # have to be copied out
+        touching = np.flatnonzero(touches[:, band].any(axis=1))
+        run = slice(touching[0], touching[-1] + 1)
+        rows = np.conj(states[run].take(band, axis=1)) * scale[run, None]
+        later = order[start:]
+        # the band's own columns lead, so the diagonal lies in the first tile
+        later = later[touches[run].any(axis=0)[later]]
+        for tile in range(0, later.size, _GRAM_BAND):
+            block = rows.T @ states[run].take(later[tile : tile + _GRAM_BAND], axis=1)
+            if tile == 0:
+                block.flat[:: block.shape[1] + 1] -= 1.0
+            worst.append(np.max(np.abs(block)))
+    # np.max, not max: a NaN block must make the deviation NaN
     return float(np.max(worst))
 
 
@@ -194,39 +216,50 @@ def make_bell_family(
     with unit weight) or an explicit iterable of ``(label, unitary,
     weight)`` triples.  Explicit families may repeat or tilt their
     unitaries as long as weights are positive and the weighted
-    completeness sum comes out to the identity.
+    completeness sum comes out to the identity.  The shift/phase family
+    is built and admitted once per dimension and kept for the life of
+    the process: every call for the same ``dim`` returns the same
+    read-only family.  An explicit family is built and admitted on every
+    call.
     """
     if dim < 2:
         raise ValueError(f"dimension must be at least 2, got {dim}")
     if outcomes is None:
-        labels: list[Label] = [(a, b) for a in range(dim) for b in range(dim)]
-        stack = _weyl_stack(dim)
-        weights = [1.0] * len(labels)
-    else:
-        labels, unitaries, weights = [], [], []
-        seen: set[object] = set()
-        for label, unitary, weight in outcomes:
-            unitary = as_complex_matrix(unitary)
-            if unitary.shape != (dim, dim):
-                raise ValueError(
-                    f"outcome {label!r}: unitary shape {unitary.shape} does not match dimension {dim}"
-                )
-            if not is_unitary(unitary):
-                raise ValueError(f"outcome {label!r}: matrix is not unitary")
-            weight = float(weight)
-            if not weight > 0:  # NaN fails too
-                raise ValueError(f"outcome {label!r}: weight must be positive, got {weight}")
-            key = _label_key(label)
-            if key in seen:
-                raise ValueError(f"duplicate outcome label {label!r}")
-            seen.add(key)
-            labels.append(label)
-            unitaries.append(unitary)
-            weights.append(weight)
-        if not labels:
-            raise ValueError("explicit outcome list must not be empty")
-        stack = np.array(unitaries, dtype=complex)
-        del unitaries  # the stack replaces the per-outcome copies before the Gram product
+        return _weyl_family(dim)
+    labels, unitaries, weights = [], [], []
+    seen: set[object] = set()
+    for label, unitary, weight in outcomes:
+        unitary = as_complex_matrix(unitary)
+        if unitary.shape != (dim, dim):
+            raise ValueError(
+                f"outcome {label!r}: unitary shape {unitary.shape} does not match dimension {dim}"
+            )
+        if not is_unitary(unitary):
+            raise ValueError(f"outcome {label!r}: matrix is not unitary")
+        weight = float(weight)
+        if not weight > 0:  # NaN fails too
+            raise ValueError(f"outcome {label!r}: weight must be positive, got {weight}")
+        key = _label_key(label)
+        if key in seen:
+            raise ValueError(f"duplicate outcome label {label!r}")
+        seen.add(key)
+        labels.append(label)
+        unitaries.append(unitary)
+        weights.append(weight)
+    if not labels:
+        raise ValueError("explicit outcome list must not be empty")
+    stack = np.array(unitaries, dtype=complex)
+    del unitaries  # the stack replaces the per-outcome copies before the Gram product
+    return _admitted(dim, labels, stack, weights)
+
+
+@lru_cache(maxsize=None, typed=True)
+def _weyl_family(dim: int) -> BellFamily:
+    labels = [(a, b) for a in range(dim) for b in range(dim)]
+    return _admitted(dim, labels, _weyl_stack(dim), [1.0] * len(labels))
+
+
+def _admitted(dim: int, labels: list[Label], stack: np.ndarray, weights: list[float]) -> BellFamily:
     family = BellFamily(
         dim=dim,
         labels=tuple(labels),
@@ -239,4 +272,3 @@ def make_bell_family(
             f"outcome family is not complete: deviation {deviation:.3e} exceeds {FAMILY_TOL:.1e}"
         )
     return family
-

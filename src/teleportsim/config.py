@@ -44,6 +44,9 @@ class _ConfigLoader(yaml.SafeLoader):
     def construct_document(self, node: yaml.Node) -> object:
         self._root = node  # for the field path an error names
         self._flattened: set[yaml.MappingNode] = set()
+        # a << merge source, detached from its mapping before it is
+        # flattened: the mapping it merges into and its name there
+        self._merged_into: dict[yaml.Node, tuple[yaml.MappingNode, str]] = {}
         return super().construct_document(node)
 
     def flatten_mapping(self, node: yaml.MappingNode) -> None:
@@ -52,15 +55,26 @@ class _ConfigLoader(yaml.SafeLoader):
         if node not in self._flattened:
             self._flattened.add(node)
             seen = set()
-            for key, _ in node.value:
-                if (key.tag, key.value) in seen and key.tag != "tag:yaml.org,2002:merge":
-                    field = ".".join(filter(None, [_node_path(self._root, node), str(key.value)]))
+            for key, value in node.value:
+                if key.tag == "tag:yaml.org,2002:merge":
+                    sources = value.value if isinstance(value, yaml.SequenceNode) else [value]
+                    for i, source in enumerate(sources):
+                        name = f"<<[{i}]" if isinstance(value, yaml.SequenceNode) else "<<"
+                        self._merged_into.setdefault(source, (node, name))
+                elif (key.tag, key.value) in seen:
+                    field = ".".join(filter(None, [self._field(node), str(key.value)]))
                     mark = key.start_mark
                     raise ConfigError(
                         f"{field}: repeated key (line {mark.line + 1}, column {mark.column + 1})"
                     )
                 seen.add((key.tag, key.value))
         super().flatten_mapping(node)
+
+    def _field(self, node: yaml.MappingNode) -> str | None:
+        if node in self._merged_into:
+            parent, name = self._merged_into[node]
+            return ".".join(filter(None, [self._field(parent), name]))
+        return _node_path(self._root, node)
 
     def construct_yaml_int(self, node: yaml.ScalarNode) -> int:
         # Python refuses to read an integer of more than

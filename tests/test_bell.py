@@ -21,6 +21,7 @@ from teleportsim.bell import (
     shift_unitary,
     weyl_unitary,
 )
+from teleportsim.linalg import dagger
 from teleportsim.sampling import random_unitary
 from teleportsim.verify import run_verification
 
@@ -220,6 +221,18 @@ def test_weyl_family_stacks_are_read_only():
         family.weights[0] = 2.0
 
 
+def test_weyl_family_is_admitted_once_per_dimension():
+    family = make_bell_family(4)
+    assert make_bell_family(4) is family
+    assert make_bell_family(5) is not family
+    assert not family.unitaries.flags.writeable
+    assert not family.weights.flags.writeable
+    outcomes = [((a, b), weyl_unitary(2, a, b), 1.0) for a in range(2) for b in range(2)]
+    explicit = make_bell_family(2, outcomes)
+    assert make_bell_family(2, outcomes) is not explicit
+    assert explicit is not make_bell_family(2)
+
+
 def test_direct_construction_keeps_its_stacks():
     intact = make_bell_family(2)
     broken = _drop_last(intact, 1)
@@ -271,22 +284,78 @@ def test_family_deviations_match_loop_references():
         )
 
 
-def test_banded_gram_matches_the_whole_gram():
-    # n = 12 takes two bands of the Gram's upper triangle; random weights
-    # spread the deviation over every entry, both triangles included
-    dim = 12
-    weights = np.random.default_rng(12).uniform(0.5, 1.5, dim * dim)
-    intact = make_bell_family(dim)
-    family = replace(intact, weights=weights)
-    states = family.unitaries.reshape(-1, dim * dim)
-    gram = states.T @ (states.conj() * (family.weights / dim)[:, None])
-    whole = np.max(np.abs(gram - np.eye(dim * dim)))
-    assert completeness_deviation(family) == pytest.approx(whole, rel=1e-12)
-    assert completeness_deviation(intact) < 1e-13
-    poisoned = np.array(intact.unitaries)
+def _random_weights(family: BellFamily, seed: int) -> BellFamily:
+    # random weights spread the deviation over every entry the outcomes touch
+    weights = np.random.default_rng(seed).uniform(0.5, 1.5, len(family.labels))
+    return replace(family, weights=weights)
+
+
+def _conjugated_weyl(dim: int) -> BellFamily:
+    # V U V^+ is dense (V V^+ keeps a few exact zeros off its diagonal), so
+    # every outcome touches every band: one support group
+    v = random_unitary(dim, np.random.default_rng(dim))
+    weyl = make_bell_family(dim)
+    return replace(weyl, unitaries=v @ weyl.unitaries @ dagger(v))
+
+
+def _poisoned_weyl(dim: int) -> BellFamily:
+    weyl = make_bell_family(dim)
+    poisoned = np.array(weyl.unitaries)
     poisoned[-1, -1, -1] = np.nan
-    broken = replace(intact, unitaries=poisoned)
-    assert np.isnan(completeness_deviation(broken))
+    return replace(weyl, unitaries=poisoned)
+
+
+def _coupled_across_bands() -> BellFamily:
+    # two more outcomes on columns 0 and 132 whose opposite weights cancel
+    # on the diagonal: the only deviation, 1/12, lies between two columns
+    # in different bands
+    weyl = make_bell_family(12)
+    pair = np.zeros((2, 144), dtype=complex)
+    pair[:, 0] = 1.0
+    pair[:, 132] = [1.0, -1.0]
+    return BellFamily(
+        12,
+        weyl.labels + ("+", "-"),
+        np.concatenate([weyl.unitaries, pair.reshape(2, 12, 12)]),
+        np.concatenate([weyl.weights, [0.5, -0.5]]),
+    )
+
+
+GRAM_CASES = {
+    # n = 12 has 144 columns: two bands of the Gram's upper triangle
+    "weyl": lambda: make_bell_family(12),
+    "weyl-random-weights": lambda: _random_weights(make_bell_family(12), 12),
+    "dense": lambda: _conjugated_weyl(12),
+    "dense-random-weights": lambda: _random_weights(_conjugated_weyl(12), 13),
+    "weyl-outcome-dropped": lambda: _drop_last(make_bell_family(12), 1),
+    "coupled-across-bands": _coupled_across_bands,
+    # I and Z resolve the identity on columns |00> and |11> exactly and touch
+    # neither |01> nor |10>, whose zero diagonal deviates by exactly 1
+    "columns-untouched": lambda: BellFamily(
+        2, ("I", "Z"), np.array([np.eye(2), clock_unitary(2)]), np.ones(2)
+    ),
+    "nan-entry": lambda: _poisoned_weyl(12),
+}
+
+
+@pytest.mark.parametrize("case", GRAM_CASES.values(), ids=GRAM_CASES.keys())
+def test_banded_gram_matches_the_whole_gram(case):
+    family = case()
+    side = family.dim * family.dim
+    states = family.unitaries.reshape(-1, side)
+    gram = states.T @ (states.conj() * (family.weights / family.dim)[:, None])
+    whole = np.max(np.abs(gram - np.eye(side)))
+    deviation = completeness_deviation(family)
+    if np.isnan(whole):
+        assert np.isnan(deviation)
+    elif whole < 1e-13:  # a complete family deviates by roundoff alone
+        assert deviation < 1e-13
+    else:
+        assert deviation == pytest.approx(whole, rel=1e-12)
+
+
+def test_untouched_columns_deviate_by_exactly_one():
+    assert completeness_deviation(GRAM_CASES["columns-untouched"]()) == 1.0
 
 
 def test_admission_holds_no_whole_gram():
@@ -299,5 +368,7 @@ def test_admission_holds_no_whole_gram():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 0.5 * family.unitaries.nbytes
+    # only the Gram entries some outcome touches are built: 8 blocks of
+    # 128 x 128, where the dense bands alone would take about 6 MB
+    assert peak <= 0.25 * family.unitaries.nbytes
 

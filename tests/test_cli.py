@@ -166,8 +166,12 @@ def test_unwritable_output_exits_three(tmp_path):
             '{"n": 2, "input": "plus-uniform", "n": 3}',
             "error: n: repeated key (line 1, column 35)",
         ),
+        (
+            "n: 2\ninput: plus-uniform\neavesdrop: {<<: {theta: 0.1, theta: 0.2}}\n",
+            "error: eavesdrop.<<.theta: repeated key (line 3, column 30)",
+        ),
     ],
-    ids=["top-level", "nested", "json"],
+    ids=["top-level", "nested", "json", "merge-source"],
 )
 def test_repeated_config_key_exits_one(config_text, needle, tmp_path, capsys):
     config = write(tmp_path, "run.yaml", config_text)

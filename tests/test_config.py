@@ -325,8 +325,13 @@ def test_unreadable_integer_exits_one_with_one_error_line(command, field, tmp_pa
             "bell[0].weight: repeated key (line 6, column 5)",
         ),
         ("n: 2\n'n': 3\ninput: plus-uniform\n", "n: repeated key (line 2, column 1)"),
+        (
+            "n: 2\ninput: plus-uniform\neavesdrop:\n"
+            "  <<: [{basis: computational}, {<<: {theta: 0.1, theta: 0.2}}]\n",
+            "eavesdrop.<<[1].<<.theta: repeated key (line 4, column 50)",
+        ),
     ],
-    ids=["top-level", "json", "nested", "in-sequence", "quoted"],
+    ids=["top-level", "json", "nested", "in-sequence", "quoted", "merge-source-list"],
 )
 def test_repeated_key_names_the_field(text, needle):
     with pytest.raises(ConfigError) as excinfo:

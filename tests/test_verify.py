@@ -60,6 +60,15 @@ def test_failure_lines_mention_the_broken_check():
     assert lines[-1].startswith("CHECKS FAILED")
 
 
+def test_corrupt_bell_leaves_the_shared_family_intact():
+    # the corrupted family is cut from the shared Weyl family, which later
+    # runs must still find complete
+    first = run_verification("quick", seed=0, corrupt="bell").lines()
+    assert first[0] == "FAIL bell-completeness: max deviation 5.000e-01 (tolerance 1.0e-09)"
+    assert run_verification("quick", seed=0).passed
+    assert run_verification("quick", seed=0, corrupt="bell").lines() == first
+
+
 def test_seed_changes_probes_but_not_verdict():
     for seed in (0, 1, 2):
         assert run_verification("quick", seed=seed).passed
