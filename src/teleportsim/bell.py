@@ -160,6 +160,17 @@ def outcome_state_stack(family: BellFamily, u0: np.ndarray, outcomes: slice = sl
     return stack.reshape(stack.shape[0], -1)
 
 
+def _consecutive(columns: np.ndarray) -> bool:
+    return bool(np.all(np.diff(columns) == 1))
+
+
+def _columns(states: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """``states[:, columns]``: a view when the columns are consecutive, else a copy."""
+    if _consecutive(columns):
+        return states[:, columns[0] : columns[-1] + 1]
+    return states.take(columns, axis=1)
+
+
 def completeness_deviation(family: BellFamily) -> float:
     """Largest entrywise deviation of ``sum_m |P(m)><P(m)| - 1`` from zero.
 
@@ -172,7 +183,9 @@ def completeness_deviation(family: BellFamily) -> float:
     the run of outcomes from the first to the last that touches it,
     against the later columns that run touches, in tiles of at most
     `_GRAM_BAND` columns; the Gram is Hermitian, so that upper triangle
-    covers it.  A dense family is one run of every outcome; the ``n^2``
+    covers it.  Consecutive columns are a view of the stack, not a copy,
+    and when all the later columns are consecutive one product covers
+    them.  A dense family is one run of every outcome; the ``n^2``
     Weyl outcomes fall into runs of ``n`` that share ``n`` columns, so at
     n = 32 admission multiplies 8 blocks of 128^3 in place of 1024^3.  A
     column no outcome touches has a zero diagonal and deviates by 1.
@@ -193,12 +206,13 @@ def completeness_deviation(family: BellFamily) -> float:
         # have to be copied out
         touching = np.flatnonzero(touches[:, band].any(axis=1))
         run = slice(touching[0], touching[-1] + 1)
-        rows = np.conj(states[run].take(band, axis=1)) * scale[run, None]
+        rows = np.conj(_columns(states[run], band)) * scale[run, None]
         later = order[start:]
         # the band's own columns lead, so the diagonal lies in the first tile
         later = later[touches[run].any(axis=0)[later]]
-        for tile in range(0, later.size, _GRAM_BAND):
-            block = rows.T @ states[run].take(later[tile : tile + _GRAM_BAND], axis=1)
+        width = later.size if _consecutive(later) else _GRAM_BAND
+        for tile in range(0, later.size, width):
+            block = rows.T @ _columns(states[run], later[tile : tile + width])
             if tile == 0:
                 block.flat[:: block.shape[1] + 1] -= 1.0
             worst.append(np.max(np.abs(block)))

@@ -14,13 +14,20 @@ no oracle checks it.  A mismatch beyond the run tolerance raises
 `InvariantViolation` before the first row is written, instead of writing
 a plausible-looking but wrong table.  Output is deterministic down to the
 byte for a fixed spec.
+
+The teleport table is rendered in bulk, with the bytes a row-by-row
+csv.writer would give.  Every number is `format_number`'s ``.12g``, and
+`format_numbers` renders each distinct float64 bit pattern of the
+``(K, M)`` probabilities, and of the fidelities, once.  `format_labels` renders
+every label in one csv.writer pass.  The rows of one ``(l, b)`` block are
+joined from those texts and written at once, so a run holds its string
+arrays and one block's text, never the whole body.
 """
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
-from math import isnan
+from types import SimpleNamespace
 from typing import IO, Iterable
 
 import numpy as np
@@ -55,26 +62,53 @@ class InvariantViolation(RuntimeError):
     """The two computation routes disagreed beyond the run tolerance."""
 
 
+# how every number of a CSV is written: 12 significant digits
+_NUMBER = "%.12g"
+
+
 def format_number(value: float) -> str:
     """Decimal rendering at 12 significant digits, stable across runs."""
-    return f"{value:.12g}"
+    return _NUMBER % value
 
 
-def format_label(label: object) -> str:
-    """A label as one CSV field, quoted exactly as csv.writer quotes it.
+def format_numbers(values: np.ndarray) -> np.ndarray:
+    """`format_number` of every entry, NaN as the empty field, as an object array.
 
-    Tuple parts are joined with ``-``; ``None`` is the empty field.
+    Each distinct float64 bit pattern is rendered once and mapped back by
+    index, so ``-0.0``, NaN payloads and subnormals come out exactly as a
+    call per entry renders them.  One ``%`` renders every distinct value,
+    a line each: a number's text holds no newline.
     """
-    if label is None:
-        text = ""
-    elif isinstance(label, tuple):
-        text = "-".join(str(part) for part in label)
-    else:
-        text = str(label)
-    buffer = io.StringIO()
+    values = np.ascontiguousarray(values, dtype=float)
+    patterns, inverse = np.unique(values.reshape(-1).view(np.int64), return_inverse=True)
+    distinct = patterns.view(float)
+    lines = (_NUMBER + "\n") * distinct.size % tuple(distinct.tolist())
+    texts = np.array(lines.split("\n")[:-1], dtype=object)
+    texts[np.isnan(distinct)] = ""
+    # the inverse's shape has changed across numpy versions
+    return texts[inverse.reshape(values.shape)]
+
+
+def format_labels(labels: Iterable[object]) -> list[str]:
+    """Each label as one CSV field, quoted exactly as csv.writer quotes it.
+
+    Tuple parts are joined with ``-``; ``None`` is the empty field.  One
+    writer renders every label as a row of its own, and it hands each row
+    to ``write`` in one call.
+    """
+    rows: list[str] = []
+    writer = csv.writer(SimpleNamespace(write=rows.append), lineterminator="\n")
     # a second, empty field keeps csv.writer from quoting a lone empty field
-    csv.writer(buffer, lineterminator="\n").writerow((text, ""))
-    return buffer.getvalue()[:-2]
+    writer.writerows((_label_text(label), "") for label in labels)
+    return [row[:-2] for row in rows]
+
+
+def _label_text(label: object) -> str:
+    if label is None:
+        return ""
+    if isinstance(label, tuple):
+        return "-".join(str(part) for part in label)
+    return str(label)
 
 
 def build_scenario(spec: RunSpec, theta: float | None = None) -> ScenarioConfig:
@@ -181,28 +215,33 @@ def run_teleport(
     measured = _zipped_pass(scenario, tolerance)
     probabilities = measured.probabilities
     fidelities = measured.fidelities
+    tap = measured.tap
     # a tap is the only reference effect a spec sets
-    p_l = {} if spec.eavesdrop is None else dict(
-        zip(measured.tap.tap_labels, measured.tap.probabilities.sum(axis=1).tolist())
-    )
+    tap_labels = () if spec.eavesdrop is None else tap.tap_labels
+    outcomes, key_labels = len(tap.labels), 2 * len(measured.keys)
+    texts = format_labels([*tap.labels, *(label for key in measured.keys for label in key), *tap_labels])
+    m_texts, texts = texts[:outcomes], texts[outcomes:]
+    l_texts, b_texts, tap_texts = texts[:key_labels:2], texts[1:key_labels:2], texts[key_labels:]
+    p_texts, f_texts = format_numbers(probabilities), format_numbers(fidelities)
 
-    # rows are formatted as text, one write per block; every label goes
-    # through `format_label` once, so the bytes are what csv.writer gives
+    # one write per block, joined from the columns of its rows: only the
+    # labels of its key and its numbers change from block to block
     stream.write(",".join(TELEPORT_HEADER) + "\n")
-    m_texts = [format_label(m) for m in measured.tap.labels]
-    for (l, branch), row_p, row_f in zip(measured.keys, probabilities, fidelities):
-        prefix = f"outcome,{format_label(l)},"
-        b_text = format_label(branch)
-        stream.write("".join(
-            f"{prefix}{m_text},{b_text},{p:.12g},{'' if isnan(f) else f'{f:.12g}'}\n"
-            for m_text, p, f in zip(m_texts, row_p.tolist(), row_f.tolist())
-        ))
+    columns = np.empty((outcomes, 7), dtype=object)
+    columns[:, 1], columns[:, 4], columns[:, 6] = m_texts, ",", "\n"
+    for l_text, b_text, p_row, f_row in zip(l_texts, b_texts, p_texts, f_texts):
+        columns[:, 0], columns[:, 2] = f"outcome,{l_text},", f",{b_text},"
+        columns[:, 3], columns[:, 5] = p_row, f_row
+        stream.write("".join(columns.reshape(-1).tolist()))
     total_probability = float(probabilities.sum())
     stream.write("".join([
-        *(f"p_l,{format_label(label)},,,{value:.12g},\n" for label, value in p_l.items()),
-        *(f"p_m,,{m_text},,{value:.12g},\n"
-          for m_text, value in zip(m_texts, probabilities.sum(axis=0).tolist())),
-        f"total,,,,{total_probability:.12g},{measured.tap.total_fidelity:.12g}\n",
+        *(f"p_l,{label},,,{value},\n" for label, value in zip(
+            tap_texts, format_numbers(tap.probabilities.sum(axis=1)).tolist()
+        )),
+        *(f"p_m,,{m_text},,{value},\n" for m_text, value in zip(
+            m_texts, format_numbers(probabilities.sum(axis=0)).tolist()
+        )),
+        f"total,,,,{format_number(total_probability)},{format_number(tap.total_fidelity)}\n",
     ]))
 
     summary = [
@@ -215,7 +254,7 @@ def run_teleport(
         ),
         f"records: {probabilities.size} ({int(np.isnan(fidelities).sum())} null), "
         f"probability sum {format_number(total_probability)}",
-        f"average output fidelity: {format_number(measured.tap.total_fidelity)}",
+        f"average output fidelity: {format_number(tap.total_fidelity)}",
         _routes_line(measured.deviations, tolerance),
     ]
     return summary

@@ -7,9 +7,13 @@ code paths (no kron, no einsum, no reshape tricks).  The one exception is
 take, kept because index loops at n = 16 would take minutes.
 `stream_records` and `block_records` are no oracles: they turn a route's
 stream into records, corrected or not, for the tests that compare the two
-routes record by record.
+routes record by record.  `format_label` renders one label alone, the
+reference for the runner's one-pass `format_labels`.
 """
 from __future__ import annotations
+
+import csv
+import io
 
 import numpy as np
 from scipy.linalg import sqrtm
@@ -214,3 +218,20 @@ def block_records(
 def stream_records(config: ScenarioConfig) -> list[TeleportRecord]:
     """`fast_run`'s blocks as records in table order, each row corrected on its own."""
     return block_records(config, fast_run(config), correct=True)
+
+
+def format_label(label: object) -> str:
+    """A label as one CSV field, quoted exactly as its own csv.writer quotes it.
+
+    Tuple parts are joined with ``-``; ``None`` is the empty field.
+    """
+    if label is None:
+        text = ""
+    elif isinstance(label, tuple):
+        text = "-".join(str(part) for part in label)
+    else:
+        text = str(label)
+    buffer = io.StringIO()
+    # a second, empty field keeps csv.writer from quoting a lone empty field
+    csv.writer(buffer, lineterminator="\n").writerow((text, ""))
+    return buffer.getvalue()[:-2]

@@ -354,6 +354,24 @@ def test_banded_gram_matches_the_whole_gram(case):
         assert deviation == pytest.approx(whole, rel=1e-12)
 
 
+@pytest.mark.parametrize("column", [127, 143])
+def test_banded_gram_reaches_the_last_column_of_a_band(column):
+    # one column of a dense family grown by 1e-6 makes the largest deviation
+    # on its diagonal entry, whether the column ends the first band or the
+    # Gram; a unitary on the right keeps the family complete and leaves it no
+    # exact zero, so its columns are in order and each band is one view
+    family = _conjugated_weyl(12)
+    q = random_unitary(12, np.random.default_rng(5))
+    states = (family.unitaries @ q).reshape(-1, 144)
+    assert np.all(states != 0)
+    states[:, column] *= 1 + 1e-6
+    grown = replace(family, unitaries=states.reshape(family.unitaries.shape))
+    gram = states.T @ (states.conj() * (grown.weights / grown.dim)[:, None])
+    whole = np.max(np.abs(gram - np.eye(144)))
+    assert whole > 1e-6
+    assert completeness_deviation(grown) == pytest.approx(whole, rel=1e-12)
+
+
 def test_untouched_columns_deviate_by_exactly_one():
     assert completeness_deviation(GRAM_CASES["columns-untouched"]()) == 1.0
 

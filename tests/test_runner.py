@@ -259,15 +259,23 @@ def test_total_fidelity_routes_agree_to_roundoff():
 
 
 def test_outcome_rows_are_the_bytes_csv_writer_gives():
-    labels = ["a,b", 'q"x', "line\nbreak", ("t", 1)]
+    labels = ["a,b", 'q"x', "line\nbreak", ("t", 1), "50%", "%s"]
+    # the last two repeat the first two unitaries: each of the pair weighs 1/2
+    weights = [0.5, 0.5, 1.0, 1.0, 0.5, 0.5]
     family = make_bell_family(
-        2, [(label, weyl_unitary(2, *divmod(i, 2)), 1.0) for i, label in enumerate(labels)]
+        2,
+        [
+            (label, weyl_unitary(2, *divmod(i % 4, 2)), weight)
+            for i, (label, weight) in enumerate(zip(labels, weights))
+        ],
     )
     stream = io.StringIO()
     run_teleport(replace(SPEC, bell=family), stream)
     text = stream.getvalue()
     rows = list(csv.reader(io.StringIO(text)))
-    assert {row[2] for row in rows if row[0] == "outcome"} == {"a,b", 'q"x', "line\nbreak", "t-1"}
+    assert {row[2] for row in rows if row[0] == "outcome"} == {
+        "a,b", 'q"x', "line\nbreak", "t-1", "50%", "%s"
+    }
     expected = io.StringIO()
     csv.writer(expected, lineterminator="\n").writerows(rows)
     assert text == expected.getvalue()
