@@ -160,13 +160,9 @@ def outcome_state_stack(family: BellFamily, u0: np.ndarray, outcomes: slice = sl
     return stack.reshape(stack.shape[0], -1)
 
 
-def _consecutive(columns: np.ndarray) -> bool:
-    return bool(np.all(np.diff(columns) == 1))
-
-
 def _columns(states: np.ndarray, columns: np.ndarray) -> np.ndarray:
     """``states[:, columns]``: a view when the columns are consecutive, else a copy."""
-    if _consecutive(columns):
+    if np.all(np.diff(columns) == 1):
         return states[:, columns[0] : columns[-1] + 1]
     return states.take(columns, axis=1)
 
@@ -183,12 +179,12 @@ def completeness_deviation(family: BellFamily) -> float:
     the run of outcomes from the first to the last that touches it,
     against the later columns that run touches, in tiles of at most
     `_GRAM_BAND` columns; the Gram is Hermitian, so that upper triangle
-    covers it.  Consecutive columns are a view of the stack, not a copy,
-    and when all the later columns are consecutive one product covers
-    them.  A dense family is one run of every outcome; the ``n^2``
-    Weyl outcomes fall into runs of ``n`` that share ``n`` columns, so at
-    n = 32 admission multiplies 8 blocks of 128^3 in place of 1024^3.  A
-    column no outcome touches has a zero diagonal and deviates by 1.
+    covers it.  A band or tile of consecutive columns is a view of the
+    stack, not a copy.  A dense family is one run of every outcome; the
+    ``n^2`` Weyl outcomes fall into runs of ``n`` that share ``n``
+    columns, so at n = 32 admission multiplies 8 blocks of 128^3 in place
+    of 1024^3.  A column no outcome touches has a zero diagonal and
+    deviates by 1.
     """
     side = family.dim * family.dim
     # with u0 = identity the outcome state flattens U(m) row-major:
@@ -210,9 +206,8 @@ def completeness_deviation(family: BellFamily) -> float:
         later = order[start:]
         # the band's own columns lead, so the diagonal lies in the first tile
         later = later[touches[run].any(axis=0)[later]]
-        width = later.size if _consecutive(later) else _GRAM_BAND
-        for tile in range(0, later.size, width):
-            block = rows.T @ _columns(states[run], later[tile : tile + width])
+        for tile in range(0, later.size, _GRAM_BAND):
+            block = rows.T @ _columns(states[run], later[tile : tile + _GRAM_BAND])
             if tile == 0:
                 block.flat[:: block.shape[1] + 1] -= 1.0
             worst.append(np.max(np.abs(block)))

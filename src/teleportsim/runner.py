@@ -89,17 +89,22 @@ def format_numbers(values: np.ndarray) -> np.ndarray:
     return texts[inverse.reshape(values.shape)]
 
 
-def format_labels(labels: Iterable[object]) -> list[str]:
+def format_labels(labels: list[object]) -> list[str]:
     """Each label as one CSV field, quoted exactly as csv.writer quotes it.
 
     Tuple parts are joined with ``-``; ``None`` is the empty field.  One
-    writer renders every label as a row of its own, and it hands each row
-    to ``write`` in one call.
+    writer renders every label as a row of its own.  The rows are split
+    apart by the writer's ``write`` calls: CPython's csv.writer hands each
+    row to ``write`` in one call, which the csv documentation does not
+    promise, so a row written in pieces fails here instead of shifting
+    every later label.
     """
     rows: list[str] = []
     writer = csv.writer(SimpleNamespace(write=rows.append), lineterminator="\n")
     # a second, empty field keeps csv.writer from quoting a lone empty field
     writer.writerows((_label_text(label), "") for label in labels)
+    if len(rows) != len(labels):
+        raise RuntimeError(f"csv.writer wrote {len(labels)} rows in {len(rows)} pieces")
     return [row[:-2] for row in rows]
 
 
@@ -224,15 +229,13 @@ def run_teleport(
     l_texts, b_texts, tap_texts = texts[:key_labels:2], texts[1:key_labels:2], texts[key_labels:]
     p_texts, f_texts = format_numbers(probabilities), format_numbers(fidelities)
 
-    # one write per block, joined from the columns of its rows: only the
-    # labels of its key and its numbers change from block to block
+    # one write per block, joined from the rendered texts of its rows
     stream.write(",".join(TELEPORT_HEADER) + "\n")
-    columns = np.empty((outcomes, 7), dtype=object)
-    columns[:, 1], columns[:, 4], columns[:, 6] = m_texts, ",", "\n"
     for l_text, b_text, p_row, f_row in zip(l_texts, b_texts, p_texts, f_texts):
-        columns[:, 0], columns[:, 2] = f"outcome,{l_text},", f",{b_text},"
-        columns[:, 3], columns[:, 5] = p_row, f_row
-        stream.write("".join(columns.reshape(-1).tolist()))
+        stream.write("".join(
+            f"outcome,{l_text},{m_text},{b_text},{p},{f}\n"
+            for m_text, p, f in zip(m_texts, p_row, f_row)
+        ))
     total_probability = float(probabilities.sum())
     stream.write("".join([
         *(f"p_l,{label},,,{value},\n" for label, value in zip(

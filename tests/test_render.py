@@ -89,6 +89,23 @@ def test_labels_render_as_a_writer_per_label(labels):
     assert format_labels(labels) == [format_label(label) for label in labels]
 
 
+def test_labels_fail_when_the_writer_splits_a_row(monkeypatch):
+    # the labels are cut apart at the writer's write calls; a row handed
+    # over in two pieces must fail, not shift every later label
+    class _SplitWriter:
+        def __init__(self, stream, **_):
+            self.stream = stream
+
+        def writerows(self, rows):
+            for text, _ in rows:
+                self.stream.write(text)
+                self.stream.write(",\n")
+
+    monkeypatch.setattr(runner.csv, "writer", _SplitWriter)
+    with pytest.raises(RuntimeError, match="2 rows in 4 pieces"):
+        format_labels(["a", "b"])
+
+
 # a θ = 1 computational tap on a basis input: of the 27 outcome rows at
 # n = 3, 18 never fire
 NULL_SPEC = parse_config("n: 3\ninput: basis:1\neavesdrop:\n  basis: computational\n  theta: 1\n")
