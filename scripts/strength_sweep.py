@@ -24,6 +24,7 @@ from teleportsim import (
     make_scenario,
     random_state,
     strength_family,
+    transfer_rows,
     uniform_state,
 )
 
@@ -60,7 +61,9 @@ def main() -> int:
 
     psi = pick_input(args.input, args.n, args.seed)
     basis = tap_basis(args.basis, args.n)
-    first, second = basis_state(args.n, 0), basis_state(args.n, 1)
+    # the pair's kernel rows read no tap, so every strength shares them
+    pair = np.array([basis_state(args.n, 0), basis_state(args.n, 1)])
+    pair_rows = transfer_rows(make_scenario(args.n, psi), pair)
 
     rows = []
     for theta in np.linspace(0.0, 1.0, args.points):
@@ -68,7 +71,7 @@ def main() -> int:
             args.n, psi, effect_r=strength_family(args.n, float(theta), basis)
         )
         fidelity = analyze_eavesdropping(config).total_fidelity
-        advantage = distinguishability(config, first, second)
+        advantage = distinguishability(config, pair_rows)
         rows.append((float(theta), fidelity, advantage))
 
     print(f"n={args.n}, input={args.input}, tap basis={args.basis}")

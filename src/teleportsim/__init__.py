@@ -40,8 +40,10 @@ from .engine import (
     ideal_decomposition_check,
     make_scenario,
     oracle_blocks,
+    oracle_bra,
     run_oracle,
     transfer_operator,
+    transfer_rows,
 )
 from .linalg import (
     basis_state,
@@ -79,6 +81,7 @@ __all__ = [
     "make_scenario",
     "mirror_operator",
     "oracle_blocks",
+    "oracle_bra",
     "projective_case_analysis",
     "random_state",
     "random_unitary",
@@ -88,6 +91,7 @@ __all__ = [
     "shift_unitary",
     "strength_family",
     "transfer_operator",
+    "transfer_rows",
     "transpose_in_basis",
     "uniform_state",
     "unitary_effect",

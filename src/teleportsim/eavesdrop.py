@@ -36,6 +36,7 @@ from .engine import (
     overlaps_squared,
     transfer_kernel,
     transfer_operator,
+    transfer_rows,
 )
 from .linalg import apply_each_inverse, dagger, frozen_complex_array, norms_squared
 
@@ -128,9 +129,11 @@ def tap_report(
 def analyze_eavesdropping(config: ScenarioConfig) -> EavesdropReport:
     """Build the full per-branch report for one tapped scenario: `tap_report` over `fast_run`."""
     _tap_family(config)
-    bras = fidelity_bras(np.asarray(config.input_state), config.bell.unitaries)
+    psi = np.asarray(config.input_state)
+    bras = fidelity_bras(psi, config.bell.unitaries)
+    blocks = fast_run(config, transfer_rows(config, psi[None]))
     probabilities, overlaps_sq = zip(
-        *((norms_squared(block), overlaps_squared(block, bras)) for _, block in fast_run(config))
+        *((norms_squared(block), overlaps_squared(block, bras)) for _, block in blocks)
     )
     return tap_report(config, np.array(probabilities), np.array(overlaps_sq))
 
@@ -149,7 +152,7 @@ def sequential_decomposition_check(config: ScenarioConfig) -> DecompositionRepor
     u0 = np.asarray(config.u0)
     target = np.eye(dim) / dim
     branch_sum = np.zeros((dim, dim), dtype=complex)
-    for _, _, amps in transfer_kernel(config, psi[None], receiver=False):
+    for _, _, amps in transfer_kernel(config, transfer_rows(config, psi[None]), receiver=False):
         vecs = amps[:, 0]
         branch_sum += vecs.T @ vecs.conj()
     grouped_sum = np.zeros((dim, dim), dtype=complex)
@@ -212,19 +215,20 @@ def projective_case_analysis(config: ScenarioConfig) -> ProjectiveReport:
     )
 
 
-def distinguishability(config: ScenarioConfig, first: np.ndarray, second: np.ndarray) -> float:
+def distinguishability(config: ScenarioConfig, rows: np.ndarray) -> float:
     """Leakage between two candidate inputs, as guessing advantage.
 
-    The advantage over a fair coin when identifying which of two
-    equiprobable inputs produced one joint ``(l, m)`` sample: half the
-    total-variation distance between the probability tables of
+    ``rows`` is `teleportsim.engine.transfer_rows` of the ``(2, n)`` pair
+    of inputs; it reads no effect, so a sweep builds it once for every
+    tap strength.  The advantage over a fair coin when identifying which
+    of two equiprobable inputs produced one joint ``(l, m)`` sample: half
+    the total-variation distance between the probability tables of
     ``|P(l, m) psi|^2``.  A receiver effect closes over its branches and
     leaves these cell probabilities unchanged.
     """
     _tap_family(config)
-    states = np.array([first, second], dtype=complex)
     # row (l, m) holds the cell probability of each input, tap label major
     cells = np.concatenate(
-        [norms_squared(amps) for _, _, amps in transfer_kernel(config, states, receiver=False)]
+        [norms_squared(amps) for _, _, amps in transfer_kernel(config, rows, receiver=False)]
     )
     return 0.25 * float(np.sum(np.abs(cells[:, 0] - cells[:, 1])))

@@ -6,19 +6,31 @@ block of every Bell outcome's output before the receiver's correction
 ``U(m)`` per reference and receiver branch pair.  `oracle_blocks` projects
 each Bell outcome on the A x R x B state
 ``psi_A (x) (E_R (x) F_B)|Phi>_RB``; it is the ground truth and shares no
-transfer algebra.  That state is a product across A | RB, so the Bell
-bras are built `_BRA_CHUNK` outcomes at a time and contracted with the
-input over the sender index into one ``(M, n)`` bra on R; each effect
-branch pair is then one ``(M, n) @ (n, n)`` product with the disturbed
-resource, and neither an n**3 state nor the ``(M, n**2)`` bra stack is
-held.  `fast_run` applies the per-outcome transfer operator on the input
-alone, through `transfer_kernel`, which also feeds every tap quantity in
-`teleportsim.eavesdrop`.  `compare_routes` zips the two streams and
-reduces both alike, block by block, so a caller that consumes both holds
-a few blocks and its ``(K, M)`` reductions, never a table; streams that
-part raise `RouteMismatch`.  `run_oracle` collects the oracle stream into
-a `BranchTable` of corrected outputs, for callers that want every block
-at once.
+transfer algebra.  `fast_run` applies the per-outcome transfer operator
+on the input alone, through `transfer_kernel`, which also feeds every tap
+quantity in `teleportsim.eavesdrop`.
+
+Each route has a half that no effect touches, and its stream takes that
+half as a value, so a caller that varies an effect builds it once:
+`oracle_bra` is the oracle's ``(M, n)`` bra on R, built from the explicit
+Bell bras `_BRA_CHUNK` outcomes at a time and contracted with the input
+over the sender index, since the state is a product across A | RB;
+`transfer_rows` is the kernel's ``sqrt(w)/n U(m)^-1`` applied to its
+inputs.  Neither route reads the other's half.  Beyond its half the
+oracle makes one ``(M, n) @ (n, n)`` product with the disturbed resource
+per branch pair, and neither an n**3 state nor the ``(M, n**2)`` bra stack
+is held.
+
+`compare_routes` zips the two streams and reduces both alike, block by
+block, so a caller that consumes both holds a few blocks and its
+``(K, M)`` reductions, never a table; streams that part raise
+`RouteMismatch`.  `expected_probability_sum` gives the oracle's
+probability sum in closed form from the Gram of its bra on R and
+`reference_marginal`, neither of which an effect on R touches: 1 for
+exactly closed effects, and moved by any closure defect that admission
+let through.  `run_oracle` collects the
+oracle stream into a `BranchTable` of corrected outputs, for callers
+that want every block at once.
 """
 from __future__ import annotations
 
@@ -200,35 +212,75 @@ def mirror_effect(u0: np.ndarray, effect: np.ndarray) -> np.ndarray:
 
 def run_oracle(config: ScenarioConfig) -> BranchTable:
     """Evolve the full tripartite state and project every Bell outcome, as one table."""
-    return _table(config, oracle_blocks(config))
+    return _table(config, oracle_blocks(config, oracle_bra(config)))
 
 
-def oracle_blocks(config: ScenarioConfig) -> BlockStream:
-    """Stream ``((l, b), block)`` of the full-state route, in `fast_run`'s key order.
+def oracle_bra(config: ScenarioConfig) -> np.ndarray:
+    """The oracle's read-only ``(M, n)`` bra on R: row ``m`` is ``<P(m)|psi>_A``.
 
-    Each ``(M, n)`` block holds the outputs before the receiver's
-    correction.  The explicit Bell bras are built `_BRA_CHUNK` outcomes at
-    a time and contracted with the input at once, so beyond one chunk the
-    route holds its ``(M, n)`` bra on R and the block it yields.
+    Built from the explicit Bell bras alone, `_BRA_CHUNK` outcomes at a
+    time, each chunk contracted with the input over the sender index.  It
+    reads the input, the Bell family and ``u0``, never an effect, so every
+    tap strength of a sweep shares one.
     """
     dim = config.dim
     psi = np.asarray(config.input_state)
     bell = config.bell
-    u0 = np.asarray(config.u0)
-    resource_mat = u0 / np.sqrt(dim)  # R x B amplitudes as a matrix
-    # psi_A (x) |resource>_RB is a product across A | RB, so the sender index
-    # is contracted once: row m of relative is <P(m)|psi>_A, a bra on R
-    relative = np.empty((len(bell.labels), dim), dtype=complex)
+    bra = np.empty((len(bell.labels), dim), dtype=complex)
     for start in range(0, len(bell.labels), _BRA_CHUNK):
         # row m holds <P(m)| over the A x R index, A slow
-        bras = outcome_state_stack(bell, u0, slice(start, start + _BRA_CHUNK))
+        bras = outcome_state_stack(bell, np.asarray(config.u0), slice(start, start + _BRA_CHUNK))
         np.conj(bras, out=bras)
-        relative[start : start + _BRA_CHUNK] = psi @ bras.reshape(-1, dim, dim)
+        bra[start : start + _BRA_CHUNK] = psi @ bras.reshape(-1, dim, dim)
         del bras  # before the next chunk is built
-    for l_label, e_r in effect_branches(config.effect_r, dim):
-        for b_label, f_b in effect_branches(config.effect_b, dim):
+    bra.setflags(write=False)
+    return bra
+
+
+def oracle_blocks(config: ScenarioConfig, bra: np.ndarray) -> BlockStream:
+    """Stream ``((l, b), block)`` of the full-state route, in `fast_run`'s key order.
+
+    Each ``(M, n)`` block holds the outputs before the receiver's
+    correction.  ``bra`` is `oracle_bra` of a scenario with the same
+    input, Bell family and ``u0``: psi_A (x) |resource>_RB is a product
+    across A | RB, so the sender index is contracted before any effect
+    acts, and each block is one product of the bra with the disturbed
+    resource.
+    """
+    resource_mat = np.asarray(config.u0) / np.sqrt(config.dim)  # R x B amplitudes as a matrix
+    for l_label, e_r in effect_branches(config.effect_r, config.dim):
+        for b_label, f_b in effect_branches(config.effect_b, config.dim):
             # (E_R (x) F_B) acting on the resource, still as an R x B matrix
-            yield (l_label, b_label), relative @ (e_r @ resource_mat @ f_b.T)
+            yield (l_label, b_label), bra @ (e_r @ resource_mat @ f_b.T)
+
+
+def reference_marginal(config: ScenarioConfig) -> np.ndarray:
+    """``R C_B^T R^+`` with ``R = u0/sqrt(n)`` and ``C_B = sum_b F_b^+ F_b``.
+
+    The resource's state on R once the receiver effect is summed over its
+    branches, before the reference effect acts; it reads no reference
+    effect, so every tap strength of a sweep shares one.
+    """
+    resource_mat = np.asarray(config.u0) / np.sqrt(config.dim)
+    closure = sum(dagger(f_b) @ f_b for _, f_b in effect_branches(config.effect_b, config.dim))
+    return resource_mat @ closure.T @ dagger(resource_mat)
+
+
+def expected_probability_sum(config: ScenarioConfig, gram: np.ndarray, marginal: np.ndarray) -> float:
+    """The oracle's probability sum in closed form: ``sum_m a_m^+ tau_R a_m``.
+
+    ``a_m`` is the conjugate of row ``m`` of `oracle_bra`, so the sum is
+    ``tr(tau_R gram)`` with ``gram = sum_m a_m a_m^+ = bra^+ bra``.
+    ``tau_R = sum_l E_l marginal E_l^+`` is the state on R that the Bell
+    measurement sees, and ``marginal`` is `reference_marginal`; neither
+    ``gram`` nor ``marginal`` reads the reference effect.  The sum is 1
+    for exactly closed effects and a complete Bell family, and moves with
+    any closure defect that admission let through.
+    """
+    effects = np.array([e_r for _, e_r in effect_branches(config.effect_r, config.dim)])
+    # tr(E X E^+ G) = <G E, E X> for a Hermitian G: one product a side
+    # for every branch, and no tau_R
+    return float(np.vdot(gram @ effects, effects.reshape(-1, config.dim) @ marginal).real)
 
 
 def transfer_operator(
@@ -253,39 +305,50 @@ def transfer_operator(
     return (np.sqrt(config.bell.weights[index]) / dim) * (u_m @ f_b @ mirrored @ dagger(u_m))
 
 
+def transfer_rows(config: ScenarioConfig, inputs: np.ndarray) -> np.ndarray:
+    """The read-only ``(M, k, n)`` rows ``sqrt(w)/dim U(m)^-1 inputs[k]`` `transfer_kernel` starts from.
+
+    They read the Bell family alone, never an effect, so every tap
+    strength of a sweep shares one set.
+    """
+    bell = config.bell
+    rows = apply_each_inverse(bell.unitaries, inputs)
+    rows *= (np.sqrt(bell.weights) / config.dim)[:, None, None]
+    rows.setflags(write=False)
+    return rows
+
+
 def transfer_kernel(
-    config: ScenarioConfig, inputs: np.ndarray, receiver: bool = True
+    config: ScenarioConfig, rows: np.ndarray, receiver: bool = True
 ) -> Iterator[tuple[BranchLabel, BranchLabel, np.ndarray]]:
     """Yield ``(l, b, amps)`` for every reference and receiver branch pair.
 
-    ``amps[m, k]`` is ``sqrt(w)/dim F_b (u0^-1 E_l u0)^T U(m)^-1`` applied
-    to ``inputs[k]``: the transfer operator of outcome ``m`` short of its
-    leading ``U(m)``, the correction, which callers move onto the state.
-    With ``receiver=False`` the receiver effect is left out, so the rows
-    are ``U(m)^-1 P(l, m)`` applied to each input, for the tap alone.
-    Order is reference branch, then receiver branch, as in `oracle_blocks`.
+    ``rows`` is `transfer_rows` of the inputs, and ``amps[m, k]`` is
+    ``sqrt(w)/dim F_b (u0^-1 E_l u0)^T U(m)^-1`` applied to ``inputs[k]``:
+    the transfer operator of outcome ``m`` short of its leading ``U(m)``,
+    the correction, which callers move onto the state.  With
+    ``receiver=False`` the receiver effect is left out, so the rows are
+    ``U(m)^-1 P(l, m)`` applied to each input, for the tap alone.  Order
+    is reference branch, then receiver branch, as in `oracle_blocks`.
     """
     dim = config.dim
-    bell = config.bell
-    # row (m, k) is sqrt(w)/dim U(m)^-1 inputs[k]
-    back = apply_each_inverse(bell.unitaries, inputs)
-    back *= (np.sqrt(bell.weights) / dim)[:, None, None]
-    rows = back.reshape(-1, dim)
+    flat = rows.reshape(-1, dim)
     receivers = effect_branches(config.effect_b if receiver else None, dim)
     for l_label, e_r in effect_branches(config.effect_r, dim):
         mirrored = mirror_effect(np.asarray(config.u0), e_r)
         for b_label, f_b in receivers:
-            yield l_label, b_label, (rows @ (f_b @ mirrored).T).reshape(back.shape)
+            yield l_label, b_label, (flat @ (f_b @ mirrored).T).reshape(rows.shape)
 
 
-def fast_run(config: ScenarioConfig) -> BlockStream:
+def fast_run(config: ScenarioConfig, rows: np.ndarray) -> BlockStream:
     """Stream ``((l, b), block)`` through the transfer kernel, in `oracle_blocks`' key order.
 
-    Each ``(M, n)`` block holds the outputs before the receiver's
+    ``rows`` is `transfer_rows` of the scenario's input alone, ``(M, 1,
+    n)``.  Each ``(M, n)`` block holds the outputs before the receiver's
     correction, as `oracle_blocks` yields them; only one block is held at
     a time.
     """
-    for l_label, b_label, amps in transfer_kernel(config, np.asarray(config.input_state)[None]):
+    for l_label, b_label, amps in transfer_kernel(config, rows):
         yield (l_label, b_label), amps[:, 0]
 
 

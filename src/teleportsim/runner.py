@@ -8,12 +8,21 @@ of every branch, and `tap_report` sums each route's arrays into the tap's
 ``(L, M)`` cells.  A run keeps only those reductions, never a table of
 blocks.  Every number `run_teleport` writes, and the sweep's fidelity
 column, is a reduction of the oracle's arrays, and the summary ends with
-the measured route deviations.  The sweep's distinguishability column
-comes from the transfer kernel alone, through `distinguishability`, and
-no oracle checks it.  A mismatch beyond the run tolerance raises
-`InvariantViolation` before the first row is written, instead of writing
-a plausible-looking but wrong table.  Output is deterministic down to the
-byte for a fixed spec.
+the measured route deviations.  The oracle's probability sum is held to
+`expected_probability_sum`, its closed form, which admission's closure
+tolerance lets differ from 1; the summary prints both.  The sweep's
+distinguishability column comes from the transfer kernel alone, through
+`distinguishability`, and no oracle checks it.  A mismatch beyond the run
+tolerance raises `InvariantViolation` before the first row is written,
+instead of writing a plausible-looking but wrong table.  Output is
+deterministic down to the byte for a fixed spec.
+
+What no tap strength changes is built once per run: the validated
+scenario (input, Bell family, u0 and receiver), and by `_fixed_half` the
+oracle's bra on R and its Gram, the kernel's rows of the input, the
+fidelity bras and the reference marginal.  A sweep builds them, and the distinguished
+pair's kernel rows, once for the whole grid; each point builds only its
+tap family, both routes' blocks and their reductions.
 
 The teleport table is rendered in bulk, with the bytes a row-by-row
 csv.writer would give.  Every number is `format_number`'s ``.12g``, and
@@ -26,7 +35,7 @@ arrays and one block's text, never the whole body.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 from typing import IO, Iterable
 
@@ -40,10 +49,14 @@ from .engine import (
     ScenarioConfig,
     compare_routes,
     conditional_fidelities,
+    expected_probability_sum,
     fast_run,
     fidelity_bras,
     make_scenario,
     oracle_blocks,
+    oracle_bra,
+    reference_marginal,
+    transfer_rows,
 )
 # run_oracle and analyze_eavesdropping stay importable here:
 # perfbench/tracing.py patches them by name, though the drivers reach
@@ -136,33 +149,69 @@ def build_scenario(spec: RunSpec, theta: float | None = None) -> ScenarioConfig:
 
 
 @dataclass(frozen=True, eq=False)
+class _FixedHalf:
+    """The arrays of a run that no tap strength changes: built once per run or sweep.
+
+    ``bra`` (`oracle_bra`) feeds the oracle alone and ``rows``
+    (`transfer_rows` of the input) the transfer route alone.
+    ``fidelity_bras`` reduce both routes' blocks.  ``gram`` (``bra^+
+    bra``) and ``marginal`` (`reference_marginal`) are what
+    `expected_probability_sum` needs beside the reference effect.
+    """
+
+    bra: np.ndarray  # (M, n)
+    rows: np.ndarray  # (M, 1, n)
+    fidelity_bras: np.ndarray  # (M, n)
+    gram: np.ndarray  # (n, n)
+    marginal: np.ndarray  # (n, n)
+
+
+def _fixed_half(scenario: ScenarioConfig) -> _FixedHalf:
+    psi = np.asarray(scenario.input_state)
+    bra = oracle_bra(scenario)
+    return _FixedHalf(
+        bra=bra,
+        rows=transfer_rows(scenario, psi[None]),
+        fidelity_bras=fidelity_bras(psi, scenario.bell.unitaries),
+        gram=np.conj(bra).T @ bra,
+        marginal=reference_marginal(scenario),
+    )
+
+
+@dataclass(frozen=True, eq=False)
 class _RoutePass:
     """What one zipped pass over both routes keeps: the oracle's reductions.
 
     ``probabilities`` and ``fidelities`` hold one row per branch pair
     ``keys[k]`` and one column per Bell outcome ``tap.labels[m]``; ``tap``
-    sums them into the tap's ``(l, m)`` cells.  ``deviations`` holds the
-    largest amplitude, probability and total-fidelity deviations between
-    the routes.
+    sums them into the tap's ``(l, m)`` cells.  ``probability_sum`` is the
+    oracle's total and ``expected_sum`` its closed form.  ``deviations``
+    holds the largest amplitude, probability and total-fidelity deviations
+    between the routes.
     """
 
     keys: tuple[tuple[object, object], ...]
     probabilities: np.ndarray  # (K, M)
     fidelities: np.ndarray  # (K, M)
     tap: EavesdropReport
+    probability_sum: float
+    expected_sum: float
     deviations: tuple[float, float, float]
 
 
-def _zipped_pass(scenario: ScenarioConfig, tolerance: float) -> _RoutePass:
+def _zipped_pass(scenario: ScenarioConfig, fixed: _FixedHalf, tolerance: float) -> _RoutePass:
     """Zip the oracle stream with `fast_run` once, then check every invariant on the reductions.
 
-    Raises `InvariantViolation` when the routes differ in layout, in one
-    branch, in one tap cell or in total fidelity; a NaN deviation fails
-    every check.
+    ``fixed`` is `_fixed_half` of a scenario that differs from this one in
+    the tap at most.  Raises `InvariantViolation` when the routes differ
+    in layout, in one branch, in one tap cell or in total fidelity, or
+    when the oracle's probability sum leaves its closed form; a NaN
+    deviation fails every check.
     """
-    bras = fidelity_bras(np.asarray(scenario.input_state), scenario.bell.unitaries)
+    oracle = oracle_blocks(scenario, fixed.bra)
+    transfer = fast_run(scenario, fixed.rows)
     try:
-        keys, norms, overlaps, a_dev = compare_routes(oracle_blocks(scenario), fast_run(scenario), bras)
+        keys, norms, overlaps, a_dev = compare_routes(oracle, transfer, fixed.fidelity_bras)
     except RouteMismatch as exc:
         raise InvariantViolation(str(exc)) from None
     labels = scenario.bell.labels
@@ -192,11 +241,21 @@ def _zipped_pass(scenario: ScenarioConfig, tolerance: float) -> _RoutePass:
     fidelity_dev = abs(transfer_tap.total_fidelity - tap.total_fidelity)
     if not fidelity_dev <= tolerance:
         raise InvariantViolation(f"total fidelity routes disagree by {fidelity_dev:.3e}")
+    # admission lets a closure defect below FAMILY_TOL through, so the sum
+    # is held to its closed form, not to 1
+    probability_sum = float(norms[0].sum())
+    expected_sum = expected_probability_sum(scenario, fixed.gram, fixed.marginal)
+    if not abs(probability_sum - expected_sum) <= tolerance:
+        raise InvariantViolation(
+            f"oracle probabilities sum to {probability_sum!r}, expected {expected_sum!r}"
+        )
     return _RoutePass(
         keys=keys,
         probabilities=norms[0],
         fidelities=conditional_fidelities(overlaps[0], norms[0]),
         tap=tap,
+        probability_sum=probability_sum,
+        expected_sum=expected_sum,
         deviations=(float(np.max(a_dev)), float(np.max(p_dev)), fidelity_dev),
     )
 
@@ -217,7 +276,7 @@ def run_teleport(
     Returns human-readable summary lines for the caller to print.
     """
     scenario = build_scenario(spec)
-    measured = _zipped_pass(scenario, tolerance)
+    measured = _zipped_pass(scenario, _fixed_half(scenario), tolerance)
     probabilities = measured.probabilities
     fidelities = measured.fidelities
     tap = measured.tap
@@ -236,7 +295,6 @@ def run_teleport(
             f"outcome,{l_text},{m_text},{b_text},{p},{f}\n"
             for m_text, p, f in zip(m_texts, p_row, f_row)
         ))
-    total_probability = float(probabilities.sum())
     stream.write("".join([
         *(f"p_l,{label},,,{value},\n" for label, value in zip(
             tap_texts, format_numbers(tap.probabilities.sum(axis=1)).tolist()
@@ -244,7 +302,7 @@ def run_teleport(
         *(f"p_m,,{m_text},,{value},\n" for m_text, value in zip(
             m_texts, format_numbers(probabilities.sum(axis=0)).tolist()
         )),
-        f"total,,,,{format_number(total_probability)},{format_number(tap.total_fidelity)}\n",
+        f"total,,,,{format_number(measured.probability_sum)},{format_number(tap.total_fidelity)}\n",
     ]))
 
     summary = [
@@ -256,7 +314,8 @@ def run_teleport(
             else ""
         ),
         f"records: {probabilities.size} ({int(np.isnan(fidelities).sum())} null), "
-        f"probability sum {format_number(total_probability)}",
+        f"probability sum {format_number(measured.probability_sum)}, "
+        f"expected {format_number(measured.expected_sum)}",
         f"average output fidelity: {format_number(tap.total_fidelity)}",
         _routes_line(measured.deviations, tolerance),
     ]
@@ -273,42 +332,63 @@ def _sweep_grid(spec: RunSpec) -> list[float]:
 
 
 def _sweep_point(
-    spec: RunSpec, theta: float, tolerance: float
-) -> tuple[float, float, tuple[float, float, float]]:
-    """Total fidelity, distinguishability and route deviations at one tap strength."""
-    scenario = build_scenario(spec, theta=theta)
+    scenario: ScenarioConfig, theta: float, fixed: _FixedHalf, pair: np.ndarray, tolerance: float
+) -> tuple[float, float, tuple[float, float], tuple[float, float, float]]:
+    """Fidelity, leakage, probability sums and route deviations at one tap strength.
+
+    The sums are the oracle's and its expected value; ``pair`` is
+    `transfer_rows` of the distinguished pair.
+    """
     try:
-        measured = _zipped_pass(scenario, tolerance)
-        probability = float(measured.probabilities.sum())
-        if not abs(probability - 1.0) <= tolerance:
-            raise InvariantViolation(f"oracle probabilities sum to {probability!r}")
+        measured = _zipped_pass(scenario, fixed, tolerance)
     except InvariantViolation as exc:
-        raise InvariantViolation(f"theta={theta:.6f}: {exc}") from None
-    (_, first), (_, second) = spec.distinguish
-    advantage = distinguishability(scenario, first, second)
-    return measured.tap.total_fidelity, advantage, measured.deviations
+        raise InvariantViolation(f"theta={format_number(theta)}: {exc}") from None
+    return (
+        measured.tap.total_fidelity,
+        distinguishability(scenario, pair),
+        (measured.probability_sum, measured.expected_sum),
+        measured.deviations,
+    )
 
 
 def run_sweep(
     spec: RunSpec, stream: IO[str], tolerance: float = DEFAULT_RUN_TOL
 ) -> list[str]:
-    """Sweep the tap strength and tabulate fidelity against leakage."""
+    """Sweep the tap strength and tabulate fidelity against leakage.
+
+    Only the tap changes from point to point, so the scenario is built and
+    validated once, at the first strength, and so is every array the
+    strength does not touch: `_fixed_half` and the distinguished pair's
+    kernel rows.  Each point builds its tap family and runs both routes
+    and `distinguishability` on those arrays.
+    """
     grid = _sweep_grid(spec)
-    points = [_sweep_point(spec, theta, tolerance) for theta in grid]
+    scenario = build_scenario(spec, theta=grid[0])
+    fixed = _fixed_half(scenario)
+    pair = transfer_rows(scenario, np.array([state for _, state in spec.distinguish]))
+    basis = np.asarray(spec.eavesdrop.basis)
+    points = []
+    for theta in grid:
+        if points:  # the first strength's tap is the scenario's own
+            scenario = replace(scenario, effect_r=strength_family(spec.n, theta, basis))
+        points.append(_sweep_point(scenario, theta, fixed, pair, tolerance))
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(SWEEP_HEADER)
-    for theta, (fidelity, advantage, _) in zip(grid, points):
+    for theta, (fidelity, advantage, _, _) in zip(grid, points):
         writer.writerow(
             (format_number(theta), format_number(fidelity), format_number(advantage))
         )
     labels = " vs ".join(label for label, _ in spec.distinguish)
+    (first_sum, first_expected), (last_sum, last_expected) = points[0][2], points[-1][2]
     summary = [
         f"sweep: n={spec.n}, input {spec.input_label}, "
         f"theta {format_number(grid[0])} -> {format_number(grid[-1])} in {len(grid)} steps",
         f"distinguish pair: {labels}",
         f"fidelity {format_number(points[0][0])} -> {format_number(points[-1][0])}, "
         f"leakage {format_number(points[0][1])} -> {format_number(points[-1][1])}",
+        f"probability sum {format_number(first_sum)} -> {format_number(last_sum)}, "
+        f"expected {format_number(first_expected)} -> {format_number(last_expected)}",
         # the largest of each deviation over the grid
-        _routes_line(np.max([deviations for _, _, deviations in points], axis=0), tolerance),
+        _routes_line(np.max([deviations for *_, deviations in points], axis=0), tolerance),
     ]
     return summary

@@ -34,8 +34,10 @@ from .engine import (
     ideal_decomposition_check,
     make_scenario,
     oracle_blocks,
+    oracle_bra,
     run_oracle,
     transfer_kernel,
+    transfer_rows,
 )
 from .linalg import basis_state, frozen_complex_array, uniform_state
 from .sampling import child_rng, random_state, random_unitary
@@ -190,9 +192,13 @@ def check_oracle_fast_equivalence(depth: str, seed: int, corrupt: str | None) ->
                 effect_r=_random_effect(dim, rng, trial % 3),
                 effect_b=_random_effect(dim, rng, (trial + 1) % 3),
             )
-            bras = fidelity_bras(np.asarray(config.input_state), config.bell.unitaries)
+            psi = np.asarray(config.input_state)
+            oracle = oracle_blocks(config, oracle_bra(config))
+            transfer = fast_run(config, transfer_rows(config, psi[None]))
             try:
-                _, norms, _, amplitude = compare_routes(oracle_blocks(config), fast_run(config), bras)
+                _, norms, _, amplitude = compare_routes(
+                    oracle, transfer, fidelity_bras(psi, config.bell.unitaries)
+                )
             except RouteMismatch as exc:
                 return _result("oracle-fast-equivalence", float("inf"), 1e-9, str(exc))
             worst = _worst(worst, np.max(np.abs(norms[0] - norms[1])), np.max(amplitude))
@@ -318,7 +324,8 @@ def check_tap_oracle_agreement(depth: str, seed: int, corrupt: str | None) -> Ch
         oracle = run_oracle(config).probabilities
         worst = _worst(worst, np.max(np.abs(tap - oracle)))
         # the kernel on the basis gives the columns of U(m)^-1 P(l, m), every m at once
-        for _, _, columns in transfer_kernel(config, np.eye(dim), receiver=False):
+        basis_rows = transfer_rows(config, np.eye(dim))
+        for _, _, columns in transfer_kernel(config, basis_rows, receiver=False):
             ops = bell.unitaries @ columns.transpose(0, 2, 1)
             worst = _worst(worst, np.max(np.abs(ops - ops.conj().transpose(0, 2, 1))))
     return _result("tap-oracle-agreement", worst, 1e-9)

@@ -7,7 +7,9 @@ code paths (no kron, no einsum, no reshape tricks).  The one exception is
 take, kept because index loops at n = 16 would take minutes.
 `stream_records` and `block_records` are no oracles: they turn a route's
 stream into records, corrected or not, for the tests that compare the two
-routes record by record.  `format_label` renders one label alone, the
+routes record by record.  `oracle_stream`, `transfer_stream` and
+`advantage` build a route's strength-independent half from the scenario
+itself, as a run driver does for a single scenario.  `format_label` renders one label alone, the
 reference for the runner's one-pass `format_labels`.
 """
 from __future__ import annotations
@@ -18,7 +20,16 @@ import io
 import numpy as np
 from scipy.linalg import sqrtm
 
-from teleportsim.engine import BlockStream, ScenarioConfig, TeleportRecord, fast_run
+from teleportsim.eavesdrop import distinguishability
+from teleportsim.engine import (
+    BlockStream,
+    ScenarioConfig,
+    TeleportRecord,
+    fast_run,
+    oracle_blocks,
+    oracle_bra,
+    transfer_rows,
+)
 
 
 def brute_partial_trace(rho: np.ndarray, dims: tuple[int, ...], keep: int) -> np.ndarray:
@@ -215,9 +226,24 @@ def block_records(
     return records
 
 
+def oracle_stream(config: ScenarioConfig) -> BlockStream:
+    """`oracle_blocks` of ``config`` on its own `oracle_bra`."""
+    return oracle_blocks(config, oracle_bra(config))
+
+
+def transfer_stream(config: ScenarioConfig) -> BlockStream:
+    """`fast_run` of ``config`` on the `transfer_rows` of its own input."""
+    return fast_run(config, transfer_rows(config, np.asarray(config.input_state)[None]))
+
+
+def advantage(config: ScenarioConfig, first: np.ndarray, second: np.ndarray) -> float:
+    """`distinguishability` of ``config`` on the `transfer_rows` of the pair."""
+    return distinguishability(config, transfer_rows(config, np.array([first, second], dtype=complex)))
+
+
 def stream_records(config: ScenarioConfig) -> list[TeleportRecord]:
     """`fast_run`'s blocks as records in table order, each row corrected on its own."""
-    return block_records(config, fast_run(config), correct=True)
+    return block_records(config, transfer_stream(config), correct=True)
 
 
 def format_label(label: object) -> str:

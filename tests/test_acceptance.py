@@ -16,22 +16,15 @@ import pytest
 from teleportsim import cli
 from teleportsim.eavesdrop import (
     analyze_eavesdropping,
-    distinguishability,
     expected_marginal_l,
     sequential_decomposition_check,
 )
 from teleportsim.effects import kraus_mixture, strength_family, unitary_effect
-from teleportsim.engine import (
-    fast_run,
-    ideal_decomposition_check,
-    make_scenario,
-    oracle_blocks,
-    run_oracle,
-)
+from teleportsim.engine import ideal_decomposition_check, make_scenario, run_oracle
 from teleportsim.linalg import basis_state, uniform_state
 from teleportsim.sampling import child_rng, random_state, random_unitary
 
-from oracles import block_records, stream_records
+from oracles import advantage, block_records, oracle_stream, stream_records, transfer_stream
 
 ACCEPT_SEED = 20240817
 
@@ -109,7 +102,7 @@ def test_criterion_2_oracle_transfer_equivalence():
             else:
                 # the conditional states before the correction, on both streams
                 oracle_records, fast_records = (
-                    block_records(config, route(config)) for route in (oracle_blocks, fast_run)
+                    block_records(config, route(config)) for route in (oracle_stream, transfer_stream)
                 )
             assert len(oracle_records) == len(fast_records)
             for slow, quick in zip(oracle_records, fast_records):
@@ -228,7 +221,7 @@ def test_criterion_6_fidelity_leakage_tradeoff():
             2, uniform_state(2), effect_r=strength_family(2, float(theta))
         )
         fidelities.append(analyze_eavesdropping(config).total_fidelity)
-        advantages.append(distinguishability(config, basis_state(2, 0), basis_state(2, 1)))
+        advantages.append(advantage(config, basis_state(2, 0), basis_state(2, 1)))
     monotone = all(
         later <= earlier + 1e-12 for earlier, later in zip(fidelities, fidelities[1:])
     ) and all(

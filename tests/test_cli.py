@@ -92,6 +92,67 @@ def test_sweep_reports_route_deviations_on_stderr_only(tmp_path, capsys):
     assert_routes_line(captured.err.splitlines()[-1], "1\\.0e-10")
 
 
+def weighted_weyl(weight: str) -> str:
+    """The qubit Weyl family as an explicit ``bell`` list, every weight ``weight``."""
+    unitaries = ("[[1, 0], [0, 1]]", "[[1, 0], [0, -1]]", "[[0, 1], [1, 0]]", "[[0, -1], [1, 0]]")
+    return "bell:\n" + "".join(f"  - {{unitary: {u}, weight: {weight}}}\n" for u in unitaries)
+
+
+# closure defects below FAMILY_TOL, which admission lets through: a Kraus
+# receiver whose closure is off by 8e-10 on level 1, and a Weyl family
+# whose every weight is off by 8e-10; the probability sum is off 1 by
+# the defect, by 4e-10 and 8e-10, beyond the run tolerance of 1e-10
+ADMITTED_DEFECTS = {
+    "kraus": (
+        "effect_b:\n  kraus:\n    - [[1, 0], [0, 0.6]]\n    - [[0, 0.8000000005], [0, 0]]\n",
+        "1.0000000004",
+    ),
+    "weights": (weighted_weyl("1.0000000008"), "1.0000000008"),
+}
+
+TAPS = {"teleport": "theta: 0.5", "sweep": "theta_sweep: [0, 1, 3]"}
+
+
+@pytest.mark.parametrize("defect", sorted(ADMITTED_DEFECTS))
+@pytest.mark.parametrize("command", sorted(TAPS))
+def test_admitted_closure_defect_is_no_invariant_violation(defect, command, tmp_path, capsys):
+    text, total = ADMITTED_DEFECTS[defect]
+    config = write(tmp_path, "run.yaml", f"n: 2\ninput: plus-uniform\neavesdrop:\n  {TAPS[command]}\n{text}")
+    assert cli.main([command, "--config", config]) == 0
+    err = capsys.readouterr().err
+    if command == "teleport":
+        assert f"probability sum {total}, expected {total}\n" in err
+    else:
+        assert f"probability sum {total} -> {total}, expected {total} -> {total}\n" in err
+
+
+# one field of each kind of family the parser admits, off by 2e-9: beyond
+# FAMILY_TOL, and beyond the tighter unitarity tolerance of a single matrix
+OFF = "[[1, 0], [0, 1.000000002]]"
+BEYOND_ADMISSION = {
+    "bell": weighted_weyl("1.000000002"),
+    "effect_b.kraus": "effect_b:\n  kraus:\n    - [[1, 0], [0, 0.6]]\n    - [[0, 0.800000002], [0, 0]]\n",
+    "effect_b.unitary": f"effect_b:\n  unitary: {OFF}\n",
+    "eavesdrop.basis": "",
+    "u0": f"u0: {OFF}\n",
+}
+
+
+@pytest.mark.parametrize("field", sorted(BEYOND_ADMISSION))
+@pytest.mark.parametrize("command", sorted(TAPS))
+def test_family_beyond_admission_exits_one(field, command, tmp_path, capsys):
+    basis = f"\n  basis: {OFF}" if field == "eavesdrop.basis" else ""
+    config = write(
+        tmp_path,
+        "run.yaml",
+        f"n: 2\ninput: plus-uniform\neavesdrop:\n  {TAPS[command]}{basis}\n{BEYOND_ADMISSION[field]}",
+    )
+    assert cli.main([command, "--config", config]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {field}: ")
+
+
 def test_teleport_stdout_default(tmp_path, capsys):
     config = write(tmp_path, "run.yaml", TAP_CONFIG)
     assert cli.main(["teleport", "--config", config]) == 0
@@ -195,7 +256,7 @@ def test_failed_run_leaves_output_as_it_was(tmp_path, capsys):
 
 
 def test_violated_invariant_leaves_output_as_it_was(tmp_path, capsys, monkeypatch):
-    def explode(scenario, tolerance):
+    def explode(scenario, fixed, tolerance):
         raise InvariantViolation("routes disagree")
 
     monkeypatch.setattr(runner, "_zipped_pass", explode)
@@ -221,7 +282,7 @@ def test_invariant_violation_exits_two(tmp_path, capsys, monkeypatch):
 def test_parted_route_streams_exit_two(tmp_path, capsys, monkeypatch):
     # the comparator's mismatch is a ValueError, which alone would exit 1
     route = runner.fast_run
-    monkeypatch.setattr(runner, "fast_run", lambda scenario: list(route(scenario))[:-1])
+    monkeypatch.setattr(runner, "fast_run", lambda scenario, rows: list(route(scenario, rows))[:-1])
     config = write(tmp_path, "run.yaml", TAP_CONFIG)
     assert cli.main(["teleport", "--config", config]) == 2
     captured = capsys.readouterr()

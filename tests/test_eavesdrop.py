@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose
 from teleportsim.bell import make_bell_family, weyl_unitary
 from teleportsim.eavesdrop import (
     analyze_eavesdropping,
-    distinguishability,
     eavesdrop_operator,
     projective_case_analysis,
     sequential_decomposition_check,
@@ -21,11 +20,11 @@ from teleportsim.effects import (
     make_measurement_family,
     strength_family,
 )
-from teleportsim.engine import NULL_BRANCH_EPS, make_scenario, run_oracle, transfer_kernel
+from teleportsim.engine import NULL_BRANCH_EPS, make_scenario, run_oracle, transfer_kernel, transfer_rows
 from teleportsim.linalg import basis_state, dagger, hermiticity_deviation, norms_squared, uniform_state
 from teleportsim.sampling import random_state, random_unitary
 
-from oracles import closed_form_uniform_fidelity
+from oracles import advantage, closed_form_uniform_fidelity
 
 
 def tapped(dim, state, theta, basis=None, u0=None, bell=None):
@@ -249,10 +248,10 @@ def test_distinguishability_basis_pair_scales_with_strength():
     for theta in (0.0, 0.6, 1.0):
         config = tapped(2, basis_state(2, 0), theta)
         zero, one = basis_state(2, 0), basis_state(2, 1)
-        advantage = distinguishability(config, zero, one)
-        assert advantage == pytest.approx(theta / 2, abs=1e-12)
-        assert distinguishability(config, one, zero) == advantage
-        assert distinguishability(config, zero, zero) == 0.0
+        forward = advantage(config, zero, one)
+        assert forward == pytest.approx(theta / 2, abs=1e-12)
+        assert advantage(config, one, zero) == forward
+        assert advantage(config, zero, zero) == 0.0
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
@@ -270,25 +269,26 @@ def test_receiver_branches_sum_to_the_tap_cells(dim):
         effect_b=kraus_mixture([isometry[:dim], isometry[dim:]]),
     )
     states = np.array([random_state(dim, rng), random_state(dim, rng)])
-    alone = {l: norms_squared(amps) for l, _, amps in transfer_kernel(config, states, receiver=False)}
+    rows = transfer_rows(config, states)
+    alone = {l: norms_squared(amps) for l, _, amps in transfer_kernel(config, rows, receiver=False)}
     summed = {l: np.zeros_like(cells) for l, cells in alone.items()}
     count = 0
-    for l, _, amps in transfer_kernel(config, states):
+    for l, _, amps in transfer_kernel(config, rows):
         summed[l] += norms_squared(amps)
         count += 1
     assert count == 2 * dim
     for l, cells in alone.items():
         assert np.max(np.abs(summed[l] - cells)) <= 1e-15
     pair = np.concatenate(list(summed.values()))
-    advantage = 0.25 * float(np.sum(np.abs(pair[:, 0] - pair[:, 1])))
-    assert advantage == pytest.approx(distinguishability(config, *states), abs=1e-15)
+    summed_advantage = 0.25 * float(np.sum(np.abs(pair[:, 0] - pair[:, 1])))
+    assert summed_advantage == pytest.approx(advantage(config, *states), abs=1e-15)
 
 
 def test_distinguishability_blind_to_conjugate_basis():
     config = tapped(2, uniform_state(2), 1.0)
     plus = uniform_state(2)
     minus = np.array([1, -1], dtype=complex) / np.sqrt(2)
-    assert distinguishability(config, plus, minus) == pytest.approx(0.0, abs=1e-12)
+    assert advantage(config, plus, minus) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_analysis_report_is_self_consistent():
@@ -370,4 +370,4 @@ def test_tap_functions_require_measurement_family():
     with pytest.raises(ValueError, match="no measurement family"):
         eavesdrop_operator(config, 0, (0, 0))
     with pytest.raises(ValueError, match="no measurement family"):
-        distinguishability(config, uniform_state(2), uniform_state(2))
+        advantage(config, uniform_state(2), uniform_state(2))

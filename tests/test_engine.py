@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from teleportsim import engine
-from teleportsim.bell import make_bell_family, weyl_unitary
+from teleportsim.bell import BellFamily, make_bell_family, weyl_unitary
 from teleportsim.config import parse_config
 from teleportsim.effects import (
+    EffectOperator,
     kraus_mixture,
     make_measurement_family,
     strength_family,
@@ -21,11 +22,12 @@ from teleportsim.effects import (
 from teleportsim.engine import (
     RouteMismatch,
     compare_routes,
-    fast_run,
+    expected_probability_sum,
     fidelity_bras,
     ideal_decomposition_check,
     make_scenario,
-    oracle_blocks,
+    oracle_bra,
+    reference_marginal,
     run_oracle,
     transfer_operator,
 )
@@ -33,7 +35,14 @@ from teleportsim.linalg import basis_state, dagger, norms_squared, uniform_state
 from teleportsim.runner import run_teleport
 from teleportsim.sampling import random_state, random_unitary
 
-from oracles import block_records, brute_teleport, materialized_oracle, stream_records
+from oracles import (
+    block_records,
+    brute_teleport,
+    materialized_oracle,
+    oracle_stream,
+    stream_records,
+    transfer_stream,
+)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
@@ -59,7 +68,7 @@ def test_correction_flag_exposes_conditional_state():
     rng = np.random.default_rng(23)
     psi = random_state(3, rng)
     config = make_scenario(3, psi)
-    records = block_records(config, oracle_blocks(config))
+    records = block_records(config, oracle_stream(config))
     assert len(records) == 9
     for record in records:
         a, b = record.m
@@ -109,7 +118,7 @@ def test_oracle_matches_the_materialized_full_state(n, correct):
     if correct:
         got = run_oracle(config).amplitudes
     else:
-        got = np.array([block for _, block in oracle_blocks(config)])
+        got = np.array([block for _, block in oracle_stream(config)])
     assert_allclose(got, expected, rtol=0, atol=1e-13)
 
 
@@ -142,7 +151,7 @@ def test_fast_run_reproduces_oracle(dim, seed, correct):
     if correct:
         slow, quick = run_oracle(config), stream_records(config)
     else:
-        slow, quick = (block_records(config, route(config)) for route in (oracle_blocks, fast_run))
+        slow, quick = (block_records(config, route(config)) for route in (oracle_stream, transfer_stream))
     assert len(slow) == len(quick)
     for a, b in zip(slow, quick):
         assert (a.m, a.l, a.branch) == (b.m, b.l, b.branch)
@@ -329,7 +338,7 @@ def test_explicit_families_match_brute_force_on_both_routes(case, correct):
     if correct:
         routes = (run_oracle(config), stream_records(config))
     else:
-        routes = (block_records(config, route(config)) for route in (oracle_blocks, fast_run))
+        routes = (block_records(config, route(config)) for route in (oracle_stream, transfer_stream))
     for records in routes:
         assert [r.m for r in records] == [label for label, _, _ in outcomes]
         for record in records:
@@ -367,7 +376,7 @@ def test_whole_table_correction_equals_per_block_products(n, receiver):
     config = _fourier_tap(n, _damping(n) if receiver else None)
     unitaries = config.bell.unitaries
     table = run_oracle(config)
-    blocks = [block for _, block in oracle_blocks(config)]
+    blocks = [block for _, block in oracle_stream(config)]
     assert len(blocks) == (2 * n if receiver else n)
     expected = [(unitaries @ block[..., None])[..., 0] for block in blocks]
     assert np.array_equal(table.amplitudes, np.array(expected))
@@ -379,7 +388,7 @@ def test_table_probabilities_are_the_oracle_block_norms(n, receiver):
     # oracle blocks, bit for bit
     config = _fourier_tap(n, _damping(n) if receiver else None)
     table = run_oracle(config)
-    blocks = [block for _, block in oracle_blocks(config)]
+    blocks = [block for _, block in oracle_stream(config)]
     assert len(blocks) == (2 * n if receiver else n)
     assert np.array_equal(table.probabilities, np.array([norms_squared(b) for b in blocks]))
 
@@ -412,7 +421,7 @@ def test_oracle_stream_holds_a_chunk_of_bras_and_its_relative_bra():
     chunk_bytes = engine._BRA_CHUNK * 32 * 32 * 16
     tracemalloc.start()
     try:
-        count = sum(1 for _ in oracle_blocks(config))
+        count = sum(1 for _ in oracle_stream(config))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -424,10 +433,10 @@ def test_oracle_stream_is_the_same_bits_in_any_chunking(monkeypatch):
     # the chunk size only bounds memory: every chunk is the same batched
     # product on a slice of the family
     config = _fourier_tap(16, _damping(16))
-    chunked = list(oracle_blocks(config))
+    chunked = list(oracle_stream(config))
     assert len(config.bell.labels) > engine._BRA_CHUNK
     monkeypatch.setattr(engine, "_BRA_CHUNK", len(config.bell.labels))
-    whole = list(oracle_blocks(config))
+    whole = list(oracle_stream(config))
     assert [key for key, _ in chunked] == [key for key, _ in whole]
     assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(chunked, whole))
 
@@ -441,7 +450,7 @@ def test_route_comparison_holds_a_few_blocks_of_each_stream():
     bras = fidelity_bras(np.asarray(config.input_state), config.bell.unitaries)
     tracemalloc.start()
     try:
-        keys, norms, overlaps, amplitude = compare_routes(oracle_blocks(config), fast_run(config), bras)
+        keys, norms, overlaps, amplitude = compare_routes(oracle_stream(config), transfer_stream(config), bras)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -473,7 +482,7 @@ def test_teleport_run_keeps_blocks_and_reductions_only():
 
 def _parted(config, case: str):
     """The transfer stream of ``config``, parted from the oracle's as ``case`` says."""
-    blocks = list(fast_run(config))
+    blocks = list(transfer_stream(config))
     (key, block), (other, twin) = blocks[1], blocks[2]
     return {
         "short": blocks[:-1],
@@ -506,10 +515,10 @@ def _parted(config, case: str):
 def test_compare_routes_names_streams_that_part(case, match):
     config = _fourier_tap(3, _damping(3))
     bras = fidelity_bras(np.asarray(config.input_state), config.bell.unitaries)
-    keys, *_ = compare_routes(oracle_blocks(config), fast_run(config), bras)
+    keys, *_ = compare_routes(oracle_stream(config), transfer_stream(config), bras)
     assert len(keys) == 6
     with pytest.raises(RouteMismatch, match=match):
-        compare_routes(oracle_blocks(config), iter(_parted(config, case)), bras)
+        compare_routes(oracle_stream(config), iter(_parted(config, case)), bras)
 
 
 def test_fidelities_need_no_corrected_table():
@@ -524,3 +533,41 @@ def test_fidelities_need_no_corrected_table():
     finally:
         tracemalloc.stop()
     assert peak <= 0.1 * table.amplitudes.nbytes
+
+
+def _unclosed(rng: np.random.Generator, dim: int, scales: tuple[float, ...]) -> tuple:
+    """Branches ``scale * V`` of random unitaries V: their closure is ``sum scale^2``, not 1."""
+    return tuple(
+        EffectOperator(matrix=scale * random_unitary(dim, rng), label=i) for i, scale in enumerate(scales)
+    )
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_expected_probability_sum_is_the_brute_force_sum(dim):
+    # effects on both lines that do not close and a family with random
+    # weights, built without admission: the sum lies far from 1, and leaving
+    # out any one of the three closures shows
+    rng = np.random.default_rng(90 + dim)
+    labels = tuple(np.ndindex(dim, dim))
+    unitaries = np.array([weyl_unitary(dim, a, b) for a, b in labels])
+    bell = BellFamily(dim, labels, unitaries, rng.uniform(0.5, 1.5, size=len(labels)))
+    config = make_scenario(
+        dim,
+        random_state(dim, rng),
+        bell=bell,
+        u0=random_unitary(dim, rng),
+        effect_r=_unclosed(rng, dim, (0.9, 0.6)),
+        effect_b=_unclosed(rng, dim, (0.5, 0.7, 0.4)),
+    )
+    psi, u0 = np.asarray(config.input_state), np.asarray(config.u0)
+    brute = sum(
+        abs(np.vdot(amp, amp))
+        for e_r in config.effect_r
+        for f_b in config.effect_b
+        for u_m, w in zip(bell.unitaries, bell.weights)
+        for amp in [brute_teleport(dim, psi, u0, e_r.matrix, f_b.matrix, u_m, w)]
+    )
+    bra = oracle_bra(config)
+    expected = expected_probability_sum(config, np.conj(bra).T @ bra, reference_marginal(config))
+    assert abs(brute - 1.0) > 0.1
+    assert expected == pytest.approx(brute, abs=1e-13)

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import csv
 import io
+import json
+import math
 import re
 from dataclasses import replace
 
@@ -17,8 +19,9 @@ import pytest
 from teleportsim import engine, runner
 from teleportsim.bell import make_bell_family, weyl_unitary
 from teleportsim.config import parse_config
-from teleportsim.eavesdrop import tap_report
+from teleportsim.eavesdrop import distinguishability, tap_report
 from teleportsim.linalg import dagger
+from teleportsim.sampling import random_unitary
 from teleportsim.runner import InvariantViolation, run_teleport
 from teleportsim.verify import run_verification
 
@@ -64,8 +67,8 @@ def faulty_stream(monkeypatch, fault) -> None:
     """Patch the transfer route so ``fault(index, key, block)`` edits or drops each block."""
     route = runner.fast_run
 
-    def patched(scenario):
-        for index, (key, block) in enumerate(route(scenario)):
+    def patched(scenario, rows):
+        for index, (key, block) in enumerate(route(scenario, rows)):
             yield from fault(index, key, block.copy())
 
     monkeypatch.setattr(runner, "fast_run", patched)
@@ -207,8 +210,24 @@ SWEEP = parse_config(
 def test_sweep_point_fails_on_nan_fidelity(monkeypatch):
     patched_tap_report(monkeypatch, lambda r: replace(r, total_fidelity=float("nan")))
     stream = io.StringIO()
-    with pytest.raises(InvariantViolation, match=r"theta=0\.000000: total fidelity routes disagree by nan"):
+    with pytest.raises(InvariantViolation, match=r"theta=0: total fidelity routes disagree by nan"):
         runner.run_sweep(SWEEP, stream)
+    assert stream.getvalue() == ""
+
+
+def test_probability_sum_is_held_to_its_expected_value(monkeypatch):
+    # a receiver closed to 1 + 8e-10 on level 1: held to 1, as the sweep
+    # once held it, the sum of 1.0000000004 fails both drivers
+    spec = parse_config(
+        "n: 2\ninput: plus-uniform\neavesdrop:\n  theta_sweep: [0, 1, 3]\n"
+        "effect_b:\n  kraus:\n    - [[1, 0], [0, 0.6]]\n    - [[0, 0.8000000005], [0, 0]]\n"
+    )
+    monkeypatch.setattr(runner, "expected_probability_sum", lambda *args: 1.0)
+    sum_text = r"oracle probabilities sum to 1\.000000000\d+, expected 1\.0$"
+    refused(sum_text, replace(spec, eavesdrop=replace(spec.eavesdrop, theta=0.5, sweep=None)))
+    stream = io.StringIO()
+    with pytest.raises(InvariantViolation, match="^theta=0: " + sum_text):
+        runner.run_sweep(spec, stream)
     assert stream.getvalue() == ""
 
 
@@ -217,8 +236,8 @@ def test_sweep_compares_the_routes_block_by_block(monkeypatch):
     # amplitude is caught at the first tap strength
     route = runner.oracle_blocks
 
-    def moved(scenario):
-        for index, (key, block) in enumerate(route(scenario)):
+    def moved(scenario, bra):
+        for index, (key, block) in enumerate(route(scenario, bra)):
             if index == 1:
                 block = block.copy()
                 block[2, 0] += 1e-6
@@ -227,7 +246,7 @@ def test_sweep_compares_the_routes_block_by_block(monkeypatch):
     monkeypatch.setattr(runner, "oracle_blocks", moved)
     stream = io.StringIO()
     with pytest.raises(
-        InvariantViolation, match=r"theta=0\.000000: routes disagree on branch \(m=\(1, 0\), l=1, b=None\)"
+        InvariantViolation, match=r"theta=0: routes disagree on branch \(m=\(1, 0\), l=1, b=None\)"
     ):
         runner.run_sweep(SWEEP, stream)
     assert stream.getvalue() == ""
@@ -279,3 +298,61 @@ def test_outcome_rows_are_the_bytes_csv_writer_gives():
     expected = io.StringIO()
     csv.writer(expected, lineterminator="\n").writerows(rows)
     assert text == expected.getvalue()
+
+
+def _pairs(matrix: np.ndarray) -> list:
+    return [[[z.real, z.imag] for z in row] for row in matrix.tolist()]
+
+
+def test_sweep_points_are_the_points_built_from_scratch(monkeypatch):
+    # the sweep builds the strength-independent arrays once; each point must
+    # still be, bit for bit, the point built alone at its strength
+    u0 = random_unitary(3, np.random.default_rng(31))
+    spec = parse_config(json.dumps({
+        "n": 3, "input": "random:4", "u0": _pairs(u0),
+        "eavesdrop": {"basis": "fourier", "theta_sweep": [0.1, 0.9, 5]},
+        "effect_b": {"kraus": [
+            [[1, 0, 0], [0, 0.8, 0], [0, 0, 1]], [[0, 0.6, 0], [0, 0, 0], [0, 0, 0]],
+        ]},
+        "distinguish": ["random:5", "basis:2"],
+    }))
+    swept = []
+    point = runner._sweep_point
+
+    def recorded(scenario, theta, *args):
+        result = point(scenario, theta, *args)
+        swept.append((theta, *result[:2]))
+        return result
+
+    monkeypatch.setattr(runner, "_sweep_point", recorded)
+    runner.run_sweep(spec, io.StringIO())
+    assert len(swept) == 5
+    pair = np.array([state for _, state in spec.distinguish])
+    for theta, fidelity, advantage in swept:
+        scenario = runner.build_scenario(spec, theta=theta)
+        psi = np.asarray(scenario.input_state)
+        _, norms, overlaps, _ = engine.compare_routes(
+            engine.oracle_blocks(scenario, engine.oracle_bra(scenario)),
+            engine.fast_run(scenario, engine.transfer_rows(scenario, psi[None])),
+            engine.fidelity_bras(psi, scenario.bell.unitaries),
+        )
+        assert fidelity == tap_report(scenario, norms[0], overlaps[0]).total_fidelity
+        assert advantage == distinguishability(scenario, engine.transfer_rows(scenario, pair))
+    # the points differ, so a tap carried over from one strength would show
+    assert len({fidelity for _, fidelity, _ in swept}) == 5
+
+
+@pytest.mark.parametrize("steps", [3, 11])
+def test_sweep_builds_the_oracle_bras_once(monkeypatch, steps):
+    # n = 9 has 81 outcomes: two chunks of Bell bras for the whole sweep
+    calls = []
+    stack = engine.outcome_state_stack
+
+    def counted(*args):
+        calls.append(args)
+        return stack(*args)
+
+    monkeypatch.setattr(engine, "outcome_state_stack", counted)
+    spec = parse_config(f"n: 9\ninput: random:2\neavesdrop:\n  theta_sweep: [0, 1, {steps}]\n")
+    runner.run_sweep(spec, io.StringIO())
+    assert len(calls) == math.ceil(81 / engine._BRA_CHUNK) == 2

@@ -69,9 +69,9 @@ def test_run_teleport_calls_the_transfer_route_once(monkeypatch):
     calls = []
     route = runner.fast_run
 
-    def counted(scenario):
+    def counted(scenario, rows):
         calls.append(scenario)
-        return route(scenario)
+        return route(scenario, rows)
 
     monkeypatch.setattr(runner, "fast_run", counted)
     spec = parse_config(

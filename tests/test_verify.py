@@ -89,8 +89,8 @@ def patch_stream(monkeypatch, fault) -> None:
     """Patch verify's transfer route so ``fault(block)`` edits every streamed block."""
     route = verify.fast_run
 
-    def patched(config):
-        for key, block in route(config):
+    def patched(config, rows):
+        for key, block in route(config, rows):
             yield key, fault(block.copy())
 
     monkeypatch.setattr(verify, "fast_run", patched)
@@ -107,7 +107,7 @@ def test_transfer_route_dropping_a_record_fails(monkeypatch):
 
 def test_transfer_route_dropping_a_block_names_the_record_count(monkeypatch):
     route = verify.fast_run
-    monkeypatch.setattr(verify, "fast_run", lambda config: list(route(config))[:-1])
+    monkeypatch.setattr(verify, "fast_run", lambda config, rows: list(route(config, rows))[:-1])
     result = check_oracle_fast_equivalence("quick", 0, None)
     line = verify.VerificationReport("quick", (result,)).lines()[0]
     assert re.fullmatch(
