@@ -33,7 +33,7 @@ from .engine import (
     fast_run,
     fidelity_bras,
     mirror_effect,
-    overlaps_squared,
+    reduce_stream,
     transfer_kernel,
     transfer_operator,
     transfer_rows,
@@ -130,12 +130,8 @@ def analyze_eavesdropping(config: ScenarioConfig) -> EavesdropReport:
     """Build the full per-branch report for one tapped scenario: `tap_report` over `fast_run`."""
     _tap_family(config)
     psi = np.asarray(config.input_state)
-    bras = fidelity_bras(psi, config.bell.unitaries)
     blocks = fast_run(config, transfer_rows(config, psi[None]))
-    probabilities, overlaps_sq = zip(
-        *((norms_squared(block), overlaps_squared(block, bras)) for _, block in blocks)
-    )
-    return tap_report(config, np.array(probabilities), np.array(overlaps_sq))
+    return tap_report(config, *reduce_stream(blocks, fidelity_bras(psi, config.bell.unitaries)))
 
 
 def sequential_decomposition_check(config: ScenarioConfig) -> DecompositionReport:
@@ -152,7 +148,7 @@ def sequential_decomposition_check(config: ScenarioConfig) -> DecompositionRepor
     u0 = np.asarray(config.u0)
     target = np.eye(dim) / dim
     branch_sum = np.zeros((dim, dim), dtype=complex)
-    for _, _, amps in transfer_kernel(config, transfer_rows(config, psi[None]), receiver=False):
+    for _, _, amps in transfer_kernel(replace(config, effect_b=None), transfer_rows(config, psi[None])):
         vecs = amps[:, 0]
         branch_sum += vecs.T @ vecs.conj()
     grouped_sum = np.zeros((dim, dim), dtype=complex)
@@ -228,7 +224,6 @@ def distinguishability(config: ScenarioConfig, rows: np.ndarray) -> float:
     """
     _tap_family(config)
     # row (l, m) holds the cell probability of each input, tap label major
-    cells = np.concatenate(
-        [norms_squared(amps) for _, _, amps in transfer_kernel(config, rows, receiver=False)]
-    )
+    tap = replace(config, effect_b=None)
+    cells = np.concatenate([norms_squared(amps) for _, _, amps in transfer_kernel(tap, rows)])
     return 0.25 * float(np.sum(np.abs(cells[:, 0] - cells[:, 1])))

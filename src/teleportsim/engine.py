@@ -21,16 +21,19 @@ oracle makes one ``(M, n) @ (n, n)`` product with the disturbed resource
 per branch pair, and neither an n**3 state nor the ``(M, n**2)`` bra stack
 is held.
 
-`compare_routes` zips the two streams and reduces both alike, block by
-block, so a caller that consumes both holds a few blocks and its
-``(K, M)`` reductions, never a table; streams that part raise
-`RouteMismatch`.  `expected_probability_sum` gives the oracle's
+`reduce_stream` reduces one stream, block by block, to its ``(K, M)``
+squared norms and squared overlaps; `compare_routes` zips the two
+streams and reduces both alike, so a caller that consumes both holds a
+few blocks and its ``(K, M)`` reductions, never a table; streams that
+part raise `RouteMismatch`.  Every caller in the package consumes the
+streams.  `expected_probability_sum` gives the oracle's
 probability sum in closed form from the Gram of its bra on R and
 `reference_marginal`, neither of which an effect on R touches: 1 for
 exactly closed effects, and moved by any closure defect that admission
-let through.  `run_oracle` collects the
-oracle stream into a `BranchTable` of corrected outputs, for callers
-that want every block at once.
+let through.  `run_oracle` still collects the oracle stream into a
+`BranchTable` of corrected outputs, but nothing in the package calls it:
+it stays for the benchmark's tracer, which wraps it by name, and for the
+tests whose subject is the table.
 """
 from __future__ import annotations
 
@@ -139,11 +142,6 @@ class BranchTable:
             for m, probability, raw in zip(self.labels, row, block):
                 yield TeleportRecord(m=m, l=l, branch=branch, probability=probability, raw_output=raw)
 
-    def fidelities(self, state: np.ndarray) -> np.ndarray:
-        """``|<state|output>|^2`` of every branch, NaN where the branch is null."""
-        overlaps_sq = np.abs(self.amplitudes @ np.conj(state)) ** 2
-        return conditional_fidelities(overlaps_sq, self.probabilities)
-
 
 def fidelity_bras(state: np.ndarray, unitaries: np.ndarray) -> np.ndarray:
     """The bras `overlaps_squared` contracts uncorrected outputs with.
@@ -192,7 +190,9 @@ def make_scenario(
         raise ValueError(f"u0 shape {u0.shape} does not match dimension {dim}")
     if not is_unitary(u0):
         raise ValueError("u0 must be unitary")
-    # expansion validates shapes and closure of both effect specifications
+    # expansion checks the shapes of both effect specifications and that a
+    # branch list is not empty; closure is checked when kraus_mixture,
+    # strength_family or make_measurement_family admits a family, not here
     effect_branches(effect_r, dim)
     effect_branches(effect_b, dim)
     return ScenarioConfig(
@@ -319,21 +319,22 @@ def transfer_rows(config: ScenarioConfig, inputs: np.ndarray) -> np.ndarray:
 
 
 def transfer_kernel(
-    config: ScenarioConfig, rows: np.ndarray, receiver: bool = True
+    config: ScenarioConfig, rows: np.ndarray
 ) -> Iterator[tuple[BranchLabel, BranchLabel, np.ndarray]]:
     """Yield ``(l, b, amps)`` for every reference and receiver branch pair.
 
     ``rows`` is `transfer_rows` of the inputs, and ``amps[m, k]`` is
     ``sqrt(w)/dim F_b (u0^-1 E_l u0)^T U(m)^-1`` applied to ``inputs[k]``:
     the transfer operator of outcome ``m`` short of its leading ``U(m)``,
-    the correction, which callers move onto the state.  With
-    ``receiver=False`` the receiver effect is left out, so the rows are
-    ``U(m)^-1 P(l, m)`` applied to each input, for the tap alone.  Order
-    is reference branch, then receiver branch, as in `oracle_blocks`.
+    the correction, which callers move onto the state.  For the tap alone,
+    pass a scenario with no receiver effect (``replace(config,
+    effect_b=None)``): the rows are then ``U(m)^-1 P(l, m)`` applied to
+    each input.  Order is reference branch, then receiver branch, as in
+    `oracle_blocks`.
     """
     dim = config.dim
     flat = rows.reshape(-1, dim)
-    receivers = effect_branches(config.effect_b if receiver else None, dim)
+    receivers = effect_branches(config.effect_b, dim)
     for l_label, e_r in effect_branches(config.effect_r, dim):
         mirrored = mirror_effect(np.asarray(config.u0), e_r)
         for b_label, f_b in receivers:
@@ -350,6 +351,16 @@ def fast_run(config: ScenarioConfig, rows: np.ndarray) -> BlockStream:
     """
     for l_label, b_label, amps in transfer_kernel(config, rows):
         yield (l_label, b_label), amps[:, 0]
+
+
+def reduce_stream(blocks: BlockStream, bras: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One route's ``(K, M)`` squared norms and `overlaps_squared` with ``bras``, block by block.
+
+    With `fidelity_bras` of a state, `conditional_fidelities` of the two
+    arrays gives every branch's fidelity with that state.
+    """
+    norms, overlaps = zip(*((norms_squared(b), overlaps_squared(b, bras)) for _, b in blocks))
+    return np.array(norms), np.array(overlaps)
 
 
 class RouteMismatch(ValueError):

@@ -111,14 +111,9 @@ def hermiticity_deviation(mat: np.ndarray) -> float:
     return float(np.max(np.abs(mat - mat.conj().T)))
 
 
-def unitarity_deviation(mat: np.ndarray) -> float:
-    """Largest entrywise deviation of ``dagger(mat) @ mat`` from identity."""
-    mat = np.asarray(mat, dtype=complex)
-    return float(np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[1]))))
-
-
 def is_unitary(mat: np.ndarray) -> bool:
+    """Square, and ``dagger(mat) @ mat`` within `DEFAULT_TOL` of the identity entrywise."""
     mat = np.asarray(mat, dtype=complex)
     if mat.shape[0] != mat.shape[1]:
         return False
-    return unitarity_deviation(mat) <= DEFAULT_TOL
+    return float(np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[1])))) <= DEFAULT_TOL

@@ -6,9 +6,10 @@ blocks, and one pass zips them: `compare_routes` reduces both alike to
 ``(K, M)`` squared norms and overlaps and measures the amplitude deviation
 of every branch, and `tap_report` sums each route's arrays into the tap's
 ``(L, M)`` cells.  A run keeps only those reductions, never a table of
-blocks.  Every number `run_teleport` writes, and the sweep's fidelity
-column, is a reduction of the oracle's arrays, and the summary ends with
-the measured route deviations.  The oracle's probability sum is held to
+blocks, and no driver calls `run_oracle`: it is imported below for the
+benchmark's tracer alone.  Every number `run_teleport` writes, and the
+sweep's fidelity column, is a reduction of the oracle's arrays, and the
+summary ends with the measured route deviations.  The oracle's probability sum is held to
 `expected_probability_sum`, its closed form, which admission's closure
 tolerance lets differ from 1; the summary prints both.  The sweep's
 distinguishability column comes from the transfer kernel alone, through
@@ -359,18 +360,18 @@ def run_sweep(
     Only the tap changes from point to point, so the scenario is built and
     validated once, at the first strength, and so is every array the
     strength does not touch: `_fixed_half` and the distinguished pair's
-    kernel rows.  Each point builds its tap family and runs both routes
-    and `distinguishability` on those arrays.
+    kernel rows.  Each point, the first included, builds its tap family
+    into that scenario and runs both routes and `distinguishability` on
+    those arrays.
     """
     grid = _sweep_grid(spec)
-    scenario = build_scenario(spec, theta=grid[0])
-    fixed = _fixed_half(scenario)
-    pair = transfer_rows(scenario, np.array([state for _, state in spec.distinguish]))
+    base = build_scenario(spec, theta=grid[0])
+    fixed = _fixed_half(base)
+    pair = transfer_rows(base, np.array([state for _, state in spec.distinguish]))
     basis = np.asarray(spec.eavesdrop.basis)
     points = []
     for theta in grid:
-        if points:  # the first strength's tap is the scenario's own
-            scenario = replace(scenario, effect_r=strength_family(spec.n, theta, basis))
+        scenario = replace(base, effect_r=strength_family(spec.n, theta, basis))
         points.append(_sweep_point(scenario, theta, fixed, pair, tolerance))
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(SWEEP_HEADER)

@@ -5,26 +5,30 @@ point is to check the package against arithmetic that shares none of its
 code paths (no kron, no einsum, no reshape tricks).  The one exception is
 `materialized_oracle`, the vectorized full-state form the oracle used to
 take, kept because index loops at n = 16 would take minutes.
-`stream_records` and `block_records` are no oracles: they turn a route's
-stream into records, corrected or not, for the tests that compare the two
-routes record by record.  `oracle_stream`, `transfer_stream` and
-`advantage` build a route's strength-independent half from the scenario
-itself, as a run driver does for a single scenario.  `format_label` renders one label alone, the
+`block_records`, `oracle_records` and `stream_records` are no oracles: they
+turn a route's stream into `Record` rows, corrected or not, for the tests
+that read the oracle, or compare the two routes, record by record.
+`oracle_stream`, `transfer_stream` and `advantage` build a route's
+strength-independent half from the scenario itself, as a run driver does
+for a single scenario.  `format_label` renders one label alone, the
 reference for the runner's one-pass `format_labels`.
 """
 from __future__ import annotations
 
 import csv
 import io
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import sqrtm
 
+from teleportsim.bell import Label
 from teleportsim.eavesdrop import distinguishability
 from teleportsim.engine import (
+    NULL_BRANCH_EPS,
     BlockStream,
+    BranchLabel,
     ScenarioConfig,
-    TeleportRecord,
     fast_run,
     oracle_blocks,
     oracle_bra,
@@ -208,10 +212,32 @@ def materialized_oracle(
     return np.array(blocks)
 
 
+@dataclass(frozen=True, eq=False)
+class Record:
+    """One conditional branch of a route: labels, probability and output amplitudes.
+
+    ``raw_output`` is unnormalized (its squared norm is ``probability``);
+    ``output`` is the normalized state, ``None`` on a branch below
+    ``NULL_BRANCH_EPS``.
+    """
+
+    m: Label
+    l: BranchLabel
+    branch: BranchLabel
+    probability: float
+    raw_output: np.ndarray
+
+    @property
+    def output(self) -> np.ndarray | None:
+        if self.probability < NULL_BRANCH_EPS:
+            return None
+        return self.raw_output / np.sqrt(self.probability)
+
+
 def block_records(
     config: ScenarioConfig, blocks: BlockStream, correct: bool = False
-) -> list[TeleportRecord]:
-    """A route's ``((l, b), block)`` stream as records in table order.
+) -> list[Record]:
+    """A route's ``((l, b), block)`` stream as records in stream order.
 
     The streams hold outputs before the correction; with ``correct`` each
     row gets its ``U(m)`` here, one matrix-vector product per row.
@@ -222,7 +248,7 @@ def block_records(
             if correct:
                 raw = unitary @ raw
             probability = float(np.vdot(raw, raw).real)
-            records.append(TeleportRecord(label, l, branch, probability, raw))
+            records.append(Record(label, l, branch, probability, raw))
     return records
 
 
@@ -241,8 +267,13 @@ def advantage(config: ScenarioConfig, first: np.ndarray, second: np.ndarray) -> 
     return distinguishability(config, transfer_rows(config, np.array([first, second], dtype=complex)))
 
 
-def stream_records(config: ScenarioConfig) -> list[TeleportRecord]:
-    """`fast_run`'s blocks as records in table order, each row corrected on its own."""
+def oracle_records(config: ScenarioConfig) -> list[Record]:
+    """`oracle_blocks`' blocks as records in stream order, each row corrected on its own."""
+    return block_records(config, oracle_stream(config), correct=True)
+
+
+def stream_records(config: ScenarioConfig) -> list[Record]:
+    """`fast_run`'s blocks as records in stream order, each row corrected on its own."""
     return block_records(config, transfer_stream(config), correct=True)
 
 

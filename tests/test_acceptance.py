@@ -20,11 +20,18 @@ from teleportsim.eavesdrop import (
     sequential_decomposition_check,
 )
 from teleportsim.effects import kraus_mixture, strength_family, unitary_effect
-from teleportsim.engine import ideal_decomposition_check, make_scenario, run_oracle
+from teleportsim.engine import ideal_decomposition_check, make_scenario
 from teleportsim.linalg import basis_state, uniform_state
 from teleportsim.sampling import child_rng, random_state, random_unitary
 
-from oracles import advantage, block_records, oracle_stream, stream_records, transfer_stream
+from oracles import (
+    advantage,
+    block_records,
+    oracle_records,
+    oracle_stream,
+    stream_records,
+    transfer_stream,
+)
 
 ACCEPT_SEED = 20240817
 
@@ -66,7 +73,7 @@ def test_criterion_1_ideal_teleportation_identity():
             config = make_scenario(
                 dim, random_state(dim, rng), u0=random_unitary(dim, rng)
             )
-            for record in run_oracle(config):
+            for record in oracle_records(config):
                 fidelity = abs(np.vdot(config.input_state, record.output)) ** 2
                 worst = max(worst, abs(fidelity - 1.0))
                 worst = max(worst, abs(record.probability - 1.0 / dim**2))
@@ -98,14 +105,14 @@ def test_criterion_2_oracle_transfer_equivalence():
                 effect_b=_random_effect(dim, rng, (trial + 1) % 3),
             )
             if trial % 2:
-                oracle_records, fast_records = run_oracle(config), stream_records(config)
+                slow_records, fast_records = oracle_records(config), stream_records(config)
             else:
                 # the conditional states before the correction, on both streams
-                oracle_records, fast_records = (
+                slow_records, fast_records = (
                     block_records(config, route(config)) for route in (oracle_stream, transfer_stream)
                 )
-            assert len(oracle_records) == len(fast_records)
-            for slow, quick in zip(oracle_records, fast_records):
+            assert len(slow_records) == len(fast_records)
+            for slow, quick in zip(slow_records, fast_records):
                 assert (slow.m, slow.l, slow.branch) == (quick.m, quick.l, quick.branch)
                 worst = max(worst, abs(slow.probability - quick.probability))
                 assert (slow.output is None) == (quick.output is None)

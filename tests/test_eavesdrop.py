@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,11 +22,11 @@ from teleportsim.effects import (
     make_measurement_family,
     strength_family,
 )
-from teleportsim.engine import NULL_BRANCH_EPS, make_scenario, run_oracle, transfer_kernel, transfer_rows
+from teleportsim.engine import NULL_BRANCH_EPS, make_scenario, transfer_kernel, transfer_rows
 from teleportsim.linalg import basis_state, dagger, hermiticity_deviation, norms_squared, uniform_state
 from teleportsim.sampling import random_state, random_unitary
 
-from oracles import advantage, closed_form_uniform_fidelity
+from oracles import advantage, closed_form_uniform_fidelity, oracle_records
 
 
 def tapped(dim, state, theta, basis=None, u0=None, bell=None):
@@ -97,7 +99,7 @@ def test_joint_probabilities_match_oracle_records(dim, theta, seed):
         basis=random_unitary(dim, rng), u0=random_unitary(dim, rng),
     )
     table = cells(config)
-    for record in run_oracle(config):
+    for record in oracle_records(config):
         assert table[(record.l, record.m)][0] == pytest.approx(
             record.probability, abs=1e-10
         )
@@ -106,7 +108,7 @@ def test_joint_probabilities_match_oracle_records(dim, theta, seed):
 def test_conditional_output_matches_oracle_branch():
     rng = np.random.default_rng(29)
     config = tapped(3, random_state(3, rng), 0.6, u0=random_unitary(3, rng))
-    records = {(r.l, r.m): r for r in run_oracle(config)}
+    records = {(r.l, r.m): r for r in oracle_records(config)}
     for (l, m), record in records.items():
         amp = eavesdrop_operator(config, l, m) @ config.input_state
         out = amp / np.linalg.norm(amp)
@@ -256,9 +258,9 @@ def test_distinguishability_basis_pair_scales_with_strength():
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
 def test_receiver_branches_sum_to_the_tap_cells(dim):
-    # summed over receiver branches, the receiver=True kernel's cells are
-    # the tap's: a closed two-Kraus receiver must leave them where the
-    # receiver=False kernel, which `distinguishability` reads, puts them
+    # summed over receiver branches, the kernel's cells are the tap's: a
+    # closed two-Kraus receiver must leave them where the kernel of the tap
+    # alone, which `distinguishability` reads, puts them
     rng = np.random.default_rng(70 + dim)
     isometry = random_unitary(2 * dim, rng)[:, :dim]
     config = make_scenario(
@@ -270,7 +272,8 @@ def test_receiver_branches_sum_to_the_tap_cells(dim):
     )
     states = np.array([random_state(dim, rng), random_state(dim, rng)])
     rows = transfer_rows(config, states)
-    alone = {l: norms_squared(amps) for l, _, amps in transfer_kernel(config, rows, receiver=False)}
+    tap = replace(config, effect_b=None)
+    alone = {l: norms_squared(amps) for l, _, amps in transfer_kernel(tap, rows)}
     summed = {l: np.zeros_like(cells) for l, cells in alone.items()}
     count = 0
     for l, _, amps in transfer_kernel(config, rows):
@@ -311,7 +314,7 @@ def test_analysis_report_is_self_consistent():
 
 def test_report_total_fidelity_is_the_oracle_tables():
     # the report contracts the transfer route's uncorrected blocks with the
-    # bras U(m)^-1 psi; the oracle table holds the corrected outputs
+    # bras U(m)^-1 psi; the oracle's records are corrected row by row
     rng = np.random.default_rng(83)
     config = make_scenario(
         3,
@@ -319,8 +322,9 @@ def test_report_total_fidelity_is_the_oracle_tables():
         u0=random_unitary(3, rng),
         effect_r=strength_family(3, 0.4, random_unitary(3, rng)),
     )
-    table = run_oracle(config)
-    expected = np.nansum(table.probabilities * table.fidelities(config.input_state))
+    psi = np.asarray(config.input_state)
+    live = [r for r in oracle_records(config) if r.output is not None]
+    expected = sum(abs(np.vdot(psi, r.raw_output)) ** 2 for r in live)
     assert analyze_eavesdropping(config).total_fidelity == pytest.approx(expected, abs=1e-12)
 
 

@@ -22,11 +22,13 @@ from teleportsim.effects import (
 from teleportsim.engine import (
     RouteMismatch,
     compare_routes,
+    conditional_fidelities,
     expected_probability_sum,
     fidelity_bras,
     ideal_decomposition_check,
     make_scenario,
     oracle_bra,
+    reduce_stream,
     reference_marginal,
     run_oracle,
     transfer_operator,
@@ -39,6 +41,7 @@ from oracles import (
     block_records,
     brute_teleport,
     materialized_oracle,
+    oracle_records,
     oracle_stream,
     stream_records,
     transfer_stream,
@@ -52,7 +55,7 @@ def test_ideal_teleportation_returns_input(dim):
         config = make_scenario(
             dim, random_state(dim, rng), u0=random_unitary(dim, rng)
         )
-        records = run_oracle(config)
+        records = oracle_records(config)
         assert len(records) == dim * dim
         total = 0.0
         for record in records:
@@ -87,7 +90,7 @@ def test_oracle_matches_brute_force_with_effects():
             dim, psi, u0=u0,
             effect_r=unitary_effect(e_r), effect_b=unitary_effect(f_b),
         )
-        records = run_oracle(config)
+        records = oracle_records(config)
         for record in records:
             a, b = record.m
             expected = brute_teleport(dim, psi, u0, e_r, f_b, weyl_unitary(dim, a, b))
@@ -115,10 +118,8 @@ def test_oracle_matches_the_materialized_full_state(n, correct):
     expected = materialized_oracle(
         np.asarray(config.input_state), u0, bell.unitaries, bell.weights, kraus, [receiver], correct
     )
-    if correct:
-        got = run_oracle(config).amplitudes
-    else:
-        got = np.array([block for _, block in oracle_stream(config)])
+    records = block_records(config, oracle_stream(config), correct)
+    got = np.array([record.raw_output for record in records]).reshape(expected.shape)
     assert_allclose(got, expected, rtol=0, atol=1e-13)
 
 
@@ -149,7 +150,7 @@ def test_fast_run_reproduces_oracle(dim, seed, correct):
         effect_b=unitary_effect(random_unitary(dim, rng)),
     )
     if correct:
-        slow, quick = run_oracle(config), stream_records(config)
+        slow, quick = oracle_records(config), stream_records(config)
     else:
         slow, quick = (block_records(config, route(config)) for route in (oracle_stream, transfer_stream))
     assert len(slow) == len(quick)
@@ -168,12 +169,13 @@ def test_fidelities_match_brute_force_overlaps():
     config = make_scenario(
         3, psi, u0=u0, effect_r=unitary_effect(e_r), effect_b=unitary_effect(f_b)
     )
-    table = run_oracle(config)
+    bras = fidelity_bras(psi, config.bell.unitaries)
+    probabilities, overlaps_sq = reduce_stream(oracle_stream(config), bras)
     expected = []
     for unitary in config.bell.unitaries:
         amp = brute_teleport(3, psi, u0, e_r, f_b, unitary)
         expected.append(abs(np.vdot(psi, amp)) ** 2 / np.vdot(amp, amp).real)
-    assert_allclose(table.fidelities(psi), [expected], rtol=0, atol=1e-12)
+    assert_allclose(conditional_fidelities(overlaps_sq, probabilities), [expected], rtol=0, atol=1e-12)
 
 
 def test_transfer_operator_projective_tap_form():
@@ -195,7 +197,7 @@ def test_receiver_unitary_appears_in_output():
     pauli_z = np.diag([1.0, -1.0]).astype(complex)
     psi = random_state(2, np.random.default_rng(3))
     config = make_scenario(2, psi, effect_b=unitary_effect(pauli_z))
-    records = run_oracle(config)
+    records = oracle_records(config)
     by_m = {r.m: r for r in records}
     expected = pauli_z @ psi / 2.0
     assert_allclose(by_m[(0, 0)].raw_output, expected, atol=1e-12)
@@ -217,7 +219,7 @@ def test_receiver_effect_applies_after_mirrored_reference_effect():
     config = make_scenario(
         2, psi, effect_r=family, effect_b=unitary_effect(rotation)
     )
-    records = [r for r in run_oracle(config) if r.l == 0 and r.m == (1, 0)]
+    records = [r for r in oracle_records(config) if r.l == 0 and r.m == (1, 0)]
     u_m = weyl_unitary(2, 1, 0)
     right_order = 0.5 * u_m @ rotation @ e_r.T @ dagger(u_m) @ psi
     wrong_order = 0.5 * u_m @ e_r.T @ rotation @ dagger(u_m) @ psi
@@ -227,7 +229,7 @@ def test_receiver_effect_applies_after_mirrored_reference_effect():
 
 def test_projective_tap_on_eigenstate_keeps_fidelity_one():
     config = make_scenario(3, basis_state(3, 0), effect_r=strength_family(3, 1.0))
-    records = run_oracle(config)
+    records = oracle_records(config)
     assert len(records) == 3 * 9
     null_records = [r for r in records if r.output is None]
     live_records = [r for r in records if r.output is not None]
@@ -256,7 +258,7 @@ def test_probabilities_sum_to_one_with_mixed_effects():
         effect_r=strength_family(2, 0.7),
         effect_b=kraus,
     )
-    records = run_oracle(config)
+    records = oracle_records(config)
     assert len(records) == 2 * 2 * 4
     assert sum(r.probability for r in records) == pytest.approx(1.0, abs=1e-12)
     labels = {(r.l, r.branch) for r in records}
@@ -278,7 +280,7 @@ def test_ideal_decomposition_for_weighted_family():
     family = make_bell_family(2, outcomes)
     config = make_scenario(2, random_state(2, np.random.default_rng(8)), bell=family)
     assert ideal_decomposition_check(config) < 1e-12
-    records = run_oracle(config)
+    records = oracle_records(config)
     assert len(records) == 8
     for record in records:
         assert record.probability == pytest.approx(0.5 / 4, abs=1e-12)
@@ -336,7 +338,7 @@ def test_explicit_families_match_brute_force_on_both_routes(case, correct):
     )
     by_label = {label: (unitary, weight) for label, unitary, weight in outcomes}
     if correct:
-        routes = (run_oracle(config), stream_records(config))
+        routes = (oracle_records(config), stream_records(config))
     else:
         routes = (block_records(config, route(config)) for route in (oracle_stream, transfer_stream))
     for records in routes:
@@ -519,20 +521,6 @@ def test_compare_routes_names_streams_that_part(case, match):
     assert len(keys) == 6
     with pytest.raises(RouteMismatch, match=match):
         compare_routes(oracle_stream(config), iter(_parted(config, case)), bras)
-
-
-def test_fidelities_need_no_corrected_table():
-    # fidelities contract the stored corrected table with the state and
-    # build no second table
-    config = _fourier_tap(32)
-    table = run_oracle(config)
-    tracemalloc.start()
-    try:
-        table.fidelities(config.input_state)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 0.1 * table.amplitudes.nbytes
 
 
 def _unclosed(rng: np.random.Generator, dim: int, scales: tuple[float, ...]) -> tuple:

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import lzma
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from teleportsim import verify
+from teleportsim import engine, verify
 from teleportsim.verify import CHECKS, check_oracle_fast_equivalence, run_verification
 
 CHECK_NAMES = {
@@ -134,3 +136,39 @@ def test_transfer_route_with_a_nan_amplitude_fails(monkeypatch):
     assert not result.passed
     line = verify.VerificationReport("quick", (result,)).lines()[0]
     assert line == "FAIL oracle-fast-equivalence: max deviation nan (tolerance 1.0e-09)"
+
+
+@pytest.mark.parametrize("depth", ["quick", "full"])
+def test_verification_builds_no_oracle_table(monkeypatch, depth):
+    # every check reads the oracle through its stream
+    def no_table(*args, **kwargs):
+        raise AssertionError("verify collected the oracle into a table")
+
+    monkeypatch.setattr(engine, "_table", no_table)
+    assert run_verification(depth, 0).passed
+
+
+# the benchmark's recorded output of `verify full` for seeds 0-3, one report after another
+VERIFY_REFERENCE = (
+    Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "verify-full" / "00.txt.xz"
+)
+NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
+
+
+def same_up_to_roundoff(line: str, reference: str, tolerance: float = 1e-10) -> bool:
+    """The same text between numbers, and every number within ``tolerance`` of the reference's."""
+    parts, ref_parts = NUMBER.split(line), NUMBER.split(reference)
+    return len(parts) == len(ref_parts) and all(
+        part == ref_part if i % 2 == 0 else abs(float(part) - float(ref_part)) <= tolerance
+        for i, (part, ref_part) in enumerate(zip(parts, ref_parts))
+    )
+
+
+def test_full_verification_matches_the_recorded_reference():
+    # held to the benchmark's rule, not to bytes: the last digits a check
+    # prints may move with roundoff
+    reference = lzma.decompress(VERIFY_REFERENCE.read_bytes()).decode("utf-8").splitlines()
+    lines = [line for seed in range(4) for line in run_verification("full", seed).lines()]
+    assert len(lines) == len(reference)
+    for line, ref_line in zip(lines, reference):
+        assert same_up_to_roundoff(line, ref_line), (line, ref_line)
