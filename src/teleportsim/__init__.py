@@ -42,7 +42,6 @@ from .engine import (
     oracle_blocks,
     oracle_bra,
     run_oracle,
-    transfer_operator,
     transfer_rows,
 )
 from .linalg import (
@@ -90,7 +89,6 @@ __all__ = [
     "sequential_decomposition_check",
     "shift_unitary",
     "strength_family",
-    "transfer_operator",
     "transfer_rows",
     "transpose_in_basis",
     "uniform_state",

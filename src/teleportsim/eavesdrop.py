@@ -4,8 +4,10 @@ A tap on the reference is a measurement family inserted between resource
 preparation and the Bell measurement.  Every question about it reduces to
 the branch operators ``P(l, m)``, which act on the input alone: they are
 the transfer operators of the tap, so every quantity here is a reduction
-of `teleportsim.engine.transfer_kernel` over the family's outcome stack,
-and no ``P(l, m)`` is built as a matrix except by `eavesdrop_operator`.
+of `teleportsim.engine.transfer_kernel` over the family's outcome stack.
+`tap_operators` builds the ``P(l, m)`` as matrices, the kernel applied to
+the basis, for verify's Hermiticity check and, on the family cut to one
+outcome, for `eavesdrop_operator`; nothing else builds them.
 `tap_report` sums either route's ``(K, M)`` branch arrays into the tap's
 ``(L, M)`` cells, tap branch by Bell outcome, so the run drivers reduce
 both routes they compare alike; `analyze_eavesdropping` is that reduction
@@ -21,11 +23,11 @@ the verification suite enforce that, and verify checks that every
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Iterator
 
 import numpy as np
 
-# find_outcome stays importable here: perfbench/tracing.py patches it by name
-from .bell import Label, find_outcome  # noqa: F401
+from .bell import BellFamily, Label, find_outcome
 from .effects import MeasurementFamily, effect_branches
 from .engine import (
     ScenarioConfig,
@@ -35,7 +37,6 @@ from .engine import (
     mirror_effect,
     reduce_stream,
     transfer_kernel,
-    transfer_operator,
     transfer_rows,
 )
 from .linalg import apply_each_inverse, dagger, frozen_complex_array, norms_squared
@@ -82,10 +83,28 @@ def _tap_family(config: ScenarioConfig) -> MeasurementFamily:
     return config.effect_r
 
 
+def tap_operators(config: ScenarioConfig) -> Iterator[tuple[int | str | None, np.ndarray]]:
+    """Yield ``(l, ops)`` for each tap branch, with ``ops[m]`` the ``(n, n)`` ``P(l, m)``.
+
+    The tap's kernel on the basis gives the columns of ``U(m)^-1 P(l, m)``
+    for every outcome at once; ``U(m)`` is applied to the whole stack.
+    """
+    rows = transfer_rows(config, np.eye(config.dim))
+    for l, _, columns in transfer_kernel(replace(config, effect_b=None), rows):
+        yield l, config.bell.unitaries @ columns.transpose(0, 2, 1)
+
+
 def eavesdrop_operator(config: ScenarioConfig, l: int | str, m: Label) -> np.ndarray:
-    """Branch operator ``P(l, m)``: the transfer operator of the tap alone."""
+    """Branch operator ``P(l, m)``: `tap_operators` of the family cut to outcome ``m``."""
     _tap_family(config)
-    return transfer_operator(replace(config, effect_b=None), m, l=l)
+    bell = config.bell
+    i = find_outcome(bell, m)
+    cut = slice(i, i + 1)
+    one = BellFamily(bell.dim, bell.labels[cut], bell.unitaries[cut], bell.weights[cut])
+    for label, ops in tap_operators(replace(config, bell=one)):
+        if label == l:
+            return ops[0]
+    raise ValueError(f"no reference branch labeled {l!r}")
 
 
 def expected_marginal_l(config: ScenarioConfig) -> dict[int | str, float]:

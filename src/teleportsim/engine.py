@@ -7,8 +7,9 @@ block of every Bell outcome's output before the receiver's correction
 each Bell outcome on the A x R x B state
 ``psi_A (x) (E_R (x) F_B)|Phi>_RB``; it is the ground truth and shares no
 transfer algebra.  `fast_run` applies the per-outcome transfer operator
-on the input alone, through `transfer_kernel`, which also feeds every tap
-quantity in `teleportsim.eavesdrop`.
+on the input alone, through `transfer_kernel`, the one place the transfer
+formula is written: it also feeds every tap quantity and every branch
+operator in `teleportsim.eavesdrop`.
 
 Each route has a half that no effect touches, and its stream takes that
 half as a value, so a caller that varies an effect builds it once:
@@ -45,7 +46,7 @@ import numpy as np
 
 # bell_outcome_state stays importable here: perfbench/tracing.py patches it by name
 from .bell import (  # noqa: F401
-    BellFamily, Label, bell_outcome_state, find_outcome, make_bell_family, outcome_state_stack
+    BellFamily, Label, bell_outcome_state, make_bell_family, outcome_state_stack
 )
 from .effects import EffectOperator, MeasurementFamily, effect_branches
 from .linalg import (
@@ -283,28 +284,6 @@ def expected_probability_sum(config: ScenarioConfig, gram: np.ndarray, marginal:
     return float(np.vdot(gram @ effects, effects.reshape(-1, config.dim) @ marginal).real)
 
 
-def transfer_operator(
-    config: ScenarioConfig,
-    m: Label,
-    l: BranchLabel = None,
-    branch: BranchLabel = None,
-) -> np.ndarray:
-    """Conditional output operator for Bell outcome ``m``.
-
-    Equals ``sqrt(w)/dim U(m) F_B (u0^-1 E_R u0)^T U(m)^-1``; applied to
-    the input it reproduces the corrected oracle amplitudes exactly.  The
-    reference effect enters through its mirror transpose even though it
-    may act after the receiver effect in lab time.
-    """
-    dim = config.dim
-    index = find_outcome(config.bell, m)
-    e_r = _select_branch(config.effect_r, l, dim, "reference")
-    f_b = _select_branch(config.effect_b, branch, dim, "receiver")
-    u_m = config.bell.unitaries[index]
-    mirrored = mirror_effect(np.asarray(config.u0), e_r)
-    return (np.sqrt(config.bell.weights[index]) / dim) * (u_m @ f_b @ mirrored @ dagger(u_m))
-
-
 def transfer_rows(config: ScenarioConfig, inputs: np.ndarray) -> np.ndarray:
     """The read-only ``(M, k, n)`` rows ``sqrt(w)/dim U(m)^-1 inputs[k]`` `transfer_kernel` starts from.
 
@@ -439,14 +418,3 @@ def _table(config: ScenarioConfig, blocks: BlockStream) -> BranchTable:
     probabilities.setflags(write=False)
     return BranchTable(tuple(keys), bell.labels, stored, probabilities)
 
-
-def _select_branch(effect: EffectSpec, label: BranchLabel, dim: int, side: str) -> np.ndarray:
-    branches = effect_branches(effect, dim)
-    if label is None:
-        if len(branches) != 1:
-            raise ValueError(f"{side} effect has {len(branches)} branches; a label is required")
-        return branches[0][1]
-    for have, mat in branches:
-        if have == label:
-            return mat
-    raise ValueError(f"no {side} branch labeled {label!r}")

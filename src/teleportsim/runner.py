@@ -21,9 +21,10 @@ deterministic down to the byte for a fixed spec.
 What no tap strength changes is built once per run: the validated
 scenario (input, Bell family, u0 and receiver), and by `_fixed_half` the
 oracle's bra on R and its Gram, the kernel's rows of the input, the
-fidelity bras and the reference marginal.  A sweep builds them, and the distinguished
-pair's kernel rows, once for the whole grid; each point builds only its
-tap family, both routes' blocks and their reductions.
+fidelity bras and the reference marginal.  A sweep builds them, and the
+distinguished pair's kernel rows, once for the whole grid, from the
+scenario without a tap; each point builds only its tap family, both
+routes' blocks and their reductions.
 
 The teleport table is rendered in bulk, with the bytes a row-by-row
 csv.writer would give.  Every number is `format_number`'s ``.12g``, and
@@ -130,15 +131,13 @@ def _label_text(label: object) -> str:
     return str(label)
 
 
-def build_scenario(spec: RunSpec, theta: float | None = None) -> ScenarioConfig:
-    """Assemble the engine scenario for a spec, fixing the tap strength."""
+def build_scenario(spec: RunSpec) -> ScenarioConfig:
+    """Assemble the engine scenario for a spec with at most one tap strength."""
     effect_r = None
     if spec.eavesdrop is not None:
-        if theta is None:
-            theta = spec.eavesdrop.theta
-        if theta is None:
+        if spec.eavesdrop.theta is None:
             raise ValueError("a single tap strength is required (spec carries a sweep)")
-        effect_r = strength_family(spec.n, theta, np.asarray(spec.eavesdrop.basis))
+        effect_r = strength_family(spec.n, spec.eavesdrop.theta, np.asarray(spec.eavesdrop.basis))
     return make_scenario(
         spec.n,
         np.asarray(spec.input_state),
@@ -332,64 +331,51 @@ def _sweep_grid(spec: RunSpec) -> list[float]:
     return [float(t) for t in np.linspace(start, stop, steps)]
 
 
-def _sweep_point(
-    scenario: ScenarioConfig, theta: float, fixed: _FixedHalf, pair: np.ndarray, tolerance: float
-) -> tuple[float, float, tuple[float, float], tuple[float, float, float]]:
-    """Fidelity, leakage, probability sums and route deviations at one tap strength.
-
-    The sums are the oracle's and its expected value; ``pair`` is
-    `transfer_rows` of the distinguished pair.
-    """
-    try:
-        measured = _zipped_pass(scenario, fixed, tolerance)
-    except InvariantViolation as exc:
-        raise InvariantViolation(f"theta={format_number(theta)}: {exc}") from None
-    return (
-        measured.tap.total_fidelity,
-        distinguishability(scenario, pair),
-        (measured.probability_sum, measured.expected_sum),
-        measured.deviations,
-    )
-
-
 def run_sweep(
     spec: RunSpec, stream: IO[str], tolerance: float = DEFAULT_RUN_TOL
 ) -> list[str]:
     """Sweep the tap strength and tabulate fidelity against leakage.
 
     Only the tap changes from point to point, so the scenario is built and
-    validated once, at the first strength, and so is every array the
-    strength does not touch: `_fixed_half` and the distinguished pair's
-    kernel rows.  Each point, the first included, builds its tap family
-    into that scenario and runs both routes and `distinguishability` on
-    those arrays.
+    validated once, without a tap, and so is every array the strength
+    does not touch: `_fixed_half` and the distinguished pair's kernel
+    rows.  Each point builds its tap family into that scenario and runs
+    both routes and `distinguishability` on those arrays.
     """
     grid = _sweep_grid(spec)
-    base = build_scenario(spec, theta=grid[0])
+    base = build_scenario(replace(spec, eavesdrop=None))
     fixed = _fixed_half(base)
     pair = transfer_rows(base, np.array([state for _, state in spec.distinguish]))
     basis = np.asarray(spec.eavesdrop.basis)
     points = []
     for theta in grid:
         scenario = replace(base, effect_r=strength_family(spec.n, theta, basis))
-        points.append(_sweep_point(scenario, theta, fixed, pair, tolerance))
+        try:
+            measured = _zipped_pass(scenario, fixed, tolerance)
+        except InvariantViolation as exc:
+            raise InvariantViolation(f"theta={format_number(theta)}: {exc}") from None
+        # a point keeps its scalars alone: the passes' (K, M) arrays would pile up over the grid
+        points.append(SimpleNamespace(
+            fidelity=measured.tap.total_fidelity,
+            advantage=distinguishability(scenario, pair),
+            probability_sum=measured.probability_sum,
+            expected_sum=measured.expected_sum,
+            deviations=measured.deviations,
+        ))
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(SWEEP_HEADER)
-    for theta, (fidelity, advantage, _, _) in zip(grid, points):
-        writer.writerow(
-            (format_number(theta), format_number(fidelity), format_number(advantage))
-        )
+    for theta, point in zip(grid, points):
+        writer.writerow(map(format_number, (theta, point.fidelity, point.advantage)))
     labels = " vs ".join(label for label, _ in spec.distinguish)
-    (first_sum, first_expected), (last_sum, last_expected) = points[0][2], points[-1][2]
-    summary = [
+    first, last = points[0], points[-1]
+    return [
         f"sweep: n={spec.n}, input {spec.input_label}, "
         f"theta {format_number(grid[0])} -> {format_number(grid[-1])} in {len(grid)} steps",
         f"distinguish pair: {labels}",
-        f"fidelity {format_number(points[0][0])} -> {format_number(points[-1][0])}, "
-        f"leakage {format_number(points[0][1])} -> {format_number(points[-1][1])}",
-        f"probability sum {format_number(first_sum)} -> {format_number(last_sum)}, "
-        f"expected {format_number(first_expected)} -> {format_number(last_expected)}",
+        f"fidelity {format_number(first.fidelity)} -> {format_number(last.fidelity)}, "
+        f"leakage {format_number(first.advantage)} -> {format_number(last.advantage)}",
+        f"probability sum {format_number(first.probability_sum)} -> {format_number(last.probability_sum)}, "
+        f"expected {format_number(first.expected_sum)} -> {format_number(last.expected_sum)}",
         # the largest of each deviation over the grid
-        _routes_line(np.max([deviations for *_, deviations in points], axis=0), tolerance),
+        _routes_line(np.max([point.deviations for point in points], axis=0), tolerance),
     ]
-    return summary

@@ -15,7 +15,7 @@ zips it with `fast_run` in `compare_routes`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .eavesdrop import (
     analyze_eavesdropping,
     expected_marginal_l,
     sequential_decomposition_check,
+    tap_operators,
 )
 from .effects import (
     EffectOperator,
@@ -45,7 +46,6 @@ from .engine import (
     oracle_blocks,
     oracle_bra,
     reduce_stream,
-    transfer_kernel,
     transfer_rows,
 )
 # run_oracle stays importable here: perfbench/tracing.py patches it by
@@ -342,10 +342,7 @@ def check_tap_oracle_agreement(depth: str, seed: int, corrupt: str | None) -> Ch
         # both arrays run tap branch major
         tap = analyze_eavesdropping(config).probabilities
         worst = _worst(worst, np.max(np.abs(tap - _oracle(config)[0])))
-        # the tap's kernel on the basis gives the columns of U(m)^-1 P(l, m), every m at once
-        basis_rows = transfer_rows(config, np.eye(dim))
-        for _, _, columns in transfer_kernel(replace(config, effect_b=None), basis_rows):
-            ops = bell.unitaries @ columns.transpose(0, 2, 1)
+        for _, ops in tap_operators(config):
             worst = _worst(worst, np.max(np.abs(ops - ops.conj().transpose(0, 2, 1))))
     return _result("tap-oracle-agreement", worst, 1e-9)
 

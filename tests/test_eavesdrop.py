@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from teleportsim import engine
 from teleportsim.bell import make_bell_family, weyl_unitary
 from teleportsim.eavesdrop import (
     analyze_eavesdropping,
@@ -26,7 +27,7 @@ from teleportsim.engine import NULL_BRANCH_EPS, make_scenario, transfer_kernel, 
 from teleportsim.linalg import basis_state, dagger, hermiticity_deviation, norms_squared, uniform_state
 from teleportsim.sampling import random_state, random_unitary
 
-from oracles import advantage, closed_form_uniform_fidelity, oracle_records
+from oracles import advantage, brute_teleport, closed_form_uniform_fidelity, oracle_records
 
 
 def tapped(dim, state, theta, basis=None, u0=None, bell=None):
@@ -69,6 +70,51 @@ def test_operator_uses_mirrored_branch_for_rotated_reference():
     expected = (dagger(u0) @ branch @ u0).T
     expected = u_m @ expected @ dagger(u_m) / 3.0
     assert_allclose(eavesdrop_operator(config, 1, (2, 1)), expected, atol=1e-12)
+
+
+def test_operator_columns_are_the_brute_force_branches():
+    # an explicit family that splits one unitary into weights 1/4 and 3/4;
+    # the receiver sits on the scenario and must not enter P(l, m)
+    rng = np.random.default_rng(37)
+    dim = 3
+    outcomes = [("low", np.eye(dim), 0.25), ("high", np.eye(dim), 0.75)]
+    outcomes += [((a, b), weyl_unitary(dim, a, b), 1.0) for a in range(dim) for b in range(dim) if a or b]
+    bell = make_bell_family(dim, outcomes)
+    u0 = random_unitary(dim, rng)
+    damping = [np.diag([1.0, 0.8, 1.0]), np.array([[0, 0.6, 0], [0, 0, 0], [0, 0, 0]])]
+    family = strength_family(dim, 0.7, random_unitary(dim, rng))
+    config = make_scenario(
+        dim, random_state(dim, rng), bell=bell, u0=u0,
+        effect_r=family, effect_b=kraus_mixture(damping),
+    )
+    for branch in family.branches:
+        for label, unitary, weight in zip(bell.labels, bell.unitaries, bell.weights):
+            expected = np.column_stack([
+                brute_teleport(dim, basis_state(dim, k), u0, np.asarray(branch.matrix),
+                               np.eye(dim), unitary, weight)
+                for k in range(dim)
+            ])
+            got = eavesdrop_operator(config, branch.label, label)
+            assert_allclose(got, expected, rtol=0, atol=1e-15)
+    with pytest.raises(ValueError, match=r"^no reference branch labeled 3$"):
+        eavesdrop_operator(config, 3, "low")
+    with pytest.raises(ValueError, match=r"^no outcome labeled 'mid' in family of size 10$"):
+        eavesdrop_operator(config, 0, "mid")
+
+
+def test_one_operator_builds_one_outcome(monkeypatch):
+    # one cell needs one outcome's rows: every outcome would cost M = 64 times as much
+    lengths = []
+    apply = engine.apply_each_inverse
+
+    def recorded(ops, vecs):
+        lengths.append(len(ops))
+        return apply(ops, vecs)
+
+    monkeypatch.setattr(engine, "apply_each_inverse", recorded)
+    config = tapped(8, uniform_state(8), 0.5)
+    eavesdrop_operator(config, 5, (3, 7))
+    assert lengths and set(lengths) == {1}
 
 
 def test_trivial_tap_probabilities_are_flat():

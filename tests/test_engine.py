@@ -31,7 +31,6 @@ from teleportsim.engine import (
     reduce_stream,
     reference_marginal,
     run_oracle,
-    transfer_operator,
 )
 from teleportsim.linalg import basis_state, dagger, norms_squared, uniform_state
 from teleportsim.runner import run_teleport
@@ -176,21 +175,6 @@ def test_fidelities_match_brute_force_overlaps():
         amp = brute_teleport(3, psi, u0, e_r, f_b, unitary)
         expected.append(abs(np.vdot(psi, amp)) ** 2 / np.vdot(amp, amp).real)
     assert_allclose(conditional_fidelities(overlaps_sq, probabilities), [expected], rtol=0, atol=1e-12)
-
-
-def test_transfer_operator_projective_tap_form():
-    # a projective tap branch turns the transfer operator into the
-    # conjugated projector U(m) |l><l| U(m)^-1 over dim
-    config = make_scenario(2, uniform_state(2), effect_r=strength_family(2, 1.0))
-    for a in range(2):
-        for b in range(2):
-            u_m = weyl_unitary(2, a, b)
-            for l in range(2):
-                proj = np.zeros((2, 2), dtype=complex)
-                proj[l, l] = 1.0
-                expected = 0.5 * u_m @ proj @ dagger(u_m)
-                got = transfer_operator(config, (a, b), l=l)
-                assert_allclose(got, expected, atol=1e-12)
 
 
 def test_receiver_unitary_appears_in_output():

@@ -316,20 +316,27 @@ def test_sweep_points_are_the_points_built_from_scratch(monkeypatch):
         ]},
         "distinguish": ["random:5", "basis:2"],
     }))
-    swept = []
-    point = runner._sweep_point
+    fidelities, advantages = [], []
+    zipped_pass, advantage_of = runner._zipped_pass, runner.distinguishability
 
-    def recorded(scenario, theta, *args):
-        result = point(scenario, theta, *args)
-        swept.append((theta, *result[:2]))
-        return result
+    def recorded_pass(*args):
+        measured = zipped_pass(*args)
+        fidelities.append(measured.tap.total_fidelity)
+        return measured
 
-    monkeypatch.setattr(runner, "_sweep_point", recorded)
+    def recorded_advantage(*args):
+        advantages.append(advantage_of(*args))
+        return advantages[-1]
+
+    monkeypatch.setattr(runner, "_zipped_pass", recorded_pass)
+    monkeypatch.setattr(runner, "distinguishability", recorded_advantage)
     runner.run_sweep(spec, io.StringIO())
-    assert len(swept) == 5
+    grid = runner._sweep_grid(spec)
+    assert len(fidelities) == len(advantages) == len(grid) == 5
     pair = np.array([state for _, state in spec.distinguish])
-    for theta, fidelity, advantage in swept:
-        scenario = runner.build_scenario(spec, theta=theta)
+    for theta, fidelity, advantage in zip(grid, fidelities, advantages):
+        point = replace(spec, eavesdrop=replace(spec.eavesdrop, theta=theta, sweep=None))
+        scenario = runner.build_scenario(point)
         psi = np.asarray(scenario.input_state)
         _, norms, overlaps, _ = engine.compare_routes(
             engine.oracle_blocks(scenario, engine.oracle_bra(scenario)),
@@ -339,7 +346,7 @@ def test_sweep_points_are_the_points_built_from_scratch(monkeypatch):
         assert fidelity == tap_report(scenario, norms[0], overlaps[0]).total_fidelity
         assert advantage == distinguishability(scenario, engine.transfer_rows(scenario, pair))
     # the points differ, so a tap carried over from one strength would show
-    assert len({fidelity for _, fidelity, _ in swept}) == 5
+    assert len(set(fidelities)) == 5
 
 
 @pytest.mark.parametrize("steps", [3, 11])
