@@ -17,16 +17,19 @@ import sys
 import numpy as np
 
 from teleportsim import (
-    analyze_eavesdropping,
     basis_state,
     child_rng,
     distinguishability,
+    fast_run,
     make_scenario,
+    mirror_stack,
     random_state,
     strength_family,
     transfer_rows,
     uniform_state,
 )
+from teleportsim.eavesdrop import tap_report
+from teleportsim.engine import fidelity_bras, reduce_stream
 
 
 def tap_basis(name: str, dim: int) -> np.ndarray | None:
@@ -61,17 +64,23 @@ def main() -> int:
 
     psi = pick_input(args.input, args.n, args.seed)
     basis = tap_basis(args.basis, args.n)
-    # the pair's kernel rows read no tap, so every strength shares them
+    # the kernel rows and fidelity bras read no tap, so every strength shares them
+    untapped = make_scenario(args.n, psi)
+    psi_rows = transfer_rows(untapped, np.asarray(untapped.input_state)[None])
+    bras = fidelity_bras(np.asarray(untapped.input_state), untapped.bell.unitaries)
     pair = np.array([basis_state(args.n, 0), basis_state(args.n, 1)])
-    pair_rows = transfer_rows(make_scenario(args.n, psi), pair)
+    pair_rows = transfer_rows(untapped, pair)
 
     rows = []
     for theta in np.linspace(0.0, 1.0, args.points):
         config = make_scenario(
             args.n, psi, effect_r=strength_family(args.n, float(theta), basis)
         )
-        fidelity = analyze_eavesdropping(config).total_fidelity
-        advantage = distinguishability(config, pair_rows)
+        # each strength mirrors its tap once, for both kernel passes
+        mirrors = mirror_stack(config)
+        blocks = fast_run(config, psi_rows, mirrors)
+        fidelity = tap_report(config, *reduce_stream(blocks, bras)).total_fidelity
+        advantage = distinguishability(config, pair_rows, mirrors)
         rows.append((float(theta), fidelity, advantage))
 
     print(f"n={args.n}, input={args.input}, tap basis={args.basis}")

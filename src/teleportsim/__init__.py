@@ -39,6 +39,7 @@ from .engine import (
     fast_run,
     ideal_decomposition_check,
     make_scenario,
+    mirror_stack,
     oracle_blocks,
     oracle_bra,
     run_oracle,
@@ -79,6 +80,7 @@ __all__ = [
     "make_measurement_family",
     "make_scenario",
     "mirror_operator",
+    "mirror_stack",
     "oracle_blocks",
     "oracle_bra",
     "projective_case_analysis",

@@ -5,20 +5,20 @@ preparation and the Bell measurement.  Every question about it reduces to
 the branch operators ``P(l, m)``, which act on the input alone: they are
 the transfer operators of the tap, so every quantity here is a reduction
 of `teleportsim.engine.transfer_kernel` over the family's outcome stack.
-`tap_operators` builds the ``P(l, m)`` as matrices, the kernel applied to
+The kernel's tap half, `teleportsim.engine.mirror_stack`, is built once
+per scenario here; `distinguishability` takes it as a value, so a sweep
+builds it once per tap strength for the point's route pass and for it.
+`tap_operators` alone builds the ``P(l, m)`` as matrices, the kernel on
 the basis, for verify's Hermiticity check and, on the family cut to one
-outcome, for `eavesdrop_operator`; nothing else builds them.
-`tap_report` sums either route's ``(K, M)`` branch arrays into the tap's
-``(L, M)`` cells, tap branch by Bell outcome, so the run drivers reduce
-both routes they compare alike; `analyze_eavesdropping` is that reduction
-over `teleportsim.engine.fast_run`.  A marginal is a sum of the
-probability array over one axis.  The module also holds the paper's
-projective special case (`projective_case_analysis`), the guessing
-advantage between two inputs (`distinguishability`) and the sequential
-decomposition check.  The probabilities predicted here must agree with
-the oracle's (`teleportsim.engine.oracle_blocks`); the run drivers and
-the verification suite enforce that, and verify checks that every
-``P(l, m)`` is Hermitian.
+outcome, for `eavesdrop_operator`.  `tap_report` sums either route's
+``(K, M)`` branch arrays into the tap's ``(L, M)`` cells, so the run
+drivers reduce both routes they compare alike; `analyze_eavesdropping`
+is that reduction over `teleportsim.engine.fast_run`.  The module also
+holds the paper's projective special case (`projective_case_analysis`)
+and the sequential decomposition check.  The probabilities predicted
+here must agree with the oracle's (`teleportsim.engine.oracle_blocks`);
+the run drivers and the verification suite enforce that, and verify
+checks that every ``P(l, m)`` is Hermitian.
 """
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ from .engine import (
     conditional_fidelities,
     fast_run,
     fidelity_bras,
-    mirror_effect,
+    mirror_stack,
     reduce_stream,
     transfer_kernel,
     transfer_rows,
@@ -90,7 +90,7 @@ def tap_operators(config: ScenarioConfig) -> Iterator[tuple[int | str | None, np
     for every outcome at once; ``U(m)`` is applied to the whole stack.
     """
     rows = transfer_rows(config, np.eye(config.dim))
-    for l, _, columns in transfer_kernel(replace(config, effect_b=None), rows):
+    for l, _, columns in transfer_kernel(replace(config, effect_b=None), rows, mirror_stack(config)):
         yield l, config.bell.unitaries @ columns.transpose(0, 2, 1)
 
 
@@ -149,7 +149,7 @@ def analyze_eavesdropping(config: ScenarioConfig) -> EavesdropReport:
     """Build the full per-branch report for one tapped scenario: `tap_report` over `fast_run`."""
     _tap_family(config)
     psi = np.asarray(config.input_state)
-    blocks = fast_run(config, transfer_rows(config, psi[None]))
+    blocks = fast_run(config, transfer_rows(config, psi[None]), mirror_stack(config))
     return tap_report(config, *reduce_stream(blocks, fidelity_bras(psi, config.bell.unitaries)))
 
 
@@ -161,19 +161,13 @@ def sequential_decomposition_check(config: ScenarioConfig) -> DecompositionRepor
     sandwiches ``1/dim`` between the mirrored tap operators.  Both must
     return the maximally mixed state; otherwise the tap would signal.
     """
-    family = _tap_family(config)
-    dim = config.dim
-    psi = np.asarray(config.input_state)
-    u0 = np.asarray(config.u0)
-    target = np.eye(dim) / dim
-    branch_sum = np.zeros((dim, dim), dtype=complex)
-    for _, _, amps in transfer_kernel(replace(config, effect_b=None), transfer_rows(config, psi[None])):
-        vecs = amps[:, 0]
-        branch_sum += vecs.T @ vecs.conj()
-    grouped_sum = np.zeros((dim, dim), dtype=complex)
-    for branch in family.branches:
-        mirrored = mirror_effect(u0, branch.matrix)
-        grouped_sum += mirrored @ target @ mirrored
+    _tap_family(config)
+    target = np.eye(config.dim) / config.dim
+    mirrors = mirror_stack(config)
+    rows = transfer_rows(config, np.asarray(config.input_state)[None])
+    kernel = transfer_kernel(replace(config, effect_b=None), rows, mirrors)
+    branch_sum = sum(amps[:, 0].T @ amps[:, 0].conj() for _, _, amps in kernel)
+    grouped_sum = sum(mirrored @ target @ mirrored for mirrored in mirrors)
     return DecompositionReport(
         branch_deviation=float(np.max(np.abs(branch_sum - target))),
         grouped_deviation=float(np.max(np.abs(grouped_sum - target))),
@@ -230,19 +224,20 @@ def projective_case_analysis(config: ScenarioConfig) -> ProjectiveReport:
     )
 
 
-def distinguishability(config: ScenarioConfig, rows: np.ndarray) -> float:
+def distinguishability(config: ScenarioConfig, rows: np.ndarray, mirrors: np.ndarray) -> float:
     """Leakage between two candidate inputs, as guessing advantage.
 
     ``rows`` is `teleportsim.engine.transfer_rows` of the ``(2, n)`` pair
     of inputs; it reads no effect, so a sweep builds it once for every
-    tap strength.  The advantage over a fair coin when identifying which
-    of two equiprobable inputs produced one joint ``(l, m)`` sample: half
-    the total-variation distance between the probability tables of
-    ``|P(l, m) psi|^2``.  A receiver effect closes over its branches and
-    leaves these cell probabilities unchanged.
+    tap strength; ``mirrors`` is `teleportsim.engine.mirror_stack`.  The
+    advantage over a fair coin when identifying which of two equiprobable
+    inputs produced one joint ``(l, m)`` sample: half the total-variation
+    distance between the probability tables of ``|P(l, m) psi|^2``.  A
+    receiver effect closes over its branches and leaves these cell
+    probabilities unchanged.
     """
     _tap_family(config)
     # row (l, m) holds the cell probability of each input, tap label major
-    tap = replace(config, effect_b=None)
-    cells = np.concatenate([norms_squared(amps) for _, _, amps in transfer_kernel(tap, rows)])
+    kernel = transfer_kernel(replace(config, effect_b=None), rows, mirrors)
+    cells = np.concatenate([norms_squared(amps) for _, _, amps in kernel])
     return 0.25 * float(np.sum(np.abs(cells[:, 0] - cells[:, 1])))

@@ -141,15 +141,14 @@ def strength_family(
         raise ValueError("basis columns must form a unitary matrix")
     low = np.sqrt((1.0 - theta) / dim)
     high = np.sqrt((1.0 - theta) / dim + theta)
-    eye = np.eye(dim, dtype=complex)
-    branches = []
-    for l in range(dim):
-        proj = np.outer(basis[:, l], basis[:, l].conj())
-        # closed-form Hermitian root: the argument has eigenvalue
-        # (1-theta)/dim off the basis vector and (1-theta)/dim + theta on it
-        mat = low * (eye - proj) + high * proj
-        branches.append(EffectOperator(matrix=frozen_complex_array(mat), label=l))
-    return MeasurementFamily(dim=dim, branches=tuple(branches))
+    proj = basis.T[:, :, None] * basis.T.conj()[:, None, :]  # proj[l] = |b_l><b_l|
+    # closed-form Hermitian root: the argument has eigenvalue
+    # (1-theta)/dim off the basis vector and (1-theta)/dim + theta on it
+    mats = np.subtract(np.eye(dim, dtype=complex), proj)
+    np.multiply(low, mats, out=mats)
+    np.add(mats, np.multiply(high, proj, out=proj), out=mats)
+    mats.setflags(write=False)
+    return MeasurementFamily(dim, tuple(EffectOperator(mat, l) for l, mat in enumerate(mats)))
 
 
 def family_completeness_deviation(family: MeasurementFamily) -> float:

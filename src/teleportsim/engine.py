@@ -17,22 +17,23 @@ half as a value, so a caller that varies an effect builds it once:
 Bell bras `_BRA_CHUNK` outcomes at a time and contracted with the input
 over the sender index, since the state is a product across A | RB;
 `transfer_rows` is the kernel's ``sqrt(w)/n U(m)^-1`` applied to its
-inputs.  Neither route reads the other's half.  Beyond its half the
+inputs.  Neither route reads the other's half.  The kernel takes its tap
+half as a value too: `mirror_stack` is every reference branch's
+``(u0^-1 E_l u0)^T`` as one ``(L, n, n)`` stack, built once per tap
+strength and shared by every kernel pass at it.  Beyond its half the
 oracle makes one ``(M, n) @ (n, n)`` product with the disturbed resource
-per branch pair, and neither an n**3 state nor the ``(M, n**2)`` bra stack
-is held.
+per branch pair, and holds neither an n**3 state nor the ``(M, n**2)``
+bra stack.
 
 `reduce_stream` reduces one stream, block by block, to its ``(K, M)``
-squared norms and squared overlaps; `compare_routes` zips the two
-streams and reduces both alike, so a caller that consumes both holds a
-few blocks and its ``(K, M)`` reductions, never a table; streams that
-part raise `RouteMismatch`.  Every caller in the package consumes the
-streams.  `expected_probability_sum` gives the oracle's
-probability sum in closed form from the Gram of its bra on R and
-`reference_marginal`, neither of which an effect on R touches: 1 for
-exactly closed effects, and moved by any closure defect that admission
-let through.  `run_oracle` still collects the oracle stream into a
-`BranchTable` of corrected outputs, but nothing in the package calls it:
+squared norms and squared overlaps; `compare_routes` zips the two streams
+and reduces both alike, so a caller holds a few blocks and the ``(K, M)``
+reductions, never a table; streams that part raise `RouteMismatch`.
+`expected_probability_sum` gives the oracle's probability sum in closed
+form from the Gram of its bra on R and `reference_marginal`, neither of
+which an effect on R touches: 1 for exactly closed effects, and moved by
+any closure defect that admission let through.  `run_oracle` collects
+the oracle stream into a `BranchTable`; nothing in the package calls it:
 it stays for the benchmark's tracer, which wraps it by name, and for the
 tests whose subject is the table.
 """
@@ -57,7 +58,6 @@ from .linalg import (
     frozen_complex_array,
     is_unitary,
     norms_squared,
-    transpose_in_basis,
 )
 
 NULL_BRANCH_EPS = 1e-14
@@ -206,11 +206,6 @@ def make_scenario(
     )
 
 
-def mirror_effect(u0: np.ndarray, effect: np.ndarray) -> np.ndarray:
-    """Reference effect moved onto the input: ``(u0^-1 E u0)^T``."""
-    return transpose_in_basis(dagger(u0) @ effect @ u0)
-
-
 def run_oracle(config: ScenarioConfig) -> BranchTable:
     """Evolve the full tripartite state and project every Bell outcome, as one table."""
     return _table(config, oracle_blocks(config, oracle_bra(config)))
@@ -297,38 +292,49 @@ def transfer_rows(config: ScenarioConfig, inputs: np.ndarray) -> np.ndarray:
     return rows
 
 
+def mirror_stack(config: ScenarioConfig) -> np.ndarray:
+    """Every reference branch's ``(u0^-1 E_l u0)^T``, one read-only ``(L, n, n)`` stack built in place."""
+    stack = np.array([e for _, e in effect_branches(config.effect_r, config.dim)])
+    mirrors = dagger(config.u0) @ stack
+    np.matmul(mirrors, config.u0, out=stack)
+    if not np.all(np.isfinite(stack)):
+        raise ValueError("matrix entries must be finite")
+    mirrors[...] = stack.transpose(0, 2, 1)
+    mirrors.setflags(write=False)
+    return mirrors
+
+
 def transfer_kernel(
-    config: ScenarioConfig, rows: np.ndarray
+    config: ScenarioConfig, rows: np.ndarray, mirrors: np.ndarray
 ) -> Iterator[tuple[BranchLabel, BranchLabel, np.ndarray]]:
     """Yield ``(l, b, amps)`` for every reference and receiver branch pair.
 
-    ``rows`` is `transfer_rows` of the inputs, and ``amps[m, k]`` is
-    ``sqrt(w)/dim F_b (u0^-1 E_l u0)^T U(m)^-1`` applied to ``inputs[k]``:
-    the transfer operator of outcome ``m`` short of its leading ``U(m)``,
-    the correction, which callers move onto the state.  For the tap alone,
-    pass a scenario with no receiver effect (``replace(config,
-    effect_b=None)``): the rows are then ``U(m)^-1 P(l, m)`` applied to
-    each input.  Order is reference branch, then receiver branch, as in
-    `oracle_blocks`.
+    ``rows`` is `transfer_rows` of the inputs, ``mirrors`` `mirror_stack`,
+    and ``amps[m, k]`` is ``sqrt(w)/dim F_b (u0^-1 E_l u0)^T U(m)^-1``
+    applied to ``inputs[k]``: the transfer operator of outcome ``m`` short
+    of its leading ``U(m)``, the correction, which callers move onto the
+    state.  For the tap alone, pass a scenario with no receiver effect
+    (``replace(config, effect_b=None)``): the rows are then ``U(m)^-1
+    P(l, m)`` applied to each input.  Order is reference branch, then
+    receiver branch, as in `oracle_blocks`.
     """
     dim = config.dim
     flat = rows.reshape(-1, dim)
     receivers = effect_branches(config.effect_b, dim)
-    for l_label, e_r in effect_branches(config.effect_r, dim):
-        mirrored = mirror_effect(np.asarray(config.u0), e_r)
+    for (l_label, _), mirrored in zip(effect_branches(config.effect_r, dim), mirrors, strict=True):
         for b_label, f_b in receivers:
             yield l_label, b_label, (flat @ (f_b @ mirrored).T).reshape(rows.shape)
 
 
-def fast_run(config: ScenarioConfig, rows: np.ndarray) -> BlockStream:
+def fast_run(config: ScenarioConfig, rows: np.ndarray, mirrors: np.ndarray) -> BlockStream:
     """Stream ``((l, b), block)`` through the transfer kernel, in `oracle_blocks`' key order.
 
     ``rows`` is `transfer_rows` of the scenario's input alone, ``(M, 1,
-    n)``.  Each ``(M, n)`` block holds the outputs before the receiver's
-    correction, as `oracle_blocks` yields them; only one block is held at
-    a time.
+    n)``, and ``mirrors`` its `mirror_stack`.  Each ``(M, n)`` block
+    holds the outputs before the receiver's correction, as `oracle_blocks`
+    yields them; only one block is held at a time.
     """
-    for l_label, b_label, amps in transfer_kernel(config, rows):
+    for l_label, b_label, amps in transfer_kernel(config, rows, mirrors):
         yield (l_label, b_label), amps[:, 0]
 
 

@@ -9,22 +9,22 @@ of every branch, and `tap_report` sums each route's arrays into the tap's
 blocks, and no driver calls `run_oracle`: it is imported below for the
 benchmark's tracer alone.  Every number `run_teleport` writes, and the
 sweep's fidelity column, is a reduction of the oracle's arrays, and the
-summary ends with the measured route deviations.  The oracle's probability sum is held to
-`expected_probability_sum`, its closed form, which admission's closure
-tolerance lets differ from 1; the summary prints both.  The sweep's
-distinguishability column comes from the transfer kernel alone, through
-`distinguishability`, and no oracle checks it.  A mismatch beyond the run
-tolerance raises `InvariantViolation` before the first row is written,
-instead of writing a plausible-looking but wrong table.  Output is
-deterministic down to the byte for a fixed spec.
+summary ends with the measured route deviations.  The oracle's
+probability sum is held to `expected_probability_sum`, its closed form,
+which admission's closure tolerance lets differ from 1; the summary
+prints both.  The sweep's distinguishability column comes from the
+transfer kernel alone, through `distinguishability`, and no oracle checks
+it.  A mismatch beyond the run tolerance raises `InvariantViolation`
+before the first row is written, instead of writing a plausible-looking
+but wrong table.  Output is deterministic down to the byte for a fixed spec.
 
 What no tap strength changes is built once per run: the validated
 scenario (input, Bell family, u0 and receiver), and by `_fixed_half` the
 oracle's bra on R and its Gram, the kernel's rows of the input, the
 fidelity bras and the reference marginal.  A sweep builds them, and the
-distinguished pair's kernel rows, once for the whole grid, from the
-scenario without a tap; each point builds only its tap family, both
-routes' blocks and their reductions.
+distinguished pair's kernel rows, once for the grid; each point builds
+its tap family and the tap's `mirror_stack` once, shared by its route
+pass and `distinguishability`, then both routes' blocks and reductions.
 
 The teleport table is rendered in bulk, with the bytes a row-by-row
 csv.writer would give.  Every number is `format_number`'s ``.12g``, and
@@ -55,6 +55,7 @@ from .engine import (
     fast_run,
     fidelity_bras,
     make_scenario,
+    mirror_stack,
     oracle_blocks,
     oracle_bra,
     reference_marginal,
@@ -199,17 +200,19 @@ class _RoutePass:
     deviations: tuple[float, float, float]
 
 
-def _zipped_pass(scenario: ScenarioConfig, fixed: _FixedHalf, tolerance: float) -> _RoutePass:
+def _zipped_pass(
+    scenario: ScenarioConfig, fixed: _FixedHalf, mirrors: np.ndarray, tolerance: float
+) -> _RoutePass:
     """Zip the oracle stream with `fast_run` once, then check every invariant on the reductions.
 
     ``fixed`` is `_fixed_half` of a scenario that differs from this one in
-    the tap at most.  Raises `InvariantViolation` when the routes differ
-    in layout, in one branch, in one tap cell or in total fidelity, or
-    when the oracle's probability sum leaves its closed form; a NaN
-    deviation fails every check.
+    the tap at most, ``mirrors`` this one's `mirror_stack`.  Raises
+    `InvariantViolation` when the routes differ in layout, in one branch,
+    in one tap cell or in total fidelity, or when the oracle's probability
+    sum leaves its closed form; a NaN deviation fails every check.
     """
     oracle = oracle_blocks(scenario, fixed.bra)
-    transfer = fast_run(scenario, fixed.rows)
+    transfer = fast_run(scenario, fixed.rows, mirrors)
     try:
         keys, norms, overlaps, a_dev = compare_routes(oracle, transfer, fixed.fidelity_bras)
     except RouteMismatch as exc:
@@ -276,7 +279,7 @@ def run_teleport(
     Returns human-readable summary lines for the caller to print.
     """
     scenario = build_scenario(spec)
-    measured = _zipped_pass(scenario, _fixed_half(scenario), tolerance)
+    measured = _zipped_pass(scenario, _fixed_half(scenario), mirror_stack(scenario), tolerance)
     probabilities = measured.probabilities
     fidelities = measured.fidelities
     tap = measured.tap
@@ -339,8 +342,8 @@ def run_sweep(
     Only the tap changes from point to point, so the scenario is built and
     validated once, without a tap, and so is every array the strength
     does not touch: `_fixed_half` and the distinguished pair's kernel
-    rows.  Each point builds its tap family into that scenario and runs
-    both routes and `distinguishability` on those arrays.
+    rows.  Each point builds its tap family and its `mirror_stack` once
+    and runs both routes and `distinguishability` on those arrays.
     """
     grid = _sweep_grid(spec)
     base = build_scenario(replace(spec, eavesdrop=None))
@@ -350,14 +353,15 @@ def run_sweep(
     points = []
     for theta in grid:
         scenario = replace(base, effect_r=strength_family(spec.n, theta, basis))
+        mirrors = mirror_stack(scenario)
         try:
-            measured = _zipped_pass(scenario, fixed, tolerance)
+            measured = _zipped_pass(scenario, fixed, mirrors, tolerance)
         except InvariantViolation as exc:
             raise InvariantViolation(f"theta={format_number(theta)}: {exc}") from None
         # a point keeps its scalars alone: the passes' (K, M) arrays would pile up over the grid
         points.append(SimpleNamespace(
             fidelity=measured.tap.total_fidelity,
-            advantage=distinguishability(scenario, pair),
+            advantage=distinguishability(scenario, pair, mirrors),
             probability_sum=measured.probability_sum,
             expected_sum=measured.expected_sum,
             deviations=measured.deviations,

@@ -43,6 +43,7 @@ from .engine import (
     fidelity_bras,
     ideal_decomposition_check,
     make_scenario,
+    mirror_stack,
     oracle_blocks,
     oracle_bra,
     reduce_stream,
@@ -214,7 +215,7 @@ def check_oracle_fast_equivalence(depth: str, seed: int, corrupt: str | None) ->
             )
             psi = np.asarray(config.input_state)
             oracle = oracle_blocks(config, oracle_bra(config))
-            transfer = fast_run(config, transfer_rows(config, psi[None]))
+            transfer = fast_run(config, transfer_rows(config, psi[None]), mirror_stack(config))
             try:
                 _, norms, _, amplitude = compare_routes(
                     oracle, transfer, fidelity_bras(psi, config.bell.unitaries)

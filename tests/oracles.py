@@ -9,8 +9,10 @@ take, kept because index loops at n = 16 would take minutes.
 turn a route's stream into `Record` rows, corrected or not, for the tests
 that read the oracle, or compare the two routes, record by record.
 `oracle_stream`, `transfer_stream` and `advantage` build a route's
-strength-independent half from the scenario itself, as a run driver does
-for a single scenario.  `format_label` renders one label alone, the
+strength-independent half, and the transfer route's `mirror_stack`, from
+the scenario itself, as a run driver does for a single scenario.
+`mirror_loop` mirrors one reference branch at a time, the reference for
+the stacked `mirror_stack`.  `format_label` renders one label alone, the
 reference for the runner's one-pass `format_labels`.
 """
 from __future__ import annotations
@@ -24,16 +26,19 @@ from scipy.linalg import sqrtm
 
 from teleportsim.bell import Label
 from teleportsim.eavesdrop import distinguishability
+from teleportsim.effects import effect_branches
 from teleportsim.engine import (
     NULL_BRANCH_EPS,
     BlockStream,
     BranchLabel,
     ScenarioConfig,
     fast_run,
+    mirror_stack,
     oracle_blocks,
     oracle_bra,
     transfer_rows,
 )
+from teleportsim.linalg import dagger, transpose_in_basis
 
 
 def brute_partial_trace(rho: np.ndarray, dims: tuple[int, ...], keep: int) -> np.ndarray:
@@ -258,13 +263,21 @@ def oracle_stream(config: ScenarioConfig) -> BlockStream:
 
 
 def transfer_stream(config: ScenarioConfig) -> BlockStream:
-    """`fast_run` of ``config`` on the `transfer_rows` of its own input."""
-    return fast_run(config, transfer_rows(config, np.asarray(config.input_state)[None]))
+    """`fast_run` of ``config`` on the `transfer_rows` of its own input and its `mirror_stack`."""
+    rows = transfer_rows(config, np.asarray(config.input_state)[None])
+    return fast_run(config, rows, mirror_stack(config))
 
 
 def advantage(config: ScenarioConfig, first: np.ndarray, second: np.ndarray) -> float:
-    """`distinguishability` of ``config`` on the `transfer_rows` of the pair."""
-    return distinguishability(config, transfer_rows(config, np.array([first, second], dtype=complex)))
+    """`distinguishability` of ``config`` on the `transfer_rows` of the pair and its `mirror_stack`."""
+    rows = transfer_rows(config, np.array([first, second], dtype=complex))
+    return distinguishability(config, rows, mirror_stack(config))
+
+
+def mirror_loop(config: ScenarioConfig) -> list[np.ndarray]:
+    """``(u0^-1 E_l u0)^T`` of every reference branch, one branch at a time."""
+    u0 = np.asarray(config.u0)
+    return [transpose_in_basis(dagger(u0) @ e_r @ u0) for _, e_r in effect_branches(config.effect_r, config.dim)]
 
 
 def oracle_records(config: ScenarioConfig) -> list[Record]:

@@ -256,7 +256,7 @@ def test_failed_run_leaves_output_as_it_was(tmp_path, capsys):
 
 
 def test_violated_invariant_leaves_output_as_it_was(tmp_path, capsys, monkeypatch):
-    def explode(scenario, fixed, tolerance):
+    def explode(scenario, fixed, mirrors, tolerance):
         raise InvariantViolation("routes disagree")
 
     monkeypatch.setattr(runner, "_zipped_pass", explode)
@@ -282,7 +282,7 @@ def test_invariant_violation_exits_two(tmp_path, capsys, monkeypatch):
 def test_parted_route_streams_exit_two(tmp_path, capsys, monkeypatch):
     # the comparator's mismatch is a ValueError, which alone would exit 1
     route = runner.fast_run
-    monkeypatch.setattr(runner, "fast_run", lambda scenario, rows: list(route(scenario, rows))[:-1])
+    monkeypatch.setattr(runner, "fast_run", lambda *args: list(route(*args))[:-1])
     config = write(tmp_path, "run.yaml", TAP_CONFIG)
     assert cli.main(["teleport", "--config", config]) == 2
     captured = capsys.readouterr()
@@ -362,3 +362,44 @@ def test_seed_field_in_config_exits_one(tmp_path, capsys):
     config = write(tmp_path, "run.yaml", TAP_CONFIG + "seed: 0\n")
     assert cli.main(["teleport", "--config", config]) == 1
     assert "seed: unknown field" in capsys.readouterr().err
+
+
+# amplitudes whose squared norm leaves the normal floats, the plain list
+# they normalize to, and the norm^2 the note shows
+EXTREME_STATES = [
+    ("[1.0e-160, 0]", "[1, 0]", "1e-320"),
+    ("[1.0e-200, 0]", "[1, 0]", "1e-400"),
+    ("[1.0e+200, 1.0e+200]", "[1, 1]", "2e+400"),
+]
+
+
+def without_notes(text: str) -> str:
+    return "".join(line for line in text.splitlines(keepends=True) if not line.startswith("note: "))
+
+
+@pytest.mark.parametrize("amplitudes, plain, norm_sq", EXTREME_STATES)
+@pytest.mark.parametrize("field", ["input", "distinguish[1]"])
+def test_state_whose_norm_leaves_the_floats_is_normalized(field, amplitudes, plain, norm_sq, tmp_path, capsys):
+    def config(state):
+        states = (state, "basis:1") if field == "input" else ("plus-uniform", state)
+        return write(
+            tmp_path, "run.yaml",
+            f"n: 2\ninput: {states[0]}\neavesdrop:\n  theta_sweep: [0, 1, 5]\n"
+            f"distinguish:\n  - basis:0\n  - {states[1]}\n",
+        )
+
+    assert cli.main(["sweep", "--config", config(plain)]) == 0
+    expected = capsys.readouterr()
+    assert cli.main(["sweep", "--config", config(amplitudes)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == expected.out
+    assert captured.err.startswith(f"note: normalizing {field} (norm^2 was {norm_sq})\n")
+    assert without_notes(captured.err) == without_notes(expected.err)
+    assert cli.main(["sweep", "--config", config(amplitudes), "--strict"]) == 1
+    assert capsys.readouterr().err == f"error: {field}: state norm^2 is {norm_sq}, not 1 (strict mode rejects this)\n"
+
+
+def test_all_zero_amplitudes_are_still_rejected(tmp_path, capsys):
+    config = write(tmp_path, "run.yaml", "n: 2\ninput: [0, [0, 0]]\n")
+    assert cli.main(["teleport", "--config", config]) == 1
+    assert capsys.readouterr().err == "error: input: amplitudes are all zero\n"

@@ -23,7 +23,7 @@ from teleportsim.effects import (
     make_measurement_family,
     strength_family,
 )
-from teleportsim.engine import NULL_BRANCH_EPS, make_scenario, transfer_kernel, transfer_rows
+from teleportsim.engine import NULL_BRANCH_EPS, make_scenario, mirror_stack, transfer_kernel, transfer_rows
 from teleportsim.linalg import basis_state, dagger, hermiticity_deviation, norms_squared, uniform_state
 from teleportsim.sampling import random_state, random_unitary
 
@@ -318,11 +318,12 @@ def test_receiver_branches_sum_to_the_tap_cells(dim):
     )
     states = np.array([random_state(dim, rng), random_state(dim, rng)])
     rows = transfer_rows(config, states)
+    mirrors = mirror_stack(config)
     tap = replace(config, effect_b=None)
-    alone = {l: norms_squared(amps) for l, _, amps in transfer_kernel(tap, rows)}
+    alone = {l: norms_squared(amps) for l, _, amps in transfer_kernel(tap, rows, mirrors)}
     summed = {l: np.zeros_like(cells) for l, cells in alone.items()}
     count = 0
-    for l, _, amps in transfer_kernel(config, rows):
+    for l, _, amps in transfer_kernel(config, rows, mirrors):
         summed[l] += norms_squared(amps)
         count += 1
     assert count == 2 * dim

@@ -141,3 +141,28 @@ def test_kraus_mixture_closure():
         kraus_mixture([k0])
     with pytest.raises(ValueError, match="must not be empty"):
         kraus_mixture([])
+
+
+def _fourier(dim: int) -> np.ndarray:
+    grid = np.arange(dim)
+    return np.exp(2j * np.pi * np.outer(grid, grid) / dim) / np.sqrt(dim)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.37, 1.0])
+@pytest.mark.parametrize("basis_name", ["computational", "fourier", "random"])
+@pytest.mark.parametrize("dim", [2, 3, 16])
+def test_strength_family_is_the_outer_product_loop_bit_for_bit(dim, basis_name, theta):
+    basis = {
+        "computational": np.eye(dim, dtype=complex),
+        "fourier": _fourier(dim),
+        "random": random_unitary(dim, np.random.default_rng(dim)),
+    }[basis_name]
+    family = strength_family(dim, theta, basis)
+    low = np.sqrt((1.0 - theta) / dim)
+    high = np.sqrt((1.0 - theta) / dim + theta)
+    eye = np.eye(dim, dtype=complex)
+    assert [branch.label for branch in family.branches] == list(range(dim))
+    for l, branch in enumerate(family.branches):
+        proj = np.outer(basis[:, l], basis[:, l].conj())
+        assert np.array_equal(branch.matrix, low * (eye - proj) + high * proj)
+        assert not branch.matrix.flags.writeable

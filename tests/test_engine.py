@@ -14,6 +14,7 @@ from teleportsim.bell import BellFamily, make_bell_family, weyl_unitary
 from teleportsim.config import parse_config
 from teleportsim.effects import (
     EffectOperator,
+    MeasurementFamily,
     kraus_mixture,
     make_measurement_family,
     strength_family,
@@ -40,6 +41,7 @@ from oracles import (
     block_records,
     brute_teleport,
     materialized_oracle,
+    mirror_loop,
     oracle_records,
     oracle_stream,
     stream_records,
@@ -429,10 +431,12 @@ def test_oracle_stream_is_the_same_bits_in_any_chunking(monkeypatch):
 
 def test_route_comparison_holds_a_few_blocks_of_each_stream():
     # both routes are streams compared block by block: with the oracle's
-    # chunk of bras they hold a few (M, n) blocks, never a 16 MB table
+    # chunk of bras and the transfer route's (L, n, n) mirror stack they
+    # hold a few (M, n) blocks, never a 16 MB table
     config = _fourier_tap(32)
     block_bytes = _block_bytes(32)
     chunk_bytes = engine._BRA_CHUNK * 32 * 32 * 16
+    mirror_bytes = 32 * 32 * 32 * 16
     bras = fidelity_bras(np.asarray(config.input_state), config.bell.unitaries)
     tracemalloc.start()
     try:
@@ -442,7 +446,7 @@ def test_route_comparison_holds_a_few_blocks_of_each_stream():
         tracemalloc.stop()
     assert len(keys) == 32 and np.max(amplitude) < 1e-12
     assert all(array.shape == (32, 1024) for array in (*norms, *overlaps, amplitude))
-    assert peak <= chunk_bytes + 7 * block_bytes
+    assert peak <= chunk_bytes + mirror_bytes + 7 * block_bytes
 
 
 def test_teleport_run_keeps_blocks_and_reductions_only():
@@ -543,3 +547,41 @@ def test_expected_probability_sum_is_the_brute_force_sum(dim):
     expected = expected_probability_sum(config, np.conj(bra).T @ bra, reference_marginal(config))
     assert abs(brute - 1.0) > 0.1
     assert expected == pytest.approx(brute, abs=1e-13)
+
+
+def _reference_effect(kind: str, dim: int, rng: np.random.Generator):
+    if kind == "strength":
+        return strength_family(dim, 0.37, random_unitary(dim, rng))
+    if kind == "kraus":
+        basis = random_unitary(dim, rng)
+        gamma = rng.uniform(0.1, 0.9, dim)
+        k0 = basis @ np.diag(np.sqrt(1.0 - gamma)) @ basis.conj().T
+        k1 = basis @ np.diag(np.sqrt(gamma)) @ basis.conj().T
+        return kraus_mixture([k0, k1])
+    return unitary_effect(random_unitary(dim, rng))
+
+
+@pytest.mark.parametrize("kind", ["strength", "kraus", "unitary"])
+@pytest.mark.parametrize("dim", [2, 3, 5, 16, 32])
+def test_mirror_stack_is_the_branch_loop_bit_for_bit(dim, kind):
+    rng = np.random.default_rng(900 + dim)
+    config = make_scenario(
+        dim, random_state(dim, rng), u0=random_unitary(dim, rng), effect_r=_reference_effect(kind, dim, rng)
+    )
+    stack = engine.mirror_stack(config)
+    loop = mirror_loop(config)
+    assert stack.shape == (len(loop), dim, dim) and not stack.flags.writeable
+    assert all(np.array_equal(mirrored, reference) for mirrored, reference in zip(stack, loop))
+
+
+def test_nan_in_a_directly_built_family_is_still_refused():
+    # construction bypasses admission, so only the mirror's finiteness check sees it
+    intact = strength_family(3, 0.5)
+    broken = np.array(intact.branches[1].matrix)
+    broken[0, 2] = np.nan
+    branches = (intact.branches[0], EffectOperator(broken, 1), intact.branches[2])
+    config = make_scenario(3, uniform_state(3), effect_r=MeasurementFamily(3, branches))
+    with pytest.raises(ValueError, match="matrix entries must be finite"):
+        engine.mirror_stack(config)
+    with pytest.raises(ValueError, match="matrix entries must be finite"):
+        list(transfer_stream(config))

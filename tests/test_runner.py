@@ -16,10 +16,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from teleportsim import engine, runner
+from teleportsim import eavesdrop, engine, runner, verify
 from teleportsim.bell import make_bell_family, weyl_unitary
 from teleportsim.config import parse_config
 from teleportsim.eavesdrop import distinguishability, tap_report
+from teleportsim.effects import effect_branches
 from teleportsim.linalg import dagger
 from teleportsim.sampling import random_unitary
 from teleportsim.runner import InvariantViolation, run_teleport
@@ -67,8 +68,8 @@ def faulty_stream(monkeypatch, fault) -> None:
     """Patch the transfer route so ``fault(index, key, block)`` edits or drops each block."""
     route = runner.fast_run
 
-    def patched(scenario, rows):
-        for index, (key, block) in enumerate(route(scenario, rows)):
+    def patched(scenario, rows, mirrors):
+        for index, (key, block) in enumerate(route(scenario, rows, mirrors)):
             yield from fault(index, key, block.copy())
 
     monkeypatch.setattr(runner, "fast_run", patched)
@@ -253,16 +254,49 @@ def test_sweep_compares_the_routes_block_by_block(monkeypatch):
 
 
 def test_oracle_shares_no_mirror_algebra(monkeypatch):
-    # a mirror without its transpose breaks the transfer route only; an
-    # oracle that went through mirror_effect would break along with it
-    monkeypatch.setattr(engine, "mirror_effect", lambda u0, effect: dagger(u0) @ effect @ u0)
+    # a mirror stack without its transpose breaks the transfer route only;
+    # an oracle that went through mirror_stack would break along with it
+    def untransposed(scenario):
+        u0 = np.asarray(scenario.u0)
+        return dagger(u0) @ np.array([e for _, e in effect_branches(scenario.effect_r, scenario.dim)]) @ u0
+
+    for module in (engine, eavesdrop, runner, verify):
+        monkeypatch.setattr(module, "mirror_stack", untransposed)
     spec = parse_config("n: 3\ninput: random:3\neavesdrop:\n  basis: fourier\n  theta: 0.5\n")
     stream = io.StringIO()
     with pytest.raises(InvariantViolation, match="routes disagree on branch"):
         run_teleport(spec, stream)
     assert stream.getvalue() == ""
+    sweep = replace(spec, eavesdrop=replace(spec.eavesdrop, theta=None, sweep=(0.0, 1.0, 5)))
+    with pytest.raises(InvariantViolation, match=r"^theta=\S+: routes disagree on branch"):
+        runner.run_sweep(sweep, stream)
+    assert stream.getvalue() == ""
     lines = run_verification("quick", seed=0).lines()
     assert any(line.startswith("FAIL oracle-fast-equivalence: ") for line in lines)
+
+
+def test_a_sweep_point_builds_and_mirrors_its_tap_once(monkeypatch):
+    # one mirror stack a point, shared by the route pass and distinguishability
+    calls = {"mirror_stack": 0, "strength_family": 0}
+
+    def counted(module, name):
+        function = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module in (engine, eavesdrop, runner, verify):
+        counted(module, "mirror_stack")
+    counted(runner, "strength_family")
+    spec = parse_config("n: 3\ninput: random:4\neavesdrop:\n  basis: fourier\n  theta_sweep: [0, 1, 11]\n")
+    runner.run_sweep(spec, io.StringIO())
+    assert calls == {"mirror_stack": 11, "strength_family": 11}
+    point = replace(spec, eavesdrop=replace(spec.eavesdrop, theta=0.5, sweep=None))
+    run_teleport(point, io.StringIO())
+    assert calls == {"mirror_stack": 12, "strength_family": 12}
 
 
 def test_total_fidelity_routes_agree_to_roundoff():
@@ -340,11 +374,12 @@ def test_sweep_points_are_the_points_built_from_scratch(monkeypatch):
         psi = np.asarray(scenario.input_state)
         _, norms, overlaps, _ = engine.compare_routes(
             engine.oracle_blocks(scenario, engine.oracle_bra(scenario)),
-            engine.fast_run(scenario, engine.transfer_rows(scenario, psi[None])),
+            engine.fast_run(scenario, engine.transfer_rows(scenario, psi[None]), engine.mirror_stack(scenario)),
             engine.fidelity_bras(psi, scenario.bell.unitaries),
         )
         assert fidelity == tap_report(scenario, norms[0], overlaps[0]).total_fidelity
-        assert advantage == distinguishability(scenario, engine.transfer_rows(scenario, pair))
+        mirrors = engine.mirror_stack(scenario)
+        assert advantage == distinguishability(scenario, engine.transfer_rows(scenario, pair), mirrors)
     # the points differ, so a tap carried over from one strength would show
     assert len(set(fidelities)) == 5
 

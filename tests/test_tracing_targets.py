@@ -69,9 +69,9 @@ def test_run_teleport_calls_the_transfer_route_once(monkeypatch):
     calls = []
     route = runner.fast_run
 
-    def counted(scenario, rows):
+    def counted(scenario, rows, mirrors):
         calls.append(scenario)
-        return route(scenario, rows)
+        return route(scenario, rows, mirrors)
 
     monkeypatch.setattr(runner, "fast_run", counted)
     spec = parse_config(

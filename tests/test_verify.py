@@ -91,8 +91,8 @@ def patch_stream(monkeypatch, fault) -> None:
     """Patch verify's transfer route so ``fault(block)`` edits every streamed block."""
     route = verify.fast_run
 
-    def patched(config, rows):
-        for key, block in route(config, rows):
+    def patched(config, rows, mirrors):
+        for key, block in route(config, rows, mirrors):
             yield key, fault(block.copy())
 
     monkeypatch.setattr(verify, "fast_run", patched)
@@ -109,7 +109,7 @@ def test_transfer_route_dropping_a_record_fails(monkeypatch):
 
 def test_transfer_route_dropping_a_block_names_the_record_count(monkeypatch):
     route = verify.fast_run
-    monkeypatch.setattr(verify, "fast_run", lambda config, rows: list(route(config, rows))[:-1])
+    monkeypatch.setattr(verify, "fast_run", lambda *args: list(route(*args))[:-1])
     result = check_oracle_fast_equivalence("quick", 0, None)
     line = verify.VerificationReport("quick", (result,)).lines()[0]
     assert re.fullmatch(
