@@ -37,7 +37,6 @@ from .engine import (
     ScenarioConfig,
     TeleportRecord,
     fast_run,
-    ideal_decomposition_check,
     make_scenario,
     mirror_stack,
     oracle_blocks,
@@ -48,7 +47,6 @@ from .engine import (
 from .linalg import (
     basis_state,
     dagger,
-    transpose_in_basis,
     uniform_state,
 )
 from .sampling import child_rng, random_state, random_unitary
@@ -74,7 +72,6 @@ __all__ = [
     "distinguishability",
     "eavesdrop_operator",
     "fast_run",
-    "ideal_decomposition_check",
     "kraus_mixture",
     "make_bell_family",
     "make_measurement_family",
@@ -92,7 +89,6 @@ __all__ = [
     "shift_unitary",
     "strength_family",
     "transfer_rows",
-    "transpose_in_basis",
     "uniform_state",
     "unitary_effect",
     "weyl_unitary",

@@ -20,7 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .linalg import FAMILY_TOL, as_complex_matrix, dagger, is_unitary, transpose_in_basis
+from .linalg import FAMILY_TOL, as_complex_matrix, dagger, is_unitary
 
 Label = int | str | tuple
 
@@ -85,21 +85,17 @@ def mirror_operator(op_b: np.ndarray, u0: np.ndarray) -> np.ndarray:
         raise ValueError(f"operator shape {op_b.shape} incompatible with u0 shape {u0.shape}")
     if not is_unitary(u0):
         raise ValueError("u0 must be unitary")
-    return u0 @ transpose_in_basis(op_b) @ dagger(u0)
+    return u0 @ op_b.T @ dagger(u0)
 
 
 def shift_unitary(dim: int) -> np.ndarray:
-    """Cyclic shift ``X|k> = |k+1 mod dim>``."""
-    mat = np.zeros((dim, dim), dtype=complex)
-    for k in range(dim):
-        mat[(k + 1) % dim, k] = 1.0
-    return mat
+    """Cyclic shift ``X|k> = |k+1 mod dim>``: `weyl_unitary` ``(1, 0)``."""
+    return weyl_unitary(dim, 1, 0)
 
 
 def clock_unitary(dim: int) -> np.ndarray:
-    """Phase gradient ``Z|k> = exp(2 pi i k / dim)|k>``."""
-    phases = np.exp(2j * np.pi * np.arange(dim) / dim)
-    return np.diag(phases)
+    """Phase gradient ``Z|k> = exp(2 pi i k / dim)|k>``: `weyl_unitary` ``(0, 1)``."""
+    return weyl_unitary(dim, 0, 1)
 
 
 def weyl_unitary(dim: int, shift: int, phase: int) -> np.ndarray:

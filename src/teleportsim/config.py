@@ -284,10 +284,13 @@ def _parse_state(value: object, path: str, n: int, strict: bool) -> tuple[str, n
         shown = f"{norm_sq:.6g}"
         if not sys.float_info.min <= norm_sq < math.inf:
             from decimal import Context, Decimal  # here: 0.3 MB no other run needs to load
-            # over the largest part norm^2 lies in [1, 2n]; Decimal shows the unscaled one
-            amps = amps / scale
+            # scaled exactly by 2**-exponent, the largest part lies in [1/2, 1) and
+            # norm^2 in [1/4, 2n), even for a subnormal scale, whose reciprocal
+            # overflows; Decimal shows the unscaled norm^2
+            exponent = math.frexp(scale)[1]
+            amps = np.ldexp(amps.view(float), -exponent).view(complex)
             norm_sq = float(np.vdot(amps, amps).real)
-            shown = f"{Context(prec=6).normalize(Decimal(scale) ** 2 * Decimal(norm_sq)):g}"
+            shown = f"{Context(prec=6).normalize(Decimal(2) ** (2 * exponent) * Decimal(norm_sq)):g}"
         elif abs(norm_sq - 1.0) <= NORM_WARN_TOL:
             return "explicit", amps
         if strict:

@@ -15,7 +15,9 @@ outcome, for `eavesdrop_operator`.  `tap_report` sums either route's
 drivers reduce both routes they compare alike; `analyze_eavesdropping`
 is that reduction over `teleportsim.engine.fast_run`.  The module also
 holds the paper's projective special case (`projective_case_analysis`)
-and the sequential decomposition check.  The probabilities predicted
+and the one receiver-state check, `sequential_decomposition_check`: no
+closed effect on the reference, tap or not, moves the receiver's
+unconditional state off ``1/n``.  The probabilities predicted
 here must agree with the oracle's (`teleportsim.engine.oracle_blocks`);
 the run drivers and the verification suite enforce that, and verify
 checks that every ``P(l, m)`` is Hermitian.
@@ -154,20 +156,23 @@ def analyze_eavesdropping(config: ScenarioConfig) -> EavesdropReport:
 
 
 def sequential_decomposition_check(config: ScenarioConfig) -> DecompositionReport:
-    """Deviation of both unconditional receiver-state decompositions.
+    """Deviation of both unconditional receiver-state decompositions from ``1/dim``.
 
     The branch form sums ``U(m)^-1 P |psi><psi| P^+ U(m)`` over every
-    ``(l, m)``; the grouped form first averages the Bell outcomes away and
-    sandwiches ``1/dim`` between the mirrored tap operators.  Both must
-    return the maximally mixed state; otherwise the tap would signal.
+    ``(l, m)``, read off `teleportsim.engine.transfer_kernel`; the grouped
+    form first averages the Bell outcomes away and sandwiches ``1/dim``
+    between the mirrored reference branches, ``sum_l M_l (1/dim) M_l^+``.
+    Both must return the maximally mixed state whatever acts on the
+    reference line, a tap, a Kraus mixture, a unitary or nothing, as long
+    as it is closed and the Bell family complete; otherwise the reference
+    would signal.  The receiver effect is not part of either form.
     """
-    _tap_family(config)
     target = np.eye(config.dim) / config.dim
     mirrors = mirror_stack(config)
     rows = transfer_rows(config, np.asarray(config.input_state)[None])
     kernel = transfer_kernel(replace(config, effect_b=None), rows, mirrors)
     branch_sum = sum(amps[:, 0].T @ amps[:, 0].conj() for _, _, amps in kernel)
-    grouped_sum = sum(mirrored @ target @ mirrored for mirrored in mirrors)
+    grouped_sum = sum(mirrored @ target @ dagger(mirrored) for mirrored in mirrors)
     return DecompositionReport(
         branch_deviation=float(np.max(np.abs(branch_sum - target))),
         grouped_deviation=float(np.max(np.abs(grouped_sum - target))),

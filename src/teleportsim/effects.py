@@ -3,7 +3,8 @@
 An effect is anything inserted on the reference or receiver line of the
 shared resource.  Measurement families model a tap of tunable strength;
 their branches are Hermitian PSD operators whose squares sum to identity,
-so branch probabilities close without renormalization.
+so branch probabilities close without renormalization.  Kraus lists and
+measurement families are admitted on the same sum, `linalg.closure`.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import numpy as np
 from .linalg import (
     FAMILY_TOL,
     as_complex_matrix,
-    dagger,
+    closure,
     frozen_complex_array,
     hermiticity_deviation,
     is_unitary,
@@ -67,8 +68,7 @@ def kraus_mixture(matrices: Sequence[np.ndarray]) -> tuple[EffectOperator, ...]:
     for i, m in enumerate(mats):
         if m.shape != (dim, dim):
             raise ValueError(f"Kraus operator {i} has shape {m.shape}, expected ({dim}, {dim})")
-    closure = sum(dagger(m) @ m for m in mats)
-    deviation = float(np.max(np.abs(closure - np.eye(dim))))
+    deviation = float(np.max(np.abs(closure(mats) - np.eye(dim))))
     if deviation > FAMILY_TOL:
         raise ValueError(
             f"Kraus operators do not resolve the identity: deviation {deviation:.3e}"
@@ -152,11 +152,8 @@ def strength_family(
 
 
 def family_completeness_deviation(family: MeasurementFamily) -> float:
-    """Largest entrywise deviation of ``sum_l E(l)^2`` from identity."""
-    total = np.zeros((family.dim, family.dim), dtype=complex)
-    for branch in family.branches:
-        total += branch.matrix @ branch.matrix
-    return float(np.max(np.abs(total - np.eye(family.dim))))
+    """Largest entrywise deviation of the `closure` ``sum_l E(l)^+ E(l)`` from identity."""
+    return float(np.max(np.abs(closure(b.matrix for b in family.branches) - np.eye(family.dim))))
 
 
 def effect_branches(

@@ -54,6 +54,7 @@ from .linalg import (
     apply_each_inverse,
     as_complex_matrix,
     as_pure_state,
+    closure,
     dagger,
     frozen_complex_array,
     is_unitary,
@@ -251,15 +252,15 @@ def oracle_blocks(config: ScenarioConfig, bra: np.ndarray) -> BlockStream:
 
 
 def reference_marginal(config: ScenarioConfig) -> np.ndarray:
-    """``R C_B^T R^+`` with ``R = u0/sqrt(n)`` and ``C_B = sum_b F_b^+ F_b``.
+    """``R C_B^T R^+`` with ``R = u0/sqrt(n)`` and ``C_B`` the receiver's `closure` ``sum_b F_b^+ F_b``.
 
     The resource's state on R once the receiver effect is summed over its
     branches, before the reference effect acts; it reads no reference
     effect, so every tap strength of a sweep shares one.
     """
     resource_mat = np.asarray(config.u0) / np.sqrt(config.dim)
-    closure = sum(dagger(f_b) @ f_b for _, f_b in effect_branches(config.effect_b, config.dim))
-    return resource_mat @ closure.T @ dagger(resource_mat)
+    receiver = closure(f_b for _, f_b in effect_branches(config.effect_b, config.dim))
+    return resource_mat @ receiver.T @ dagger(resource_mat)
 
 
 def expected_probability_sum(config: ScenarioConfig, gram: np.ndarray, marginal: np.ndarray) -> float:
@@ -391,20 +392,6 @@ def compare_routes(
         del pair, block  # neither route builds its next block while this pair is held
     keys = tuple(key for key, _ in layouts[0])
     return keys, tuple(map(np.array, norms)), tuple(map(np.array, overlaps)), np.array(amplitude)
-
-
-def ideal_decomposition_check(config: ScenarioConfig) -> float:
-    """Deviation of ``sum_m (w/dim^2) U(m)^-1 |psi><psi| U(m)`` from ``1/dim``.
-
-    This is the unconditional receiver state before any correction; for a
-    complete family it is maximally mixed whatever the input, which is what
-    forbids signalling through the resource alone.
-    """
-    dim = config.dim
-    bell = config.bell
-    back = apply_each_inverse(bell.unitaries, np.asarray(config.input_state))
-    total = (back.T * (bell.weights / dim**2)) @ back.conj()
-    return float(np.max(np.abs(total - np.eye(dim) / dim)))
 
 
 def _table(config: ScenarioConfig, blocks: BlockStream) -> BranchTable:

@@ -5,9 +5,12 @@ envelope is modest (single-system dimension up to 32), so nothing here is
 sparse or lazy.  The largest array a run holds is the Bell family's
 ``(M, n, n)`` stack of outcome unitaries, 32**4 amplitudes; both routes
 stream ``(M, n)`` blocks of 32**3.  `apply_each_inverse` is the one
-spelling of ``U(m)^-1 psi`` over that stack.
+spelling of ``U(m)^-1 psi`` over that stack, and `closure` the one
+spelling of a branch list's ``sum_k K_k^+ K_k``.
 """
 from __future__ import annotations
+
+from typing import Iterable
 
 import numpy as np
 
@@ -87,22 +90,15 @@ def apply_each_inverse(ops: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return np.conj(np.conj(vecs) @ ops)
 
 
+def closure(ops: Iterable[np.ndarray]) -> np.ndarray:
+    """``sum_k K_k^+ K_k`` over the branch operators ``ops``, summed in order."""
+    return sum(dagger(op) @ op for op in ops)
+
+
 def norms_squared(vecs: np.ndarray) -> np.ndarray:
     """Squared norm of each vector along the last axis."""
     # a copy, not a view: a kept row would hold its complex sums alive
     return np.einsum("...i,...i->...", vecs.conj(), vecs).real.copy()
-
-
-def transpose_in_basis(mat: np.ndarray) -> np.ndarray:
-    """Plain transpose relative to the computational basis.
-
-    This is the transpose that appears in the mirror construction; it is
-    basis-dependent on purpose and only defined for square matrices.
-    """
-    mat = as_complex_matrix(mat)
-    if mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"transpose_in_basis needs a square matrix, got {mat.shape}")
-    return mat.T.copy()
 
 
 def hermiticity_deviation(mat: np.ndarray) -> float:

@@ -14,9 +14,11 @@ probability sum is held to `expected_probability_sum`, its closed form,
 which admission's closure tolerance lets differ from 1; the summary
 prints both.  The sweep's distinguishability column comes from the
 transfer kernel alone, through `distinguishability`, and no oracle checks
-it.  A mismatch beyond the run tolerance raises `InvariantViolation`
-before the first row is written, instead of writing a plausible-looking
-but wrong table.  Output is deterministic down to the byte for a fixed spec.
+it.  A mismatch beyond the run tolerance, or a non-finite number bound
+for either CSV other than a null branch's empty fidelity, raises
+`InvariantViolation` before the first row is written, instead of writing
+a plausible-looking but wrong table.  Output is deterministic down to the
+byte for a fixed spec.
 
 What no tap strength changes is built once per run: the validated
 scenario (input, Bell family, u0 and receiver), and by `_fixed_half` the
@@ -47,6 +49,7 @@ from .config import RunSpec
 from .eavesdrop import EavesdropReport, distinguishability, tap_report
 from .effects import strength_family
 from .engine import (
+    NULL_BRANCH_EPS,
     RouteMismatch,
     ScenarioConfig,
     compare_routes,
@@ -75,7 +78,7 @@ DEFAULT_RUN_TOL = 1e-10
 
 
 class InvariantViolation(RuntimeError):
-    """The two computation routes disagreed beyond the run tolerance."""
+    """The two routes disagreed beyond the run tolerance, or a number bound for a CSV is not finite."""
 
 
 # how every number of a CSV is written: 12 significant digits
@@ -263,6 +266,17 @@ def _zipped_pass(
     )
 
 
+def _require_finite(where: str, **columns: np.ndarray) -> None:
+    """Raise `InvariantViolation` naming the first of ``columns`` that holds a non-finite number.
+
+    Called on every number bound for a CSV before the first write, so a
+    failing run writes nothing.
+    """
+    for name, values in columns.items():
+        if not np.all(np.isfinite(values)):
+            raise InvariantViolation(f"{where}{name} is not finite")
+
+
 def _routes_line(deviations: Iterable[float], tolerance: float) -> str:
     amplitude, probability, fidelity = deviations
     return (
@@ -289,6 +303,10 @@ def run_teleport(
     texts = format_labels([*tap.labels, *(label for key in measured.keys for label in key), *tap_labels])
     m_texts, texts = texts[:outcomes], texts[outcomes:]
     l_texts, b_texts, tap_texts = texts[:key_labels:2], texts[1:key_labels:2], texts[key_labels:]
+    # a null branch's fidelity is NaN, written as the empty field; the tap
+    # and Bell marginals are sums of the probabilities
+    _require_finite("", probability=np.append(probabilities, measured.probability_sum),
+                    fidelity=np.append(fidelities[probabilities >= NULL_BRANCH_EPS], tap.total_fidelity))
     p_texts, f_texts = format_numbers(probabilities), format_numbers(fidelities)
 
     # one write per block, joined from the rendered texts of its rows
@@ -358,10 +376,13 @@ def run_sweep(
             measured = _zipped_pass(scenario, fixed, mirrors, tolerance)
         except InvariantViolation as exc:
             raise InvariantViolation(f"theta={format_number(theta)}: {exc}") from None
+        advantage = distinguishability(scenario, pair, mirrors)
+        _require_finite(f"theta={format_number(theta)}: ", total_fidelity=measured.tap.total_fidelity,
+                        distinguishability=advantage)
         # a point keeps its scalars alone: the passes' (K, M) arrays would pile up over the grid
         points.append(SimpleNamespace(
             fidelity=measured.tap.total_fidelity,
-            advantage=distinguishability(scenario, pair, mirrors),
+            advantage=advantage,
             probability_sum=measured.probability_sum,
             expected_sum=measured.expected_sum,
             deviations=measured.deviations,

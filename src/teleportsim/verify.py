@@ -11,7 +11,10 @@ block by block by `reduce_stream` to ``(K, M)`` squared norms and overlaps
 with the input's `fidelity_bras`; no check collects the oracle into a
 table.  ``ideal-teleportation``, ``probability-completeness`` and
 ``tap-oracle-agreement`` read the oracle alone, ``oracle-fast-equivalence``
-zips it with `fast_run` in `compare_routes`.
+zips it with `fast_run` in `compare_routes`.  ``decomposition-identity``
+(no reference effect) and ``sequential-decomposition`` (strength taps)
+both read `sequential_decomposition_check` and report the larger of its
+two deviations.
 """
 from __future__ import annotations
 
@@ -41,7 +44,6 @@ from .engine import (
     conditional_fidelities,
     fast_run,
     fidelity_bras,
-    ideal_decomposition_check,
     make_scenario,
     mirror_stack,
     oracle_blocks,
@@ -227,14 +229,15 @@ def check_oracle_fast_equivalence(depth: str, seed: int, corrupt: str | None) ->
 
 
 def check_decomposition_identity(depth: str, seed: int, corrupt: str | None) -> CheckResult:
-    """Unconditional pre-correction receiver state is maximally mixed."""
+    """Unconditional pre-correction receiver state is maximally mixed, with no tap."""
     rng = child_rng(seed, 4)
     worst = 0.0
     for dim in _dims(depth):
         bell = _corrupted_bell(dim) if corrupt == "bell" else make_bell_family(dim)
         for _ in range(5):
             config = make_scenario(dim, random_state(dim, rng), bell=bell)
-            worst = _worst(worst, ideal_decomposition_check(config))
+            report = sequential_decomposition_check(config)
+            worst = _worst(worst, report.branch_deviation, report.grouped_deviation)
     return _result("decomposition-identity", worst, 1e-10)
 
 

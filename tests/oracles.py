@@ -38,7 +38,7 @@ from teleportsim.engine import (
     oracle_bra,
     transfer_rows,
 )
-from teleportsim.linalg import dagger, transpose_in_basis
+from teleportsim.linalg import dagger
 
 
 def brute_partial_trace(rho: np.ndarray, dims: tuple[int, ...], keep: int) -> np.ndarray:
@@ -277,7 +277,7 @@ def advantage(config: ScenarioConfig, first: np.ndarray, second: np.ndarray) -> 
 def mirror_loop(config: ScenarioConfig) -> list[np.ndarray]:
     """``(u0^-1 E_l u0)^T`` of every reference branch, one branch at a time."""
     u0 = np.asarray(config.u0)
-    return [transpose_in_basis(dagger(u0) @ e_r @ u0) for _, e_r in effect_branches(config.effect_r, config.dim)]
+    return [(dagger(u0) @ e_r @ u0).T for _, e_r in effect_branches(config.effect_r, config.dim)]
 
 
 def oracle_records(config: ScenarioConfig) -> list[Record]:

@@ -20,7 +20,7 @@ from teleportsim.eavesdrop import (
     sequential_decomposition_check,
 )
 from teleportsim.effects import kraus_mixture, strength_family, unitary_effect
-from teleportsim.engine import ideal_decomposition_check, make_scenario
+from teleportsim.engine import make_scenario
 from teleportsim.linalg import basis_state, uniform_state
 from teleportsim.sampling import child_rng, random_state, random_unitary
 
@@ -139,7 +139,8 @@ def test_criterion_3_maximally_mixed_decompositions():
             config = make_scenario(
                 dim, random_state(dim, rng), u0=random_unitary(dim, rng)
             )
-            worst = max(worst, ideal_decomposition_check(config))
+            report = sequential_decomposition_check(config)
+            worst = max(worst, report.branch_deviation, report.grouped_deviation)
         for theta in (0.0, 0.25, 0.5, 0.75, 1.0):
             tapped = make_scenario(
                 dim,

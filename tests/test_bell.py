@@ -79,6 +79,26 @@ def test_shift_and_clock_action():
     assert_allclose(clock @ shift @ e0, [0, np.exp(2j * np.pi / 3), 0], atol=1e-15)
 
 
+@pytest.mark.parametrize("dim", range(2, 33))
+def test_shift_and_clock_are_the_weyl_pair_bit_for_bit(dim):
+    # the loop and the diagonal the two unitaries used to be built with
+    shift = np.zeros((dim, dim), dtype=complex)
+    for k in range(dim):
+        shift[(k + 1) % dim, k] = 1.0
+    clock = np.diag(np.exp(2j * np.pi * np.arange(dim) / dim))
+    assert np.array_equal(shift_unitary(dim), shift)
+    assert np.array_equal(clock_unitary(dim), clock)
+    assert np.array_equal(shift_unitary(dim), weyl_unitary(dim, 1, 0))
+    assert np.array_equal(clock_unitary(dim), weyl_unitary(dim, 0, 1))
+
+
+def test_mirror_operator_requires_square():
+    with pytest.raises(ValueError, match="incompatible"):
+        mirror_operator(np.ones((2, 3)), np.eye(2))
+    with pytest.raises(ValueError, match="incompatible"):
+        mirror_operator(np.eye(3), np.eye(2))
+
+
 def test_weyl_qubit_table():
     assert_allclose(weyl_unitary(2, 0, 0), np.eye(2), atol=1e-15)
     assert_allclose(weyl_unitary(2, 1, 0), [[0, 1], [1, 0]], atol=1e-15)

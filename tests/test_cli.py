@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import csv
+import io
 import re
+import warnings
 
+import numpy as np
 import pytest
 
 from teleportsim import cli, runner
@@ -403,3 +407,77 @@ def test_all_zero_amplitudes_are_still_rejected(tmp_path, capsys):
     config = write(tmp_path, "run.yaml", "n: 2\ninput: [0, [0, 0]]\n")
     assert cli.main(["teleport", "--config", config]) == 1
     assert capsys.readouterr().err == "error: input: amplitudes are all zero\n"
+
+
+# subnormal amplitudes: the largest part's reciprocal overflows, so the
+# list is scaled by a power of two; the norm^2 the note shows is that of
+# the float each literal reads as
+SUBNORMAL_STATES = [
+    ("[1.0e-310, 0]", "1e-620"),
+    ("[1.0e-320, 0]", "9.99978e-641"),
+    ("[4.9e-324, 0]", "2.44101e-647"),
+]
+
+
+def assert_same_table(text: str, expected: str) -> None:
+    """The same CSV up to roundoff: each field equal, or both numbers within 1e-15."""
+    rows, expected_rows = (list(csv.reader(io.StringIO(t))) for t in (text, expected))
+    assert len(rows) == len(expected_rows)
+    for row, expected_row in zip(rows, expected_rows):
+        for field, expected_field in zip(row, expected_row, strict=True):
+            assert field == expected_field or abs(float(field) - float(expected_field)) <= 1e-15
+
+
+@pytest.mark.parametrize("amplitudes, norm_sq", SUBNORMAL_STATES)
+@pytest.mark.parametrize("field", ["input", "distinguish[1]"])
+@pytest.mark.parametrize("command", ["teleport", "sweep"])
+def test_subnormal_amplitudes_normalize(command, field, amplitudes, norm_sq, tmp_path, capsys):
+    tap = "theta: 0.5" if command == "teleport" else "theta_sweep: [0, 1, 5]"
+
+    def config(state):
+        states = (state, "basis:1") if field == "input" else ("plus-uniform", state)
+        return write(
+            tmp_path, "run.yaml",
+            f"n: 2\ninput: {states[0]}\neavesdrop:\n  {tap}\ndistinguish:\n  - basis:0\n  - {states[1]}\n",
+        )
+
+    assert cli.main([command, "--config", config("[1, 0]")]) == 0
+    expected = capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflowing reciprocal warns before it writes NaN
+        assert cli.main([command, "--config", config(amplitudes)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"note: normalizing {field} (norm^2 was {norm_sq})\n")
+    # the scaled list normalizes to [1, 0] within roundoff
+    assert_same_table(captured.out, expected.out)
+    assert cli.main([command, "--config", config(amplitudes), "--strict"]) == 1
+    assert capsys.readouterr().err == f"error: {field}: state norm^2 is {norm_sq}, not 1 (strict mode rejects this)\n"
+
+
+def test_non_finite_distinguishability_exits_two_before_writing(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(runner, "distinguishability", lambda *args: float("nan"))
+    target = tmp_path / "keep.csv"
+    target.write_bytes(KEPT)
+    config = write(tmp_path, "run.yaml", SWEEP_CONFIG)
+    assert cli.main(["sweep", "--config", config, "--output", str(target)]) == 2
+    assert capsys.readouterr().err == "invariant violation: theta=0: distinguishability is not finite\n"
+    assert target.read_bytes() == KEPT
+
+
+def test_non_finite_fidelity_of_a_live_branch_exits_two_before_writing(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(runner, "conditional_fidelities", lambda overlaps, norms: np.full(norms.shape, np.nan))
+    target = tmp_path / "keep.csv"
+    target.write_bytes(KEPT)
+    config = write(tmp_path, "run.yaml", TAP_CONFIG)
+    assert cli.main(["teleport", "--config", config, "--output", str(target)]) == 2
+    assert capsys.readouterr().err == "invariant violation: fidelity is not finite\n"
+    assert target.read_bytes() == KEPT
+
+
+def test_null_branch_keeps_its_empty_fidelity(tmp_path, capsys):
+    # a full-strength tap in the input's own basis never fires its other branch
+    config = write(tmp_path, "run.yaml", "n: 2\ninput: basis:0\neavesdrop:\n  theta: 1\n")
+    assert cli.main(["teleport", "--config", config]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert "outcome,1,0-0,,0," in rows
+    assert "nan" not in "".join(rows)

@@ -22,6 +22,7 @@ from teleportsim.effects import (
     kraus_mixture,
     make_measurement_family,
     strength_family,
+    unitary_effect,
 )
 from teleportsim.engine import NULL_BRANCH_EPS, make_scenario, mirror_stack, transfer_kernel, transfer_rows
 from teleportsim.linalg import basis_state, dagger, hermiticity_deviation, norms_squared, uniform_state
@@ -251,6 +252,43 @@ def test_sequential_decompositions_stay_maximally_mixed():
             report = sequential_decomposition_check(config)
             assert report.branch_deviation < 1e-12
             assert report.grouped_deviation < 1e-12
+
+
+def damping_pair(dim, rng):
+    """A closed, non-unital two-Kraus damping channel in a random basis."""
+    basis = random_unitary(dim, rng)
+    gamma = rng.uniform(0.1, 0.9) * (np.arange(dim) + 1) / dim
+    k0 = basis @ np.diag(np.sqrt(1.0 - gamma)) @ dagger(basis)
+    # the shift after the rates keeps k1^+ k1 diagonal and moves each level on: not unital
+    k1 = basis @ np.roll(np.eye(dim), 1, axis=0) @ np.diag(np.sqrt(gamma)) @ dagger(basis)
+    return [k0, k1]
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5])
+@pytest.mark.parametrize("effect", ["kraus", "unitary", "none"])
+def test_receiver_state_stays_maximally_mixed_for_any_closed_reference_effect(effect, dim):
+    rng = np.random.default_rng(dim)
+    effect_r = {
+        "kraus": lambda: kraus_mixture(damping_pair(dim, rng)),
+        "unitary": lambda: unitary_effect(random_unitary(dim, rng)),
+        "none": lambda: None,
+    }[effect]()
+    config = make_scenario(
+        dim, random_state(dim, rng), u0=random_unitary(dim, rng), effect_r=effect_r,
+        effect_b=kraus_mixture(damping_pair(dim, rng)),
+    )
+    report = sequential_decomposition_check(config)
+    assert report.branch_deviation < 1e-14
+    assert report.grouped_deviation < 1e-14
+
+
+def test_sequential_decomposition_flags_unclosed_kraus_list():
+    rng = np.random.default_rng(5)
+    scaled = [EffectOperator(k * 1.01, i) for i, k in enumerate(damping_pair(3, rng))]
+    config = make_scenario(3, random_state(3, rng), u0=random_unitary(3, rng), effect_r=scaled)
+    report = sequential_decomposition_check(config)
+    assert report.branch_deviation > 1e-3
+    assert report.grouped_deviation > 1e-3
 
 
 def test_sequential_decomposition_flags_broken_family():

@@ -117,6 +117,15 @@ def test_validate_family_flags_scaled_branch():
         make_measurement_family([b.matrix for b in family.branches])
 
 
+def test_family_completeness_is_the_closure_of_any_branches():
+    # an amplitude-damping pair built directly: sum K^+ K = 1, sum K^2 != 1
+    gamma = 0.3
+    k0 = np.diag([1.0, np.sqrt(1 - gamma)]).astype(complex)
+    k1 = np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]], dtype=complex)
+    family = MeasurementFamily(dim=2, branches=(EffectOperator(k0, 0), EffectOperator(k1, 1)))
+    assert family_completeness_deviation(family) < 1e-15
+
+
 def test_explicit_family_rejects_duplicate_labels():
     e0 = np.diag([1.0, np.sqrt(0.5)]).astype(complex)
     e1 = np.diag([0.0, np.sqrt(0.5)]).astype(complex)

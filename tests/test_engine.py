@@ -12,6 +12,7 @@ from numpy.testing import assert_allclose
 from teleportsim import engine
 from teleportsim.bell import BellFamily, make_bell_family, weyl_unitary
 from teleportsim.config import parse_config
+from teleportsim.eavesdrop import sequential_decomposition_check
 from teleportsim.effects import (
     EffectOperator,
     MeasurementFamily,
@@ -26,7 +27,6 @@ from teleportsim.engine import (
     conditional_fidelities,
     expected_probability_sum,
     fidelity_bras,
-    ideal_decomposition_check,
     make_scenario,
     oracle_bra,
     reduce_stream,
@@ -255,7 +255,8 @@ def test_probabilities_sum_to_one_with_mixed_effects():
 def test_ideal_decomposition_is_maximally_mixed(dim):
     rng = np.random.default_rng(dim)
     config = make_scenario(dim, random_state(dim, rng))
-    assert ideal_decomposition_check(config) < 1e-12
+    report = sequential_decomposition_check(config)
+    assert max(report.branch_deviation, report.grouped_deviation) < 1e-12
 
 
 def test_ideal_decomposition_for_weighted_family():
@@ -265,7 +266,8 @@ def test_ideal_decomposition_for_weighted_family():
     ]
     family = make_bell_family(2, outcomes)
     config = make_scenario(2, random_state(2, np.random.default_rng(8)), bell=family)
-    assert ideal_decomposition_check(config) < 1e-12
+    report = sequential_decomposition_check(config)
+    assert max(report.branch_deviation, report.grouped_deviation) < 1e-12
     records = oracle_records(config)
     assert len(records) == 8
     for record in records:

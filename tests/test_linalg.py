@@ -9,8 +9,8 @@ from numpy.testing import assert_allclose
 from teleportsim.linalg import (
     apply_each_inverse,
     as_pure_state,
+    closure,
     dagger,
-    transpose_in_basis,
     uniform_state,
 )
 from teleportsim.sampling import random_state, random_unitary
@@ -21,7 +21,6 @@ def test_dagger_involution(dim, seed):
     rng = np.random.default_rng(seed)
     mat = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     assert_allclose(dagger(dagger(mat)), mat)
-    assert_allclose(transpose_in_basis(transpose_in_basis(mat)), mat)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 5])
@@ -39,9 +38,15 @@ def test_apply_each_inverse_of_one_vector_and_of_a_stack(dim):
             assert_allclose(stack[m, k], dagger(op) @ vec, atol=1e-14)
 
 
-def test_transpose_requires_square():
-    with pytest.raises(ValueError, match="square"):
-        transpose_in_basis(np.ones((2, 3)))
+@pytest.mark.parametrize("count", [1, 2, 5])
+def test_closure_is_the_ordered_sum_of_branch_products(count):
+    rng = np.random.default_rng(count)
+    ops = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(count)]
+    expected = dagger(ops[0]) @ ops[0]
+    for op in ops[1:]:
+        expected = expected + dagger(op) @ op
+    assert np.array_equal(closure(ops), expected)
+    assert np.array_equal(closure(iter(ops)), expected)
 
 
 def test_pure_state_validation():

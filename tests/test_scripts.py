@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -38,3 +40,40 @@ def test_strength_sweep_runs():
     assert len(lines) == 5
     # the uniform qubit at full strength keeps fidelity 1/2 and leaks 1/2
     assert [float(x) for x in lines[-1].split()] == [1.0, 0.5, 0.5]
+
+
+# the table the script printed when it reduced the transfer route itself
+EXPECTED_SWEEP_TABLE = """\
+n=2, input=plus-uniform, tap basis=computational
+   theta       fidelity      advantage
+   0.000    1.000000000    0.000000000
+   0.250    0.984122918    0.125000000
+   0.500    0.933012702    0.250000000
+   0.750    0.830718914    0.375000000
+   1.000    0.500000000    0.500000000
+"""
+
+
+def test_strength_sweep_is_the_cli_sweep(tmp_path):
+    target = tmp_path / "curve.csv"
+    result = run_script("strength_sweep.py", "--n", "2", "--points", "5", "--output", str(target))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == EXPECTED_SWEEP_TABLE + f"wrote 5 rows to {target}\n"
+    # run_sweep's summary, both routes checked
+    assert result.stderr.splitlines()[-1].startswith("routes: amplitude dev ")
+    assert target.read_text(encoding="utf-8") == (
+        "theta,total_fidelity,distinguishability\n"
+        "0,1,0\n0.25,0.984122918276,0.125\n0.5,0.933012701892,0.25\n0.75,0.830718913883,0.375\n1,0.5,0.5\n"
+    )
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--n", "40"), "error: n: dimension 40 exceeds the supported maximum of 32"),
+    (("--points", "1"), "error: eavesdrop.theta_sweep: need at least 2 steps, got 1"),
+    (("--input", "random", "--seed", "-1"), "error: input: seed must be non-negative, got -1"),
+])
+def test_strength_sweep_bad_flag_exits_one_with_the_config_message(flags, message):
+    result = run_script("strength_sweep.py", *flags)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == message + "\n"
