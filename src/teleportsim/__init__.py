@@ -25,7 +25,7 @@ from .eavesdrop import (
     sequential_decomposition_check,
 )
 from .effects import (
-    EffectOperator,
+    Effect,
     MeasurementFamily,
     kraus_mixture,
     make_measurement_family,
@@ -58,7 +58,7 @@ __all__ = [
     "BellFamily",
     "BranchTable",
     "EavesdropReport",
-    "EffectOperator",
+    "Effect",
     "MeasurementFamily",
     "ScenarioConfig",
     "TeleportRecord",

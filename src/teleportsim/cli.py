@@ -9,12 +9,11 @@ failure.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from typing import IO, NoReturn
 
 from .config import ConfigError, load_config
-from .runner import DEFAULT_RUN_TOL, InvariantViolation, run_sweep, run_teleport
+from .runner import InvariantViolation, run_sweep, run_teleport
 from .verify import run_verification
 
 EXIT_OK = 0
@@ -29,19 +28,6 @@ class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message: str) -> NoReturn:
         self.print_usage(sys.stderr)
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
-
-
-def _tolerance(text: str) -> float:
-    """Route tolerance: finite and non-negative, since NaN would pass every check."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value >= 0.0):
-        raise argparse.ArgumentTypeError(
-            f"expected a finite non-negative number, got {text!r}"
-        )
-    return value
 
 
 def _seed(text: str) -> int:
@@ -84,10 +70,6 @@ def _add_run_arguments(sub: argparse.ArgumentParser) -> None:
         "--strict", action="store_true",
         help="reject unnormalized inputs instead of normalizing",
     )
-    sub.add_argument(
-        "--tolerance", type=_tolerance, default=DEFAULT_RUN_TOL,
-        help="route agreement tolerance (default %(default)g)",
-    )
 
 
 class _OutputFile:
@@ -126,9 +108,9 @@ def main(argv: list[str] | None = None) -> int:
         stream = sys.stdout if output_path is None else _OutputFile(output_path)
         try:
             if args.command == "teleport":
-                summary = run_teleport(spec, stream, tolerance=args.tolerance)
+                summary = run_teleport(spec, stream)
             else:
-                summary = run_sweep(spec, stream, tolerance=args.tolerance)
+                summary = run_sweep(spec, stream)
         finally:
             if stream is not sys.stdout:
                 stream.close()

@@ -18,7 +18,7 @@ import numpy as np
 import yaml
 
 from .bell import BellFamily, make_bell_family
-from .effects import EffectOperator, kraus_mixture, unitary_effect
+from .effects import Effect, kraus_mixture, unitary_effect
 from .linalg import as_complex_matrix, basis_state, frozen_complex_array, is_unitary, uniform_state
 from .sampling import random_state
 
@@ -135,7 +135,7 @@ class RunSpec:
     input_state: np.ndarray
     input_label: str
     eavesdrop: EavesdropSpec | None
-    effect_b: EffectOperator | tuple[EffectOperator, ...] | None
+    effect_b: Effect | None
     distinguish: tuple[tuple[str, np.ndarray], tuple[str, np.ndarray]]
     output_path: str | None
 
@@ -296,7 +296,9 @@ def _parse_state(value: object, path: str, n: int, strict: bool) -> tuple[str, n
         if strict:
             raise ConfigError(f"{path}: state norm^2 is {shown}, not 1 (strict mode rejects this)")
         print(f"note: normalizing {path} (norm^2 was {shown})", file=sys.stderr)
-        return "explicit", amps / np.sqrt(norm_sq)
+        # dividing the float view rounds each part once; a complex
+        # division by a real does not
+        return "explicit", (amps.view(float) / np.sqrt(norm_sq)).view(complex)
     raise ConfigError(f"{path}: expected a state name or amplitude list, got {value!r}")
 
 
@@ -375,9 +377,7 @@ def _parse_eavesdrop(value: object, n: int) -> EavesdropSpec | None:
     return EavesdropSpec(basis=frozen_complex_array(basis), theta=None, sweep=(start, stop, steps))
 
 
-def _parse_effect_b(
-    value: object, n: int
-) -> EffectOperator | tuple[EffectOperator, ...] | None:
+def _parse_effect_b(value: object, n: int) -> Effect | None:
     if value is None:
         return None
     if not isinstance(value, dict):

@@ -113,8 +113,8 @@ def expected_marginal_l(config: ScenarioConfig) -> dict[int | str, float]:
     """Closed-form tap marginal ``tr(E(l)^2) / dim``."""
     family = _tap_family(config)
     return {
-        b.label: float(np.trace(np.asarray(b.matrix) @ np.asarray(b.matrix)).real) / config.dim
-        for b in family.branches
+        label: float(np.trace(op @ op).real) / config.dim
+        for label, op in zip(family.labels, family.operators)
     }
 
 
@@ -129,7 +129,7 @@ def tap_report(
     ``(l, m)`` cell sums its receiver branches.  The reference effect may
     be any effect, not only a tap: each branch label is one row.
     """
-    tap_labels = tuple(label for label, _ in effect_branches(config.effect_r, config.dim))
+    tap_labels = effect_branches(config.effect_r, config.dim).labels
     shape = (len(tap_labels), -1, probabilities.shape[-1])
     cells = probabilities.reshape(shape).sum(axis=1)
     overlaps = overlaps_sq.reshape(shape).sum(axis=1)
@@ -192,13 +192,12 @@ def projective_case_analysis(config: ScenarioConfig) -> ProjectiveReport:
     psi = np.asarray(config.input_state)
     u0 = np.asarray(config.u0)
     eigenstates = np.zeros((dim, dim), dtype=complex)
-    for column, branch in enumerate(family.branches):
-        mat = np.asarray(branch.matrix)
+    for column, (branch, mat) in enumerate(zip(family.labels, family.operators)):
         idempotency = float(np.max(np.abs(mat @ mat - mat)))
         trace = float(np.trace(mat).real)
         if idempotency > 1e-9 or abs(trace - 1.0) > 1e-9:
             raise ValueError(
-                f"branch {branch.label!r} is not a rank-one projector "
+                f"branch {branch!r} is not a rank-one projector "
                 f"(idempotency {idempotency:.3e}, trace {trace:.6f})"
             )
         # the projector's range vector, phase-anchored on its largest entry
@@ -220,8 +219,8 @@ def projective_case_analysis(config: ScenarioConfig) -> ProjectiveReport:
     probabilities: dict[tuple[int | str, Label], float] = {}
     for label, observable, row in zip(bell.labels, stacked, cell_probabilities.tolist()):
         observables[label] = observable
-        for branch, probability in zip(family.branches, row):
-            probabilities[(branch.label, label)] = probability
+        for branch, probability in zip(family.labels, row):
+            probabilities[(branch, label)] = probability
     return ProjectiveReport(
         mirror_eigenstates=frozen_complex_array(eigenstates),
         observables=observables,

@@ -1,9 +1,12 @@
-"""Channel effect operators: unitaries, Kraus mixtures, measurement families.
+"""Channel effects: unitaries, Kraus mixtures, measurement families.
 
 An effect is anything inserted on the reference or receiver line of the
-shared resource.  Measurement families model a tap of tunable strength;
-their branches are Hermitian PSD operators whose squares sum to identity,
-so branch probabilities close without renormalization.  Kraus lists and
+shared resource, and every effect is an `Effect`: a label tuple and one
+read-only ``(L, n, n)`` stack of branch operators, one per label.  A
+unitary is one branch, a Kraus mixture one branch per Kraus operator.
+Measurement families model a tap of tunable strength; their branches are
+Hermitian PSD operators whose squares sum to identity, so branch
+probabilities close without renormalization.  Kraus mixtures and
 measurement families are admitted on the same sum, `linalg.closure`.
 """
 from __future__ import annotations
@@ -26,37 +29,45 @@ PSD_CLAMP = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
-class EffectOperator:
-    """A single branch operator with an optional label."""
+class Effect:
+    """A channel effect as its branch stack: ``operators[l]`` is branch ``labels[l]``.
 
-    matrix: np.ndarray
-    label: int | str | None = None
-
-
-@dataclass(frozen=True, eq=False)
-class MeasurementFamily:
-    """Minimal back-action measurement: branches ``E(l)`` with ``sum E^2 = 1``.
-
-    Built through `make_measurement_family` or `strength_family`, both of
-    which enforce Hermiticity, positivity and completeness.  Direct
-    construction bypasses the checks (used by the verification suite to
-    exercise its own failure path).
+    ``operators`` is one read-only complex ``(L, n, n)`` array.  Built
+    through `unitary_effect`, `kraus_mixture`, `make_measurement_family`
+    or `strength_family`, all of which admit it; direct construction
+    skips admission.
     """
 
-    dim: int
-    branches: tuple[EffectOperator, ...]
+    labels: tuple[int | str | None, ...]
+    operators: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.operators.shape[-1]
 
 
-def unitary_effect(matrix: np.ndarray, label: int | str | None = None) -> EffectOperator:
+class MeasurementFamily(Effect):
+    """Minimal back-action measurement: branches ``E(l)`` with ``sum E^2 = 1``.
+
+    It adds no field to `Effect`: the type alone marks a reference effect
+    as a tap for `teleportsim.eavesdrop`.  Built through
+    `make_measurement_family` or `strength_family`, both of which enforce
+    Hermiticity, positivity and completeness.  Direct construction
+    bypasses the checks (used by the verification suite to exercise its
+    own failure path).
+    """
+
+
+def unitary_effect(matrix: np.ndarray, label: int | str | None = None) -> Effect:
     """Wrap a unitary as a single-branch channel effect."""
     matrix = as_complex_matrix(matrix)
     if not is_unitary(matrix):
         raise ValueError("effect matrix is not unitary")
-    return EffectOperator(matrix=frozen_complex_array(matrix), label=label)
+    return Effect((label,), frozen_complex_array(matrix[None]))
 
 
-def kraus_mixture(matrices: Sequence[np.ndarray]) -> tuple[EffectOperator, ...]:
-    """Wrap a Kraus decomposition as labeled generic branches.
+def kraus_mixture(matrices: Sequence[np.ndarray]) -> Effect:
+    """Admit a Kraus decomposition as one branch per operator, labeled by position.
 
     Requires ``sum_k K_k^+ K_k = 1`` so that branch probabilities sum to
     one for every input.
@@ -68,15 +79,13 @@ def kraus_mixture(matrices: Sequence[np.ndarray]) -> tuple[EffectOperator, ...]:
     for i, m in enumerate(mats):
         if m.shape != (dim, dim):
             raise ValueError(f"Kraus operator {i} has shape {m.shape}, expected ({dim}, {dim})")
-    deviation = float(np.max(np.abs(closure(mats) - np.eye(dim))))
+    effect = Effect(tuple(range(len(mats))), frozen_complex_array(mats))
+    deviation = family_completeness_deviation(effect)
     if deviation > FAMILY_TOL:
         raise ValueError(
             f"Kraus operators do not resolve the identity: deviation {deviation:.3e}"
         )
-    return tuple(
-        EffectOperator(matrix=frozen_complex_array(m), label=i)
-        for i, m in enumerate(mats)
-    )
+    return effect
 
 
 def make_measurement_family(
@@ -92,7 +101,6 @@ def make_measurement_family(
         labels = list(range(len(mats)))
     if len(labels) != len(mats):
         raise ValueError(f"{len(labels)} labels for {len(mats)} branches")
-    branches = []
     seen = set()
     for label, mat in zip(labels, mats):
         if label in seen:
@@ -108,8 +116,7 @@ def make_measurement_family(
             raise ValueError(
                 f"branch {label!r} is not positive semidefinite (eigenvalue {min_eig:.3e})"
             )
-        branches.append(EffectOperator(matrix=frozen_complex_array(mat), label=label))
-    family = MeasurementFamily(dim=dim, branches=tuple(branches))
+    family = MeasurementFamily(tuple(labels), frozen_complex_array(mats))
     deviation = family_completeness_deviation(family)
     if deviation > FAMILY_TOL:
         raise ValueError(
@@ -148,41 +155,24 @@ def strength_family(
     np.multiply(low, mats, out=mats)
     np.add(mats, np.multiply(high, proj, out=proj), out=mats)
     mats.setflags(write=False)
-    return MeasurementFamily(dim, tuple(EffectOperator(mat, l) for l, mat in enumerate(mats)))
+    return MeasurementFamily(tuple(range(dim)), mats)
 
 
-def family_completeness_deviation(family: MeasurementFamily) -> float:
+def family_completeness_deviation(family: Effect) -> float:
     """Largest entrywise deviation of the `closure` ``sum_l E(l)^+ E(l)`` from identity."""
-    return float(np.max(np.abs(closure(b.matrix for b in family.branches) - np.eye(family.dim))))
+    return float(np.max(np.abs(closure(family.operators) - np.eye(family.dim))))
 
 
-def effect_branches(
-    effect: EffectOperator | MeasurementFamily | Sequence[EffectOperator] | None,
-    dim: int,
-) -> list[tuple[int | str | None, np.ndarray]]:
-    """Expand any effect specification into ``(label, matrix)`` branches.
+def effect_branches(effect: Effect | None, dim: int) -> Effect:
+    """The branch stack of an effect on a line of dimension ``dim``, checked against it.
 
-    ``None`` means an undisturbed line and expands to one identity branch
-    with no label.
+    ``None`` means an undisturbed line: one identity branch labeled
+    ``None``.
     """
     if effect is None:
-        return [(None, np.eye(dim, dtype=complex))]
-    if isinstance(effect, MeasurementFamily):
-        if effect.dim != dim:
-            raise ValueError(f"measurement family dimension {effect.dim} does not match {dim}")
-        return [(b.label, np.asarray(b.matrix)) for b in effect.branches]
-    if isinstance(effect, EffectOperator):
-        mat = np.asarray(effect.matrix)
-        if mat.shape != (dim, dim):
-            raise ValueError(f"effect shape {mat.shape} does not match dimension {dim}")
-        return [(effect.label, mat)]
-    branches = list(effect)
-    if not branches:
-        raise ValueError("effect branch list must not be empty")
-    out = []
-    for i, branch in enumerate(branches):
-        mat = np.asarray(branch.matrix)
-        if mat.shape != (dim, dim):
-            raise ValueError(f"branch {i} shape {mat.shape} does not match dimension {dim}")
-        out.append((branch.label if branch.label is not None else i, mat))
-    return out
+        identity = np.eye(dim, dtype=complex)[None]
+        identity.setflags(write=False)
+        return Effect((None,), identity)
+    if effect.operators.shape[1:] != (dim, dim):
+        raise ValueError(f"effect shape {effect.operators.shape[1:]} does not match dimension {dim}")
+    return effect

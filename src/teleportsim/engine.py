@@ -9,7 +9,9 @@ each Bell outcome on the A x R x B state
 transfer algebra.  `fast_run` applies the per-outcome transfer operator
 on the input alone, through `transfer_kernel`, the one place the transfer
 formula is written: it also feeds every tap quantity and every branch
-operator in `teleportsim.eavesdrop`.
+operator in `teleportsim.eavesdrop`.  Both routes read each effect as
+its `Effect` branch stack through `effect_branches`, which gives an
+absent effect as one identity branch labeled ``None``.
 
 Each route has a half that no effect touches, and its stream takes that
 half as a value, so a caller that varies an effect builds it once:
@@ -41,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import zip_longest
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -49,7 +51,7 @@ import numpy as np
 from .bell import (  # noqa: F401
     BellFamily, Label, bell_outcome_state, make_bell_family, outcome_state_stack
 )
-from .effects import EffectOperator, MeasurementFamily, effect_branches
+from .effects import Effect, effect_branches
 from .linalg import (
     apply_each_inverse,
     as_complex_matrix,
@@ -68,8 +70,6 @@ NULL_BRANCH_EPS = 1e-14
 # and a family of at most 64 outcomes (every Weyl family up to n = 8) takes
 # one chunk
 _BRA_CHUNK = 64
-
-EffectSpec = EffectOperator | MeasurementFamily | Sequence[EffectOperator] | None
 
 BranchLabel = int | str | None
 
@@ -91,8 +91,8 @@ class ScenarioConfig:
     input_state: np.ndarray
     bell: BellFamily
     u0: np.ndarray
-    effect_r: EffectSpec = None
-    effect_b: EffectSpec = None
+    effect_r: Effect | None = None
+    effect_b: Effect | None = None
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -172,8 +172,8 @@ def make_scenario(
     input_state: np.ndarray,
     bell: BellFamily | None = None,
     u0: np.ndarray | None = None,
-    effect_r: EffectSpec = None,
-    effect_b: EffectSpec = None,
+    effect_r: Effect | None = None,
+    effect_b: Effect | None = None,
 ) -> ScenarioConfig:
     """Validate and assemble a scenario; every part must share ``dim``."""
     if dim < 2:
@@ -192,9 +192,8 @@ def make_scenario(
         raise ValueError(f"u0 shape {u0.shape} does not match dimension {dim}")
     if not is_unitary(u0):
         raise ValueError("u0 must be unitary")
-    # expansion checks the shapes of both effect specifications and that a
-    # branch list is not empty; closure is checked when kraus_mixture,
-    # strength_family or make_measurement_family admits a family, not here
+    # effect_branches checks the dimension of both effects; closure is
+    # checked when an effect is admitted, not here
     effect_branches(effect_r, dim)
     effect_branches(effect_b, dim)
     return ScenarioConfig(
@@ -245,8 +244,10 @@ def oracle_blocks(config: ScenarioConfig, bra: np.ndarray) -> BlockStream:
     resource.
     """
     resource_mat = np.asarray(config.u0) / np.sqrt(config.dim)  # R x B amplitudes as a matrix
-    for l_label, e_r in effect_branches(config.effect_r, config.dim):
-        for b_label, f_b in effect_branches(config.effect_b, config.dim):
+    reference = effect_branches(config.effect_r, config.dim)
+    receiver = effect_branches(config.effect_b, config.dim)
+    for l_label, e_r in zip(reference.labels, reference.operators):
+        for b_label, f_b in zip(receiver.labels, receiver.operators):
             # (E_R (x) F_B) acting on the resource, still as an R x B matrix
             yield (l_label, b_label), bra @ (e_r @ resource_mat @ f_b.T)
 
@@ -259,7 +260,7 @@ def reference_marginal(config: ScenarioConfig) -> np.ndarray:
     effect, so every tap strength of a sweep shares one.
     """
     resource_mat = np.asarray(config.u0) / np.sqrt(config.dim)
-    receiver = closure(f_b for _, f_b in effect_branches(config.effect_b, config.dim))
+    receiver = closure(effect_branches(config.effect_b, config.dim).operators)
     return resource_mat @ receiver.T @ dagger(resource_mat)
 
 
@@ -274,7 +275,7 @@ def expected_probability_sum(config: ScenarioConfig, gram: np.ndarray, marginal:
     for exactly closed effects and a complete Bell family, and moves with
     any closure defect that admission let through.
     """
-    effects = np.array([e_r for _, e_r in effect_branches(config.effect_r, config.dim)])
+    effects = effect_branches(config.effect_r, config.dim).operators
     # tr(E X E^+ G) = <G E, E X> for a Hermitian G: one product a side
     # for every branch, and no tau_R
     return float(np.vdot(gram @ effects, effects.reshape(-1, config.dim) @ marginal).real)
@@ -294,13 +295,11 @@ def transfer_rows(config: ScenarioConfig, inputs: np.ndarray) -> np.ndarray:
 
 
 def mirror_stack(config: ScenarioConfig) -> np.ndarray:
-    """Every reference branch's ``(u0^-1 E_l u0)^T``, one read-only ``(L, n, n)`` stack built in place."""
-    stack = np.array([e for _, e in effect_branches(config.effect_r, config.dim)])
-    mirrors = dagger(config.u0) @ stack
-    np.matmul(mirrors, config.u0, out=stack)
+    """Every reference branch's ``(u0^-1 E_l u0)^T``, one read-only ``(L, n, n)`` stack."""
+    stack = dagger(config.u0) @ effect_branches(config.effect_r, config.dim).operators @ config.u0
     if not np.all(np.isfinite(stack)):
         raise ValueError("matrix entries must be finite")
-    mirrors[...] = stack.transpose(0, 2, 1)
+    mirrors = stack.transpose(0, 2, 1).copy()
     mirrors.setflags(write=False)
     return mirrors
 
@@ -321,9 +320,9 @@ def transfer_kernel(
     """
     dim = config.dim
     flat = rows.reshape(-1, dim)
-    receivers = effect_branches(config.effect_b, dim)
-    for (l_label, _), mirrored in zip(effect_branches(config.effect_r, dim), mirrors, strict=True):
-        for b_label, f_b in receivers:
+    receiver = effect_branches(config.effect_b, dim)
+    for l_label, mirrored in zip(effect_branches(config.effect_r, dim).labels, mirrors, strict=True):
+        for b_label, f_b in zip(receiver.labels, receiver.operators):
             yield l_label, b_label, (flat @ (f_b @ mirrored).T).reshape(rows.shape)
 
 
@@ -398,7 +397,8 @@ def _table(config: ScenarioConfig, blocks: BlockStream) -> BranchTable:
     """Fill a table in place, correcting each uncorrected ``(M, n)`` block as it arrives."""
     bell = config.bell
     dim = config.dim
-    count = len(effect_branches(config.effect_r, dim)) * len(effect_branches(config.effect_b, dim))
+    count = len(effect_branches(config.effect_r, dim).labels)
+    count *= len(effect_branches(config.effect_b, dim).labels)
     keys = []
     stored = np.empty((count, len(bell.labels), dim), dtype=complex)
     probabilities = np.empty(stored.shape[:2])

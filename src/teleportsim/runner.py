@@ -14,8 +14,8 @@ probability sum is held to `expected_probability_sum`, its closed form,
 which admission's closure tolerance lets differ from 1; the summary
 prints both.  The sweep's distinguishability column comes from the
 transfer kernel alone, through `distinguishability`, and no oracle checks
-it.  A mismatch beyond the run tolerance, or a non-finite number bound
-for either CSV other than a null branch's empty fidelity, raises
+it.  A mismatch beyond `RUN_TOL`, or a non-finite number bound for
+either CSV other than a null branch's empty fidelity, raises
 `InvariantViolation` before the first row is written, instead of writing
 a plausible-looking but wrong table.  Output is deterministic down to the
 byte for a fixed spec.
@@ -74,11 +74,12 @@ TELEPORT_HEADER = ("record", "l", "m", "branch", "probability", "fidelity")
 
 SWEEP_HEADER = ("theta", "total_fidelity", "distinguishability")
 
-DEFAULT_RUN_TOL = 1e-10
+# how far the two routes may part on any number they both compute
+RUN_TOL = 1e-10
 
 
 class InvariantViolation(RuntimeError):
-    """The two routes disagreed beyond the run tolerance, or a number bound for a CSV is not finite."""
+    """The two routes disagreed beyond `RUN_TOL`, or a number bound for a CSV is not finite."""
 
 
 # how every number of a CSV is written: 12 significant digits
@@ -204,7 +205,7 @@ class _RoutePass:
 
 
 def _zipped_pass(
-    scenario: ScenarioConfig, fixed: _FixedHalf, mirrors: np.ndarray, tolerance: float
+    scenario: ScenarioConfig, fixed: _FixedHalf, mirrors: np.ndarray
 ) -> _RoutePass:
     """Zip the oracle stream with `fast_run` once, then check every invariant on the reductions.
 
@@ -223,7 +224,7 @@ def _zipped_pass(
     labels = scenario.bell.labels
     p_dev = np.abs(norms[0] - norms[1])
     # written as "not within", so a NaN deviation fails too
-    failing = np.flatnonzero(~((p_dev <= tolerance) & (a_dev <= tolerance)))
+    failing = np.flatnonzero(~((p_dev <= RUN_TOL) & (a_dev <= RUN_TOL)))
     if failing.size:
         first = failing[0]
         block, column = divmod(int(first), len(labels))
@@ -237,7 +238,7 @@ def _zipped_pass(
     tap = tap_report(scenario, norms[0], overlaps[0])
     transfer_tap = tap_report(scenario, norms[1], overlaps[1])
     cell_dev = np.abs(transfer_tap.probabilities - tap.probabilities)
-    failing = np.flatnonzero(~(cell_dev <= tolerance))
+    failing = np.flatnonzero(~(cell_dev <= RUN_TOL))
     if failing.size:
         row, column = divmod(int(failing[0]), len(labels))
         raise InvariantViolation(
@@ -245,13 +246,13 @@ def _zipped_pass(
             f"{cell_dev[row, column]:.3e} on (l={tap.tap_labels[row]}, m={labels[column]})"
         )
     fidelity_dev = abs(transfer_tap.total_fidelity - tap.total_fidelity)
-    if not fidelity_dev <= tolerance:
+    if not fidelity_dev <= RUN_TOL:
         raise InvariantViolation(f"total fidelity routes disagree by {fidelity_dev:.3e}")
     # admission lets a closure defect below FAMILY_TOL through, so the sum
     # is held to its closed form, not to 1
     probability_sum = float(norms[0].sum())
     expected_sum = expected_probability_sum(scenario, fixed.gram, fixed.marginal)
-    if not abs(probability_sum - expected_sum) <= tolerance:
+    if not abs(probability_sum - expected_sum) <= RUN_TOL:
         raise InvariantViolation(
             f"oracle probabilities sum to {probability_sum!r}, expected {expected_sum!r}"
         )
@@ -277,23 +278,21 @@ def _require_finite(where: str, **columns: np.ndarray) -> None:
             raise InvariantViolation(f"{where}{name} is not finite")
 
 
-def _routes_line(deviations: Iterable[float], tolerance: float) -> str:
+def _routes_line(deviations: Iterable[float]) -> str:
     amplitude, probability, fidelity = deviations
     return (
         f"routes: amplitude dev {amplitude:.3e}, probability dev {probability:.3e}, "
-        f"fidelity dev {fidelity:.3e} (tolerance {tolerance:.1e})"
+        f"fidelity dev {fidelity:.3e} (tolerance {RUN_TOL:.1e})"
     )
 
 
-def run_teleport(
-    spec: RunSpec, stream: IO[str], tolerance: float = DEFAULT_RUN_TOL
-) -> list[str]:
+def run_teleport(spec: RunSpec, stream: IO[str]) -> list[str]:
     """Run one teleportation scenario and write its CSV table.
 
     Returns human-readable summary lines for the caller to print.
     """
     scenario = build_scenario(spec)
-    measured = _zipped_pass(scenario, _fixed_half(scenario), mirror_stack(scenario), tolerance)
+    measured = _zipped_pass(scenario, _fixed_half(scenario), mirror_stack(scenario))
     probabilities = measured.probabilities
     fidelities = measured.fidelities
     tap = measured.tap
@@ -338,7 +337,7 @@ def run_teleport(
         f"probability sum {format_number(measured.probability_sum)}, "
         f"expected {format_number(measured.expected_sum)}",
         f"average output fidelity: {format_number(tap.total_fidelity)}",
-        _routes_line(measured.deviations, tolerance),
+        _routes_line(measured.deviations),
     ]
     return summary
 
@@ -352,9 +351,7 @@ def _sweep_grid(spec: RunSpec) -> list[float]:
     return [float(t) for t in np.linspace(start, stop, steps)]
 
 
-def run_sweep(
-    spec: RunSpec, stream: IO[str], tolerance: float = DEFAULT_RUN_TOL
-) -> list[str]:
+def run_sweep(spec: RunSpec, stream: IO[str]) -> list[str]:
     """Sweep the tap strength and tabulate fidelity against leakage.
 
     Only the tap changes from point to point, so the scenario is built and
@@ -373,7 +370,7 @@ def run_sweep(
         scenario = replace(base, effect_r=strength_family(spec.n, theta, basis))
         mirrors = mirror_stack(scenario)
         try:
-            measured = _zipped_pass(scenario, fixed, mirrors, tolerance)
+            measured = _zipped_pass(scenario, fixed, mirrors)
         except InvariantViolation as exc:
             raise InvariantViolation(f"theta={format_number(theta)}: {exc}") from None
         advantage = distinguishability(scenario, pair, mirrors)
@@ -402,5 +399,5 @@ def run_sweep(
         f"probability sum {format_number(first.probability_sum)} -> {format_number(last.probability_sum)}, "
         f"expected {format_number(first.expected_sum)} -> {format_number(last.expected_sum)}",
         # the largest of each deviation over the grid
-        _routes_line(np.max([point.deviations for point in points], axis=0), tolerance),
+        _routes_line(np.max([point.deviations for point in points], axis=0)),
     ]

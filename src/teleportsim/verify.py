@@ -30,7 +30,6 @@ from .eavesdrop import (
     tap_operators,
 )
 from .effects import (
-    EffectOperator,
     MeasurementFamily,
     family_completeness_deviation,
     kraus_mixture,
@@ -54,7 +53,7 @@ from .engine import (
 # run_oracle stays importable here: perfbench/tracing.py patches it by
 # name, though every check reads the oracle through its stream
 from .engine import run_oracle  # noqa: F401
-from .linalg import basis_state, frozen_complex_array, uniform_state
+from .linalg import basis_state, uniform_state
 from .sampling import child_rng, random_state, random_unitary
 
 
@@ -127,13 +126,12 @@ def _corrupted_bell(dim: int) -> BellFamily:
 
 
 def _corrupted_measurement(dim: int) -> MeasurementFamily:
+    # scale one branch of an admitted family without re-running admission
     intact = strength_family(dim, 0.6)
-    branches = list(intact.branches)
-    branches[0] = EffectOperator(
-        matrix=frozen_complex_array(np.asarray(branches[0].matrix) * 1.01),
-        label=branches[0].label,
-    )
-    return MeasurementFamily(dim=dim, branches=tuple(branches))
+    operators = np.array(intact.operators)
+    operators[0] *= 1.01
+    operators.setflags(write=False)
+    return MeasurementFamily(intact.labels, operators)
 
 
 def check_bell_completeness(depth: str, seed: int, corrupt: str | None) -> CheckResult:

@@ -277,7 +277,7 @@ def advantage(config: ScenarioConfig, first: np.ndarray, second: np.ndarray) -> 
 def mirror_loop(config: ScenarioConfig) -> list[np.ndarray]:
     """``(u0^-1 E_l u0)^T`` of every reference branch, one branch at a time."""
     u0 = np.asarray(config.u0)
-    return [(dagger(u0) @ e_r @ u0).T for _, e_r in effect_branches(config.effect_r, config.dim)]
+    return [(dagger(u0) @ e_r @ u0).T for e_r in effect_branches(config.effect_r, config.dim).operators]
 
 
 def oracle_records(config: ScenarioConfig) -> list[Record]:

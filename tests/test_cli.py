@@ -72,18 +72,18 @@ def test_teleport_writes_expected_table(tmp_path, capsys):
 
 def test_teleport_reports_route_deviations_on_stderr_only(tmp_path, capsys):
     config = write(tmp_path, "run.yaml", TAP_CONFIG)
-    assert cli.main(["teleport", "--config", config, "--tolerance", "1e-9"]) == 0
+    assert cli.main(["teleport", "--config", config]) == 0
     captured = capsys.readouterr()
     assert captured.out == EXPECTED_TAP_CSV
     assert "routes:" not in captured.out
-    assert_routes_line(captured.err.splitlines()[-1], "1\\.0e-09")
+    assert_routes_line(captured.err.splitlines()[-1])
 
 
-ROUTES = r"routes: amplitude dev (\S+), probability dev (\S+), fidelity dev (\S+) \(tolerance {}\)"
+ROUTES = r"routes: amplitude dev (\S+), probability dev (\S+), fidelity dev (\S+) \(tolerance 1\.0e-10\)"
 
 
-def assert_routes_line(line: str, tolerance: str) -> None:
-    match = re.fullmatch(ROUTES.format(tolerance), line)
+def assert_routes_line(line: str) -> None:
+    match = re.fullmatch(ROUTES, line)
     assert match is not None, line
     assert all(0.0 <= float(dev) <= 1e-10 for dev in match.groups())
 
@@ -93,7 +93,7 @@ def test_sweep_reports_route_deviations_on_stderr_only(tmp_path, capsys):
     assert cli.main(["sweep", "--config", config]) == 0
     captured = capsys.readouterr()
     assert captured.out == EXPECTED_SWEEP_CSV
-    assert_routes_line(captured.err.splitlines()[-1], "1\\.0e-10")
+    assert_routes_line(captured.err.splitlines()[-1])
 
 
 def weighted_weyl(weight: str) -> str:
@@ -260,7 +260,7 @@ def test_failed_run_leaves_output_as_it_was(tmp_path, capsys):
 
 
 def test_violated_invariant_leaves_output_as_it_was(tmp_path, capsys, monkeypatch):
-    def explode(scenario, fixed, mirrors, tolerance):
+    def explode(scenario, fixed, mirrors):
         raise InvariantViolation("routes disagree")
 
     monkeypatch.setattr(runner, "_zipped_pass", explode)
@@ -274,7 +274,7 @@ def test_violated_invariant_leaves_output_as_it_was(tmp_path, capsys, monkeypatc
 
 
 def test_invariant_violation_exits_two(tmp_path, capsys, monkeypatch):
-    def explode(spec, stream, tolerance):
+    def explode(spec, stream):
         raise InvariantViolation("routes disagree")
 
     monkeypatch.setattr(cli, "run_teleport", explode)
@@ -312,12 +312,6 @@ def test_verify_default_depth_is_quick(capsys):
     assert "all checks passed" in capsys.readouterr().out
 
 
-def test_tolerance_flag_is_accepted(tmp_path):
-    config = write(tmp_path, "run.yaml", TAP_CONFIG)
-    assert cli.main(["teleport", "--config", config, "--tolerance", "1e-8",
-                     "--output", str(tmp_path / "o.csv")]) == 0
-
-
 def exit_code(argv):
     with pytest.raises(SystemExit) as info:
         cli.main(argv)
@@ -325,7 +319,9 @@ def exit_code(argv):
 
 
 @pytest.mark.parametrize(
-    "extra", [["--bogus"], ["--workers", "4"], ["--seed", "5"]], ids=["unknown", "workers", "seed"]
+    "extra",
+    [["--bogus"], ["--workers", "4"], ["--seed", "5"], ["--tolerance", "1e-9"]],
+    ids=["unknown", "workers", "seed", "tolerance"],
 )
 @pytest.mark.parametrize("command", ["teleport", "sweep"])
 def test_unknown_run_flag_exits_one(command, extra, tmp_path, capsys):
@@ -341,13 +337,6 @@ def test_missing_config_flag_exits_one(capsys):
 
 def test_verify_workers_flag_exits_one(capsys):
     assert exit_code(["verify", "--workers", "2"]) == 1
-
-
-@pytest.mark.parametrize("value", ["abc", "nan", "-1", "inf"])
-def test_tolerance_must_be_finite_and_non_negative(value, tmp_path, capsys):
-    config = write(tmp_path, "run.yaml", TAP_CONFIG)
-    assert exit_code(["teleport", "--config", config, "--tolerance", value]) == 1
-    assert "--tolerance" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["-1", "x"])
@@ -452,6 +441,18 @@ def test_subnormal_amplitudes_normalize(command, field, amplitudes, norm_sq, tmp
     assert_same_table(captured.out, expected.out)
     assert cli.main([command, "--config", config(amplitudes), "--strict"]) == 1
     assert capsys.readouterr().err == f"error: {field}: state norm^2 is {norm_sq}, not 1 (strict mode rejects this)\n"
+
+
+def test_a_state_paired_with_itself_leaks_nothing(tmp_path, capsys):
+    # [1.0e-320, 0] normalizes to exactly basis:0, so every row's leakage is 0
+    config = write(
+        tmp_path, "run.yaml",
+        "n: 2\ninput: plus-uniform\neavesdrop:\n  theta_sweep: [0, 1, 3]\n"
+        "distinguish: [basis:0, [1.0e-320, 0]]\n",
+    )
+    assert cli.main(["sweep", "--config", config]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert [row[2] for row in rows[1:]] == ["0", "0", "0"]
 
 
 def test_non_finite_distinguishability_exits_two_before_writing(tmp_path, capsys, monkeypatch):

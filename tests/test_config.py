@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from teleportsim import cli
 from teleportsim.config import ConfigError, load_config, parse_config
-from teleportsim.effects import EffectOperator
+from teleportsim.effects import Effect
 
 MINIMAL = """
 n: 2
@@ -60,7 +60,7 @@ def test_full_config():
     assert spec.eavesdrop.sweep is None
     fourier = np.exp(2j * np.pi * np.outer(np.arange(3), np.arange(3)) / 3) / np.sqrt(3)
     assert_allclose(spec.eavesdrop.basis, fourier, atol=1e-12)
-    assert isinstance(spec.effect_b, EffectOperator)
+    assert isinstance(spec.effect_b, Effect) and len(spec.effect_b.labels) == 1
     assert spec.distinguish[1][0] == "basis:2"
     assert spec.output_path == "out.csv"
 
@@ -96,6 +96,18 @@ def test_unnormalized_input_normalized_with_note(capsys):
     assert "normalizing" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "amplitudes, exact",
+    [("[0.98828125, 0]", [1, 0]), ("[1.0e-320, 0]", [1, 0]), ("[3, 4]", [0.6, 0.8])],
+)
+def test_normalized_amplitudes_are_correctly_rounded(amplitudes, exact, capsys):
+    # every norm^2 and its root are exact here, so one correctly rounded
+    # division per part gives 1, 0.6 and 0.8
+    spec = parse_config(f"n: 2\ninput: {amplitudes}\n")
+    assert spec.input_state.tolist() == exact
+    assert "normalizing" in capsys.readouterr().err
+
+
 def test_strict_mode_rejects_unnormalized_input():
     with pytest.raises(ConfigError, match="strict"):
         parse_config("n: 2\ninput: [1, 1]\n", strict=True)
@@ -127,8 +139,8 @@ effect_b:
     - [[[0, 0], [0.6, 0]], [[0, 0], [0, 0]]]
 """
     spec = parse_config(text)
-    assert isinstance(spec.effect_b, tuple)
-    assert len(spec.effect_b) == 2
+    assert isinstance(spec.effect_b, Effect)
+    assert spec.effect_b.labels == (0, 1)
 
 
 def test_exponent_theta_without_mantissa_dot():
@@ -262,7 +274,7 @@ def test_shipped_sample_configs_parse():
     sweep = load_config(str(root / "sample_sweep.yaml"))
     assert sweep.eavesdrop.sweep == (0.0, 1.0, 11)
     noisy = load_config(str(root / "sample_noisy_receiver.yaml"))
-    assert isinstance(noisy.effect_b, tuple) and len(noisy.effect_b) == 2
+    assert isinstance(noisy.effect_b, Effect) and len(noisy.effect_b.labels) == 2
 
 
 # more digits than Python reads into an int (sys.get_int_max_str_digits())

@@ -17,7 +17,7 @@ from teleportsim.eavesdrop import (
     sequential_decomposition_check,
 )
 from teleportsim.effects import (
-    EffectOperator,
+    Effect,
     MeasurementFamily,
     kraus_mixture,
     make_measurement_family,
@@ -66,7 +66,7 @@ def test_operator_uses_mirrored_branch_for_rotated_reference():
     rng = np.random.default_rng(19)
     u0 = random_unitary(3, rng)
     config = tapped(3, random_state(3, rng), 0.8, u0=u0)
-    branch = np.asarray(config.effect_r.branches[1].matrix)
+    branch = config.effect_r.operators[1]
     u_m = weyl_unitary(3, 2, 1)
     expected = (dagger(u0) @ branch @ u0).T
     expected = u_m @ expected @ dagger(u_m) / 3.0
@@ -88,14 +88,14 @@ def test_operator_columns_are_the_brute_force_branches():
         dim, random_state(dim, rng), bell=bell, u0=u0,
         effect_r=family, effect_b=kraus_mixture(damping),
     )
-    for branch in family.branches:
+    for l, branch in zip(family.labels, family.operators):
         for label, unitary, weight in zip(bell.labels, bell.unitaries, bell.weights):
             expected = np.column_stack([
-                brute_teleport(dim, basis_state(dim, k), u0, np.asarray(branch.matrix),
+                brute_teleport(dim, basis_state(dim, k), u0, branch,
                                np.eye(dim), unitary, weight)
                 for k in range(dim)
             ])
-            got = eavesdrop_operator(config, branch.label, label)
+            got = eavesdrop_operator(config, l, label)
             assert_allclose(got, expected, rtol=0, atol=1e-15)
     with pytest.raises(ValueError, match=r"^no reference branch labeled 3$"):
         eavesdrop_operator(config, 3, "low")
@@ -284,7 +284,7 @@ def test_receiver_state_stays_maximally_mixed_for_any_closed_reference_effect(ef
 
 def test_sequential_decomposition_flags_unclosed_kraus_list():
     rng = np.random.default_rng(5)
-    scaled = [EffectOperator(k * 1.01, i) for i, k in enumerate(damping_pair(3, rng))]
+    scaled = Effect((0, 1), np.array(damping_pair(3, rng)) * 1.01)
     config = make_scenario(3, random_state(3, rng), u0=random_unitary(3, rng), effect_r=scaled)
     report = sequential_decomposition_check(config)
     assert report.branch_deviation > 1e-3
@@ -293,9 +293,9 @@ def test_sequential_decomposition_flags_unclosed_kraus_list():
 
 def test_sequential_decomposition_flags_broken_family():
     intact = strength_family(2, 0.6)
-    branches = list(intact.branches)
-    branches[0] = EffectOperator(matrix=np.asarray(branches[0].matrix) * 1.05, label=0)
-    broken = MeasurementFamily(dim=2, branches=tuple(branches))
+    operators = np.array(intact.operators)
+    operators[0] *= 1.05
+    broken = MeasurementFamily(intact.labels, operators)
     config = make_scenario(2, uniform_state(2), effect_r=broken)
     report = sequential_decomposition_check(config)
     assert report.branch_deviation > 1e-3

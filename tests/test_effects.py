@@ -7,15 +7,16 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from teleportsim.effects import (
-    EffectOperator,
     MeasurementFamily,
+    effect_branches,
     family_completeness_deviation,
     kraus_mixture,
     make_measurement_family,
     strength_family,
     unitary_effect,
 )
-from teleportsim.linalg import hermiticity_deviation
+from teleportsim.engine import make_scenario
+from teleportsim.linalg import basis_state, hermiticity_deviation
 from teleportsim.sampling import random_unitary
 
 from oracles import brute_strength_branch
@@ -24,22 +25,22 @@ from oracles import brute_strength_branch
 def test_strength_family_qubit_midpoint():
     family = strength_family(2, 0.5)
     assert_allclose(
-        family.branches[0].matrix, np.diag([np.sqrt(0.75), np.sqrt(0.25)]), atol=1e-12
+        family.operators[0], np.diag([np.sqrt(0.75), np.sqrt(0.25)]), atol=1e-12
     )
     assert_allclose(
-        family.branches[1].matrix, np.diag([np.sqrt(0.25), np.sqrt(0.75)]), atol=1e-12
+        family.operators[1], np.diag([np.sqrt(0.25), np.sqrt(0.75)]), atol=1e-12
     )
 
 
 def test_strength_family_endpoints():
     trivial = strength_family(3, 0.0)
-    for branch in trivial.branches:
-        assert_allclose(branch.matrix, np.eye(3) / np.sqrt(3), atol=1e-12)
+    for branch in trivial.operators:
+        assert_allclose(branch, np.eye(3) / np.sqrt(3), atol=1e-12)
     projective = strength_family(3, 1.0)
-    for l, branch in enumerate(projective.branches):
+    for l, branch in zip(projective.labels, projective.operators):
         expected = np.zeros((3, 3))
         expected[l, l] = 1.0
-        assert_allclose(branch.matrix, expected, atol=1e-12)
+        assert_allclose(branch, expected, atol=1e-12)
 
 
 @given(
@@ -51,11 +52,11 @@ def test_strength_family_endpoints():
 def test_strength_family_matches_general_sqrt(dim, theta, seed):
     basis = random_unitary(dim, np.random.default_rng(seed))
     family = strength_family(dim, theta, basis)
-    for l, branch in enumerate(family.branches):
+    for l, branch in zip(family.labels, family.operators):
         # tolerance is set by the sqrtm oracle, which loses half its
         # digits when theta = 1 makes the squared branch singular
         assert_allclose(
-            branch.matrix, brute_strength_branch(dim, theta, l, basis), atol=1e-7
+            branch, brute_strength_branch(dim, theta, l, basis), atol=1e-7
         )
 
 
@@ -69,17 +70,16 @@ def test_strength_family_complete_for_any_basis(dim, theta, seed):
     basis = random_unitary(dim, np.random.default_rng(seed))
     family = strength_family(dim, theta, basis)
     assert family_completeness_deviation(family) < 1e-12
-    for branch in family.branches:
-        assert hermiticity_deviation(branch.matrix) < 1e-12
-        assert np.linalg.eigvalsh(branch.matrix).min() > -1e-12
+    for branch in family.operators:
+        assert hermiticity_deviation(branch) < 1e-12
+        assert np.linalg.eigvalsh(branch).min() > -1e-12
 
 
 def test_strength_family_branches_commute():
     basis = random_unitary(4, np.random.default_rng(11))
     family = strength_family(4, 0.6, basis)
-    mats = [np.asarray(b.matrix) for b in family.branches]
-    for a in mats:
-        for b in mats:
+    for a in family.operators:
+        for b in family.operators:
             assert np.max(np.abs(a @ b - b @ a)) < 1e-12
 
 
@@ -95,7 +95,7 @@ def test_explicit_family_with_unequal_traces():
     e1 = np.diag([0.0, np.sqrt(0.5)]).astype(complex)
     family = make_measurement_family([e0, e1])
     assert family_completeness_deviation(family) < 1e-12
-    assert [b.label for b in family.branches] == [0, 1]
+    assert family.labels == (0, 1)
 
 
 def test_explicit_family_rejects_incomplete():
@@ -109,12 +109,12 @@ def test_explicit_family_rejects_incomplete():
 
 def test_validate_family_flags_scaled_branch():
     intact = strength_family(2, 0.6)
-    branches = list(intact.branches)
-    branches[0] = EffectOperator(matrix=np.asarray(branches[0].matrix) * 1.01, label=0)
-    family = MeasurementFamily(dim=2, branches=tuple(branches))
+    operators = np.array(intact.operators)
+    operators[0] *= 1.01
+    family = MeasurementFamily(intact.labels, operators)
     assert family_completeness_deviation(family) > 1e-3
     with pytest.raises(ValueError, match="sum to identity"):
-        make_measurement_family([b.matrix for b in family.branches])
+        make_measurement_family(family.operators)
 
 
 def test_family_completeness_is_the_closure_of_any_branches():
@@ -122,7 +122,7 @@ def test_family_completeness_is_the_closure_of_any_branches():
     gamma = 0.3
     k0 = np.diag([1.0, np.sqrt(1 - gamma)]).astype(complex)
     k1 = np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]], dtype=complex)
-    family = MeasurementFamily(dim=2, branches=(EffectOperator(k0, 0), EffectOperator(k1, 1)))
+    family = MeasurementFamily((0, 1), np.array([k0, k1]))
     assert family_completeness_deviation(family) < 1e-15
 
 
@@ -135,7 +135,7 @@ def test_explicit_family_rejects_duplicate_labels():
 
 def test_unitary_effect_validation():
     effect = unitary_effect(np.diag([1.0, -1.0]).astype(complex), label="flip")
-    assert effect.label == "flip"
+    assert effect.labels == ("flip",)
     with pytest.raises(ValueError, match="not unitary"):
         unitary_effect(np.diag([1.0, 0.5]))
 
@@ -144,8 +144,7 @@ def test_kraus_mixture_closure():
     gamma = 0.3
     k0 = np.diag([1.0, np.sqrt(1 - gamma)]).astype(complex)
     k1 = np.array([[0, np.sqrt(gamma)], [0, 0]], dtype=complex)
-    branches = kraus_mixture([k0, k1])
-    assert [b.label for b in branches] == [0, 1]
+    assert kraus_mixture([k0, k1]).labels == (0, 1)
     with pytest.raises(ValueError, match="resolve the identity"):
         kraus_mixture([k0])
     with pytest.raises(ValueError, match="must not be empty"):
@@ -170,8 +169,42 @@ def test_strength_family_is_the_outer_product_loop_bit_for_bit(dim, basis_name, 
     low = np.sqrt((1.0 - theta) / dim)
     high = np.sqrt((1.0 - theta) / dim + theta)
     eye = np.eye(dim, dtype=complex)
-    assert [branch.label for branch in family.branches] == list(range(dim))
-    for l, branch in enumerate(family.branches):
+    assert family.labels == tuple(range(dim))
+    assert not family.operators.flags.writeable
+    for l, branch in zip(family.labels, family.operators):
         proj = np.outer(basis[:, l], basis[:, l].conj())
-        assert np.array_equal(branch.matrix, low * (eye - proj) + high * proj)
-        assert not branch.matrix.flags.writeable
+        assert np.array_equal(branch, low * (eye - proj) + high * proj)
+
+
+def _damping3() -> list[np.ndarray]:
+    k0 = np.diag([1.0, np.sqrt(0.7), np.sqrt(0.4)]).astype(complex)
+    k1 = np.zeros((3, 3), dtype=complex)
+    k1[0, 1], k1[1, 2] = np.sqrt(0.3), np.sqrt(0.6)
+    return [k0, k1]
+
+
+@pytest.mark.parametrize(
+    "build, labels",
+    [
+        (lambda: unitary_effect(np.diag([1.0, -1.0, 1j]), label="flip"), ("flip",)),
+        (lambda: kraus_mixture(_damping3()), (0, 1)),
+        (lambda: make_measurement_family([np.diag([1.0, 0, 0]), np.diag([0, 1.0, 1.0])], "ab"), ("a", "b")),
+        (lambda: strength_family(3, 0.4), (0, 1, 2)),
+        (lambda: None, (None,)),
+    ],
+    ids=["unitary", "kraus", "explicit-family", "strength-family", "absent"],
+)
+def test_every_effect_is_one_read_only_branch_stack(build, labels):
+    effect = build()
+    branches = effect_branches(effect, 3)
+    assert branches.labels == labels
+    assert branches.operators.shape == (len(labels), 3, 3)
+    assert branches.operators.dtype == complex
+    assert not branches.operators.flags.writeable
+    if effect is None:
+        assert np.array_equal(branches.operators[0], np.eye(3))
+        return
+    assert branches is effect
+    for side in ("effect_r", "effect_b"):
+        with pytest.raises(ValueError, match="does not match"):
+            make_scenario(2, basis_state(2, 0), **{side: effect})

@@ -14,7 +14,7 @@ from teleportsim.bell import BellFamily, make_bell_family, weyl_unitary
 from teleportsim.config import parse_config
 from teleportsim.eavesdrop import sequential_decomposition_check
 from teleportsim.effects import (
-    EffectOperator,
+    Effect,
     MeasurementFamily,
     kraus_mixture,
     make_measurement_family,
@@ -513,11 +513,9 @@ def test_compare_routes_names_streams_that_part(case, match):
         compare_routes(oracle_stream(config), iter(_parted(config, case)), bras)
 
 
-def _unclosed(rng: np.random.Generator, dim: int, scales: tuple[float, ...]) -> tuple:
+def _unclosed(rng: np.random.Generator, dim: int, scales: tuple[float, ...]) -> Effect:
     """Branches ``scale * V`` of random unitaries V: their closure is ``sum scale^2``, not 1."""
-    return tuple(
-        EffectOperator(matrix=scale * random_unitary(dim, rng), label=i) for i, scale in enumerate(scales)
-    )
+    return Effect(tuple(range(len(scales))), np.array([scale * random_unitary(dim, rng) for scale in scales]))
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -540,10 +538,10 @@ def test_expected_probability_sum_is_the_brute_force_sum(dim):
     psi, u0 = np.asarray(config.input_state), np.asarray(config.u0)
     brute = sum(
         abs(np.vdot(amp, amp))
-        for e_r in config.effect_r
-        for f_b in config.effect_b
+        for e_r in config.effect_r.operators
+        for f_b in config.effect_b.operators
         for u_m, w in zip(bell.unitaries, bell.weights)
-        for amp in [brute_teleport(dim, psi, u0, e_r.matrix, f_b.matrix, u_m, w)]
+        for amp in [brute_teleport(dim, psi, u0, e_r, f_b, u_m, w)]
     )
     bra = oracle_bra(config)
     expected = expected_probability_sum(config, np.conj(bra).T @ bra, reference_marginal(config))
@@ -579,10 +577,9 @@ def test_mirror_stack_is_the_branch_loop_bit_for_bit(dim, kind):
 def test_nan_in_a_directly_built_family_is_still_refused():
     # construction bypasses admission, so only the mirror's finiteness check sees it
     intact = strength_family(3, 0.5)
-    broken = np.array(intact.branches[1].matrix)
-    broken[0, 2] = np.nan
-    branches = (intact.branches[0], EffectOperator(broken, 1), intact.branches[2])
-    config = make_scenario(3, uniform_state(3), effect_r=MeasurementFamily(3, branches))
+    broken = np.array(intact.operators)
+    broken[1, 0, 2] = np.nan
+    config = make_scenario(3, uniform_state(3), effect_r=MeasurementFamily(intact.labels, broken))
     with pytest.raises(ValueError, match="matrix entries must be finite"):
         engine.mirror_stack(config)
     with pytest.raises(ValueError, match="matrix entries must be finite"):

@@ -120,7 +120,7 @@ def test_null_branches_leave_the_fidelity_empty_and_match_the_oracle():
     bell = config.bell
     taps = effect_branches(config.effect_r, 3)
     expected = []
-    for l, e_r in taps:
+    for l, e_r in zip(taps.labels, taps.operators):
         for label, unitary, weight in zip(bell.labels, bell.unitaries, bell.weights):
             amp = brute_teleport(3, psi, np.asarray(config.u0), e_r, np.eye(3), unitary, weight)
             probability = float(np.vdot(amp, amp).real)
@@ -177,10 +177,10 @@ def test_teleport_writer_holds_its_string_arrays_and_one_block(monkeypatch, kind
     spec = _teleport_n32(kind)
     scenario = runner.build_scenario(spec)
     fixed = runner._fixed_half(scenario)
-    measured = runner._zipped_pass(scenario, fixed, runner.mirror_stack(scenario), runner.DEFAULT_RUN_TOL)
+    measured = runner._zipped_pass(scenario, fixed, runner.mirror_stack(scenario))
     monkeypatch.setattr(runner, "build_scenario", lambda spec: scenario)
     monkeypatch.setattr(runner, "_fixed_half", lambda scenario: fixed)
-    monkeypatch.setattr(runner, "_zipped_pass", lambda scenario, fixed, mirrors, tolerance: measured)
+    monkeypatch.setattr(runner, "_zipped_pass", lambda scenario, fixed, mirrors: measured)
     # one text object per distinct bit pattern, though many render alike
     cells = [format_numbers(measured.probabilities), format_numbers(measured.fidelities)]
     texts = {id(text): text for array in cells for text in array.reshape(-1).tolist()}

@@ -33,10 +33,10 @@ SPEC = parse_config(
 )
 
 
-def refused(match: str, spec=SPEC, tolerance: float = runner.DEFAULT_RUN_TOL) -> None:
+def refused(match: str, spec=SPEC) -> None:
     stream = io.StringIO()
     with pytest.raises(InvariantViolation, match=match):
-        run_teleport(spec, stream, tolerance)
+        run_teleport(spec, stream)
     assert stream.getvalue() == ""
 
 
@@ -162,10 +162,10 @@ def test_tap_cell_check_catches_branch_deviations_that_add_up(monkeypatch):
         yield key, block
 
     faulty_stream(monkeypatch, grown)
+    monkeypatch.setattr(runner, "RUN_TOL", 1e-7)
     refused(
         r"branch operator probability deviates from oracle by 1\.250e-07 on \(l=0, m=\(0, 1\)\)",
         DEPOLARIZED,
-        1e-7,
     )
 
 
@@ -177,7 +177,8 @@ def test_total_fidelity_check_catches_branch_deviations_that_add_up(monkeypatch)
         yield key, block * (1 + 2e-7)
 
     faulty_stream(monkeypatch, grown)
-    refused(r"total fidelity routes disagree by 2\.000e-07", DEPOLARIZED, 1e-7)
+    monkeypatch.setattr(runner, "RUN_TOL", 1e-7)
+    refused(r"total fidelity routes disagree by 2\.000e-07", DEPOLARIZED)
 
 
 def test_cross_check_fails_on_a_nan_amplitude(monkeypatch):
@@ -258,7 +259,7 @@ def test_oracle_shares_no_mirror_algebra(monkeypatch):
     # an oracle that went through mirror_stack would break along with it
     def untransposed(scenario):
         u0 = np.asarray(scenario.u0)
-        return dagger(u0) @ np.array([e for _, e in effect_branches(scenario.effect_r, scenario.dim)]) @ u0
+        return dagger(u0) @ effect_branches(scenario.effect_r, scenario.dim).operators @ u0
 
     for module in (engine, eavesdrop, runner, verify):
         monkeypatch.setattr(module, "mirror_stack", untransposed)

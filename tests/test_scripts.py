@@ -77,3 +77,22 @@ def test_strength_sweep_bad_flag_exits_one_with_the_config_message(flags, messag
     assert result.returncode == 1
     assert result.stdout == ""
     assert result.stderr == message + "\n"
+
+
+def test_code_lines_counts_statements_only(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text(
+        '"""Module docstring,\nover two lines."""\n'
+        "# a comment\n"
+        "\n"
+        "x = 1\n"
+        "\n"
+        "\n"
+        "def f():\n"
+        '    """Function docstring."""\n'
+        "    return x\n",
+        encoding="utf-8",
+    )
+    result = run_script("code_lines.py", str(source))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [f"     3 {source}", "     3 total"]

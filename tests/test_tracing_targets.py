@@ -101,8 +101,10 @@ def test_corrected_table_rows_are_the_brute_force_outputs():
     config = make_scenario(
         3, basis_state(3, 0), effect_r=strength_family(3, 1.0), effect_b=kraus_mixture([k0, k1])
     )
-    reference = dict(effect_branches(config.effect_r, 3))
-    receiver = dict(effect_branches(config.effect_b, 3))
+    reference = effect_branches(config.effect_r, 3)
+    reference = dict(zip(reference.labels, reference.operators))
+    receiver = effect_branches(config.effect_b, 3)
+    receiver = dict(zip(receiver.labels, receiver.operators))
     records = list(run_oracle(config))
     assert len(records) == 3 * 2 * 9
     nulls = 0
