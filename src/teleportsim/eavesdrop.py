@@ -35,7 +35,6 @@ from .engine import (
     ScenarioConfig,
     conditional_fidelities,
     fast_run,
-    fidelity_bras,
     mirror_stack,
     reduce_stream,
     transfer_kernel,
@@ -152,7 +151,7 @@ def analyze_eavesdropping(config: ScenarioConfig) -> EavesdropReport:
     _tap_family(config)
     psi = np.asarray(config.input_state)
     blocks = fast_run(config, transfer_rows(config, psi[None]), mirror_stack(config))
-    return tap_report(config, *reduce_stream(blocks, fidelity_bras(psi, config.bell.unitaries)))
+    return tap_report(config, *reduce_stream(blocks, apply_each_inverse(config.bell.unitaries, psi)))
 
 
 def sequential_decomposition_check(config: ScenarioConfig) -> DecompositionReport:

@@ -28,9 +28,11 @@ per branch pair, and holds neither an n**3 state nor the ``(M, n**2)``
 bra stack.
 
 `reduce_stream` reduces one stream, block by block, to its ``(K, M)``
-squared norms and squared overlaps; `compare_routes` zips the two streams
-and reduces both alike, so a caller holds a few blocks and the ``(K, M)``
-reductions, never a table; streams that part raise `RouteMismatch`.
+squared norms and squared overlaps, each one `np.vecdot` over the block;
+`compare_routes` zips the two streams, reduces both alike and measures
+every branch's 2-norm amplitude deviation, so a caller holds a few
+blocks and the ``(K, M)`` reductions, never a table; streams that part
+raise `RouteMismatch`.
 `expected_probability_sum` gives the oracle's probability sum in closed
 form from the Gram of its bra on R and `reference_marginal`, neither of
 which an effect on R touches: 1 for exactly closed effects, and moved by
@@ -145,20 +147,15 @@ class BranchTable:
                 yield TeleportRecord(m=m, l=l, branch=branch, probability=probability, raw_output=raw)
 
 
-def fidelity_bras(state: np.ndarray, unitaries: np.ndarray) -> np.ndarray:
-    """The bras `overlaps_squared` contracts uncorrected outputs with.
+def overlaps_squared(blocks: np.ndarray, kets: np.ndarray) -> np.ndarray:
+    """``|<kets[m]|output>|^2`` of every output of outcome ``m`` in ``(..., M, n)`` blocks.
 
-    Row ``m`` is ``<U(m)^-1 state|`` for the ``(M, n, n)`` outcome
-    unitaries, as the conjugated vector ``state^+ U(m)``: the correction
-    moves onto the state, ``<state|U(m) a> = <U(m)^-1 state|a>``, so
-    corrected outputs are never built.
+    Row ``m`` of the ``(M, n)`` ``kets`` is ``U(m)^-1 state``, from
+    `apply_each_inverse` of the outcome unitaries: the correction moves
+    onto the state, ``<state|U(m) a> = <U(m)^-1 state|a>``, so corrected
+    outputs are never built.  `np.vecdot` conjugates the kets itself.
     """
-    return np.conj(state) @ unitaries
-
-
-def overlaps_squared(blocks: np.ndarray, bras: np.ndarray) -> np.ndarray:
-    """``|<bras[m]|output>|^2`` of every output of outcome ``m`` in ``(..., M, n)`` blocks."""
-    return np.abs(np.einsum("...mi,mi->...m", blocks, bras)) ** 2
+    return np.abs(np.vecdot(kets, blocks)) ** 2
 
 
 def conditional_fidelities(overlaps_sq: np.ndarray, probabilities: np.ndarray) -> np.ndarray:
@@ -338,13 +335,13 @@ def fast_run(config: ScenarioConfig, rows: np.ndarray, mirrors: np.ndarray) -> B
         yield (l_label, b_label), amps[:, 0]
 
 
-def reduce_stream(blocks: BlockStream, bras: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One route's ``(K, M)`` squared norms and `overlaps_squared` with ``bras``, block by block.
+def reduce_stream(blocks: BlockStream, kets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One route's ``(K, M)`` `norms_squared` and `overlaps_squared` with ``kets``, block by block.
 
-    With `fidelity_bras` of a state, `conditional_fidelities` of the two
-    arrays gives every branch's fidelity with that state.
+    With the kets ``U(m)^-1 state`` of a state, `conditional_fidelities`
+    of the two arrays gives every branch's fidelity with that state.
     """
-    norms, overlaps = zip(*((norms_squared(b), overlaps_squared(b, bras)) for _, b in blocks))
+    norms, overlaps = zip(*((norms_squared(b), overlaps_squared(b, kets)) for _, b in blocks))
     return np.array(norms), np.array(overlaps)
 
 
@@ -353,14 +350,16 @@ class RouteMismatch(ValueError):
 
 
 def compare_routes(
-    oracle: BlockStream, transfer: BlockStream, bras: np.ndarray
+    oracle: BlockStream, transfer: BlockStream, kets: np.ndarray
 ) -> tuple[tuple, tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray], np.ndarray]:
     """Zip two route streams and reduce both alike, block by block as they arrive.
 
     Returns the keys, both routes' ``(K, M)`` squared norms, both routes'
-    ``(K, M)`` `overlaps_squared` with ``bras``, oracle first, and the
-    ``(K, M)`` largest amplitude deviation of every branch.  The
-    correction is unitary, so it cannot change a 2-norm deviation.  When
+    ``(K, M)`` `overlaps_squared` with ``kets``, oracle first, and the
+    ``(K, M)`` amplitude deviation of every branch, the 2-norm of the
+    difference of its two outputs.  The correction is unitary, so
+    comparing uncorrected blocks gives the corrected 2-norm deviation
+    identically, and the 2-norm bounds every entry's deviation.  When
     the streams part, both are drained to name the difference in
     `RouteMismatch`: the record counts if they differ, else the first
     ``(key, shape)`` the routes disagree on.  The message says "oracle"
@@ -386,8 +385,8 @@ def compare_routes(
             raise RouteMismatch(f"record label mismatch: oracle block {first} vs transfer block {second}")
         for side, (_, block) in enumerate(pair):
             norms[side].append(norms_squared(block))
-            overlaps[side].append(overlaps_squared(block, bras))
-        amplitude.append(np.max(np.abs(pair[0][1] - pair[1][1]), axis=1))
+            overlaps[side].append(overlaps_squared(block, kets))
+        amplitude.append(np.sqrt(norms_squared(pair[0][1] - pair[1][1])))
         del pair, block  # neither route builds its next block while this pair is held
     keys = tuple(key for key, _ in layouts[0])
     return keys, tuple(map(np.array, norms)), tuple(map(np.array, overlaps)), np.array(amplitude)

@@ -87,7 +87,9 @@ def apply_each_inverse(ops: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     ``vecs`` is one vector, giving an ``(M, n)`` result, or a ``(K, n)``
     stack of them, giving ``(M, K, n)`` with ``[m, k]`` for ``vecs[k]``.
     """
-    return np.conj(np.conj(vecs) @ ops)
+    products = np.conj(vecs) @ ops
+    # conjugated in place: the result is the one buffer the product made
+    return np.conj(products, out=products)
 
 
 def closure(ops: Iterable[np.ndarray]) -> np.ndarray:
@@ -96,9 +98,16 @@ def closure(ops: Iterable[np.ndarray]) -> np.ndarray:
 
 
 def norms_squared(vecs: np.ndarray) -> np.ndarray:
-    """Squared norm of each vector along the last axis."""
-    # a copy, not a view: a kept row would hold its complex sums alive
-    return np.einsum("...i,...i->...", vecs.conj(), vecs).real.copy()
+    """Squared norm of each vector along the last axis, real or complex.
+
+    A complex array is read as its float view, the ``re, im`` pairs of
+    each vector in a row, so the sum is ``sum(re^2 + im^2)``: real by
+    construction, with no conjugate copy and no complex temporary.
+    """
+    if np.iscomplexobj(vecs):
+        # only a contiguous last axis has a float view: a strided one is copied
+        vecs = (vecs if vecs.strides[-1] == vecs.itemsize else vecs.copy()).view(vecs.real.dtype)
+    return np.vecdot(vecs, vecs)
 
 
 def hermiticity_deviation(mat: np.ndarray) -> float:

@@ -3,9 +3,9 @@
 Every branch is computed twice: once through the transfer kernel and once
 through the full-state oracle.  Both routes are streams of ``(M, n)``
 blocks, and one pass zips them: `compare_routes` reduces both alike to
-``(K, M)`` squared norms and overlaps and measures the amplitude deviation
-of every branch, and `tap_report` sums each route's arrays into the tap's
-``(L, M)`` cells.  A run keeps only those reductions, never a table of
+``(K, M)`` squared norms and overlaps and measures the 2-norm amplitude
+deviation of every branch, and `tap_report` sums each route's arrays
+into the tap's ``(L, M)`` cells.  A run keeps only those reductions, never a table of
 blocks, and no driver calls `run_oracle`: it is imported below for the
 benchmark's tracer alone.  Every number `run_teleport` writes, and the
 sweep's fidelity column, is a reduction of the oracle's arrays, and the
@@ -23,10 +23,11 @@ byte for a fixed spec.
 What no tap strength changes is built once per run: the validated
 scenario (input, Bell family, u0 and receiver), and by `_fixed_half` the
 oracle's bra on R and its Gram, the kernel's rows of the input, the
-fidelity bras and the reference marginal.  A sweep builds them, and the
-distinguished pair's kernel rows, once for the grid; each point builds
-its tap family and the tap's `mirror_stack` once, shared by its route
-pass and `distinguishability`, then both routes' blocks and reductions.
+kets ``U(m)^-1 psi`` and the reference marginal.  A sweep builds them,
+and the distinguished pair's kernel rows, once for the grid; each point
+builds its tap family and the tap's `mirror_stack` once, shared by its
+route pass and `distinguishability`, then both routes' blocks and
+reductions.
 
 The teleport table is rendered in bulk, with the bytes a row-by-row
 csv.writer would give.  Every number is `format_number`'s ``.12g``, and
@@ -56,7 +57,6 @@ from .engine import (
     conditional_fidelities,
     expected_probability_sum,
     fast_run,
-    fidelity_bras,
     make_scenario,
     mirror_stack,
     oracle_blocks,
@@ -69,6 +69,7 @@ from .engine import (
 # both routes through the streams and call neither
 from .eavesdrop import analyze_eavesdropping  # noqa: F401
 from .engine import run_oracle  # noqa: F401
+from .linalg import apply_each_inverse
 
 TELEPORT_HEADER = ("record", "l", "m", "branch", "probability", "fidelity")
 
@@ -159,14 +160,14 @@ class _FixedHalf:
 
     ``bra`` (`oracle_bra`) feeds the oracle alone and ``rows``
     (`transfer_rows` of the input) the transfer route alone.
-    ``fidelity_bras`` reduce both routes' blocks.  ``gram`` (``bra^+
-    bra``) and ``marginal`` (`reference_marginal`) are what
-    `expected_probability_sum` needs beside the reference effect.
+    ``kets``, row ``m`` ``U(m)^-1 psi``, reduce both routes' blocks.
+    ``gram`` (``bra^+ bra``) and ``marginal`` (`reference_marginal`) are
+    what `expected_probability_sum` needs beside the reference effect.
     """
 
     bra: np.ndarray  # (M, n)
     rows: np.ndarray  # (M, 1, n)
-    fidelity_bras: np.ndarray  # (M, n)
+    kets: np.ndarray  # (M, n)
     gram: np.ndarray  # (n, n)
     marginal: np.ndarray  # (n, n)
 
@@ -177,7 +178,7 @@ def _fixed_half(scenario: ScenarioConfig) -> _FixedHalf:
     return _FixedHalf(
         bra=bra,
         rows=transfer_rows(scenario, psi[None]),
-        fidelity_bras=fidelity_bras(psi, scenario.bell.unitaries),
+        kets=apply_each_inverse(scenario.bell.unitaries, psi),
         gram=np.conj(bra).T @ bra,
         marginal=reference_marginal(scenario),
     )
@@ -191,8 +192,9 @@ class _RoutePass:
     ``keys[k]`` and one column per Bell outcome ``tap.labels[m]``; ``tap``
     sums them into the tap's ``(l, m)`` cells.  ``probability_sum`` is the
     oracle's total and ``expected_sum`` its closed form.  ``deviations``
-    holds the largest amplitude, probability and total-fidelity deviations
-    between the routes.
+    holds the largest per-branch 2-norm amplitude deviation, the largest
+    probability deviation and the total-fidelity deviation between the
+    routes.
     """
 
     keys: tuple[tuple[object, object], ...]
@@ -218,7 +220,7 @@ def _zipped_pass(
     oracle = oracle_blocks(scenario, fixed.bra)
     transfer = fast_run(scenario, fixed.rows, mirrors)
     try:
-        keys, norms, overlaps, a_dev = compare_routes(oracle, transfer, fixed.fidelity_bras)
+        keys, norms, overlaps, a_dev = compare_routes(oracle, transfer, fixed.kets)
     except RouteMismatch as exc:
         raise InvariantViolation(str(exc)) from None
     labels = scenario.bell.labels

@@ -8,7 +8,7 @@ defective family; it exists so tests can prove the suite actually bites.
 
 Every check that reads the oracle reads its stream, `oracle_blocks`, reduced
 block by block by `reduce_stream` to ``(K, M)`` squared norms and overlaps
-with the input's `fidelity_bras`; no check collects the oracle into a
+with the input's kets ``U(m)^-1 psi``; no check collects the oracle into a
 table.  ``ideal-teleportation``, ``probability-completeness`` and
 ``tap-oracle-agreement`` read the oracle alone, ``oracle-fast-equivalence``
 zips it with `fast_run` in `compare_routes`.  ``decomposition-identity``
@@ -42,7 +42,6 @@ from .engine import (
     compare_routes,
     conditional_fidelities,
     fast_run,
-    fidelity_bras,
     make_scenario,
     mirror_stack,
     oracle_blocks,
@@ -53,7 +52,7 @@ from .engine import (
 # run_oracle stays importable here: perfbench/tracing.py patches it by
 # name, though every check reads the oracle through its stream
 from .engine import run_oracle  # noqa: F401
-from .linalg import basis_state, uniform_state
+from .linalg import apply_each_inverse, basis_state, uniform_state
 from .sampling import child_rng, random_state, random_unitary
 
 
@@ -115,7 +114,7 @@ def _oracle(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
     """The oracle's ``(K, M)`` probabilities and fidelities with the input, from its stream."""
     psi = np.asarray(config.input_state)
     blocks = oracle_blocks(config, oracle_bra(config))
-    probabilities, overlaps_sq = reduce_stream(blocks, fidelity_bras(psi, config.bell.unitaries))
+    probabilities, overlaps_sq = reduce_stream(blocks, apply_each_inverse(config.bell.unitaries, psi))
     return probabilities, conditional_fidelities(overlaps_sq, probabilities)
 
 
@@ -218,7 +217,7 @@ def check_oracle_fast_equivalence(depth: str, seed: int, corrupt: str | None) ->
             transfer = fast_run(config, transfer_rows(config, psi[None]), mirror_stack(config))
             try:
                 _, norms, _, amplitude = compare_routes(
-                    oracle, transfer, fidelity_bras(psi, config.bell.unitaries)
+                    oracle, transfer, apply_each_inverse(config.bell.unitaries, psi)
                 )
             except RouteMismatch as exc:
                 return _result("oracle-fast-equivalence", float("inf"), 1e-9, str(exc))

@@ -26,14 +26,13 @@ from teleportsim.engine import (
     compare_routes,
     conditional_fidelities,
     expected_probability_sum,
-    fidelity_bras,
     make_scenario,
     oracle_bra,
     reduce_stream,
     reference_marginal,
     run_oracle,
 )
-from teleportsim.linalg import basis_state, dagger, norms_squared, uniform_state
+from teleportsim.linalg import apply_each_inverse, basis_state, dagger, norms_squared, uniform_state
 from teleportsim.runner import run_teleport
 from teleportsim.sampling import random_state, random_unitary
 
@@ -170,8 +169,8 @@ def test_fidelities_match_brute_force_overlaps():
     config = make_scenario(
         3, psi, u0=u0, effect_r=unitary_effect(e_r), effect_b=unitary_effect(f_b)
     )
-    bras = fidelity_bras(psi, config.bell.unitaries)
-    probabilities, overlaps_sq = reduce_stream(oracle_stream(config), bras)
+    kets = apply_each_inverse(config.bell.unitaries, psi)
+    probabilities, overlaps_sq = reduce_stream(oracle_stream(config), kets)
     expected = []
     for unitary in config.bell.unitaries:
         amp = brute_teleport(3, psi, u0, e_r, f_b, unitary)
@@ -439,10 +438,10 @@ def test_route_comparison_holds_a_few_blocks_of_each_stream():
     block_bytes = _block_bytes(32)
     chunk_bytes = engine._BRA_CHUNK * 32 * 32 * 16
     mirror_bytes = 32 * 32 * 32 * 16
-    bras = fidelity_bras(np.asarray(config.input_state), config.bell.unitaries)
+    kets = apply_each_inverse(config.bell.unitaries, np.asarray(config.input_state))
     tracemalloc.start()
     try:
-        keys, norms, overlaps, amplitude = compare_routes(oracle_stream(config), transfer_stream(config), bras)
+        keys, norms, overlaps, amplitude = compare_routes(oracle_stream(config), transfer_stream(config), kets)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -506,11 +505,11 @@ def _parted(config, case: str):
 )
 def test_compare_routes_names_streams_that_part(case, match):
     config = _fourier_tap(3, _damping(3))
-    bras = fidelity_bras(np.asarray(config.input_state), config.bell.unitaries)
-    keys, *_ = compare_routes(oracle_stream(config), transfer_stream(config), bras)
+    kets = apply_each_inverse(config.bell.unitaries, np.asarray(config.input_state))
+    keys, *_ = compare_routes(oracle_stream(config), transfer_stream(config), kets)
     assert len(keys) == 6
     with pytest.raises(RouteMismatch, match=match):
-        compare_routes(oracle_stream(config), iter(_parted(config, case)), bras)
+        compare_routes(oracle_stream(config), iter(_parted(config, case)), kets)
 
 
 def _unclosed(rng: np.random.Generator, dim: int, scales: tuple[float, ...]) -> Effect:

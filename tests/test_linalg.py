@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -11,6 +13,7 @@ from teleportsim.linalg import (
     as_pure_state,
     closure,
     dagger,
+    norms_squared,
     uniform_state,
 )
 from teleportsim.sampling import random_state, random_unitary
@@ -47,6 +50,35 @@ def test_closure_is_the_ordered_sum_of_branch_products(count):
         expected = expected + dagger(op) @ op
     assert np.array_equal(closure(ops), expected)
     assert np.array_equal(closure(iter(ops)), expected)
+
+
+def test_norms_squared_makes_no_block_sized_temporary():
+    # the float view is reduced in place: a conjugate copy or a complex
+    # product would each take the block's size again
+    rng = np.random.default_rng(7)
+    block = rng.standard_normal((1024, 32)) + 1j * rng.standard_normal((1024, 32))
+    tracemalloc.start()
+    try:
+        norms = norms_squared(block)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert norms.shape == (1024,) and norms.dtype == np.float64
+    assert peak < block.nbytes / 16
+
+
+def _row_sums(rows: np.ndarray) -> list[float]:
+    """Each row's sum of squared real and imaginary parts, one dot product a row."""
+    pairs = [np.ascontiguousarray(row).view(float) if np.iscomplexobj(row) else row for row in rows]
+    return [float(np.dot(part, part)) for part in pairs]
+
+
+def test_norms_squared_of_strided_and_real_rows():
+    rng = np.random.default_rng(8)
+    block = rng.standard_normal((64, 32)) + 1j * rng.standard_normal((64, 32))
+    for rows in (block, block[:, ::2], block.T, block.real, block.imag[:, 1::3]):
+        assert norms_squared(rows).tolist() == _row_sums(rows)
+    assert_allclose(norms_squared(block[:, ::2]), np.sum(np.abs(block[:, ::2]) ** 2, axis=1), rtol=1e-14)
 
 
 def test_pure_state_validation():

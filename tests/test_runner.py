@@ -96,6 +96,59 @@ def test_cross_check_names_the_receiver_branch(monkeypatch):
     refused(r"routes disagree on branch \(m=\(1, 0\), l=1, b=1\): .* amplitude deviation 1\.000e-06")
 
 
+def test_amplitude_deviation_is_the_two_norm_of_the_corrected_difference(monkeypatch):
+    # V W V^+ of the Weyl family: every U(m) is dense, so the correction
+    # mixes the entries of a difference and moves its largest one, but
+    # not its 2-norm.  Block 1 moves one uncorrected entry, block 2 one
+    # entry of the corrected output (every uncorrected entry of its row).
+    v = random_unitary(3, np.random.default_rng(17))
+    family = make_bell_family(3, [
+        ((a, b), v @ weyl_unitary(3, a, b) @ dagger(v), 1.0) for a in range(3) for b in range(3)
+    ])
+    spec = replace(parse_config("n: 3\ninput: random:2\neavesdrop:\n  basis: fourier\n  theta: 0.5\n"),
+                   bell=family)
+
+    def moved(index, key, block):
+        if index == 1:
+            block[2, 0] += 1e-6
+        if index == 2:
+            block[4] += 1e-6 * dagger(family.unitaries[4])[:, 1]
+        yield key, block
+
+    faulty_stream(monkeypatch, moved)
+    recorded = []
+    compare = runner.compare_routes
+
+    def recording(oracle, transfer, kets):
+        oracle, transfer = list(oracle), list(transfer)
+        result = compare(iter(oracle), iter(transfer), kets)
+        recorded.append((oracle, transfer, result[3]))
+        return result
+
+    monkeypatch.setattr(runner, "compare_routes", recording)
+    refused(r"routes disagree on branch \(m=\(0, 2\), l=1, b=None\): .* amplitude deviation 1\.000e-06", spec)
+    [(oracle, transfer, deviation)] = recorded
+    for index, m in ((1, 2), (2, 4)):
+        corrected = family.unitaries[m] @ (oracle[index][1][m] - transfer[index][1][m])
+        assert deviation[index, m] == pytest.approx(np.linalg.norm(corrected), rel=1e-15, abs=0)
+        # the largest entry is not invariant under the correction
+        uncorrected = oracle[index][1][m] - transfer[index][1][m]
+        assert np.max(np.abs(corrected)) != pytest.approx(np.max(np.abs(uncorrected)), rel=0.05)
+
+
+def test_cross_check_bounds_the_two_norm_not_the_largest_entry(monkeypatch):
+    # every entry of one output moves by 0.6 RUN_TOL: no entry reaches the
+    # tolerance, but the 2-norm over n = 4 entries is 1.2 RUN_TOL
+    def shifted(index, key, block):
+        if index == 1:
+            block[5] += 0.6 * runner.RUN_TOL
+        yield key, block
+
+    faulty_stream(monkeypatch, shifted)
+    spec = parse_config("n: 4\ninput: random:2\neavesdrop:\n  theta: 0.5\n")
+    refused(r"routes disagree on branch \(m=\(1, 1\), l=1, b=None\): .* amplitude deviation 1\.200e-10", spec)
+
+
 def test_cross_check_catches_a_dropped_block(monkeypatch):
     def dropped(index, key, block):
         if index < 3:
@@ -140,8 +193,8 @@ def test_tap_cell_mismatch_writes_nothing(monkeypatch):
 
 
 # a tap and four equal receiver branches (the Pauli matrices over 2): every
-# output has amplitudes of at most 0.153, each branch a probability of
-# 1/32 and each (l, m) cell 1/8; the average fidelity is 1/2
+# output has amplitudes of at most 0.153 and a norm of 0.177, each branch a
+# probability of 1/32 and each (l, m) cell 1/8; the average fidelity is 1/2
 DEPOLARIZED = parse_config(
     "n: 2\ninput: plus-uniform\neavesdrop:\n  theta: 0.5\n"
     "effect_b:\n  kraus:\n"
@@ -154,7 +207,7 @@ DEPOLARIZED = parse_config(
 
 def test_tap_cell_check_catches_branch_deviations_that_add_up(monkeypatch):
     # outcome (0, 1) of every tap-branch-0 block is scaled by 1 + 5e-7: each
-    # branch moves by at most 7.7e-8 in amplitude and 3.1e-8 in
+    # branch moves by at most 8.8e-8 in amplitude (2-norm) and 3.1e-8 in
     # probability, within 1e-7, but the four add up to 1.25e-7 in the cell
     def grown(index, key, block):
         if key[0] == 0:
@@ -170,9 +223,9 @@ def test_tap_cell_check_catches_branch_deviations_that_add_up(monkeypatch):
 
 
 def test_total_fidelity_check_catches_branch_deviations_that_add_up(monkeypatch):
-    # every output is scaled by 1 + 2e-7: each branch moves by at most 3.1e-8
-    # and each cell by 5e-8, within 1e-7, but the fidelity total of
-    # 1/2 moves by 2e-7
+    # every output is scaled by 1 + 2e-7: each branch moves by at most 3.5e-8
+    # (2-norm) and each cell by 5e-8, within 1e-7, but the fidelity total
+    # of 1/2 moves by 2e-7
     def grown(index, key, block):
         yield key, block * (1 + 2e-7)
 
@@ -300,6 +353,18 @@ def test_a_sweep_point_builds_and_mirrors_its_tap_once(monkeypatch):
     assert calls == {"mirror_stack": 12, "strength_family": 12}
 
 
+def test_runs_and_verification_make_no_einsum_call(monkeypatch):
+    # every block is reduced by np.vecdot: an einsum per block cost more
+    # than the routes that produced it
+    def refused_einsum(*args, **kwargs):
+        raise AssertionError("np.einsum called")
+
+    monkeypatch.setattr(np, "einsum", refused_einsum)
+    run_teleport(SPEC, io.StringIO())
+    runner.run_sweep(SWEEP, io.StringIO())
+    assert run_verification("quick", seed=0).passed
+
+
 def test_total_fidelity_routes_agree_to_roundoff():
     # both routes' totals are the same sequential sum over the tap's cells,
     # so they part only by the rounding of the blocks themselves
@@ -376,7 +441,7 @@ def test_sweep_points_are_the_points_built_from_scratch(monkeypatch):
         _, norms, overlaps, _ = engine.compare_routes(
             engine.oracle_blocks(scenario, engine.oracle_bra(scenario)),
             engine.fast_run(scenario, engine.transfer_rows(scenario, psi[None]), engine.mirror_stack(scenario)),
-            engine.fidelity_bras(psi, scenario.bell.unitaries),
+            engine.apply_each_inverse(scenario.bell.unitaries, psi),
         )
         assert fidelity == tap_report(scenario, norms[0], overlaps[0]).total_fidelity
         mirrors = engine.mirror_stack(scenario)
