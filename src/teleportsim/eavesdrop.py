@@ -5,9 +5,12 @@ preparation and the Bell measurement.  Every question about it reduces to
 the branch operators ``P(l, m)``, which act on the input alone: they are
 the transfer operators of the tap, so every quantity here is a reduction
 of `teleportsim.engine.transfer_kernel` over the family's outcome stack.
-The kernel's tap half, `teleportsim.engine.mirror_stack`, is built once
-per scenario here; `distinguishability` takes it as a value, so a sweep
-builds it once per tap strength for the point's route pass and for it.
+A quantity of the tap alone hands the kernel the tap's
+`teleportsim.engine.mirror_stack` itself as its operator stack, one
+operator per tap branch, so no receiver branch enters it.  The stack is
+built once per scenario here; `distinguishability` takes it as a value,
+so a sweep builds it once per tap strength for the point's route pass
+and for it.
 `tap_operators` alone builds the ``P(l, m)`` as matrices, the kernel on
 the basis, for verify's Hermiticity check and, on the family cut to one
 outcome, for `eavesdrop_operator`.  `tap_report` sums either route's
@@ -30,7 +33,7 @@ from typing import Iterator
 import numpy as np
 
 from .bell import BellFamily, Label, find_outcome
-from .effects import MeasurementFamily, effect_branches
+from .effects import MeasurementFamily
 from .engine import (
     ScenarioConfig,
     conditional_fidelities,
@@ -91,7 +94,7 @@ def tap_operators(config: ScenarioConfig) -> Iterator[tuple[int | str | None, np
     for every outcome at once; ``U(m)`` is applied to the whole stack.
     """
     rows = transfer_rows(config, np.eye(config.dim))
-    for l, _, columns in transfer_kernel(replace(config, effect_b=None), rows, mirror_stack(config)):
+    for l, columns in zip(config.effect_r.labels, transfer_kernel(rows, mirror_stack(config)), strict=True):
         yield l, config.bell.unitaries @ columns.transpose(0, 2, 1)
 
 
@@ -128,7 +131,7 @@ def tap_report(
     ``(l, m)`` cell sums its receiver branches.  The reference effect may
     be any effect, not only a tap: each branch label is one row.
     """
-    tap_labels = effect_branches(config.effect_r, config.dim).labels
+    tap_labels = config.effect_r.labels
     shape = (len(tap_labels), -1, probabilities.shape[-1])
     cells = probabilities.reshape(shape).sum(axis=1)
     overlaps = overlaps_sq.reshape(shape).sum(axis=1)
@@ -169,8 +172,7 @@ def sequential_decomposition_check(config: ScenarioConfig) -> DecompositionRepor
     target = np.eye(config.dim) / config.dim
     mirrors = mirror_stack(config)
     rows = transfer_rows(config, np.asarray(config.input_state)[None])
-    kernel = transfer_kernel(replace(config, effect_b=None), rows, mirrors)
-    branch_sum = sum(amps[:, 0].T @ amps[:, 0].conj() for _, _, amps in kernel)
+    branch_sum = sum(amps[:, 0].T @ amps[:, 0].conj() for amps in transfer_kernel(rows, mirrors))
     grouped_sum = sum(mirrored @ target @ dagger(mirrored) for mirrored in mirrors)
     return DecompositionReport(
         branch_deviation=float(np.max(np.abs(branch_sum - target))),
@@ -241,6 +243,5 @@ def distinguishability(config: ScenarioConfig, rows: np.ndarray, mirrors: np.nda
     """
     _tap_family(config)
     # row (l, m) holds the cell probability of each input, tap label major
-    kernel = transfer_kernel(replace(config, effect_b=None), rows, mirrors)
-    cells = np.concatenate([norms_squared(amps) for _, _, amps in kernel])
+    cells = np.concatenate([norms_squared(amps) for amps in transfer_kernel(rows, mirrors)])
     return 0.25 * float(np.sum(np.abs(cells[:, 0] - cells[:, 1])))

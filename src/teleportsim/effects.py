@@ -162,17 +162,3 @@ def family_completeness_deviation(family: Effect) -> float:
     """Largest entrywise deviation of the `closure` ``sum_l E(l)^+ E(l)`` from identity."""
     return float(np.max(np.abs(closure(family.operators) - np.eye(family.dim))))
 
-
-def effect_branches(effect: Effect | None, dim: int) -> Effect:
-    """The branch stack of an effect on a line of dimension ``dim``, checked against it.
-
-    ``None`` means an undisturbed line: one identity branch labeled
-    ``None``.
-    """
-    if effect is None:
-        identity = np.eye(dim, dtype=complex)[None]
-        identity.setflags(write=False)
-        return Effect((None,), identity)
-    if effect.operators.shape[1:] != (dim, dim):
-        raise ValueError(f"effect shape {effect.operators.shape[1:]} does not match dimension {dim}")
-    return effect

@@ -8,10 +8,14 @@ each Bell outcome on the A x R x B state
 ``psi_A (x) (E_R (x) F_B)|Phi>_RB``; it is the ground truth and shares no
 transfer algebra.  `fast_run` applies the per-outcome transfer operator
 on the input alone, through `transfer_kernel`, the one place the transfer
-formula is written: it also feeds every tap quantity and every branch
-operator in `teleportsim.eavesdrop`.  Both routes read each effect as
-its `Effect` branch stack through `effect_branches`, which gives an
-absent effect as one identity branch labeled ``None``.
+formula is written: it runs the input rows through a ``(K, n, n)``
+operator stack, for `fast_run` the channel ``F_b (u0^-1 E_l u0)^T`` of
+every branch pair, and for every tap quantity and branch operator in
+`teleportsim.eavesdrop` the tap's `mirror_stack` alone.  A
+`ScenarioConfig` holds each line as its `Effect` branch stack, an
+undisturbed line as one identity branch labeled ``None``, so both routes
+read ``config.effect_r`` and ``config.effect_b`` directly and pair their
+branches in `branch_keys` order.
 
 Each route has a half that no effect touches, and its stream takes that
 half as a value, so a caller that varies an effect builds it once:
@@ -53,7 +57,7 @@ import numpy as np
 from .bell import (  # noqa: F401
     BellFamily, Label, bell_outcome_state, make_bell_family, outcome_state_stack
 )
-from .effects import Effect, effect_branches
+from .effects import Effect
 from .linalg import (
     apply_each_inverse,
     as_complex_matrix,
@@ -86,7 +90,11 @@ class ScenarioConfig:
     ``effect_r`` disturbs the reference line between resource preparation
     and the Bell measurement; ``effect_b`` disturbs the receiver line.
     The receiver undoes the outcome unitary, so an undisturbed scenario
-    returns the input exactly.
+    returns the input exactly.  Every construction, `make_scenario`,
+    `dataclasses.replace` or a direct call, turns an absent line (``None``)
+    into one read-only identity branch labeled ``None`` and checks each
+    branch stack against ``dim``, so both lines are always `Effect`
+    stacks; closure is checked when an effect is admitted, not here.
     """
 
     dim: int
@@ -95,6 +103,18 @@ class ScenarioConfig:
     u0: np.ndarray
     effect_r: Effect | None = None
     effect_b: Effect | None = None
+
+    def __post_init__(self) -> None:
+        identity = np.eye(self.dim, dtype=complex)[None]
+        identity.setflags(write=False)
+        for line in ("effect_r", "effect_b"):
+            effect = getattr(self, line)
+            if effect is None:
+                object.__setattr__(self, line, Effect((None,), identity))
+            elif effect.operators.shape[1:] != (self.dim, self.dim):
+                raise ValueError(
+                    f"effect shape {effect.operators.shape[1:]} does not match dimension {self.dim}"
+                )
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -189,10 +209,6 @@ def make_scenario(
         raise ValueError(f"u0 shape {u0.shape} does not match dimension {dim}")
     if not is_unitary(u0):
         raise ValueError("u0 must be unitary")
-    # effect_branches checks the dimension of both effects; closure is
-    # checked when an effect is admitted, not here
-    effect_branches(effect_r, dim)
-    effect_branches(effect_b, dim)
     return ScenarioConfig(
         dim=dim,
         input_state=frozen_complex_array(state),
@@ -230,23 +246,32 @@ def oracle_bra(config: ScenarioConfig) -> np.ndarray:
     return bra
 
 
+def branch_keys(config: ScenarioConfig) -> tuple[tuple[BranchLabel, BranchLabel], ...]:
+    """Every ``(l, b)`` pair of reference and receiver branch labels, reference branch major.
+
+    The one key order of both route streams.
+    """
+    return tuple((l, b) for l in config.effect_r.labels for b in config.effect_b.labels)
+
+
 def oracle_blocks(config: ScenarioConfig, bra: np.ndarray) -> BlockStream:
-    """Stream ``((l, b), block)`` of the full-state route, in `fast_run`'s key order.
+    """Stream ``((l, b), block)`` of the full-state route, in `branch_keys` order.
 
     Each ``(M, n)`` block holds the outputs before the receiver's
     correction.  ``bra`` is `oracle_bra` of a scenario with the same
     input, Bell family and ``u0``: psi_A (x) |resource>_RB is a product
     across A | RB, so the sender index is contracted before any effect
     acts, and each block is one product of the bra with the disturbed
-    resource.
+    resource ``E_l R F_b^T``, ``R = u0/sqrt(n)`` the R x B amplitudes as
+    a matrix.  Each reference branch's resources are one batched product
+    over the receiver's stack: the whole ``(L*B, n, n)`` stack would take
+    as much memory as a block at n = 32.
     """
-    resource_mat = np.asarray(config.u0) / np.sqrt(config.dim)  # R x B amplitudes as a matrix
-    reference = effect_branches(config.effect_r, config.dim)
-    receiver = effect_branches(config.effect_b, config.dim)
-    for l_label, e_r in zip(reference.labels, reference.operators):
-        for b_label, f_b in zip(receiver.labels, receiver.operators):
-            # (E_R (x) F_B) acting on the resource, still as an R x B matrix
-            yield (l_label, b_label), bra @ (e_r @ resource_mat @ f_b.T)
+    resource_mat = np.asarray(config.u0) / np.sqrt(config.dim)
+    receiver = config.effect_b.operators.transpose(0, 2, 1)
+    resources = (r for e_r in config.effect_r.operators for r in e_r @ resource_mat @ receiver)
+    for key, resource in zip(branch_keys(config), resources, strict=True):
+        yield key, bra @ resource
 
 
 def reference_marginal(config: ScenarioConfig) -> np.ndarray:
@@ -257,8 +282,7 @@ def reference_marginal(config: ScenarioConfig) -> np.ndarray:
     effect, so every tap strength of a sweep shares one.
     """
     resource_mat = np.asarray(config.u0) / np.sqrt(config.dim)
-    receiver = closure(effect_branches(config.effect_b, config.dim).operators)
-    return resource_mat @ receiver.T @ dagger(resource_mat)
+    return resource_mat @ closure(config.effect_b.operators).T @ dagger(resource_mat)
 
 
 def expected_probability_sum(config: ScenarioConfig, gram: np.ndarray, marginal: np.ndarray) -> float:
@@ -272,7 +296,7 @@ def expected_probability_sum(config: ScenarioConfig, gram: np.ndarray, marginal:
     for exactly closed effects and a complete Bell family, and moves with
     any closure defect that admission let through.
     """
-    effects = effect_branches(config.effect_r, config.dim).operators
+    effects = config.effect_r.operators
     # tr(E X E^+ G) = <G E, E X> for a Hermitian G: one product a side
     # for every branch, and no tau_R
     return float(np.vdot(gram @ effects, effects.reshape(-1, config.dim) @ marginal).real)
@@ -293,7 +317,7 @@ def transfer_rows(config: ScenarioConfig, inputs: np.ndarray) -> np.ndarray:
 
 def mirror_stack(config: ScenarioConfig) -> np.ndarray:
     """Every reference branch's ``(u0^-1 E_l u0)^T``, one read-only ``(L, n, n)`` stack."""
-    stack = dagger(config.u0) @ effect_branches(config.effect_r, config.dim).operators @ config.u0
+    stack = dagger(config.u0) @ config.effect_r.operators @ config.u0
     if not np.all(np.isfinite(stack)):
         raise ValueError("matrix entries must be finite")
     mirrors = stack.transpose(0, 2, 1).copy()
@@ -301,38 +325,35 @@ def mirror_stack(config: ScenarioConfig) -> np.ndarray:
     return mirrors
 
 
-def transfer_kernel(
-    config: ScenarioConfig, rows: np.ndarray, mirrors: np.ndarray
-) -> Iterator[tuple[BranchLabel, BranchLabel, np.ndarray]]:
-    """Yield ``(l, b, amps)`` for every reference and receiver branch pair.
+def transfer_kernel(rows: np.ndarray, operators: np.ndarray) -> Iterator[np.ndarray]:
+    """Yield ``amps`` for each ``(n, n)`` operator ``X`` of the ``(K, n, n)`` stack, in stack order.
 
-    ``rows`` is `transfer_rows` of the inputs, ``mirrors`` `mirror_stack`,
-    and ``amps[m, k]`` is ``sqrt(w)/dim F_b (u0^-1 E_l u0)^T U(m)^-1``
-    applied to ``inputs[k]``: the transfer operator of outcome ``m`` short
-    of its leading ``U(m)``, the correction, which callers move onto the
-    state.  For the tap alone, pass a scenario with no receiver effect
-    (``replace(config, effect_b=None)``): the rows are then ``U(m)^-1
-    P(l, m)`` applied to each input.  Order is reference branch, then
-    receiver branch, as in `oracle_blocks`.
+    ``rows`` is `transfer_rows` of the inputs, and ``amps[m, k]`` is ``X
+    rows[m, k]``, ``sqrt(w)/dim X U(m)^-1 inputs[k]``.  With ``X`` a channel ``F_b (u0^-1 E_l u0)^T``, as
+    `fast_run` builds them, that is the transfer operator of outcome
+    ``m`` short of its leading ``U(m)``, the correction, which callers
+    move onto the state.  For the tap alone, pass `mirror_stack` itself:
+    the rows are then ``U(m)^-1 P(l, m)`` applied to each input, one
+    reference branch after another.
     """
-    dim = config.dim
-    flat = rows.reshape(-1, dim)
-    receiver = effect_branches(config.effect_b, dim)
-    for l_label, mirrored in zip(effect_branches(config.effect_r, dim).labels, mirrors, strict=True):
-        for b_label, f_b in zip(receiver.labels, receiver.operators):
-            yield l_label, b_label, (flat @ (f_b @ mirrored).T).reshape(rows.shape)
+    flat = rows.reshape(-1, rows.shape[-1])
+    for operator in operators:
+        yield (flat @ operator.T).reshape(rows.shape)
 
 
 def fast_run(config: ScenarioConfig, rows: np.ndarray, mirrors: np.ndarray) -> BlockStream:
-    """Stream ``((l, b), block)`` through the transfer kernel, in `oracle_blocks`' key order.
+    """Stream ``((l, b), block)`` through the transfer kernel, in `branch_keys` order.
 
     ``rows`` is `transfer_rows` of the scenario's input alone, ``(M, 1,
-    n)``, and ``mirrors`` its `mirror_stack`.  Each ``(M, n)`` block
-    holds the outputs before the receiver's correction, as `oracle_blocks`
-    yields them; only one block is held at a time.
+    n)``, and ``mirrors`` its `mirror_stack`.  The kernel runs through
+    the channel stack ``F_b (u0^-1 E_l u0)^T`` of every branch pair, one
+    batched product of the receiver's stack with ``mirrors``.  Each
+    ``(M, n)`` block holds the outputs before the receiver's correction,
+    as `oracle_blocks` yields them; only one block is held at a time.
     """
-    for l_label, b_label, amps in transfer_kernel(config, rows, mirrors):
-        yield (l_label, b_label), amps[:, 0]
+    channels = (config.effect_b.operators @ mirrors[:, None]).reshape(-1, config.dim, config.dim)
+    for key, amps in zip(branch_keys(config), transfer_kernel(rows, channels), strict=True):
+        yield key, amps[:, 0]
 
 
 def reduce_stream(blocks: BlockStream, kets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -395,11 +416,8 @@ def compare_routes(
 def _table(config: ScenarioConfig, blocks: BlockStream) -> BranchTable:
     """Fill a table in place, correcting each uncorrected ``(M, n)`` block as it arrives."""
     bell = config.bell
-    dim = config.dim
-    count = len(effect_branches(config.effect_r, dim).labels)
-    count *= len(effect_branches(config.effect_b, dim).labels)
     keys = []
-    stored = np.empty((count, len(bell.labels), dim), dtype=complex)
+    stored = np.empty((len(branch_keys(config)), len(bell.labels), config.dim), dtype=complex)
     probabilities = np.empty(stored.shape[:2])
     # block by block: a whole-table product or norms would copy the table again
     for block, (key, amps) in enumerate(blocks):

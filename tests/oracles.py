@@ -26,7 +26,6 @@ from scipy.linalg import sqrtm
 
 from teleportsim.bell import Label
 from teleportsim.eavesdrop import distinguishability
-from teleportsim.effects import effect_branches
 from teleportsim.engine import (
     NULL_BRANCH_EPS,
     BlockStream,
@@ -277,7 +276,7 @@ def advantage(config: ScenarioConfig, first: np.ndarray, second: np.ndarray) -> 
 def mirror_loop(config: ScenarioConfig) -> list[np.ndarray]:
     """``(u0^-1 E_l u0)^T`` of every reference branch, one branch at a time."""
     u0 = np.asarray(config.u0)
-    return [(dagger(u0) @ e_r @ u0).T for e_r in effect_branches(config.effect_r, config.dim).operators]
+    return [(dagger(u0) @ e_r @ u0).T for e_r in config.effect_r.operators]
 
 
 def oracle_records(config: ScenarioConfig) -> list[Record]:

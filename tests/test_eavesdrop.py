@@ -12,9 +12,11 @@ from teleportsim import engine
 from teleportsim.bell import make_bell_family, weyl_unitary
 from teleportsim.eavesdrop import (
     analyze_eavesdropping,
+    distinguishability,
     eavesdrop_operator,
     projective_case_analysis,
     sequential_decomposition_check,
+    tap_operators,
 )
 from teleportsim.effects import (
     Effect,
@@ -344,7 +346,9 @@ def test_distinguishability_basis_pair_scales_with_strength():
 def test_receiver_branches_sum_to_the_tap_cells(dim):
     # summed over receiver branches, the kernel's cells are the tap's: a
     # closed two-Kraus receiver must leave them where the kernel of the tap
-    # alone, which `distinguishability` reads, puts them
+    # alone, which `distinguishability` reads, puts them; and every
+    # quantity of the tap alone is the receiver-free scenario's, value for
+    # value
     rng = np.random.default_rng(70 + dim)
     isometry = random_unitary(2 * dim, rng)[:, :dim]
     config = make_scenario(
@@ -357,11 +361,13 @@ def test_receiver_branches_sum_to_the_tap_cells(dim):
     states = np.array([random_state(dim, rng), random_state(dim, rng)])
     rows = transfer_rows(config, states)
     mirrors = mirror_stack(config)
-    tap = replace(config, effect_b=None)
-    alone = {l: norms_squared(amps) for l, _, amps in transfer_kernel(tap, rows, mirrors)}
+    labels = config.effect_r.labels
+    alone = {l: norms_squared(amps) for l, amps in zip(labels, transfer_kernel(rows, mirrors))}
     summed = {l: np.zeros_like(cells) for l, cells in alone.items()}
+    receiver = config.effect_b.operators
+    channels = np.array([f_b @ mirrored for mirrored in mirrors for f_b in receiver])
     count = 0
-    for l, _, amps in transfer_kernel(config, rows, mirrors):
+    for l, amps in zip([l for l in labels for _ in receiver], transfer_kernel(rows, channels)):
         summed[l] += norms_squared(amps)
         count += 1
     assert count == 2 * dim
@@ -370,6 +376,11 @@ def test_receiver_branches_sum_to_the_tap_cells(dim):
     pair = np.concatenate(list(summed.values()))
     summed_advantage = 0.25 * float(np.sum(np.abs(pair[:, 0] - pair[:, 1])))
     assert summed_advantage == pytest.approx(advantage(config, *states), abs=1e-15)
+    tap = replace(config, effect_b=None)
+    assert distinguishability(config, rows, mirrors) == distinguishability(tap, rows, mirrors)
+    for (l, ops), (tap_l, tap_ops) in zip(tap_operators(config), tap_operators(tap), strict=True):
+        assert l == tap_l and np.array_equal(ops, tap_ops)
+    assert sequential_decomposition_check(config) == sequential_decomposition_check(tap)
 
 
 def test_distinguishability_blind_to_conjugate_basis():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,6 @@ from numpy.testing import assert_allclose
 
 from teleportsim.effects import (
     MeasurementFamily,
-    effect_branches,
     family_completeness_deviation,
     kraus_mixture,
     make_measurement_family,
@@ -195,16 +196,26 @@ def _damping3() -> list[np.ndarray]:
     ids=["unitary", "kraus", "explicit-family", "strength-family", "absent"],
 )
 def test_every_effect_is_one_read_only_branch_stack(build, labels):
+    # a scenario holds each line as the effect's own branch stack, and an
+    # absent line as one identity branch labeled None, whether it is made
+    # by make_scenario or by replace
     effect = build()
-    branches = effect_branches(effect, 3)
-    assert branches.labels == labels
-    assert branches.operators.shape == (len(labels), 3, 3)
-    assert branches.operators.dtype == complex
-    assert not branches.operators.flags.writeable
+    config = make_scenario(3, basis_state(3, 0), effect_r=effect, effect_b=effect)
+    damped = make_scenario(3, basis_state(3, 0), effect_b=kraus_mixture(_damping3()))
+    for branches in (config.effect_r, config.effect_b, replace(damped, effect_b=effect).effect_b):
+        assert branches.labels == labels
+        assert branches.operators.shape == (len(labels), 3, 3)
+        assert branches.operators.dtype == complex
+        assert not branches.operators.flags.writeable
+        if effect is None:
+            assert np.array_equal(branches.operators[0], np.eye(3))
+        else:
+            assert branches is effect
     if effect is None:
-        assert np.array_equal(branches.operators[0], np.eye(3))
         return
-    assert branches is effect
+    small = make_scenario(2, basis_state(2, 0))
     for side in ("effect_r", "effect_b"):
-        with pytest.raises(ValueError, match="does not match"):
-            make_scenario(2, basis_state(2, 0), **{side: effect})
+        for scenario in (lambda: make_scenario(2, basis_state(2, 0), **{side: effect}),
+                         lambda: replace(small, **{side: effect})):
+            with pytest.raises(ValueError, match=r"^effect shape \(3, 3\) does not match dimension 2$"):
+                scenario()

@@ -24,7 +24,6 @@ from hypothesis.extra import numpy as hnp
 from oracles import brute_teleport, format_label
 from teleportsim import runner
 from teleportsim.config import parse_config
-from teleportsim.effects import effect_branches
 from teleportsim.runner import format_labels, format_number, format_numbers, run_teleport
 
 
@@ -118,7 +117,7 @@ def test_null_branches_leave_the_fidelity_empty_and_match_the_oracle():
     config = runner.build_scenario(NULL_SPEC)
     psi = np.asarray(config.input_state)
     bell = config.bell
-    taps = effect_branches(config.effect_r, 3)
+    taps = config.effect_r
     expected = []
     for l, e_r in zip(taps.labels, taps.operators):
         for label, unitary, weight in zip(bell.labels, bell.unitaries, bell.weights):

@@ -20,7 +20,6 @@ from teleportsim import eavesdrop, engine, runner, verify
 from teleportsim.bell import make_bell_family, weyl_unitary
 from teleportsim.config import parse_config
 from teleportsim.eavesdrop import distinguishability, tap_report
-from teleportsim.effects import effect_branches
 from teleportsim.linalg import dagger
 from teleportsim.sampling import random_unitary
 from teleportsim.runner import InvariantViolation, run_teleport
@@ -312,7 +311,7 @@ def test_oracle_shares_no_mirror_algebra(monkeypatch):
     # an oracle that went through mirror_stack would break along with it
     def untransposed(scenario):
         u0 = np.asarray(scenario.u0)
-        return dagger(u0) @ effect_branches(scenario.effect_r, scenario.dim).operators @ u0
+        return dagger(u0) @ scenario.effect_r.operators @ u0
 
     for module in (engine, eavesdrop, runner, verify):
         monkeypatch.setattr(module, "mirror_stack", untransposed)

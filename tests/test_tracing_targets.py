@@ -87,7 +87,7 @@ def test_corrected_table_rows_are_the_brute_force_outputs():
     # the tracer's record counters iterate the oracle table: each row of a
     # correcting table must carry the corrected output, and None exactly
     # where the branch never fires
-    from teleportsim.effects import effect_branches, kraus_mixture, strength_family
+    from teleportsim.effects import kraus_mixture, strength_family
     from teleportsim.engine import NULL_BRANCH_EPS, make_scenario, run_oracle
     from teleportsim.linalg import basis_state
 
@@ -101,9 +101,9 @@ def test_corrected_table_rows_are_the_brute_force_outputs():
     config = make_scenario(
         3, basis_state(3, 0), effect_r=strength_family(3, 1.0), effect_b=kraus_mixture([k0, k1])
     )
-    reference = effect_branches(config.effect_r, 3)
+    reference = config.effect_r
     reference = dict(zip(reference.labels, reference.operators))
-    receiver = effect_branches(config.effect_b, 3)
+    receiver = config.effect_b
     receiver = dict(zip(receiver.labels, receiver.operators))
     records = list(run_oracle(config))
     assert len(records) == 3 * 2 * 9
