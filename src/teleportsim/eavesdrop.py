@@ -14,8 +14,9 @@ and for it.
 `tap_operators` alone builds the ``P(l, m)`` as matrices, the kernel on
 the basis, for verify's Hermiticity check and, on the family cut to one
 outcome, for `eavesdrop_operator`.  `tap_report` sums either route's
-``(K, M)`` branch arrays into the tap's ``(L, M)`` cells, so the run
-drivers reduce both routes they compare alike; `analyze_eavesdropping`
+``(K, M)`` branch arrays into the tap's ``(L, M)`` cells, so
+`teleportsim.runner.route_pass`, the one pass the run drivers and verify
+read, reduces both routes it compares alike; `analyze_eavesdropping`
 is that reduction over `teleportsim.engine.fast_run`.  The module also
 holds the paper's projective special case (`projective_case_analysis`)
 and the one receiver-state check, `sequential_decomposition_check`: no

@@ -36,7 +36,12 @@ squared norms and squared overlaps, each one `np.vecdot` over the block;
 `compare_routes` zips the two streams, reduces both alike and measures
 every branch's 2-norm amplitude deviation, so a caller holds a few
 blocks and the ``(K, M)`` reductions, never a table; streams that part
-raise `RouteMismatch`.
+raise `RouteMismatch`.  Its one caller is `teleportsim.runner.route_pass`,
+the one pass over both routes that the run drivers and the verification
+suite read: it returns every deviation between the routes instead of
+raising, and each caller decides what fails.  The pass cannot live
+here, since it reads `teleportsim.eavesdrop.tap_report`, which imports
+this module.
 `expected_probability_sum` gives the oracle's probability sum in closed
 form from the Gram of its bra on R and `reference_marginal`, neither of
 which an effect on R touches: 1 for exactly closed effects, and moved by
@@ -346,12 +351,14 @@ def fast_run(config: ScenarioConfig, rows: np.ndarray, mirrors: np.ndarray) -> B
 
     ``rows`` is `transfer_rows` of the scenario's input alone, ``(M, 1,
     n)``, and ``mirrors`` its `mirror_stack`.  The kernel runs through
-    the channel stack ``F_b (u0^-1 E_l u0)^T`` of every branch pair, one
-    batched product of the receiver's stack with ``mirrors``.  Each
-    ``(M, n)`` block holds the outputs before the receiver's correction,
-    as `oracle_blocks` yields them; only one block is held at a time.
+    the channel ``F_b (u0^-1 E_l u0)^T`` of every branch pair, built one
+    reference branch at a time as one batched product of the receiver's
+    stack with its mirror: the whole ``(L*B, n, n)`` stack would copy the
+    mirror stack again for an undisturbed receiver.  Each ``(M, n)``
+    block holds the outputs before the receiver's correction, as
+    `oracle_blocks` yields them; only one block is held at a time.
     """
-    channels = (config.effect_b.operators @ mirrors[:, None]).reshape(-1, config.dim, config.dim)
+    channels = (c for mirror in mirrors for c in config.effect_b.operators @ mirror)
     for key, amps in zip(branch_keys(config), transfer_kernel(rows, channels), strict=True):
         yield key, amps[:, 0]
 
@@ -384,7 +391,9 @@ def compare_routes(
     the streams part, both are drained to name the difference in
     `RouteMismatch`: the record counts if they differ, else the first
     ``(key, shape)`` the routes disagree on.  The message says "oracle"
-    for ``oracle`` and "transfer" for ``transfer``.
+    for ``oracle`` and "transfer" for ``transfer``.  Deviations are
+    measured, never judged: `teleportsim.runner.route_pass`, the one
+    caller, returns them and its callers decide what fails.
     """
     oracle, transfer = iter(oracle), iter(transfer)
     layouts: tuple[list, list] = ([], [])  # (key, shape) of every block, oracle first

@@ -2,11 +2,14 @@
 
 Every branch is computed twice: once through the transfer kernel and once
 through the full-state oracle.  Both routes are streams of ``(M, n)``
-blocks, and one pass zips them: `compare_routes` reduces both alike to
-``(K, M)`` squared norms and overlaps and measures the 2-norm amplitude
-deviation of every branch, and `tap_report` sums each route's arrays
-into the tap's ``(L, M)`` cells.  A run keeps only those reductions, never a table of
-blocks, and no driver calls `run_oracle`: it is imported below for the
+blocks, and `route_pass` zips them once: `compare_routes` reduces both
+alike to ``(K, M)`` squared norms and overlaps and measures the 2-norm
+amplitude deviation of every branch, and `tap_report` sums each route's
+arrays into the tap's ``(L, M)`` cells.  The pass keeps only those
+reductions, never a table of blocks, and returns every deviation between
+the routes as a value instead of raising: the run drivers and the
+verification suite read the same `RoutePass`, and each caller decides
+what fails.  No driver calls `run_oracle`: it is imported below for the
 benchmark's tracer alone.  Every number `run_teleport` writes, and the
 sweep's fidelity column, is a reduction of the oracle's arrays, and the
 summary ends with the measured route deviations.  The oracle's
@@ -14,14 +17,14 @@ probability sum is held to `expected_probability_sum`, its closed form,
 which admission's closure tolerance lets differ from 1; the summary
 prints both.  The sweep's distinguishability column comes from the
 transfer kernel alone, through `distinguishability`, and no oracle checks
-it.  A mismatch beyond `RUN_TOL`, or a non-finite number bound for
-either CSV other than a null branch's empty fidelity, raises
-`InvariantViolation` before the first row is written, instead of writing
-a plausible-looking but wrong table.  Output is deterministic down to the
-byte for a fixed spec.
+it.  The drivers raise `InvariantViolation` before the first row is
+written when a deviation exceeds `RUN_TOL` or a number bound for either
+CSV, other than a null branch's empty fidelity, is not finite, instead
+of writing a plausible-looking but wrong table.  Output is deterministic
+down to the byte for a fixed spec.
 
 What no tap strength changes is built once per run: the validated
-scenario (input, Bell family, u0 and receiver), and by `_fixed_half` the
+scenario (input, Bell family, u0 and receiver), and by `fixed_half` the
 oracle's bra on R and its Gram, the kernel's rows of the input, the
 kets ``U(m)^-1 psi`` and the reference marginal.  A sweep builds them,
 and the distinguished pair's kernel rows, once for the grid; each point
@@ -42,7 +45,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
-from typing import IO, Iterable
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
@@ -155,7 +158,7 @@ def build_scenario(spec: RunSpec) -> ScenarioConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class _FixedHalf:
+class FixedHalf:
     """The arrays of a run that no tap strength changes: built once per run or sweep.
 
     ``bra`` (`oracle_bra`) feeds the oracle alone and ``rows``
@@ -172,10 +175,11 @@ class _FixedHalf:
     marginal: np.ndarray  # (n, n)
 
 
-def _fixed_half(scenario: ScenarioConfig) -> _FixedHalf:
+def fixed_half(scenario: ScenarioConfig) -> FixedHalf:
+    """`FixedHalf` of ``scenario``: what every tap strength on its input shares."""
     psi = np.asarray(scenario.input_state)
     bra = oracle_bra(scenario)
-    return _FixedHalf(
+    return FixedHalf(
         bra=bra,
         rows=transfer_rows(scenario, psi[None]),
         kets=apply_each_inverse(scenario.bell.unitaries, psi),
@@ -185,16 +189,18 @@ def _fixed_half(scenario: ScenarioConfig) -> _FixedHalf:
 
 
 @dataclass(frozen=True, eq=False)
-class _RoutePass:
-    """What one zipped pass over both routes keeps: the oracle's reductions.
+class RoutePass:
+    """What one zipped pass over both routes keeps: the oracle's reductions and every route deviation.
 
     ``probabilities`` and ``fidelities`` hold one row per branch pair
     ``keys[k]`` and one column per Bell outcome ``tap.labels[m]``; ``tap``
     sums them into the tap's ``(l, m)`` cells.  ``probability_sum`` is the
-    oracle's total and ``expected_sum`` its closed form.  ``deviations``
-    holds the largest per-branch 2-norm amplitude deviation, the largest
-    probability deviation and the total-fidelity deviation between the
-    routes.
+    oracle's total and ``expected_sum`` its closed form.  The deviations
+    between the routes are ``amplitude_deviation``, the 2-norm of each
+    branch's difference, and ``probability_deviation``, both ``(K, M)``;
+    ``cell_deviation``, ``(L, M)``, between the routes' tap reports; and
+    ``fidelity_deviation``, between their total fidelities.  Every array
+    is read-only.
     """
 
     keys: tuple[tuple[object, object], ...]
@@ -203,70 +209,90 @@ class _RoutePass:
     tap: EavesdropReport
     probability_sum: float
     expected_sum: float
-    deviations: tuple[float, float, float]
+    amplitude_deviation: np.ndarray  # (K, M)
+    probability_deviation: np.ndarray  # (K, M)
+    cell_deviation: np.ndarray  # (L, M)
+    fidelity_deviation: float
+
+    def __post_init__(self) -> None:
+        for array in (self.probabilities, self.fidelities, self.amplitude_deviation,
+                      self.probability_deviation, self.cell_deviation):
+            array.setflags(write=False)
+
+    @property
+    def deviations(self) -> tuple[float, float, float]:
+        """The largest amplitude and probability deviation and the total-fidelity deviation."""
+        return (float(np.max(self.amplitude_deviation)), float(np.max(self.probability_deviation)),
+                self.fidelity_deviation)
 
 
-def _zipped_pass(
-    scenario: ScenarioConfig, fixed: _FixedHalf, mirrors: np.ndarray
-) -> _RoutePass:
-    """Zip the oracle stream with `fast_run` once, then check every invariant on the reductions.
+def route_pass(scenario: ScenarioConfig, fixed: FixedHalf, mirrors: np.ndarray) -> RoutePass:
+    """Zip the oracle stream with `fast_run` once and measure every deviation between the routes.
 
-    ``fixed`` is `_fixed_half` of a scenario that differs from this one in
-    the tap at most, ``mirrors`` this one's `mirror_stack`.  Raises
-    `InvariantViolation` when the routes differ in layout, in one branch,
-    in one tap cell or in total fidelity, or when the oracle's probability
-    sum leaves its closed form; a NaN deviation fails every check.
+    ``fixed`` is `fixed_half` of a scenario that differs from this one in
+    the tap at most, ``mirrors`` this one's `mirror_stack`.  Nothing is
+    checked here, so routes that disagree still return their deviations
+    and the caller decides what fails.  Only streams that part in layout
+    raise, `RouteMismatch`: they have no deviation to return.
     """
-    oracle = oracle_blocks(scenario, fixed.bra)
-    transfer = fast_run(scenario, fixed.rows, mirrors)
-    try:
-        keys, norms, overlaps, a_dev = compare_routes(oracle, transfer, fixed.kets)
-    except RouteMismatch as exc:
-        raise InvariantViolation(str(exc)) from None
-    labels = scenario.bell.labels
-    p_dev = np.abs(norms[0] - norms[1])
-    # written as "not within", so a NaN deviation fails too
-    failing = np.flatnonzero(~((p_dev <= RUN_TOL) & (a_dev <= RUN_TOL)))
-    if failing.size:
-        first = failing[0]
-        block, column = divmod(int(first), len(labels))
-        l, branch = keys[block]
-        raise InvariantViolation(
-            f"routes disagree on branch (m={labels[column]}, l={l}, b={branch}): "
-            f"probability deviation {p_dev.flat[first]:.3e}, "
-            f"amplitude deviation {a_dev.flat[first]:.3e}"
-        )
-
+    keys, norms, overlaps, amplitude = compare_routes(
+        oracle_blocks(scenario, fixed.bra), fast_run(scenario, fixed.rows, mirrors), fixed.kets
+    )
     tap = tap_report(scenario, norms[0], overlaps[0])
     transfer_tap = tap_report(scenario, norms[1], overlaps[1])
-    cell_dev = np.abs(transfer_tap.probabilities - tap.probabilities)
-    failing = np.flatnonzero(~(cell_dev <= RUN_TOL))
-    if failing.size:
-        row, column = divmod(int(failing[0]), len(labels))
-        raise InvariantViolation(
-            f"branch operator probability deviates from oracle by "
-            f"{cell_dev[row, column]:.3e} on (l={tap.tap_labels[row]}, m={labels[column]})"
-        )
-    fidelity_dev = abs(transfer_tap.total_fidelity - tap.total_fidelity)
-    if not fidelity_dev <= RUN_TOL:
-        raise InvariantViolation(f"total fidelity routes disagree by {fidelity_dev:.3e}")
-    # admission lets a closure defect below FAMILY_TOL through, so the sum
-    # is held to its closed form, not to 1
-    probability_sum = float(norms[0].sum())
-    expected_sum = expected_probability_sum(scenario, fixed.gram, fixed.marginal)
-    if not abs(probability_sum - expected_sum) <= RUN_TOL:
-        raise InvariantViolation(
-            f"oracle probabilities sum to {probability_sum!r}, expected {expected_sum!r}"
-        )
-    return _RoutePass(
+    return RoutePass(
         keys=keys,
         probabilities=norms[0],
         fidelities=conditional_fidelities(overlaps[0], norms[0]),
         tap=tap,
-        probability_sum=probability_sum,
-        expected_sum=expected_sum,
-        deviations=(float(np.max(a_dev)), float(np.max(p_dev)), fidelity_dev),
+        probability_sum=float(norms[0].sum()),
+        expected_sum=expected_probability_sum(scenario, fixed.gram, fixed.marginal),
+        amplitude_deviation=amplitude,
+        probability_deviation=np.abs(norms[0] - norms[1]),
+        cell_deviation=np.abs(transfer_tap.probabilities - tap.probabilities),
+        fidelity_deviation=abs(transfer_tap.total_fidelity - tap.total_fidelity),
     )
+
+
+def _checked_pass(where: str, scenario: ScenarioConfig, fixed: FixedHalf, mirrors: np.ndarray) -> RoutePass:
+    """`route_pass`, raising `InvariantViolation` led by ``where`` on the first invariant it breaks.
+
+    The checks run in order: layout, each branch, each tap cell, total
+    fidelity, then the oracle's probability sum against its closed form.
+    Each is written as "not within", so a NaN deviation fails it too.
+    """
+    try:
+        measured = route_pass(scenario, fixed, mirrors)
+    except RouteMismatch as exc:
+        raise InvariantViolation(f"{where}{exc}") from None
+    labels = measured.tap.labels
+    p_dev, a_dev = measured.probability_deviation, measured.amplitude_deviation
+    failing = np.argwhere(~((p_dev <= RUN_TOL) & (a_dev <= RUN_TOL)))
+    if failing.size:
+        k, m = failing[0]
+        l, branch = measured.keys[k]
+        raise InvariantViolation(
+            f"{where}routes disagree on branch (m={labels[m]}, l={l}, b={branch}): "
+            f"probability deviation {p_dev[k, m]:.3e}, amplitude deviation {a_dev[k, m]:.3e}"
+        )
+    failing = np.argwhere(~(measured.cell_deviation <= RUN_TOL))
+    if failing.size:
+        l, m = failing[0]
+        raise InvariantViolation(
+            f"{where}branch operator probability deviates from oracle by "
+            f"{measured.cell_deviation[l, m]:.3e} on (l={measured.tap.tap_labels[l]}, m={labels[m]})"
+        )
+    if not measured.fidelity_deviation <= RUN_TOL:
+        raise InvariantViolation(f"{where}total fidelity routes disagree by "
+                                 f"{measured.fidelity_deviation:.3e}")
+    # admission lets a closure defect below FAMILY_TOL through, so the sum
+    # is held to its closed form, not to 1
+    if not abs(measured.probability_sum - measured.expected_sum) <= RUN_TOL:
+        raise InvariantViolation(
+            f"{where}oracle probabilities sum to {measured.probability_sum!r}, "
+            f"expected {measured.expected_sum!r}"
+        )
+    return measured
 
 
 def _require_finite(where: str, **columns: np.ndarray) -> None:
@@ -294,7 +320,7 @@ def run_teleport(spec: RunSpec, stream: IO[str]) -> list[str]:
     Returns human-readable summary lines for the caller to print.
     """
     scenario = build_scenario(spec)
-    measured = _zipped_pass(scenario, _fixed_half(scenario), mirror_stack(scenario))
+    measured = _checked_pass("", scenario, fixed_half(scenario), mirror_stack(scenario))
     probabilities = measured.probabilities
     fidelities = measured.fidelities
     tap = measured.tap
@@ -358,48 +384,41 @@ def run_sweep(spec: RunSpec, stream: IO[str]) -> list[str]:
 
     Only the tap changes from point to point, so the scenario is built and
     validated once, without a tap, and so is every array the strength
-    does not touch: `_fixed_half` and the distinguished pair's kernel
+    does not touch: `fixed_half` and the distinguished pair's kernel
     rows.  Each point builds its tap family and its `mirror_stack` once
     and runs both routes and `distinguishability` on those arrays.
     """
     grid = _sweep_grid(spec)
     base = build_scenario(replace(spec, eavesdrop=None))
-    fixed = _fixed_half(base)
+    fixed = fixed_half(base)
     pair = transfer_rows(base, np.array([state for _, state in spec.distinguish]))
     basis = np.asarray(spec.eavesdrop.basis)
     points = []
     for theta in grid:
         scenario = replace(base, effect_r=strength_family(spec.n, theta, basis))
         mirrors = mirror_stack(scenario)
-        try:
-            measured = _zipped_pass(scenario, fixed, mirrors)
-        except InvariantViolation as exc:
-            raise InvariantViolation(f"theta={format_number(theta)}: {exc}") from None
+        where = f"theta={format_number(theta)}: "
+        measured = _checked_pass(where, scenario, fixed, mirrors)
         advantage = distinguishability(scenario, pair, mirrors)
-        _require_finite(f"theta={format_number(theta)}: ", total_fidelity=measured.tap.total_fidelity,
-                        distinguishability=advantage)
+        _require_finite(where, total_fidelity=measured.tap.total_fidelity, distinguishability=advantage)
         # a point keeps its scalars alone: the passes' (K, M) arrays would pile up over the grid
-        points.append(SimpleNamespace(
-            fidelity=measured.tap.total_fidelity,
-            advantage=advantage,
-            probability_sum=measured.probability_sum,
-            expected_sum=measured.expected_sum,
-            deviations=measured.deviations,
-        ))
+        points.append((measured.tap.total_fidelity, advantage, measured.probability_sum,
+                       measured.expected_sum, measured.deviations))
+    fidelities, advantages, sums, expected_sums, deviations = zip(*points)
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(SWEEP_HEADER)
-    for theta, point in zip(grid, points):
-        writer.writerow(map(format_number, (theta, point.fidelity, point.advantage)))
+    writer.writerows(map(format_number, row) for row in zip(grid, fidelities, advantages))
     labels = " vs ".join(label for label, _ in spec.distinguish)
-    first, last = points[0], points[-1]
     return [
-        f"sweep: n={spec.n}, input {spec.input_label}, "
-        f"theta {format_number(grid[0])} -> {format_number(grid[-1])} in {len(grid)} steps",
+        f"sweep: n={spec.n}, input {spec.input_label}, theta {_ends(grid)} in {len(grid)} steps",
         f"distinguish pair: {labels}",
-        f"fidelity {format_number(first.fidelity)} -> {format_number(last.fidelity)}, "
-        f"leakage {format_number(first.advantage)} -> {format_number(last.advantage)}",
-        f"probability sum {format_number(first.probability_sum)} -> {format_number(last.probability_sum)}, "
-        f"expected {format_number(first.expected_sum)} -> {format_number(last.expected_sum)}",
+        f"fidelity {_ends(fidelities)}, leakage {_ends(advantages)}",
+        f"probability sum {_ends(sums)}, expected {_ends(expected_sums)}",
         # the largest of each deviation over the grid
-        _routes_line(np.max([point.deviations for point in points], axis=0)),
+        _routes_line(np.max(deviations, axis=0)),
     ]
+
+
+def _ends(values: Sequence[float]) -> str:
+    """The first and the last of ``values`` as a summary writes them, ``first -> last``."""
+    return f"{format_number(values[0])} -> {format_number(values[-1])}"

@@ -6,15 +6,22 @@ scenarios from per-check seeded generators, so each check's result is
 independent of the others.  The ``corrupt`` argument deliberately injects a
 defective family; it exists so tests can prove the suite actually bites.
 
-Every check that reads the oracle reads its stream, `oracle_blocks`, reduced
-block by block by `reduce_stream` to ``(K, M)`` squared norms and overlaps
-with the input's kets ``U(m)^-1 psi``; no check collects the oracle into a
-table.  ``ideal-teleportation``, ``probability-completeness`` and
-``tap-oracle-agreement`` read the oracle alone, ``oracle-fast-equivalence``
-zips it with `fast_run` in `compare_routes`.  ``decomposition-identity``
-(no reference effect) and ``sequential-decomposition`` (strength taps)
-both read `sequential_decomposition_check` and report the larger of its
-two deviations.
+Every check that reads the oracle alone reads its stream, `oracle_blocks`,
+reduced block by block by `reduce_stream` to ``(K, M)`` squared norms and
+overlaps with the input's kets ``U(m)^-1 psi``; no check collects the
+oracle into a table.  ``ideal-teleportation`` and
+``probability-completeness`` read the oracle alone and hold it to exact
+targets.  ``oracle-fast-equivalence`` and ``tap-oracle-agreement`` read
+the one pass over both routes that the run drivers read,
+`teleportsim.runner.route_pass`, which returns every deviation between
+the routes instead of raising: the first reports the worst of them all
+(branch amplitudes and probabilities, tap cells, total fidelity and the
+probability sum against its closed form), the second its tap-cell
+deviation beside the Hermiticity of every ``P(l, m)``.
+``decomposition-identity`` (no reference effect) and
+``sequential-decomposition`` (strength taps) both read
+`sequential_decomposition_check` and report the larger of its two
+deviations.
 """
 from __future__ import annotations
 
@@ -39,20 +46,19 @@ from .effects import (
 from .engine import (
     RouteMismatch,
     ScenarioConfig,
-    compare_routes,
     conditional_fidelities,
-    fast_run,
     make_scenario,
     mirror_stack,
     oracle_blocks,
     oracle_bra,
     reduce_stream,
-    transfer_rows,
 )
-# run_oracle stays importable here: perfbench/tracing.py patches it by
-# name, though every check reads the oracle through its stream
-from .engine import run_oracle  # noqa: F401
+# run_oracle and fast_run stay importable here: perfbench/tracing.py
+# patches them by name, though every check reads the oracle through its
+# stream and the transfer route through `route_pass`
+from .engine import fast_run, run_oracle  # noqa: F401
 from .linalg import apply_each_inverse, basis_state, uniform_state
+from .runner import fixed_half, route_pass
 from .sampling import child_rng, random_state, random_unitary
 
 
@@ -212,16 +218,12 @@ def check_oracle_fast_equivalence(depth: str, seed: int, corrupt: str | None) ->
                 effect_r=_random_effect(dim, rng, trial % 3),
                 effect_b=_random_effect(dim, rng, (trial + 1) % 3),
             )
-            psi = np.asarray(config.input_state)
-            oracle = oracle_blocks(config, oracle_bra(config))
-            transfer = fast_run(config, transfer_rows(config, psi[None]), mirror_stack(config))
             try:
-                _, norms, _, amplitude = compare_routes(
-                    oracle, transfer, apply_each_inverse(config.bell.unitaries, psi)
-                )
+                measured = route_pass(config, fixed_half(config), mirror_stack(config))
             except RouteMismatch as exc:
                 return _result("oracle-fast-equivalence", float("inf"), 1e-9, str(exc))
-            worst = _worst(worst, np.max(np.abs(norms[0] - norms[1])), np.max(amplitude))
+            worst = _worst(worst, *measured.deviations, np.max(measured.cell_deviation),
+                           abs(measured.probability_sum - measured.expected_sum))
     return _result("oracle-fast-equivalence", worst, 1e-9)
 
 
@@ -340,9 +342,11 @@ def check_tap_oracle_agreement(depth: str, seed: int, corrupt: str | None) -> Ch
         config = make_scenario(
             dim, random_state(dim, rng), bell=bell, u0=random_unitary(dim, rng), effect_r=family
         )
-        # both arrays run tap branch major
-        tap = analyze_eavesdropping(config).probabilities
-        worst = _worst(worst, np.max(np.abs(tap - _oracle(config)[0])))
+        try:
+            measured = route_pass(config, fixed_half(config), mirror_stack(config))
+        except RouteMismatch as exc:
+            return _result("tap-oracle-agreement", float("inf"), 1e-9, str(exc))
+        worst = _worst(worst, np.max(measured.cell_deviation))
         for _, ops in tap_operators(config):
             worst = _worst(worst, np.max(np.abs(ops - ops.conj().transpose(0, 2, 1))))
     return _result("tap-oracle-agreement", worst, 1e-9)

@@ -263,7 +263,7 @@ def test_violated_invariant_leaves_output_as_it_was(tmp_path, capsys, monkeypatc
     def explode(scenario, fixed, mirrors):
         raise InvariantViolation("routes disagree")
 
-    monkeypatch.setattr(runner, "_zipped_pass", explode)
+    monkeypatch.setattr(runner, "route_pass", explode)
     target = tmp_path / "keep.csv"
     target.write_bytes(KEPT)
     for command, text in (("teleport", TAP_CONFIG), ("sweep", SWEEP_CONFIG)):

@@ -175,11 +175,11 @@ def test_teleport_writer_holds_its_string_arrays_and_one_block(monkeypatch, kind
     # would trip this
     spec = _teleport_n32(kind)
     scenario = runner.build_scenario(spec)
-    fixed = runner._fixed_half(scenario)
-    measured = runner._zipped_pass(scenario, fixed, runner.mirror_stack(scenario))
+    fixed = runner.fixed_half(scenario)
+    measured = runner.route_pass(scenario, fixed, runner.mirror_stack(scenario))
     monkeypatch.setattr(runner, "build_scenario", lambda spec: scenario)
-    monkeypatch.setattr(runner, "_fixed_half", lambda scenario: fixed)
-    monkeypatch.setattr(runner, "_zipped_pass", lambda scenario, fixed, mirrors: measured)
+    monkeypatch.setattr(runner, "fixed_half", lambda scenario: fixed)
+    monkeypatch.setattr(runner, "route_pass", lambda scenario, fixed, mirrors: measured)
     # one text object per distinct bit pattern, though many render alike
     cells = [format_numbers(measured.probabilities), format_numbers(measured.fidelities)]
     texts = {id(text): text for array in cells for text in array.reshape(-1).tolist()}

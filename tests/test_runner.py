@@ -84,6 +84,24 @@ def test_cross_check_catches_one_moved_amplitude(monkeypatch):
     refused(r"routes disagree on branch \(m=\(0, 1\), l=1, b=0\): .* amplitude deviation 1\.000e-06")
 
 
+def test_disagreeing_pass_still_returns_its_deviations(monkeypatch):
+    # the pass measures and the driver refuses: the moved branch is the
+    # record's largest amplitude deviation, and the run writes nothing
+    def moved(index, key, block):
+        if index == 2:
+            block[1, 0] += 1e-6
+        yield key, block
+
+    faulty_stream(monkeypatch, moved)
+    scenario = runner.build_scenario(SPEC)
+    measured = runner.route_pass(scenario, runner.fixed_half(scenario), runner.mirror_stack(scenario))
+    deviation = measured.amplitude_deviation
+    assert np.unravel_index(np.argmax(deviation), deviation.shape) == (2, 1)
+    assert deviation[2, 1] == pytest.approx(1e-6, rel=1e-6)
+    assert measured.deviations[0] == deviation[2, 1]
+    refused(r"routes disagree on branch \(m=\(0, 1\), l=1, b=0\): .* amplitude deviation 1\.000e-06")
+
+
 def test_cross_check_names_the_receiver_branch(monkeypatch):
     # blocks 2 and 3 share tap branch l = 1; only b tells them apart
     def moved(index, key, block):
@@ -416,10 +434,10 @@ def test_sweep_points_are_the_points_built_from_scratch(monkeypatch):
         "distinguish": ["random:5", "basis:2"],
     }))
     fidelities, advantages = [], []
-    zipped_pass, advantage_of = runner._zipped_pass, runner.distinguishability
+    route_pass, advantage_of = runner.route_pass, runner.distinguishability
 
     def recorded_pass(*args):
-        measured = zipped_pass(*args)
+        measured = route_pass(*args)
         fidelities.append(measured.tap.total_fidelity)
         return measured
 
@@ -427,7 +445,7 @@ def test_sweep_points_are_the_points_built_from_scratch(monkeypatch):
         advantages.append(advantage_of(*args))
         return advantages[-1]
 
-    monkeypatch.setattr(runner, "_zipped_pass", recorded_pass)
+    monkeypatch.setattr(runner, "route_pass", recorded_pass)
     monkeypatch.setattr(runner, "distinguishability", recorded_advantage)
     runner.run_sweep(spec, io.StringIO())
     grid = runner._sweep_grid(spec)

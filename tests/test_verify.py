@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from teleportsim import engine, verify
+from teleportsim import engine, runner, verify
 from teleportsim.verify import CHECKS, check_oracle_fast_equivalence, run_verification
 
 CHECK_NAMES = {
@@ -88,14 +88,14 @@ def test_unknown_corrupt_target_is_rejected():
 
 
 def patch_stream(monkeypatch, fault) -> None:
-    """Patch verify's transfer route so ``fault(block)`` edits every streamed block."""
-    route = verify.fast_run
+    """Patch the transfer route of the shared route pass so ``fault(block)`` edits every streamed block."""
+    route = runner.fast_run
 
     def patched(config, rows, mirrors):
         for key, block in route(config, rows, mirrors):
             yield key, fault(block.copy())
 
-    monkeypatch.setattr(verify, "fast_run", patched)
+    monkeypatch.setattr(runner, "fast_run", patched)
 
 
 def test_transfer_route_dropping_a_record_fails(monkeypatch):
@@ -108,8 +108,8 @@ def test_transfer_route_dropping_a_record_fails(monkeypatch):
 
 
 def test_transfer_route_dropping_a_block_names_the_record_count(monkeypatch):
-    route = verify.fast_run
-    monkeypatch.setattr(verify, "fast_run", lambda *args: list(route(*args))[:-1])
+    route = runner.fast_run
+    monkeypatch.setattr(runner, "fast_run", lambda *args: list(route(*args))[:-1])
     result = check_oracle_fast_equivalence("quick", 0, None)
     line = verify.VerificationReport("quick", (result,)).lines()[0]
     assert re.fullmatch(
@@ -117,6 +117,26 @@ def test_transfer_route_dropping_a_block_names_the_record_count(monkeypatch):
         r"\[record count mismatch: oracle \d+ vs transfer \d+\]",
         line,
     ), line
+
+
+def test_oracle_fast_equivalence_catches_branch_deviations_that_add_up(monkeypatch):
+    # every transfer output is scaled by 1 + 1.5e-9: no branch moves by 1e-9
+    # in amplitude (2-norm) or probability, but the total fidelity moves by
+    # 3e-9 times its value, past 1e-9 on every scenario whose fidelity
+    # exceeds 1/3
+    patch_stream(monkeypatch, lambda block: block * (1 + 1.5e-9))
+    passes = []
+    shared = verify.route_pass
+
+    def recorded(*args):
+        passes.append(shared(*args))
+        return passes[-1]
+
+    monkeypatch.setattr(verify, "route_pass", recorded)
+    result = check_oracle_fast_equivalence("quick", 0, None)
+    assert max(max(measured.deviations[:2]) for measured in passes) < 1e-9
+    assert not result.passed
+    assert result.max_deviation == max(measured.fidelity_deviation for measured in passes) > 1e-9
 
 
 def test_transfer_route_with_shuffled_labels_fails(monkeypatch):
