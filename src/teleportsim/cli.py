@@ -4,7 +4,8 @@ Three subcommands: ``teleport`` runs one scenario and writes its branch
 table, ``sweep`` scans the tap strength, ``verify`` runs the built-in
 identity checks.  Exit codes: 0 success, 1 invalid configuration or
 arguments, 2 violated invariant or failed verification, 3 input/output
-failure.
+failure.  A ``verify`` check that raises exits 2 too: argparse has
+checked its arguments, so the error is a package defect.
 """
 from __future__ import annotations
 
@@ -98,7 +99,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "verify":
-            report = run_verification(depth=args.depth, seed=args.seed, corrupt=args.corrupt)
+            try:
+                report = run_verification(depth=args.depth, seed=args.seed, corrupt=args.corrupt)
+            except ValueError as exc:
+                # argparse has checked every argument, so only a package defect gets here
+                print(f"verification failed: {exc}", file=sys.stderr)
+                return EXIT_INVARIANT
             for line in report.lines():
                 print(line)
             return EXIT_OK if report.passed else EXIT_INVARIANT

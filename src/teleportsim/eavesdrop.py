@@ -128,7 +128,7 @@ def tap_report(
 
     ``probabilities`` and ``overlaps_sq`` hold the squared norms and
     `teleportsim.engine.overlaps_squared` of the blocks of either route,
-    one row per reference and receiver branch pair in stream order.  Each
+    one row per reference and receiver branch pair in `branch_keys` order.  Each
     ``(l, m)`` cell sums its receiver branches.  The reference effect may
     be any effect, not only a tap: each branch label is one row.
     """

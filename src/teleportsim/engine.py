@@ -1,9 +1,9 @@
 """Teleportation engine: exact tripartite evolution and its operator shortcut.
 
 Two independent routes produce every conditional output, each as a
-stream of ``((l, b), block)`` pairs in the same key order, one ``(M, n)``
-block of every Bell outcome's output before the receiver's correction
-``U(m)`` per reference and receiver branch pair.  `oracle_blocks` projects
+stream of bare ``(M, n)`` blocks in `branch_keys` order, one block of
+every Bell outcome's output before the receiver's correction ``U(m)``
+per reference and receiver branch pair.  `oracle_blocks` projects
 each Bell outcome on the A x R x B state
 ``psi_A (x) (E_R (x) F_B)|Phi>_RB``; it is the ground truth and shares no
 transfer algebra.  `fast_run` applies the per-outcome transfer operator
@@ -15,7 +15,8 @@ every branch pair, and for every tap quantity and branch operator in
 `ScenarioConfig` holds each line as its `Effect` branch stack, an
 undisturbed line as one identity branch labeled ``None``, so both routes
 read ``config.effect_r`` and ``config.effect_b`` directly and pair their
-branches in `branch_keys` order.
+branches in `branch_keys` order, the one key order: a stream carries no
+keys, and every caller that names a block takes its key from there.
 
 Each route has a half that no effect touches, and its stream takes that
 half as a value, so a caller that varies an effect builds it once:
@@ -35,11 +36,12 @@ bra stack.
 squared norms and squared overlaps, each one `np.vecdot` over the block;
 `compare_routes` zips the two streams, reduces both alike and measures
 every branch's 2-norm amplitude deviation, so a caller holds a few
-blocks and the ``(K, M)`` reductions, never a table; streams that part
-raise `RouteMismatch`.  Its one caller is `teleportsim.runner.route_pass`,
-the one pass over both routes that the run drivers and the verification
-suite read: it returns every deviation between the routes instead of
-raising, and each caller decides what fails.  The pass cannot live
+blocks and the ``(K, M)`` reductions, never a table; streams that differ
+in block count or in a block's shape raise `RouteMismatch`.  Its one
+caller is `teleportsim.runner.route_pass`, the one pass over both routes
+that the run drivers and the verification suite read: it returns every
+deviation between the routes instead of raising, and each caller decides
+what fails.  The pass cannot live
 here, since it reads `teleportsim.eavesdrop.tap_report`, which imports
 this module.
 `expected_probability_sum` gives the oracle's probability sum in closed
@@ -84,8 +86,8 @@ _BRA_CHUNK = 64
 
 BranchLabel = int | str | None
 
-# ((l, b), block) pairs, one uncorrected (M, n) block per effect branch pair
-BlockStream = Iterator[tuple[tuple[BranchLabel, BranchLabel], np.ndarray]]
+# one uncorrected (M, n) block per effect branch pair, in branch_keys order
+BlockStream = Iterator[np.ndarray]
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,9 +262,9 @@ def branch_keys(config: ScenarioConfig) -> tuple[tuple[BranchLabel, BranchLabel]
 
 
 def oracle_blocks(config: ScenarioConfig, bra: np.ndarray) -> BlockStream:
-    """Stream ``((l, b), block)`` of the full-state route, in `branch_keys` order.
+    """Stream the full-state route's ``(M, n)`` blocks, in `branch_keys` order.
 
-    Each ``(M, n)`` block holds the outputs before the receiver's
+    Each block holds the outputs before the receiver's
     correction.  ``bra`` is `oracle_bra` of a scenario with the same
     input, Bell family and ``u0``: psi_A (x) |resource>_RB is a product
     across A | RB, so the sender index is contracted before any effect
@@ -274,9 +276,9 @@ def oracle_blocks(config: ScenarioConfig, bra: np.ndarray) -> BlockStream:
     """
     resource_mat = np.asarray(config.u0) / np.sqrt(config.dim)
     receiver = config.effect_b.operators.transpose(0, 2, 1)
-    resources = (r for e_r in config.effect_r.operators for r in e_r @ resource_mat @ receiver)
-    for key, resource in zip(branch_keys(config), resources, strict=True):
-        yield key, bra @ resource
+    for e_r in config.effect_r.operators:
+        for resource in e_r @ resource_mat @ receiver:
+            yield bra @ resource
 
 
 def reference_marginal(config: ScenarioConfig) -> np.ndarray:
@@ -347,20 +349,20 @@ def transfer_kernel(rows: np.ndarray, operators: np.ndarray) -> Iterator[np.ndar
 
 
 def fast_run(config: ScenarioConfig, rows: np.ndarray, mirrors: np.ndarray) -> BlockStream:
-    """Stream ``((l, b), block)`` through the transfer kernel, in `branch_keys` order.
+    """Stream the transfer route's ``(M, n)`` blocks through the kernel, in `branch_keys` order.
 
     ``rows`` is `transfer_rows` of the scenario's input alone, ``(M, 1,
     n)``, and ``mirrors`` its `mirror_stack`.  The kernel runs through
     the channel ``F_b (u0^-1 E_l u0)^T`` of every branch pair, built one
     reference branch at a time as one batched product of the receiver's
     stack with its mirror: the whole ``(L*B, n, n)`` stack would copy the
-    mirror stack again for an undisturbed receiver.  Each ``(M, n)``
-    block holds the outputs before the receiver's correction, as
-    `oracle_blocks` yields them; only one block is held at a time.
+    mirror stack again for an undisturbed receiver.  Each block holds
+    the outputs before the receiver's correction, as `oracle_blocks`
+    yields them; only one block is held at a time.
     """
     channels = (c for mirror in mirrors for c in config.effect_b.operators @ mirror)
-    for key, amps in zip(branch_keys(config), transfer_kernel(rows, channels), strict=True):
-        yield key, amps[:, 0]
+    for amps in transfer_kernel(rows, channels):
+        yield amps[:, 0]
 
 
 def reduce_stream(blocks: BlockStream, kets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -369,71 +371,60 @@ def reduce_stream(blocks: BlockStream, kets: np.ndarray) -> tuple[np.ndarray, np
     With the kets ``U(m)^-1 state`` of a state, `conditional_fidelities`
     of the two arrays gives every branch's fidelity with that state.
     """
-    norms, overlaps = zip(*((norms_squared(b), overlaps_squared(b, kets)) for _, b in blocks))
+    norms, overlaps = zip(*((norms_squared(b), overlaps_squared(b, kets)) for b in blocks))
     return np.array(norms), np.array(overlaps)
 
 
 class RouteMismatch(ValueError):
-    """Two route streams differ in a key, the block count or a block shape."""
+    """Two route streams differ in the block count or in a block's shape."""
 
 
 def compare_routes(
     oracle: BlockStream, transfer: BlockStream, kets: np.ndarray
-) -> tuple[tuple, tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray], np.ndarray]:
+) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray], np.ndarray]:
     """Zip two route streams and reduce both alike, block by block as they arrive.
 
-    Returns the keys, both routes' ``(K, M)`` squared norms, both routes'
-    ``(K, M)`` `overlaps_squared` with ``kets``, oracle first, and the
-    ``(K, M)`` amplitude deviation of every branch, the 2-norm of the
-    difference of its two outputs.  The correction is unitary, so
-    comparing uncorrected blocks gives the corrected 2-norm deviation
-    identically, and the 2-norm bounds every entry's deviation.  When
-    the streams part, both are drained to name the difference in
-    `RouteMismatch`: the record counts if they differ, else the first
-    ``(key, shape)`` the routes disagree on.  The message says "oracle"
-    for ``oracle`` and "transfer" for ``transfer``.  Deviations are
-    measured, never judged: `teleportsim.runner.route_pass`, the one
-    caller, returns them and its callers decide what fails.
+    Returns both routes' ``(K, M)`` squared norms, both routes' ``(K, M)``
+    `overlaps_squared` with ``kets``, oracle first, and the ``(K, M)``
+    amplitude deviation of every branch, the 2-norm of the difference of
+    its two outputs; row ``k`` is branch pair ``branch_keys(config)[k]``.
+    The correction is unitary, so comparing uncorrected blocks gives the
+    corrected 2-norm deviation identically, and the 2-norm bounds every
+    entry's deviation.  Streams that differ in block count or in a
+    block's shape raise `RouteMismatch` at the first block they differ
+    on, naming its index and what each route had there: a shape, or
+    ``None`` past the end of the stream.  The message says "oracle" for
+    ``oracle`` and "transfer" for ``transfer``.  Deviations are measured,
+    never judged: `teleportsim.runner.route_pass`, the one caller,
+    returns them and its callers decide what fails.
     """
-    oracle, transfer = iter(oracle), iter(transfer)
-    layouts: tuple[list, list] = ([], [])  # (key, shape) of every block, oracle first
     norms: tuple[list, list] = ([], [])
     overlaps: tuple[list, list] = ([], [])
     amplitude = []
-    for pair in zip_longest(oracle, transfer, fillvalue=(None, None)):
-        for layout, (key, block) in zip(layouts, pair):
-            if block is not None:
-                layout.append((key, block.shape))
-        if len(layouts[0]) != len(layouts[1]) or layouts[0][-1] != layouts[1][-1]:
-            # the rest of both routes, to count their records
-            for layout, rest in zip(layouts, (oracle, transfer)):
-                layout.extend((key, block.shape) for key, block in rest)
-            counts = [sum(shape[0] for _, shape in layout) for layout in layouts]
-            if counts[0] != counts[1]:
-                raise RouteMismatch(f"record count mismatch: oracle {counts[0]} vs transfer {counts[1]}")
-            first, second = next((a, b) for a, b in zip_longest(*layouts) if a != b)
-            raise RouteMismatch(f"record label mismatch: oracle block {first} vs transfer block {second}")
-        for side, (_, block) in enumerate(pair):
+    # no enumerate: its reused result tuple would hold the last pair while the next is built
+    for pair in zip_longest(oracle, transfer):
+        first, second = (None if block is None else block.shape for block in pair)
+        if first != second:
+            raise RouteMismatch(f"block {len(amplitude)}: oracle {first} vs transfer {second}")
+        for side, block in enumerate(pair):
             norms[side].append(norms_squared(block))
             overlaps[side].append(overlaps_squared(block, kets))
-        amplitude.append(np.sqrt(norms_squared(pair[0][1] - pair[1][1])))
+        amplitude.append(np.sqrt(norms_squared(pair[0] - pair[1])))
         del pair, block  # neither route builds its next block while this pair is held
-    keys = tuple(key for key, _ in layouts[0])
-    return keys, tuple(map(np.array, norms)), tuple(map(np.array, overlaps)), np.array(amplitude)
+    return tuple(map(np.array, norms)), tuple(map(np.array, overlaps)), np.array(amplitude)
 
 
 def _table(config: ScenarioConfig, blocks: BlockStream) -> BranchTable:
     """Fill a table in place, correcting each uncorrected ``(M, n)`` block as it arrives."""
     bell = config.bell
-    keys = []
-    stored = np.empty((len(branch_keys(config)), len(bell.labels), config.dim), dtype=complex)
+    keys = branch_keys(config)
+    stored = np.empty((len(keys), len(bell.labels), config.dim), dtype=complex)
     probabilities = np.empty(stored.shape[:2])
     # block by block: a whole-table product or norms would copy the table again
-    for block, (key, amps) in enumerate(blocks):
-        keys.append(key)
+    for block, amps in enumerate(blocks):
         stored[block] = (bell.unitaries @ amps[..., None])[..., 0]
         probabilities[block] = norms_squared(amps)
     stored.setflags(write=False)
     probabilities.setflags(write=False)
-    return BranchTable(tuple(keys), bell.labels, stored, probabilities)
+    return BranchTable(keys, bell.labels, stored, probabilities)
 

@@ -1,18 +1,21 @@
 """CSV-producing run drivers shared by the command line entry points.
 
 Every branch is computed twice: once through the transfer kernel and once
-through the full-state oracle.  Both routes are streams of ``(M, n)``
-blocks, and `route_pass` zips them once: `compare_routes` reduces both
-alike to ``(K, M)`` squared norms and overlaps and measures the 2-norm
-amplitude deviation of every branch, and `tap_report` sums each route's
-arrays into the tap's ``(L, M)`` cells.  The pass keeps only those
-reductions, never a table of blocks, and returns every deviation between
-the routes as a value instead of raising: the run drivers and the
-verification suite read the same `RoutePass`, and each caller decides
-what fails.  No driver calls `run_oracle`: it is imported below for the
-benchmark's tracer alone.  Every number `run_teleport` writes, and the
-sweep's fidelity column, is a reduction of the oracle's arrays, and the
-summary ends with the measured route deviations.  The oracle's
+through the full-state oracle.  Both routes are streams of bare
+``(M, n)`` blocks in `branch_keys` order, and `route_pass` zips them
+once: `compare_routes` reduces both alike to ``(K, M)`` squared norms and
+overlaps and measures the 2-norm amplitude deviation of every branch,
+and `tap_report` sums each route's arrays into the tap's ``(L, M)``
+cells; the pass names its branches by `branch_keys` of the scenario.
+The pass keeps only those reductions, never a table of blocks, and
+returns every deviation between the routes as a value instead of
+raising: the run drivers and the verification suite read the same
+`RoutePass`, and each caller decides what fails.  No driver calls
+`run_oracle`: it is imported below for the benchmark's tracer alone.
+Every number `run_teleport` writes, and the sweep's fidelity column, is
+a reduction of the oracle's arrays, and the summary ends with the
+measured route deviations; only `run_teleport` divides the oracle's
+overlaps into per-branch fidelities, for its CSV.  The oracle's
 probability sum is held to `expected_probability_sum`, its closed form,
 which admission's closure tolerance lets differ from 1; the summary
 prints both.  The sweep's distinguishability column comes from the
@@ -56,6 +59,7 @@ from .engine import (
     NULL_BRANCH_EPS,
     RouteMismatch,
     ScenarioConfig,
+    branch_keys,
     compare_routes,
     conditional_fidelities,
     expected_probability_sum,
@@ -192,9 +196,12 @@ def fixed_half(scenario: ScenarioConfig) -> FixedHalf:
 class RoutePass:
     """What one zipped pass over both routes keeps: the oracle's reductions and every route deviation.
 
-    ``probabilities`` and ``fidelities`` hold one row per branch pair
-    ``keys[k]`` and one column per Bell outcome ``tap.labels[m]``; ``tap``
-    sums them into the tap's ``(l, m)`` cells.  ``probability_sum`` is the
+    ``probabilities`` and ``overlaps``, the oracle's squared norms and
+    squared overlaps with the input's kets, hold one row per branch pair
+    ``keys[k]``, `branch_keys` of the scenario, and one column per Bell
+    outcome ``tap.labels[m]``; ``tap`` sums them into the tap's ``(l, m)``
+    cells, and `conditional_fidelities` of the two gives each branch's
+    fidelity.  ``probability_sum`` is the
     oracle's total and ``expected_sum`` its closed form.  The deviations
     between the routes are ``amplitude_deviation``, the 2-norm of each
     branch's difference, and ``probability_deviation``, both ``(K, M)``;
@@ -205,7 +212,7 @@ class RoutePass:
 
     keys: tuple[tuple[object, object], ...]
     probabilities: np.ndarray  # (K, M)
-    fidelities: np.ndarray  # (K, M)
+    overlaps: np.ndarray  # (K, M)
     tap: EavesdropReport
     probability_sum: float
     expected_sum: float
@@ -215,7 +222,7 @@ class RoutePass:
     fidelity_deviation: float
 
     def __post_init__(self) -> None:
-        for array in (self.probabilities, self.fidelities, self.amplitude_deviation,
+        for array in (self.probabilities, self.overlaps, self.amplitude_deviation,
                       self.probability_deviation, self.cell_deviation):
             array.setflags(write=False)
 
@@ -232,18 +239,19 @@ def route_pass(scenario: ScenarioConfig, fixed: FixedHalf, mirrors: np.ndarray) 
     ``fixed`` is `fixed_half` of a scenario that differs from this one in
     the tap at most, ``mirrors`` this one's `mirror_stack`.  Nothing is
     checked here, so routes that disagree still return their deviations
-    and the caller decides what fails.  Only streams that part in layout
-    raise, `RouteMismatch`: they have no deviation to return.
+    and the caller decides what fails.  Only streams that differ in
+    block count or in a block's shape raise, `RouteMismatch`: they have
+    no deviation to return.
     """
-    keys, norms, overlaps, amplitude = compare_routes(
+    norms, overlaps, amplitude = compare_routes(
         oracle_blocks(scenario, fixed.bra), fast_run(scenario, fixed.rows, mirrors), fixed.kets
     )
     tap = tap_report(scenario, norms[0], overlaps[0])
     transfer_tap = tap_report(scenario, norms[1], overlaps[1])
     return RoutePass(
-        keys=keys,
+        keys=branch_keys(scenario),
         probabilities=norms[0],
-        fidelities=conditional_fidelities(overlaps[0], norms[0]),
+        overlaps=overlaps[0],
         tap=tap,
         probability_sum=float(norms[0].sum()),
         expected_sum=expected_probability_sum(scenario, fixed.gram, fixed.marginal),
@@ -257,9 +265,10 @@ def route_pass(scenario: ScenarioConfig, fixed: FixedHalf, mirrors: np.ndarray) 
 def _checked_pass(where: str, scenario: ScenarioConfig, fixed: FixedHalf, mirrors: np.ndarray) -> RoutePass:
     """`route_pass`, raising `InvariantViolation` led by ``where`` on the first invariant it breaks.
 
-    The checks run in order: layout, each branch, each tap cell, total
-    fidelity, then the oracle's probability sum against its closed form.
-    Each is written as "not within", so a NaN deviation fails it too.
+    The checks run in order: block count and shape, each branch, each
+    tap cell, total fidelity, then the oracle's probability sum against
+    its closed form.  Each is written as "not within", so a NaN deviation
+    fails it too.
     """
     try:
         measured = route_pass(scenario, fixed, mirrors)
@@ -322,7 +331,6 @@ def run_teleport(spec: RunSpec, stream: IO[str]) -> list[str]:
     scenario = build_scenario(spec)
     measured = _checked_pass("", scenario, fixed_half(scenario), mirror_stack(scenario))
     probabilities = measured.probabilities
-    fidelities = measured.fidelities
     tap = measured.tap
     # a tap is the only reference effect a spec sets
     tap_labels = () if spec.eavesdrop is None else tap.tap_labels
@@ -332,9 +340,12 @@ def run_teleport(spec: RunSpec, stream: IO[str]) -> list[str]:
     l_texts, b_texts, tap_texts = texts[:key_labels:2], texts[1:key_labels:2], texts[key_labels:]
     # a null branch's fidelity is NaN, written as the empty field; the tap
     # and Bell marginals are sums of the probabilities
+    live = probabilities >= NULL_BRANCH_EPS
+    fidelities = conditional_fidelities(measured.overlaps, probabilities)
     _require_finite("", probability=np.append(probabilities, measured.probability_sum),
-                    fidelity=np.append(fidelities[probabilities >= NULL_BRANCH_EPS], tap.total_fidelity))
+                    fidelity=np.append(fidelities[live], tap.total_fidelity))
     p_texts, f_texts = format_numbers(probabilities), format_numbers(fidelities)
+    del fidelities  # the writer reads the texts alone
 
     # one write per block, joined from the rendered texts of its rows
     stream.write(",".join(TELEPORT_HEADER) + "\n")
@@ -361,7 +372,7 @@ def run_teleport(spec: RunSpec, stream: IO[str]) -> list[str]:
             if spec.eavesdrop is not None and spec.eavesdrop.theta is not None
             else ""
         ),
-        f"records: {probabilities.size} ({int(np.isnan(fidelities).sum())} null), "
+        f"records: {probabilities.size} ({probabilities.size - np.count_nonzero(live)} null), "
         f"probability sum {format_number(measured.probability_sum)}, "
         f"expected {format_number(measured.expected_sum)}",
         f"average output fidelity: {format_number(tap.total_fidelity)}",

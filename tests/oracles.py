@@ -241,13 +241,16 @@ class Record:
 def block_records(
     config: ScenarioConfig, blocks: BlockStream, correct: bool = False
 ) -> list[Record]:
-    """A route's ``((l, b), block)`` stream as records in stream order.
+    """A route's stream of ``(M, n)`` blocks as records in stream order.
 
-    The streams hold outputs before the correction; with ``correct`` each
-    row gets its ``U(m)`` here, one matrix-vector product per row.
+    Block ``k`` is the ``k``-th ``(l, b)`` pair, reference branch major;
+    a stream one block short or long fails the strict zip.  The streams
+    hold outputs before the correction; with ``correct`` each row gets
+    its ``U(m)`` here, one matrix-vector product per row.
     """
+    keys = [(l, branch) for l in config.effect_r.labels for branch in config.effect_b.labels]
     records = []
-    for (l, branch), block in blocks:
+    for (l, branch), block in zip(keys, blocks, strict=True):
         for label, unitary, raw in zip(config.bell.labels, config.bell.unitaries, block):
             if correct:
                 raw = unitary @ raw

@@ -8,7 +8,8 @@ import warnings
 import numpy as np
 import pytest
 
-from teleportsim import cli, runner
+from teleportsim import cli, engine, runner, verify
+from teleportsim.config import load_config
 from teleportsim.runner import InvariantViolation
 
 TAP_CONFIG = """\
@@ -291,7 +292,37 @@ def test_parted_route_streams_exit_two(tmp_path, capsys, monkeypatch):
     assert cli.main(["teleport", "--config", config]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "invariant violation: record count mismatch: oracle 8 vs transfer 4" in captured.err
+    assert captured.err == "invariant violation: block 1: oracle (4, 2) vs transfer None\n"
+
+
+def test_a_kernel_that_loses_a_block_exits_two_everywhere(tmp_path, capsys, monkeypatch):
+    # a transfer kernel one block short is a package defect, never a
+    # configuration error: the run refuses before writing, the pass and
+    # verify's route check name the missing block, and verify exits 2
+    kernel = engine.transfer_kernel
+    monkeypatch.setattr(engine, "transfer_kernel", lambda rows, operators: list(kernel(rows, operators))[:-1])
+    config = write(tmp_path, "run.yaml", TAP_CONFIG)
+    target = tmp_path / "out.csv"
+    assert cli.main(["teleport", "--config", config, "--output", str(target)]) == 2
+    assert not target.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "invariant violation: block 1: oracle (4, 2) vs transfer None\n"
+
+    scenario = runner.build_scenario(load_config(config))
+    with pytest.raises(engine.RouteMismatch, match=r"^block 1: oracle \(4, 2\) vs transfer None$"):
+        runner.route_pass(scenario, runner.fixed_half(scenario), runner.mirror_stack(scenario))
+    result = verify.check_oracle_fast_equivalence("quick", 0, None)
+    assert re.fullmatch(
+        r"FAIL oracle-fast-equivalence: max deviation inf \(tolerance 1\.0e-09\) "
+        r"\[block \d+: oracle \(\d+, \d+\) vs transfer None\]",
+        verify.VerificationReport("quick", (result,)).lines()[0],
+    )
+
+    assert cli.main(["verify", "quick"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"verification failed: [^\n]+\n", captured.err), captured.err
 
 
 def test_verify_quick_passes(capsys):

@@ -181,10 +181,11 @@ def test_teleport_writer_holds_its_string_arrays_and_one_block(monkeypatch, kind
     monkeypatch.setattr(runner, "fixed_half", lambda scenario: fixed)
     monkeypatch.setattr(runner, "route_pass", lambda scenario, fixed, mirrors: measured)
     # one text object per distinct bit pattern, though many render alike
-    cells = [format_numbers(measured.probabilities), format_numbers(measured.fidelities)]
+    fidelities = runner.conditional_fidelities(measured.overlaps, measured.probabilities)
+    cells = [format_numbers(measured.probabilities), format_numbers(fidelities)]
     texts = {id(text): text for array in cells for text in array.reshape(-1).tolist()}
     strings = sum(array.nbytes for array in cells) + sum(map(sys.getsizeof, texts.values()))
-    del cells, texts
+    del fidelities, cells, texts
     sink = _Sink()
     tracemalloc.start()
     try:

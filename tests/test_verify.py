@@ -92,8 +92,8 @@ def patch_stream(monkeypatch, fault) -> None:
     route = runner.fast_run
 
     def patched(config, rows, mirrors):
-        for key, block in route(config, rows, mirrors):
-            yield key, fault(block.copy())
+        for block in route(config, rows, mirrors):
+            yield fault(block.copy())
 
     monkeypatch.setattr(runner, "fast_run", patched)
 
@@ -107,14 +107,14 @@ def test_transfer_route_dropping_a_record_fails(monkeypatch):
     assert line.startswith("FAIL oracle-fast-equivalence: max deviation inf (tolerance 1.0e-09) [")
 
 
-def test_transfer_route_dropping_a_block_names_the_record_count(monkeypatch):
+def test_transfer_route_dropping_a_block_names_the_block(monkeypatch):
     route = runner.fast_run
     monkeypatch.setattr(runner, "fast_run", lambda *args: list(route(*args))[:-1])
     result = check_oracle_fast_equivalence("quick", 0, None)
     line = verify.VerificationReport("quick", (result,)).lines()[0]
     assert re.fullmatch(
         r"FAIL oracle-fast-equivalence: max deviation inf \(tolerance 1\.0e-09\) "
-        r"\[record count mismatch: oracle \d+ vs transfer \d+\]",
+        r"\[block \d+: oracle \(\d+, \d+\) vs transfer None\]",
         line,
     ), line
 
