@@ -477,9 +477,11 @@ def _parted(config, case: str):
     blocks = list(transfer_stream(config))
     block, twin = blocks[1], blocks[2]
     return {
+        "empty": [],
         "short": blocks[:-1],
         "long": blocks + blocks[-1:],
         "reshaped": blocks[:1] + [block[:-1]] + blocks[2:],
+        "narrowed": blocks[:1] + [block[:, :-1]] + blocks[2:],
         # one record moves to the next block: the record count alone would not tell
         "moved": blocks[:1] + [block[:-1], np.vstack([twin, twin[:1]])] + blocks[3:],
     }[case]
@@ -488,9 +490,11 @@ def _parted(config, case: str):
 @pytest.mark.parametrize(
     "case,match",
     [
+        ("empty", r"^block 0: oracle \(9, 3\) vs transfer None$"),
         ("short", r"^block 5: oracle \(9, 3\) vs transfer None$"),
         ("long", r"^block 6: oracle None vs transfer \(9, 3\)$"),
         ("reshaped", r"^block 1: oracle \(9, 3\) vs transfer \(8, 3\)$"),
+        ("narrowed", r"^block 1: oracle \(9, 3\) vs transfer \(9, 2\)$"),
         ("moved", r"^block 1: oracle \(9, 3\) vs transfer \(8, 3\)$"),
     ],
 )

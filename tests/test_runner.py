@@ -175,6 +175,32 @@ def test_cross_check_catches_a_dropped_block(monkeypatch):
     refused(r"^block 3: oracle \(4, 2\) vs transfer None$")
 
 
+def test_cross_check_catches_rotated_blocks(monkeypatch):
+    # streams carry no keys: a block in the wrong place is a deviation at
+    # the branch whose place it took, never a silent relabelling
+    blocks = []
+
+    def rotated(index, block):
+        blocks.append(block)
+        if index == 3:
+            yield from blocks[1:] + blocks[:1]
+
+    faulty_stream(monkeypatch, rotated)
+    refused(
+        r"^routes disagree on branch \(m=\(0, 0\), l=0, b=0\): "
+        r"probability deviation 7\.870e-02, amplitude deviation 3\.279e-01$"
+    )
+
+
+def test_cross_check_names_a_reshaped_block(monkeypatch):
+    # a block that loses an outcome is a layout mismatch, not a tally error
+    def reshaped(index, block):
+        yield block[:-1] if index == 1 else block
+
+    faulty_stream(monkeypatch, reshaped)
+    refused(r"^block 1: oracle \(4, 2\) vs transfer \(3, 2\)$")
+
+
 def test_tap_cell_mismatch_writes_nothing(monkeypatch):
     # both routes agree block by block, so only the tap comparison can object:
     # the transfer route's tap report sees outcome (1, 1) of every block
