@@ -2,9 +2,13 @@
 
 Configs are YAML documents (plain JSON is valid YAML and works too).
 Complex entries are written as ``[re, im]`` pairs; bare numbers are taken
-as real.  Parsing is fail-fast: every family, basis and state is built
-and validated here, so a spec that parses cleanly cannot blow up later
-in the run.  Errors carry the offending field path.
+as real.  Every amplitude list comes out a unit state: it is divided by
+its norm, with a note on stderr (or, under ``strict``, an error) when
+its norm^2 is off 1 by more than `NORM_WARN_TOL`.  Parsing is fail-fast:
+every family, basis and state is built and validated here, and the
+parser ends by assembling the run's tap-free scenario with
+`teleportsim.engine.make_scenario`, so a spec that parses cleanly cannot
+blow up later in the run.  Errors carry the offending field path.
 """
 from __future__ import annotations
 
@@ -19,6 +23,7 @@ import yaml
 
 from .bell import BellFamily, make_bell_family
 from .effects import Effect, kraus_mixture, unitary_effect
+from .engine import ScenarioConfig, make_scenario
 from .linalg import as_complex_matrix, basis_state, frozen_complex_array, is_unitary, uniform_state
 from .sampling import random_state
 
@@ -127,15 +132,16 @@ class EavesdropSpec:
 
 @dataclass(frozen=True, eq=False)
 class RunSpec:
-    """Everything one CLI invocation needs, fully validated."""
+    """Everything one CLI invocation needs, fully validated.
 
-    n: int
-    u0: np.ndarray
-    bell: BellFamily
-    input_state: np.ndarray
+    ``scenario`` is the run's scenario without a tap: the input, Bell
+    family, ``u0`` and receiver effect, assembled by `make_scenario`.
+    ``eavesdrop`` holds the tap settings the run drivers add to it.
+    """
+
+    scenario: ScenarioConfig
     input_label: str
     eavesdrop: EavesdropSpec | None
-    effect_b: Effect | None
     distinguish: tuple[tuple[str, np.ndarray], tuple[str, np.ndarray]]
     output_path: str | None
 
@@ -182,13 +188,9 @@ def parse_config(text: str, strict: bool = False) -> RunSpec:
         raise ConfigError("output: expected a non-empty path string")
 
     return RunSpec(
-        n=n,
-        u0=frozen_complex_array(u0),
-        bell=bell,
-        input_state=frozen_complex_array(input_state),
+        scenario=make_scenario(n, input_state, bell=bell, u0=u0, effect_b=effect_b),
         input_label=input_label,
         eavesdrop=eavesdrop,
-        effect_b=effect_b,
         distinguish=distinguish,
         output_path=output_path,
     )
@@ -281,6 +283,7 @@ def _parse_state(value: object, path: str, n: int, strict: bool) -> tuple[str, n
         if scale == 0.0:
             raise ConfigError(f"{path}: amplitudes are all zero")
         norm_sq = float(np.vdot(amps, amps).real)
+        far = abs(norm_sq - 1.0) > NORM_WARN_TOL
         shown = f"{norm_sq:.6g}"
         if not sys.float_info.min <= norm_sq < math.inf:
             from decimal import Context, Decimal  # here: 0.3 MB no other run needs to load
@@ -291,13 +294,13 @@ def _parse_state(value: object, path: str, n: int, strict: bool) -> tuple[str, n
             amps = np.ldexp(amps.view(float), -exponent).view(complex)
             norm_sq = float(np.vdot(amps, amps).real)
             shown = f"{Context(prec=6).normalize(Decimal(2) ** (2 * exponent) * Decimal(norm_sq)):g}"
-        elif abs(norm_sq - 1.0) <= NORM_WARN_TOL:
-            return "explicit", amps
-        if strict:
-            raise ConfigError(f"{path}: state norm^2 is {shown}, not 1 (strict mode rejects this)")
-        print(f"note: normalizing {path} (norm^2 was {shown})", file=sys.stderr)
-        # dividing the float view rounds each part once; a complex
-        # division by a real does not
+        if far:
+            if strict:
+                raise ConfigError(f"{path}: state norm^2 is {shown}, not 1 (strict mode rejects this)")
+            print(f"note: normalizing {path} (norm^2 was {shown})", file=sys.stderr)
+        # every list is divided, within the tolerance silently; the division
+        # is exact where the root rounds to 1.0.  Dividing the float view
+        # rounds each part once; a complex division by a real does not
         return "explicit", (amps.view(float) / np.sqrt(norm_sq)).view(complex)
     raise ConfigError(f"{path}: expected a state name or amplitude list, got {value!r}")
 

@@ -36,7 +36,9 @@ import numpy as np
 from .bell import BellFamily, Label, find_outcome
 from .effects import MeasurementFamily
 from .engine import (
+    RouteMismatch,
     ScenarioConfig,
+    branch_keys,
     conditional_fidelities,
     fast_run,
     mirror_stack,
@@ -52,17 +54,26 @@ class EavesdropReport:
     """Full tap analysis for one scenario, one row per tap branch.
 
     ``probabilities[l, m]`` is the probability of cell ``(tap_labels[l],
-    labels[m])`` and ``fidelities[l, m]`` its conditional fidelity, NaN on a
-    cell that never fires.  A receiver effect is summed out of each cell:
-    the probability adds up its branches and the fidelity is that of the
-    mixed conditional output.
+    labels[m])`` and ``overlaps[l, m]`` the sum of its branches' squared
+    overlaps with the input; both are read-only.  ``fidelities[l, m]``,
+    the cell's conditional fidelity (NaN on a cell that never fires), is
+    divided from the two on each read, so a report whose fidelities no
+    one reads never divides.  A receiver effect is summed out of each
+    cell: the probability adds up its branches and the fidelity is that
+    of the mixed conditional output.
     """
 
     tap_labels: tuple[int | str | None, ...]
     labels: tuple[Label, ...]
     probabilities: np.ndarray  # (L, M)
-    fidelities: np.ndarray  # (L, M)
+    overlaps: np.ndarray  # (L, M)
     total_fidelity: float
+
+    @property
+    def fidelities(self) -> np.ndarray:
+        fidelities = conditional_fidelities(self.overlaps, self.probabilities)
+        fidelities.setflags(write=False)
+        return fidelities
 
 
 @dataclass(frozen=True)
@@ -130,20 +141,27 @@ def tap_report(
     `teleportsim.engine.overlaps_squared` of the blocks of either route,
     one row per reference and receiver branch pair in `branch_keys` order.  Each
     ``(l, m)`` cell sums its receiver branches.  The reference effect may
-    be any effect, not only a tap: each branch label is one row.
+    be any effect, not only a tap: each branch label is one row.  Arrays
+    with another row count than `branch_keys` has keys raise
+    `RouteMismatch`: a route lost or gained a block.
     """
+    keys = len(branch_keys(config))
+    if len(probabilities) != keys or len(overlaps_sq) != keys:
+        raise RouteMismatch(
+            f"tap report: {len(probabilities)} probability and {len(overlaps_sq)} overlap rows "
+            f"for {keys} branch pairs"
+        )
     tap_labels = config.effect_r.labels
     shape = (len(tap_labels), -1, probabilities.shape[-1])
     cells = probabilities.reshape(shape).sum(axis=1)
     overlaps = overlaps_sq.reshape(shape).sum(axis=1)
-    fidelities = conditional_fidelities(overlaps, cells)
     cells.setflags(write=False)
-    fidelities.setflags(write=False)
+    overlaps.setflags(write=False)
     return EavesdropReport(
         tap_labels=tap_labels,
         labels=config.bell.labels,
         probabilities=cells,
-        fidelities=fidelities,
+        overlaps=overlaps,
         # a sequential sum in table order, the same on both routes: numpy's
         # pairwise summation would move the last digits the CSVs print
         total_fidelity=float(np.cumsum(overlaps)[-1]),

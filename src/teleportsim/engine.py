@@ -376,7 +376,12 @@ def reduce_stream(blocks: BlockStream, kets: np.ndarray) -> tuple[np.ndarray, np
 
 
 class RouteMismatch(ValueError):
-    """Two route streams differ in the block count or in a block's shape."""
+    """A route lost, gained or reshaped a block.
+
+    Two route streams differ in the block count or in a block's shape, or
+    one route's ``(K, M)`` reductions hold another row count than
+    `branch_keys` has keys (checked by `teleportsim.eavesdrop.tap_report`).
+    """
 
 
 def compare_routes(

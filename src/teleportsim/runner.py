@@ -26,11 +26,12 @@ CSV, other than a null branch's empty fidelity, is not finite, instead
 of writing a plausible-looking but wrong table.  Output is deterministic
 down to the byte for a fixed spec.
 
-What no tap strength changes is built once per run: the validated
-scenario (input, Bell family, u0 and receiver), and by `fixed_half` the
-oracle's bra on R and its Gram, the kernel's rows of the input, the
-kets ``U(m)^-1 psi`` and the reference marginal.  A sweep builds them,
-and the distinguished pair's kernel rows, once for the grid; each point
+What no tap strength changes is built once per run: the scenario
+without a tap (input, Bell family, u0 and receiver) comes validated
+from the spec, `RunSpec.scenario`, and `fixed_half` builds the oracle's
+bra on R and its Gram, the kernel's rows of the input, the kets
+``U(m)^-1 psi`` and the reference marginal.  A sweep builds those, and
+the distinguished pair's kernel rows, once for the grid; each point
 builds its tap family and the tap's `mirror_stack` once, shared by its
 route pass and `distinguishability`, then both routes' blocks and
 reductions.
@@ -64,18 +65,18 @@ from .engine import (
     conditional_fidelities,
     expected_probability_sum,
     fast_run,
-    make_scenario,
     mirror_stack,
     oracle_blocks,
     oracle_bra,
     reference_marginal,
     transfer_rows,
 )
-# run_oracle and analyze_eavesdropping stay importable here:
-# perfbench/tracing.py patches them by name, though the drivers reach
-# both routes through the streams and call neither
+# run_oracle, analyze_eavesdropping and make_scenario stay importable
+# here: perfbench/tracing.py patches them by name, though the drivers
+# reach both routes through the streams, take the scenario from the
+# spec and call none of them
 from .eavesdrop import analyze_eavesdropping  # noqa: F401
-from .engine import run_oracle  # noqa: F401
+from .engine import make_scenario, run_oracle  # noqa: F401
 from .linalg import apply_each_inverse
 
 TELEPORT_HEADER = ("record", "l", "m", "branch", "probability", "fidelity")
@@ -145,20 +146,17 @@ def _label_text(label: object) -> str:
 
 
 def build_scenario(spec: RunSpec) -> ScenarioConfig:
-    """Assemble the engine scenario for a spec with at most one tap strength."""
-    effect_r = None
-    if spec.eavesdrop is not None:
-        if spec.eavesdrop.theta is None:
-            raise ValueError("a single tap strength is required (spec carries a sweep)")
-        effect_r = strength_family(spec.n, spec.eavesdrop.theta, np.asarray(spec.eavesdrop.basis))
-    return make_scenario(
-        spec.n,
-        np.asarray(spec.input_state),
-        bell=spec.bell,
-        u0=np.asarray(spec.u0),
-        effect_r=effect_r,
-        effect_b=spec.effect_b,
-    )
+    """The spec's scenario with its tap, for a spec with at most one tap strength.
+
+    Without a tap this is ``spec.scenario`` itself; a tap replaces its
+    reference effect by the strength family and shares every other part.
+    """
+    if spec.eavesdrop is None:
+        return spec.scenario
+    if spec.eavesdrop.theta is None:
+        raise ValueError("a single tap strength is required (spec carries a sweep)")
+    tap = strength_family(spec.scenario.dim, spec.eavesdrop.theta, np.asarray(spec.eavesdrop.basis))
+    return replace(spec.scenario, effect_r=tap)
 
 
 @dataclass(frozen=True, eq=False)
@@ -365,8 +363,8 @@ def run_teleport(spec: RunSpec, stream: IO[str]) -> list[str]:
     ]))
 
     summary = [
-        f"teleport: n={spec.n}, input {spec.input_label}, "
-        f"{len(spec.bell.labels)} Bell outcomes"
+        f"teleport: n={scenario.dim}, input {spec.input_label}, "
+        f"{len(scenario.bell.labels)} Bell outcomes"
         + (
             f", tap theta={format_number(spec.eavesdrop.theta)}"
             if spec.eavesdrop is not None and spec.eavesdrop.theta is not None
@@ -393,20 +391,20 @@ def _sweep_grid(spec: RunSpec) -> list[float]:
 def run_sweep(spec: RunSpec, stream: IO[str]) -> list[str]:
     """Sweep the tap strength and tabulate fidelity against leakage.
 
-    Only the tap changes from point to point, so the scenario is built and
-    validated once, without a tap, and so is every array the strength
-    does not touch: `fixed_half` and the distinguished pair's kernel
+    Only the tap changes from point to point, so every point adds its tap
+    to the spec's scenario, and every array the strength does not touch
+    is built once: `fixed_half` and the distinguished pair's kernel
     rows.  Each point builds its tap family and its `mirror_stack` once
     and runs both routes and `distinguishability` on those arrays.
     """
     grid = _sweep_grid(spec)
-    base = build_scenario(replace(spec, eavesdrop=None))
+    base = spec.scenario
     fixed = fixed_half(base)
     pair = transfer_rows(base, np.array([state for _, state in spec.distinguish]))
     basis = np.asarray(spec.eavesdrop.basis)
     points = []
     for theta in grid:
-        scenario = replace(base, effect_r=strength_family(spec.n, theta, basis))
+        scenario = replace(base, effect_r=strength_family(base.dim, theta, basis))
         mirrors = mirror_stack(scenario)
         where = f"theta={format_number(theta)}: "
         measured = _checked_pass(where, scenario, fixed, mirrors)
@@ -421,7 +419,7 @@ def run_sweep(spec: RunSpec, stream: IO[str]) -> list[str]:
     writer.writerows(map(format_number, row) for row in zip(grid, fidelities, advantages))
     labels = " vs ".join(label for label, _ in spec.distinguish)
     return [
-        f"sweep: n={spec.n}, input {spec.input_label}, theta {_ends(grid)} in {len(grid)} steps",
+        f"sweep: n={base.dim}, input {spec.input_label}, theta {_ends(grid)} in {len(grid)} steps",
         f"distinguish pair: {labels}",
         f"fidelity {_ends(fidelities)}, leakage {_ends(advantages)}",
         f"probability sum {_ends(sums)}, expected {_ends(expected_sums)}",

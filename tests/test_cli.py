@@ -4,12 +4,13 @@ import csv
 import io
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from teleportsim import cli, engine, runner, verify
-from teleportsim.config import load_config
+from teleportsim import cli, eavesdrop, engine, runner, verify
+from teleportsim.config import load_config, parse_config
 from teleportsim.runner import InvariantViolation
 
 TAP_CONFIG = """\
@@ -484,6 +485,65 @@ def test_a_state_paired_with_itself_leaks_nothing(tmp_path, capsys):
     assert cli.main(["sweep", "--config", config]) == 0
     rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
     assert [row[2] for row in rows[1:]] == ["0", "0", "0"]
+
+
+# norm^2 off 1 by 1.0e-10 and 1.6e-10: within the note's tolerance, but
+# outside the scenario's own check had the list stayed as written
+NEAR_UNIT_STATES = ["[1, 1e-05]", "[0.6, 0.8000000001]"]
+
+
+@pytest.mark.parametrize("amplitudes", NEAR_UNIT_STATES)
+def test_near_unit_amplitudes_normalize_silently_and_run(amplitudes, tmp_path, capsys):
+    text = f"n: 2\ninput: {amplitudes}\neavesdrop:\n  theta: 0.5\n"
+    state = parse_config(text, strict=True).scenario.input_state
+    assert abs(float(np.vdot(state, state).real) - 1.0) <= 1e-15
+    assert capsys.readouterr().err == ""
+    assert cli.main(["teleport", "--config", write(tmp_path, "run.yaml", text), "--strict"]) == 0
+    assert capsys.readouterr().err.startswith("teleport: n=2, input explicit,")
+
+
+def test_a_tap_at_zero_strength_leaks_nothing_from_a_near_unit_state(tmp_path, capsys):
+    # left as written, the first state's norm^2 of 1 + 1.6e-10 read as a
+    # leakage of 4.0e-11 at theta = 0, where the tap carries no information
+    config = write(
+        tmp_path, "run.yaml",
+        "n: 2\ninput: plus-uniform\neavesdrop:\n  basis: computational\n  theta_sweep: [0, 1, 3]\n"
+        "distinguish: [[0.6, 0.8000000001], basis:1]\n",
+    )
+    assert cli.main(["sweep", "--config", config]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows[1][0] == "0" and float(rows[1][2]) <= 1e-15
+
+
+def test_a_tap_report_names_a_lost_block(capsys, monkeypatch):
+    # with no comparison to fail first, the tap report's row count catches
+    # a kernel one block short, and verify prints its message
+    kernel = engine.transfer_kernel
+    monkeypatch.setattr(engine, "transfer_kernel", lambda rows, operators: list(kernel(rows, operators))[:-1])
+    scenario = runner.build_scenario(parse_config(TAP_CONFIG))
+    with pytest.raises(engine.RouteMismatch,
+                       match=r"^tap report: 1 probability and 1 overlap rows for 2 branch pairs$"):
+        eavesdrop.analyze_eavesdropping(scenario)
+    assert cli.main(["verify", "quick"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(
+        r"verification failed: tap report: (\d+) probability and \1 overlap rows for \d+ branch pairs\n",
+        captured.err,
+    ), captured.err
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SHIPPED = {"sample_noisy_receiver": "teleport", "sample_sweep": "sweep", "sample_teleport": "teleport"}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED))
+def test_shipped_config_runs(name, capsys):
+    assert {path.stem for path in CONFIGS.glob("*.yaml")} == set(SHIPPED)
+    assert cli.main([SHIPPED[name], "--config", str(CONFIGS / f"{name}.yaml")]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith(("record,", "theta,"))
+    assert not re.search(r"\b(nan|inf)\b", captured.out + captured.err, re.IGNORECASE)
 
 
 def test_non_finite_distinguishability_exits_two_before_writing(tmp_path, capsys, monkeypatch):

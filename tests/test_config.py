@@ -37,37 +37,37 @@ output: out.csv
 
 def test_minimal_config():
     spec = parse_config(MINIMAL)
-    assert spec.n == 2
+    assert spec.scenario.dim == 2
     assert spec.input_label == "plus-uniform"
-    assert_allclose(spec.input_state, np.full(2, 1 / np.sqrt(2)), atol=1e-15)
-    assert_allclose(spec.u0, np.eye(2), atol=1e-15)
+    assert_allclose(spec.scenario.input_state, np.full(2, 1 / np.sqrt(2)), atol=1e-15)
+    assert_allclose(spec.scenario.u0, np.eye(2), atol=1e-15)
     assert spec.eavesdrop is None
-    assert spec.effect_b is None
-    assert len(spec.bell.labels) == 4
+    assert spec.scenario.effect_b.labels == (None,)
+    assert len(spec.scenario.bell.labels) == 4
     assert spec.distinguish[0][0] == "basis:0"
     assert spec.output_path is None
 
 
 def test_full_config():
     spec = parse_config(FULL)
-    assert spec.n == 3
-    assert_allclose(spec.input_state, [0, 1, 0], atol=1e-15)
+    assert spec.scenario.dim == 3
+    assert_allclose(spec.scenario.input_state, [0, 1, 0], atol=1e-15)
     swap = np.zeros((3, 3))
     swap[0, 1] = swap[1, 0] = swap[2, 2] = 1
-    assert_allclose(spec.u0, swap, atol=1e-15)
+    assert_allclose(spec.scenario.u0, swap, atol=1e-15)
     assert spec.eavesdrop is not None
     assert spec.eavesdrop.theta == pytest.approx(0.4)
     assert spec.eavesdrop.sweep is None
     fourier = np.exp(2j * np.pi * np.outer(np.arange(3), np.arange(3)) / 3) / np.sqrt(3)
     assert_allclose(spec.eavesdrop.basis, fourier, atol=1e-12)
-    assert isinstance(spec.effect_b, Effect) and len(spec.effect_b.labels) == 1
+    assert isinstance(spec.scenario.effect_b, Effect) and len(spec.scenario.effect_b.labels) == 1
     assert spec.distinguish[1][0] == "basis:2"
     assert spec.output_path == "out.csv"
 
 
 def test_json_document_is_accepted():
     spec = parse_config('{"n": 2, "input": "basis:0"}')
-    assert_allclose(spec.input_state, [1, 0], atol=1e-15)
+    assert_allclose(spec.scenario.input_state, [1, 0], atol=1e-15)
 
 
 def test_sweep_config():
@@ -81,18 +81,18 @@ def test_sweep_config():
 def test_random_input_is_seed_stable():
     spec_a = parse_config("n: 4\ninput: 'random:17'\n")
     spec_b = parse_config("n: 4\ninput: 'random:17'\n")
-    assert_allclose(spec_a.input_state, spec_b.input_state, atol=0)
-    assert np.vdot(spec_a.input_state, spec_a.input_state).real == pytest.approx(1.0)
+    assert_allclose(spec_a.scenario.input_state, spec_b.scenario.input_state, atol=0)
+    assert np.vdot(spec_a.scenario.input_state, spec_a.scenario.input_state).real == pytest.approx(1.0)
 
 
 def test_explicit_amplitudes_with_complex_entries():
     spec = parse_config("n: 2\ninput:\n  - [0.6, 0]\n  - [0, 0.8]\n")
-    assert_allclose(spec.input_state, [0.6, 0.8j], atol=1e-15)
+    assert_allclose(spec.scenario.input_state, [0.6, 0.8j], atol=1e-15)
 
 
 def test_unnormalized_input_normalized_with_note(capsys):
     spec = parse_config("n: 2\ninput: [1, 1]\n")
-    assert_allclose(spec.input_state, np.full(2, 1 / np.sqrt(2)), atol=1e-12)
+    assert_allclose(spec.scenario.input_state, np.full(2, 1 / np.sqrt(2)), atol=1e-12)
     assert "normalizing" in capsys.readouterr().err
 
 
@@ -104,7 +104,7 @@ def test_normalized_amplitudes_are_correctly_rounded(amplitudes, exact, capsys):
     # every norm^2 and its root are exact here, so one correctly rounded
     # division per part gives 1, 0.6 and 0.8
     spec = parse_config(f"n: 2\ninput: {amplitudes}\n")
-    assert spec.input_state.tolist() == exact
+    assert spec.scenario.input_state.tolist() == exact
     assert "normalizing" in capsys.readouterr().err
 
 
@@ -125,8 +125,8 @@ bell:
   - {unitary: [[[0, 0], [-1, 0]], [[1, 0], [0, 0]]]}
 """
     spec = parse_config(text)
-    assert len(spec.bell.labels) == 5
-    assert spec.bell.weights[0] == pytest.approx(0.5)
+    assert len(spec.scenario.bell.labels) == 5
+    assert spec.scenario.bell.weights[0] == pytest.approx(0.5)
 
 
 def test_kraus_effect_b():
@@ -139,8 +139,8 @@ effect_b:
     - [[[0, 0], [0.6, 0]], [[0, 0], [0, 0]]]
 """
     spec = parse_config(text)
-    assert isinstance(spec.effect_b, Effect)
-    assert spec.effect_b.labels == (0, 1)
+    assert isinstance(spec.scenario.effect_b, Effect)
+    assert spec.scenario.effect_b.labels == (0, 1)
 
 
 def test_exponent_theta_without_mantissa_dot():
@@ -150,13 +150,13 @@ def test_exponent_theta_without_mantissa_dot():
 
 def test_exponent_matrix_entry_without_mantissa_dot():
     spec = parse_config("n: 2\ninput: plus-uniform\nu0: [[1e0, 0], [0, -1E+0]]\n")
-    assert_allclose(spec.u0, np.diag([1.0, -1.0]), atol=0)
+    assert_allclose(spec.scenario.u0, np.diag([1.0, -1.0]), atol=0)
 
 
 def test_exponent_amplitude_without_mantissa_dot():
     spec = parse_config("n: 2\ninput: [1, 1e-05]\n")
     assert spec.input_label == "explicit"
-    assert_allclose(spec.input_state, [1, 1e-05], rtol=1e-9)
+    assert_allclose(spec.scenario.input_state, [1, 1e-05], rtol=1e-9)
 
 
 @pytest.mark.parametrize(
@@ -270,11 +270,11 @@ def test_integer_too_large_for_a_float_names_the_field(text, needle):
 def test_shipped_sample_configs_parse():
     root = Path(__file__).resolve().parent.parent / "configs"
     teleport = load_config(str(root / "sample_teleport.yaml"))
-    assert teleport.n == 2 and teleport.eavesdrop.theta == pytest.approx(0.5)
+    assert teleport.scenario.dim == 2 and teleport.eavesdrop.theta == pytest.approx(0.5)
     sweep = load_config(str(root / "sample_sweep.yaml"))
     assert sweep.eavesdrop.sweep == (0.0, 1.0, 11)
     noisy = load_config(str(root / "sample_noisy_receiver.yaml"))
-    assert isinstance(noisy.effect_b, Effect) and len(noisy.effect_b.labels) == 2
+    assert isinstance(noisy.scenario.effect_b, Effect) and len(noisy.scenario.effect_b.labels) == 2
 
 
 # more digits than Python reads into an int (sys.get_int_max_str_digits())
@@ -367,4 +367,4 @@ def test_merged_keys_may_be_overridden():
         "  - unitary: [[1, 0], [0, -1]]\n"
         "  - unitary: [[0, -1], [1, 0]]\n"
     )
-    assert spec.bell.weights.tolist() == [0.5, 0.5, 1.0, 1.0, 1.0]
+    assert spec.scenario.bell.weights.tolist() == [0.5, 0.5, 1.0, 1.0, 1.0]

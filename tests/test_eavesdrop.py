@@ -433,6 +433,16 @@ def test_analysis_marks_dead_branches_with_no_fidelity():
     assert_allclose(report.fidelities[~dead], 1.0, rtol=0, atol=1e-12)
 
 
+def test_report_divides_its_cell_fidelities_on_read():
+    # the report keeps the summed squared overlaps; a read divides them
+    report = analyze_eavesdropping(tapped(3, random_state(3, np.random.default_rng(5)), 0.6))
+    for array in (report.probabilities, report.overlaps, report.fidelities):
+        assert not array.flags.writeable
+    expected = engine.conditional_fidelities(report.overlaps, report.probabilities)
+    assert np.array_equal(report.fidelities, expected)
+    assert report.total_fidelity == pytest.approx(float(report.overlaps.sum()), abs=1e-15)
+
+
 def test_report_arrays_have_nan_on_null_cells():
     # a projective tap on a tap-basis state: branch l fires only on the Bell
     # outcomes that shift |0> to |l>, and the damping receiver is summed out

@@ -4,7 +4,10 @@ No linter runs on this repository, so an import left behind when its
 last caller goes would stay.  The sources are read with `ast`: a name
 counts as used when the module reads it (a bare name, or the base of an
 attribute chain) or lists it in ``__all__``.  An import statement with
-``# noqa: F401`` on one of its lines is exempt.
+``# noqa: F401`` on one of its lines is exempt, and kept for the
+benchmark's tracer alone: every name it brings in that the module never
+reads must be one that ``SPAN_TARGETS`` in `perfbench/tracing.py` patches
+on that module.
 """
 from __future__ import annotations
 
@@ -13,32 +16,46 @@ from pathlib import Path
 
 import pytest
 
+from test_tracing_targets import span_targets
+
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted([*(ROOT / "src" / "teleportsim").glob("*.py"), *(ROOT / "scripts").glob("*.py")])
+PACKAGE = sorted((ROOT / "src" / "teleportsim").glob("*.py"))
+SOURCES = sorted([*PACKAGE, *(ROOT / "scripts").glob("*.py")])
 
 
-def unused_imports(path: Path) -> list[str]:
+def unread_imports(path: Path) -> tuple[list[str], list[str]]:
+    """The imported names ``path`` never reads: those on plain import statements, then the exempt ones."""
     text = path.read_text(encoding="utf-8")
     lines = text.splitlines()
     tree = ast.parse(text)
-    imported: dict[str, int] = {}
+    imported: dict[str, tuple[int, bool]] = {}
     for node in ast.walk(tree):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             if isinstance(node, ast.ImportFrom) and node.module == "__future__":
                 continue
-            if any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
-                continue
+            exempt = any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno])
             for alias in node.names:
-                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+                imported[alias.asname or alias.name.split(".")[0]] = (node.lineno, exempt)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     for node in ast.walk(tree):
         if isinstance(node, ast.Assign) and any(
             isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
         ):
             used.update(ast.literal_eval(node.value))
-    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+    unread = [(name, line, exempt) for name, (line, exempt) in imported.items() if name not in used]
+    return (
+        [f"{name} (line {line})" for name, line, exempt in unread if not exempt],
+        [name for name, _, exempt in unread if exempt],
+    )
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: f"{path.parent.name}/{path.name}")
 def test_every_import_is_used(path):
-    assert unused_imports(path) == []
+    assert unread_imports(path)[0] == []
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda path: path.name)
+def test_exempt_imports_are_the_tracer_targets(path):
+    # a name kept for the tracer must be one it patches on this module
+    traced = {attribute for owner, attribute in span_targets() if owner == path.stem}
+    assert sorted(set(unread_imports(path)[1]) - traced) == []

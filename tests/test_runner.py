@@ -32,6 +32,21 @@ SPEC = parse_config(
 )
 
 
+def test_build_scenario_adds_the_tap_to_the_spec_scenario():
+    # without a tap the run reads the parsed scenario itself; a tap shares
+    # every other part of it
+    untapped = replace(SPEC, eavesdrop=None)
+    assert runner.build_scenario(untapped) is untapped.scenario
+    scenario = runner.build_scenario(SPEC)
+    for part in ("input_state", "bell", "u0", "effect_b"):
+        assert getattr(scenario, part) is getattr(SPEC.scenario, part)
+    assert SPEC.scenario.effect_r.labels == (None,)
+    assert scenario.effect_r.labels == (0, 1)
+    sweep = replace(SPEC, eavesdrop=replace(SPEC.eavesdrop, theta=None, sweep=(0.0, 1.0, 3)))
+    with pytest.raises(ValueError, match="a single tap strength is required"):
+        runner.build_scenario(sweep)
+
+
 def refused(match: str, spec=SPEC) -> None:
     stream = io.StringIO()
     with pytest.raises(InvariantViolation, match=match):
@@ -122,8 +137,8 @@ def test_amplitude_deviation_is_the_two_norm_of_the_corrected_difference(monkeyp
     family = make_bell_family(3, [
         ((a, b), v @ weyl_unitary(3, a, b) @ dagger(v), 1.0) for a in range(3) for b in range(3)
     ])
-    spec = replace(parse_config("n: 3\ninput: random:2\neavesdrop:\n  basis: fourier\n  theta: 0.5\n"),
-                   bell=family)
+    spec = parse_config("n: 3\ninput: random:2\neavesdrop:\n  basis: fourier\n  theta: 0.5\n")
+    spec = replace(spec, scenario=replace(spec.scenario, bell=family))
 
     def moved(index, block):
         if index == 1:
@@ -407,7 +422,7 @@ def test_outcome_rows_are_the_bytes_csv_writer_gives():
         ],
     )
     stream = io.StringIO()
-    run_teleport(replace(SPEC, bell=family), stream)
+    run_teleport(replace(SPEC, scenario=replace(SPEC.scenario, bell=family)), stream)
     text = stream.getvalue()
     rows = list(csv.reader(io.StringIO(text)))
     assert {row[2] for row in rows if row[0] == "outcome"} == {
