@@ -53,8 +53,14 @@ def main() -> int:
 
     if not 0.0 <= args.theta <= 1.0:
         parser.error("--theta must lie in [0, 1]")
+    if args.max_n < 2:
+        parser.error("--max-n must be at least 2")
     if args.max_n > 32:
         parser.error("--max-n exceeds the supported maximum of 32")
+    if args.trials < 1:
+        parser.error("--trials must be at least 1")
+    if args.seed < 0:
+        parser.error("--seed must be non-negative")
 
     rng = child_rng(args.seed, 7)
     print(f"tap strength theta={args.theta:g}, {args.trials} random inputs per dimension")

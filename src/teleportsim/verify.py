@@ -6,6 +6,24 @@ scenarios from per-check seeded generators, so each check's result is
 independent of the others.  The ``corrupt`` argument deliberately injects a
 defective family; it exists so tests can prove the suite actually bites.
 
+Every check builds its families and random scenarios through three
+helpers, the only code past `run_verification`'s argument check that
+reads ``corrupt``.  `_bell` returns the Weyl family, one outcome short
+under ``corrupt="bell"``.  `_tap` returns a strength tap, drawing its
+strength and basis from the check's generator where asked; under
+``corrupt="measurement"`` it returns one fixed family with a branch
+scaled by 1.01 and draws nothing, so every later draw is the one an
+intact run makes.  `_random_scenario` draws an input, ``u0`` and a
+reference and receiver effect, in that order.
+
+``corrupt="bell"`` trips bell-completeness, ideal-teleportation,
+decomposition-identity and probability-completeness; ``"measurement"``
+trips measurement-completeness, sequential-decomposition, marginal-laws
+and fidelity-curve.  Neither trips the two route checks:
+``oracle-fast-equivalence`` reads neither family, and
+``tap-oracle-agreement`` compares two routes that read the same family
+(a defective one too), whose ``P(l, m)`` stay Hermitian.
+
 Every check that reads the oracle alone reads its stream, `oracle_blocks`,
 reduced block by block by `reduce_stream` to ``(K, M)`` squared norms and
 overlaps with the input's kets ``U(m)^-1 psi``; no check collects the
@@ -67,17 +85,20 @@ class CheckResult:
     """Outcome of one verification check."""
 
     name: str
-    passed: bool
     max_deviation: float
     tolerance: float
     detail: str = ""
+
+    @property
+    def passed(self) -> bool:
+        # False for a NaN deviation
+        return self.max_deviation <= self.tolerance
 
 
 @dataclass(frozen=True)
 class VerificationReport:
     """All check results for one run, in registry order."""
 
-    depth: str
     results: tuple[CheckResult, ...]
 
     @property
@@ -92,19 +113,10 @@ class VerificationReport:
             if r.detail:
                 line += f" [{r.detail}]"
             out.append(line)
-        verdict = "all checks passed" if self.passed else "CHECKS FAILED"
-        out.append(f"{verdict} ({sum(r.passed for r in self.results)}/{len(self.results)})")
+        failed = sum(not r.passed for r in self.results)
+        total = len(self.results)
+        out.append(f"CHECKS FAILED ({failed}/{total})" if failed else f"all checks passed ({total}/{total})")
         return out
-
-
-def _result(name: str, deviation: float, tolerance: float, detail: str = "") -> CheckResult:
-    return CheckResult(
-        name=name,
-        passed=deviation <= tolerance,
-        max_deviation=deviation,
-        tolerance=tolerance,
-        detail=detail,
-    )
 
 
 def _worst(*deviations: float) -> float:
@@ -124,27 +136,39 @@ def _oracle(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
     return probabilities, conditional_fidelities(overlaps_sq, probabilities)
 
 
-def _corrupted_bell(dim: int) -> BellFamily:
+def _bell(dim: int, corrupt: str | None) -> BellFamily:
+    """The Weyl family, one outcome short under ``corrupt="bell"``."""
+    family = make_bell_family(dim)
+    if corrupt != "bell":
+        return family
     # drop the last outcome without re-running the admission check
-    intact = make_bell_family(dim)
-    return BellFamily(dim, intact.labels[:-1], intact.unitaries[:-1], intact.weights[:-1])
+    return BellFamily(dim, family.labels[:-1], family.unitaries[:-1], family.weights[:-1])
 
 
-def _corrupted_measurement(dim: int) -> MeasurementFamily:
-    # scale one branch of an admitted family without re-running admission
-    intact = strength_family(dim, 0.6)
-    operators = np.array(intact.operators)
-    operators[0] *= 1.01
-    operators.setflags(write=False)
-    return MeasurementFamily(intact.labels, operators)
+def _tap(dim: int, corrupt: str | None, theta: float | None = None,
+         rng: np.random.Generator | None = None) -> MeasurementFamily:
+    """A strength tap: ``theta`` drawn from ``rng`` if None, the basis drawn if ``rng`` is given.
+
+    Under ``corrupt="measurement"`` it is a fixed family with one branch
+    scaled past closure, and nothing is drawn from ``rng``.
+    """
+    if corrupt == "measurement":
+        # scale one branch of an admitted family without re-running admission
+        intact = strength_family(dim, 0.6)
+        operators = np.array(intact.operators)
+        operators[0] *= 1.01
+        operators.setflags(write=False)
+        return MeasurementFamily(intact.labels, operators)
+    if theta is None:
+        theta = float(rng.uniform(0.0, 1.0))
+    return strength_family(dim, theta, None if rng is None else random_unitary(dim, rng))
 
 
 def check_bell_completeness(depth: str, seed: int, corrupt: str | None) -> CheckResult:
     """Outcome families resolve the identity on A x R."""
     worst = 0.0
     for dim in _dims(depth):
-        family = _corrupted_bell(dim) if corrupt == "bell" else make_bell_family(dim)
-        worst = _worst(worst, completeness_deviation(family))
+        worst = _worst(worst, completeness_deviation(_bell(dim, corrupt)))
     # weighted family: every Weyl outcome twice at half weight
     doubled = [
         ((a, b, copy), weyl_unitary(3, a, b), 0.5)
@@ -153,7 +177,7 @@ def check_bell_completeness(depth: str, seed: int, corrupt: str | None) -> Check
         for copy in (0, 1)
     ]
     worst = _worst(worst, completeness_deviation(make_bell_family(3, doubled)))
-    return _result("bell-completeness", worst, 1e-9)
+    return CheckResult("bell-completeness", worst, 1e-9)
 
 
 def check_measurement_completeness(depth: str, seed: int, corrupt: str | None) -> CheckResult:
@@ -162,12 +186,8 @@ def check_measurement_completeness(depth: str, seed: int, corrupt: str | None) -
     rng = child_rng(seed, 1)
     for dim in _dims(depth):
         for theta in (0.0, 0.3, 0.7, 1.0):
-            if corrupt == "measurement":
-                family = _corrupted_measurement(dim)
-            else:
-                family = strength_family(dim, theta, random_unitary(dim, rng))
-            worst = _worst(worst, family_completeness_deviation(family))
-    return _result("measurement-completeness", worst, 1e-9)
+            worst = _worst(worst, family_completeness_deviation(_tap(dim, corrupt, theta, rng)))
+    return CheckResult("measurement-completeness", worst, 1e-9)
 
 
 def check_ideal_teleportation(depth: str, seed: int, corrupt: str | None) -> CheckResult:
@@ -176,7 +196,7 @@ def check_ideal_teleportation(depth: str, seed: int, corrupt: str | None) -> Che
     count = 6 if depth == "quick" else 20
     worst = 0.0
     for dim in _dims(depth):
-        bell = _corrupted_bell(dim) if corrupt == "bell" else make_bell_family(dim)
+        bell = _bell(dim, corrupt)
         for _ in range(count):
             config = make_scenario(
                 dim, random_state(dim, rng), bell=bell, u0=random_unitary(dim, rng)
@@ -186,14 +206,14 @@ def check_ideal_teleportation(depth: str, seed: int, corrupt: str | None) -> Che
             fidelity_dev = np.max(np.abs(fidelities - 1.0))
             total_dev = abs(probabilities.sum() - 1.0)
             worst = _worst(worst, probability_dev, fidelity_dev, total_dev)
-    return _result("ideal-teleportation", worst, 1e-10)
+    return CheckResult("ideal-teleportation", worst, 1e-10)
 
 
 def _random_effect(dim: int, rng: np.random.Generator, style: int):
     if style == 0:
         return unitary_effect(random_unitary(dim, rng))
     if style == 1:
-        return strength_family(dim, float(rng.uniform(0.0, 1.0)), random_unitary(dim, rng))
+        return _tap(dim, None, rng=rng)
     # graded damping pair in a random basis: per-level rate gamma_k,
     # closure holds because (1 - gamma_k) + gamma_k = 1 levelwise
     basis = random_unitary(dim, rng)
@@ -204,6 +224,19 @@ def _random_effect(dim: int, rng: np.random.Generator, style: int):
     return kraus_mixture([k0, k1])
 
 
+def _random_scenario(dim: int, rng: np.random.Generator, styles: tuple[int, int],
+                     bell: BellFamily | None = None) -> ScenarioConfig:
+    """Random input, u0, reference and receiver effects of ``styles``, drawn in that order."""
+    return make_scenario(
+        dim,
+        random_state(dim, rng),
+        bell=bell,
+        u0=random_unitary(dim, rng),
+        effect_r=_random_effect(dim, rng, styles[0]),
+        effect_b=_random_effect(dim, rng, styles[1]),
+    )
+
+
 def check_oracle_fast_equivalence(depth: str, seed: int, corrupt: str | None) -> CheckResult:
     """Transfer operators reproduce the full-state oracle branch for branch."""
     rng = child_rng(seed, 3)
@@ -211,20 +244,14 @@ def check_oracle_fast_equivalence(depth: str, seed: int, corrupt: str | None) ->
     worst = 0.0
     for dim in _dims(depth):
         for trial in range(count):
-            config = make_scenario(
-                dim,
-                random_state(dim, rng),
-                u0=random_unitary(dim, rng),
-                effect_r=_random_effect(dim, rng, trial % 3),
-                effect_b=_random_effect(dim, rng, (trial + 1) % 3),
-            )
+            config = _random_scenario(dim, rng, (trial % 3, (trial + 1) % 3))
             try:
                 measured = route_pass(config, fixed_half(config), mirror_stack(config))
             except RouteMismatch as exc:
-                return _result("oracle-fast-equivalence", float("inf"), 1e-9, str(exc))
+                return CheckResult("oracle-fast-equivalence", float("inf"), 1e-9, str(exc))
             worst = _worst(worst, *measured.deviations, np.max(measured.cell_deviation),
                            abs(measured.probability_sum - measured.expected_sum))
-    return _result("oracle-fast-equivalence", worst, 1e-9)
+    return CheckResult("oracle-fast-equivalence", worst, 1e-9)
 
 
 def check_decomposition_identity(depth: str, seed: int, corrupt: str | None) -> CheckResult:
@@ -232,12 +259,12 @@ def check_decomposition_identity(depth: str, seed: int, corrupt: str | None) -> 
     rng = child_rng(seed, 4)
     worst = 0.0
     for dim in _dims(depth):
-        bell = _corrupted_bell(dim) if corrupt == "bell" else make_bell_family(dim)
+        bell = _bell(dim, corrupt)
         for _ in range(5):
             config = make_scenario(dim, random_state(dim, rng), bell=bell)
             report = sequential_decomposition_check(config)
             worst = _worst(worst, report.branch_deviation, report.grouped_deviation)
-    return _result("decomposition-identity", worst, 1e-10)
+    return CheckResult("decomposition-identity", worst, 1e-10)
 
 
 def check_sequential_decomposition(depth: str, seed: int, corrupt: str | None) -> CheckResult:
@@ -246,19 +273,11 @@ def check_sequential_decomposition(depth: str, seed: int, corrupt: str | None) -
     worst = 0.0
     for dim in _dims(depth):
         for theta in (0.0, 0.4, 1.0):
-            if corrupt == "measurement":
-                family = _corrupted_measurement(dim)
-            else:
-                family = strength_family(dim, theta, random_unitary(dim, rng))
-            config = make_scenario(
-                dim,
-                random_state(dim, rng),
-                u0=random_unitary(dim, rng),
-                effect_r=family,
-            )
+            family = _tap(dim, corrupt, theta, rng)
+            config = make_scenario(dim, random_state(dim, rng), u0=random_unitary(dim, rng), effect_r=family)
             report = sequential_decomposition_check(config)
             worst = _worst(worst, report.branch_deviation, report.grouped_deviation)
-    return _result("sequential-decomposition", worst, 1e-9)
+    return CheckResult("sequential-decomposition", worst, 1e-9)
 
 
 def check_marginal_laws(depth: str, seed: int, corrupt: str | None) -> CheckResult:
@@ -267,10 +286,7 @@ def check_marginal_laws(depth: str, seed: int, corrupt: str | None) -> CheckResu
     count = 5 if depth == "quick" else 12
     worst = 0.0
     for dim in _dims(depth):
-        if corrupt == "measurement":
-            family = _corrupted_measurement(dim)
-        else:
-            family = strength_family(dim, 0.55, random_unitary(dim, rng))
+        family = _tap(dim, corrupt, 0.55, rng)
         u0 = random_unitary(dim, rng)
         for _ in range(count):
             config = make_scenario(dim, random_state(dim, rng), u0=u0, effect_r=family)
@@ -283,7 +299,7 @@ def check_marginal_laws(depth: str, seed: int, corrupt: str | None) -> CheckResu
                 np.max(np.abs(p_l - [expected[label] for label in report.tap_labels])),
                 np.max(np.abs(p_m - config.bell.weights / dim**2)),
             )
-    return _result("marginal-laws", worst, 1e-10)
+    return CheckResult("marginal-laws", worst, 1e-10)
 
 
 def check_fidelity_curve(depth: str, seed: int, corrupt: str | None) -> CheckResult:
@@ -296,17 +312,14 @@ def check_fidelity_curve(depth: str, seed: int, corrupt: str | None) -> CheckRes
     worst = 0.0
     thetas = np.linspace(0.0, 1.0, 6 if depth == "quick" else 11)
     for theta in thetas:
-        if corrupt == "measurement":
-            family = _corrupted_measurement(2)
-        else:
-            family = strength_family(2, float(theta))
+        family = _tap(2, corrupt, float(theta))
         plus = make_scenario(2, uniform_state(2), effect_r=family)
         report = analyze_eavesdropping(plus)
         closed = (1.0 + np.sqrt(max(0.0, 1.0 - float(theta) ** 2))) / 2.0
         worst = _worst(worst, abs(report.total_fidelity - closed))
         pinned = make_scenario(2, basis_state(2, 0), effect_r=family)
         worst = _worst(worst, abs(analyze_eavesdropping(pinned).total_fidelity - 1.0))
-    return _result("fidelity-curve", worst, 1e-9)
+    return CheckResult("fidelity-curve", worst, 1e-9)
 
 
 def check_probability_completeness(depth: str, seed: int, corrupt: str | None) -> CheckResult:
@@ -314,19 +327,12 @@ def check_probability_completeness(depth: str, seed: int, corrupt: str | None) -
     rng = child_rng(seed, 7)
     worst = 0.0
     for dim in _dims(depth):
-        bell = _corrupted_bell(dim) if corrupt == "bell" else make_bell_family(dim)
+        bell = _bell(dim, corrupt)
         for trial in range(3):
-            config = make_scenario(
-                dim,
-                random_state(dim, rng),
-                bell=bell,
-                u0=random_unitary(dim, rng),
-                effect_r=_random_effect(dim, rng, (trial + 1) % 3),
-                effect_b=_random_effect(dim, rng, trial % 3),
-            )
+            config = _random_scenario(dim, rng, ((trial + 1) % 3, trial % 3), bell)
             total = float(_oracle(config)[0].sum())
             worst = _worst(worst, abs(total - 1.0))
-    return _result("probability-completeness", worst, 1e-10)
+    return CheckResult("probability-completeness", worst, 1e-10)
 
 
 def check_tap_oracle_agreement(depth: str, seed: int, corrupt: str | None) -> CheckResult:
@@ -334,22 +340,17 @@ def check_tap_oracle_agreement(depth: str, seed: int, corrupt: str | None) -> Ch
     rng = child_rng(seed, 8)
     worst = 0.0
     for dim in _dims(depth):
-        if corrupt == "measurement":
-            family = _corrupted_measurement(dim)
-        else:
-            family = strength_family(dim, float(rng.uniform(0.0, 1.0)), random_unitary(dim, rng))
-        bell = _corrupted_bell(dim) if corrupt == "bell" else make_bell_family(dim)
-        config = make_scenario(
-            dim, random_state(dim, rng), bell=bell, u0=random_unitary(dim, rng), effect_r=family
-        )
+        family = _tap(dim, corrupt, rng=rng)
+        config = make_scenario(dim, random_state(dim, rng), bell=_bell(dim, corrupt),
+                               u0=random_unitary(dim, rng), effect_r=family)
         try:
             measured = route_pass(config, fixed_half(config), mirror_stack(config))
         except RouteMismatch as exc:
-            return _result("tap-oracle-agreement", float("inf"), 1e-9, str(exc))
+            return CheckResult("tap-oracle-agreement", float("inf"), 1e-9, str(exc))
         worst = _worst(worst, np.max(measured.cell_deviation))
         for _, ops in tap_operators(config):
             worst = _worst(worst, np.max(np.abs(ops - ops.conj().transpose(0, 2, 1))))
-    return _result("tap-oracle-agreement", worst, 1e-9)
+    return CheckResult("tap-oracle-agreement", worst, 1e-9)
 
 
 CHECKS = (
@@ -377,4 +378,4 @@ def run_verification(
     if corrupt not in (None, "bell", "measurement"):
         raise ValueError(f"corrupt must be None, 'bell' or 'measurement', got {corrupt!r}")
     results = [check(depth, seed, corrupt) for check in CHECKS]
-    return VerificationReport(depth=depth, results=tuple(results))
+    return VerificationReport(tuple(results))

@@ -317,7 +317,7 @@ def test_a_kernel_that_loses_a_block_exits_two_everywhere(tmp_path, capsys, monk
     assert re.fullmatch(
         r"FAIL oracle-fast-equivalence: max deviation inf \(tolerance 1\.0e-09\) "
         r"\[block \d+: oracle \(\d+, \d+\) vs transfer None\]",
-        verify.VerificationReport("quick", (result,)).lines()[0],
+        verify.VerificationReport((result,)).lines()[0],
     )
 
     assert cli.main(["verify", "quick"]) == 2

@@ -31,6 +31,21 @@ def test_leakage_by_dimension_runs():
     assert [line.split()[0] for line in lines[2:]] == ["2", "3"]
 
 
+@pytest.mark.parametrize("flags, message", [
+    (("--theta", "1.5"), "--theta must lie in [0, 1]"),
+    (("--max-n", "1"), "--max-n must be at least 2"),
+    (("--max-n", "40"), "--max-n exceeds the supported maximum of 32"),
+    (("--trials", "0"), "--trials must be at least 1"),
+    (("--trials", "-3"), "--trials must be at least 1"),
+    (("--seed", "-1"), "--seed must be non-negative"),
+])
+def test_leakage_by_dimension_bad_flag_exits_two(flags, message):
+    result = run_script("leakage_by_dimension.py", *flags)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines()[-1] == f"leakage_by_dimension.py: error: {message}"
+
+
 def test_strength_sweep_runs():
     result = run_script("strength_sweep.py", "--n", "2", "--points", "3")
     assert result.returncode == 0, result.stderr

@@ -103,7 +103,7 @@ def test_transfer_route_dropping_a_record_fails(monkeypatch):
     patch_stream(monkeypatch, lambda block: block[:-1])
     result = check_oracle_fast_equivalence("quick", 0, None)
     assert not result.passed
-    line = verify.VerificationReport("quick", (result,)).lines()[0]
+    line = verify.VerificationReport((result,)).lines()[0]
     assert line.startswith("FAIL oracle-fast-equivalence: max deviation inf (tolerance 1.0e-09) [")
 
 
@@ -111,7 +111,7 @@ def test_transfer_route_dropping_a_block_names_the_block(monkeypatch):
     route = runner.fast_run
     monkeypatch.setattr(runner, "fast_run", lambda *args: list(route(*args))[:-1])
     result = check_oracle_fast_equivalence("quick", 0, None)
-    line = verify.VerificationReport("quick", (result,)).lines()[0]
+    line = verify.VerificationReport((result,)).lines()[0]
     assert re.fullmatch(
         r"FAIL oracle-fast-equivalence: max deviation inf \(tolerance 1\.0e-09\) "
         r"\[block \d+: oracle \(\d+, \d+\) vs transfer None\]",
@@ -154,7 +154,7 @@ def test_transfer_route_with_a_nan_amplitude_fails(monkeypatch):
     patch_stream(monkeypatch, poisoned)
     result = check_oracle_fast_equivalence("quick", 0, None)
     assert not result.passed
-    line = verify.VerificationReport("quick", (result,)).lines()[0]
+    line = verify.VerificationReport((result,)).lines()[0]
     assert line == "FAIL oracle-fast-equivalence: max deviation nan (tolerance 1.0e-09)"
 
 
@@ -192,3 +192,60 @@ def test_full_verification_matches_the_recorded_reference():
     assert len(lines) == len(reference)
     for line, ref_line in zip(lines, reference):
         assert same_up_to_roundoff(line, ref_line), (line, ref_line)
+
+
+# `verify quick --seed 0` under each corrupt mode; the FAIL values pin the
+# draws a corrupted run makes, while the PASS values may move with roundoff
+CORRUPT_QUICK_LINES = {
+    "bell": (
+        "FAIL bell-completeness: max deviation 5.000e-01 (tolerance 1.0e-09)",
+        "PASS measurement-completeness: max deviation 6.661e-16 (tolerance 1.0e-09)",
+        "FAIL ideal-teleportation: max deviation 2.500e-01 (tolerance 1.0e-10)",
+        "PASS oracle-fast-equivalence: max deviation 2.220e-16 (tolerance 1.0e-09)",
+        "FAIL decomposition-identity: max deviation 2.219e-01 (tolerance 1.0e-10)",
+        "PASS sequential-decomposition: max deviation 8.882e-16 (tolerance 1.0e-09)",
+        "PASS marginal-laws: max deviation 7.216e-16 (tolerance 1.0e-10)",
+        "PASS fidelity-curve: max deviation 4.441e-16 (tolerance 1.0e-09)",
+        "FAIL probability-completeness: max deviation 2.500e-01 (tolerance 1.0e-10)",
+        "PASS tap-oracle-agreement: max deviation 8.363e-17 (tolerance 1.0e-09)",
+        "CHECKS FAILED (4/10)",
+    ),
+    "measurement": (
+        "PASS bell-completeness: max deviation 3.048e-16 (tolerance 1.0e-09)",
+        "FAIL measurement-completeness: max deviation 1.608e-02 (tolerance 1.0e-09)",
+        "PASS ideal-teleportation: max deviation 6.661e-16 (tolerance 1.0e-10)",
+        "PASS oracle-fast-equivalence: max deviation 2.220e-16 (tolerance 1.0e-09)",
+        "PASS decomposition-identity: max deviation 1.111e-16 (tolerance 1.0e-10)",
+        "FAIL sequential-decomposition: max deviation 5.745e-03 (tolerance 1.0e-09)",
+        "FAIL marginal-laws: max deviation 3.900e-03 (tolerance 1.0e-10)",
+        "FAIL fidelity-curve: max deviation 4.090e-01 (tolerance 1.0e-09)",
+        "PASS probability-completeness: max deviation 1.332e-15 (tolerance 1.0e-10)",
+        "PASS tap-oracle-agreement: max deviation 4.366e-17 (tolerance 1.0e-09)",
+        "CHECKS FAILED (4/10)",
+    ),
+}
+
+TRIPPED_BY = {
+    "bell": {"bell-completeness", "ideal-teleportation", "decomposition-identity", "probability-completeness"},
+    "measurement": {"measurement-completeness", "sequential-decomposition", "marginal-laws", "fidelity-curve"},
+}
+
+
+@pytest.mark.parametrize("corrupt", sorted(CORRUPT_QUICK_LINES))
+def test_corrupt_quick_run_matches_its_frozen_lines(corrupt):
+    lines = run_verification("quick", seed=0, corrupt=corrupt).lines()
+    reference = CORRUPT_QUICK_LINES[corrupt]
+    assert len(lines) == len(reference)
+    for line, ref_line in zip(lines, reference):
+        assert same_up_to_roundoff(line, ref_line), (line, ref_line)
+
+
+@pytest.mark.parametrize("depth", ["quick", "full"])
+@pytest.mark.parametrize("corrupt", sorted(TRIPPED_BY))
+def test_each_corrupt_mode_fails_exactly_its_checks(depth, corrupt):
+    report = run_verification(depth, seed=0, corrupt=corrupt)
+    # oracle-fast-equivalence and tap-oracle-agreement pass under either
+    # mode: each compares two routes that read the same family
+    assert {r.name for r in report.results if not r.passed} == TRIPPED_BY[corrupt]
+    # the verdict counts the checks that failed
+    assert report.lines()[-1] == f"CHECKS FAILED ({len(TRIPPED_BY[corrupt])}/{len(CHECKS)})"
