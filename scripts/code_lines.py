@@ -3,6 +3,8 @@
 A line counts when it holds part of a statement: blank lines, comment
 lines and the lines of a docstring (the leading string of a module,
 class or function) do not.  Prints each file's count and the total.
+A file that cannot be read or parsed stops the count with one
+``error: <path>: <reason>`` line on stderr and exit status 1.
 
     python scripts/code_lines.py src/teleportsim/*.py
 """
@@ -41,14 +43,29 @@ def code_lines(source: str) -> int:
     return len(lines - docstring_lines(source))
 
 
+def _reason(exc: Exception) -> str:
+    if isinstance(exc, OSError):
+        return exc.strerror or str(exc)
+    if isinstance(exc, SyntaxError):
+        return f"{exc.msg} (line {exc.lineno})"
+    if isinstance(exc, tokenize.TokenError):
+        message, (line, _) = exc.args
+        return f"{message} (line {line})"
+    return str(exc)
+
+
 def main(paths: list[str]) -> int:
     if not paths:
         print("usage: code_lines.py PATH...", file=sys.stderr)
         return 1
     total = 0
     for path in paths:
-        with open(path, encoding="utf-8") as handle:
-            count = code_lines(handle.read())
+        try:
+            with open(path, encoding="utf-8") as handle:
+                count = code_lines(handle.read())
+        except (OSError, UnicodeDecodeError, SyntaxError, tokenize.TokenError) as exc:
+            print(f"error: {path}: {_reason(exc)}", file=sys.stderr)
+            return 1
         print(f"{count:6d} {path}")
         total += count
     print(f"{total:6d} total")

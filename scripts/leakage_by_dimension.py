@@ -12,6 +12,7 @@ zero because the tap outcome distribution carries no trace of the input.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -43,13 +44,16 @@ def survey(dim: int, theta: float, trials: int, rng: np.random.Generator):
     return uniform.total_fidelity, min(fidelities), max(fidelities), flatness
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+def main(argv: list[str] | None = None) -> int:
+    # the program name argparse prints, also when main is called in process
+    parser = argparse.ArgumentParser(
+        prog=os.path.basename(__file__), description=__doc__.splitlines()[0]
+    )
     parser.add_argument("--theta", type=float, default=0.5, help="tap strength")
     parser.add_argument("--max-n", type=int, default=8, help="largest dimension")
     parser.add_argument("--trials", type=int, default=25, help="random inputs per dimension")
     parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     if not 0.0 <= args.theta <= 1.0:
         parser.error("--theta must lie in [0, 1]")

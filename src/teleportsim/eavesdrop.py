@@ -123,11 +123,11 @@ def eavesdrop_operator(config: ScenarioConfig, l: int | str, m: Label) -> np.nda
     raise ValueError(f"no reference branch labeled {l!r}")
 
 
-def expected_marginal_l(config: ScenarioConfig) -> dict[int | str, float]:
-    """Closed-form tap marginal ``tr(E(l)^2) / dim``."""
-    family = _tap_family(config)
+def expected_marginal_l(family: MeasurementFamily) -> dict[int | str, float]:
+    """Closed-form tap marginal ``tr(E(l)^2) / dim``, for any input."""
+    dim = family.operators.shape[-1]
     return {
-        label: float(np.trace(op @ op).real) / config.dim
+        label: float(np.trace(op @ op).real) / dim
         for label, op in zip(family.labels, family.operators)
     }
 

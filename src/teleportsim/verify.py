@@ -287,11 +287,11 @@ def check_marginal_laws(depth: str, seed: int, corrupt: str | None) -> CheckResu
     worst = 0.0
     for dim in _dims(depth):
         family = _tap(dim, corrupt, 0.55, rng)
+        expected = expected_marginal_l(family)
         u0 = random_unitary(dim, rng)
         for _ in range(count):
             config = make_scenario(dim, random_state(dim, rng), u0=u0, effect_r=family)
             report = analyze_eavesdropping(config)
-            expected = expected_marginal_l(config)
             p_l = report.probabilities.sum(axis=1)
             p_m = report.probabilities.sum(axis=0)
             worst = _worst(

@@ -165,12 +165,12 @@ def test_criterion_4_input_independent_marginals():
     worst = 0.0
     for dim in (2, 3, 4):
         family = strength_family(dim, 0.55, random_unitary(dim, rng))
+        expected = expected_marginal_l(family)
         u0 = random_unitary(dim, rng)
         baseline = None
         for _ in range(20):
             config = make_scenario(dim, random_state(dim, rng), u0=u0, effect_r=family)
             report = analyze_eavesdropping(config)
-            expected = expected_marginal_l(config)
             p_l = report.probabilities.sum(axis=1)
             p_m = report.probabilities.sum(axis=0)
             for label, value in zip(report.tap_labels, p_l):

@@ -164,7 +164,7 @@ def test_exponent_amplitude_without_mantissa_dot():
     [
         ("input: plus-uniform\n", "n: field is required"),
         ("n: 1\ninput: plus-uniform\n", "n: must be at least 2"),
-        ("n: 64\ninput: plus-uniform\n", "exceeds the supported maximum"),
+        ("n: 64\ninput: plus-uniform\n", "n: dimension 64 exceeds the supported maximum of 32"),
         ("n: 2\n", "input: field is required"),
         ("n: 2\ninput: plus-uniform\nbogus: 1\n", "bogus: unknown field"),
         ("n: 2\ninput: 'basis:7'\n", "out of range"),
@@ -189,7 +189,7 @@ def test_exponent_amplitude_without_mantissa_dot():
         ("n: 2\ninput: plus-uniform\neavesdrop: {}\n", "exactly one of"),
         (
             "n: 2\ninput: plus-uniform\neavesdrop: {theta_sweep: [0, 1, 1]}\n",
-            "at least 2 steps",
+            "eavesdrop.theta_sweep: need at least 2 steps, got 1",
         ),
         pytest.param(
             "n: 2\ninput: plus-uniform\neavesdrop: {theta_sweep: [0, 1, 1002]}\n",

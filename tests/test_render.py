@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +24,8 @@ from hypothesis.extra import numpy as hnp
 from oracles import brute_teleport, format_label
 from teleportsim import runner
 from teleportsim.config import parse_config
+from teleportsim.engine import make_scenario
+from teleportsim.linalg import frozen_complex_array
 from teleportsim.runner import format_labels, format_number, format_numbers, run_teleport
 
 
@@ -146,25 +148,29 @@ class _Sink:
         self.held = max(self.held, tracemalloc.get_traced_memory()[0])
 
 
-def _random_unitary(rng: np.random.Generator, n: int) -> list:
+def _random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-    q = q * (np.diag(r) / abs(np.diag(r)))
-    return [[[z.real, z.imag] for z in row] for row in q.tolist()]
+    return q * (np.diag(r) / abs(np.diag(r)))
 
 
 def _teleport_n32(kind: str):
+    # the Weyl family is covariant: a few thousand distinct values
+    spec = parse_config(
+        "n: 32\ninput: random:3\nu0: identity\nbell: weyl\n"
+        "eavesdrop:\n  basis: fourier\n  theta: 0.5\n"
+    )
     if kind == "weyl":
-        # the Weyl family is covariant: a few thousand distinct values
-        return parse_config(
-            "n: 32\ninput: random:3\nu0: identity\nbell: weyl\n"
-            "eavesdrop:\n  basis: fourier\n  theta: 0.5\n"
-        )
-    # a dense u0 and tap basis make nearly every value distinct
+        return spec
+    # a dense u0 and tap basis make nearly every value distinct; they go
+    # into the parsed spec as arrays, the values a config listing them
+    # parses to, without sending 4096 numbers through the YAML loader
     rng = np.random.default_rng(11)
-    return parse_config(json.dumps({
-        "n": 32, "input": "random:3", "u0": _random_unitary(rng, 32),
-        "eavesdrop": {"basis": _random_unitary(rng, 32), "theta": 0.5},
-    }))
+    u0, basis = _random_unitary(rng, 32), _random_unitary(rng, 32)
+    return replace(
+        spec,
+        scenario=make_scenario(32, spec.scenario.input_state, u0=u0),
+        eavesdrop=replace(spec.eavesdrop, basis=frozen_complex_array(basis)),
+    )
 
 
 @pytest.mark.parametrize("kind", ["weyl", "all-distinct"])

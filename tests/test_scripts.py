@@ -1,6 +1,11 @@
-"""Smoke runs of the experiment scripts, the public API's only callers outside the package."""
+"""The experiment scripts, the public API's only callers outside the package.
+
+Each script's ``main(argv)`` runs in process; one subprocess smoke per
+script covers its ``__main__`` path.
+"""
 from __future__ import annotations
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -8,6 +13,17 @@ import sys
 import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def load_script(name: str):
+    spec = importlib.util.spec_from_file_location(name, os.path.join(ROOT, "scripts", f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+leakage_by_dimension = load_script("leakage_by_dimension")
+code_lines = load_script("code_lines")
 
 
 def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
@@ -20,10 +36,9 @@ def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
     )
 
 
-def test_leakage_by_dimension_runs():
-    result = run_script("leakage_by_dimension.py", "--max-n", "3", "--trials", "2")
-    assert result.returncode == 0, result.stderr
-    lines = result.stdout.splitlines()
+def test_leakage_by_dimension_runs(capsys):
+    assert leakage_by_dimension.main(["--max-n", "3", "--trials", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "tap strength theta=0.5, 2 random inputs per dimension"
     assert lines[1].split() == [
         "n", "uniform", "F", "random", "min", "random", "max", "marginal", "flatness"
@@ -39,62 +54,25 @@ def test_leakage_by_dimension_runs():
     (("--trials", "-3"), "--trials must be at least 1"),
     (("--seed", "-1"), "--seed must be non-negative"),
 ])
-def test_leakage_by_dimension_bad_flag_exits_two(flags, message):
-    result = run_script("leakage_by_dimension.py", *flags)
-    assert result.returncode == 2
-    assert result.stdout == ""
-    assert result.stderr.splitlines()[-1] == f"leakage_by_dimension.py: error: {message}"
+def test_leakage_by_dimension_bad_flag_exits_two(capsys, flags, message):
+    # parser.error raises SystemExit(2) after printing the usage and the message
+    with pytest.raises(SystemExit) as exit_info:
+        leakage_by_dimension.main(list(flags))
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == f"leakage_by_dimension.py: error: {message}"
 
 
-def test_strength_sweep_runs():
-    result = run_script("strength_sweep.py", "--n", "2", "--points", "3")
+def test_leakage_by_dimension_main_path_exits_with_mains_status():
+    result = run_script("leakage_by_dimension.py", "--max-n", "2", "--trials", "1")
     assert result.returncode == 0, result.stderr
     lines = result.stdout.splitlines()
-    assert lines[0] == "n=2, input=plus-uniform, tap basis=computational"
-    assert lines[1].split() == ["theta", "fidelity", "advantage"]
-    assert len(lines) == 5
-    # the uniform qubit at full strength keeps fidelity 1/2 and leaks 1/2
-    assert [float(x) for x in lines[-1].split()] == [1.0, 0.5, 0.5]
+    assert lines[0] == "tap strength theta=0.5, 1 random inputs per dimension"
+    assert [line.split()[0] for line in lines[2:]] == ["2"]
 
 
-# the table the script printed when it reduced the transfer route itself
-EXPECTED_SWEEP_TABLE = """\
-n=2, input=plus-uniform, tap basis=computational
-   theta       fidelity      advantage
-   0.000    1.000000000    0.000000000
-   0.250    0.984122918    0.125000000
-   0.500    0.933012702    0.250000000
-   0.750    0.830718914    0.375000000
-   1.000    0.500000000    0.500000000
-"""
-
-
-def test_strength_sweep_is_the_cli_sweep(tmp_path):
-    target = tmp_path / "curve.csv"
-    result = run_script("strength_sweep.py", "--n", "2", "--points", "5", "--output", str(target))
-    assert result.returncode == 0, result.stderr
-    assert result.stdout == EXPECTED_SWEEP_TABLE + f"wrote 5 rows to {target}\n"
-    # run_sweep's summary, both routes checked
-    assert result.stderr.splitlines()[-1].startswith("routes: amplitude dev ")
-    assert target.read_text(encoding="utf-8") == (
-        "theta,total_fidelity,distinguishability\n"
-        "0,1,0\n0.25,0.984122918276,0.125\n0.5,0.933012701892,0.25\n0.75,0.830718913883,0.375\n1,0.5,0.5\n"
-    )
-
-
-@pytest.mark.parametrize("flags, message", [
-    (("--n", "40"), "error: n: dimension 40 exceeds the supported maximum of 32"),
-    (("--points", "1"), "error: eavesdrop.theta_sweep: need at least 2 steps, got 1"),
-    (("--input", "random", "--seed", "-1"), "error: input: seed must be non-negative, got -1"),
-])
-def test_strength_sweep_bad_flag_exits_one_with_the_config_message(flags, message):
-    result = run_script("strength_sweep.py", *flags)
-    assert result.returncode == 1
-    assert result.stdout == ""
-    assert result.stderr == message + "\n"
-
-
-def test_code_lines_counts_statements_only(tmp_path):
+def test_code_lines_counts_statements_only(tmp_path, capsys):
     source = tmp_path / "sample.py"
     source.write_text(
         '"""Module docstring,\nover two lines."""\n'
@@ -108,6 +86,30 @@ def test_code_lines_counts_statements_only(tmp_path):
         "    return x\n",
         encoding="utf-8",
     )
-    result = run_script("code_lines.py", str(source))
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines() == [f"     3 {source}", "     3 total"]
+    assert code_lines.main([str(source)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines() == [f"     3 {source}", "     3 total"]
+
+
+@pytest.mark.parametrize("content, reason", [
+    (None, "No such file or directory"),
+    (b"x = (\n", "EOF in multi-line statement (line 2)"),
+    (b"x = = 1\n", "invalid syntax (line 1)"),
+    (b"\xff\n", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+], ids=["missing", "untokenizable", "unparsable", "undecodable"])
+def test_code_lines_bad_file_exits_one_with_one_error_line(tmp_path, capsys, content, reason):
+    source = tmp_path / "sample.py"
+    if content is not None:
+        source.write_bytes(content)
+    assert code_lines.main([str(source)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {source}: {reason}\n"
+
+
+def test_code_lines_main_path_exits_with_mains_status():
+    result = run_script("code_lines.py")
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == "usage: code_lines.py PATH...\n"

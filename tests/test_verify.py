@@ -249,3 +249,36 @@ def test_each_corrupt_mode_fails_exactly_its_checks(depth, corrupt):
     assert {r.name for r in report.results if not r.passed} == TRIPPED_BY[corrupt]
     # the verdict counts the checks that failed
     assert report.lines()[-1] == f"CHECKS FAILED ({len(TRIPPED_BY[corrupt])}/{len(CHECKS)})"
+
+
+# the first entry of the input, of u0 and of the reference and receiver
+# effect stacks that `_random_scenario` draws at n = 3 from a fresh
+# child_rng(0, 3), for each style pair its two checks pass it: every
+# value those draws reach in a check is a ~1e-16 PASS deviation, so only
+# the drawn arrays show the draw order; compared within 1e-12, since the
+# unitaries pass through LAPACK's QR, whose last bits may vary by build
+INPUT_ENTRY = -0.15774602260880244 + 0.35412882099110776j
+U0_ENTRY = -0.570570311565797 - 0.30169376951651083j
+UNITARY_ENTRY = 0.05574694496173915 + 0.8173408799997481j
+TAP_ENTRY = 0.7874600071127325
+DAMPING_ENTRY = 0.8899653574256929
+DRAWN_ENTRIES = {
+    # oracle-fast-equivalence: (trial % 3, (trial + 1) % 3)
+    (0, 1): (UNITARY_ENTRY, 0.4410042407431227),
+    (1, 2): (TAP_ENTRY, 0.5756616417381886),
+    (2, 0): (DAMPING_ENTRY, 0.13816378880584002 + 0.04480118009162018j),
+    # probability-completeness: ((trial + 1) % 3, trial % 3)
+    (1, 0): (TAP_ENTRY, 0.13816378880584002 + 0.04480118009162018j),
+    (2, 1): (DAMPING_ENTRY, 0.5051363611801166),
+    (0, 2): (UNITARY_ENTRY, 0.7235753339302949),
+}
+
+
+@pytest.mark.parametrize("styles", sorted(DRAWN_ENTRIES), ids="styles-{0[0]}-{0[1]}".format)
+def test_random_scenario_draws_in_its_order(styles):
+    config = verify._random_scenario(3, verify.child_rng(0, 3), styles)
+    drawn = (config.input_state[0], config.u0[0, 0],
+             config.effect_r.operators[0, 0, 0], config.effect_b.operators[0, 0, 0])
+    expected = (INPUT_ENTRY, U0_ENTRY, *DRAWN_ENTRIES[styles])
+    for value, literal in zip(drawn, expected, strict=True):
+        assert abs(value - literal) <= 1e-12, (value, literal)
