@@ -17,7 +17,6 @@ from .bell import (
     weyl_unitary,
 )
 from .eavesdrop import (
-    EavesdropReport,
     analyze_eavesdropping,
     distinguishability,
     eavesdrop_operator,
@@ -34,6 +33,7 @@ from .effects import (
 )
 from .engine import (
     BranchTable,
+    EavesdropReport,
     ScenarioConfig,
     TeleportRecord,
     fast_run,

@@ -13,18 +13,19 @@ so a sweep builds it once per tap strength for the point's route pass
 and for it.
 `tap_operators` alone builds the ``P(l, m)`` as matrices, the kernel on
 the basis, for verify's Hermiticity check and, on the family cut to one
-outcome, for `eavesdrop_operator`.  `tap_report` sums either route's
-``(K, M)`` branch arrays into the tap's ``(L, M)`` cells, so
-`teleportsim.runner.route_pass`, the one pass the run drivers and verify
-read, reduces both routes it compares alike; `analyze_eavesdropping`
-is that reduction over `teleportsim.engine.fast_run`.  The module also
-holds the paper's projective special case (`projective_case_analysis`)
-and the one receiver-state check, `sequential_decomposition_check`: no
-closed effect on the reference, tap or not, moves the receiver's
-unconditional state off ``1/n``.  The probabilities predicted
-here must agree with the oracle's (`teleportsim.engine.oracle_blocks`);
-the run drivers and the verification suite enforce that, and verify
-checks that every ``P(l, m)`` is Hermitian.
+outcome, for `eavesdrop_operator`.  `analyze_eavesdropping` is
+`teleportsim.engine.tap_report` over `teleportsim.engine.fast_run`: the
+reduction of either route's ``(K, M)`` branch arrays into the tap's
+``(L, M)`` cells that `teleportsim.engine.route_pass`, the one pass the
+run drivers and verify read, applies to both routes it compares.  The
+module also holds the paper's projective special case
+(`projective_case_analysis`) and the one receiver-state check,
+`sequential_decomposition_check`: no closed effect on the reference, tap
+or not, moves the receiver's unconditional state off ``1/n``.  The
+probabilities predicted here must agree with the oracle's
+(`teleportsim.engine.oracle_blocks`); the run drivers and the
+verification suite enforce that, and verify checks that every
+``P(l, m)`` is Hermitian.
 """
 from __future__ import annotations
 
@@ -36,44 +37,16 @@ import numpy as np
 from .bell import BellFamily, Label, find_outcome
 from .effects import MeasurementFamily
 from .engine import (
-    RouteMismatch,
+    EavesdropReport,
     ScenarioConfig,
-    branch_keys,
-    conditional_fidelities,
     fast_run,
     mirror_stack,
     reduce_stream,
+    tap_report,
     transfer_kernel,
     transfer_rows,
 )
 from .linalg import apply_each_inverse, dagger, frozen_complex_array, norms_squared
-
-
-@dataclass(frozen=True, eq=False)
-class EavesdropReport:
-    """Full tap analysis for one scenario, one row per tap branch.
-
-    ``probabilities[l, m]`` is the probability of cell ``(tap_labels[l],
-    labels[m])`` and ``overlaps[l, m]`` the sum of its branches' squared
-    overlaps with the input; both are read-only.  ``fidelities[l, m]``,
-    the cell's conditional fidelity (NaN on a cell that never fires), is
-    divided from the two on each read, so a report whose fidelities no
-    one reads never divides.  A receiver effect is summed out of each
-    cell: the probability adds up its branches and the fidelity is that
-    of the mixed conditional output.
-    """
-
-    tap_labels: tuple[int | str | None, ...]
-    labels: tuple[Label, ...]
-    probabilities: np.ndarray  # (L, M)
-    overlaps: np.ndarray  # (L, M)
-    total_fidelity: float
-
-    @property
-    def fidelities(self) -> np.ndarray:
-        fidelities = conditional_fidelities(self.overlaps, self.probabilities)
-        fidelities.setflags(write=False)
-        return fidelities
 
 
 @dataclass(frozen=True)
@@ -130,42 +103,6 @@ def expected_marginal_l(family: MeasurementFamily) -> dict[int | str, float]:
         label: float(np.trace(op @ op).real) / dim
         for label, op in zip(family.labels, family.operators)
     }
-
-
-def tap_report(
-    config: ScenarioConfig, probabilities: np.ndarray, overlaps_sq: np.ndarray
-) -> EavesdropReport:
-    """Reduce one route's ``(K, M)`` branch arrays to the tap report.
-
-    ``probabilities`` and ``overlaps_sq`` hold the squared norms and
-    `teleportsim.engine.overlaps_squared` of the blocks of either route,
-    one row per reference and receiver branch pair in `branch_keys` order.  Each
-    ``(l, m)`` cell sums its receiver branches.  The reference effect may
-    be any effect, not only a tap: each branch label is one row.  Arrays
-    with another row count than `branch_keys` has keys raise
-    `RouteMismatch`: a route lost or gained a block.
-    """
-    keys = len(branch_keys(config))
-    if len(probabilities) != keys or len(overlaps_sq) != keys:
-        raise RouteMismatch(
-            f"tap report: {len(probabilities)} probability and {len(overlaps_sq)} overlap rows "
-            f"for {keys} branch pairs"
-        )
-    tap_labels = config.effect_r.labels
-    shape = (len(tap_labels), -1, probabilities.shape[-1])
-    cells = probabilities.reshape(shape).sum(axis=1)
-    overlaps = overlaps_sq.reshape(shape).sum(axis=1)
-    cells.setflags(write=False)
-    overlaps.setflags(write=False)
-    return EavesdropReport(
-        tap_labels=tap_labels,
-        labels=config.bell.labels,
-        probabilities=cells,
-        overlaps=overlaps,
-        # a sequential sum in table order, the same on both routes: numpy's
-        # pairwise summation would move the last digits the CSVs print
-        total_fidelity=float(np.cumsum(overlaps)[-1]),
-    )
 
 
 def analyze_eavesdropping(config: ScenarioConfig) -> EavesdropReport:

@@ -38,12 +38,12 @@ squared norms and squared overlaps, each one `np.vecdot` over the block;
 every branch's 2-norm amplitude deviation, so a caller holds a few
 blocks and the ``(K, M)`` reductions, never a table; streams that differ
 in block count or in a block's shape raise `RouteMismatch`.  Its one
-caller is `teleportsim.runner.route_pass`, the one pass over both routes
-that the run drivers and the verification suite read: it returns every
-deviation between the routes instead of raising, and each caller decides
-what fails.  The pass cannot live
-here, since it reads `teleportsim.eavesdrop.tap_report`, which imports
-this module.
+caller is `route_pass`, the one pass over both routes that the run
+drivers and the verification suite read: it takes `fixed_half`, what no
+tap strength changes, and `tap_report` sums each route's ``(K, M)``
+arrays into the tap's ``(L, M)`` cells of an `EavesdropReport`.  The
+pass returns every deviation between the routes in a `RoutePass`
+instead of raising, and each caller decides what fails.
 `expected_probability_sum` gives the oracle's probability sum in closed
 form from the Gram of its bra on R and `reference_marginal`, neither of
 which an effect on R touches: 1 for exactly closed effects, and moved by
@@ -380,7 +380,7 @@ class RouteMismatch(ValueError):
 
     Two route streams differ in the block count or in a block's shape, or
     one route's ``(K, M)`` reductions hold another row count than
-    `branch_keys` has keys (checked by `teleportsim.eavesdrop.tap_report`).
+    `branch_keys` has keys (checked by `tap_report`).
     """
 
 
@@ -400,8 +400,8 @@ def compare_routes(
     on, naming its index and what each route had there: a shape, or
     ``None`` past the end of the stream.  The message says "oracle" for
     ``oracle`` and "transfer" for ``transfer``.  Deviations are measured,
-    never judged: `teleportsim.runner.route_pass`, the one caller,
-    returns them and its callers decide what fails.
+    never judged: `route_pass`, the one caller, returns them and its
+    callers decide what fails.
     """
     norms: tuple[list, list] = ([], [])
     overlaps: tuple[list, list] = ([], [])
@@ -417,6 +417,178 @@ def compare_routes(
         amplitude.append(np.sqrt(norms_squared(pair[0] - pair[1])))
         del pair, block  # neither route builds its next block while this pair is held
     return tuple(map(np.array, norms)), tuple(map(np.array, overlaps)), np.array(amplitude)
+
+
+@dataclass(frozen=True, eq=False)
+class EavesdropReport:
+    """Full tap analysis for one scenario, one row per tap branch.
+
+    ``probabilities[l, m]`` is the probability of cell ``(tap_labels[l],
+    labels[m])`` and ``overlaps[l, m]`` the sum of its branches' squared
+    overlaps with the input; both are read-only.  ``fidelities[l, m]``,
+    the cell's conditional fidelity (NaN on a cell that never fires), is
+    divided from the two on each read, so a report whose fidelities no
+    one reads never divides.  A receiver effect is summed out of each
+    cell: the probability adds up its branches and the fidelity is that
+    of the mixed conditional output.
+    """
+
+    tap_labels: tuple[int | str | None, ...]
+    labels: tuple[Label, ...]
+    probabilities: np.ndarray  # (L, M)
+    overlaps: np.ndarray  # (L, M)
+    total_fidelity: float
+
+    @property
+    def fidelities(self) -> np.ndarray:
+        fidelities = conditional_fidelities(self.overlaps, self.probabilities)
+        fidelities.setflags(write=False)
+        return fidelities
+
+
+def tap_report(
+    config: ScenarioConfig, probabilities: np.ndarray, overlaps_sq: np.ndarray
+) -> EavesdropReport:
+    """Reduce one route's ``(K, M)`` branch arrays to the tap report.
+
+    ``probabilities`` and ``overlaps_sq`` hold the squared norms and
+    `overlaps_squared` of the blocks of either route, one row per
+    reference and receiver branch pair in `branch_keys` order.  Each
+    ``(l, m)`` cell sums its receiver branches.  The reference effect may
+    be any effect, not only a tap: each branch label is one row.  Arrays
+    with another row count than `branch_keys` has keys raise
+    `RouteMismatch`: a route lost or gained a block.
+    """
+    keys = len(branch_keys(config))
+    if len(probabilities) != keys or len(overlaps_sq) != keys:
+        raise RouteMismatch(
+            f"tap report: {len(probabilities)} probability and {len(overlaps_sq)} overlap rows "
+            f"for {keys} branch pairs"
+        )
+    tap_labels = config.effect_r.labels
+    shape = (len(tap_labels), -1, probabilities.shape[-1])
+    cells = probabilities.reshape(shape).sum(axis=1)
+    overlaps = overlaps_sq.reshape(shape).sum(axis=1)
+    cells.setflags(write=False)
+    overlaps.setflags(write=False)
+    return EavesdropReport(
+        tap_labels=tap_labels,
+        labels=config.bell.labels,
+        probabilities=cells,
+        overlaps=overlaps,
+        # a sequential sum in table order, the same on both routes: numpy's
+        # pairwise summation would move the last digits the CSVs print
+        total_fidelity=float(np.cumsum(overlaps)[-1]),
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class FixedHalf:
+    """The arrays of a run that no tap strength changes: built once per run or sweep.
+
+    ``bra`` (`oracle_bra`) feeds the oracle alone and ``rows``
+    (`transfer_rows` of the input) the transfer route alone.
+    ``kets``, row ``m`` ``U(m)^-1 psi``, reduce both routes' blocks.
+    ``gram`` (``bra^+ bra``) and ``marginal`` (`reference_marginal`) are
+    what `expected_probability_sum` needs beside the reference effect.
+    """
+
+    bra: np.ndarray  # (M, n)
+    rows: np.ndarray  # (M, 1, n)
+    kets: np.ndarray  # (M, n)
+    gram: np.ndarray  # (n, n)
+    marginal: np.ndarray  # (n, n)
+
+
+def fixed_half(scenario: ScenarioConfig) -> FixedHalf:
+    """`FixedHalf` of ``scenario``: what every tap strength on its input shares.
+
+    ``U(m)^-1 psi`` is applied once: the kets are its rows, and the
+    transfer rows those rows scaled by ``sqrt(w)/n``, as `transfer_rows`
+    scales them.
+    """
+    bell = scenario.bell
+    bra = oracle_bra(scenario)
+    kets = apply_each_inverse(bell.unitaries, np.asarray(scenario.input_state))
+    rows = kets[:, None] * (np.sqrt(bell.weights) / scenario.dim)[:, None, None]
+    rows.setflags(write=False)
+    return FixedHalf(
+        bra=bra,
+        rows=rows,
+        kets=kets,
+        gram=np.conj(bra).T @ bra,
+        marginal=reference_marginal(scenario),
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class RoutePass:
+    """What one zipped pass over both routes keeps: the oracle's reductions and every route deviation.
+
+    ``probabilities`` and ``overlaps``, the oracle's squared norms and
+    squared overlaps with the input's kets, hold one row per branch pair
+    ``keys[k]``, `branch_keys` of the scenario, and one column per Bell
+    outcome ``tap.labels[m]``; ``tap`` sums them into the tap's ``(l, m)``
+    cells, and `conditional_fidelities` of the two gives each branch's
+    fidelity.  ``probability_sum`` is the
+    oracle's total and ``expected_sum`` its closed form.  The deviations
+    between the routes are ``amplitude_deviation``, the 2-norm of each
+    branch's difference, and ``probability_deviation``, both ``(K, M)``;
+    ``cell_deviation``, ``(L, M)``, between the routes' tap reports; and
+    ``fidelity_deviation``, between their total fidelities.  Every array
+    is read-only.
+    """
+
+    keys: tuple[tuple[object, object], ...]
+    probabilities: np.ndarray  # (K, M)
+    overlaps: np.ndarray  # (K, M)
+    tap: EavesdropReport
+    probability_sum: float
+    expected_sum: float
+    amplitude_deviation: np.ndarray  # (K, M)
+    probability_deviation: np.ndarray  # (K, M)
+    cell_deviation: np.ndarray  # (L, M)
+    fidelity_deviation: float
+
+    def __post_init__(self) -> None:
+        for array in (self.probabilities, self.overlaps, self.amplitude_deviation,
+                      self.probability_deviation, self.cell_deviation):
+            array.setflags(write=False)
+
+    @property
+    def deviations(self) -> tuple[float, float, float]:
+        """The largest amplitude and probability deviation and the total-fidelity deviation."""
+        return (float(np.max(self.amplitude_deviation)), float(np.max(self.probability_deviation)),
+                self.fidelity_deviation)
+
+
+def route_pass(scenario: ScenarioConfig, fixed: FixedHalf, mirrors: np.ndarray) -> RoutePass:
+    """Zip the oracle stream with `fast_run` once and measure every deviation between the routes.
+
+    ``fixed`` is `fixed_half` of a scenario that differs from this one in
+    the tap at most, ``mirrors`` this one's `mirror_stack`.  Nothing is
+    checked here, so routes that disagree still return their deviations
+    and the caller decides what fails.  Only streams that differ in
+    block count or in a block's shape raise, `RouteMismatch`: they have
+    no deviation to return.
+    """
+    norms, overlaps, amplitude = compare_routes(
+        oracle_blocks(scenario, fixed.bra), fast_run(scenario, fixed.rows, mirrors), fixed.kets
+    )
+    tap = tap_report(scenario, norms[0], overlaps[0])
+    transfer_tap = tap_report(scenario, norms[1], overlaps[1])
+    return RoutePass(
+        keys=branch_keys(scenario),
+        probabilities=norms[0],
+        overlaps=overlaps[0],
+        tap=tap,
+        probability_sum=float(norms[0].sum()),
+        expected_sum=expected_probability_sum(scenario, fixed.gram, fixed.marginal),
+        amplitude_deviation=amplitude,
+        probability_deviation=np.abs(norms[0] - norms[1]),
+        cell_deviation=np.abs(transfer_tap.probabilities - tap.probabilities),
+        fidelity_deviation=abs(transfer_tap.total_fidelity - tap.total_fidelity),
+    )
 
 
 def _table(config: ScenarioConfig, blocks: BlockStream) -> BranchTable:

@@ -1,17 +1,18 @@
 """CSV-producing run drivers shared by the command line entry points.
 
 Every branch is computed twice: once through the transfer kernel and once
-through the full-state oracle.  Both routes are streams of bare
-``(M, n)`` blocks in `branch_keys` order, and `route_pass` zips them
-once: `compare_routes` reduces both alike to ``(K, M)`` squared norms and
-overlaps and measures the 2-norm amplitude deviation of every branch,
-and `tap_report` sums each route's arrays into the tap's ``(L, M)``
-cells; the pass names its branches by `branch_keys` of the scenario.
-The pass keeps only those reductions, never a table of blocks, and
-returns every deviation between the routes as a value instead of
-raising: the run drivers and the verification suite read the same
-`RoutePass`, and each caller decides what fails.  No driver calls
-`run_oracle`: it is imported below for the benchmark's tracer alone.
+through the full-state oracle.  Both routes, their comparison and the
+tap cells live in `teleportsim.engine`: `route_pass` zips the two
+streams once, `compare_routes` reduces both alike to ``(K, M)`` squared
+norms and overlaps and measures the 2-norm amplitude deviation of every
+branch, and `tap_report` sums each route's arrays into the tap's
+``(L, M)`` cells.  The pass keeps only those reductions, never a table
+of blocks, and returns every deviation between the routes as a value
+instead of raising: the run drivers here and the verification suite
+read the same `RoutePass`, and this module holds the failure policy,
+`_checked_pass` against `RUN_TOL`, and the CSV rendering.  No driver
+calls `run_oracle` or `fast_run`: they are imported below for the
+benchmark's tracer alone.
 Every number `run_teleport` writes, and the sweep's fidelity column, is
 a reduction of the oracle's arrays, and the summary ends with the
 measured route deviations; only `run_teleport` divides the oracle's
@@ -47,37 +48,33 @@ arrays and one block's text, never the whole body.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from types import SimpleNamespace
 from typing import IO, Iterable, Sequence
 
 import numpy as np
 
 from .config import RunSpec
-from .eavesdrop import EavesdropReport, distinguishability, tap_report
+from .eavesdrop import distinguishability
 from .effects import strength_family
 from .engine import (
     NULL_BRANCH_EPS,
+    FixedHalf,
     RouteMismatch,
+    RoutePass,
     ScenarioConfig,
-    branch_keys,
-    compare_routes,
     conditional_fidelities,
-    expected_probability_sum,
-    fast_run,
+    fixed_half,
     mirror_stack,
-    oracle_blocks,
-    oracle_bra,
-    reference_marginal,
+    route_pass,
     transfer_rows,
 )
-# run_oracle, analyze_eavesdropping and make_scenario stay importable
-# here: perfbench/tracing.py patches them by name, though the drivers
-# reach both routes through the streams, take the scenario from the
-# spec and call none of them
+# fast_run, run_oracle, analyze_eavesdropping and make_scenario stay
+# importable here: perfbench/tracing.py patches them by name, though the
+# drivers reach both routes through `route_pass`, take the scenario from
+# the spec and call none of them
 from .eavesdrop import analyze_eavesdropping  # noqa: F401
-from .engine import make_scenario, run_oracle  # noqa: F401
-from .linalg import apply_each_inverse
+from .engine import fast_run, make_scenario, run_oracle  # noqa: F401
 
 TELEPORT_HEADER = ("record", "l", "m", "branch", "probability", "fidelity")
 
@@ -157,107 +154,6 @@ def build_scenario(spec: RunSpec) -> ScenarioConfig:
         raise ValueError("a single tap strength is required (spec carries a sweep)")
     tap = strength_family(spec.scenario.dim, spec.eavesdrop.theta, np.asarray(spec.eavesdrop.basis))
     return replace(spec.scenario, effect_r=tap)
-
-
-@dataclass(frozen=True, eq=False)
-class FixedHalf:
-    """The arrays of a run that no tap strength changes: built once per run or sweep.
-
-    ``bra`` (`oracle_bra`) feeds the oracle alone and ``rows``
-    (`transfer_rows` of the input) the transfer route alone.
-    ``kets``, row ``m`` ``U(m)^-1 psi``, reduce both routes' blocks.
-    ``gram`` (``bra^+ bra``) and ``marginal`` (`reference_marginal`) are
-    what `expected_probability_sum` needs beside the reference effect.
-    """
-
-    bra: np.ndarray  # (M, n)
-    rows: np.ndarray  # (M, 1, n)
-    kets: np.ndarray  # (M, n)
-    gram: np.ndarray  # (n, n)
-    marginal: np.ndarray  # (n, n)
-
-
-def fixed_half(scenario: ScenarioConfig) -> FixedHalf:
-    """`FixedHalf` of ``scenario``: what every tap strength on its input shares."""
-    psi = np.asarray(scenario.input_state)
-    bra = oracle_bra(scenario)
-    return FixedHalf(
-        bra=bra,
-        rows=transfer_rows(scenario, psi[None]),
-        kets=apply_each_inverse(scenario.bell.unitaries, psi),
-        gram=np.conj(bra).T @ bra,
-        marginal=reference_marginal(scenario),
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class RoutePass:
-    """What one zipped pass over both routes keeps: the oracle's reductions and every route deviation.
-
-    ``probabilities`` and ``overlaps``, the oracle's squared norms and
-    squared overlaps with the input's kets, hold one row per branch pair
-    ``keys[k]``, `branch_keys` of the scenario, and one column per Bell
-    outcome ``tap.labels[m]``; ``tap`` sums them into the tap's ``(l, m)``
-    cells, and `conditional_fidelities` of the two gives each branch's
-    fidelity.  ``probability_sum`` is the
-    oracle's total and ``expected_sum`` its closed form.  The deviations
-    between the routes are ``amplitude_deviation``, the 2-norm of each
-    branch's difference, and ``probability_deviation``, both ``(K, M)``;
-    ``cell_deviation``, ``(L, M)``, between the routes' tap reports; and
-    ``fidelity_deviation``, between their total fidelities.  Every array
-    is read-only.
-    """
-
-    keys: tuple[tuple[object, object], ...]
-    probabilities: np.ndarray  # (K, M)
-    overlaps: np.ndarray  # (K, M)
-    tap: EavesdropReport
-    probability_sum: float
-    expected_sum: float
-    amplitude_deviation: np.ndarray  # (K, M)
-    probability_deviation: np.ndarray  # (K, M)
-    cell_deviation: np.ndarray  # (L, M)
-    fidelity_deviation: float
-
-    def __post_init__(self) -> None:
-        for array in (self.probabilities, self.overlaps, self.amplitude_deviation,
-                      self.probability_deviation, self.cell_deviation):
-            array.setflags(write=False)
-
-    @property
-    def deviations(self) -> tuple[float, float, float]:
-        """The largest amplitude and probability deviation and the total-fidelity deviation."""
-        return (float(np.max(self.amplitude_deviation)), float(np.max(self.probability_deviation)),
-                self.fidelity_deviation)
-
-
-def route_pass(scenario: ScenarioConfig, fixed: FixedHalf, mirrors: np.ndarray) -> RoutePass:
-    """Zip the oracle stream with `fast_run` once and measure every deviation between the routes.
-
-    ``fixed`` is `fixed_half` of a scenario that differs from this one in
-    the tap at most, ``mirrors`` this one's `mirror_stack`.  Nothing is
-    checked here, so routes that disagree still return their deviations
-    and the caller decides what fails.  Only streams that differ in
-    block count or in a block's shape raise, `RouteMismatch`: they have
-    no deviation to return.
-    """
-    norms, overlaps, amplitude = compare_routes(
-        oracle_blocks(scenario, fixed.bra), fast_run(scenario, fixed.rows, mirrors), fixed.kets
-    )
-    tap = tap_report(scenario, norms[0], overlaps[0])
-    transfer_tap = tap_report(scenario, norms[1], overlaps[1])
-    return RoutePass(
-        keys=branch_keys(scenario),
-        probabilities=norms[0],
-        overlaps=overlaps[0],
-        tap=tap,
-        probability_sum=float(norms[0].sum()),
-        expected_sum=expected_probability_sum(scenario, fixed.gram, fixed.marginal),
-        amplitude_deviation=amplitude,
-        probability_deviation=np.abs(norms[0] - norms[1]),
-        cell_deviation=np.abs(transfer_tap.probabilities - tap.probabilities),
-        fidelity_deviation=abs(transfer_tap.total_fidelity - tap.total_fidelity),
-    )
 
 
 def _checked_pass(where: str, scenario: ScenarioConfig, fixed: FixedHalf, mirrors: np.ndarray) -> RoutePass:

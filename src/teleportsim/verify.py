@@ -31,11 +31,13 @@ oracle into a table.  ``ideal-teleportation`` and
 ``probability-completeness`` read the oracle alone and hold it to exact
 targets.  ``oracle-fast-equivalence`` and ``tap-oracle-agreement`` read
 the one pass over both routes that the run drivers read,
-`teleportsim.runner.route_pass`, which returns every deviation between
+`teleportsim.engine.route_pass`, which returns every deviation between
 the routes instead of raising: the first reports the worst of them all
 (branch amplitudes and probabilities, tap cells, total fidelity and the
 probability sum against its closed form), the second its tap-cell
-deviation beside the Hermiticity of every ``P(l, m)``.
+deviation beside the Hermiticity of every ``P(l, m)``.  Verify judges
+the deviations against its own tolerances and imports neither the run
+drivers nor their config parser.
 ``decomposition-identity`` (no reference effect) and
 ``sequential-decomposition`` (strength taps) both read
 `sequential_decomposition_check` and report the larger of its two
@@ -65,18 +67,19 @@ from .engine import (
     RouteMismatch,
     ScenarioConfig,
     conditional_fidelities,
+    fixed_half,
     make_scenario,
     mirror_stack,
     oracle_blocks,
     oracle_bra,
     reduce_stream,
+    route_pass,
 )
 # run_oracle and fast_run stay importable here: perfbench/tracing.py
 # patches them by name, though every check reads the oracle through its
 # stream and the transfer route through `route_pass`
 from .engine import fast_run, run_oracle  # noqa: F401
 from .linalg import apply_each_inverse, basis_state, uniform_state
-from .runner import fixed_half, route_pass
 from .sampling import child_rng, random_state, random_unitary
 
 

@@ -287,8 +287,8 @@ def test_invariant_violation_exits_two(tmp_path, capsys, monkeypatch):
 
 def test_parted_route_streams_exit_two(tmp_path, capsys, monkeypatch):
     # the comparator's mismatch is a ValueError, which alone would exit 1
-    route = runner.fast_run
-    monkeypatch.setattr(runner, "fast_run", lambda *args: list(route(*args))[:-1])
+    route = engine.fast_run
+    monkeypatch.setattr(engine, "fast_run", lambda *args: list(route(*args))[:-1])
     config = write(tmp_path, "run.yaml", TAP_CONFIG)
     assert cli.main(["teleport", "--config", config]) == 2
     captured = capsys.readouterr()

@@ -8,10 +8,17 @@ attribute chain) or lists it in ``__all__``.  An import statement with
 benchmark's tracer alone: every name it brings in that the module never
 reads must be one that ``SPAN_TARGETS`` in `perfbench/tracing.py` patches
 on that module.
+
+A bare ``import teleportsim`` loads the simulator and its verification
+suite alone: the run drivers, their config parser, PyYAML and `csv` load
+with the command line, never with the library.
 """
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -59,3 +66,15 @@ def test_exempt_imports_are_the_tracer_targets(path):
     # a name kept for the tracer must be one it patches on this module
     traced = {attribute for owner, attribute in span_targets() if owner == path.stem}
     assert sorted(set(unread_imports(path)[1]) - traced) == []
+
+
+def test_package_import_loads_no_run_driver_or_config_parser():
+    # a fresh interpreter: this session has imported the drivers already
+    probe = "import sys, teleportsim; print(*sorted(sys.modules))"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert "teleportsim" in loaded
+    unwanted = ("yaml", "csv", "teleportsim.config", "teleportsim.runner")
+    assert [name for name in unwanted if name in loaded] == []

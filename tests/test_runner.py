@@ -1,7 +1,7 @@
 """The run drivers refuse to write a table their two routes disagree on.
 
 Each test patches one route, or the transfer route's tap report, by name
-in `teleportsim.runner` and checks that `run_teleport` or `run_sweep` raises
+in `teleportsim.engine`, where the route pass calls it, and checks that `run_teleport` or `run_sweep` raises
 `InvariantViolation` before the first CSV row.
 """
 from __future__ import annotations
@@ -55,7 +55,7 @@ def refused(match: str, spec=SPEC) -> None:
 
 
 def patched_tap_report(monkeypatch, report=None, probabilities=None) -> None:
-    """Patch the transfer route's `tap_report` in `runner`.
+    """Patch the transfer route's `tap_report` in `engine`.
 
     A pass reduces the oracle's arrays first and the transfer route's
     second, so every second call is the transfer route's: ``probabilities``
@@ -70,7 +70,7 @@ def patched_tap_report(monkeypatch, report=None, probabilities=None) -> None:
         tap = tap_report(config, p if probabilities is None else probabilities(p), overlaps_sq)
         return tap if report is None else report(tap)
 
-    monkeypatch.setattr(runner, "tap_report", patched)
+    monkeypatch.setattr(engine, "tap_report", patched)
 
 
 def test_tap_total_fidelity_mismatch_writes_nothing(monkeypatch):
@@ -80,13 +80,13 @@ def test_tap_total_fidelity_mismatch_writes_nothing(monkeypatch):
 
 def faulty_stream(monkeypatch, fault) -> None:
     """Patch the transfer route so ``fault(index, block)`` edits or drops each block."""
-    route = runner.fast_run
+    route = engine.fast_run
 
     def patched(scenario, rows, mirrors):
         for index, block in enumerate(route(scenario, rows, mirrors)):
             yield from fault(index, block.copy())
 
-    monkeypatch.setattr(runner, "fast_run", patched)
+    monkeypatch.setattr(engine, "fast_run", patched)
 
 
 def test_cross_check_catches_one_moved_amplitude(monkeypatch):
@@ -149,7 +149,7 @@ def test_amplitude_deviation_is_the_two_norm_of_the_corrected_difference(monkeyp
 
     faulty_stream(monkeypatch, moved)
     recorded = []
-    compare = runner.compare_routes
+    compare = engine.compare_routes
 
     def recording(oracle, transfer, kets):
         oracle, transfer = list(oracle), list(transfer)
@@ -157,7 +157,7 @@ def test_amplitude_deviation_is_the_two_norm_of_the_corrected_difference(monkeyp
         recorded.append((oracle, transfer, result[2]))
         return result
 
-    monkeypatch.setattr(runner, "compare_routes", recording)
+    monkeypatch.setattr(engine, "compare_routes", recording)
     refused(r"routes disagree on branch \(m=\(0, 2\), l=1, b=None\): .* amplitude deviation 1\.000e-06", spec)
     [(oracle, transfer, deviation)] = recorded
     for index, m in ((1, 2), (2, 4)):
@@ -310,7 +310,7 @@ def test_probability_sum_is_held_to_its_expected_value(monkeypatch):
         "n: 2\ninput: plus-uniform\neavesdrop:\n  theta_sweep: [0, 1, 3]\n"
         "effect_b:\n  kraus:\n    - [[1, 0], [0, 0.6]]\n    - [[0, 0.8000000005], [0, 0]]\n"
     )
-    monkeypatch.setattr(runner, "expected_probability_sum", lambda *args: 1.0)
+    monkeypatch.setattr(engine, "expected_probability_sum", lambda *args: 1.0)
     sum_text = r"oracle probabilities sum to 1\.000000000\d+, expected 1\.0$"
     refused(sum_text, replace(spec, eavesdrop=replace(spec.eavesdrop, theta=0.5, sweep=None)))
     stream = io.StringIO()
@@ -322,7 +322,7 @@ def test_probability_sum_is_held_to_its_expected_value(monkeypatch):
 def test_sweep_compares_the_routes_block_by_block(monkeypatch):
     # the sweep zips `fast_run` with the oracle stream, so a moved oracle
     # amplitude is caught at the first tap strength
-    route = runner.oracle_blocks
+    route = engine.oracle_blocks
 
     def moved(scenario, bra):
         for index, block in enumerate(route(scenario, bra)):
@@ -331,7 +331,7 @@ def test_sweep_compares_the_routes_block_by_block(monkeypatch):
                 block[2, 0] += 1e-6
             yield block
 
-    monkeypatch.setattr(runner, "oracle_blocks", moved)
+    monkeypatch.setattr(engine, "oracle_blocks", moved)
     stream = io.StringIO()
     with pytest.raises(
         InvariantViolation, match=r"theta=0: routes disagree on branch \(m=\(1, 0\), l=1, b=None\)"

@@ -62,18 +62,18 @@ def test_oracle_table_counts_records_and_null_records():
 
 
 def test_run_teleport_calls_the_transfer_route_once(monkeypatch):
-    # the tracer wraps runner.fast_run and counts one span per call
-    from teleportsim import runner
+    # the route pass calls engine.fast_run once per run
+    from teleportsim import engine, runner
     from teleportsim.config import parse_config
 
     calls = []
-    route = runner.fast_run
+    route = engine.fast_run
 
     def counted(scenario, rows, mirrors):
         calls.append(scenario)
         return route(scenario, rows, mirrors)
 
-    monkeypatch.setattr(runner, "fast_run", counted)
+    monkeypatch.setattr(engine, "fast_run", counted)
     spec = parse_config(
         "n: 3\ninput: random:1\neavesdrop:\n  theta: 0.5\n"
         "effect_b:\n  kraus:\n    - [[1, 0, 0], [0, 0.8, 0], [0, 0, 1]]\n"

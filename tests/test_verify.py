@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from teleportsim import engine, runner, verify
+from teleportsim import engine, verify
 from teleportsim.verify import CHECKS, check_oracle_fast_equivalence, run_verification
 
 CHECK_NAMES = {
@@ -89,13 +89,13 @@ def test_unknown_corrupt_target_is_rejected():
 
 def patch_stream(monkeypatch, fault) -> None:
     """Patch the transfer route of the shared route pass so ``fault(block)`` edits every streamed block."""
-    route = runner.fast_run
+    route = engine.fast_run
 
     def patched(config, rows, mirrors):
         for block in route(config, rows, mirrors):
             yield fault(block.copy())
 
-    monkeypatch.setattr(runner, "fast_run", patched)
+    monkeypatch.setattr(engine, "fast_run", patched)
 
 
 def test_transfer_route_dropping_a_record_fails(monkeypatch):
@@ -108,8 +108,8 @@ def test_transfer_route_dropping_a_record_fails(monkeypatch):
 
 
 def test_transfer_route_dropping_a_block_names_the_block(monkeypatch):
-    route = runner.fast_run
-    monkeypatch.setattr(runner, "fast_run", lambda *args: list(route(*args))[:-1])
+    route = engine.fast_run
+    monkeypatch.setattr(engine, "fast_run", lambda *args: list(route(*args))[:-1])
     result = check_oracle_fast_equivalence("quick", 0, None)
     line = verify.VerificationReport((result,)).lines()[0]
     assert re.fullmatch(
