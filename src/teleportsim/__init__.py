@@ -20,7 +20,6 @@ from .eavesdrop import (
     analyze_eavesdropping,
     distinguishability,
     eavesdrop_operator,
-    projective_case_analysis,
     sequential_decomposition_check,
 )
 from .effects import (
@@ -80,7 +79,6 @@ __all__ = [
     "mirror_stack",
     "oracle_blocks",
     "oracle_bra",
-    "projective_case_analysis",
     "random_state",
     "random_unitary",
     "run_oracle",

@@ -38,6 +38,13 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+def _output_path(text: str) -> str:
+    """CSV destination: the empty string names no file, so it fails before any work."""
+    if not text:
+        raise argparse.ArgumentTypeError("expected a non-empty path string")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="teleportsim",
@@ -66,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _add_run_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", required=True, help="YAML/JSON run specification")
-    sub.add_argument("--output", default=None, help="CSV destination (default stdout)")
+    sub.add_argument("--output", type=_output_path, help="CSV destination (default stdout)")
     sub.add_argument(
         "--strict", action="store_true",
         help="reject unnormalized inputs instead of normalizing",

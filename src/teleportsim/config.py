@@ -163,13 +163,8 @@ def parse_config(text: str, strict: bool = False) -> RunSpec:
     if n > 32:
         raise ConfigError(f"n: dimension {n} exceeds the supported maximum of 32")
 
-    u0_raw = raw.get("u0", "identity")
-    if u0_raw == "identity":
-        u0 = np.eye(n, dtype=complex)
-    else:
-        u0 = _parse_matrix(u0_raw, "u0", n)
-        if not is_unitary(u0):
-            raise ConfigError("u0: matrix is not unitary")
+    identity = {"identity": np.eye(n, dtype=complex)}
+    u0 = _parse_unitary(raw.get("u0", "identity"), "u0", n, identity, "matrix is not unitary")
 
     bell = _parse_bell(raw.get("bell", "weyl"), n)
 
@@ -329,16 +324,17 @@ def _parse_bell(value: object, n: int) -> BellFamily:
         raise ConfigError(f"bell: {exc}") from exc
 
 
-def _parse_basis(value: object, n: int) -> np.ndarray:
-    if value in (None, "computational"):
-        return np.eye(n, dtype=complex)
-    if value == "fourier":
-        jk = np.outer(np.arange(n), np.arange(n))
-        return np.exp(2j * np.pi * jk / n) / np.sqrt(n)
-    basis = _parse_matrix(value, "eavesdrop.basis", n)
-    if not is_unitary(basis):
-        raise ConfigError("eavesdrop.basis: columns do not form a unitary matrix")
-    return basis
+def _parse_unitary(value: object, path: str, n: int, named: dict[str, np.ndarray], defect: str) -> np.ndarray:
+    """An ``n x n`` unitary: one of the ``named`` matrices by its name, or written out."""
+    if isinstance(value, str) and value in named:
+        return named[value]
+    if not isinstance(value, list):
+        names = ", ".join(map(repr, named))
+        raise ConfigError(f"{path}: expected {names} or a {n} x {n} unitary matrix, got {value!r}")
+    matrix = _parse_matrix(value, path, n)
+    if not is_unitary(matrix):
+        raise ConfigError(f"{path}: {defect}")
+    return matrix
 
 
 def _parse_eavesdrop(value: object, n: int) -> EavesdropSpec | None:
@@ -349,7 +345,11 @@ def _parse_eavesdrop(value: object, n: int) -> EavesdropSpec | None:
     extra = set(value) - {"basis", "theta", "theta_sweep"}
     if extra:
         raise ConfigError(f"eavesdrop: unknown fields {sorted(extra)}")
-    basis = _parse_basis(value.get("basis"), n)
+    jk = np.outer(np.arange(n), np.arange(n))
+    named = {"computational": np.eye(n, dtype=complex), "fourier": np.exp(2j * np.pi * jk / n) / np.sqrt(n)}
+    # an empty basis field is the computational basis
+    raw_basis = "computational" if value.get("basis") is None else value["basis"]
+    basis = _parse_unitary(raw_basis, "eavesdrop.basis", n, named, "columns do not form a unitary matrix")
     has_theta = "theta" in value
     has_sweep = "theta_sweep" in value
     if has_theta == has_sweep:

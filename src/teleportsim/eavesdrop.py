@@ -18,8 +18,7 @@ outcome, for `eavesdrop_operator`.  `analyze_eavesdropping` is
 reduction of either route's ``(K, M)`` branch arrays into the tap's
 ``(L, M)`` cells that `teleportsim.engine.route_pass`, the one pass the
 run drivers and verify read, applies to both routes it compares.  The
-module also holds the paper's projective special case
-(`projective_case_analysis`) and the one receiver-state check,
+module also holds the one receiver-state check,
 `sequential_decomposition_check`: no closed effect on the reference, tap
 or not, moves the receiver's unconditional state off ``1/n``.  The
 probabilities predicted here must agree with the oracle's
@@ -46,7 +45,7 @@ from .engine import (
     transfer_kernel,
     transfer_rows,
 )
-from .linalg import apply_each_inverse, dagger, frozen_complex_array, norms_squared
+from .linalg import apply_each_inverse, dagger, norms_squared
 
 
 @dataclass(frozen=True)
@@ -55,15 +54,6 @@ class DecompositionReport:
 
     branch_deviation: float
     grouped_deviation: float
-
-
-@dataclass(frozen=True, eq=False)
-class ProjectiveReport:
-    """Projective-tap reduction: eigenstates, observables, probabilities."""
-
-    mirror_eigenstates: np.ndarray  # columns indexed by branch
-    observables: dict[Label, np.ndarray]
-    probabilities: dict[tuple[int | str, Label], float]
 
 
 def _tap_family(config: ScenarioConfig) -> MeasurementFamily:
@@ -133,55 +123,6 @@ def sequential_decomposition_check(config: ScenarioConfig) -> DecompositionRepor
     return DecompositionReport(
         branch_deviation=float(np.max(np.abs(branch_sum - target))),
         grouped_deviation=float(np.max(np.abs(grouped_sum - target))),
-    )
-
-
-def projective_case_analysis(config: ScenarioConfig) -> ProjectiveReport:
-    """Specialize the tap to rank-one projectors.
-
-    Each branch must satisfy ``E^2 = E`` with unit trace; the tap then
-    amounts to measuring, per Bell outcome ``m``, the receiver observable
-    ``U(m) L U(m)^-1`` where ``L`` has the mirrored eigenstates.  Joint
-    probabilities reduce to squared overlaps with those eigenstates.
-    """
-    family = _tap_family(config)
-    dim = config.dim
-    psi = np.asarray(config.input_state)
-    u0 = np.asarray(config.u0)
-    eigenstates = np.zeros((dim, dim), dtype=complex)
-    for column, (branch, mat) in enumerate(zip(family.labels, family.operators)):
-        idempotency = float(np.max(np.abs(mat @ mat - mat)))
-        trace = float(np.trace(mat).real)
-        if idempotency > 1e-9 or abs(trace - 1.0) > 1e-9:
-            raise ValueError(
-                f"branch {branch!r} is not a rank-one projector "
-                f"(idempotency {idempotency:.3e}, trace {trace:.6f})"
-            )
-        # the projector's range vector, phase-anchored on its largest entry
-        eigvals, eigvecs = np.linalg.eigh((mat + mat.conj().T) / 2)
-        vec = eigvecs[:, int(np.argmax(eigvals))]
-        mirrored_vec = (dagger(u0) @ vec).conj()
-        anchor = int(np.argmax(np.abs(mirrored_vec)))
-        phase = mirrored_vec[anchor] / abs(mirrored_vec[anchor])
-        eigenstates[:, column] = mirrored_vec / phase
-    weights = np.arange(dim, dtype=float)
-    base_observable = (eigenstates * weights) @ eigenstates.conj().T
-    bell = config.bell
-    stacked = bell.unitaries @ base_observable @ bell.unitaries.conj().transpose(0, 2, 1)
-    stacked.setflags(write=False)
-    # overlaps[m, l] = <e_l| U(m)^-1 psi>
-    overlaps = apply_each_inverse(bell.unitaries, psi) @ eigenstates.conj()
-    cell_probabilities = (bell.weights / dim**2)[:, None] * np.abs(overlaps) ** 2
-    observables: dict[Label, np.ndarray] = {}
-    probabilities: dict[tuple[int | str, Label], float] = {}
-    for label, observable, row in zip(bell.labels, stacked, cell_probabilities.tolist()):
-        observables[label] = observable
-        for branch, probability in zip(family.labels, row):
-            probabilities[(branch, label)] = probability
-    return ProjectiveReport(
-        mirror_eigenstates=frozen_complex_array(eigenstates),
-        observables=observables,
-        probabilities=probabilities,
     )
 
 

@@ -133,6 +133,39 @@ def brute_strength_branch(n: int, theta: float, l: int, basis: np.ndarray | None
     return (root + root.conj().T) / 2.0
 
 
+def brute_mirrored_basis(u0: np.ndarray, basis: np.ndarray) -> list[np.ndarray]:
+    """Vectors ``e_l = conj(u0^+ b_l)`` of a projective tap in basis ``b_l``, entry by entry.
+
+    The mirror ``(u0^-1 |b_l><b_l| u0)^T`` of each projector is ``|e_l><e_l|``.
+    """
+    n = u0.shape[0]
+    vectors = []
+    for l in range(n):
+        vec = np.zeros(n, dtype=complex)
+        for j in range(n):
+            acc = 0.0 + 0.0j
+            for k in range(n):
+                acc += np.conj(u0[k, j]) * basis[k, l]
+            vec[j] = np.conj(acc)
+        vectors.append(vec)
+    return vectors
+
+
+def brute_projective_cell(
+    psi: np.ndarray, e_l: np.ndarray, u_m: np.ndarray, weight: float = 1.0
+) -> float:
+    """Projective-tap cell probability ``w/n^2 |<e_l|U(m)^-1 psi>|^2``, by loops."""
+    n = psi.shape[0]
+    overlap = 0.0 + 0.0j
+    for i in range(n):
+        # entry i of U(m)^-1 psi = U(m)^+ psi
+        entry = 0.0 + 0.0j
+        for k in range(n):
+            entry += np.conj(u_m[k, i]) * psi[k]
+        overlap += np.conj(e_l[i]) * entry
+    return weight / n**2 * abs(overlap) ** 2
+
+
 def brute_weyl(n: int, a: int, b: int) -> np.ndarray:
     """Shift-phase unitary via repeated single-step matrix products."""
     shift = np.zeros((n, n), dtype=complex)

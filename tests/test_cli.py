@@ -383,6 +383,16 @@ def test_empty_output_path_in_config_exits_one(tmp_path, capsys):
     assert "output: expected a non-empty path string" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["teleport", "sweep"])
+def test_empty_output_flag_exits_one_before_any_work(command, tmp_path, capsys):
+    config = write(tmp_path, "run.yaml", TAP_CONFIG if command == "teleport" else SWEEP_CONFIG)
+    assert exit_code([command, "--config", config, "--output", ""]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error" in line]
+    assert errors == [f"teleportsim {command}: error: argument --output: expected a non-empty path string"]
+
+
 def test_seed_field_in_config_exits_one(tmp_path, capsys):
     config = write(tmp_path, "run.yaml", TAP_CONFIG + "seed: 0\n")
     assert cli.main(["teleport", "--config", config]) == 1

@@ -177,6 +177,15 @@ def test_exponent_amplitude_without_mantissa_dot():
             "n: 2\ninput: plus-uniform\nu0: [[[1, 0], [0, 0]], [[0, 0], [2, 0]]]\n",
             "u0: matrix is not unitary",
         ),
+        (
+            "n: 2\ninput: plus-uniform\nu0: Identity\n",
+            "u0: expected 'identity' or a 2 x 2 unitary matrix, got 'Identity'",
+        ),
+        (
+            "n: 3\ninput: plus-uniform\neavesdrop: {basis: Fourier, theta: 0.5}\n",
+            "eavesdrop.basis: expected 'computational', 'fourier' or a 3 x 3 unitary matrix, "
+            "got 'Fourier'",
+        ),
         ("n: 2\ninput: plus-uniform\neavesdrop: {theta: 2}\n", "eavesdrop.theta"),
         (
             "n: 2\ninput: plus-uniform\neavesdrop: {theta: '1e-09'}\n",

@@ -14,7 +14,6 @@ from teleportsim.eavesdrop import (
     analyze_eavesdropping,
     distinguishability,
     eavesdrop_operator,
-    projective_case_analysis,
     sequential_decomposition_check,
     tap_operators,
 )
@@ -30,7 +29,15 @@ from teleportsim.engine import NULL_BRANCH_EPS, make_scenario, mirror_stack, tra
 from teleportsim.linalg import basis_state, dagger, hermiticity_deviation, norms_squared, uniform_state
 from teleportsim.sampling import random_state, random_unitary
 
-from oracles import advantage, brute_teleport, closed_form_uniform_fidelity, oracle_records
+from oracles import (
+    advantage,
+    brute_mirrored_basis,
+    brute_projective_cell,
+    brute_teleport,
+    brute_weyl,
+    closed_form_uniform_fidelity,
+    oracle_records,
+)
 
 
 def tapped(dim, state, theta, basis=None, u0=None, bell=None):
@@ -304,32 +311,43 @@ def test_sequential_decomposition_flags_broken_family():
     assert report.grouped_deviation > 1e-3
 
 
-def test_projective_analysis_reproduces_joint_table():
+def test_full_strength_cells_are_squared_overlaps_with_the_mirrored_basis():
+    # theta = 1 is the projective tap: cell (l, m) is w_m/n^2 |<e_l|U(m)^-1 psi>|^2
+    # with e_l = conj(u0^+ b_l), the vector of the mirrored projector
     rng = np.random.default_rng(47)
-    u0 = random_unitary(3, rng)
-    config = tapped(3, random_state(3, rng), 1.0, u0=u0)
-    report = projective_case_analysis(config)
-    table = cells(config)
-    for key, value in report.probabilities.items():
-        assert value == pytest.approx(table[key][0], abs=1e-10)
+    u0, basis = random_unitary(3, rng), random_unitary(3, rng)
+    config = tapped(3, random_state(3, rng), 1.0, basis=basis, u0=u0)
+    report = analyze_eavesdropping(config)
+    vectors = brute_mirrored_basis(u0, basis)
+    for row, e_l in enumerate(vectors):
+        for column, (a, b) in enumerate(report.labels):
+            expected = brute_projective_cell(config.input_state, e_l, brute_weyl(3, a, b))
+            assert report.probabilities[row, column] == pytest.approx(expected, abs=1e-15)
 
 
-def test_projective_analysis_observable_without_rotation():
-    config = tapped(3, uniform_state(3), 1.0)
-    report = projective_case_analysis(config)
+def label_observables(config):
+    """``n/sqrt(w_m) sum_l l P(l, m)`` from `tap_operators`, one matrix per outcome ``m``."""
+    scale = config.dim / np.sqrt(config.bell.weights)[:, None, None]
+    return scale * sum(l * ops for l, ops in tap_operators(config))
+
+
+def test_full_strength_tap_measures_the_conjugated_label_observable():
+    # per Bell outcome m the projective tap measures U(m) L U(m)^-1, with
+    # L = sum_l l |e_l><e_l| on the mirrored basis vectors
+    rng = np.random.default_rng(53)
+    u0, basis = random_unitary(3, rng), random_unitary(3, rng)
+    config = tapped(3, random_state(3, rng), 1.0, basis=basis, u0=u0)
+    label = sum(l * np.outer(e_l, e_l.conj()) for l, e_l in enumerate(brute_mirrored_basis(u0, basis)))
+    for (a, b), observable in zip(config.bell.labels, label_observables(config), strict=True):
+        u_m = brute_weyl(3, a, b)
+        assert_allclose(observable, u_m @ label @ dagger(u_m), rtol=0, atol=1e-14)
     # identity reference rotation: the measured observable at the identity
     # outcome is the label operator in the tap basis
-    assert_allclose(report.observables[(0, 0)], np.diag([0.0, 1.0, 2.0]), atol=1e-12)
+    plain = tapped(3, uniform_state(3), 1.0)
+    observables = dict(zip(plain.bell.labels, label_observables(plain)))
+    assert_allclose(observables[(0, 0)], np.diag([0.0, 1.0, 2.0]), atol=1e-12)
     u_m = weyl_unitary(3, 1, 2)
-    assert_allclose(
-        report.observables[(1, 2)], u_m @ np.diag([0.0, 1.0, 2.0]) @ dagger(u_m), atol=1e-12
-    )
-
-
-def test_projective_analysis_rejects_partial_strength():
-    config = tapped(2, uniform_state(2), 0.5)
-    with pytest.raises(ValueError, match="rank-one projector"):
-        projective_case_analysis(config)
+    assert_allclose(observables[(1, 2)], u_m @ np.diag([0.0, 1.0, 2.0]) @ dagger(u_m), atol=1e-12)
 
 
 def test_distinguishability_basis_pair_scales_with_strength():

@@ -4,12 +4,16 @@ The tap sees only ``(l, m)``, so the branch-operator route sums each cell
 over the receiver branches before it is compared with the oracle.  The
 expected numbers are frozen literals from the brute-force route in
 `tests/oracles.py`; `test_literals_follow_brute_force` shows where they
-come from.
+come from.  `test_random_tap_and_receiver_run_cleanly` draws whole valid
+config documents, tap and receiver optional, and runs each in process.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -212,35 +216,112 @@ def yaml_matrix(mat: np.ndarray) -> str:
     return "[" + ", ".join(yaml_vector(row) for row in np.asarray(mat, dtype=complex)) + "]"
 
 
-@given(
-    st.integers(min_value=2, max_value=3),
-    st.integers(min_value=0, max_value=10_000),
-    st.floats(min_value=0.0, max_value=1.0),
-    st.booleans(),
-)
-@settings(max_examples=25, deadline=None)
-def test_random_tap_and_receiver_run_cleanly(dim, seed, theta, kraus):
-    rng = np.random.default_rng(seed)
-    u0 = random_unitary(dim, rng)
-    basis = random_unitary(dim, rng)
-    state = random_state(dim, rng)
-    receiver_basis = random_unitary(dim, rng)
-    if kraus:
-        # graded damping in a random basis: (1 - gamma_k) + gamma_k = 1 levelwise
-        gamma = rng.uniform(0.1, 0.9, dim)
-        k0 = receiver_basis @ np.diag(np.sqrt(1.0 - gamma)) @ receiver_basis.conj().T
-        k1 = receiver_basis @ np.diag(np.sqrt(gamma)) @ receiver_basis.conj().T
-        effect = f"effect_b:\n  kraus:\n    - {yaml_matrix(k0)}\n    - {yaml_matrix(k1)}\n"
-    else:
-        effect = f"effect_b:\n  unitary: {yaml_matrix(receiver_basis)}\n"
-    text = (
-        f"n: {dim}\ninput: {yaml_vector(state)}\n"
-        f"u0: {yaml_matrix(u0)}\n"
-        f"eavesdrop:\n  basis: {yaml_matrix(basis)}\n  theta: {yaml_number(theta)}\n" + effect
-    )
-    code, rows = run_cli("teleport", text)
-    assert code == 0
-    outcome_sum = sum(float(r[4]) for r in rows if r[0] == "outcome")
-    assert outcome_sum == pytest.approx(1.0, abs=1e-9)
-    assert float(rows[-1][4]) == pytest.approx(1.0, abs=CSV_TOL)
+def flow(fields: dict[str, str]) -> str:
+    return "{" + ", ".join(f"{key}: {value}" for key, value in fields.items()) + "}"
 
+
+@st.composite
+def state_texts(draw, n, rng):
+    """Any input form; an amplitude list is scaled by 10^e, e in [-300, 300]."""
+    form = draw(st.sampled_from(["plus-uniform", "basis", "random", "list"]))
+    if form == "plus-uniform":
+        return form
+    if form == "basis":
+        return f"'basis:{draw(st.integers(0, n - 1))}'"
+    if form == "random":
+        return f"'random:{draw(st.integers(0, 10**6))}'"
+    amplitudes = random_state(n, rng) * 10.0 ** draw(st.integers(-300, 300))
+    if draw(st.booleans()):  # bare real numbers
+        return "[" + ", ".join(yaml_number(a.real) for a in amplitudes) + "]"
+    return yaml_vector(amplitudes)
+
+
+@st.composite
+def documents(draw):
+    """``(command, text)``: a valid YAML document for ``teleport`` or ``sweep``.
+
+    An explicit Bell family ``V W(a, b) V^+`` is drawn at n <= 4 only, as
+    its parse cost grows with n^4; a Kraus receiver is a random isometry
+    cut into one to three blocks.  One draw moves some top-level fields
+    into a ``<<`` merge.
+    """
+    command = draw(st.sampled_from(["teleport", "sweep"]))
+    n = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    fields = {"n": str(n), "input": draw(state_texts(n, rng))}
+    u0 = draw(st.sampled_from([None, "identity", "matrix"]))
+    if u0 is not None:
+        fields["u0"] = u0 if u0 == "identity" else yaml_matrix(random_unitary(n, rng))
+    bell = draw(st.sampled_from([None, "weyl", "explicit"] if n <= 4 else [None, "weyl"]))
+    if bell == "explicit":
+        v = random_unitary(n, rng)
+        weight = draw(st.sampled_from(["", ", weight: 1"]))
+        fields["bell"] = "[" + ", ".join(
+            f"{{unitary: {yaml_matrix(v @ brute_weyl(n, a, b) @ v.conj().T)}{weight}}}"
+            for a in range(n) for b in range(n)
+        ) + "]"
+    elif bell is not None:
+        fields["bell"] = bell
+    tap = {}
+    basis = draw(st.sampled_from([None, "computational", "fourier", "matrix"]))
+    if basis is not None:
+        tap["basis"] = basis if basis != "matrix" else yaml_matrix(random_unitary(n, rng))
+    strengths = st.floats(min_value=0.0, max_value=1.0)
+    if command == "sweep":
+        # start and stop are drawn apart, so half the grids descend
+        start, stop = draw(strengths), draw(strengths)
+        tap["theta_sweep"] = f"[{yaml_number(start)}, {yaml_number(stop)}, {draw(st.integers(2, 4))}]"
+    if command == "sweep" or draw(st.booleans()):
+        if command == "teleport":
+            tap["theta"] = yaml_number(draw(strengths))
+        fields["eavesdrop"] = flow(tap)
+    receiver = draw(st.sampled_from([None, "unitary", "kraus"]))
+    if receiver == "unitary":
+        fields["effect_b"] = flow({"unitary": yaml_matrix(random_unitary(n, rng))})
+    elif receiver == "kraus":
+        count = draw(st.integers(1, 3))
+        isometry = random_unitary(count * n, rng)[:, :n]
+        blocks = ", ".join(yaml_matrix(isometry[i * n:(i + 1) * n]) for i in range(count))
+        fields["effect_b"] = flow({"kraus": f"[{blocks}]"})
+    if draw(st.booleans()):
+        fields["distinguish"] = f"[{draw(state_texts(n, rng))}, {draw(state_texts(n, rng))}]"
+    text = ""
+    if draw(st.booleans()):
+        merged = draw(st.lists(st.sampled_from(sorted(fields)), min_size=1, unique=True))
+        text = f"<<: {flow({key: fields.pop(key) for key in merged})}\n"
+    return command, text + "".join(f"{key}: {value}\n" for key, value in fields.items())
+
+
+def run_in_process(command: str, text: str) -> tuple[int, str, str]:
+    """`cli.main` on ``text`` as a config file: exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as workdir:
+        config = os.path.join(workdir, "run.yaml")
+        with open(config, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([command, "--config", config])
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(documents())
+@settings(max_examples=50, deadline=None)
+def test_random_tap_and_receiver_run_cleanly(document):
+    command, text = document
+    code, out, err = run_in_process(command, text)
+    assert code == 0, err
+    assert not re.search("nan|inf", out, re.IGNORECASE)
+    if command == "teleport":
+        rows = list(csv.reader(io.StringIO(out)))
+        total = rows[-1]
+        assert total[0] == "total"
+        # every drawn family closes to roundoff, so the sums are 1 as well
+        assert sum(float(r[4]) for r in rows if r[0] == "outcome") == pytest.approx(1.0, abs=1e-9)
+        assert float(total[4]) == pytest.approx(1.0, abs=CSV_TOL)
+        expected = re.search(r"probability sum \S+, expected (\S+)$", err, re.MULTILINE)
+        assert float(total[4]) == pytest.approx(float(expected.group(1)), abs=1e-10)
+    else:
+        sums = re.search(r"^probability sum (\S+) -> (\S+), expected (\S+) -> (\S+)$", err, re.MULTILINE)
+        first, last, first_expected, last_expected = map(float, sums.groups())
+        assert first == pytest.approx(first_expected, abs=1e-10)
+        assert last == pytest.approx(last_expected, abs=1e-10)
