@@ -24,7 +24,6 @@ from .eavesdrop import (
 )
 from .effects import (
     Effect,
-    MeasurementFamily,
     kraus_mixture,
     make_measurement_family,
     strength_family,
@@ -58,7 +57,6 @@ __all__ = [
     "BranchTable",
     "EavesdropReport",
     "Effect",
-    "MeasurementFamily",
     "ScenarioConfig",
     "TeleportRecord",
     "analyze_eavesdropping",

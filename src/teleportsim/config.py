@@ -4,7 +4,9 @@ Configs are YAML documents (plain JSON is valid YAML and works too).
 Complex entries are written as ``[re, im]`` pairs; bare numbers are taken
 as real.  Every amplitude list comes out a unit state: it is divided by
 its norm, with a note on stderr (or, under ``strict``, an error) when
-its norm^2 is off 1 by more than `NORM_WARN_TOL`.  Parsing is fail-fast:
+its norm^2 is off 1 by more than `NORM_WARN_TOL`; the notes are printed
+once the whole spec has parsed, so a rejected spec prints only its
+error.  Parsing is fail-fast:
 every family, basis and state is built and validated here, and the
 parser ends by assembling the run's tap-free scenario with
 `teleportsim.engine.make_scenario`, so a spec that parses cleanly cannot
@@ -170,11 +172,12 @@ def parse_config(text: str, strict: bool = False) -> RunSpec:
 
     if "input" not in raw:
         raise ConfigError("input: field is required")
-    input_label, input_state = _parse_state(raw["input"], "input", n, strict)
+    notes: list[str] = []
+    input_label, input_state = _parse_state(raw["input"], "input", n, strict, notes)
 
     eavesdrop = _parse_eavesdrop(raw.get("eavesdrop"), n)
     effect_b = _parse_effect_b(raw.get("effect_b"), n)
-    distinguish = _parse_distinguish(raw.get("distinguish"), n, strict)
+    distinguish = _parse_distinguish(raw.get("distinguish"), n, strict, notes)
 
     output_path = raw.get("output")
     if output_path is not None and not isinstance(output_path, str):
@@ -182,13 +185,16 @@ def parse_config(text: str, strict: bool = False) -> RunSpec:
     if output_path == "":
         raise ConfigError("output: expected a non-empty path string")
 
-    return RunSpec(
+    spec = RunSpec(
         scenario=make_scenario(n, input_state, bell=bell, u0=u0, effect_b=effect_b),
         input_label=input_label,
         eavesdrop=eavesdrop,
         distinguish=distinguish,
         output_path=output_path,
     )
+    for note in notes:
+        print(note, file=sys.stderr)
+    return spec
 
 
 def load_config(path: str, strict: bool = False) -> RunSpec:
@@ -244,7 +250,7 @@ def _parse_matrix(value: object, path: str, n: int) -> np.ndarray:
     return as_complex_matrix(rows)
 
 
-def _parse_state(value: object, path: str, n: int, strict: bool) -> tuple[str, np.ndarray]:
+def _parse_state(value: object, path: str, n: int, strict: bool, notes: list[str]) -> tuple[str, np.ndarray]:
     if isinstance(value, str):
         if value == "plus-uniform":
             return value, uniform_state(n)
@@ -292,7 +298,7 @@ def _parse_state(value: object, path: str, n: int, strict: bool) -> tuple[str, n
         if far:
             if strict:
                 raise ConfigError(f"{path}: state norm^2 is {shown}, not 1 (strict mode rejects this)")
-            print(f"note: normalizing {path} (norm^2 was {shown})", file=sys.stderr)
+            notes.append(f"note: normalizing {path} (norm^2 was {shown})")
         # every list is divided, within the tolerance silently; the division
         # is exact where the root rounds to 1.0.  Dividing the float view
         # rounds each part once; a complex division by a real does not
@@ -409,7 +415,7 @@ def _parse_effect_b(value: object, n: int) -> Effect | None:
 
 
 def _parse_distinguish(
-    value: object, n: int, strict: bool
+    value: object, n: int, strict: bool, notes: list[str]
 ) -> tuple[tuple[str, np.ndarray], tuple[str, np.ndarray]]:
     if value is None:
         value = ["basis:0", "basis:1"]
@@ -417,6 +423,6 @@ def _parse_distinguish(
         raise ConfigError("distinguish: expected a list of exactly two input states")
     parsed = []
     for i, item in enumerate(value):
-        label, state = _parse_state(item, f"distinguish[{i}]", n, strict)
+        label, state = _parse_state(item, f"distinguish[{i}]", n, strict, notes)
         parsed.append((label, frozen_complex_array(state)))
     return (parsed[0], parsed[1])

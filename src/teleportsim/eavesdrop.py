@@ -1,10 +1,12 @@
 """Reference-line tap analysis: branch operators, probabilities, leakage.
 
-A tap on the reference is a measurement family inserted between resource
-preparation and the Bell measurement.  Every question about it reduces to
-the branch operators ``P(l, m)``, which act on the input alone: they are
-the transfer operators of the tap, so every quantity here is a reduction
-of `teleportsim.engine.transfer_kernel` over the family's outcome stack.
+A tap on the reference is any effect inserted between resource
+preparation and the Bell measurement, a measurement family or any other
+`teleportsim.effects.Effect`, each branch label one tap outcome.  Every
+question about it reduces to the branch operators ``P(l, m)``, which act
+on the input alone: they are the transfer operators of the tap, so every
+quantity here is a reduction of `teleportsim.engine.transfer_kernel`
+over the family's outcome stack.
 A quantity of the tap alone hands the kernel the tap's
 `teleportsim.engine.mirror_stack` itself as its operator stack, one
 operator per tap branch, so no receiver branch enters it.  The stack is
@@ -34,7 +36,7 @@ from typing import Iterator
 import numpy as np
 
 from .bell import BellFamily, Label, find_outcome
-from .effects import MeasurementFamily
+from .effects import Effect
 from .engine import (
     EavesdropReport,
     ScenarioConfig,
@@ -56,12 +58,6 @@ class DecompositionReport:
     grouped_deviation: float
 
 
-def _tap_family(config: ScenarioConfig) -> MeasurementFamily:
-    if not isinstance(config.effect_r, MeasurementFamily):
-        raise ValueError("scenario has no measurement family on the reference line")
-    return config.effect_r
-
-
 def tap_operators(config: ScenarioConfig) -> Iterator[tuple[int | str | None, np.ndarray]]:
     """Yield ``(l, ops)`` for each tap branch, with ``ops[m]`` the ``(n, n)`` ``P(l, m)``.
 
@@ -75,7 +71,6 @@ def tap_operators(config: ScenarioConfig) -> Iterator[tuple[int | str | None, np
 
 def eavesdrop_operator(config: ScenarioConfig, l: int | str, m: Label) -> np.ndarray:
     """Branch operator ``P(l, m)``: `tap_operators` of the family cut to outcome ``m``."""
-    _tap_family(config)
     bell = config.bell
     i = find_outcome(bell, m)
     cut = slice(i, i + 1)
@@ -86,18 +81,19 @@ def eavesdrop_operator(config: ScenarioConfig, l: int | str, m: Label) -> np.nda
     raise ValueError(f"no reference branch labeled {l!r}")
 
 
-def expected_marginal_l(family: MeasurementFamily) -> dict[int | str, float]:
-    """Closed-form tap marginal ``tr(E(l)^2) / dim``, for any input."""
-    dim = family.operators.shape[-1]
+def expected_marginal_l(effect: Effect) -> dict[int | str, float]:
+    """Closed-form reference marginal ``tr(K(l)^+ K(l)) / dim``, for any input.
+
+    For a tap's Hermitian branches ``E(l)`` this is ``tr(E(l)^2) / dim``.
+    """
     return {
-        label: float(np.trace(op @ op).real) / dim
-        for label, op in zip(family.labels, family.operators)
+        label: float(np.trace(dagger(op) @ op).real) / effect.dim
+        for label, op in zip(effect.labels, effect.operators)
     }
 
 
 def analyze_eavesdropping(config: ScenarioConfig) -> EavesdropReport:
     """Build the full per-branch report for one tapped scenario: `tap_report` over `fast_run`."""
-    _tap_family(config)
     psi = np.asarray(config.input_state)
     blocks = fast_run(config, transfer_rows(config, psi[None]), mirror_stack(config))
     return tap_report(config, *reduce_stream(blocks, apply_each_inverse(config.bell.unitaries, psi)))
@@ -138,7 +134,6 @@ def distinguishability(config: ScenarioConfig, rows: np.ndarray, mirrors: np.nda
     receiver effect closes over its branches and leaves these cell
     probabilities unchanged.
     """
-    _tap_family(config)
     # row (l, m) holds the cell probability of each input, tap label major
     cells = np.concatenate([norms_squared(amps) for amps in transfer_kernel(rows, mirrors)])
     return 0.25 * float(np.sum(np.abs(cells[:, 0] - cells[:, 1])))

@@ -46,18 +46,6 @@ class Effect:
         return self.operators.shape[-1]
 
 
-class MeasurementFamily(Effect):
-    """Minimal back-action measurement: branches ``E(l)`` with ``sum E^2 = 1``.
-
-    It adds no field to `Effect`: the type alone marks a reference effect
-    as a tap for `teleportsim.eavesdrop`.  Built through
-    `make_measurement_family` or `strength_family`, both of which enforce
-    Hermiticity, positivity and completeness.  Direct construction
-    bypasses the checks (used by the verification suite to exercise its
-    own failure path).
-    """
-
-
 def unitary_effect(matrix: np.ndarray, label: int | str | None = None) -> Effect:
     """Wrap a unitary as a single-branch channel effect."""
     matrix = as_complex_matrix(matrix)
@@ -91,8 +79,12 @@ def kraus_mixture(matrices: Sequence[np.ndarray]) -> Effect:
 def make_measurement_family(
     matrices: Sequence[np.ndarray],
     labels: Sequence[int | str] | None = None,
-) -> MeasurementFamily:
-    """Admit explicit branch operators ``E(l)`` as a measurement family."""
+) -> Effect:
+    """Admit explicit branch operators ``E(l)`` as a measurement family.
+
+    A measurement family is a minimal back-action measurement: Hermitian
+    PSD branches ``E(l)`` with ``sum E^2 = 1``.
+    """
     if len(matrices) == 0:
         raise ValueError("measurement family must have at least one branch")
     mats = [as_complex_matrix(m) for m in matrices]
@@ -116,7 +108,7 @@ def make_measurement_family(
             raise ValueError(
                 f"branch {label!r} is not positive semidefinite (eigenvalue {min_eig:.3e})"
             )
-    family = MeasurementFamily(tuple(labels), frozen_complex_array(mats))
+    family = Effect(tuple(labels), frozen_complex_array(mats))
     deviation = family_completeness_deviation(family)
     if deviation > FAMILY_TOL:
         raise ValueError(
@@ -127,7 +119,7 @@ def make_measurement_family(
 
 def strength_family(
     dim: int, theta: float, basis: np.ndarray | None = None
-) -> MeasurementFamily:
+) -> Effect:
     """Interpolating tap family ``E(l) = sqrt((1-theta)/dim + theta |b_l><b_l|)``.
 
     ``theta = 0`` is the trivial tap (every branch ``1/sqrt(dim)``),
@@ -155,7 +147,7 @@ def strength_family(
     np.multiply(low, mats, out=mats)
     np.add(mats, np.multiply(high, proj, out=proj), out=mats)
     mats.setflags(write=False)
-    return MeasurementFamily(tuple(range(dim)), mats)
+    return Effect(tuple(range(dim)), mats)
 
 
 def family_completeness_deviation(family: Effect) -> float:

@@ -1,10 +1,14 @@
 """Self-contained verification suite behind the ``verify`` CLI command.
 
-Every check recomputes an identity two independent ways and reports the
-worst deviation against a fixed tolerance.  Checks draw their random
-scenarios from per-check seeded generators, so each check's result is
-independent of the others.  The ``corrupt`` argument deliberately injects a
-defective family; it exists so tests can prove the suite actually bites.
+Every check recomputes an identity two independent ways and yields its
+deviations; one decorator, `_check`, judges them all the same way: the
+worst deviation against the check's fixed tolerance.  A check that
+raises a ``ValueError``, a route that lost a block among them, fails
+with an infinite deviation and the error as its detail, and the other
+checks still run.  Checks draw their random scenarios from per-check
+seeded generators, so each check's result is independent of the others.
+The ``corrupt`` argument deliberately injects a defective family; it
+exists so tests can prove the suite actually bites.
 
 Every check builds its families and random scenarios through three
 helpers, the only code past `run_verification`'s argument check that
@@ -45,7 +49,9 @@ deviations.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -57,14 +63,13 @@ from .eavesdrop import (
     tap_operators,
 )
 from .effects import (
-    MeasurementFamily,
+    Effect,
     family_completeness_deviation,
     kraus_mixture,
     strength_family,
     unitary_effect,
 )
 from .engine import (
-    RouteMismatch,
     ScenarioConfig,
     conditional_fidelities,
     fixed_half,
@@ -122,9 +127,28 @@ class VerificationReport:
         return out
 
 
-def _worst(*deviations: float) -> float:
-    """Largest deviation, NaN if any is NaN (``max(0.0, nan)`` would return 0.0)."""
-    return float(np.max(deviations))
+def _check(name: str, tolerance: float):
+    """Judge a check that yields its deviations: the worst of them against ``tolerance``.
+
+    The judged check is a plain function of ``(depth, seed, corrupt)`` that
+    runs the whole generator, so a tracer that wraps it times the check.
+    Only a ``ValueError`` fails the check; any other exception is a defect
+    of the check itself and propagates.
+    """
+
+    def judge(check: Callable[[str, int, str | None], Iterator[float]]) -> Callable[..., CheckResult]:
+        @functools.wraps(check)
+        def judged(depth: str, seed: int, corrupt: str | None) -> CheckResult:
+            try:
+                deviations = list(check(depth, seed, corrupt))
+            except ValueError as exc:
+                return CheckResult(name, float("inf"), tolerance, str(exc))
+            # np.max keeps a NaN, where max(0.0, nan) would return 0.0
+            return CheckResult(name, float(np.max([0.0, *deviations])), tolerance)
+
+        return judged
+
+    return judge
 
 
 def _dims(depth: str) -> tuple[int, ...]:
@@ -149,7 +173,7 @@ def _bell(dim: int, corrupt: str | None) -> BellFamily:
 
 
 def _tap(dim: int, corrupt: str | None, theta: float | None = None,
-         rng: np.random.Generator | None = None) -> MeasurementFamily:
+         rng: np.random.Generator | None = None) -> Effect:
     """A strength tap: ``theta`` drawn from ``rng`` if None, the basis drawn if ``rng`` is given.
 
     Under ``corrupt="measurement"`` it is a fixed family with one branch
@@ -161,17 +185,17 @@ def _tap(dim: int, corrupt: str | None, theta: float | None = None,
         operators = np.array(intact.operators)
         operators[0] *= 1.01
         operators.setflags(write=False)
-        return MeasurementFamily(intact.labels, operators)
+        return Effect(intact.labels, operators)
     if theta is None:
         theta = float(rng.uniform(0.0, 1.0))
     return strength_family(dim, theta, None if rng is None else random_unitary(dim, rng))
 
 
-def check_bell_completeness(depth: str, seed: int, corrupt: str | None) -> CheckResult:
+@_check("bell-completeness", 1e-9)
+def check_bell_completeness(depth: str, seed: int, corrupt: str | None) -> Iterator[float]:
     """Outcome families resolve the identity on A x R."""
-    worst = 0.0
     for dim in _dims(depth):
-        worst = _worst(worst, completeness_deviation(_bell(dim, corrupt)))
+        yield completeness_deviation(_bell(dim, corrupt))
     # weighted family: every Weyl outcome twice at half weight
     doubled = [
         ((a, b, copy), weyl_unitary(3, a, b), 0.5)
@@ -179,25 +203,23 @@ def check_bell_completeness(depth: str, seed: int, corrupt: str | None) -> Check
         for b in range(3)
         for copy in (0, 1)
     ]
-    worst = _worst(worst, completeness_deviation(make_bell_family(3, doubled)))
-    return CheckResult("bell-completeness", worst, 1e-9)
+    yield completeness_deviation(make_bell_family(3, doubled))
 
 
-def check_measurement_completeness(depth: str, seed: int, corrupt: str | None) -> CheckResult:
+@_check("measurement-completeness", 1e-9)
+def check_measurement_completeness(depth: str, seed: int, corrupt: str | None) -> Iterator[float]:
     """Tap branch squares resolve the identity for every strength."""
-    worst = 0.0
     rng = child_rng(seed, 1)
     for dim in _dims(depth):
         for theta in (0.0, 0.3, 0.7, 1.0):
-            worst = _worst(worst, family_completeness_deviation(_tap(dim, corrupt, theta, rng)))
-    return CheckResult("measurement-completeness", worst, 1e-9)
+            yield family_completeness_deviation(_tap(dim, corrupt, theta, rng))
 
 
-def check_ideal_teleportation(depth: str, seed: int, corrupt: str | None) -> CheckResult:
+@_check("ideal-teleportation", 1e-10)
+def check_ideal_teleportation(depth: str, seed: int, corrupt: str | None) -> Iterator[float]:
     """Undisturbed protocol returns the input exactly, each outcome at w/dim^2."""
     rng = child_rng(seed, 2)
     count = 6 if depth == "quick" else 20
-    worst = 0.0
     for dim in _dims(depth):
         bell = _bell(dim, corrupt)
         for _ in range(count):
@@ -205,11 +227,9 @@ def check_ideal_teleportation(depth: str, seed: int, corrupt: str | None) -> Che
                 dim, random_state(dim, rng), bell=bell, u0=random_unitary(dim, rng)
             )
             probabilities, fidelities = _oracle(config)
-            probability_dev = np.max(np.abs(probabilities - 1.0 / dim**2))
-            fidelity_dev = np.max(np.abs(fidelities - 1.0))
-            total_dev = abs(probabilities.sum() - 1.0)
-            worst = _worst(worst, probability_dev, fidelity_dev, total_dev)
-    return CheckResult("ideal-teleportation", worst, 1e-10)
+            yield np.max(np.abs(probabilities - 1.0 / dim**2))
+            yield np.max(np.abs(fidelities - 1.0))
+            yield abs(probabilities.sum() - 1.0)
 
 
 def _random_effect(dim: int, rng: np.random.Generator, style: int):
@@ -240,54 +260,49 @@ def _random_scenario(dim: int, rng: np.random.Generator, styles: tuple[int, int]
     )
 
 
-def check_oracle_fast_equivalence(depth: str, seed: int, corrupt: str | None) -> CheckResult:
+@_check("oracle-fast-equivalence", 1e-9)
+def check_oracle_fast_equivalence(depth: str, seed: int, corrupt: str | None) -> Iterator[float]:
     """Transfer operators reproduce the full-state oracle branch for branch."""
     rng = child_rng(seed, 3)
     count = 4 if depth == "quick" else 12
-    worst = 0.0
     for dim in _dims(depth):
         for trial in range(count):
             config = _random_scenario(dim, rng, (trial % 3, (trial + 1) % 3))
-            try:
-                measured = route_pass(config, fixed_half(config), mirror_stack(config))
-            except RouteMismatch as exc:
-                return CheckResult("oracle-fast-equivalence", float("inf"), 1e-9, str(exc))
-            worst = _worst(worst, *measured.deviations, np.max(measured.cell_deviation),
-                           abs(measured.probability_sum - measured.expected_sum))
-    return CheckResult("oracle-fast-equivalence", worst, 1e-9)
+            measured = route_pass(config, fixed_half(config), mirror_stack(config))
+            yield from measured.deviations
+            yield np.max(measured.cell_deviation)
+            yield abs(measured.probability_sum - measured.expected_sum)
 
 
-def check_decomposition_identity(depth: str, seed: int, corrupt: str | None) -> CheckResult:
+@_check("decomposition-identity", 1e-10)
+def check_decomposition_identity(depth: str, seed: int, corrupt: str | None) -> Iterator[float]:
     """Unconditional pre-correction receiver state is maximally mixed, with no tap."""
     rng = child_rng(seed, 4)
-    worst = 0.0
     for dim in _dims(depth):
         bell = _bell(dim, corrupt)
         for _ in range(5):
             config = make_scenario(dim, random_state(dim, rng), bell=bell)
             report = sequential_decomposition_check(config)
-            worst = _worst(worst, report.branch_deviation, report.grouped_deviation)
-    return CheckResult("decomposition-identity", worst, 1e-10)
+            yield from (report.branch_deviation, report.grouped_deviation)
 
 
-def check_sequential_decomposition(depth: str, seed: int, corrupt: str | None) -> CheckResult:
+@_check("sequential-decomposition", 1e-9)
+def check_sequential_decomposition(depth: str, seed: int, corrupt: str | None) -> Iterator[float]:
     """Tapped receiver state stays maximally mixed, branch and grouped form."""
     rng = child_rng(seed, 5)
-    worst = 0.0
     for dim in _dims(depth):
         for theta in (0.0, 0.4, 1.0):
             family = _tap(dim, corrupt, theta, rng)
             config = make_scenario(dim, random_state(dim, rng), u0=random_unitary(dim, rng), effect_r=family)
             report = sequential_decomposition_check(config)
-            worst = _worst(worst, report.branch_deviation, report.grouped_deviation)
-    return CheckResult("sequential-decomposition", worst, 1e-9)
+            yield from (report.branch_deviation, report.grouped_deviation)
 
 
-def check_marginal_laws(depth: str, seed: int, corrupt: str | None) -> CheckResult:
+@_check("marginal-laws", 1e-10)
+def check_marginal_laws(depth: str, seed: int, corrupt: str | None) -> Iterator[float]:
     """p(l) = tr(E^2)/dim and p(m) = w/dim^2, independent of the input."""
     rng = child_rng(seed, 6)
     count = 5 if depth == "quick" else 12
-    worst = 0.0
     for dim in _dims(depth):
         family = _tap(dim, corrupt, 0.55, rng)
         expected = expected_marginal_l(family)
@@ -297,63 +312,52 @@ def check_marginal_laws(depth: str, seed: int, corrupt: str | None) -> CheckResu
             report = analyze_eavesdropping(config)
             p_l = report.probabilities.sum(axis=1)
             p_m = report.probabilities.sum(axis=0)
-            worst = _worst(
-                worst,
-                np.max(np.abs(p_l - [expected[label] for label in report.tap_labels])),
-                np.max(np.abs(p_m - config.bell.weights / dim**2)),
-            )
-    return CheckResult("marginal-laws", worst, 1e-10)
+            yield np.max(np.abs(p_l - [expected[label] for label in report.tap_labels]))
+            yield np.max(np.abs(p_m - config.bell.weights / dim**2))
 
 
-def check_fidelity_curve(depth: str, seed: int, corrupt: str | None) -> CheckResult:
+@_check("fidelity-curve", 1e-9)
+def check_fidelity_curve(depth: str, seed: int, corrupt: str | None) -> Iterator[float]:
     """Tap strength trades fidelity exactly as the closed form predicts.
 
     For a two-dimensional uniform input tapped in the computational basis
     the average fidelity is (1 + sqrt(1 - theta^2)) / 2; a tap-basis
     eigenstate keeps fidelity 1 at every strength.
     """
-    worst = 0.0
     thetas = np.linspace(0.0, 1.0, 6 if depth == "quick" else 11)
     for theta in thetas:
         family = _tap(2, corrupt, float(theta))
         plus = make_scenario(2, uniform_state(2), effect_r=family)
         report = analyze_eavesdropping(plus)
         closed = (1.0 + np.sqrt(max(0.0, 1.0 - float(theta) ** 2))) / 2.0
-        worst = _worst(worst, abs(report.total_fidelity - closed))
+        yield abs(report.total_fidelity - closed)
         pinned = make_scenario(2, basis_state(2, 0), effect_r=family)
-        worst = _worst(worst, abs(analyze_eavesdropping(pinned).total_fidelity - 1.0))
-    return CheckResult("fidelity-curve", worst, 1e-9)
+        yield abs(analyze_eavesdropping(pinned).total_fidelity - 1.0)
 
 
-def check_probability_completeness(depth: str, seed: int, corrupt: str | None) -> CheckResult:
+@_check("probability-completeness", 1e-10)
+def check_probability_completeness(depth: str, seed: int, corrupt: str | None) -> Iterator[float]:
     """Record probabilities sum to one for every scenario style."""
     rng = child_rng(seed, 7)
-    worst = 0.0
     for dim in _dims(depth):
         bell = _bell(dim, corrupt)
         for trial in range(3):
             config = _random_scenario(dim, rng, ((trial + 1) % 3, trial % 3), bell)
-            total = float(_oracle(config)[0].sum())
-            worst = _worst(worst, abs(total - 1.0))
-    return CheckResult("probability-completeness", worst, 1e-10)
+            yield abs(float(_oracle(config)[0].sum()) - 1.0)
 
 
-def check_tap_oracle_agreement(depth: str, seed: int, corrupt: str | None) -> CheckResult:
+@_check("tap-oracle-agreement", 1e-9)
+def check_tap_oracle_agreement(depth: str, seed: int, corrupt: str | None) -> Iterator[float]:
     """Branch-operator probabilities match the oracle stream's exactly; every P(l, m) is Hermitian."""
     rng = child_rng(seed, 8)
-    worst = 0.0
     for dim in _dims(depth):
         family = _tap(dim, corrupt, rng=rng)
         config = make_scenario(dim, random_state(dim, rng), bell=_bell(dim, corrupt),
                                u0=random_unitary(dim, rng), effect_r=family)
-        try:
-            measured = route_pass(config, fixed_half(config), mirror_stack(config))
-        except RouteMismatch as exc:
-            return CheckResult("tap-oracle-agreement", float("inf"), 1e-9, str(exc))
-        worst = _worst(worst, np.max(measured.cell_deviation))
+        measured = route_pass(config, fixed_half(config), mirror_stack(config))
+        yield np.max(measured.cell_deviation)
         for _, ops in tap_operators(config):
-            worst = _worst(worst, np.max(np.abs(ops - ops.conj().transpose(0, 2, 1))))
-    return CheckResult("tap-oracle-agreement", worst, 1e-9)
+            yield np.max(np.abs(ops - ops.conj().transpose(0, 2, 1)))
 
 
 CHECKS = (

@@ -166,6 +166,26 @@ def brute_projective_cell(
     return weight / n**2 * abs(overlap) ** 2
 
 
+def brute_tap_cells(
+    psi: np.ndarray, u0: np.ndarray, branches: list[np.ndarray], labels: list[tuple[int, int]]
+) -> np.ndarray:
+    """Cell ``(l, m)`` of any reference effect: the squared norm of its `brute_teleport` branch.
+
+    ``branches`` are the reference effect's operators ``K_l``, ``labels``
+    the Weyl outcomes ``(a, b)`` at unit weight; the receiver line is
+    left alone.
+    """
+    n = psi.shape[0]
+    identity = np.eye(n, dtype=complex)
+    cells = np.zeros((len(branches), len(labels)))
+    for l, k_l in enumerate(branches):
+        for m, (a, b) in enumerate(labels):
+            amp = brute_teleport(n, psi, u0, k_l, identity, brute_weyl(n, a, b))
+            for k in range(n):
+                cells[l, m] += abs(amp[k]) ** 2
+    return cells
+
+
 def brute_weyl(n: int, a: int, b: int) -> np.ndarray:
     """Shift-phase unitary via repeated single-step matrix products."""
     shift = np.zeros((n, n), dtype=complex)

@@ -296,12 +296,38 @@ def test_parted_route_streams_exit_two(tmp_path, capsys, monkeypatch):
     assert captured.err == "invariant violation: block 1: oracle (4, 2) vs transfer None\n"
 
 
+def lose_last_block(monkeypatch, *modules):
+    """Make ``transfer_kernel`` yield one block short where each of ``modules`` calls it."""
+    kernel = engine.transfer_kernel
+    for module in modules:
+        monkeypatch.setattr(module, "transfer_kernel", lambda rows, operators: list(kernel(rows, operators))[:-1])
+
+
+LOST_BLOCK = "[block 1: oracle (4, 2) vs transfer None]"
+LOST_ROW = "[tap report: 1 probability and 1 overlap rows for 2 branch pairs]"
+
+
+def verify_quick_lines(capsys):
+    """``verify quick`` that exits 2 and says nothing on stderr: its check lines by name, and its verdict."""
+    assert cli.main(["verify", "quick"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    *lines, verdict = captured.out.splitlines()
+    checks = {re.match(r"(?:PASS|FAIL) ([a-z-]+): ", line).group(1): line for line in lines}
+    assert list(checks) == [
+        "bell-completeness", "measurement-completeness", "ideal-teleportation",
+        "oracle-fast-equivalence", "decomposition-identity", "sequential-decomposition",
+        "marginal-laws", "fidelity-curve", "probability-completeness", "tap-oracle-agreement",
+    ]
+    return checks, verdict
+
+
 def test_a_kernel_that_loses_a_block_exits_two_everywhere(tmp_path, capsys, monkeypatch):
     # a transfer kernel one block short is a package defect, never a
     # configuration error: the run refuses before writing, the pass and
-    # verify's route check name the missing block, and verify exits 2
-    kernel = engine.transfer_kernel
-    monkeypatch.setattr(engine, "transfer_kernel", lambda rows, operators: list(kernel(rows, operators))[:-1])
+    # verify's route checks name the missing block, every other check
+    # still reports, and verify exits 2
+    lose_last_block(monkeypatch, engine)
     config = write(tmp_path, "run.yaml", TAP_CONFIG)
     target = tmp_path / "out.csv"
     assert cli.main(["teleport", "--config", config, "--output", str(target)]) == 2
@@ -320,10 +346,32 @@ def test_a_kernel_that_loses_a_block_exits_two_everywhere(tmp_path, capsys, monk
         verify.VerificationReport((result,)).lines()[0],
     )
 
-    assert cli.main(["verify", "quick"]) == 2
+    checks, verdict = verify_quick_lines(capsys)
+    for name in ("oracle-fast-equivalence", "tap-oracle-agreement"):
+        assert checks[name] == f"FAIL {name}: max deviation inf (tolerance 1.0e-09) {LOST_BLOCK}"
+    assert verdict == "CHECKS FAILED (4/10)"
+
+
+def test_a_kernel_lost_in_eavesdrop_too_fails_the_receiver_state_checks(capsys, monkeypatch):
+    # patched where eavesdrop calls it as well, the short kernel reaches
+    # tap_operators, sequential_decomposition_check and distinguishability:
+    # the receiver-state sums lose a branch, and the sweep's pass refuses
+    lose_last_block(monkeypatch, engine, eavesdrop)
+    checks, verdict = verify_quick_lines(capsys)
+    assert checks["decomposition-identity"] == (
+        "FAIL decomposition-identity: max deviation 5.000e-01 (tolerance 1.0e-10)"
+    )
+    assert checks["sequential-decomposition"].startswith("FAIL sequential-decomposition: ")
+    for name in ("oracle-fast-equivalence", "tap-oracle-agreement"):
+        assert checks[name].endswith(LOST_BLOCK)
+    for name in ("marginal-laws", "fidelity-curve"):
+        assert checks[name].endswith(LOST_ROW)
+    assert verdict == "CHECKS FAILED (6/10)"
+
+    assert cli.main(["sweep", "--config", str(CONFIGS / "sample_sweep.yaml")]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert re.fullmatch(r"verification failed: [^\n]+\n", captured.err), captured.err
+    assert captured.err == "invariant violation: theta=0: block 1: oracle (4, 2) vs transfer None\n"
 
 
 def test_verify_quick_passes(capsys):
@@ -440,6 +488,15 @@ def test_all_zero_amplitudes_are_still_rejected(tmp_path, capsys):
     assert capsys.readouterr().err == "error: input: amplitudes are all zero\n"
 
 
+def test_a_rejected_config_prints_no_normalization_note(tmp_path, capsys):
+    # the input alone would normalize with a note; the spec fails later, so only its error prints
+    config = write(tmp_path, "run.yaml", "n: 2\ninput: [3, 4]\neavesdrop:\n  theta: 2\n")
+    assert cli.main(["teleport", "--config", config]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: eavesdrop.theta: must lie in [0, 1], got 2\n"
+
+
 # subnormal amplitudes: the largest part's reciprocal overflows, so the
 # list is scaled by a power of two; the norm^2 the note shows is that of
 # the float each literal reads as
@@ -527,20 +584,16 @@ def test_a_tap_at_zero_strength_leaks_nothing_from_a_near_unit_state(tmp_path, c
 
 def test_a_tap_report_names_a_lost_block(capsys, monkeypatch):
     # with no comparison to fail first, the tap report's row count catches
-    # a kernel one block short, and verify prints its message
-    kernel = engine.transfer_kernel
-    monkeypatch.setattr(engine, "transfer_kernel", lambda rows, operators: list(kernel(rows, operators))[:-1])
+    # a kernel one block short, and verify's tap checks print its message
+    lose_last_block(monkeypatch, engine)
     scenario = runner.build_scenario(parse_config(TAP_CONFIG))
     with pytest.raises(engine.RouteMismatch,
                        match=r"^tap report: 1 probability and 1 overlap rows for 2 branch pairs$"):
         eavesdrop.analyze_eavesdropping(scenario)
-    assert cli.main(["verify", "quick"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert re.fullmatch(
-        r"verification failed: tap report: (\d+) probability and \1 overlap rows for \d+ branch pairs\n",
-        captured.err,
-    ), captured.err
+    checks, verdict = verify_quick_lines(capsys)
+    assert checks["marginal-laws"] == f"FAIL marginal-laws: max deviation inf (tolerance 1.0e-10) {LOST_ROW}"
+    assert checks["fidelity-curve"] == f"FAIL fidelity-curve: max deviation inf (tolerance 1.0e-09) {LOST_ROW}"
+    assert verdict == "CHECKS FAILED (4/10)"
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"

@@ -19,7 +19,6 @@ from teleportsim.eavesdrop import (
 )
 from teleportsim.effects import (
     Effect,
-    MeasurementFamily,
     kraus_mixture,
     make_measurement_family,
     strength_family,
@@ -33,6 +32,7 @@ from oracles import (
     advantage,
     brute_mirrored_basis,
     brute_projective_cell,
+    brute_tap_cells,
     brute_teleport,
     brute_weyl,
     closed_form_uniform_fidelity,
@@ -304,7 +304,7 @@ def test_sequential_decomposition_flags_broken_family():
     intact = strength_family(2, 0.6)
     operators = np.array(intact.operators)
     operators[0] *= 1.05
-    broken = MeasurementFamily(intact.labels, operators)
+    broken = Effect(intact.labels, operators)
     config = make_scenario(2, uniform_state(2), effect_r=broken)
     report = sequential_decomposition_check(config)
     assert report.branch_deviation > 1e-3
@@ -491,11 +491,15 @@ def test_report_arrays_have_nan_on_null_cells():
             assert cell_fidelity == pytest.approx(overlap / probability, abs=1e-12)
 
 
-def test_tap_functions_require_measurement_family():
-    config = make_scenario(2, uniform_state(2))
-    with pytest.raises(ValueError, match="no measurement family"):
-        analyze_eavesdropping(config)
-    with pytest.raises(ValueError, match="no measurement family"):
-        eavesdrop_operator(config, 0, (0, 0))
-    with pytest.raises(ValueError, match="no measurement family"):
-        advantage(config, uniform_state(2), uniform_state(2))
+def test_any_reference_effect_is_a_tap():
+    # a two-Kraus damping channel on the reference, neither Hermitian nor
+    # unital: the report reads each Kraus label as one tap outcome
+    rng = np.random.default_rng(31)
+    damping = damping_pair(3, rng)
+    config = make_scenario(3, random_state(3, rng), u0=random_unitary(3, rng), effect_r=kraus_mixture(damping))
+    report = analyze_eavesdropping(config)
+    assert report.tap_labels == (0, 1)
+    measured = engine.route_pass(config, engine.fixed_half(config), mirror_stack(config))
+    assert_allclose(report.probabilities, measured.tap.probabilities, rtol=0, atol=1e-12)
+    expected = brute_tap_cells(config.input_state, config.u0, damping, list(report.labels))
+    assert_allclose(report.probabilities, expected, rtol=0, atol=1e-12)

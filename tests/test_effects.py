@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from teleportsim.effects import (
-    MeasurementFamily,
+    Effect,
     family_completeness_deviation,
     kraus_mixture,
     make_measurement_family,
@@ -112,7 +112,7 @@ def test_validate_family_flags_scaled_branch():
     intact = strength_family(2, 0.6)
     operators = np.array(intact.operators)
     operators[0] *= 1.01
-    family = MeasurementFamily(intact.labels, operators)
+    family = Effect(intact.labels, operators)
     assert family_completeness_deviation(family) > 1e-3
     with pytest.raises(ValueError, match="sum to identity"):
         make_measurement_family(family.operators)
@@ -123,7 +123,7 @@ def test_family_completeness_is_the_closure_of_any_branches():
     gamma = 0.3
     k0 = np.diag([1.0, np.sqrt(1 - gamma)]).astype(complex)
     k1 = np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]], dtype=complex)
-    family = MeasurementFamily((0, 1), np.array([k0, k1]))
+    family = Effect((0, 1), np.array([k0, k1]))
     assert family_completeness_deviation(family) < 1e-15
 
 

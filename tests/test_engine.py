@@ -15,7 +15,6 @@ from teleportsim.config import parse_config
 from teleportsim.eavesdrop import sequential_decomposition_check
 from teleportsim.effects import (
     Effect,
-    MeasurementFamily,
     kraus_mixture,
     make_measurement_family,
     strength_family,
@@ -573,7 +572,7 @@ def test_nan_in_a_directly_built_family_is_still_refused():
     intact = strength_family(3, 0.5)
     broken = np.array(intact.operators)
     broken[1, 0, 2] = np.nan
-    config = make_scenario(3, uniform_state(3), effect_r=MeasurementFamily(intact.labels, broken))
+    config = make_scenario(3, uniform_state(3), effect_r=Effect(intact.labels, broken))
     with pytest.raises(ValueError, match="matrix entries must be finite"):
         engine.mirror_stack(config)
     with pytest.raises(ValueError, match="matrix entries must be finite"):

@@ -5,13 +5,16 @@ over the receiver branches before it is compared with the oracle.  The
 expected numbers are frozen literals from the brute-force route in
 `tests/oracles.py`; `test_literals_follow_brute_force` shows where they
 come from.  `test_random_tap_and_receiver_run_cleanly` draws whole valid
-config documents, tap and receiver optional, and runs each in process.
+config documents, tap and receiver optional, and runs each in process;
+`test_one_changed_field_exits_one_with_one_error_line` changes one field
+of such a document and requires the one error line that names it.
 """
 from __future__ import annotations
 
 import contextlib
 import csv
 import io
+import math
 import os
 import re
 import tempfile
@@ -203,93 +206,184 @@ def test_literals_follow_brute_force(receiver):
         assert 0.25 * gap == pytest.approx(advantage, abs=1e-14)
 
 
-def yaml_number(x: float) -> str:
+class Raw(str):
+    """YAML text written as it stands, such as an integer too long for ``str()``."""
+
+
+class Pairs(tuple):
+    """A mapping as ``(key, value)`` pairs, so a key may repeat."""
+
+
+def yaml_flow(value: object) -> str:
+    """YAML flow text of a field value built from mappings, lists, strings and numbers."""
+    if isinstance(value, Raw):
+        return str(value)
+    if isinstance(value, (dict, Pairs)):
+        items = value.items() if isinstance(value, dict) else value
+        return "{" + ", ".join(f"{key}: {yaml_flow(item)}" for key, item in items) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(map(yaml_flow, value)) + "]"
+    if isinstance(value, str):
+        return f"'{value}'"
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, int):
+        return str(value)
+    if math.isnan(value):
+        return ".nan"
+    if math.isinf(value):
+        return ".inf" if value > 0 else "-.inf"
     # shortest round-trip form, e.g. "1e-09": configs read YAML 1.2 floats
-    return repr(float(x))
+    return repr(value)
 
 
-def yaml_vector(vec: np.ndarray) -> str:
-    return "[" + ", ".join(f"[{yaml_number(z.real)}, {yaml_number(z.imag)}]" for z in vec) + "]"
+def complex_entries(vec: np.ndarray) -> list:
+    return [[float(z.real), float(z.imag)] for z in vec]
 
 
-def yaml_matrix(mat: np.ndarray) -> str:
-    return "[" + ", ".join(yaml_vector(row) for row in np.asarray(mat, dtype=complex)) + "]"
-
-
-def flow(fields: dict[str, str]) -> str:
-    return "{" + ", ".join(f"{key}: {value}" for key, value in fields.items()) + "}"
+def complex_rows(mat: np.ndarray) -> list:
+    return [complex_entries(row) for row in np.asarray(mat, dtype=complex)]
 
 
 @st.composite
-def state_texts(draw, n, rng):
+def state_values(draw, n, rng):
     """Any input form; an amplitude list is scaled by 10^e, e in [-300, 300]."""
     form = draw(st.sampled_from(["plus-uniform", "basis", "random", "list"]))
     if form == "plus-uniform":
         return form
     if form == "basis":
-        return f"'basis:{draw(st.integers(0, n - 1))}'"
+        return f"basis:{draw(st.integers(0, n - 1))}"
     if form == "random":
-        return f"'random:{draw(st.integers(0, 10**6))}'"
+        return f"random:{draw(st.integers(0, 10**6))}"
     amplitudes = random_state(n, rng) * 10.0 ** draw(st.integers(-300, 300))
     if draw(st.booleans()):  # bare real numbers
-        return "[" + ", ".join(yaml_number(a.real) for a in amplitudes) + "]"
-    return yaml_vector(amplitudes)
+        return [float(a.real) for a in amplitudes]
+    return complex_entries(amplitudes)
 
 
 @st.composite
-def documents(draw):
-    """``(command, text)``: a valid YAML document for ``teleport`` or ``sweep``.
+def document_fields(draw):
+    """``(command, fields, merged)``: the top-level fields of a valid ``teleport`` or ``sweep`` document.
 
     An explicit Bell family ``V W(a, b) V^+`` is drawn at n <= 4 only, as
     its parse cost grows with n^4; a Kraus receiver is a random isometry
-    cut into one to three blocks.  One draw moves some top-level fields
-    into a ``<<`` merge.
+    cut into one to three blocks.  ``merged`` names the fields that one
+    draw in two moves into a ``<<`` merge.
     """
     command = draw(st.sampled_from(["teleport", "sweep"]))
     n = draw(st.integers(2, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    fields = {"n": str(n), "input": draw(state_texts(n, rng))}
+    fields = {"n": n, "input": draw(state_values(n, rng))}
     u0 = draw(st.sampled_from([None, "identity", "matrix"]))
     if u0 is not None:
-        fields["u0"] = u0 if u0 == "identity" else yaml_matrix(random_unitary(n, rng))
+        fields["u0"] = u0 if u0 == "identity" else complex_rows(random_unitary(n, rng))
     bell = draw(st.sampled_from([None, "weyl", "explicit"] if n <= 4 else [None, "weyl"]))
     if bell == "explicit":
         v = random_unitary(n, rng)
-        weight = draw(st.sampled_from(["", ", weight: 1"]))
-        fields["bell"] = "[" + ", ".join(
-            f"{{unitary: {yaml_matrix(v @ brute_weyl(n, a, b) @ v.conj().T)}{weight}}}"
+        weight = draw(st.sampled_from([{}, {"weight": 1}]))
+        fields["bell"] = [
+            {"unitary": complex_rows(v @ brute_weyl(n, a, b) @ v.conj().T), **weight}
             for a in range(n) for b in range(n)
-        ) + "]"
+        ]
     elif bell is not None:
         fields["bell"] = bell
     tap = {}
     basis = draw(st.sampled_from([None, "computational", "fourier", "matrix"]))
     if basis is not None:
-        tap["basis"] = basis if basis != "matrix" else yaml_matrix(random_unitary(n, rng))
+        tap["basis"] = basis if basis != "matrix" else complex_rows(random_unitary(n, rng))
     strengths = st.floats(min_value=0.0, max_value=1.0)
     if command == "sweep":
         # start and stop are drawn apart, so half the grids descend
-        start, stop = draw(strengths), draw(strengths)
-        tap["theta_sweep"] = f"[{yaml_number(start)}, {yaml_number(stop)}, {draw(st.integers(2, 4))}]"
+        tap["theta_sweep"] = [draw(strengths), draw(strengths), draw(st.integers(2, 4))]
     if command == "sweep" or draw(st.booleans()):
         if command == "teleport":
-            tap["theta"] = yaml_number(draw(strengths))
-        fields["eavesdrop"] = flow(tap)
+            tap["theta"] = draw(strengths)
+        fields["eavesdrop"] = tap
     receiver = draw(st.sampled_from([None, "unitary", "kraus"]))
     if receiver == "unitary":
-        fields["effect_b"] = flow({"unitary": yaml_matrix(random_unitary(n, rng))})
+        fields["effect_b"] = {"unitary": complex_rows(random_unitary(n, rng))}
     elif receiver == "kraus":
         count = draw(st.integers(1, 3))
         isometry = random_unitary(count * n, rng)[:, :n]
-        blocks = ", ".join(yaml_matrix(isometry[i * n:(i + 1) * n]) for i in range(count))
-        fields["effect_b"] = flow({"kraus": f"[{blocks}]"})
+        fields["effect_b"] = {"kraus": [complex_rows(isometry[i * n:(i + 1) * n]) for i in range(count)]}
     if draw(st.booleans()):
-        fields["distinguish"] = f"[{draw(state_texts(n, rng))}, {draw(state_texts(n, rng))}]"
-    text = ""
+        fields["distinguish"] = [draw(state_values(n, rng)), draw(state_values(n, rng))]
+    merged = []
     if draw(st.booleans()):
         merged = draw(st.lists(st.sampled_from(sorted(fields)), min_size=1, unique=True))
-        text = f"<<: {flow({key: fields.pop(key) for key in merged})}\n"
-    return command, text + "".join(f"{key}: {value}\n" for key, value in fields.items())
+    return command, fields, merged
+
+
+def render(fields: dict | Pairs, merged: list[str]) -> str:
+    """The document text: the ``merged`` fields in one root ``<<`` merge, the others below it."""
+    items = list(fields.items() if isinstance(fields, dict) else fields)
+    inside = Pairs((key, value) for key, value in items if key in merged)
+    text = f"<<: {yaml_flow(inside)}\n" if inside else ""
+    return text + "".join(f"{key}: {yaml_flow(value)}\n" for key, value in items if key not in merged)
+
+
+@st.composite
+def documents(draw):
+    """``(command, text)``: a valid YAML document for ``teleport`` or ``sweep``."""
+    command, fields, merged = draw(document_fields())
+    return command, render(fields, merged)
+
+
+def nodes(value: object, path: tuple = ()):
+    """Every ``(path, node)`` of a field value, ``path`` the keys and indices down to ``node``."""
+    yield path, value
+    children = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in children:
+        yield from nodes(child, path + (key,))
+
+
+def replaced(value: object, path: tuple, new: object) -> object:
+    """A copy of ``value`` with the node at ``path`` replaced by ``new``."""
+    if not path:
+        return new
+    copy = dict(value) if isinstance(value, dict) else list(value)
+    copy[path[0]] = replaced(value[path[0]], path[1:], new)
+    return copy
+
+
+def is_number(node: object) -> bool:
+    return isinstance(node, (int, float)) and not isinstance(node, bool)
+
+
+# each change, the nodes it applies to and the new node it draws for one
+CHANGES = {
+    "wrong type": (lambda node: True, lambda node: st.sampled_from(
+        [new for new in (True, "oops", {"bad": 1}) if type(new) is not type(node)])),
+    "non-finite": (is_number, lambda node: st.sampled_from([math.nan, math.inf, -math.inf])),
+    "400 digits": (is_number, lambda node: st.just(10**399)),
+    "over 4300 digits": (is_number, lambda node: st.integers(4301, 5000).map(lambda digits: Raw("9" * digits))),
+    "wrong shape": (lambda node: isinstance(node, list) and len(node) > 0,
+                    lambda node: st.sampled_from([node[:-1], node + node[-1:]])),
+    "empty list": (lambda node: True, lambda node: st.just([])),
+}
+
+
+@st.composite
+def one_field_changes(draw):
+    """``(command, text, field)``: a valid document with one change below its top-level ``field``.
+
+    The change replaces one node of one field's value (`CHANGES`) or, as
+    ``"repeated key"``, writes one key of a mapping, the root included,
+    twice.
+    """
+    command, fields, merged = draw(document_fields())
+    targets = {kind: [(path, node) for path, node in nodes(fields) if path and applies(node)]
+               for kind, (applies, _) in CHANGES.items()}
+    targets["repeated key"] = [(path, node) for path, node in nodes(fields) if isinstance(node, dict) and node]
+    kind = draw(st.sampled_from(sorted(kind for kind in targets if targets[kind])))
+    path, node = draw(st.sampled_from(targets[kind]))
+    if kind != "repeated key":
+        return command, render(replaced(fields, path, draw(CHANGES[kind][1](node))), merged), path[0]
+    key = draw(st.sampled_from(sorted(node)))
+    pairs = Pairs([*node.items(), (key, node[key])])
+    if not path:
+        return command, render(pairs, merged), key
+    return command, render(replaced(fields, path, pairs), merged), path[0]
 
 
 def run_in_process(command: str, text: str) -> tuple[int, str, str]:
@@ -325,3 +419,14 @@ def test_random_tap_and_receiver_run_cleanly(document):
         first, last, first_expected, last_expected = map(float, sums.groups())
         assert first == pytest.approx(first_expected, abs=1e-10)
         assert last == pytest.approx(last_expected, abs=1e-10)
+
+
+@given(one_field_changes())
+@settings(max_examples=50, deadline=None)
+def test_one_changed_field_exits_one_with_one_error_line(change):
+    command, text, field = change
+    code, out, err = run_in_process(command, text)
+    assert (code, out) == (1, ""), err
+    assert "Traceback" not in err
+    # a field in the root << merge names its repeated keys below the merge
+    assert re.fullmatch(rf"error: (<<\.)?{re.escape(field)}[.\[:][^\n]*\n", err), err

@@ -158,6 +158,37 @@ def test_transfer_route_with_a_nan_amplitude_fails(monkeypatch):
     assert line == "FAIL oracle-fast-equivalence: max deviation nan (tolerance 1.0e-09)"
 
 
+def test_every_check_is_a_plain_function_of_this_module():
+    # the tracer wraps each entry by module and name, and a call must run the whole check
+    results = [check("quick", 0, None) for check in CHECKS]
+    assert all(isinstance(result, verify.CheckResult) for result in results)
+    assert [check.__name__ for check in CHECKS] == ["check_" + r.name.replace("-", "_") for r in results]
+    assert {check.__module__ for check in CHECKS} == {"teleportsim.verify"}
+
+
+def test_one_wrapper_judges_what_a_check_yields():
+    def judged(*deviations, error=None):
+        @verify._check("probe", 1e-9)
+        def check_probe(depth, seed, corrupt):
+            yield from deviations
+            if error is not None:
+                raise error
+
+        return check_probe("quick", 0, None)
+
+    assert judged() == verify.CheckResult("probe", 0.0, 1e-9)
+    assert judged(1e-12, np.float64(3e-9), 2e-10) == verify.CheckResult("probe", 3e-9, 1e-9)
+    # a NaN anywhere is the worst deviation, as max(0.0, nan) would not report it
+    assert np.isnan(judged(1.0, float("nan"), 0.5).max_deviation)
+    # a ValueError fails the check with its message; the yielded deviations are dropped
+    assert judged(1e-12, error=ValueError("block 1 lost")) == verify.CheckResult(
+        "probe", float("inf"), 1e-9, "block 1 lost"
+    )
+    # any other exception is a bug in the check itself and propagates
+    with pytest.raises(TypeError, match="not a deviation"):
+        judged(error=TypeError("not a deviation"))
+
+
 @pytest.mark.parametrize("depth", ["quick", "full"])
 def test_verification_builds_no_oracle_table(monkeypatch, depth):
     # every check reads the oracle through its stream
