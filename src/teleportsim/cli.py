@@ -13,7 +13,7 @@ import argparse
 import sys
 from typing import IO, NoReturn
 
-from .config import ConfigError, load_config
+from .config import load_config
 from .runner import InvariantViolation, run_sweep, run_teleport
 from .verify import run_verification
 
@@ -125,16 +125,13 @@ def main(argv: list[str] | None = None) -> int:
         for line in summary:
             print(line, file=sys.stderr)
         return EXIT_OK
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as exc:
+    except ValueError as exc:  # a ConfigError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

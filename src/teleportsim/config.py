@@ -6,7 +6,11 @@ as real.  Every amplitude list comes out a unit state: it is divided by
 its norm, with a note on stderr (or, under ``strict``, an error) when
 its norm^2 is off 1 by more than `NORM_WARN_TOL`; the notes are printed
 once the whole spec has parsed, so a rejected spec prints only its
-error.  Parsing is fail-fast:
+error.  Parsing is fail-fast.  The document is first checked as
+written, before any ``<<`` merge: a mapping key must be a scalar, no
+key may repeat within one mapping and every integer must be short
+enough for Python to read, and a fault inside a merge source is named
+by its ``<<`` path.  Then
 every family, basis and state is built and validated here, and the
 parser ends by assembling the run's tap-free scenario with
 `teleportsim.engine.make_scenario`, so a spec that parses cleanly cannot
@@ -44,61 +48,52 @@ class _ConfigLoader(yaml.SafeLoader):
 
     The YAML 1.1 resolver wants a mantissa dot and a signed exponent, so it
     would leave ``1e-09`` or ``1.5e5`` a string.  Quoted scalars stay strings.
-    An integer too long for Python to read, or a key repeated within one
-    mapping, fails with its field path.
+    Before anything is constructed, the document as written is checked in
+    one walk: the first non-scalar mapping key, key repeated within one
+    mapping or integer too long for Python to read, in document order,
+    fails with its field path.  The walk runs before any ``<<`` merge, so
+    a fault inside a merge source is named by its ``<<`` path.
     """
 
     def construct_document(self, node: yaml.Node) -> object:
-        self._root = node  # for the field path an error names
-        self._flattened: set[yaml.MappingNode] = set()
-        # a << merge source, detached from its mapping before it is
-        # flattened: the mapping it merges into and its name there
-        self._merged_into: dict[yaml.Node, tuple[yaml.MappingNode, str]] = {}
+        self._check(node, "", set())
         return super().construct_document(node)
 
-    def flatten_mapping(self, node: yaml.MappingNode) -> None:
-        # a mapping's own keys are checked once, before a << merge puts the
-        # keys it brings in, which the mapping may override, in front of them
-        if node not in self._flattened:
-            self._flattened.add(node)
+    def _check(self, node: yaml.Node, path: str, visited: set[yaml.Node]) -> None:
+        # a node an alias reaches again keeps the path it was first reached by
+        if node in visited:
+            return
+        visited.add(node)
+        if isinstance(node, yaml.SequenceNode):
+            for i, item in enumerate(node.value):
+                self._check(item, f"{path}[{i}]", visited)
+        elif isinstance(node, yaml.MappingNode):
             seen = set()
             for key, value in node.value:
-                if key.tag == "tag:yaml.org,2002:merge":
-                    sources = value.value if isinstance(value, yaml.SequenceNode) else [value]
-                    for i, source in enumerate(sources):
-                        name = f"<<[{i}]" if isinstance(value, yaml.SequenceNode) else "<<"
-                        self._merged_into.setdefault(source, (node, name))
-                elif (key.tag, key.value) in seen:
-                    field = ".".join(filter(None, [self._field(node), str(key.value)]))
-                    mark = key.start_mark
+                if not isinstance(key, yaml.ScalarNode):
                     raise ConfigError(
-                        f"{field}: repeated key (line {mark.line + 1}, column {mark.column + 1})"
+                        f"{path or 'document'}: mapping key must be a scalar, got a {key.id} {_position(key)}"
                     )
-                seen.add((key.tag, key.value))
-        super().flatten_mapping(node)
-
-    def _field(self, node: yaml.MappingNode) -> str | None:
-        if node in self._merged_into:
-            parent, name = self._merged_into[node]
-            return ".".join(filter(None, [self._field(parent), name]))
-        return _node_path(self._root, node)
-
-    def construct_yaml_int(self, node: yaml.ScalarNode) -> int:
-        # Python refuses to read an integer of more than
-        # sys.get_int_max_str_digits() digits; name the field instead of
-        # letting that ValueError escape from the loader
-        try:
-            return super().construct_yaml_int(node)
-        except ValueError:
-            mark = node.start_mark
-            raise ConfigError(
-                f"{_node_path(self._root, node) or 'document'}: integer of "
-                f"{len(node.value)} characters is too long to read "
-                f"(line {mark.line + 1}, column {mark.column + 1})"
-            ) from None
+                field = f"{path}.{key.value}" if path else key.value
+                # << may repeat: each merge brings its keys in
+                if key.tag != "tag:yaml.org,2002:merge":
+                    if (key.tag, key.value) in seen:
+                        raise ConfigError(f"{field}: repeated key {_position(key)}")
+                    seen.add((key.tag, key.value))
+                self._check(key, path, visited)
+                self._check(value, field, visited)
+        elif node.tag == "tag:yaml.org,2002:int":
+            # Python refuses to read an integer of more than
+            # sys.get_int_max_str_digits() digits
+            try:
+                self.construct_yaml_int(node)
+            except ValueError:
+                raise ConfigError(
+                    f"{path or 'document'}: integer of {len(node.value)} characters "
+                    f"is too long to read {_position(node)}"
+                ) from None
 
 
-_ConfigLoader.add_constructor("tag:yaml.org,2002:int", _ConfigLoader.construct_yaml_int)
 _ConfigLoader.add_implicit_resolver(
     "tag:yaml.org,2002:float",
     re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$"),
@@ -106,21 +101,9 @@ _ConfigLoader.add_implicit_resolver(
 )
 
 
-def _node_path(root: yaml.Node, target: yaml.Node) -> str | None:
-    """Field path of ``target`` below ``root`` as error messages write it, or ``None``."""
-    if root is target:
-        return ""
-    if isinstance(root, yaml.MappingNode):
-        children = [(str(key.value), value) for key, value in root.value]
-    elif isinstance(root, yaml.SequenceNode):
-        children = [(f"[{i}]", item) for i, item in enumerate(root.value)]
-    else:
-        return None
-    for name, child in children:
-        inner = _node_path(child, target)
-        if inner is not None:
-            return name + (inner if not inner or inner.startswith("[") else "." + inner)
-    return None
+def _position(node: yaml.Node) -> str:
+    mark = node.start_mark
+    return f"(line {mark.line + 1}, column {mark.column + 1})"
 
 
 @dataclass(frozen=True, eq=False)

@@ -122,7 +122,7 @@ def sequential_decomposition_check(config: ScenarioConfig) -> DecompositionRepor
     )
 
 
-def distinguishability(config: ScenarioConfig, rows: np.ndarray, mirrors: np.ndarray) -> float:
+def distinguishability(rows: np.ndarray, mirrors: np.ndarray) -> float:
     """Leakage between two candidate inputs, as guessing advantage.
 
     ``rows`` is `teleportsim.engine.transfer_rows` of the ``(2, n)`` pair

@@ -304,7 +304,7 @@ def run_sweep(spec: RunSpec, stream: IO[str]) -> list[str]:
         mirrors = mirror_stack(scenario)
         where = f"theta={format_number(theta)}: "
         measured = _checked_pass(where, scenario, fixed, mirrors)
-        advantage = distinguishability(scenario, pair, mirrors)
+        advantage = distinguishability(pair, mirrors)
         _require_finite(where, total_fidelity=measured.tap.total_fidelity, distinguishability=advantage)
         # a point keeps its scalars alone: the passes' (K, M) arrays would pile up over the grid
         points.append((measured.tap.total_fidelity, advantage, measured.probability_sum,

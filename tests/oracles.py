@@ -326,7 +326,7 @@ def transfer_stream(config: ScenarioConfig) -> BlockStream:
 def advantage(config: ScenarioConfig, first: np.ndarray, second: np.ndarray) -> float:
     """`distinguishability` of ``config`` on the `transfer_rows` of the pair and its `mirror_stack`."""
     rows = transfer_rows(config, np.array([first, second], dtype=complex))
-    return distinguishability(config, rows, mirror_stack(config))
+    return distinguishability(rows, mirror_stack(config))
 
 
 def mirror_loop(config: ScenarioConfig) -> list[np.ndarray]:

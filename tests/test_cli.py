@@ -237,8 +237,22 @@ def test_unwritable_output_exits_three(tmp_path):
             "n: 2\ninput: plus-uniform\neavesdrop: {<<: {theta: 0.1, theta: 0.2}}\n",
             "error: eavesdrop.<<.theta: repeated key (line 3, column 30)",
         ),
+        # a key that is not a scalar is named by its mapping's path
+        (
+            "? [1, 2]\n: 3\nn: 2\ninput: plus-uniform\n",
+            "error: document: mapping key must be a scalar, got a sequence (line 1, column 3)",
+        ),
+        (
+            "n: 2\ninput: plus-uniform\neavesdrop: {? [1]: 2, theta: 0.5}\n",
+            "error: eavesdrop: mapping key must be a scalar, got a sequence (line 3, column 15)",
+        ),
+        (
+            "n: 2\ninput: plus-uniform\neavesdrop:\n  <<: {{a: 1}: 2}\n  theta: 0.5\n",
+            "error: eavesdrop.<<: mapping key must be a scalar, got a mapping (line 4, column 8)",
+        ),
     ],
-    ids=["top-level", "nested", "json", "merge-source"],
+    ids=["top-level", "nested", "json", "merge-source", "non-scalar-top-level", "non-scalar-nested",
+         "non-scalar-merge-source"],
 )
 def test_repeated_config_key_exits_one(config_text, needle, tmp_path, capsys):
     config = write(tmp_path, "run.yaml", config_text)

@@ -306,8 +306,24 @@ UNREADABLE = "1" + "0" * 5000
             "input[1][1]: integer of 5001 characters",
         ),
         (f"{UNREADABLE}\n", "document: integer of 5001 characters"),
+        (
+            f"n: 2\ninput: plus-uniform\neavesdrop:\n  <<: {{theta: {UNREADABLE}}}\n",
+            "eavesdrop.<<.theta: integer of 5001 characters is too long to read (line 4, column 15)",
+        ),
+        # the first fault in document order wins over a later repeated key
+        (
+            f"n: {UNREADABLE}\ninput: plus-uniform\ninput: basis:1\n",
+            "n: integer of 5001 characters is too long to read (line 1, column 4)",
+        ),
+        (
+            f"n: {UNREADABLE}\ninput: plus-uniform\neavesdrop: {{theta: 0.1, theta: 0.2}}\n",
+            "n: integer of 5001 characters is too long to read (line 1, column 4)",
+        ),
     ],
-    ids=["theta-sweep-steps", "eavesdrop-seed", "amplitude-part", "document"],
+    ids=[
+        "theta-sweep-steps", "eavesdrop-seed", "amplitude-part", "document", "merge-source",
+        "before-repeated-key", "before-nested-repeated-key",
+    ],
 )
 def test_unreadable_integer_names_the_field(text, needle):
     with pytest.raises(ConfigError) as excinfo:
@@ -351,8 +367,13 @@ def test_unreadable_integer_exits_one_with_one_error_line(command, field, tmp_pa
             "  <<: [{basis: computational}, {<<: {theta: 0.1, theta: 0.2}}]\n",
             "eavesdrop.<<[1].<<.theta: repeated key (line 4, column 50)",
         ),
+        # a list that holds itself is walked once
+        (
+            "n: 2\ninput: &x [1, *x]\neavesdrop: {theta: 0.1, theta: 0.2}\n",
+            "eavesdrop.theta: repeated key (line 3, column 25)",
+        ),
     ],
-    ids=["top-level", "json", "nested", "in-sequence", "quoted", "merge-source-list"],
+    ids=["top-level", "json", "nested", "in-sequence", "quoted", "merge-source-list", "after-recursive-alias"],
 )
 def test_repeated_key_names_the_field(text, needle):
     with pytest.raises(ConfigError) as excinfo:
@@ -366,8 +387,8 @@ def test_merged_keys_may_be_overridden():
         "eavesdrop:\n  <<: {basis: computational, theta: 0.1}\n  theta: 0.9\n"
     )
     assert spec.eavesdrop.theta == 0.9
-    # &half is flattened as a merge source before *half reads it, so its
-    # overriding weight must not count as repeated the second time
+    # *half reaches the &half mapping a second time; it is checked once,
+    # so its overriding weight does not count as repeated
     spec = parse_config(
         "n: 2\ninput: plus-uniform\nbell:\n"
         "  - <<: &half {<<: {unitary: [[1, 0], [0, 1]], weight: 3}, weight: 0.5}\n"

@@ -12,7 +12,6 @@ from teleportsim import engine
 from teleportsim.bell import make_bell_family, weyl_unitary
 from teleportsim.eavesdrop import (
     analyze_eavesdropping,
-    distinguishability,
     eavesdrop_operator,
     sequential_decomposition_check,
     tap_operators,
@@ -395,7 +394,6 @@ def test_receiver_branches_sum_to_the_tap_cells(dim):
     summed_advantage = 0.25 * float(np.sum(np.abs(pair[:, 0] - pair[:, 1])))
     assert summed_advantage == pytest.approx(advantage(config, *states), abs=1e-15)
     tap = replace(config, effect_b=None)
-    assert distinguishability(config, rows, mirrors) == distinguishability(tap, rows, mirrors)
     for (l, ops), (tap_l, tap_ops) in zip(tap_operators(config), tap_operators(tap), strict=True):
         assert l == tap_l and np.array_equal(ops, tap_ops)
     assert sequential_decomposition_check(config) == sequential_decomposition_check(tap)

@@ -478,7 +478,7 @@ def test_sweep_points_are_the_points_built_from_scratch(monkeypatch):
         )
         assert fidelity == tap_report(scenario, norms[0], overlaps[0]).total_fidelity
         mirrors = engine.mirror_stack(scenario)
-        assert advantage == distinguishability(scenario, engine.transfer_rows(scenario, pair), mirrors)
+        assert advantage == distinguishability(engine.transfer_rows(scenario, pair), mirrors)
     # the points differ, so a tap carried over from one strength would show
     assert len(set(fidelities)) == 5
 
