@@ -10,7 +10,8 @@ error.  Parsing is fail-fast.  The document is first checked as
 written, before any ``<<`` merge: a mapping key must be a scalar, no
 key may repeat within one mapping and every integer must be short
 enough for Python to read, and a fault inside a merge source is named
-by its ``<<`` path.  Then
+by its ``<<`` path; a document nested past the interpreter's recursion
+limit fails as a whole.  Then
 every family, basis and state is built and validated here, and the
 parser ends by assembling the run's tap-free scenario with
 `teleportsim.engine.make_scenario`, so a spec that parses cleanly cannot
@@ -132,7 +133,19 @@ class RunSpec:
 
 
 def parse_config(text: str, strict: bool = False) -> RunSpec:
-    """Parse and validate a YAML/JSON run specification."""
+    """Parse and validate a YAML/JSON run specification.
+
+    The YAML composer recurses once per level of nesting, so a document
+    nested past the interpreter's recursion limit fails as one
+    `ConfigError` that names the nesting, whichever step ran out.
+    """
+    try:
+        return _parse_config(text, strict)
+    except RecursionError:
+        raise ConfigError("document: nested too deeply to read") from None
+
+
+def _parse_config(text: str, strict: bool) -> RunSpec:
     try:
         raw = yaml.load(text, Loader=_ConfigLoader)
     except yaml.YAMLError as exc:

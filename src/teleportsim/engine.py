@@ -42,8 +42,10 @@ caller is `route_pass`, the one pass over both routes that the run
 drivers and the verification suite read: it takes `fixed_half`, what no
 tap strength changes, and `tap_report` sums each route's ``(K, M)``
 arrays into the tap's ``(L, M)`` cells of an `EavesdropReport`.  The
-pass returns every deviation between the routes in a `RoutePass`
-instead of raising, and each caller decides what fails.
+pass returns every deviation between the routes in one ordered record
+of named arrays, `RoutePass.deviations` (``amplitude``, ``probability``,
+``cell``, ``total-fidelity`` and ``probability-sum``), instead of
+raising, and each caller reads it by name and decides what fails.
 `expected_probability_sum` gives the oracle's probability sum in closed
 form from the Gram of its bra on R and `reference_marginal`, neither of
 which an effect on R touches: 1 for exactly closed effects, and moved by
@@ -56,7 +58,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import zip_longest
-from typing import Iterator
+from types import MappingProxyType
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -530,13 +533,14 @@ class RoutePass:
     ``keys[k]``, `branch_keys` of the scenario, and one column per Bell
     outcome ``tap.labels[m]``; ``tap`` sums them into the tap's ``(l, m)``
     cells, and `conditional_fidelities` of the two gives each branch's
-    fidelity.  ``probability_sum`` is the
-    oracle's total and ``expected_sum`` its closed form.  The deviations
-    between the routes are ``amplitude_deviation``, the 2-norm of each
-    branch's difference, and ``probability_deviation``, both ``(K, M)``;
-    ``cell_deviation``, ``(L, M)``, between the routes' tap reports; and
-    ``fidelity_deviation``, between their total fidelities.  Every array
-    is read-only.
+    fidelity.  ``probability_sum`` is the oracle's total and
+    ``expected_sum`` its closed form.  ``deviations`` records every
+    deviation between the routes by name, in the order a run judges them:
+    ``amplitude``, the 2-norm of each branch's difference, and
+    ``probability``, both ``(K, M)``; ``cell``, ``(L, M)``, between the
+    routes' tap reports; ``total-fidelity``, 0-d, between their total
+    fidelities; and ``probability-sum``, 0-d, the oracle's total against
+    its closed form.  The record and every array are read-only.
     """
 
     keys: tuple[tuple[object, object], ...]
@@ -545,21 +549,11 @@ class RoutePass:
     tap: EavesdropReport
     probability_sum: float
     expected_sum: float
-    amplitude_deviation: np.ndarray  # (K, M)
-    probability_deviation: np.ndarray  # (K, M)
-    cell_deviation: np.ndarray  # (L, M)
-    fidelity_deviation: float
+    deviations: Mapping[str, np.ndarray]
 
     def __post_init__(self) -> None:
-        for array in (self.probabilities, self.overlaps, self.amplitude_deviation,
-                      self.probability_deviation, self.cell_deviation):
+        for array in (self.probabilities, self.overlaps, *self.deviations.values()):
             array.setflags(write=False)
-
-    @property
-    def deviations(self) -> tuple[float, float, float]:
-        """The largest amplitude and probability deviation and the total-fidelity deviation."""
-        return (float(np.max(self.amplitude_deviation)), float(np.max(self.probability_deviation)),
-                self.fidelity_deviation)
 
 
 def route_pass(scenario: ScenarioConfig, fixed: FixedHalf, mirrors: np.ndarray) -> RoutePass:
@@ -577,17 +571,22 @@ def route_pass(scenario: ScenarioConfig, fixed: FixedHalf, mirrors: np.ndarray) 
     )
     tap = tap_report(scenario, norms[0], overlaps[0])
     transfer_tap = tap_report(scenario, norms[1], overlaps[1])
+    probability_sum = float(norms[0].sum())
+    expected_sum = expected_probability_sum(scenario, fixed.gram, fixed.marginal)
     return RoutePass(
         keys=branch_keys(scenario),
         probabilities=norms[0],
         overlaps=overlaps[0],
         tap=tap,
-        probability_sum=float(norms[0].sum()),
-        expected_sum=expected_probability_sum(scenario, fixed.gram, fixed.marginal),
-        amplitude_deviation=amplitude,
-        probability_deviation=np.abs(norms[0] - norms[1]),
-        cell_deviation=np.abs(transfer_tap.probabilities - tap.probabilities),
-        fidelity_deviation=abs(transfer_tap.total_fidelity - tap.total_fidelity),
+        probability_sum=probability_sum,
+        expected_sum=expected_sum,
+        deviations=MappingProxyType({
+            "amplitude": amplitude,
+            "probability": np.abs(norms[0] - norms[1]),
+            "cell": np.abs(transfer_tap.probabilities - tap.probabilities),
+            "total-fidelity": np.array(abs(transfer_tap.total_fidelity - tap.total_fidelity)),
+            "probability-sum": np.array(abs(probability_sum - expected_sum)),
+        }),
     )
 
 

@@ -8,15 +8,18 @@ norms and overlaps and measures the 2-norm amplitude deviation of every
 branch, and `tap_report` sums each route's arrays into the tap's
 ``(L, M)`` cells.  The pass keeps only those reductions, never a table
 of blocks, and returns every deviation between the routes as a value
-instead of raising: the run drivers here and the verification suite
-read the same `RoutePass`, and this module holds the failure policy,
-`_checked_pass` against `RUN_TOL`, and the CSV rendering.  No driver
-calls `run_oracle` or `fast_run`: they are imported below for the
-benchmark's tracer alone.
+instead of raising, in the one named record `RoutePass.deviations`: the
+run drivers here and the verification suite read the same record, and
+this module holds the failure policy, `_checked_pass`, one loop that
+judges each name against `RUN_TOL` in the record's order and refuses
+with that name's text, and the CSV rendering.  No driver calls
+`run_oracle` or `fast_run`: they are imported below for the benchmark's
+tracer alone.
 Every number `run_teleport` writes, and the sweep's fidelity column, is
-a reduction of the oracle's arrays, and the summary ends with the
-measured route deviations; only `run_teleport` divides the oracle's
-overlaps into per-branch fidelities, for its CSV.  The oracle's
+a reduction of the oracle's arrays, and the summary ends with the worst
+``amplitude``, ``probability`` and ``total-fidelity`` deviations; only
+`run_teleport` divides the oracle's overlaps into per-branch
+fidelities, for its CSV.  The oracle's
 probability sum is held to `expected_probability_sum`, its closed form,
 which admission's closure tolerance lets differ from 1; the summary
 prints both.  The sweep's distinguishability column comes from the
@@ -50,7 +53,7 @@ from __future__ import annotations
 import csv
 from dataclasses import replace
 from types import SimpleNamespace
-from typing import IO, Iterable, Sequence
+from typing import IO, Mapping, Sequence
 
 import numpy as np
 
@@ -156,45 +159,48 @@ def build_scenario(spec: RunSpec) -> ScenarioConfig:
     return replace(spec.scenario, effect_r=tap)
 
 
+def _branch_refusal(measured: RoutePass, k: int, m: int) -> str:
+    (l, branch), deviations = measured.keys[k], measured.deviations
+    return (f"routes disagree on branch (m={measured.tap.labels[m]}, l={l}, b={branch}): "
+            f"probability deviation {deviations['probability'][k, m]:.3e}, "
+            f"amplitude deviation {deviations['amplitude'][k, m]:.3e}")
+
+
+# what a refusal says, by deviation name, from the pass and the index of the
+# first entry out of bounds; admission lets a closure defect below FAMILY_TOL
+# through, so the probability sum is held to its closed form, not to 1
+_REFUSALS = {
+    "amplitude": _branch_refusal,
+    "probability": _branch_refusal,
+    "cell": lambda measured, l, m: (
+        f"branch operator probability deviates from oracle by {measured.deviations['cell'][l, m]:.3e} "
+        f"on (l={measured.tap.tap_labels[l]}, m={measured.tap.labels[m]})"),
+    "total-fidelity": lambda measured: (
+        f"total fidelity routes disagree by {measured.deviations['total-fidelity']:.3e}"),
+    "probability-sum": lambda measured: (
+        f"oracle probabilities sum to {measured.probability_sum!r}, expected {measured.expected_sum!r}"),
+}
+
+
 def _checked_pass(where: str, scenario: ScenarioConfig, fixed: FixedHalf, mirrors: np.ndarray) -> RoutePass:
     """`route_pass`, raising `InvariantViolation` led by ``where`` on the first invariant it breaks.
 
-    The checks run in order: block count and shape, each branch, each
-    tap cell, total fidelity, then the oracle's probability sum against
-    its closed form.  Each is written as "not within", so a NaN deviation
-    fails it too.
+    A block count or shape that differs fails first.  Then each deviation
+    of the record is judged in its order against `RUN_TOL`, and the first
+    with an entry out of bounds fails, named at its first such entry: a
+    branch fails on its amplitude before any branch fails on its
+    probability.  Each check is written as "not within", so a NaN
+    deviation fails it too.
     """
     try:
         measured = route_pass(scenario, fixed, mirrors)
     except RouteMismatch as exc:
         raise InvariantViolation(f"{where}{exc}") from None
-    labels = measured.tap.labels
-    p_dev, a_dev = measured.probability_deviation, measured.amplitude_deviation
-    failing = np.argwhere(~((p_dev <= RUN_TOL) & (a_dev <= RUN_TOL)))
-    if failing.size:
-        k, m = failing[0]
-        l, branch = measured.keys[k]
-        raise InvariantViolation(
-            f"{where}routes disagree on branch (m={labels[m]}, l={l}, b={branch}): "
-            f"probability deviation {p_dev[k, m]:.3e}, amplitude deviation {a_dev[k, m]:.3e}"
-        )
-    failing = np.argwhere(~(measured.cell_deviation <= RUN_TOL))
-    if failing.size:
-        l, m = failing[0]
-        raise InvariantViolation(
-            f"{where}branch operator probability deviates from oracle by "
-            f"{measured.cell_deviation[l, m]:.3e} on (l={measured.tap.tap_labels[l]}, m={labels[m]})"
-        )
-    if not measured.fidelity_deviation <= RUN_TOL:
-        raise InvariantViolation(f"{where}total fidelity routes disagree by "
-                                 f"{measured.fidelity_deviation:.3e}")
-    # admission lets a closure defect below FAMILY_TOL through, so the sum
-    # is held to its closed form, not to 1
-    if not abs(measured.probability_sum - measured.expected_sum) <= RUN_TOL:
-        raise InvariantViolation(
-            f"{where}oracle probabilities sum to {measured.probability_sum!r}, "
-            f"expected {measured.expected_sum!r}"
-        )
+    for name, deviation in measured.deviations.items():
+        # len, not size: the argwhere of a 0-d array has one empty row when it fails
+        failing = np.argwhere(~(deviation <= RUN_TOL))
+        if len(failing):
+            raise InvariantViolation(where + _REFUSALS[name](measured, *failing[0]))
     return measured
 
 
@@ -209,8 +215,12 @@ def _require_finite(where: str, **columns: np.ndarray) -> None:
             raise InvariantViolation(f"{where}{name} is not finite")
 
 
-def _routes_line(deviations: Iterable[float]) -> str:
-    amplitude, probability, fidelity = deviations
+def _routes_line(records: Sequence[Mapping[str, np.ndarray]]) -> str:
+    """The worst amplitude, probability and total-fidelity deviation over ``records``, by name."""
+    amplitude, probability, fidelity = (
+        np.max([np.max(deviations[name]) for deviations in records])
+        for name in ("amplitude", "probability", "total-fidelity")
+    )
     return (
         f"routes: amplitude dev {amplitude:.3e}, probability dev {probability:.3e}, "
         f"fidelity dev {fidelity:.3e} (tolerance {RUN_TOL:.1e})"
@@ -270,7 +280,7 @@ def run_teleport(spec: RunSpec, stream: IO[str]) -> list[str]:
         f"probability sum {format_number(measured.probability_sum)}, "
         f"expected {format_number(measured.expected_sum)}",
         f"average output fidelity: {format_number(tap.total_fidelity)}",
-        _routes_line(measured.deviations),
+        _routes_line([measured.deviations]),
     ]
     return summary
 
@@ -306,9 +316,10 @@ def run_sweep(spec: RunSpec, stream: IO[str]) -> list[str]:
         measured = _checked_pass(where, scenario, fixed, mirrors)
         advantage = distinguishability(pair, mirrors)
         _require_finite(where, total_fidelity=measured.tap.total_fidelity, distinguishability=advantage)
-        # a point keeps its scalars alone: the passes' (K, M) arrays would pile up over the grid
-        points.append((measured.tap.total_fidelity, advantage, measured.probability_sum,
-                       measured.expected_sum, measured.deviations))
+        # a point keeps its scalars alone, the worst of each deviation: the
+        # passes' (K, M) arrays would pile up over the grid
+        points.append((measured.tap.total_fidelity, advantage, measured.probability_sum, measured.expected_sum,
+                       {name: np.max(deviation) for name, deviation in measured.deviations.items()}))
     fidelities, advantages, sums, expected_sums, deviations = zip(*points)
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(SWEEP_HEADER)
@@ -319,8 +330,7 @@ def run_sweep(spec: RunSpec, stream: IO[str]) -> list[str]:
         f"distinguish pair: {labels}",
         f"fidelity {_ends(fidelities)}, leakage {_ends(advantages)}",
         f"probability sum {_ends(sums)}, expected {_ends(expected_sums)}",
-        # the largest of each deviation over the grid
-        _routes_line(np.max(deviations, axis=0)),
+        _routes_line(deviations),
     ]
 
 

@@ -36,10 +36,12 @@ oracle into a table.  ``ideal-teleportation`` and
 targets.  ``oracle-fast-equivalence`` and ``tap-oracle-agreement`` read
 the one pass over both routes that the run drivers read,
 `teleportsim.engine.route_pass`, which returns every deviation between
-the routes instead of raising: the first reports the worst of them all
-(branch amplitudes and probabilities, tap cells, total fidelity and the
-probability sum against its closed form), the second its tap-cell
-deviation beside the Hermiticity of every ``P(l, m)``.  Verify judges
+the routes, by name, in one record, `RoutePass.deviations`, instead of
+raising: the first yields the worst of each name (``amplitude`` and
+``probability`` per branch, ``cell`` per tap cell, ``total-fidelity``
+and ``probability-sum``, the oracle's total against its closed form),
+the second the worst ``cell`` beside the Hermiticity of every
+``P(l, m)``.  Verify judges
 the deviations against its own tolerances and imports neither the run
 drivers nor their config parser.
 ``decomposition-identity`` (no reference effect) and
@@ -269,9 +271,7 @@ def check_oracle_fast_equivalence(depth: str, seed: int, corrupt: str | None) ->
         for trial in range(count):
             config = _random_scenario(dim, rng, (trial % 3, (trial + 1) % 3))
             measured = route_pass(config, fixed_half(config), mirror_stack(config))
-            yield from measured.deviations
-            yield np.max(measured.cell_deviation)
-            yield abs(measured.probability_sum - measured.expected_sum)
+            yield from map(np.max, measured.deviations.values())
 
 
 @_check("decomposition-identity", 1e-10)
@@ -355,7 +355,7 @@ def check_tap_oracle_agreement(depth: str, seed: int, corrupt: str | None) -> It
         config = make_scenario(dim, random_state(dim, rng), bell=_bell(dim, corrupt),
                                u0=random_unitary(dim, rng), effect_r=family)
         measured = route_pass(config, fixed_half(config), mirror_stack(config))
-        yield np.max(measured.cell_deviation)
+        yield np.max(measured.deviations["cell"])
         for _, ops in tap_operators(config):
             yield np.max(np.abs(ops - ops.conj().transpose(0, 2, 1)))
 

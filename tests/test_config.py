@@ -347,6 +347,30 @@ def test_unreadable_integer_exits_one_with_one_error_line(command, field, tmp_pa
     assert "too long to read" in lines[0] and "Traceback" not in captured.err
 
 
+def test_moderate_nesting_reads_as_written():
+    # 300 levels stay within the recursion limit: the field is read, and
+    # refused for what it holds
+    with pytest.raises(ConfigError, match=r"^n: expected an integer, got \[\[\["):
+        parse_config("n: " + "[" * 300 + "]" * 300 + "\ninput: plus-uniform\n")
+
+
+# a level a line, besides the one-line form: PyYAML's scanner keeps every
+# "[" of a line as a possible key, so a one-line nesting takes about 1 s to
+# reach the composer's RecursionError at 1000 levels and more
+@pytest.mark.parametrize("opening", [
+    pytest.param("[" * 600, id="600-one-line"),
+    *(pytest.param("[\n" * depth, id=f"{depth}-a-level-a-line") for depth in (600, 1000, 20_000)),
+])
+def test_deep_nesting_exits_one_with_one_error_line(opening, tmp_path, capsys):
+    path = tmp_path / "run.yaml"
+    depth = opening.count("[")
+    path.write_text("n: " + opening + "]" * depth + "\ninput: plus-uniform\n", encoding="utf-8")
+    assert cli.main(["teleport", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: document: nested too deeply to read\n"
+
+
 @pytest.mark.parametrize(
     "text,needle",
     [

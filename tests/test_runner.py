@@ -110,11 +110,68 @@ def test_disagreeing_pass_still_returns_its_deviations(monkeypatch):
     faulty_stream(monkeypatch, moved)
     scenario = runner.build_scenario(SPEC)
     measured = runner.route_pass(scenario, runner.fixed_half(scenario), runner.mirror_stack(scenario))
-    deviation = measured.amplitude_deviation
+    deviation = measured.deviations["amplitude"]
     assert np.unravel_index(np.argmax(deviation), deviation.shape) == (2, 1)
     assert deviation[2, 1] == pytest.approx(1e-6, rel=1e-6)
-    assert measured.deviations[0] == deviation[2, 1]
+    assert np.max(measured.deviations["amplitude"]) == deviation[2, 1]
     refused(r"routes disagree on branch \(m=\(0, 1\), l=1, b=0\): .* amplitude deviation 1\.000e-06")
+
+
+def route_pass_of(spec):
+    scenario = runner.build_scenario(spec)
+    return engine.route_pass(scenario, engine.fixed_half(scenario), engine.mirror_stack(scenario))
+
+
+def test_route_pass_records_five_named_deviations_in_judging_order():
+    measured = route_pass_of(SPEC)
+    deviations = measured.deviations
+    assert tuple(deviations) == ("amplitude", "probability", "cell", "total-fidelity", "probability-sum")
+    # four branch pairs, two tap branches, four Bell outcomes
+    assert [deviation.shape for deviation in deviations.values()] == [(4, 4), (4, 4), (2, 4), (), ()]
+    assert not any(deviation.flags.writeable for deviation in deviations.values())
+    with pytest.raises(TypeError):
+        deviations["cell"] = np.zeros((2, 4))
+
+
+def test_probability_sum_deviation_is_the_sum_against_its_closed_form(monkeypatch):
+    measured = route_pass_of(SPEC)
+    assert measured.deviations["probability-sum"] == abs(measured.probability_sum - measured.expected_sum)
+    monkeypatch.setattr(engine, "expected_probability_sum", lambda *args: 0.75)
+    measured = route_pass_of(SPEC)
+    assert measured.deviations["probability-sum"] == abs(measured.probability_sum - 0.75)
+    assert measured.deviations["probability-sum"] == pytest.approx(0.25, abs=1e-12)
+
+
+# no tap and no receiver: one block, each of the four outputs of norm 1/2,
+# where a probability deviation can exceed the amplitude deviation
+UNTAPPED = parse_config("n: 2\ninput: [0.6, [0, 0.8]]\n")
+
+
+def test_a_branch_is_refused_for_its_amplitude_before_any_for_its_probability(monkeypatch):
+    # output (0, 0) grows by 10%: 5.0e-02 in amplitude, within the bound,
+    # and 5.25e-02 in probability, past it.  Output (1, 0) moves by 0.2 in
+    # amplitude.  The refusal names (1, 0), the first branch out of bounds
+    # in amplitude, not the earlier (0, 0), out of bounds in probability alone
+    def moved(index, block):
+        block[0] *= 1.1
+        block[2, 0] += 0.2
+        yield block
+
+    faulty_stream(monkeypatch, moved)
+    monkeypatch.setattr(runner, "RUN_TOL", 0.051)
+    refused(r"^routes disagree on branch \(m=\(1, 0\), l=None, b=None\): "
+            r"probability deviation \S+, amplitude deviation 2\.000e-01$", UNTAPPED)
+
+
+def test_a_branch_out_of_bounds_in_probability_alone_is_refused(monkeypatch):
+    def grown(index, block):
+        block[0] *= 1.1
+        yield block
+
+    faulty_stream(monkeypatch, grown)
+    monkeypatch.setattr(runner, "RUN_TOL", 0.051)
+    refused(r"^routes disagree on branch \(m=\(0, 0\), l=None, b=None\): "
+            r"probability deviation 5\.250e-02, amplitude deviation 5\.000e-02$", UNTAPPED)
 
 
 def test_cross_check_names_the_receiver_branch(monkeypatch):

@@ -387,6 +387,8 @@ def one_field_changes(draw):
     changes one mapping, the root included: ``"repeated key"`` writes one
     of its keys twice, ``"non-scalar key"`` adds a list or mapping key,
     which is named by the mapping's path, ``document`` at the root.
+    ``"deep nesting"`` replaces one node by a list nested past the
+    recursion limit, which fails the whole ``document``.
     """
     command, fields, merged, _ = draw(document_fields())
     targets = {kind: [(path, node) for path, node in nodes(fields) if path and applies(node)]
@@ -394,10 +396,17 @@ def one_field_changes(draw):
     targets["repeated key"] = targets["non-scalar key"] = [
         (path, node) for path, node in nodes(fields) if isinstance(node, dict) and node
     ]
+    targets["deep nesting"] = [(path, node) for path, node in nodes(fields) if path]
     kind = draw(st.sampled_from(sorted(kind for kind in targets if targets[kind])))
     path, node = draw(st.sampled_from(targets[kind]))
     if kind in CHANGES:
         return command, render(replaced(fields, path, draw(CHANGES[kind][1](node))), merged), path[0]
+    if kind == "deep nesting":
+        # Hypothesis lifts the recursion limit about 2000 frames past the
+        # test's own depth while it runs, so 600 levels would read as
+        # written; a level a line keeps PyYAML's scanner linear in the depth
+        depth = draw(st.sampled_from([5_000, 20_000]))
+        return command, render(replaced(fields, path, Raw("[\n" * depth + "]" * depth)), merged), "document"
     items = list(node.items())
     if kind == "repeated key":
         key = draw(st.sampled_from(sorted(node)))
@@ -456,3 +465,95 @@ def test_one_changed_field_exits_one_with_one_error_line(change):
     assert "Traceback" not in err
     # a field in the root << merge names its faults below the merge
     assert re.fullmatch(rf"error: (<<\.)?{re.escape(field)}[.\[:][^\n]*\n", err), err
+
+
+def brute_table(psi, u0, taps, bell, receivers) -> dict:
+    """Every row a ``teleport`` CSV holds, by `brute_teleport` loops.
+
+    Keys are ``(record, l, m, branch)`` as the CSV labels a row, values
+    ``(probability, fidelity)``, fidelity None where the row has none.
+    ``taps`` are the tap's branch operators, ``bell`` the ``(label,
+    unitary)`` outcomes at unit weight and ``receivers`` the receiver's
+    Kraus operators, one unlabeled branch when alone.
+    """
+    n = len(psi)
+    rows, p_l, p_m, fidelity = {}, {}, {}, 0.0
+    for l, e_r in enumerate(taps):
+        for b, f_b in enumerate(receivers):
+            branch = None if len(receivers) == 1 else b
+            for m, u_m in bell:
+                amp = brute_teleport(n, psi, u0, e_r, f_b, u_m)
+                probability = float(np.vdot(amp, amp).real)
+                overlap = abs(np.vdot(psi, amp)) ** 2
+                rows[("outcome", l, m, branch)] = (probability, overlap / probability)
+                p_l[l] = p_l.get(l, 0.0) + probability
+                p_m[m] = p_m.get(m, 0.0) + probability
+                fidelity += overlap
+    rows.update({("p_l", l, None, None): (p, None) for l, p in p_l.items()})
+    rows.update({("p_m", None, m, None): (p, None) for m, p in p_m.items()})
+    rows[("total", None, None, None)] = (sum(p_l.values()), fidelity)
+    return rows
+
+
+def csv_table(rows: list[list[str]]) -> dict:
+    """The body of a ``teleport`` CSV keyed as `brute_table` keys it."""
+    assert rows[0] == ["record", "l", "m", "branch", "probability", "fidelity"]
+    return {
+        (r[0], parse_label(r[1]), parse_label(r[2]), parse_label(r[3])): (float(r[4]), float(r[5]) if r[5] else None)
+        for r in rows[1:]
+    }
+
+
+def assert_rows_match(got: dict, expected: dict) -> None:
+    assert list(got) == list(expected)
+    for key, (probability, fidelity) in expected.items():
+        assert got[key][0] == pytest.approx(probability, abs=CSV_TOL), key
+        if fidelity is None:
+            assert got[key][1] is None, key
+        else:
+            assert got[key][1] == pytest.approx(fidelity, abs=CSV_TOL), key
+
+
+def fourier(n: int) -> np.ndarray:
+    basis = np.zeros((n, n), dtype=complex)
+    for j in range(n):
+        for k in range(n):
+            basis[j, k] = np.exp(2j * np.pi * j * k / n) / np.sqrt(n)
+    return basis
+
+
+def test_written_u0_and_kraus_receiver_act_on_column_vectors_as_written():
+    # u0 is real and not symmetric, and each Kraus operator is complex and
+    # not symmetric: a transposed u0 or a conjugated operator moves rows
+    u0 = np.array([[0.6, 0.8], [-0.8, 0.6]], dtype=complex)
+    kraus = [np.array([[0.48, -0.64j], [-0.64j, 0.48]]), np.array([[0, 0.6j], [0.6, 0]])]
+    text = (
+        f"n: 2\ninput: [0.6, [0, 0.8]]\nu0: {yaml_flow(complex_rows(u0))}\n"
+        "eavesdrop:\n  basis: fourier\n  theta: 0.5\n"
+        f"effect_b:\n  kraus: {yaml_flow([complex_rows(k) for k in kraus])}\n"
+    )
+    code, rows = run_cli("teleport", text)
+    assert code == 0
+    taps = [brute_strength_branch(2, 0.5, l, fourier(2)) for l in range(2)]
+    bell = [((a, b), brute_weyl(2, a, b)) for a in range(2) for b in range(2)]
+    assert_rows_match(csv_table(rows), brute_table(INPUT, u0, taps, bell, kraus))
+
+
+def test_written_bell_unitaries_act_on_column_vectors_as_written():
+    # an explicit V W(a, b) V^+ family: each unitary is complex and not
+    # symmetric, so a transposed or conjugated family moves rows
+    rng = np.random.default_rng(20)
+    v = random_unitary(3, rng)
+    unitaries = [v @ brute_weyl(3, a, b) @ v.conj().T for a in range(3) for b in range(3)]
+    psi = random_state(3, rng)
+    text = (
+        f"n: 3\ninput: {yaml_flow(complex_entries(psi))}\n"
+        "eavesdrop:\n  basis: fourier\n  theta: 0.5\n"
+        "bell:\n" + "".join(f"  - unitary: {yaml_flow(complex_rows(u))}\n" for u in unitaries)
+    )
+    code, rows = run_cli("teleport", text)
+    assert code == 0
+    taps = [brute_strength_branch(3, 0.5, l, fourier(3)) for l in range(3)]
+    expected = brute_table(psi, np.eye(3, dtype=complex), taps, list(enumerate(unitaries)),
+                           [np.eye(3, dtype=complex)])
+    assert_rows_match(csv_table(rows), expected)

@@ -134,9 +134,10 @@ def test_oracle_fast_equivalence_catches_branch_deviations_that_add_up(monkeypat
 
     monkeypatch.setattr(verify, "route_pass", recorded)
     result = check_oracle_fast_equivalence("quick", 0, None)
-    assert max(max(measured.deviations[:2]) for measured in passes) < 1e-9
+    branch = ("amplitude", "probability")
+    assert max(np.max(measured.deviations[name]) for measured in passes for name in branch) < 1e-9
     assert not result.passed
-    assert result.max_deviation == max(measured.fidelity_deviation for measured in passes) > 1e-9
+    assert result.max_deviation == max(measured.deviations["total-fidelity"] for measured in passes) > 1e-9
 
 
 def test_transfer_route_with_shuffled_labels_fails(monkeypatch):
