@@ -11,11 +11,13 @@ written, before any ``<<`` merge: a mapping key must be a scalar, no
 key may repeat within one mapping and every integer must be short
 enough for Python to read, and a fault inside a merge source is named
 by its ``<<`` path; a document nested past the interpreter's recursion
-limit fails as a whole.  Then
+limit, or with a flow collection nested past `MAX_FLOW_DEPTH`, fails as
+a whole.  Then
 every family, basis and state is built and validated here, and the
 parser ends by assembling the run's tap-free scenario with
-`teleportsim.engine.make_scenario`, so a spec that parses cleanly cannot
-blow up later in the run.  Errors carry the offending field path.
+`teleportsim.engine.make_scenario`, whose `ScenarioConfig` checks every
+part once more, so a spec that parses cleanly cannot blow up later in
+the run.  Errors carry the offending field path.
 """
 from __future__ import annotations
 
@@ -39,6 +41,12 @@ NORM_WARN_TOL = 1e-9
 # largest theta_sweep step count: a grid of 0.001 over the whole [0, 1]
 MAX_SWEEP_STEPS = 1001
 
+# deepest flow nesting ("[" or "{") the scanner reads: PyYAML's pure-Python
+# scanner rescans every pending "[" of a line for each token, so a deeper
+# one-line nesting would cost time quadratic in its depth before the
+# composer ran out of recursion
+MAX_FLOW_DEPTH = 512
+
 
 class ConfigError(ValueError):
     """Invalid run specification; the message names the field."""
@@ -53,8 +61,15 @@ class _ConfigLoader(yaml.SafeLoader):
     one walk: the first non-scalar mapping key, key repeated within one
     mapping or integer too long for Python to read, in document order,
     fails with its field path.  The walk runs before any ``<<`` merge, so
-    a fault inside a merge source is named by its ``<<`` path.
+    a fault inside a merge source is named by its ``<<`` path.  The
+    scanner refuses a flow collection nested past `MAX_FLOW_DEPTH` as it
+    reads it.
     """
+
+    def fetch_flow_collection_start(self, TokenClass: type) -> None:
+        if self.flow_level >= MAX_FLOW_DEPTH:
+            raise ConfigError("document: nested too deeply to read")
+        super().fetch_flow_collection_start(TokenClass)
 
     def construct_document(self, node: yaml.Node) -> object:
         self._check(node, "", set())
@@ -137,7 +152,9 @@ def parse_config(text: str, strict: bool = False) -> RunSpec:
 
     The YAML composer recurses once per level of nesting, so a document
     nested past the interpreter's recursion limit fails as one
-    `ConfigError` that names the nesting, whichever step ran out.
+    `ConfigError` that names the nesting, whichever step ran out; the
+    scanner refuses a flow collection nested past `MAX_FLOW_DEPTH` with
+    the same error before the composer recurses that deep.
     """
     try:
         return _parse_config(text, strict)

@@ -95,16 +95,22 @@ BlockStream = Iterator[np.ndarray]
 
 @dataclass(frozen=True, eq=False)
 class ScenarioConfig:
-    """One teleportation scenario, fully specified.
+    """One teleportation scenario, fully specified and checked.
 
     ``effect_r`` disturbs the reference line between resource preparation
     and the Bell measurement; ``effect_b`` disturbs the receiver line.
     The receiver undoes the outcome unitary, so an undisturbed scenario
     returns the input exactly.  Every construction, `make_scenario`,
-    `dataclasses.replace` or a direct call, turns an absent line (``None``)
-    into one read-only identity branch labeled ``None`` and checks each
-    branch stack against ``dim``, so both lines are always `Effect`
-    stacks; closure is checked when an effect is admitted, not here.
+    `dataclasses.replace` or a direct call, runs the same checks: a
+    dimension of at least 2, a unit input of length ``dim``, a Bell family
+    of dimension ``dim``, a finite unitary ``u0`` of shape ``(dim,
+    dim)``, and finite effect stacks of that shape.  An absent line
+    (``None``) becomes one read-only identity branch labeled ``None``, so
+    both lines are always `Effect` stacks.  The input and ``u0`` are held
+    read-only: a read-only array that views no other is kept as it is, any
+    other is copied, so a scenario never aliases a caller's writeable
+    array.  Closure of an effect and completeness of a Bell family are
+    checked when they are admitted, by their factories, not here.
     """
 
     dim: int
@@ -115,16 +121,35 @@ class ScenarioConfig:
     effect_b: Effect | None = None
 
     def __post_init__(self) -> None:
-        identity = np.eye(self.dim, dtype=complex)[None]
+        dim = self.dim
+        if dim < 2:
+            raise ValueError(f"dimension must be at least 2, got {dim}")
+        state = as_pure_state(self.input_state)
+        if state.shape[0] != dim:
+            raise ValueError(f"input state dimension {state.shape[0]} does not match {dim}")
+        if self.bell.dim != dim:
+            raise ValueError(f"Bell family dimension {self.bell.dim} does not match {dim}")
+        u0 = as_complex_matrix(self.u0)
+        if u0.shape != (dim, dim):
+            raise ValueError(f"u0 shape {u0.shape} does not match dimension {dim}")
+        if not is_unitary(u0):
+            raise ValueError("u0 must be unitary")
+        for name, array in (("input_state", state), ("u0", u0)):
+            # a read-only array that views no other cannot change under the scenario
+            kept = array.base is None and not array.flags.writeable
+            object.__setattr__(self, name, array if kept else frozen_complex_array(array))
+        identity = np.eye(dim, dtype=complex)[None]
         identity.setflags(write=False)
         for line in ("effect_r", "effect_b"):
             effect = getattr(self, line)
             if effect is None:
                 object.__setattr__(self, line, Effect((None,), identity))
-            elif effect.operators.shape[1:] != (self.dim, self.dim):
+            elif effect.operators.shape[1:] != (dim, dim):
                 raise ValueError(
-                    f"effect shape {effect.operators.shape[1:]} does not match dimension {self.dim}"
+                    f"effect shape {effect.operators.shape[1:]} does not match dimension {dim}"
                 )
+            elif not np.all(np.isfinite(effect.operators)):
+                raise ValueError("matrix entries must be finite")
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -202,31 +227,16 @@ def make_scenario(
     effect_r: Effect | None = None,
     effect_b: Effect | None = None,
 ) -> ScenarioConfig:
-    """Validate and assemble a scenario; every part must share ``dim``."""
-    if dim < 2:
-        raise ValueError(f"dimension must be at least 2, got {dim}")
-    state = as_pure_state(input_state)
-    if state.shape[0] != dim:
-        raise ValueError(f"input state dimension {state.shape[0]} does not match {dim}")
+    """A `ScenarioConfig` with the defaults filled in: the Weyl family and an identity ``u0``.
+
+    `ScenarioConfig` runs every check; a dimension below 2 is refused
+    by `make_bell_family` when the family is left to the default, in the
+    same words.
+    """
     if bell is None:
         bell = make_bell_family(dim)
-    elif bell.dim != dim:
-        raise ValueError(f"Bell family dimension {bell.dim} does not match {dim}")
-    if u0 is None:
-        u0 = np.eye(dim, dtype=complex)
-    u0 = as_complex_matrix(u0)
-    if u0.shape != (dim, dim):
-        raise ValueError(f"u0 shape {u0.shape} does not match dimension {dim}")
-    if not is_unitary(u0):
-        raise ValueError("u0 must be unitary")
-    return ScenarioConfig(
-        dim=dim,
-        input_state=frozen_complex_array(state),
-        bell=bell,
-        u0=frozen_complex_array(u0),
-        effect_r=effect_r,
-        effect_b=effect_b,
-    )
+    # the family's dimension, not dim: a dim the checks refuse never reaches np.eye
+    return ScenarioConfig(dim, input_state, bell, np.eye(bell.dim) if u0 is None else u0, effect_r, effect_b)
 
 
 def run_oracle(config: ScenarioConfig) -> BranchTable:
@@ -326,10 +336,11 @@ def transfer_rows(config: ScenarioConfig, inputs: np.ndarray) -> np.ndarray:
 
 
 def mirror_stack(config: ScenarioConfig) -> np.ndarray:
-    """Every reference branch's ``(u0^-1 E_l u0)^T``, one read-only ``(L, n, n)`` stack."""
+    """Every reference branch's ``(u0^-1 E_l u0)^T``, one read-only ``(L, n, n)`` stack.
+
+    It checks nothing: `ScenarioConfig` holds finite effects and a unitary ``u0``.
+    """
     stack = dagger(config.u0) @ config.effect_r.operators @ config.u0
-    if not np.all(np.isfinite(stack)):
-        raise ValueError("matrix entries must be finite")
     mirrors = stack.transpose(0, 2, 1).copy()
     mirrors.setflags(write=False)
     return mirrors

@@ -133,6 +133,68 @@ def brute_strength_branch(n: int, theta: float, l: int, basis: np.ndarray | None
     return (root + root.conj().T) / 2.0
 
 
+def brute_strength_root(n: int, theta: float, l: int, basis: np.ndarray | None = None) -> np.ndarray:
+    """Tap branch operator from its spectral form, entry by entry.
+
+    ``(1-theta)/n + theta |b_l><b_l|`` has eigenvalue ``(1-theta)/n +
+    theta`` on ``b_l`` and ``(1-theta)/n`` on its complement, so its root
+    is ``sqrt((1-theta)/n) 1 + (sqrt((1-theta)/n + theta) -
+    sqrt((1-theta)/n)) |b_l><b_l|``.  Unlike `brute_strength_branch` it
+    stays accurate to roundoff up to theta = 1, where the argument is
+    singular.
+    """
+    if basis is None:
+        basis = np.eye(n, dtype=complex)
+    low = np.sqrt((1.0 - theta) / n)
+    lift = np.sqrt((1.0 - theta) / n + theta) - low
+    root = np.zeros((n, n), dtype=complex)
+    for j in range(n):
+        for k in range(n):
+            root[j, k] = lift * basis[j, l] * np.conj(basis[k, l])
+        root[j, j] += low
+    return root
+
+
+def brute_branches(
+    psi: np.ndarray,
+    u0: np.ndarray,
+    e_r: np.ndarray,
+    f_b: np.ndarray,
+    outcomes: list[tuple[np.ndarray, float]],
+) -> list[np.ndarray]:
+    """`brute_teleport`'s corrected amplitude for every ``(unitary, weight)`` of ``outcomes``.
+
+    The same first principles, with the disturbed R x B resource built
+    once for every outcome, from `brute_resource_state`; the input on A
+    stays a product factor.  Every array is read as nested Python lists,
+    which index several times faster than numpy arrays.
+    """
+    n = len(psi)
+    psi, u0, e_r, f_b = (np.asarray(a, dtype=complex).tolist() for a in (psi, u0, e_r, f_b))
+    resource = brute_resource_state(np.array(u0)).tolist()
+    # the R x B amplitudes after both effects
+    lines = [[0j] * n for _ in range(n)]
+    for j in range(n):
+        for k in range(n):
+            acc = 0j
+            for jj in range(n):
+                for kk in range(n):
+                    acc += e_r[j][jj] * f_b[k][kk] * resource[jj * n + kk]
+            lines[j][k] = acc
+    amplitudes = []
+    for u_m, weight in outcomes:
+        u_m = np.asarray(u_m, dtype=complex).tolist()
+        scale = np.sqrt(weight / n)
+        # Bell outcome amplitudes on A x R: sqrt(w/n) (u_m @ u0.T)[i, j]
+        bra = [[scale * sum(u_m[i][src] * u0[j][src] for src in range(n)) for j in range(n)] for i in range(n)]
+        raw = [
+            sum(bra[i][j].conjugate() * psi[i] * lines[j][k] for i in range(n) for j in range(n))
+            for k in range(n)
+        ]
+        amplitudes.append(np.array([sum(u_m[r][k] * raw[k] for k in range(n)) for r in range(n)]))
+    return amplitudes
+
+
 def brute_mirrored_basis(u0: np.ndarray, basis: np.ndarray) -> list[np.ndarray]:
     """Vectors ``e_l = conj(u0^+ b_l)`` of a projective tap in basis ``b_l``, entry by entry.
 

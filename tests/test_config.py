@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from teleportsim import cli
+from teleportsim import cli, config
 from teleportsim.config import ConfigError, load_config, parse_config
 from teleportsim.effects import Effect
 
@@ -354,9 +355,9 @@ def test_moderate_nesting_reads_as_written():
         parse_config("n: " + "[" * 300 + "]" * 300 + "\ninput: plus-uniform\n")
 
 
-# a level a line, besides the one-line form: PyYAML's scanner keeps every
-# "[" of a line as a possible key, so a one-line nesting takes about 1 s to
-# reach the composer's RecursionError at 1000 levels and more
+# a level a line, besides the one-line form: the composer runs out of
+# recursion on a nesting of a few hundred levels however it is written, and
+# a one-line nesting deeper than MAX_FLOW_DEPTH is refused by the scanner
 @pytest.mark.parametrize("opening", [
     pytest.param("[" * 600, id="600-one-line"),
     *(pytest.param("[\n" * depth, id=f"{depth}-a-level-a-line") for depth in (600, 1000, 20_000)),
@@ -369,6 +370,33 @@ def test_deep_nesting_exits_one_with_one_error_line(opening, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: document: nested too deeply to read\n"
+
+
+def test_a_deep_one_line_nesting_is_refused_at_the_flow_bound(monkeypatch):
+    # PyYAML's scanner rescans every pending "[" of a line for each token:
+    # past the bound it reads no further, where it would read on for about
+    # a thousand levels before the composer ran out of recursion
+    tokens = 0
+    fetch = config._ConfigLoader.fetch_more_tokens
+
+    def counted(loader):
+        nonlocal tokens
+        tokens += 1
+        fetch(loader)
+
+    monkeypatch.setattr(config._ConfigLoader, "fetch_more_tokens", counted)
+    with pytest.raises(ConfigError, match=r"^document: nested too deeply to read$"):
+        parse_config("n: " + "[" * 20_000 + "]" * 20_000 + "\ninput: plus-uniform\n")
+    # one token a level up to the bound, and the few before the nesting
+    assert config.MAX_FLOW_DEPTH < tokens <= config.MAX_FLOW_DEPTH + 4
+
+
+def test_a_json_config_with_an_explicit_bell_family_reads_within_the_flow_bound():
+    # six flow levels: the document, the family, an outcome, its matrix, a row and a pair
+    weyl = [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]], [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]],
+            [[[0, 0], [1, 0]], [[1, 0], [0, 0]]], [[[0, 0], [-1, 0]], [[1, 0], [0, 0]]]]
+    text = json.dumps({"n": 2, "input": "plus-uniform", "bell": [{"unitary": u} for u in weyl]})
+    assert parse_config(text).scenario.bell.labels == (0, 1, 2, 3)
 
 
 @pytest.mark.parametrize(

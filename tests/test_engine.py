@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from teleportsim.effects import (
 )
 from teleportsim.engine import (
     RouteMismatch,
+    ScenarioConfig,
     compare_routes,
     conditional_fidelities,
     expected_probability_sum,
@@ -568,12 +570,68 @@ def test_mirror_stack_is_the_branch_loop_bit_for_bit(dim, kind):
 
 
 def test_nan_in_a_directly_built_family_is_still_refused():
-    # construction bypasses admission, so only the mirror's finiteness check sees it
+    # construction bypasses admission, so the scenario's own finiteness
+    # check refuses it, on either line and however the scenario is built
     intact = strength_family(3, 0.5)
     broken = np.array(intact.operators)
     broken[1, 0, 2] = np.nan
-    config = make_scenario(3, uniform_state(3), effect_r=Effect(intact.labels, broken))
-    with pytest.raises(ValueError, match="matrix entries must be finite"):
-        engine.mirror_stack(config)
-    with pytest.raises(ValueError, match="matrix entries must be finite"):
-        list(transfer_stream(config))
+    family = Effect(intact.labels, broken)
+    clean = make_scenario(3, uniform_state(3))
+    for line in ("effect_r", "effect_b"):
+        for build in (
+            lambda: make_scenario(3, uniform_state(3), **{line: family}),
+            lambda: replace(clean, **{line: family}),
+            lambda: ScenarioConfig(3, uniform_state(3), make_bell_family(3), np.eye(3), **{line: family}),
+        ):
+            with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+                build()
+
+
+# one bad part each, as make_scenario's keyword, and the message every construction gives
+BAD_PARTS = {
+    "non-unitary u0": ("u0", np.ones((3, 3)), "u0 must be unitary"),
+    "u0 of another shape": ("u0", np.eye(2), r"u0 shape \(2, 2\) does not match dimension 3"),
+    "non-finite u0": ("u0", np.full((3, 3), np.inf), "matrix entries must be finite"),
+    "unnormalized input": ("input_state", 2 * uniform_state(3), r"state norm\^2 deviates from 1 by 3\.000e\+00"),
+    "input of another length": ("input_state", uniform_state(2), "input state dimension 2 does not match 3"),
+    "Bell family of another dimension": ("bell", make_bell_family(2), "Bell family dimension 2 does not match 3"),
+}
+
+
+@pytest.mark.parametrize("part", sorted(BAD_PARTS))
+def test_every_construction_runs_the_same_checks(part):
+    field, value, message = BAD_PARTS[part]
+    clean = make_scenario(3, uniform_state(3), u0=random_unitary(3, np.random.default_rng(4)))
+    parts = {"input_state": clean.input_state, "bell": clean.bell, "u0": clean.u0, field: value}
+    for build in (
+        lambda: make_scenario(3, **parts),
+        lambda: replace(clean, **{field: value}),
+        lambda: ScenarioConfig(3, **parts),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
+
+
+def test_a_dimension_below_two_is_refused_however_the_scenario_is_built():
+    clean = make_scenario(2, uniform_state(2))
+    for build in (
+        lambda: make_scenario(1, uniform_state(1)),
+        lambda: make_scenario(1, uniform_state(1), bell=clean.bell),
+        lambda: replace(clean, dim=1),
+    ):
+        with pytest.raises(ValueError, match="^dimension must be at least 2, got 1$"):
+            build()
+
+
+def test_a_scenario_never_aliases_a_writeable_array():
+    rng = np.random.default_rng(5)
+    state, u0 = random_state(3, rng), random_unitary(3, rng)
+    scenario = ScenarioConfig(3, state, make_bell_family(3), u0)
+    # a read-only view of a writeable array changes with it, so it is copied too
+    view = u0[:]
+    view.setflags(write=False)
+    viewed = replace(scenario, u0=view)
+    for held in (scenario.input_state, scenario.u0, viewed.u0):
+        assert not held.flags.writeable
+    state[0], u0[0, 0] = 7.0, 7.0
+    assert scenario.input_state[0] != 7.0 and scenario.u0[0, 0] != 7.0 and viewed.u0[0, 0] != 7.0

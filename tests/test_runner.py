@@ -47,6 +47,14 @@ def test_build_scenario_adds_the_tap_to_the_spec_scenario():
         runner.build_scenario(sweep)
 
 
+def test_a_spec_whose_scenario_has_a_non_unitary_u0_never_runs():
+    # the scenario refuses the u0 as it is built, so no table is written
+    stream = io.StringIO()
+    with pytest.raises(ValueError, match="^u0 must be unitary$"):
+        run_teleport(replace(SPEC, scenario=replace(SPEC.scenario, u0=np.ones((2, 2)))), stream)
+    assert stream.getvalue() == ""
+
+
 def refused(match: str, spec=SPEC) -> None:
     stream = io.StringIO()
     with pytest.raises(InvariantViolation, match=match):

@@ -7,7 +7,10 @@ expected numbers are frozen literals from the brute-force route in
 come from.  `test_random_tap_and_receiver_run_cleanly` draws whole valid
 config documents, tap and receiver optional, and runs each in process;
 `test_one_changed_field_exits_one_with_one_error_line` changes one field
-of such a document and requires the one error line that names it.
+of such a document and requires the one error line that names it, and
+`test_random_documents_give_the_brute_force_numbers` reads a drawn
+document's meaning from its field values and requires every number of
+its CSV from the brute-force loops.
 """
 from __future__ import annotations
 
@@ -27,11 +30,12 @@ from hypothesis import strategies as st
 from teleportsim import cli
 from teleportsim.config import parse_config
 from teleportsim.eavesdrop import analyze_eavesdropping, eavesdrop_operator
+from teleportsim.engine import NULL_BRANCH_EPS
 from teleportsim.linalg import FAMILY_TOL, hermiticity_deviation
 from teleportsim.runner import build_scenario
 from teleportsim.sampling import random_state, random_unitary
 
-from oracles import brute_strength_branch, brute_teleport, brute_weyl
+from oracles import brute_branches, brute_strength_branch, brute_strength_root, brute_teleport, brute_weyl
 
 HADAMARD_U0 = (
     "[[0.7071067811865476, 0.7071067811865476], [0.7071067811865476, -0.7071067811865476]]"
@@ -267,10 +271,11 @@ closure_defects = st.floats(min_value=-0.99 * FAMILY_TOL, max_value=0.99 * FAMIL
 
 
 @st.composite
-def document_fields(draw):
+def document_fields(draw, small: bool = False):
     """``(command, fields, merged, closure)``: the top-level fields of a valid ``teleport`` or ``sweep`` document.
 
-    n is 2 to 6, or 32 in one document in forty.  An explicit Bell
+    n is 2 to 6, or 32 in one document in forty; ``small`` cuts it to 2
+    to 4, where brute-force loops stay fast.  An explicit Bell
     family ``V W(a, b) V^+`` is drawn at n <= 4 only, as its parse cost
     grows with n^4; a Kraus receiver is a random isometry cut into one to
     three blocks.  Either may be scaled off closure by a factor within
@@ -284,7 +289,10 @@ def document_fields(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     # the seeded generator, not a draw, picks n = 32: Hypothesis would
     # draw a rare choice in bursts, and an n = 32 matrix takes 0.15 s to parse
-    n = 32 if rng.random() < 0.025 else draw(st.integers(2, 6))
+    if small:
+        n = draw(st.integers(2, 4))
+    else:
+        n = 32 if rng.random() < 0.025 else draw(st.integers(2, 6))
     fields = {"n": n, "input": draw(state_values(n, rng))}
     u0 = draw(st.sampled_from([None, "identity", "matrix"]))
     if u0 is not None:
@@ -468,28 +476,29 @@ def test_one_changed_field_exits_one_with_one_error_line(change):
 
 
 def brute_table(psi, u0, taps, bell, receivers) -> dict:
-    """Every row a ``teleport`` CSV holds, by `brute_teleport` loops.
+    """Every row a ``teleport`` CSV holds, by `brute_branches` loops.
 
     Keys are ``(record, l, m, branch)`` as the CSV labels a row, values
-    ``(probability, fidelity)``, fidelity None where the row has none.
-    ``taps`` are the tap's branch operators, ``bell`` the ``(label,
-    unitary)`` outcomes at unit weight and ``receivers`` the receiver's
-    Kraus operators, one unlabeled branch when alone.
+    ``(probability, fidelity)``, fidelity None where the row has none or
+    the branch is null.  ``taps`` are the tap's ``(label, operator)``
+    branches, ``[(None, identity)]`` for no tap, which has no ``p_l``
+    rows; ``bell`` the ``(label, unitary, weight)`` outcomes and
+    ``receivers`` the receiver's ``(label, operator)`` branches.
     """
-    n = len(psi)
+    outcomes = [(unitary, weight) for _, unitary, weight in bell]
     rows, p_l, p_m, fidelity = {}, {}, {}, 0.0
-    for l, e_r in enumerate(taps):
-        for b, f_b in enumerate(receivers):
-            branch = None if len(receivers) == 1 else b
-            for m, u_m in bell:
-                amp = brute_teleport(n, psi, u0, e_r, f_b, u_m)
+    for l, e_r in taps:
+        for b, f_b in receivers:
+            for (m, _, _), amp in zip(bell, brute_branches(psi, u0, e_r, f_b, outcomes)):
                 probability = float(np.vdot(amp, amp).real)
                 overlap = abs(np.vdot(psi, amp)) ** 2
-                rows[("outcome", l, m, branch)] = (probability, overlap / probability)
+                live = probability >= NULL_BRANCH_EPS
+                rows[("outcome", l, m, b)] = (probability, overlap / probability if live else None)
                 p_l[l] = p_l.get(l, 0.0) + probability
                 p_m[m] = p_m.get(m, 0.0) + probability
                 fidelity += overlap
-    rows.update({("p_l", l, None, None): (p, None) for l, p in p_l.items()})
+    if taps[0][0] is not None:
+        rows.update({("p_l", l, None, None): (p, None) for l, p in p_l.items()})
     rows.update({("p_m", None, m, None): (p, None) for m, p in p_m.items()})
     rows[("total", None, None, None)] = (sum(p_l.values()), fidelity)
     return rows
@@ -534,9 +543,9 @@ def test_written_u0_and_kraus_receiver_act_on_column_vectors_as_written():
     )
     code, rows = run_cli("teleport", text)
     assert code == 0
-    taps = [brute_strength_branch(2, 0.5, l, fourier(2)) for l in range(2)]
-    bell = [((a, b), brute_weyl(2, a, b)) for a in range(2) for b in range(2)]
-    assert_rows_match(csv_table(rows), brute_table(INPUT, u0, taps, bell, kraus))
+    taps = [(l, brute_strength_branch(2, 0.5, l, fourier(2))) for l in range(2)]
+    bell = [((a, b), brute_weyl(2, a, b), 1.0) for a in range(2) for b in range(2)]
+    assert_rows_match(csv_table(rows), brute_table(INPUT, u0, taps, bell, list(enumerate(kraus))))
 
 
 def test_written_bell_unitaries_act_on_column_vectors_as_written():
@@ -553,7 +562,86 @@ def test_written_bell_unitaries_act_on_column_vectors_as_written():
     )
     code, rows = run_cli("teleport", text)
     assert code == 0
-    taps = [brute_strength_branch(3, 0.5, l, fourier(3)) for l in range(3)]
-    expected = brute_table(psi, np.eye(3, dtype=complex), taps, list(enumerate(unitaries)),
-                           [np.eye(3, dtype=complex)])
+    taps = [(l, brute_strength_branch(3, 0.5, l, fourier(3))) for l in range(3)]
+    expected = brute_table(psi, np.eye(3, dtype=complex), taps, [(i, u, 1.0) for i, u in enumerate(unitaries)],
+                           [(None, np.eye(3, dtype=complex))])
     assert_rows_match(csv_table(rows), expected)
+
+
+def test_brute_branches_are_brute_teleport():
+    # the semantics test reads brute_branches and brute_strength_root: both
+    # must be the first-principles loops they stand in for
+    rng = np.random.default_rng(21)
+    psi, u0, v = random_state(3, rng), random_unitary(3, rng), random_unitary(3, rng)
+    tap = brute_strength_root(3, 0.4, 1, v)
+    assert np.max(np.abs(tap - brute_strength_branch(3, 0.4, 1, v))) < 1e-13
+    receiver = 0.8 * random_unitary(3, rng)
+    outcomes = [(v @ brute_weyl(3, a, b), 1.25) for a in range(3) for b in range(3)]
+    for amp, (unitary, weight) in zip(brute_branches(psi, u0, tap, receiver, outcomes), outcomes, strict=True):
+        assert np.max(np.abs(amp - brute_teleport(3, psi, u0, tap, receiver, unitary, weight))) < 1e-15
+
+
+def drawn_state(value: object, n: int) -> np.ndarray:
+    """The unit state a drawn state field means, each form as the README defines it."""
+    if value == "plus-uniform":
+        return np.full(n, 1 / np.sqrt(n), dtype=complex)
+    if isinstance(value, str):
+        form, number = value.split(":")
+        if form == "basis":
+            return np.eye(n, dtype=complex)[int(number)]
+        return random_state(n, np.random.default_rng(int(number)))
+    amplitudes = np.array([complex(*a) if isinstance(a, list) else complex(a) for a in value])
+    # scaled to its largest entry first, so a subnormal or huge list keeps its
+    # digits; as floats, since a complex division by a subnormal overflows
+    amplitudes = (amplitudes.view(float) / np.max(np.abs(amplitudes))).view(complex)
+    return amplitudes / np.linalg.norm(amplitudes)
+
+
+def drawn_matrix(rows: list) -> np.ndarray:
+    return np.array([[complex(*entry) for entry in row] for row in rows])
+
+
+def strength_taps(n: int, theta: float, basis: np.ndarray) -> list:
+    return [(l, brute_strength_root(n, theta, l, basis)) for l in range(n)]
+
+
+@given(document_fields(small=True))
+@settings(max_examples=20, deadline=None)
+def test_random_documents_give_the_brute_force_numbers(drawn):
+    # the scenario is read from the drawn field values, not from the parser,
+    # so a parser that misreads a matrix fails here even where both routes agree
+    command, fields, merged, _ = drawn
+    code, out, err = run_in_process(command, render(fields, merged))
+    assert code == 0, err
+    rows = list(csv.reader(io.StringIO(out)))
+    n = fields["n"]
+    identity = np.eye(n, dtype=complex)
+    psi = drawn_state(fields["input"], n)
+    u0 = drawn_matrix(fields["u0"]) if isinstance(fields.get("u0"), list) else identity
+    if isinstance(fields.get("bell"), list):
+        bell = [(i, drawn_matrix(o["unitary"]), float(o.get("weight", 1))) for i, o in enumerate(fields["bell"])]
+    else:
+        bell = [((a, b), brute_weyl(n, a, b), 1.0) for a in range(n) for b in range(n)]
+    receiver = fields.get("effect_b", {})
+    if "kraus" in receiver:
+        receivers = list(enumerate(map(drawn_matrix, receiver["kraus"])))
+    else:
+        receivers = [(None, drawn_matrix(receiver["unitary"]) if "unitary" in receiver else identity)]
+    tap = fields.get("eavesdrop", {})
+    written = tap.get("basis")
+    basis = drawn_matrix(written) if isinstance(written, list) else fourier(n) if written == "fourier" else identity
+    if command == "teleport":
+        taps = strength_taps(n, tap["theta"], basis) if "theta" in tap else [(None, identity)]
+        assert_rows_match(csv_table(rows), brute_table(psi, u0, taps, bell, receivers))
+        return
+    start, stop, steps = tap["theta_sweep"]
+    pair = [drawn_state(state, n) for state in fields.get("distinguish", ["basis:0", "basis:1"])]
+    assert rows[0] == ["theta", "total_fidelity", "distinguishability"]
+    assert len(rows) == steps + 1
+    for row, theta in zip(rows[1:], np.linspace(start, stop, steps)):
+        taps = strength_taps(n, theta, basis)
+        fidelity = brute_table(psi, u0, taps, bell, receivers)[("total", None, None, None)][1]
+        # the column is the tap's alone: a closed receiver leaves its cells as they are
+        cells = [brute_table(state, u0, taps, bell, [(None, identity)]) for state in pair]
+        advantage = 0.25 * sum(abs(p - cells[1][key][0]) for key, (p, _) in cells[0].items() if key[0] == "outcome")
+        assert [float(cell) for cell in row] == pytest.approx([theta, fidelity, advantage], abs=CSV_TOL)
