@@ -25,7 +25,6 @@ from .eavesdrop import (
 from .effects import (
     Effect,
     kraus_mixture,
-    make_measurement_family,
     strength_family,
     unitary_effect,
 )
@@ -36,7 +35,6 @@ from .engine import (
     TeleportRecord,
     fast_run,
     make_scenario,
-    mirror_stack,
     oracle_blocks,
     oracle_bra,
     run_oracle,
@@ -71,10 +69,8 @@ __all__ = [
     "fast_run",
     "kraus_mixture",
     "make_bell_family",
-    "make_measurement_family",
     "make_scenario",
     "mirror_operator",
-    "mirror_stack",
     "oracle_blocks",
     "oracle_bra",
     "random_state",

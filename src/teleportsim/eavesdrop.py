@@ -7,12 +7,12 @@ question about it reduces to the branch operators ``P(l, m)``, which act
 on the input alone: they are the transfer operators of the tap, so every
 quantity here is a reduction of `teleportsim.engine.transfer_kernel`
 over the family's outcome stack.
-A quantity of the tap alone hands the kernel the tap's
-`teleportsim.engine.mirror_stack` itself as its operator stack, one
-operator per tap branch, so no receiver branch enters it.  The stack is
-built once per scenario here; `distinguishability` takes it as a value,
-so a sweep builds it once per tap strength for the point's route pass
-and for it.
+A quantity of the tap alone hands the kernel the scenario's mirror stack,
+`teleportsim.engine.ScenarioConfig.mirrors`, itself as its operator
+stack, one operator per tap branch, so no receiver branch enters it.
+The scenario builds the stack once, on its first read, and every
+quantity here reads it from there; `distinguishability` takes it as a
+value, so a sweep point's route pass and distinguishability share one.
 `tap_operators` alone builds the ``P(l, m)`` as matrices, the kernel on
 the basis, for verify's Hermiticity check and, on the family cut to one
 outcome, for `eavesdrop_operator`.  `analyze_eavesdropping` is
@@ -41,7 +41,6 @@ from .engine import (
     EavesdropReport,
     ScenarioConfig,
     fast_run,
-    mirror_stack,
     reduce_stream,
     tap_report,
     transfer_kernel,
@@ -65,7 +64,7 @@ def tap_operators(config: ScenarioConfig) -> Iterator[tuple[int | str | None, np
     for every outcome at once; ``U(m)`` is applied to the whole stack.
     """
     rows = transfer_rows(config, np.eye(config.dim))
-    for l, columns in zip(config.effect_r.labels, transfer_kernel(rows, mirror_stack(config)), strict=True):
+    for l, columns in zip(config.effect_r.labels, transfer_kernel(rows, config.mirrors), strict=True):
         yield l, config.bell.unitaries @ columns.transpose(0, 2, 1)
 
 
@@ -95,7 +94,7 @@ def expected_marginal_l(effect: Effect) -> dict[int | str, float]:
 def analyze_eavesdropping(config: ScenarioConfig) -> EavesdropReport:
     """Build the full per-branch report for one tapped scenario: `tap_report` over `fast_run`."""
     psi = np.asarray(config.input_state)
-    blocks = fast_run(config, transfer_rows(config, psi[None]), mirror_stack(config))
+    blocks = fast_run(config, transfer_rows(config, psi[None]))
     return tap_report(config, *reduce_stream(blocks, apply_each_inverse(config.bell.unitaries, psi)))
 
 
@@ -112,7 +111,7 @@ def sequential_decomposition_check(config: ScenarioConfig) -> DecompositionRepor
     would signal.  The receiver effect is not part of either form.
     """
     target = np.eye(config.dim) / config.dim
-    mirrors = mirror_stack(config)
+    mirrors = config.mirrors
     rows = transfer_rows(config, np.asarray(config.input_state)[None])
     branch_sum = sum(amps[:, 0].T @ amps[:, 0].conj() for amps in transfer_kernel(rows, mirrors))
     grouped_sum = sum(mirrored @ target @ dagger(mirrored) for mirrored in mirrors)
@@ -127,12 +126,13 @@ def distinguishability(rows: np.ndarray, mirrors: np.ndarray) -> float:
 
     ``rows`` is `teleportsim.engine.transfer_rows` of the ``(2, n)`` pair
     of inputs; it reads no effect, so a sweep builds it once for every
-    tap strength; ``mirrors`` is `teleportsim.engine.mirror_stack`.  The
-    advantage over a fair coin when identifying which of two equiprobable
-    inputs produced one joint ``(l, m)`` sample: half the total-variation
-    distance between the probability tables of ``|P(l, m) psi|^2``.  A
-    receiver effect closes over its branches and leaves these cell
-    probabilities unchanged.
+    tap strength; ``mirrors`` is the tapped scenario's mirror stack,
+    `teleportsim.engine.ScenarioConfig.mirrors`.  The advantage over a
+    fair coin when identifying which of two equiprobable inputs produced
+    one joint ``(l, m)`` sample: half the total-variation distance
+    between the probability tables of ``|P(l, m) psi|^2``.  A receiver
+    effect closes over its branches and leaves these cell probabilities
+    unchanged.
     """
     # row (l, m) holds the cell probability of each input, tap label major
     cells = np.concatenate([norms_squared(amps) for amps in transfer_kernel(rows, mirrors)])

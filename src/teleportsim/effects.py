@@ -1,13 +1,14 @@
-"""Channel effects: unitaries, Kraus mixtures, measurement families.
+"""Channel effects: unitaries, Kraus mixtures and strength taps.
 
 An effect is anything inserted on the reference or receiver line of the
 shared resource, and every effect is an `Effect`: a label tuple and one
 read-only ``(L, n, n)`` stack of branch operators, one per label.  A
-unitary is one branch, a Kraus mixture one branch per Kraus operator.
-Measurement families model a tap of tunable strength; their branches are
-Hermitian PSD operators whose squares sum to identity, so branch
-probabilities close without renormalization.  Kraus mixtures and
-measurement families are admitted on the same sum, `linalg.closure`.
+unitary is one branch, labeled ``None``; an explicit branch list, a Kraus
+mixture or a measurement, one branch per operator, labeled by position.
+Every explicit branch list is admitted by `kraus_mixture`, on its
+`linalg.closure` ``sum_k K_k^+ K_k = 1``, so branch probabilities close
+without renormalization.  `strength_family` builds the tap of tunable
+strength, Hermitian PSD branches whose squares sum to identity.
 """
 from __future__ import annotations
 
@@ -16,16 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import (
-    FAMILY_TOL,
-    as_complex_matrix,
-    closure,
-    frozen_complex_array,
-    hermiticity_deviation,
-    is_unitary,
-)
-
-PSD_CLAMP = 1e-10
+from .linalg import FAMILY_TOL, as_complex_matrix, closure, frozen_complex_array, is_unitary
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,9 +25,9 @@ class Effect:
     """A channel effect as its branch stack: ``operators[l]`` is branch ``labels[l]``.
 
     ``operators`` is one read-only complex ``(L, n, n)`` array.  Built
-    through `unitary_effect`, `kraus_mixture`, `make_measurement_family`
-    or `strength_family`, all of which admit it; direct construction
-    skips admission.
+    through `unitary_effect`, `kraus_mixture` or `strength_family`, all of
+    which admit it; direct construction skips admission and takes any
+    labels.
     """
 
     labels: tuple[int | str | None, ...]
@@ -46,19 +38,20 @@ class Effect:
         return self.operators.shape[-1]
 
 
-def unitary_effect(matrix: np.ndarray, label: int | str | None = None) -> Effect:
-    """Wrap a unitary as a single-branch channel effect."""
+def unitary_effect(matrix: np.ndarray) -> Effect:
+    """Wrap a unitary as a single-branch channel effect, labeled ``None``."""
     matrix = as_complex_matrix(matrix)
     if not is_unitary(matrix):
         raise ValueError("effect matrix is not unitary")
-    return Effect((label,), frozen_complex_array(matrix[None]))
+    return Effect((None,), frozen_complex_array(matrix[None]))
 
 
 def kraus_mixture(matrices: Sequence[np.ndarray]) -> Effect:
-    """Admit a Kraus decomposition as one branch per operator, labeled by position.
+    """Admit an explicit branch list as one branch per operator, labeled by position.
 
-    Requires ``sum_k K_k^+ K_k = 1`` so that branch probabilities sum to
-    one for every input.
+    Any closed list: a Kraus decomposition of a noise channel, or the
+    branches of a measurement.  Requires ``sum_k K_k^+ K_k = 1`` so that
+    branch probabilities sum to one for every input.
     """
     if len(matrices) == 0:
         raise ValueError("Kraus list must not be empty")
@@ -74,47 +67,6 @@ def kraus_mixture(matrices: Sequence[np.ndarray]) -> Effect:
             f"Kraus operators do not resolve the identity: deviation {deviation:.3e}"
         )
     return effect
-
-
-def make_measurement_family(
-    matrices: Sequence[np.ndarray],
-    labels: Sequence[int | str] | None = None,
-) -> Effect:
-    """Admit explicit branch operators ``E(l)`` as a measurement family.
-
-    A measurement family is a minimal back-action measurement: Hermitian
-    PSD branches ``E(l)`` with ``sum E^2 = 1``.
-    """
-    if len(matrices) == 0:
-        raise ValueError("measurement family must have at least one branch")
-    mats = [as_complex_matrix(m) for m in matrices]
-    dim = mats[0].shape[0]
-    if labels is None:
-        labels = list(range(len(mats)))
-    if len(labels) != len(mats):
-        raise ValueError(f"{len(labels)} labels for {len(mats)} branches")
-    seen = set()
-    for label, mat in zip(labels, mats):
-        if label in seen:
-            raise ValueError(f"duplicate branch label {label!r}")
-        seen.add(label)
-        if mat.shape != (dim, dim):
-            raise ValueError(f"branch {label!r} has shape {mat.shape}, expected ({dim}, {dim})")
-        herm = hermiticity_deviation(mat)
-        if herm > FAMILY_TOL:
-            raise ValueError(f"branch {label!r} is not Hermitian (deviation {herm:.3e})")
-        min_eig = float(np.linalg.eigvalsh((mat + mat.conj().T) / 2).min())
-        if min_eig < -PSD_CLAMP:
-            raise ValueError(
-                f"branch {label!r} is not positive semidefinite (eigenvalue {min_eig:.3e})"
-            )
-    family = Effect(tuple(labels), frozen_complex_array(mats))
-    deviation = family_completeness_deviation(family)
-    if deviation > FAMILY_TOL:
-        raise ValueError(
-            f"branch squares do not sum to identity: deviation {deviation:.3e} exceeds {FAMILY_TOL:.1e}"
-        )
-    return family
 
 
 def strength_family(

@@ -11,7 +11,7 @@ on the input alone, through `transfer_kernel`, the one place the transfer
 formula is written: it runs the input rows through a ``(K, n, n)``
 operator stack, for `fast_run` the channel ``F_b (u0^-1 E_l u0)^T`` of
 every branch pair, and for every tap quantity and branch operator in
-`teleportsim.eavesdrop` the tap's `mirror_stack` alone.  A
+`teleportsim.eavesdrop` the scenario's mirror stack alone.  A
 `ScenarioConfig` holds each line as its `Effect` branch stack, an
 undisturbed line as one identity branch labeled ``None``, so both routes
 read ``config.effect_r`` and ``config.effect_b`` directly and pair their
@@ -24,26 +24,27 @@ half as a value, so a caller that varies an effect builds it once:
 Bell bras `_BRA_CHUNK` outcomes at a time and contracted with the input
 over the sender index, since the state is a product across A | RB;
 `transfer_rows` is the kernel's ``sqrt(w)/n U(m)^-1`` applied to its
-inputs.  Neither route reads the other's half.  The kernel takes its tap
-half as a value too: `mirror_stack` is every reference branch's
-``(u0^-1 E_l u0)^T`` as one ``(L, n, n)`` stack, built once per tap
-strength and shared by every kernel pass at it.  Beyond its half the
-oracle makes one ``(M, n) @ (n, n)`` product with the disturbed resource
-per branch pair, and holds neither an n**3 state nor the ``(M, n**2)``
-bra stack.
+inputs.  Neither route reads the other's half.  The kernel's tap half
+belongs to the scenario: `ScenarioConfig.mirrors` is every reference
+branch's ``(u0^-1 E_l u0)^T`` as one ``(L, n, n)`` stack, the one place
+that formula is written, built on its first read and shared by every
+kernel pass over that scenario; the oracle never reads it.  Beyond its
+half the oracle makes one ``(M, n) @ (n, n)`` product with the disturbed
+resource per branch pair, and holds neither an n**3 state nor the
+``(M, n**2)`` bra stack.
 
 `reduce_stream` reduces one stream, block by block, to its ``(K, M)``
-squared norms and squared overlaps, each one `np.vecdot` over the block;
-`compare_routes` zips the two streams, reduces both alike and measures
-every branch's 2-norm amplitude deviation, so a caller holds a few
-blocks and the ``(K, M)`` reductions, never a table; streams that differ
-in block count or in a block's shape raise `RouteMismatch`.  Its one
-caller is `route_pass`, the one pass over both routes that the run
-drivers and the verification suite read: it takes `fixed_half`, what no
-tap strength changes, and `tap_report` sums each route's ``(K, M)``
-arrays into the tap's ``(L, M)`` cells of an `EavesdropReport`.  The
-pass returns every deviation between the routes in one ordered record
-of named arrays, `RoutePass.deviations` (``amplitude``, ``probability``,
+squared norms and squared overlaps, each one `np.vecdot` over the block.
+`route_pass` is the one pass over both routes that the run drivers and
+the verification suite read: it zips the two streams, reduces both alike
+and measures every branch's 2-norm amplitude deviation, so it holds a
+few blocks and the ``(K, M)`` reductions, never a table; streams that
+differ in block count or in a block's shape raise `RouteMismatch`.  It
+takes `fixed_half`, what no tap strength changes, and refuses one built
+for another scenario; `tap_report` sums each route's ``(K, M)`` arrays
+into the tap's ``(L, M)`` cells of an `EavesdropReport`.  The pass
+returns every deviation between the routes in one ordered record of
+named arrays, `RoutePass.deviations` (``amplitude``, ``probability``,
 ``cell``, ``total-fidelity`` and ``probability-sum``), instead of
 raising, and each caller reads it by name and decides what fails.
 `expected_probability_sum` gives the oracle's probability sum in closed
@@ -57,6 +58,7 @@ tests whose subject is the table.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import zip_longest
 from types import MappingProxyType
 from typing import Iterator, Mapping
@@ -111,6 +113,7 @@ class ScenarioConfig:
     other is copied, so a scenario never aliases a caller's writeable
     array.  Closure of an effect and completeness of a Bell family are
     checked when they are admitted, by their factories, not here.
+    `mirrors` is the reference effect's mirror stack, built on first read.
     """
 
     dim: int
@@ -150,6 +153,18 @@ class ScenarioConfig:
                 )
             elif not np.all(np.isfinite(effect.operators)):
                 raise ValueError("matrix entries must be finite")
+
+    @cached_property
+    def mirrors(self) -> np.ndarray:
+        """Every reference branch's mirror ``(u0^-1 E_l u0)^T``, one read-only ``(L, n, n)`` stack.
+
+        Built on the first read and kept: the scenario is frozen, and
+        `dataclasses.replace` makes a new one, which builds its own.
+        """
+        stack = dagger(self.u0) @ self.effect_r.operators @ self.u0
+        mirrors = stack.transpose(0, 2, 1).copy()
+        mirrors.setflags(write=False)
+        return mirrors
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -335,17 +350,6 @@ def transfer_rows(config: ScenarioConfig, inputs: np.ndarray) -> np.ndarray:
     return rows
 
 
-def mirror_stack(config: ScenarioConfig) -> np.ndarray:
-    """Every reference branch's ``(u0^-1 E_l u0)^T``, one read-only ``(L, n, n)`` stack.
-
-    It checks nothing: `ScenarioConfig` holds finite effects and a unitary ``u0``.
-    """
-    stack = dagger(config.u0) @ config.effect_r.operators @ config.u0
-    mirrors = stack.transpose(0, 2, 1).copy()
-    mirrors.setflags(write=False)
-    return mirrors
-
-
 def transfer_kernel(rows: np.ndarray, operators: np.ndarray) -> Iterator[np.ndarray]:
     """Yield ``amps`` for each ``(n, n)`` operator ``X`` of the ``(K, n, n)`` stack, in stack order.
 
@@ -353,28 +357,28 @@ def transfer_kernel(rows: np.ndarray, operators: np.ndarray) -> Iterator[np.ndar
     rows[m, k]``, ``sqrt(w)/dim X U(m)^-1 inputs[k]``.  With ``X`` a channel ``F_b (u0^-1 E_l u0)^T``, as
     `fast_run` builds them, that is the transfer operator of outcome
     ``m`` short of its leading ``U(m)``, the correction, which callers
-    move onto the state.  For the tap alone, pass `mirror_stack` itself:
-    the rows are then ``U(m)^-1 P(l, m)`` applied to each input, one
-    reference branch after another.
+    move onto the state.  For the tap alone, pass
+    `ScenarioConfig.mirrors` itself: the rows are then ``U(m)^-1 P(l,
+    m)`` applied to each input, one reference branch after another.
     """
     flat = rows.reshape(-1, rows.shape[-1])
     for operator in operators:
         yield (flat @ operator.T).reshape(rows.shape)
 
 
-def fast_run(config: ScenarioConfig, rows: np.ndarray, mirrors: np.ndarray) -> BlockStream:
+def fast_run(config: ScenarioConfig, rows: np.ndarray) -> BlockStream:
     """Stream the transfer route's ``(M, n)`` blocks through the kernel, in `branch_keys` order.
 
     ``rows`` is `transfer_rows` of the scenario's input alone, ``(M, 1,
-    n)``, and ``mirrors`` its `mirror_stack`.  The kernel runs through
-    the channel ``F_b (u0^-1 E_l u0)^T`` of every branch pair, built one
-    reference branch at a time as one batched product of the receiver's
-    stack with its mirror: the whole ``(L*B, n, n)`` stack would copy the
+    n)``.  The kernel runs through the channel ``F_b (u0^-1 E_l u0)^T``
+    of every branch pair, built one reference branch at a time as one
+    batched product of the receiver's stack with its mirror from
+    ``config.mirrors``: the whole ``(L*B, n, n)`` stack would copy the
     mirror stack again for an undisturbed receiver.  Each block holds
     the outputs before the receiver's correction, as `oracle_blocks`
     yields them; only one block is held at a time.
     """
-    channels = (c for mirror in mirrors for c in config.effect_b.operators @ mirror)
+    channels = (c for mirror in config.mirrors for c in config.effect_b.operators @ mirror)
     for amps in transfer_kernel(rows, channels):
         yield amps[:, 0]
 
@@ -392,45 +396,10 @@ def reduce_stream(blocks: BlockStream, kets: np.ndarray) -> tuple[np.ndarray, np
 class RouteMismatch(ValueError):
     """A route lost, gained or reshaped a block.
 
-    Two route streams differ in the block count or in a block's shape, or
-    one route's ``(K, M)`` reductions hold another row count than
-    `branch_keys` has keys (checked by `tap_report`).
+    The two streams of `route_pass` differ in the block count or in a
+    block's shape, or one route's ``(K, M)`` reductions hold another row
+    count than `branch_keys` has keys (checked by `tap_report`).
     """
-
-
-def compare_routes(
-    oracle: BlockStream, transfer: BlockStream, kets: np.ndarray
-) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray], np.ndarray]:
-    """Zip two route streams and reduce both alike, block by block as they arrive.
-
-    Returns both routes' ``(K, M)`` squared norms, both routes' ``(K, M)``
-    `overlaps_squared` with ``kets``, oracle first, and the ``(K, M)``
-    amplitude deviation of every branch, the 2-norm of the difference of
-    its two outputs; row ``k`` is branch pair ``branch_keys(config)[k]``.
-    The correction is unitary, so comparing uncorrected blocks gives the
-    corrected 2-norm deviation identically, and the 2-norm bounds every
-    entry's deviation.  Streams that differ in block count or in a
-    block's shape raise `RouteMismatch` at the first block they differ
-    on, naming its index and what each route had there: a shape, or
-    ``None`` past the end of the stream.  The message says "oracle" for
-    ``oracle`` and "transfer" for ``transfer``.  Deviations are measured,
-    never judged: `route_pass`, the one caller, returns them and its
-    callers decide what fails.
-    """
-    norms: tuple[list, list] = ([], [])
-    overlaps: tuple[list, list] = ([], [])
-    amplitude = []
-    # no enumerate: its reused result tuple would hold the last pair while the next is built
-    for pair in zip_longest(oracle, transfer):
-        first, second = (None if block is None else block.shape for block in pair)
-        if first != second:
-            raise RouteMismatch(f"block {len(amplitude)}: oracle {first} vs transfer {second}")
-        for side, block in enumerate(pair):
-            norms[side].append(norms_squared(block))
-            overlaps[side].append(overlaps_squared(block, kets))
-        amplitude.append(np.sqrt(norms_squared(pair[0] - pair[1])))
-        del pair, block  # neither route builds its next block while this pair is held
-    return tuple(map(np.array, norms)), tuple(map(np.array, overlaps)), np.array(amplitude)
 
 
 @dataclass(frozen=True, eq=False)
@@ -505,8 +474,12 @@ class FixedHalf:
     ``kets``, row ``m`` ``U(m)^-1 psi``, reduce both routes' blocks.
     ``gram`` (``bra^+ bra``) and ``marginal`` (`reference_marginal`) are
     what `expected_probability_sum` needs beside the reference effect.
+    ``scenario`` is the scenario they were built from: `route_pass` runs
+    them only on a scenario that shares its input, Bell family, ``u0``
+    and receiver effect.
     """
 
+    scenario: ScenarioConfig
     bra: np.ndarray  # (M, n)
     rows: np.ndarray  # (M, 1, n)
     kets: np.ndarray  # (M, n)
@@ -527,6 +500,7 @@ def fixed_half(scenario: ScenarioConfig) -> FixedHalf:
     rows = kets[:, None] * (np.sqrt(bell.weights) / scenario.dim)[:, None, None]
     rows.setflags(write=False)
     return FixedHalf(
+        scenario=scenario,
         bra=bra,
         rows=rows,
         kets=kets,
@@ -567,33 +541,55 @@ class RoutePass:
             array.setflags(write=False)
 
 
-def route_pass(scenario: ScenarioConfig, fixed: FixedHalf, mirrors: np.ndarray) -> RoutePass:
+def route_pass(scenario: ScenarioConfig, fixed: FixedHalf) -> RoutePass:
     """Zip the oracle stream with `fast_run` once and measure every deviation between the routes.
 
     ``fixed`` is `fixed_half` of a scenario that differs from this one in
-    the tap at most, ``mirrors`` this one's `mirror_stack`.  Nothing is
-    checked here, so routes that disagree still return their deviations
-    and the caller decides what fails.  Only streams that differ in
-    block count or in a block's shape raise, `RouteMismatch`: they have
-    no deviation to return.
+    the reference effect at most, as `dataclasses.replace` of that effect
+    keeps every other part: one whose input, Bell family, ``u0`` or
+    receiver effect is another object raises ``ValueError``.  Both
+    streams are reduced alike, block by block as they arrive, to ``(K,
+    M)`` squared norms and `overlaps_squared` with the kets, and each
+    branch's amplitude deviation is the 2-norm of the difference of its
+    two outputs.  The
+    correction is unitary, so comparing uncorrected blocks gives the
+    corrected 2-norm deviation identically, and the 2-norm bounds every
+    entry's deviation.  Nothing is judged here, so routes that disagree
+    still return their deviations and the caller decides what fails.
+    Only streams that differ in block count or in a block's shape raise,
+    `RouteMismatch`, at the first block they differ on, naming its index
+    and what each route had there: a shape, or ``None`` past the end of
+    the stream.  They have no deviation to return.
     """
-    norms, overlaps, amplitude = compare_routes(
-        oracle_blocks(scenario, fixed.bra), fast_run(scenario, fixed.rows, mirrors), fixed.kets
-    )
-    tap = tap_report(scenario, norms[0], overlaps[0])
-    transfer_tap = tap_report(scenario, norms[1], overlaps[1])
-    probability_sum = float(norms[0].sum())
+    for part in ("input_state", "bell", "u0", "effect_b"):
+        if getattr(fixed.scenario, part) is not getattr(scenario, part):
+            raise ValueError(f"fixed half was built for another scenario: its {part} differs")
+    # per block pair: both routes' squared norms, both routes' squared overlaps, the amplitude deviation
+    rows = []
+    # no enumerate: its reused result tuple would hold the last pair while the next is built
+    for pair in zip_longest(oracle_blocks(scenario, fixed.bra), fast_run(scenario, fixed.rows)):
+        first, second = (None if block is None else block.shape for block in pair)
+        if first != second:
+            raise RouteMismatch(f"block {len(rows)}: oracle {first} vs transfer {second}")
+        rows.append((*map(norms_squared, pair), *(overlaps_squared(block, fixed.kets) for block in pair),
+                     np.sqrt(norms_squared(pair[0] - pair[1]))))
+        del pair  # neither route builds its next block while this pair is held
+    probabilities, transfer_norms, overlaps_sq, transfer_overlaps, amplitude = map(np.array, zip(*rows))
+    del rows  # each block's rows, now stacked
+    tap = tap_report(scenario, probabilities, overlaps_sq)
+    transfer_tap = tap_report(scenario, transfer_norms, transfer_overlaps)
+    probability_sum = float(probabilities.sum())
     expected_sum = expected_probability_sum(scenario, fixed.gram, fixed.marginal)
     return RoutePass(
         keys=branch_keys(scenario),
-        probabilities=norms[0],
-        overlaps=overlaps[0],
+        probabilities=probabilities,
+        overlaps=overlaps_sq,
         tap=tap,
         probability_sum=probability_sum,
         expected_sum=expected_sum,
         deviations=MappingProxyType({
             "amplitude": amplitude,
-            "probability": np.abs(norms[0] - norms[1]),
+            "probability": np.abs(probabilities - transfer_norms),
             "cell": np.abs(transfer_tap.probabilities - tap.probabilities),
             "total-fidelity": np.array(abs(transfer_tap.total_fidelity - tap.total_fidelity)),
             "probability-sum": np.array(abs(probability_sum - expected_sum)),

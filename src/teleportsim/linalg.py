@@ -16,8 +16,7 @@ import numpy as np
 
 DEFAULT_TOL = 1e-10
 
-# admission tolerance of Bell outcome families, measurement families and
-# Kraus mixtures
+# admission tolerance of Bell outcome families and Kraus mixtures
 FAMILY_TOL = 1e-9
 
 STATE_NORM_TOL = 1e-12
@@ -108,12 +107,6 @@ def norms_squared(vecs: np.ndarray) -> np.ndarray:
         # only a contiguous last axis has a float view: a strided one is copied
         vecs = (vecs if vecs.strides[-1] == vecs.itemsize else vecs.copy()).view(vecs.real.dtype)
     return np.vecdot(vecs, vecs)
-
-
-def hermiticity_deviation(mat: np.ndarray) -> float:
-    """Largest entrywise deviation of ``mat`` from its conjugate transpose."""
-    mat = np.asarray(mat, dtype=complex)
-    return float(np.max(np.abs(mat - mat.conj().T)))
 
 
 def is_unitary(mat: np.ndarray) -> bool:

@@ -3,10 +3,10 @@
 Every branch is computed twice: once through the transfer kernel and once
 through the full-state oracle.  Both routes, their comparison and the
 tap cells live in `teleportsim.engine`: `route_pass` zips the two
-streams once, `compare_routes` reduces both alike to ``(K, M)`` squared
-norms and overlaps and measures the 2-norm amplitude deviation of every
-branch, and `tap_report` sums each route's arrays into the tap's
-``(L, M)`` cells.  The pass keeps only those reductions, never a table
+streams once, reduces both alike to ``(K, M)`` squared norms and
+overlaps and measures the 2-norm amplitude deviation of every branch,
+and `tap_report` sums each route's arrays into the tap's ``(L, M)``
+cells.  The pass keeps only those reductions, never a table
 of blocks, and returns every deviation between the routes as a value
 instead of raising, in the one named record `RoutePass.deviations`: the
 run drivers here and the verification suite read the same record, and
@@ -36,9 +36,9 @@ from the spec, `RunSpec.scenario`, and `fixed_half` builds the oracle's
 bra on R and its Gram, the kernel's rows of the input, the kets
 ``U(m)^-1 psi`` and the reference marginal.  A sweep builds those, and
 the distinguished pair's kernel rows, once for the grid; each point
-builds its tap family and the tap's `mirror_stack` once, shared by its
-route pass and `distinguishability`, then both routes' blocks and
-reductions.
+builds its tap family and its scenario, whose mirror stack
+(`ScenarioConfig.mirrors`) is built once and shared by its route pass
+and `distinguishability`, then both routes' blocks and reductions.
 
 The teleport table is rendered in bulk, with the bytes a row-by-row
 csv.writer would give.  Every number is `format_number`'s ``.12g``, and
@@ -68,7 +68,6 @@ from .engine import (
     ScenarioConfig,
     conditional_fidelities,
     fixed_half,
-    mirror_stack,
     route_pass,
     transfer_rows,
 )
@@ -182,7 +181,7 @@ _REFUSALS = {
 }
 
 
-def _checked_pass(where: str, scenario: ScenarioConfig, fixed: FixedHalf, mirrors: np.ndarray) -> RoutePass:
+def _checked_pass(where: str, scenario: ScenarioConfig, fixed: FixedHalf) -> RoutePass:
     """`route_pass`, raising `InvariantViolation` led by ``where`` on the first invariant it breaks.
 
     A block count or shape that differs fails first.  Then each deviation
@@ -193,7 +192,7 @@ def _checked_pass(where: str, scenario: ScenarioConfig, fixed: FixedHalf, mirror
     deviation fails it too.
     """
     try:
-        measured = route_pass(scenario, fixed, mirrors)
+        measured = route_pass(scenario, fixed)
     except RouteMismatch as exc:
         raise InvariantViolation(f"{where}{exc}") from None
     for name, deviation in measured.deviations.items():
@@ -233,7 +232,7 @@ def run_teleport(spec: RunSpec, stream: IO[str]) -> list[str]:
     Returns human-readable summary lines for the caller to print.
     """
     scenario = build_scenario(spec)
-    measured = _checked_pass("", scenario, fixed_half(scenario), mirror_stack(scenario))
+    measured = _checked_pass("", scenario, fixed_half(scenario))
     probabilities = measured.probabilities
     tap = measured.tap
     # a tap is the only reference effect a spec sets
@@ -300,8 +299,9 @@ def run_sweep(spec: RunSpec, stream: IO[str]) -> list[str]:
     Only the tap changes from point to point, so every point adds its tap
     to the spec's scenario, and every array the strength does not touch
     is built once: `fixed_half` and the distinguished pair's kernel
-    rows.  Each point builds its tap family and its `mirror_stack` once
-    and runs both routes and `distinguishability` on those arrays.
+    rows.  Each point builds its tap family and its scenario once, and
+    runs both routes and `distinguishability` on the scenario's one
+    mirror stack.
     """
     grid = _sweep_grid(spec)
     base = spec.scenario
@@ -311,10 +311,9 @@ def run_sweep(spec: RunSpec, stream: IO[str]) -> list[str]:
     points = []
     for theta in grid:
         scenario = replace(base, effect_r=strength_family(base.dim, theta, basis))
-        mirrors = mirror_stack(scenario)
         where = f"theta={format_number(theta)}: "
-        measured = _checked_pass(where, scenario, fixed, mirrors)
-        advantage = distinguishability(pair, mirrors)
+        measured = _checked_pass(where, scenario, fixed)
+        advantage = distinguishability(pair, scenario.mirrors)
         _require_finite(where, total_fidelity=measured.tap.total_fidelity, distinguishability=advantage)
         # a point keeps its scalars alone, the worst of each deviation: the
         # passes' (K, M) arrays would pile up over the grid

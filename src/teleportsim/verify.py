@@ -76,7 +76,6 @@ from .engine import (
     conditional_fidelities,
     fixed_half,
     make_scenario,
-    mirror_stack,
     oracle_blocks,
     oracle_bra,
     reduce_stream,
@@ -270,7 +269,7 @@ def check_oracle_fast_equivalence(depth: str, seed: int, corrupt: str | None) ->
     for dim in _dims(depth):
         for trial in range(count):
             config = _random_scenario(dim, rng, (trial % 3, (trial + 1) % 3))
-            measured = route_pass(config, fixed_half(config), mirror_stack(config))
+            measured = route_pass(config, fixed_half(config))
             yield from map(np.max, measured.deviations.values())
 
 
@@ -354,7 +353,7 @@ def check_tap_oracle_agreement(depth: str, seed: int, corrupt: str | None) -> It
         family = _tap(dim, corrupt, rng=rng)
         config = make_scenario(dim, random_state(dim, rng), bell=_bell(dim, corrupt),
                                u0=random_unitary(dim, rng), effect_r=family)
-        measured = route_pass(config, fixed_half(config), mirror_stack(config))
+        measured = route_pass(config, fixed_half(config))
         yield np.max(measured.deviations["cell"])
         for _, ops in tap_operators(config):
             yield np.max(np.abs(ops - ops.conj().transpose(0, 2, 1)))

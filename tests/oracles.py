@@ -9,11 +9,13 @@ take, kept because index loops at n = 16 would take minutes.
 turn a route's stream into `Record` rows, corrected or not, for the tests
 that read the oracle, or compare the two routes, record by record.
 `oracle_stream`, `transfer_stream` and `advantage` build a route's
-strength-independent half, and the transfer route's `mirror_stack`, from
-the scenario itself, as a run driver does for a single scenario.
-`mirror_loop` mirrors one reference branch at a time, the reference for
-the stacked `mirror_stack`.  `format_label` renders one label alone, the
-reference for the runner's one-pass `format_labels`.
+strength-independent half from the scenario itself, as a run driver does
+for a single scenario; the transfer route reads the scenario's own
+mirror stack.  `mirror_loop` mirrors one reference branch at a time, the
+reference for the stacked `ScenarioConfig.mirrors`.  `format_label`
+renders one label alone, the reference for the runner's one-pass
+`format_labels`.  `hermiticity_deviation` measures how far a matrix is
+from Hermitian.
 """
 from __future__ import annotations
 
@@ -32,7 +34,6 @@ from teleportsim.engine import (
     BranchLabel,
     ScenarioConfig,
     fast_run,
-    mirror_stack,
     oracle_blocks,
     oracle_bra,
     transfer_rows,
@@ -380,15 +381,21 @@ def oracle_stream(config: ScenarioConfig) -> BlockStream:
 
 
 def transfer_stream(config: ScenarioConfig) -> BlockStream:
-    """`fast_run` of ``config`` on the `transfer_rows` of its own input and its `mirror_stack`."""
+    """`fast_run` of ``config`` on the `transfer_rows` of its own input."""
     rows = transfer_rows(config, np.asarray(config.input_state)[None])
-    return fast_run(config, rows, mirror_stack(config))
+    return fast_run(config, rows)
 
 
 def advantage(config: ScenarioConfig, first: np.ndarray, second: np.ndarray) -> float:
-    """`distinguishability` of ``config`` on the `transfer_rows` of the pair and its `mirror_stack`."""
+    """`distinguishability` of ``config`` on the `transfer_rows` of the pair and its mirror stack."""
     rows = transfer_rows(config, np.array([first, second], dtype=complex))
-    return distinguishability(rows, mirror_stack(config))
+    return distinguishability(rows, config.mirrors)
+
+
+def hermiticity_deviation(mat: np.ndarray) -> float:
+    """Largest entrywise deviation of ``mat`` from its conjugate transpose."""
+    mat = np.asarray(mat, dtype=complex)
+    return float(np.max(np.abs(mat - mat.conj().T)))
 
 
 def mirror_loop(config: ScenarioConfig) -> list[np.ndarray]:

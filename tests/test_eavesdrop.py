@@ -19,12 +19,11 @@ from teleportsim.eavesdrop import (
 from teleportsim.effects import (
     Effect,
     kraus_mixture,
-    make_measurement_family,
     strength_family,
     unitary_effect,
 )
-from teleportsim.engine import NULL_BRANCH_EPS, make_scenario, mirror_stack, transfer_kernel, transfer_rows
-from teleportsim.linalg import basis_state, dagger, hermiticity_deviation, norms_squared, uniform_state
+from teleportsim.engine import NULL_BRANCH_EPS, make_scenario, transfer_kernel, transfer_rows
+from teleportsim.linalg import basis_state, dagger, norms_squared, uniform_state
 from teleportsim.sampling import random_state, random_unitary
 
 from oracles import (
@@ -35,6 +34,7 @@ from oracles import (
     brute_teleport,
     brute_weyl,
     closed_form_uniform_fidelity,
+    hermiticity_deviation,
     oracle_records,
 )
 
@@ -229,7 +229,7 @@ def test_marginals_for_strength_family():
 def test_tap_marginal_tracks_branch_traces_not_input():
     e0 = np.diag([1.0, np.sqrt(0.5)]).astype(complex)
     e1 = np.diag([0.0, np.sqrt(0.5)]).astype(complex)
-    family = make_measurement_family([e0, e1])
+    family = kraus_mixture([e0, e1])
     rng = np.random.default_rng(7)
     for _ in range(5):
         config = make_scenario(2, random_state(2, rng), effect_r=family)
@@ -377,7 +377,7 @@ def test_receiver_branches_sum_to_the_tap_cells(dim):
     )
     states = np.array([random_state(dim, rng), random_state(dim, rng)])
     rows = transfer_rows(config, states)
-    mirrors = mirror_stack(config)
+    mirrors = config.mirrors
     labels = config.effect_r.labels
     alone = {l: norms_squared(amps) for l, amps in zip(labels, transfer_kernel(rows, mirrors))}
     summed = {l: np.zeros_like(cells) for l, cells in alone.items()}
@@ -497,7 +497,7 @@ def test_any_reference_effect_is_a_tap():
     config = make_scenario(3, random_state(3, rng), u0=random_unitary(3, rng), effect_r=kraus_mixture(damping))
     report = analyze_eavesdropping(config)
     assert report.tap_labels == (0, 1)
-    measured = engine.route_pass(config, engine.fixed_half(config), mirror_stack(config))
+    measured = engine.route_pass(config, engine.fixed_half(config))
     assert_allclose(report.probabilities, measured.tap.probabilities, rtol=0, atol=1e-12)
     expected = brute_tap_cells(config.input_state, config.u0, damping, list(report.labels))
     assert_allclose(report.probabilities, expected, rtol=0, atol=1e-12)

@@ -12,15 +12,14 @@ from teleportsim.effects import (
     Effect,
     family_completeness_deviation,
     kraus_mixture,
-    make_measurement_family,
     strength_family,
     unitary_effect,
 )
 from teleportsim.engine import make_scenario
-from teleportsim.linalg import basis_state, hermiticity_deviation
+from teleportsim.linalg import basis_state
 from teleportsim.sampling import random_unitary
 
-from oracles import brute_strength_branch
+from oracles import brute_strength_branch, hermiticity_deviation
 
 
 def test_strength_family_qubit_midpoint():
@@ -94,18 +93,18 @@ def test_strength_family_rejects_bad_arguments():
 def test_explicit_family_with_unequal_traces():
     e0 = np.diag([1.0, np.sqrt(0.5)]).astype(complex)
     e1 = np.diag([0.0, np.sqrt(0.5)]).astype(complex)
-    family = make_measurement_family([e0, e1])
+    family = kraus_mixture([e0, e1])
     assert family_completeness_deviation(family) < 1e-12
     assert family.labels == (0, 1)
 
 
-def test_explicit_family_rejects_incomplete():
-    with pytest.raises(ValueError, match="sum to identity"):
-        make_measurement_family([np.diag([1.0, 0.5])])
-    with pytest.raises(ValueError, match="Hermitian"):
-        make_measurement_family([np.array([[0, 1], [0, 0]], dtype=complex), np.eye(2)])
-    with pytest.raises(ValueError, match="positive semidefinite"):
-        make_measurement_family([np.diag([1.0, -1.0]), np.diag([0.0, 0.0])])
+def test_explicit_branch_list_is_admitted_on_its_closure_alone():
+    with pytest.raises(ValueError, match="resolve the identity"):
+        kraus_mixture([np.diag([1.0, 0.5])])
+    with pytest.raises(ValueError, match="resolve the identity"):
+        kraus_mixture([np.array([[0, 1], [0, 0]], dtype=complex), np.eye(2)])
+    # a closed list need not be Hermitian or positive: a unitary branch is a Kraus operator
+    assert kraus_mixture([np.diag([1.0, -1.0]), np.diag([0.0, 0.0])]).labels == (0, 1)
 
 
 def test_validate_family_flags_scaled_branch():
@@ -114,8 +113,8 @@ def test_validate_family_flags_scaled_branch():
     operators[0] *= 1.01
     family = Effect(intact.labels, operators)
     assert family_completeness_deviation(family) > 1e-3
-    with pytest.raises(ValueError, match="sum to identity"):
-        make_measurement_family(family.operators)
+    with pytest.raises(ValueError, match="resolve the identity"):
+        kraus_mixture(family.operators)
 
 
 def test_family_completeness_is_the_closure_of_any_branches():
@@ -127,16 +126,9 @@ def test_family_completeness_is_the_closure_of_any_branches():
     assert family_completeness_deviation(family) < 1e-15
 
 
-def test_explicit_family_rejects_duplicate_labels():
-    e0 = np.diag([1.0, np.sqrt(0.5)]).astype(complex)
-    e1 = np.diag([0.0, np.sqrt(0.5)]).astype(complex)
-    with pytest.raises(ValueError, match="duplicate branch label 0"):
-        make_measurement_family([e0, e1], labels=[0, 0])
-
-
 def test_unitary_effect_validation():
-    effect = unitary_effect(np.diag([1.0, -1.0]).astype(complex), label="flip")
-    assert effect.labels == ("flip",)
+    effect = unitary_effect(np.diag([1.0, -1.0]).astype(complex))
+    assert effect.labels == (None,)
     with pytest.raises(ValueError, match="not unitary"):
         unitary_effect(np.diag([1.0, 0.5]))
 
@@ -187,9 +179,9 @@ def _damping3() -> list[np.ndarray]:
 @pytest.mark.parametrize(
     "build, labels",
     [
-        (lambda: unitary_effect(np.diag([1.0, -1.0, 1j]), label="flip"), ("flip",)),
+        (lambda: unitary_effect(np.diag([1.0, -1.0, 1j])), (None,)),
         (lambda: kraus_mixture(_damping3()), (0, 1)),
-        (lambda: make_measurement_family([np.diag([1.0, 0, 0]), np.diag([0, 1.0, 1.0])], "ab"), ("a", "b")),
+        (lambda: kraus_mixture([np.diag([1.0, 0, 0]), np.diag([0, 1.0, 1.0])]), (0, 1)),
         (lambda: strength_family(3, 0.4), (0, 1, 2)),
         (lambda: None, (None,)),
     ],

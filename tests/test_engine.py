@@ -17,14 +17,12 @@ from teleportsim.eavesdrop import sequential_decomposition_check
 from teleportsim.effects import (
     Effect,
     kraus_mixture,
-    make_measurement_family,
     strength_family,
     unitary_effect,
 )
 from teleportsim.engine import (
     RouteMismatch,
     ScenarioConfig,
-    compare_routes,
     conditional_fidelities,
     expected_probability_sum,
     make_scenario,
@@ -200,7 +198,7 @@ def test_receiver_effect_applies_after_mirrored_reference_effect():
     comp = np.eye(2) - e_r @ e_r
     w, v = np.linalg.eigh(comp)
     e_other = (v * np.sqrt(np.clip(w, 0, None))) @ v.conj().T
-    family = make_measurement_family([e_r, e_other])
+    family = kraus_mixture([e_r, e_other])
     rotation = np.array([[0.6, -0.8], [0.8, 0.6]], dtype=complex)
     config = make_scenario(
         2, psi, effect_r=family, effect_b=unitary_effect(rotation)
@@ -431,25 +429,26 @@ def test_oracle_stream_is_the_same_bits_in_any_chunking(monkeypatch):
     assert all(np.array_equal(a, b) for a, b in zip(chunked, whole))
 
 
-def test_route_comparison_holds_a_few_blocks_of_each_stream():
-    # both routes are streams compared block by block: with the oracle's
-    # chunk of bras and the transfer route's (L, n, n) mirror stack they
-    # hold a few (M, n) blocks, never a 16 MB table, and the transfer
-    # route builds its channels one reference branch at a time
+def test_route_pass_holds_a_few_blocks_of_each_stream():
+    # both routes are streams compared block by block: beside the scenario's
+    # (L, n, n) mirror stack and its (K, M) reductions the pass holds a few
+    # (M, n) blocks, never a 16 MB table, and the transfer route builds its
+    # channels one reference branch at a time
     config = _fourier_tap(32)
+    fixed = engine.fixed_half(config)
     block_bytes = _block_bytes(32)
-    chunk_bytes = engine._BRA_CHUNK * 32 * 32 * 16
     mirror_bytes = 32 * 32 * 32 * 16
-    kets = apply_each_inverse(config.bell.unitaries, np.asarray(config.input_state))
+    row_bytes = 32 * 1024 * 8  # one (K, M) float array
     tracemalloc.start()
     try:
-        norms, overlaps, amplitude = compare_routes(oracle_stream(config), transfer_stream(config), kets)
+        measured = engine.route_pass(config, fixed)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(amplitude) == 32 and np.max(amplitude) < 1e-12
-    assert all(array.shape == (32, 1024) for array in (*norms, *overlaps, amplitude))
-    assert peak <= chunk_bytes + mirror_bytes + 6 * block_bytes
+    amplitude = measured.deviations["amplitude"]
+    assert np.max(amplitude) < 1e-12
+    assert all(array.shape == (32, 1024) for array in (measured.probabilities, measured.overlaps, amplitude))
+    assert peak <= mirror_bytes + 4 * block_bytes + 8 * row_bytes
 
 
 def test_teleport_run_keeps_blocks_and_reductions_only():
@@ -499,13 +498,14 @@ def _parted(config, case: str):
         ("moved", r"^block 1: oracle \(9, 3\) vs transfer \(8, 3\)$"),
     ],
 )
-def test_compare_routes_names_streams_that_part(case, match):
+def test_route_pass_names_streams_that_part(monkeypatch, case, match):
     config = _fourier_tap(3, _damping(3))
-    kets = apply_each_inverse(config.bell.unitaries, np.asarray(config.input_state))
-    _, _, amplitude = compare_routes(oracle_stream(config), transfer_stream(config), kets)
-    assert amplitude.shape == (6, 9)
+    fixed = engine.fixed_half(config)
+    assert engine.route_pass(config, fixed).deviations["amplitude"].shape == (6, 9)
+    parted = _parted(config, case)
+    monkeypatch.setattr(engine, "fast_run", lambda scenario, rows: iter(parted))
     with pytest.raises(RouteMismatch, match=match):
-        compare_routes(oracle_stream(config), iter(_parted(config, case)), kets)
+        engine.route_pass(config, fixed)
 
 
 def _unclosed(rng: np.random.Generator, dim: int, scales: tuple[float, ...]) -> Effect:
@@ -558,15 +558,62 @@ def _reference_effect(kind: str, dim: int, rng: np.random.Generator):
 
 @pytest.mark.parametrize("kind", ["strength", "kraus", "unitary"])
 @pytest.mark.parametrize("dim", [2, 3, 5, 16, 32])
-def test_mirror_stack_is_the_branch_loop_bit_for_bit(dim, kind):
+def test_mirrors_are_the_branch_loop_bit_for_bit(dim, kind):
     rng = np.random.default_rng(900 + dim)
     config = make_scenario(
         dim, random_state(dim, rng), u0=random_unitary(dim, rng), effect_r=_reference_effect(kind, dim, rng)
     )
-    stack = engine.mirror_stack(config)
+    stack = config.mirrors
     loop = mirror_loop(config)
     assert stack.shape == (len(loop), dim, dim) and not stack.flags.writeable
     assert all(np.array_equal(mirrored, reference) for mirrored, reference in zip(stack, loop))
+    assert config.mirrors is stack
+
+
+def test_the_oracle_never_builds_the_mirror_stack():
+    # the oracle's independence, checked instead of assumed: draining its
+    # stream for a tapped scenario with a Kraus receiver leaves the
+    # scenario's cached mirror stack unbuilt
+    config = _fourier_tap(3, _damping(3))
+    blocks = list(engine.oracle_blocks(config, oracle_bra(config)))
+    assert len(blocks) == 6
+    assert "mirrors" not in vars(config)
+    list(transfer_stream(config))
+    assert "mirrors" in vars(config)
+
+
+def test_a_replaced_tap_builds_its_own_mirror_stack():
+    # replace makes a new scenario, so it never inherits the stack of the old tap
+    config = _fourier_tap(3, _damping(3))
+    stale = config.mirrors
+    other = strength_family(3, 0.9)
+    tapped = replace(config, effect_r=other)
+    assert "mirrors" not in vars(tapped)
+    assert tapped.mirrors is not stale
+    assert all(np.array_equal(mirrored, reference) for mirrored, reference in zip(tapped.mirrors, mirror_loop(tapped)))
+    assert not np.allclose(tapped.mirrors, stale)
+
+
+def test_route_pass_refuses_a_fixed_half_of_another_scenario():
+    # a fixed half carries its scenario's input, family, u0 and receiver:
+    # run on another scenario it would report that one's numbers
+    config = make_scenario(3, basis_state(3, 0), effect_r=strength_family(3, 0.7))
+    other_input = replace(config, input_state=uniform_state(3))
+    assert engine.route_pass(config, engine.fixed_half(config)).tap.total_fidelity == pytest.approx(1.0)
+    for part, other in (
+        ("input_state", other_input),
+        # an equal copy of the Weyl family is still another family
+        ("bell", replace(config, bell=replace(config.bell))),
+        ("u0", replace(config, u0=np.eye(3))),
+        ("effect_b", replace(config, effect_b=_damping(3))),
+    ):
+        with pytest.raises(ValueError, match=f"^fixed half was built for another scenario: its {part} differs$"):
+            engine.route_pass(config, engine.fixed_half(other))
+    # another tap on the same scenario shares every other part
+    retapped = replace(config, effect_r=strength_family(3, 0.2))
+    assert engine.route_pass(retapped, engine.fixed_half(config)).tap.total_fidelity == pytest.approx(
+        engine.route_pass(retapped, engine.fixed_half(retapped)).tap.total_fidelity, abs=0
+    )
 
 
 def test_nan_in_a_directly_built_family_is_still_refused():

@@ -182,10 +182,10 @@ def test_teleport_writer_holds_its_string_arrays_and_one_block(monkeypatch, kind
     spec = _teleport_n32(kind)
     scenario = runner.build_scenario(spec)
     fixed = runner.fixed_half(scenario)
-    measured = runner.route_pass(scenario, fixed, runner.mirror_stack(scenario))
+    measured = runner.route_pass(scenario, fixed)
     monkeypatch.setattr(runner, "build_scenario", lambda spec: scenario)
     monkeypatch.setattr(runner, "fixed_half", lambda scenario: fixed)
-    monkeypatch.setattr(runner, "route_pass", lambda scenario, fixed, mirrors: measured)
+    monkeypatch.setattr(runner, "route_pass", lambda scenario, fixed: measured)
     # one text object per distinct bit pattern, though many render alike
     fidelities = runner.conditional_fidelities(measured.overlaps, measured.probabilities)
     cells = [format_numbers(measured.probabilities), format_numbers(fidelities)]

@@ -7,6 +7,7 @@ in `teleportsim.engine`, where the route pass calls it, and checks that `run_tel
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -16,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from teleportsim import eavesdrop, engine, runner, verify
+from teleportsim import engine, runner, verify
 from teleportsim.bell import make_bell_family, weyl_unitary
 from teleportsim.config import parse_config
 from teleportsim.eavesdrop import distinguishability, tap_report
@@ -90,8 +91,8 @@ def faulty_stream(monkeypatch, fault) -> None:
     """Patch the transfer route so ``fault(index, block)`` edits or drops each block."""
     route = engine.fast_run
 
-    def patched(scenario, rows, mirrors):
-        for index, block in enumerate(route(scenario, rows, mirrors)):
+    def patched(scenario, rows):
+        for index, block in enumerate(route(scenario, rows)):
             yield from fault(index, block.copy())
 
     monkeypatch.setattr(engine, "fast_run", patched)
@@ -117,7 +118,7 @@ def test_disagreeing_pass_still_returns_its_deviations(monkeypatch):
 
     faulty_stream(monkeypatch, moved)
     scenario = runner.build_scenario(SPEC)
-    measured = runner.route_pass(scenario, runner.fixed_half(scenario), runner.mirror_stack(scenario))
+    measured = runner.route_pass(scenario, runner.fixed_half(scenario))
     deviation = measured.deviations["amplitude"]
     assert np.unravel_index(np.argmax(deviation), deviation.shape) == (2, 1)
     assert deviation[2, 1] == pytest.approx(1e-6, rel=1e-6)
@@ -127,7 +128,7 @@ def test_disagreeing_pass_still_returns_its_deviations(monkeypatch):
 
 def route_pass_of(spec):
     scenario = runner.build_scenario(spec)
-    return engine.route_pass(scenario, engine.fixed_half(scenario), engine.mirror_stack(scenario))
+    return engine.route_pass(scenario, engine.fixed_half(scenario))
 
 
 def test_route_pass_records_five_named_deviations_in_judging_order():
@@ -213,18 +214,12 @@ def test_amplitude_deviation_is_the_two_norm_of_the_corrected_difference(monkeyp
         yield block
 
     faulty_stream(monkeypatch, moved)
-    recorded = []
-    compare = engine.compare_routes
-
-    def recording(oracle, transfer, kets):
-        oracle, transfer = list(oracle), list(transfer)
-        result = compare(iter(oracle), iter(transfer), kets)
-        recorded.append((oracle, transfer, result[2]))
-        return result
-
-    monkeypatch.setattr(engine, "compare_routes", recording)
     refused(r"routes disagree on branch \(m=\(0, 2\), l=1, b=None\): .* amplitude deviation 1\.000e-06", spec)
-    [(oracle, transfer, deviation)] = recorded
+    scenario = runner.build_scenario(spec)
+    fixed = engine.fixed_half(scenario)
+    oracle = list(engine.oracle_blocks(scenario, fixed.bra))
+    transfer = list(engine.fast_run(scenario, fixed.rows))
+    deviation = engine.route_pass(scenario, fixed).deviations["amplitude"]
     for index, m in ((1, 2), (2, 4)):
         corrected = family.unitaries[m] @ (oracle[index][m] - transfer[index][m])
         assert deviation[index, m] == pytest.approx(np.linalg.norm(corrected), rel=1e-15, abs=0)
@@ -405,15 +400,21 @@ def test_sweep_compares_the_routes_block_by_block(monkeypatch):
     assert stream.getvalue() == ""
 
 
+def mirrors_property(monkeypatch, build) -> None:
+    """Replace `ScenarioConfig.mirrors` by a cached property built by ``build``."""
+    mirrors = functools.cached_property(build)
+    mirrors.__set_name__(engine.ScenarioConfig, "mirrors")
+    monkeypatch.setattr(engine.ScenarioConfig, "mirrors", mirrors)
+
+
 def test_oracle_shares_no_mirror_algebra(monkeypatch):
     # a mirror stack without its transpose breaks the transfer route only;
-    # an oracle that went through mirror_stack would break along with it
+    # an oracle that read the scenario's mirrors would break along with it
     def untransposed(scenario):
         u0 = np.asarray(scenario.u0)
         return dagger(u0) @ scenario.effect_r.operators @ u0
 
-    for module in (engine, eavesdrop, runner, verify):
-        monkeypatch.setattr(module, "mirror_stack", untransposed)
+    mirrors_property(monkeypatch, untransposed)
     spec = parse_config("n: 3\ninput: random:3\neavesdrop:\n  basis: fourier\n  theta: 0.5\n")
     stream = io.StringIO()
     with pytest.raises(InvariantViolation, match="routes disagree on branch"):
@@ -427,28 +428,50 @@ def test_oracle_shares_no_mirror_algebra(monkeypatch):
     assert any(line.startswith("FAIL oracle-fast-equivalence: ") for line in lines)
 
 
+def counted_mirrors(monkeypatch, calls: dict) -> None:
+    """Count every mirror stack built, in ``calls["mirrors"]``."""
+    build = engine.ScenarioConfig.mirrors.func
+
+    def counted(scenario):
+        calls["mirrors"] += 1
+        return build(scenario)
+
+    mirrors_property(monkeypatch, counted)
+
+
 def test_a_sweep_point_builds_and_mirrors_its_tap_once(monkeypatch):
     # one mirror stack a point, shared by the route pass and distinguishability
-    calls = {"mirror_stack": 0, "strength_family": 0}
+    calls = {"mirrors": 0, "strength_family": 0}
+    counted_mirrors(monkeypatch, calls)
+    strength_family = runner.strength_family
 
-    def counted(module, name):
-        function = getattr(module, name)
+    def counted_family(*args):
+        calls["strength_family"] += 1
+        return strength_family(*args)
 
-        def wrapper(*args):
-            calls[name] += 1
-            return function(*args)
-
-        monkeypatch.setattr(module, name, wrapper)
-
-    for module in (engine, eavesdrop, runner, verify):
-        counted(module, "mirror_stack")
-    counted(runner, "strength_family")
+    monkeypatch.setattr(runner, "strength_family", counted_family)
     spec = parse_config("n: 3\ninput: random:4\neavesdrop:\n  basis: fourier\n  theta_sweep: [0, 1, 11]\n")
     runner.run_sweep(spec, io.StringIO())
-    assert calls == {"mirror_stack": 11, "strength_family": 11}
+    assert calls == {"mirrors": 11, "strength_family": 11}
     point = replace(spec, eavesdrop=replace(spec.eavesdrop, theta=0.5, sweep=None))
     run_teleport(point, io.StringIO())
-    assert calls == {"mirror_stack": 12, "strength_family": 12}
+    assert calls == {"mirrors": 12, "strength_family": 12}
+
+
+def test_tap_oracle_agreement_builds_one_mirror_stack_per_scenario(monkeypatch):
+    # the route pass and the tap's branch operators read the one stack
+    calls = {"mirrors": 0}
+    counted_mirrors(monkeypatch, calls)
+    scenarios = []
+    route_pass = verify.route_pass
+
+    def recorded(scenario, fixed):
+        scenarios.append(scenario)
+        return route_pass(scenario, fixed)
+
+    monkeypatch.setattr(verify, "route_pass", recorded)
+    assert verify.check_tap_oracle_agreement("quick", 0, None).passed
+    assert len(scenarios) == len(verify._dims("quick")) == calls["mirrors"]
 
 
 def test_runs_and_verification_make_no_einsum_call(monkeypatch):
@@ -536,14 +559,12 @@ def test_sweep_points_are_the_points_built_from_scratch(monkeypatch):
         point = replace(spec, eavesdrop=replace(spec.eavesdrop, theta=theta, sweep=None))
         scenario = runner.build_scenario(point)
         psi = np.asarray(scenario.input_state)
-        norms, overlaps, _ = engine.compare_routes(
+        norms, overlaps = engine.reduce_stream(
             engine.oracle_blocks(scenario, engine.oracle_bra(scenario)),
-            engine.fast_run(scenario, engine.transfer_rows(scenario, psi[None]), engine.mirror_stack(scenario)),
             engine.apply_each_inverse(scenario.bell.unitaries, psi),
         )
-        assert fidelity == tap_report(scenario, norms[0], overlaps[0]).total_fidelity
-        mirrors = engine.mirror_stack(scenario)
-        assert advantage == distinguishability(engine.transfer_rows(scenario, pair), mirrors)
+        assert fidelity == tap_report(scenario, norms, overlaps).total_fidelity
+        assert advantage == distinguishability(engine.transfer_rows(scenario, pair), scenario.mirrors)
     # the points differ, so a tap carried over from one strength would show
     assert len(set(fidelities)) == 5
 

@@ -1,7 +1,8 @@
-"""The experiment scripts, the public API's only callers outside the package.
+"""The scripts: the experiment script, the public API's only caller outside the package, and the tools.
 
 Each script's ``main(argv)`` runs in process; one subprocess smoke per
-script covers its ``__main__`` path.
+experiment script covers its ``__main__`` path.  The mutation check runs
+one mutation here; the whole list runs outside the tier-1 suite.
 """
 from __future__ import annotations
 
@@ -18,12 +19,15 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 def load_script(name: str):
     spec = importlib.util.spec_from_file_location(name, os.path.join(ROOT, "scripts", f"{name}.py"))
     module = importlib.util.module_from_spec(spec)
+    # registered first, as an import would: a dataclass looks its module up there
+    sys.modules[name] = module
     spec.loader.exec_module(module)
     return module
 
 
 leakage_by_dimension = load_script("leakage_by_dimension")
 code_lines = load_script("code_lines")
+mutation_check = load_script("mutation_check")
 
 
 def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
@@ -113,3 +117,26 @@ def test_code_lines_main_path_exits_with_mains_status():
     assert result.returncode == 1
     assert result.stdout == ""
     assert result.stderr == "usage: code_lines.py PATH...\n"
+
+
+def test_mutation_check_kills_one_mutation_and_leaves_the_checkout_alone(capsys):
+    mutation = next(m for m in mutation_check.MUTATIONS if m.name == "len-read-as-size")
+    path = os.path.join(ROOT, mutation.path)
+    with open(path, encoding="utf-8") as handle:
+        before = handle.read()
+    assert mutation_check.main([mutation.name]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("killed    len-read-as-size (")
+    assert lines[1].startswith("1/1 mutations killed in ")
+    with open(path, encoding="utf-8") as handle:
+        assert handle.read() == before
+
+
+def test_mutation_check_reports_a_stale_mutation_as_stale(monkeypatch, capsys):
+    # the old text is gone, so the mutation is never applied and never passes
+    stale = mutation_check.Mutation("gone", "src/teleportsim/engine.py", "no such text", "", ("tests",))
+    monkeypatch.setattr(mutation_check, "MUTATIONS", (stale,))
+    assert mutation_check.main([]) == 1
+    stale_line, summary = capsys.readouterr().out.splitlines()
+    assert stale_line == "STALE     gone: old text occurs 0 times in src/teleportsim/engine.py"
+    assert summary.startswith("0/1 mutations killed in ")

@@ -31,11 +31,18 @@ from teleportsim import cli
 from teleportsim.config import parse_config
 from teleportsim.eavesdrop import analyze_eavesdropping, eavesdrop_operator
 from teleportsim.engine import NULL_BRANCH_EPS
-from teleportsim.linalg import FAMILY_TOL, hermiticity_deviation
+from teleportsim.linalg import FAMILY_TOL
 from teleportsim.runner import build_scenario
 from teleportsim.sampling import random_state, random_unitary
 
-from oracles import brute_branches, brute_strength_branch, brute_strength_root, brute_teleport, brute_weyl
+from oracles import (
+    brute_branches,
+    brute_strength_branch,
+    brute_strength_root,
+    brute_teleport,
+    brute_weyl,
+    hermiticity_deviation,
+)
 
 HADAMARD_U0 = (
     "[[0.7071067811865476, 0.7071067811865476], [0.7071067811865476, -0.7071067811865476]]"

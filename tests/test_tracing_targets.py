@@ -69,9 +69,9 @@ def test_run_teleport_calls_the_transfer_route_once(monkeypatch):
     calls = []
     route = engine.fast_run
 
-    def counted(scenario, rows, mirrors):
+    def counted(scenario, rows):
         calls.append(scenario)
-        return route(scenario, rows, mirrors)
+        return route(scenario, rows)
 
     monkeypatch.setattr(engine, "fast_run", counted)
     spec = parse_config(

@@ -91,8 +91,8 @@ def patch_stream(monkeypatch, fault) -> None:
     """Patch the transfer route of the shared route pass so ``fault(block)`` edits every streamed block."""
     route = engine.fast_run
 
-    def patched(config, rows, mirrors):
-        for block in route(config, rows, mirrors):
+    def patched(config, rows):
+        for block in route(config, rows):
             yield fault(block.copy())
 
     monkeypatch.setattr(engine, "fast_run", patched)
