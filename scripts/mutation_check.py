@@ -66,8 +66,8 @@ MUTATIONS = (
     Mutation(
         "oracle-arrays-in-both-tap-reports",
         "src/teleportsim/engine.py",
-        "transfer_tap = tap_report(scenario, transfer_norms, transfer_overlaps)",
-        "transfer_tap = tap_report(scenario, probabilities, overlaps_sq)",
+        "transfer_tap = tap_report(config, transfer_norms, transfer_overlaps)",
+        "transfer_tap = tap_report(config, probabilities, overlaps_sq)",
         ("tests/test_runner.py::test_tap_cell_check_catches_branch_deviations_that_add_up",
          "tests/test_runner.py::test_total_fidelity_check_catches_branch_deviations_that_add_up"),
     ),
@@ -96,15 +96,15 @@ MUTATIONS = (
     Mutation(
         "probability-sum-left-out-of-the-record",
         "src/teleportsim/engine.py",
-        '            "probability-sum": np.array(abs(probability_sum - expected_sum)),\n',
+        '                "probability-sum": np.array(abs(probability_sum - expected_sum)),\n',
         "",
         ("tests/test_runner.py::test_route_pass_records_five_named_deviations_in_judging_order",),
     ),
     Mutation(
         "amplitude-and-probability-swapped",
         "src/teleportsim/engine.py",
-        '            "amplitude": amplitude,\n            "probability": np.abs(probabilities - transfer_norms),\n',
-        '            "probability": np.abs(probabilities - transfer_norms),\n            "amplitude": amplitude,\n',
+        '                "amplitude": amplitude,\n                "probability": np.abs(probabilities - transfer_norms),\n',
+        '                "probability": np.abs(probabilities - transfer_norms),\n                "amplitude": amplitude,\n',
         ("tests/test_runner.py::test_route_pass_records_five_named_deviations_in_judging_order",),
     ),
     Mutation(
@@ -152,9 +152,16 @@ MUTATIONS = (
     Mutation(
         "route-pass-holds-the-last-pair",
         "src/teleportsim/engine.py",
-        "        del pair  # neither route",
-        "        pass  # neither route",
+        "            del pair  # neither route",
+        "            pass  # neither route",
         ("tests/test_engine.py::test_route_pass_holds_a_few_blocks_of_each_stream",),
+    ),
+    Mutation(
+        "first-tap-carried-to-every-sweep-point",
+        "src/teleportsim/runner.py",
+        "strength_family(base.dim, theta, basis) for theta in grid",
+        "strength_family(base.dim, grid[0], basis) for theta in grid",
+        ("tests/test_runner.py::test_sweep_points_are_the_points_built_from_scratch",),
     ),
 )
 

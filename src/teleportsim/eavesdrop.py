@@ -18,8 +18,9 @@ the basis, for verify's Hermiticity check and, on the family cut to one
 outcome, for `eavesdrop_operator`.  `analyze_eavesdropping` is
 `teleportsim.engine.tap_report` over `teleportsim.engine.fast_run`: the
 reduction of either route's ``(K, M)`` branch arrays into the tap's
-``(L, M)`` cells that `teleportsim.engine.route_pass`, the one pass the
-run drivers and verify read, applies to both routes it compares.  The
+``(L, M)`` cells that each pass of `teleportsim.engine.route_passes`,
+the one pass the run drivers and verify read, applies to both routes it
+compares.  The
 module also holds the one receiver-state check,
 `sequential_decomposition_check`: no closed effect on the reference, tap
 or not, moves the receiver's unconditional state off ``1/n``.  The

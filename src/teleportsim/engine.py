@@ -35,16 +35,19 @@ resource per branch pair, and holds neither an n**3 state nor the
 
 `reduce_stream` reduces one stream, block by block, to its ``(K, M)``
 squared norms and squared overlaps, each one `np.vecdot` over the block.
-`route_pass` is the one pass over both routes that the run drivers and
-the verification suite read: it zips the two streams, reduces both alike
-and measures every branch's 2-norm amplitude deviation, so it holds a
-few blocks and the ``(K, M)`` reductions, never a table; streams that
-differ in block count or in a block's shape raise `RouteMismatch`.  It
-takes `fixed_half`, what no tap strength changes, and refuses one built
-for another scenario; `tap_report` sums each route's ``(K, M)`` arrays
-into the tap's ``(L, M)`` cells of an `EavesdropReport`.  The pass
-returns every deviation between the routes in one ordered record of
-named arrays, `RoutePass.deviations` (``amplitude``, ``probability``,
+`route_passes` is the one way into the pass over both routes that the
+run drivers and the verification suite read.  It builds what no
+reference effect changes once, from the scenario it is given, and yields
+one `RoutePass` over that scenario, or one per reference effect it is
+handed, each over the scenario with that effect, so no pass runs on
+arrays built for another scenario.  Each pass zips the two streams,
+reduces both alike and measures every branch's 2-norm amplitude
+deviation, so it holds a few blocks and the ``(K, M)`` reductions, never
+a table; streams that differ in block count or in a block's shape raise
+`RouteMismatch`.  `tap_report` sums each route's ``(K, M)`` arrays into
+the tap's ``(L, M)`` cells of an `EavesdropReport`.  The pass records
+every deviation between the routes in one ordered record of named
+arrays, `RoutePass.deviations` (``amplitude``, ``probability``,
 ``cell``, ``total-fidelity`` and ``probability-sum``), instead of
 raising, and each caller reads it by name and decides what fails.
 `expected_probability_sum` gives the oracle's probability sum in closed
@@ -57,11 +60,11 @@ tests whose subject is the table.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import zip_longest
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -396,7 +399,7 @@ def reduce_stream(blocks: BlockStream, kets: np.ndarray) -> tuple[np.ndarray, np
 class RouteMismatch(ValueError):
     """A route lost, gained or reshaped a block.
 
-    The two streams of `route_pass` differ in the block count or in a
+    The two streams of a route pass differ in the block count or in a
     block's shape, or one route's ``(K, M)`` reductions hold another row
     count than `branch_keys` has keys (checked by `tap_report`).
     """
@@ -466,69 +469,26 @@ def tap_report(
 
 
 @dataclass(frozen=True, eq=False)
-class FixedHalf:
-    """The arrays of a run that no tap strength changes: built once per run or sweep.
-
-    ``bra`` (`oracle_bra`) feeds the oracle alone and ``rows``
-    (`transfer_rows` of the input) the transfer route alone.
-    ``kets``, row ``m`` ``U(m)^-1 psi``, reduce both routes' blocks.
-    ``gram`` (``bra^+ bra``) and ``marginal`` (`reference_marginal`) are
-    what `expected_probability_sum` needs beside the reference effect.
-    ``scenario`` is the scenario they were built from: `route_pass` runs
-    them only on a scenario that shares its input, Bell family, ``u0``
-    and receiver effect.
-    """
-
-    scenario: ScenarioConfig
-    bra: np.ndarray  # (M, n)
-    rows: np.ndarray  # (M, 1, n)
-    kets: np.ndarray  # (M, n)
-    gram: np.ndarray  # (n, n)
-    marginal: np.ndarray  # (n, n)
-
-
-def fixed_half(scenario: ScenarioConfig) -> FixedHalf:
-    """`FixedHalf` of ``scenario``: what every tap strength on its input shares.
-
-    ``U(m)^-1 psi`` is applied once: the kets are its rows, and the
-    transfer rows those rows scaled by ``sqrt(w)/n``, as `transfer_rows`
-    scales them.
-    """
-    bell = scenario.bell
-    bra = oracle_bra(scenario)
-    kets = apply_each_inverse(bell.unitaries, np.asarray(scenario.input_state))
-    rows = kets[:, None] * (np.sqrt(bell.weights) / scenario.dim)[:, None, None]
-    rows.setflags(write=False)
-    return FixedHalf(
-        scenario=scenario,
-        bra=bra,
-        rows=rows,
-        kets=kets,
-        gram=np.conj(bra).T @ bra,
-        marginal=reference_marginal(scenario),
-    )
-
-
-@dataclass(frozen=True, eq=False)
 class RoutePass:
     """What one zipped pass over both routes keeps: the oracle's reductions and every route deviation.
 
-    ``probabilities`` and ``overlaps``, the oracle's squared norms and
-    squared overlaps with the input's kets, hold one row per branch pair
-    ``keys[k]``, `branch_keys` of the scenario, and one column per Bell
-    outcome ``tap.labels[m]``; ``tap`` sums them into the tap's ``(l, m)``
-    cells, and `conditional_fidelities` of the two gives each branch's
-    fidelity.  ``probability_sum`` is the oracle's total and
-    ``expected_sum`` its closed form.  ``deviations`` records every
-    deviation between the routes by name, in the order a run judges them:
-    ``amplitude``, the 2-norm of each branch's difference, and
-    ``probability``, both ``(K, M)``; ``cell``, ``(L, M)``, between the
-    routes' tap reports; ``total-fidelity``, 0-d, between their total
-    fidelities; and ``probability-sum``, 0-d, the oracle's total against
-    its closed form.  The record and every array are read-only.
+    ``scenario`` is the scenario the pass measured.  ``probabilities``
+    and ``overlaps``, the oracle's squared norms and squared overlaps with
+    the input's kets, hold one row per branch pair ``keys[k]``,
+    `branch_keys` of the scenario, and one column per Bell outcome
+    ``tap.labels[m]``; ``tap`` sums them into the tap's ``(l, m)`` cells,
+    and `conditional_fidelities` of the two gives each branch's fidelity.
+    ``probability_sum`` is the oracle's total and ``expected_sum`` its
+    closed form.  ``deviations`` records every deviation between the
+    routes by name, in the order a run judges them: ``amplitude``, the
+    2-norm of each branch's difference, and ``probability``, both ``(K,
+    M)``; ``cell``, ``(L, M)``, between the routes' tap reports;
+    ``total-fidelity``, 0-d, between their total fidelities; and
+    ``probability-sum``, 0-d, the oracle's total against its closed form.
+    The record and every array are read-only.
     """
 
-    keys: tuple[tuple[object, object], ...]
+    scenario: ScenarioConfig
     probabilities: np.ndarray  # (K, M)
     overlaps: np.ndarray  # (K, M)
     tap: EavesdropReport
@@ -540,61 +500,74 @@ class RoutePass:
         for array in (self.probabilities, self.overlaps, *self.deviations.values()):
             array.setflags(write=False)
 
+    @property
+    def keys(self) -> tuple[tuple[BranchLabel, BranchLabel], ...]:
+        return branch_keys(self.scenario)
 
-def route_pass(scenario: ScenarioConfig, fixed: FixedHalf) -> RoutePass:
-    """Zip the oracle stream with `fast_run` once and measure every deviation between the routes.
 
-    ``fixed`` is `fixed_half` of a scenario that differs from this one in
-    the reference effect at most, as `dataclasses.replace` of that effect
-    keeps every other part: one whose input, Bell family, ``u0`` or
-    receiver effect is another object raises ``ValueError``.  Both
-    streams are reduced alike, block by block as they arrive, to ``(K,
-    M)`` squared norms and `overlaps_squared` with the kets, and each
-    branch's amplitude deviation is the 2-norm of the difference of its
-    two outputs.  The
+def route_passes(scenario: ScenarioConfig, effects: Iterable[Effect] | None = None) -> Iterator[RoutePass]:
+    """Zip the oracle stream with `fast_run` once per reference effect and measure every route deviation.
+
+    With ``effects`` left as ``None`` the one pass is over ``scenario``
+    itself; otherwise each effect, drawn lazily, gets one pass over
+    ``dataclasses.replace(scenario, effect_r=effect)``, which shares the
+    scenario's every other part.  What no reference effect changes is
+    built once, on the first pass: the oracle's bra on R (`oracle_bra`)
+    and its Gram ``bra^+ bra``, the kets ``U(m)^-1 psi``, the transfer
+    rows, those kets scaled by ``sqrt(w)/n`` as `transfer_rows` scales
+    them, and `reference_marginal`.  Both streams are reduced alike,
+    block by block as they arrive, to ``(K, M)`` squared norms and
+    `overlaps_squared` with the kets, and each branch's amplitude
+    deviation is the 2-norm of the difference of its two outputs.  The
     correction is unitary, so comparing uncorrected blocks gives the
     corrected 2-norm deviation identically, and the 2-norm bounds every
     entry's deviation.  Nothing is judged here, so routes that disagree
-    still return their deviations and the caller decides what fails.
+    still yield their deviations and the caller decides what fails.
     Only streams that differ in block count or in a block's shape raise,
     `RouteMismatch`, at the first block they differ on, naming its index
     and what each route had there: a shape, or ``None`` past the end of
-    the stream.  They have no deviation to return.
+    the stream.  They have no deviation to yield.
     """
-    for part in ("input_state", "bell", "u0", "effect_b"):
-        if getattr(fixed.scenario, part) is not getattr(scenario, part):
-            raise ValueError(f"fixed half was built for another scenario: its {part} differs")
-    # per block pair: both routes' squared norms, both routes' squared overlaps, the amplitude deviation
-    rows = []
-    # no enumerate: its reused result tuple would hold the last pair while the next is built
-    for pair in zip_longest(oracle_blocks(scenario, fixed.bra), fast_run(scenario, fixed.rows)):
-        first, second = (None if block is None else block.shape for block in pair)
-        if first != second:
-            raise RouteMismatch(f"block {len(rows)}: oracle {first} vs transfer {second}")
-        rows.append((*map(norms_squared, pair), *(overlaps_squared(block, fixed.kets) for block in pair),
-                     np.sqrt(norms_squared(pair[0] - pair[1]))))
-        del pair  # neither route builds its next block while this pair is held
-    probabilities, transfer_norms, overlaps_sq, transfer_overlaps, amplitude = map(np.array, zip(*rows))
-    del rows  # each block's rows, now stacked
-    tap = tap_report(scenario, probabilities, overlaps_sq)
-    transfer_tap = tap_report(scenario, transfer_norms, transfer_overlaps)
-    probability_sum = float(probabilities.sum())
-    expected_sum = expected_probability_sum(scenario, fixed.gram, fixed.marginal)
-    return RoutePass(
-        keys=branch_keys(scenario),
-        probabilities=probabilities,
-        overlaps=overlaps_sq,
-        tap=tap,
-        probability_sum=probability_sum,
-        expected_sum=expected_sum,
-        deviations=MappingProxyType({
-            "amplitude": amplitude,
-            "probability": np.abs(probabilities - transfer_norms),
-            "cell": np.abs(transfer_tap.probabilities - tap.probabilities),
-            "total-fidelity": np.array(abs(transfer_tap.total_fidelity - tap.total_fidelity)),
-            "probability-sum": np.array(abs(probability_sum - expected_sum)),
-        }),
-    )
+    bell = scenario.bell
+    bra = oracle_bra(scenario)
+    gram = np.conj(bra).T @ bra
+    kets = apply_each_inverse(bell.unitaries, np.asarray(scenario.input_state))
+    transfer = kets[:, None] * (np.sqrt(bell.weights) / scenario.dim)[:, None, None]
+    transfer.setflags(write=False)
+    marginal = reference_marginal(scenario)
+    scenarios = (scenario,) if effects is None else (replace(scenario, effect_r=effect) for effect in effects)
+    for config in scenarios:
+        # per block pair: both routes' squared norms, both routes' squared overlaps, the amplitude deviation
+        rows = []
+        # no enumerate: its reused result tuple would hold the last pair while the next is built
+        for pair in zip_longest(oracle_blocks(config, bra), fast_run(config, transfer)):
+            first, second = (None if block is None else block.shape for block in pair)
+            if first != second:
+                raise RouteMismatch(f"block {len(rows)}: oracle {first} vs transfer {second}")
+            rows.append((*map(norms_squared, pair), *(overlaps_squared(block, kets) for block in pair),
+                         np.sqrt(norms_squared(pair[0] - pair[1]))))
+            del pair  # neither route builds its next block while this pair is held
+        probabilities, transfer_norms, overlaps_sq, transfer_overlaps, amplitude = map(np.array, zip(*rows))
+        del rows  # each block's rows, now stacked
+        tap = tap_report(config, probabilities, overlaps_sq)
+        transfer_tap = tap_report(config, transfer_norms, transfer_overlaps)
+        probability_sum = float(probabilities.sum())
+        expected_sum = expected_probability_sum(config, gram, marginal)
+        yield RoutePass(
+            scenario=config,
+            probabilities=probabilities,
+            overlaps=overlaps_sq,
+            tap=tap,
+            probability_sum=probability_sum,
+            expected_sum=expected_sum,
+            deviations=MappingProxyType({
+                "amplitude": amplitude,
+                "probability": np.abs(probabilities - transfer_norms),
+                "cell": np.abs(transfer_tap.probabilities - tap.probabilities),
+                "total-fidelity": np.array(abs(transfer_tap.total_fidelity - tap.total_fidelity)),
+                "probability-sum": np.array(abs(probability_sum - expected_sum)),
+            }),
+        )
 
 
 def _table(config: ScenarioConfig, blocks: BlockStream) -> BranchTable:

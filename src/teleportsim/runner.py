@@ -2,12 +2,12 @@
 
 Every branch is computed twice: once through the transfer kernel and once
 through the full-state oracle.  Both routes, their comparison and the
-tap cells live in `teleportsim.engine`: `route_pass` zips the two
-streams once, reduces both alike to ``(K, M)`` squared norms and
-overlaps and measures the 2-norm amplitude deviation of every branch,
-and `tap_report` sums each route's arrays into the tap's ``(L, M)``
-cells.  The pass keeps only those reductions, never a table
-of blocks, and returns every deviation between the routes as a value
+tap cells live in `teleportsim.engine`: each pass that `route_passes`
+yields zips the two streams once, reduces both alike to ``(K, M)``
+squared norms and overlaps and measures the 2-norm amplitude deviation
+of every branch, and `tap_report` sums each route's arrays into the
+tap's ``(L, M)`` cells.  The pass keeps only those reductions, never a
+table of blocks, and returns every deviation between the routes as a value
 instead of raising, in the one named record `RoutePass.deviations`: the
 run drivers here and the verification suite read the same record, and
 this module holds the failure policy, `_checked_pass`, one loop that
@@ -32,13 +32,13 @@ down to the byte for a fixed spec.
 
 What no tap strength changes is built once per run: the scenario
 without a tap (input, Bell family, u0 and receiver) comes validated
-from the spec, `RunSpec.scenario`, and `fixed_half` builds the oracle's
-bra on R and its Gram, the kernel's rows of the input, the kets
-``U(m)^-1 psi`` and the reference marginal.  A sweep builds those, and
-the distinguished pair's kernel rows, once for the grid; each point
-builds its tap family and its scenario, whose mirror stack
-(`ScenarioConfig.mirrors`) is built once and shared by its route pass
-and `distinguishability`, then both routes' blocks and reductions.
+from the spec, `RunSpec.scenario`, and `route_passes` builds the
+oracle's bra on R and its Gram, the kernel's rows of the input, the
+kets ``U(m)^-1 psi`` and the reference marginal once from it.  A sweep
+hands it the grid's tap families lazily and builds the distinguished
+pair's kernel rows once; each pass measures one point's scenario, whose
+mirror stack (`ScenarioConfig.mirrors`) is built once and shared by the
+pass and `distinguishability`.
 
 The teleport table is rendered in bulk, with the bytes a row-by-row
 csv.writer would give.  Every number is `format_number`'s ``.12g``, and
@@ -53,7 +53,7 @@ from __future__ import annotations
 import csv
 from dataclasses import replace
 from types import SimpleNamespace
-from typing import IO, Mapping, Sequence
+from typing import IO, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -62,18 +62,16 @@ from .eavesdrop import distinguishability
 from .effects import strength_family
 from .engine import (
     NULL_BRANCH_EPS,
-    FixedHalf,
     RouteMismatch,
     RoutePass,
     ScenarioConfig,
     conditional_fidelities,
-    fixed_half,
-    route_pass,
+    route_passes,
     transfer_rows,
 )
 # fast_run, run_oracle, analyze_eavesdropping and make_scenario stay
 # importable here: perfbench/tracing.py patches them by name, though the
-# drivers reach both routes through `route_pass`, take the scenario from
+# drivers reach both routes through `route_passes`, take the scenario from
 # the spec and call none of them
 from .eavesdrop import analyze_eavesdropping  # noqa: F401
 from .engine import fast_run, make_scenario, run_oracle  # noqa: F401
@@ -181,8 +179,8 @@ _REFUSALS = {
 }
 
 
-def _checked_pass(where: str, scenario: ScenarioConfig, fixed: FixedHalf) -> RoutePass:
-    """`route_pass`, raising `InvariantViolation` led by ``where`` on the first invariant it breaks.
+def _checked_pass(where: str, passes: Iterator[RoutePass]) -> RoutePass:
+    """The next of ``passes``, raising `InvariantViolation` led by ``where`` on the first invariant it breaks.
 
     A block count or shape that differs fails first.  Then each deviation
     of the record is judged in its order against `RUN_TOL`, and the first
@@ -192,7 +190,7 @@ def _checked_pass(where: str, scenario: ScenarioConfig, fixed: FixedHalf) -> Rou
     deviation fails it too.
     """
     try:
-        measured = route_pass(scenario, fixed)
+        measured = next(passes)
     except RouteMismatch as exc:
         raise InvariantViolation(f"{where}{exc}") from None
     for name, deviation in measured.deviations.items():
@@ -231,8 +229,8 @@ def run_teleport(spec: RunSpec, stream: IO[str]) -> list[str]:
 
     Returns human-readable summary lines for the caller to print.
     """
-    scenario = build_scenario(spec)
-    measured = _checked_pass("", scenario, fixed_half(scenario))
+    measured = _checked_pass("", route_passes(build_scenario(spec)))
+    scenario = measured.scenario
     probabilities = measured.probabilities
     tap = measured.tap
     # a tap is the only reference effect a spec sets
@@ -296,29 +294,29 @@ def _sweep_grid(spec: RunSpec) -> list[float]:
 def run_sweep(spec: RunSpec, stream: IO[str]) -> list[str]:
     """Sweep the tap strength and tabulate fidelity against leakage.
 
-    Only the tap changes from point to point, so every point adds its tap
-    to the spec's scenario, and every array the strength does not touch
-    is built once: `fixed_half` and the distinguished pair's kernel
-    rows.  Each point builds its tap family and its scenario once, and
-    runs both routes and `distinguishability` on the scenario's one
-    mirror stack.
+    Only the tap changes from point to point, so `route_passes` takes
+    the spec's scenario and the grid's tap families, drawn lazily, and
+    builds every array the strength does not touch once; the
+    distinguished pair's kernel rows are built once beside them.  Each
+    point's pass runs both routes on its scenario, and
+    `distinguishability` reads that scenario's one mirror stack.
     """
     grid = _sweep_grid(spec)
     base = spec.scenario
-    fixed = fixed_half(base)
     pair = transfer_rows(base, np.array([state for _, state in spec.distinguish]))
     basis = np.asarray(spec.eavesdrop.basis)
+    passes = route_passes(base, (strength_family(base.dim, theta, basis) for theta in grid))
     points = []
     for theta in grid:
-        scenario = replace(base, effect_r=strength_family(base.dim, theta, basis))
         where = f"theta={format_number(theta)}: "
-        measured = _checked_pass(where, scenario, fixed)
-        advantage = distinguishability(pair, scenario.mirrors)
+        measured = _checked_pass(where, passes)
+        advantage = distinguishability(pair, measured.scenario.mirrors)
         _require_finite(where, total_fidelity=measured.tap.total_fidelity, distinguishability=advantage)
         # a point keeps its scalars alone, the worst of each deviation: the
         # passes' (K, M) arrays would pile up over the grid
         points.append((measured.tap.total_fidelity, advantage, measured.probability_sum, measured.expected_sum,
                        {name: np.max(deviation) for name, deviation in measured.deviations.items()}))
+        del measured  # it holds its scenario's mirror stack: dropped before the next point's pass
     fidelities, advantages, sums, expected_sums, deviations = zip(*points)
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(SWEEP_HEADER)

@@ -34,14 +34,14 @@ overlaps with the input's kets ``U(m)^-1 psi``; no check collects the
 oracle into a table.  ``ideal-teleportation`` and
 ``probability-completeness`` read the oracle alone and hold it to exact
 targets.  ``oracle-fast-equivalence`` and ``tap-oracle-agreement`` read
-the one pass over both routes that the run drivers read,
-`teleportsim.engine.route_pass`, which returns every deviation between
-the routes, by name, in one record, `RoutePass.deviations`, instead of
-raising: the first yields the worst of each name (``amplitude`` and
-``probability`` per branch, ``cell`` per tap cell, ``total-fidelity``
-and ``probability-sum``, the oracle's total against its closed form),
-the second the worst ``cell`` beside the Hermiticity of every
-``P(l, m)``.  Verify judges
+the one pass over both routes that the run drivers read, the one that
+`teleportsim.engine.route_passes` yields over each check's scenario.
+The pass returns every deviation between the routes, by name, in one
+record, `RoutePass.deviations`, instead of raising: the first yields
+the worst of each name (``amplitude`` and ``probability`` per branch,
+``cell`` per tap cell, ``total-fidelity`` and ``probability-sum``, the
+oracle's total against its closed form), the second the worst ``cell``
+beside the Hermiticity of every ``P(l, m)``.  Verify judges
 the deviations against its own tolerances and imports neither the run
 drivers nor their config parser.
 ``decomposition-identity`` (no reference effect) and
@@ -74,16 +74,15 @@ from .effects import (
 from .engine import (
     ScenarioConfig,
     conditional_fidelities,
-    fixed_half,
     make_scenario,
     oracle_blocks,
     oracle_bra,
     reduce_stream,
-    route_pass,
+    route_passes,
 )
 # run_oracle and fast_run stay importable here: perfbench/tracing.py
 # patches them by name, though every check reads the oracle through its
-# stream and the transfer route through `route_pass`
+# stream and the transfer route through `route_passes`
 from .engine import fast_run, run_oracle  # noqa: F401
 from .linalg import apply_each_inverse, basis_state, uniform_state
 from .sampling import child_rng, random_state, random_unitary
@@ -269,7 +268,7 @@ def check_oracle_fast_equivalence(depth: str, seed: int, corrupt: str | None) ->
     for dim in _dims(depth):
         for trial in range(count):
             config = _random_scenario(dim, rng, (trial % 3, (trial + 1) % 3))
-            measured = route_pass(config, fixed_half(config))
+            measured = next(route_passes(config))
             yield from map(np.max, measured.deviations.values())
 
 
@@ -353,7 +352,7 @@ def check_tap_oracle_agreement(depth: str, seed: int, corrupt: str | None) -> It
         family = _tap(dim, corrupt, rng=rng)
         config = make_scenario(dim, random_state(dim, rng), bell=_bell(dim, corrupt),
                                u0=random_unitary(dim, rng), effect_r=family)
-        measured = route_pass(config, fixed_half(config))
+        measured = next(route_passes(config))
         yield np.max(measured.deviations["cell"])
         for _, ops in tap_operators(config):
             yield np.max(np.abs(ops - ops.conj().transpose(0, 2, 1)))

@@ -276,10 +276,10 @@ def test_failed_run_leaves_output_as_it_was(tmp_path, capsys):
 
 
 def test_violated_invariant_leaves_output_as_it_was(tmp_path, capsys, monkeypatch):
-    def explode(scenario, fixed):
+    def explode(scenario, effects=None):
         raise InvariantViolation("routes disagree")
 
-    monkeypatch.setattr(runner, "route_pass", explode)
+    monkeypatch.setattr(runner, "route_passes", explode)
     target = tmp_path / "keep.csv"
     target.write_bytes(KEPT)
     for command, text in (("teleport", TAP_CONFIG), ("sweep", SWEEP_CONFIG)):
@@ -352,7 +352,7 @@ def test_a_kernel_that_loses_a_block_exits_two_everywhere(tmp_path, capsys, monk
 
     scenario = runner.build_scenario(load_config(config))
     with pytest.raises(engine.RouteMismatch, match=r"^block 1: oracle \(4, 2\) vs transfer None$"):
-        runner.route_pass(scenario, runner.fixed_half(scenario))
+        next(runner.route_passes(scenario))
     result = verify.check_oracle_fast_equivalence("quick", 0, None)
     assert re.fullmatch(
         r"FAIL oracle-fast-equivalence: max deviation inf \(tolerance 1\.0e-09\) "

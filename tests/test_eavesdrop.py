@@ -497,7 +497,7 @@ def test_any_reference_effect_is_a_tap():
     config = make_scenario(3, random_state(3, rng), u0=random_unitary(3, rng), effect_r=kraus_mixture(damping))
     report = analyze_eavesdropping(config)
     assert report.tap_labels == (0, 1)
-    measured = engine.route_pass(config, engine.fixed_half(config))
+    measured = next(engine.route_passes(config))
     assert_allclose(report.probabilities, measured.tap.probabilities, rtol=0, atol=1e-12)
     expected = brute_tap_cells(config.input_state, config.u0, damping, list(report.labels))
     assert_allclose(report.probabilities, expected, rtol=0, atol=1e-12)

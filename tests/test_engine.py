@@ -433,15 +433,17 @@ def test_route_pass_holds_a_few_blocks_of_each_stream():
     # both routes are streams compared block by block: beside the scenario's
     # (L, n, n) mirror stack and its (K, M) reductions the pass holds a few
     # (M, n) blocks, never a 16 MB table, and the transfer route builds its
-    # channels one reference branch at a time
+    # channels one reference branch at a time; the first pass builds the
+    # arrays no tap changes, so the second is measured alone
     config = _fourier_tap(32)
-    fixed = engine.fixed_half(config)
+    passes = engine.route_passes(config, [config.effect_r, config.effect_r])
+    next(passes)
     block_bytes = _block_bytes(32)
     mirror_bytes = 32 * 32 * 32 * 16
     row_bytes = 32 * 1024 * 8  # one (K, M) float array
     tracemalloc.start()
     try:
-        measured = engine.route_pass(config, fixed)
+        measured = next(passes)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -500,12 +502,11 @@ def _parted(config, case: str):
 )
 def test_route_pass_names_streams_that_part(monkeypatch, case, match):
     config = _fourier_tap(3, _damping(3))
-    fixed = engine.fixed_half(config)
-    assert engine.route_pass(config, fixed).deviations["amplitude"].shape == (6, 9)
+    assert next(engine.route_passes(config)).deviations["amplitude"].shape == (6, 9)
     parted = _parted(config, case)
     monkeypatch.setattr(engine, "fast_run", lambda scenario, rows: iter(parted))
     with pytest.raises(RouteMismatch, match=match):
-        engine.route_pass(config, fixed)
+        next(engine.route_passes(config))
 
 
 def _unclosed(rng: np.random.Generator, dim: int, scales: tuple[float, ...]) -> Effect:
@@ -594,26 +595,55 @@ def test_a_replaced_tap_builds_its_own_mirror_stack():
     assert not np.allclose(tapped.mirrors, stale)
 
 
-def test_route_pass_refuses_a_fixed_half_of_another_scenario():
-    # a fixed half carries its scenario's input, family, u0 and receiver:
-    # run on another scenario it would report that one's numbers
-    config = make_scenario(3, basis_state(3, 0), effect_r=strength_family(3, 0.7))
-    other_input = replace(config, input_state=uniform_state(3))
-    assert engine.route_pass(config, engine.fixed_half(config)).tap.total_fidelity == pytest.approx(1.0)
-    for part, other in (
-        ("input_state", other_input),
-        # an equal copy of the Weyl family is still another family
-        ("bell", replace(config, bell=replace(config.bell))),
-        ("u0", replace(config, u0=np.eye(3))),
-        ("effect_b", replace(config, effect_b=_damping(3))),
-    ):
-        with pytest.raises(ValueError, match=f"^fixed half was built for another scenario: its {part} differs$"):
-            engine.route_pass(config, engine.fixed_half(other))
-    # another tap on the same scenario shares every other part
-    retapped = replace(config, effect_r=strength_family(3, 0.2))
-    assert engine.route_pass(retapped, engine.fixed_half(config)).tap.total_fidelity == pytest.approx(
-        engine.route_pass(retapped, engine.fixed_half(retapped)).tap.total_fidelity, abs=0
-    )
+def _counted(monkeypatch, name: str) -> list:
+    """Patch ``engine.<name>`` to record each call's arguments in the returned list."""
+    calls = []
+    function = getattr(engine, name)
+
+    def counted(*args):
+        calls.append(args)
+        return function(*args)
+
+    monkeypatch.setattr(engine, name, counted)
+    return calls
+
+
+def test_route_passes_build_what_no_tap_changes_once(monkeypatch):
+    # one generator over three effects: one oracle bra and one set of kets
+    # U(m)^-1 psi for all three passes
+    config = _fourier_tap(3, _damping(3))
+    bras, inverses = _counted(monkeypatch, "oracle_bra"), _counted(monkeypatch, "apply_each_inverse")
+    effects = [strength_family(3, theta) for theta in (0.1, 0.5, 0.9)]
+    passes = list(engine.route_passes(config, effects))
+    assert len(passes) == 3
+    assert len(bras) == len(inverses) == 1
+    assert bras[0][0] is config
+
+
+def test_each_route_pass_measures_the_base_with_its_own_effect():
+    # every pass shares the base's input, family, u0 and receiver, the very
+    # same objects, and carries the effect it was handed
+    config = _fourier_tap(3, _damping(3))
+    effects = [strength_family(3, theta) for theta in (0.2, 0.7)]
+    passes = list(engine.route_passes(config, iter(effects)))
+    for measured, effect in zip(passes, effects, strict=True):
+        scenario = measured.scenario
+        assert scenario is not config
+        for part in ("input_state", "bell", "u0", "effect_b"):
+            assert getattr(scenario, part) is getattr(config, part)
+        assert scenario.effect_r is effect
+        assert measured.keys == engine.branch_keys(scenario)
+        alone = next(engine.route_passes(scenario))
+        assert measured.tap.total_fidelity == alone.tap.total_fidelity
+        assert np.array_equal(measured.probabilities, alone.probabilities)
+
+
+def test_route_passes_without_effects_yield_one_pass_over_the_scenario():
+    config = _fourier_tap(3, _damping(3))
+    passes = list(engine.route_passes(config))
+    assert len(passes) == 1
+    assert passes[0].scenario is config
+    assert passes[0].keys == engine.branch_keys(config)
 
 
 def test_nan_in_a_directly_built_family_is_still_refused():

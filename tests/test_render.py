@@ -181,11 +181,9 @@ def test_teleport_writer_holds_its_string_arrays_and_one_block(monkeypatch, kind
     # would trip this
     spec = _teleport_n32(kind)
     scenario = runner.build_scenario(spec)
-    fixed = runner.fixed_half(scenario)
-    measured = runner.route_pass(scenario, fixed)
+    measured = next(runner.route_passes(scenario))
     monkeypatch.setattr(runner, "build_scenario", lambda spec: scenario)
-    monkeypatch.setattr(runner, "fixed_half", lambda scenario: fixed)
-    monkeypatch.setattr(runner, "route_pass", lambda scenario, fixed: measured)
+    monkeypatch.setattr(runner, "route_passes", lambda scenario, effects=None: iter([measured]))
     # one text object per distinct bit pattern, though many render alike
     fidelities = runner.conditional_fidelities(measured.overlaps, measured.probabilities)
     cells = [format_numbers(measured.probabilities), format_numbers(fidelities)]

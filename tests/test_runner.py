@@ -117,8 +117,7 @@ def test_disagreeing_pass_still_returns_its_deviations(monkeypatch):
         yield block
 
     faulty_stream(monkeypatch, moved)
-    scenario = runner.build_scenario(SPEC)
-    measured = runner.route_pass(scenario, runner.fixed_half(scenario))
+    measured = next(runner.route_passes(runner.build_scenario(SPEC)))
     deviation = measured.deviations["amplitude"]
     assert np.unravel_index(np.argmax(deviation), deviation.shape) == (2, 1)
     assert deviation[2, 1] == pytest.approx(1e-6, rel=1e-6)
@@ -127,8 +126,7 @@ def test_disagreeing_pass_still_returns_its_deviations(monkeypatch):
 
 
 def route_pass_of(spec):
-    scenario = runner.build_scenario(spec)
-    return engine.route_pass(scenario, engine.fixed_half(scenario))
+    return next(engine.route_passes(runner.build_scenario(spec)))
 
 
 def test_route_pass_records_five_named_deviations_in_judging_order():
@@ -216,10 +214,10 @@ def test_amplitude_deviation_is_the_two_norm_of_the_corrected_difference(monkeyp
     faulty_stream(monkeypatch, moved)
     refused(r"routes disagree on branch \(m=\(0, 2\), l=1, b=None\): .* amplitude deviation 1\.000e-06", spec)
     scenario = runner.build_scenario(spec)
-    fixed = engine.fixed_half(scenario)
-    oracle = list(engine.oracle_blocks(scenario, fixed.bra))
-    transfer = list(engine.fast_run(scenario, fixed.rows))
-    deviation = engine.route_pass(scenario, fixed).deviations["amplitude"]
+    psi = np.asarray(scenario.input_state)
+    oracle = list(engine.oracle_blocks(scenario, engine.oracle_bra(scenario)))
+    transfer = list(engine.fast_run(scenario, engine.transfer_rows(scenario, psi[None])))
+    deviation = next(engine.route_passes(scenario)).deviations["amplitude"]
     for index, m in ((1, 2), (2, 4)):
         corrected = family.unitaries[m] @ (oracle[index][m] - transfer[index][m])
         assert deviation[index, m] == pytest.approx(np.linalg.norm(corrected), rel=1e-15, abs=0)
@@ -463,13 +461,13 @@ def test_tap_oracle_agreement_builds_one_mirror_stack_per_scenario(monkeypatch):
     calls = {"mirrors": 0}
     counted_mirrors(monkeypatch, calls)
     scenarios = []
-    route_pass = verify.route_pass
+    route_passes = verify.route_passes
 
-    def recorded(scenario, fixed):
+    def recorded(scenario, effects=None):
         scenarios.append(scenario)
-        return route_pass(scenario, fixed)
+        return route_passes(scenario, effects)
 
-    monkeypatch.setattr(verify, "route_pass", recorded)
+    monkeypatch.setattr(verify, "route_passes", recorded)
     assert verify.check_tap_oracle_agreement("quick", 0, None).passed
     assert len(scenarios) == len(verify._dims("quick")) == calls["mirrors"]
 
@@ -538,18 +536,18 @@ def test_sweep_points_are_the_points_built_from_scratch(monkeypatch):
         "distinguish": ["random:5", "basis:2"],
     }))
     fidelities, advantages = [], []
-    route_pass, advantage_of = runner.route_pass, runner.distinguishability
+    route_passes, advantage_of = runner.route_passes, runner.distinguishability
 
-    def recorded_pass(*args):
-        measured = route_pass(*args)
-        fidelities.append(measured.tap.total_fidelity)
-        return measured
+    def recorded_passes(*args):
+        for measured in route_passes(*args):
+            fidelities.append(measured.tap.total_fidelity)
+            yield measured
 
     def recorded_advantage(*args):
         advantages.append(advantage_of(*args))
         return advantages[-1]
 
-    monkeypatch.setattr(runner, "route_pass", recorded_pass)
+    monkeypatch.setattr(runner, "route_passes", recorded_passes)
     monkeypatch.setattr(runner, "distinguishability", recorded_advantage)
     runner.run_sweep(spec, io.StringIO())
     grid = runner._sweep_grid(spec)

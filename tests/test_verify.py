@@ -126,13 +126,14 @@ def test_oracle_fast_equivalence_catches_branch_deviations_that_add_up(monkeypat
     # exceeds 1/3
     patch_stream(monkeypatch, lambda block: block * (1 + 1.5e-9))
     passes = []
-    shared = verify.route_pass
+    shared = verify.route_passes
 
     def recorded(*args):
-        passes.append(shared(*args))
-        return passes[-1]
+        for measured in shared(*args):
+            passes.append(measured)
+            yield measured
 
-    monkeypatch.setattr(verify, "route_pass", recorded)
+    monkeypatch.setattr(verify, "route_passes", recorded)
     result = check_oracle_fast_equivalence("quick", 0, None)
     branch = ("amplitude", "probability")
     assert max(np.max(measured.deviations[name]) for measured in passes for name in branch) < 1e-9
